@@ -20,7 +20,6 @@ from .config import (
 from .errors import FivegsimError, FlowError, SetupError
 from .nwdaf import (
     EventStore,
-    NwdafEvent,
     SchemaError,
     export_events,
     import_events,
@@ -42,7 +41,6 @@ from .urllc import (
     Redundancy,
     ReliabilityResult,
     eliminate_duplicates,
-    measure_delivery_reliability,
     seq_newer,
 )
 from .validation import CheckResult, all_passed, validate_sequences
@@ -74,7 +72,6 @@ __all__ = [
     "GtpuHeader",
     "Link",
     "Network",
-    "NwdafEvent",
     "Params",
     "Protocol",
     "Redundancy",
@@ -103,7 +100,6 @@ __all__ = [
     "kpi_packet_counts",
     "kpi_throughput_matrix",
     "load_topology",
-    "measure_delivery_reliability",
     "parse_topology",
     "run_reliability_measurement",
     "run_scenario",

@@ -47,8 +47,8 @@ class Params:
     heartbeat_ms: int = 3333
     segment_bytes: int = 64000
     ue_pool: str = "10.45.0.0/16"
-    app_server_ip: str = "192.168.0.40"
-    nwdaf_ip: str = "192.168.0.41"
+    app_server_ip: str = "192.168.0.40"  # injected SERVER, when not declared
+    nwdaf_ip: str = "192.168.0.41"  # injected NWDAF, when not declared
     settle_ms: int = 1000
     app_port: int = 80
     gtpu_port: int = 2152
@@ -71,6 +71,11 @@ class Params:
             ipaddress.IPv4Network(self.ue_pool)
         except ValueError as exc:
             raise ConfigError(f"bad ue_pool {self.ue_pool!r}: {exc}") from None
+        for name in ("app_server_ip", "nwdaf_ip"):
+            try:
+                ipaddress.IPv4Address(getattr(self, name))
+            except ValueError as exc:
+                raise ConfigError(f"bad {name}: {exc}") from None
 
 
 @dataclass(frozen=True)
@@ -116,6 +121,15 @@ def _validate(
         ips.add(e.ip)
         if ipaddress.IPv4Address(e.ip) in pool:
             raise ConfigError(f"entity address {e.ip} collides with the UE pool {params.ue_pool}")
+    # a run injects SERVER and NWDAF at these addresses unless they are declared
+    declared = {e.kind for e in entities}
+    for kind, param in (("SERVER", "app_server_ip"), ("NWDAF", "nwdaf_ip")):
+        ip = getattr(params, param)
+        if kind in declared:
+            continue
+        if ip in ips or ipaddress.IPv4Address(ip) in pool:
+            raise ConfigError(f"{param} {ip} collides with an entity address or the UE pool")
+        ips.add(ip)
     seen_pairs: set[frozenset[str]] = set()
     for l in links:
         for end in (l.a, l.b):
@@ -186,6 +200,9 @@ def parse_topology(text: str, source: str = "<memory>") -> TopologyConfig:
                 kind = kind.upper()
                 if kind not in ENTITY_KINDS:
                     raise ConfigError(f"unknown entity kind {kind}", lineno)
+                # names become event-log fields, which are whitespace-separated
+                if not name or any(ch.isspace() for ch in name):
+                    raise ConfigError(f"bad entity name {name!r}", lineno)
                 ipaddress.IPv4Address(ip)
                 entities.append(EntityDecl(kind=kind, name=name, ip=ip))
             elif section == "links":

@@ -292,9 +292,6 @@ class Nrf(NfEntity):
         ]
         return sorted(found, key=lambda p: p.nf_id)
 
-    def registry_snapshot(self) -> dict[str, NfProfile]:
-        return {nf_id: p.snapshot() for nf_id, p in self.registry.items()}
-
     # -- sweep -------------------------------------------------------------
 
     def _arm_sweep(self) -> None:

@@ -81,17 +81,14 @@ class Tag(IntEnum):
     INDEX = 10
     DATA = 11
     SEQ = 12
-    TEID = 13
     UE_IP = 14
     MODE = 15
     PATHS = 16
     RULES = 17
     KPI_KIND = 18
-    PERIOD_MS = 19
     WINDOW_T0 = 20
     WINDOW_T1 = 21
     PACKETS = 22
-    BYTES = 23
     SEGMENTS = 24
     GNB = 25
     DIGEST = 26

@@ -1,14 +1,15 @@
-"""Embedded analytics: event store, KPI synthesis, log round-tripping.
+"""Embedded analytics: KPI synthesis, log round-tripping, periodic feeds.
 
-The analytics function taps the fabric directly (management plane, not
-packets), validates every record against a flat schema, and keeps an
-append-only store. KPIs are synthesised over half-open time windows; logs
-export to a line-oriented TSV that re-imports byte-identically.
+The analytics function reads the fabric's own event log (management plane,
+not packets); the fabric built every row, so the live path checks nothing.
+KPIs are synthesised over half-open time windows; logs export to a
+line-oriented TSV that re-imports byte-identically. Import is the one
+untrusted boundary, and the only place rows are checked against the schema.
 """
 from __future__ import annotations
 
 import io
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .core_cp import NfEntity
 from .errors import FivegsimError, SetupError
@@ -20,28 +21,11 @@ SEMANTICS = ("src_only", "src_or_dst")
 
 _FORBIDDEN = ("\t", "\n", "\r")
 
+_PROTOCOLS = Protocol.__members__  # exported name -> member
+
 
 class SchemaError(FivegsimError):
     """An event failed schema validation."""
-
-
-@dataclass
-class NwdafEvent:
-    """One validated, stored fabric event."""
-
-    event_id: int
-    ts: int
-    link_id: str
-    src: str
-    dst: str
-    protocol: str
-    size: int
-    outcome: str
-    attrs: dict[str, str] = field(default_factory=dict)
-
-    @property
-    def is_wire(self) -> bool:
-        return not self.link_id.startswith("local:")
 
 
 def _check_token(label: str, value: str) -> None:
@@ -55,13 +39,13 @@ def validate_event_fields(
     ts: int, link_id: str, src: str, dst: str, protocol: str, size: int, outcome: str,
     attrs: dict[str, str],
 ) -> None:
-    """Raise SchemaError if any field violates the store schema."""
+    """Raise SchemaError if any field of an imported row violates the schema."""
     if not isinstance(ts, int) or isinstance(ts, bool) or ts < 0:
         raise SchemaError(f"ts must be a non-negative integer, got {ts!r}")
     _check_token("link_id", link_id)
     _check_token("src", src)
     _check_token("dst", dst)
-    if protocol not in Protocol.__members__:
+    if protocol not in _PROTOCOLS:
         raise SchemaError(f"unknown protocol {protocol!r}")
     if not isinstance(size, int) or isinstance(size, bool) or size < 0:
         raise SchemaError(f"size must be a non-negative integer, got {size!r}")
@@ -79,74 +63,16 @@ def validate_event_fields(
             raise SchemaError(f"attr {key} value contains a reserved character")
 
 
+@dataclass
 class EventStore:
-    """Append-only, schema-checked event log.
+    """The analytics function's view of the run's event log.
 
-    Identifiers are assigned here and strictly increase; timestamps must
-    never go backwards. Invalid records are counted, not stored.
+    ``events`` is the fabric's own list; nothing on the live path is ever
+    rejected, so ``rejected`` stays 0.
     """
 
-    def __init__(self) -> None:
-        self.events: list[NwdafEvent] = []
-        self.rejected = 0
-        self._next_id = 1
-        self._last_ts = 0
-
-    def __len__(self) -> int:
-        return len(self.events)
-
-    def ingest(
-        self,
-        ts: int,
-        link_id: str,
-        src: str,
-        dst: str,
-        protocol: str,
-        size: int,
-        outcome: str,
-        attrs: dict[str, str] | None = None,
-    ) -> NwdafEvent | None:
-        attrs = dict(attrs or {})
-        try:
-            validate_event_fields(ts, link_id, src, dst, protocol, size, outcome, attrs)
-            if ts < self._last_ts:
-                raise SchemaError(f"time went backwards: {ts} after {self._last_ts}")
-        except SchemaError:
-            self.rejected += 1
-            return None
-        event = NwdafEvent(
-            event_id=self._next_id,
-            ts=ts,
-            link_id=link_id,
-            src=src,
-            dst=dst,
-            protocol=protocol,
-            size=size,
-            outcome=outcome,
-            attrs=attrs,
-        )
-        self._next_id += 1
-        self._last_ts = ts
-        self.events.append(event)
-        return event
-
-    def ingest_tap(self, record: TapRecord) -> None:
-        # Fabric attrs may carry free-form reasons; normalise characters the
-        # log format reserves instead of losing the event.
-        attrs = {
-            k: v.replace("\t", " ").replace("\n", " ").replace("\r", " ").replace(",", ";")
-            for k, v in record.attrs.items()
-        }
-        self.ingest(
-            record.ts,
-            record.link_id,
-            record.src,
-            record.dst,
-            record.protocol.name,
-            record.size,
-            record.outcome,
-            attrs,
-        )
+    events: list[TapRecord]
+    rejected: int = 0
 
 
 # -- KPI synthesis ------------------------------------------------------------
@@ -227,7 +153,7 @@ def export_events_text(events) -> str:
     for ev in events:
         out.write(
             f"{ev.event_id}\t{ev.ts}\t{ev.link_id}\t{ev.src}\t{ev.dst}"
-            f"\t{ev.protocol}\t{ev.size}\t{ev.outcome}\t{_attrs_text(ev.attrs)}\n"
+            f"\t{ev.protocol.name}\t{ev.size}\t{ev.outcome}\t{_attrs_text(ev.attrs)}\n"
         )
     return out.getvalue()
 
@@ -237,8 +163,12 @@ def export_events(events, path) -> None:
         fh.write(export_events_text(events))
 
 
-def import_events_text(text: str) -> list[NwdafEvent]:
-    events: list[NwdafEvent] = []
+def import_events_text(text: str) -> list[TapRecord]:
+    """Parse an exported log, checking every row against the schema.
+
+    Ids must strictly increase and timestamps must never go backwards.
+    """
+    events: list[TapRecord] = []
     last_id = 0
     last_ts = 0
     for lineno, line in enumerate(text.splitlines(), start=1):
@@ -265,13 +195,13 @@ def import_events_text(text: str) -> list[NwdafEvent]:
             raise SchemaError(f"line {lineno}: time went backwards")
         last_id, last_ts = event_id, ts
         events.append(
-            NwdafEvent(
+            TapRecord(
                 event_id=event_id,
                 ts=ts,
                 link_id=cols[2],
                 src=cols[3],
                 dst=cols[4],
-                protocol=cols[5],
+                protocol=_PROTOCOLS[cols[5]],
                 size=size,
                 outcome=cols[7],
                 attrs=attrs,
@@ -280,7 +210,7 @@ def import_events_text(text: str) -> list[NwdafEvent]:
     return events
 
 
-def import_events(path) -> list[NwdafEvent]:
+def import_events(path) -> list[TapRecord]:
     with open(path, "r", encoding="utf-8") as fh:
         return import_events_text(fh.read())
 
@@ -303,19 +233,13 @@ def write_throughput_csv(path, matrix: dict[tuple[str, str], float]) -> None:
 
 
 class Nwdaf(NfEntity):
-    """Analytics function: ingests fabric taps, serves periodic KPI feeds."""
+    """Analytics function: reads the fabric's log, serves periodic KPI feeds."""
 
     kind = "NWDAF"
 
     def __init__(self, name, ip, net, env):
         super().__init__(name, ip, net, env)
-        self.store = EventStore()
-        self._tapped = False
-
-    def attach_taps(self) -> None:
-        if not self._tapped:
-            self.net.register_tap(self.store.ingest_tap)
-            self._tapped = True
+        self.store = EventStore(net.events)
 
     def subscribe_analytics(self, subscriber: str, kind: str = "packet_counts", period_ms: int = 1000) -> None:
         """Register a periodic KPI feed towards another NF.

@@ -3,7 +3,7 @@
 A Testbed turns a topology into live entities on one fabric, stages the
 bring-up (registry first, then the other functions, discovery, N4
 association, NGAP setup) and leaves the clock ready to run. Scenarios layer
-UE activity on top and collect KPIs, transfers and the validated event log
+UE activity on top and collect KPIs, transfers and the fabric's event log
 into a RunResult.
 """
 from __future__ import annotations
@@ -32,7 +32,7 @@ from .nwdaf import (
     write_throughput_csv,
 )
 from .ran_ue import Gnb, Transfer, Ue
-from .simnet import DELIVERED, DROPPED, ELIMINATED_DUPLICATE, Network, TapRecord, conservation_report
+from .simnet import DELIVERED, DROPPED, ELIMINATED_DUPLICATE, Network, conservation_report
 from .urllc import Redundancy, ReliabilityResult
 from .user_plane import AppServer, Upf
 from .validation import CheckResult, validate_sequences
@@ -50,9 +50,6 @@ T_ATTACH = 45
 
 SWEEP_LOSS = 0.1
 SWEEP_PACKETS = 2000
-
-DEFAULT_SERVER = ("SERVER", "192.168.0.40")
-DEFAULT_NWDAF = ("NWDAF", "192.168.0.41")
 
 
 class Testbed:
@@ -81,8 +78,7 @@ class Testbed:
         )
 
         self.net = Network(seed=seed)
-        self.records: list[TapRecord] = []
-        self.net.register_tap(self.records.append)
+        self.records = self.net.events
 
         amf_name = next((e.name for e in entities if e.kind == "AMF"), None)
         ue_decls = [e for e in entities if e.kind == "UE"]
@@ -102,7 +98,6 @@ class Testbed:
                 g for g in gnb_names if self.net.link_between(ue.name, g) is not None
             )
             ue.attach_gnbs(attached)
-        self.nwdaf.attach_taps()
 
     # -- construction helpers ---------------------------------------------
 
@@ -111,13 +106,13 @@ class Testbed:
         topology does not declare them, wiring both with reliable links."""
         upf_names = [e.name for e in entities if e.kind == "UPF"]
         if not any(e.kind == "SERVER" for e in entities):
-            name, ip = DEFAULT_SERVER
-            entities.append(EntityDecl(kind="SERVER", name=name, ip=ip))
+            name = "SERVER"
+            entities.append(EntityDecl(kind="SERVER", name=name, ip=self.params.app_server_ip))
             for upf in upf_names:
                 links.append(LinkDecl(a=name, b=upf, latency_ms=1, loss_prob=0.0, reliable=True))
         if not any(e.kind == "NWDAF" for e in entities):
-            name, ip = DEFAULT_NWDAF
-            entities.append(EntityDecl(kind="NWDAF", name=name, ip=ip))
+            name = "NWDAF"
+            entities.append(EntityDecl(kind="NWDAF", name=name, ip=self.params.nwdaf_ip))
             for peer_kind in ("NRF", "PCF", "NSSF"):
                 for e in entities:
                     if e.kind == peer_kind:
@@ -271,11 +266,9 @@ class Testbed:
             last_ts = r.ts
             if r.outcome == DELIVERED:
                 wire_delivered += 1
-        both = kpi_packet_counts(
-            self.nwdaf.store.events, 0, horizon + 1, semantics="src_or_dst"
-        )
+        both = kpi_packet_counts(self.records, 0, horizon + 1, semantics="src_or_dst")
         if sum(both.values()) != 2 * sum(
-            1 for ev in self.nwdaf.store.events if ev.outcome == DELIVERED and ev.is_wire
+            1 for ev in self.records if ev.outcome == DELIVERED and ev.is_wire
         ):
             problems.append("src_or_dst accounting does not credit exactly two ends per packet")
         return problems
@@ -298,7 +291,7 @@ class RunResult:
 
     @property
     def events(self):
-        return self.testbed.nwdaf.store.events
+        return self.testbed.records
 
     @property
     def summary(self) -> str:
@@ -412,21 +405,19 @@ def run_scenario(
 
     window = (settle, horizon)
     roster = list(tb.net.entities)
-    store_events = tb.nwdaf.store.events
+    events = tb.records
     result = RunResult(
         spec=spec,
         testbed=tb,
         horizon=horizon,
         window=window,
-        kpi_counts=kpi_packet_counts(store_events, window[0], window[1], entities=roster),
-        throughput=kpi_throughput_matrix(store_events, window[0], window[1]),
+        kpi_counts=kpi_packet_counts(events, window[0], window[1], entities=roster),
+        throughput=kpi_throughput_matrix(events, window[0], window[1]),
         transfers={ue.name: list(ue.transfers) for ue in tb.ues},
     )
     if spec.name == "validate":
         result.checks = tuple(
-            validate_sequences(
-                store_events, sbi_port=tb.params.sbi_port, ue_pool=tb.params.ue_pool
-            )
+            validate_sequences(events, sbi_port=tb.params.sbi_port, ue_pool=tb.params.ue_pool)
         )
     _summarise(result)
     if out_dir is not None:

@@ -1,9 +1,11 @@
 """Deterministic discrete-event network fabric.
 
 A Network owns a virtual millisecond clock, a set of point-to-point links,
-the entities attached to them, and the tap plane that observability hangs
-off. Everything is single-threaded: one event queue, ties broken FIFO, so a
-(topology, scenario, seed) triple fully determines every delivery.
+the entities attached to them, and the run's event log: every send and every
+entity-local decision appends one TapRecord to ``Network.events``, which the
+analytics function, the invariants and the exporter all read. Everything is
+single-threaded: one event queue, ties broken FIFO, so a (topology, scenario,
+seed) triple fully determines every delivery.
 
 Loss is drawn from counter-based substreams keyed by (seed, link id, stream,
 draw index). Streams separate tunnels sharing a physical link, so adding a
@@ -14,7 +16,7 @@ from __future__ import annotations
 import hashlib
 import heapq
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Iterable
 
 from .wirefmt import Protocol, SimPacket
@@ -26,6 +28,10 @@ DROPPED = "DROPPED"
 ELIMINATED_DUPLICATE = "ELIMINATED_DUPLICATE"
 
 OUTCOMES = (DELIVERED, DROPPED, ELIMINATED_DUPLICATE)
+
+# Attr values can carry text from parsed peer messages; the log format
+# reserves tabs and newlines as separators and ',' between attrs.
+_SCRUB = str.maketrans({"\t": " ", "\n": " ", "\r": " ", ",": ";"})
 
 
 class SimNetError(Exception):
@@ -68,10 +74,15 @@ class Link:
         raise SimNetError(f"{name} is not an endpoint of link {self.link_id}")
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class TapRecord:
-    """One observed fabric event, offered to every registered tap."""
+    """One row of the event log: a send or an entity-local decision.
 
+    Ids number the rows of one log from 1. Local decisions carry the
+    synthetic link id ``local:<entity>``.
+    """
+
+    event_id: int
     ts: int
     link_id: str
     src: str
@@ -79,7 +90,11 @@ class TapRecord:
     protocol: Protocol
     size: int
     outcome: str
-    attrs: dict[str, str] = field(default_factory=dict)
+    attrs: dict[str, str]
+
+    @property
+    def is_wire(self) -> bool:
+        return not self.link_id.startswith("local:")
 
 
 class SimClock:
@@ -138,7 +153,7 @@ def _derive_u01(seed: int, link_id: str, stream: int, counter: int) -> float:
 
 
 class Network:
-    """The fabric: clock, links, entities, taps, seeded loss."""
+    """The fabric: clock, links, entities, event log, seeded loss."""
 
     def __init__(self, seed: int = 0):
         self.seed = seed
@@ -147,9 +162,8 @@ class Network:
         self._pairs: dict[frozenset[str], Link] = {}
         self.entities: dict[str, Entity] = {}
         self.by_ip: dict[str, Entity] = {}
-        self._taps: list[Callable[[TapRecord], None]] = []
+        self.events: list[TapRecord] = []
         self._loss_counters: dict[tuple[str, int], int] = {}
-        self.sends = 0
         self.link_stats: dict[str, list[int]] = {}  # link_id -> [delivered, dropped]
 
     @property
@@ -210,15 +224,26 @@ class Network:
             raise SimNetError(f"no link between {a} and {b}")
         return link
 
-    # observability ------------------------------------------------------
+    # event log ------------------------------------------------------------
 
-    def register_tap(self, consumer: Callable[[TapRecord], None]) -> int:
-        self._taps.append(consumer)
-        return len(self._taps) - 1
-
-    def tap_emit(self, record: TapRecord) -> None:
-        for consumer in self._taps:
-            consumer(record)
+    def _log(
+        self, link_id: str, src: str, dst: str, protocol: Protocol, size: int, outcome: str,
+        attrs: dict[str, str],
+    ) -> None:
+        events = self.events
+        events.append(
+            TapRecord(
+                event_id=len(events) + 1,
+                ts=self.now,
+                link_id=link_id,
+                src=src,
+                dst=dst,
+                protocol=protocol,
+                size=size,
+                outcome=outcome,
+                attrs={key: value.translate(_SCRUB) for key, value in attrs.items()},
+            )
+        )
 
     # traffic ------------------------------------------------------------
 
@@ -249,7 +274,7 @@ class Network:
     ) -> bool:
         """Offer one packet to a link. Returns True when delivery is scheduled.
 
-        Every send is tapped exactly once, with outcome DELIVERED or DROPPED.
+        Every send is logged exactly once, with outcome DELIVERED or DROPPED.
         """
         if isinstance(link, str):
             try:
@@ -257,7 +282,6 @@ class Network:
             except KeyError:
                 raise SimNetError(f"unknown link {link}") from None
         sender, receiver = self._resolve_direction(link, pkt)
-        self.sends += 1
 
         delivered = True
         if not link.reliable and link.loss_prob > 0.0:
@@ -274,17 +298,9 @@ class Network:
         }
         if attrs:
             record_attrs.update(attrs)
-        self.tap_emit(
-            TapRecord(
-                ts=self.now,
-                link_id=link.link_id,
-                src=sender.name,
-                dst=receiver.name,
-                protocol=pkt.protocol,
-                size=pkt.wire_size,
-                outcome=DELIVERED if delivered else DROPPED,
-                attrs=record_attrs,
-            )
+        self._log(
+            link.link_id, sender.name, receiver.name, pkt.protocol, pkt.wire_size,
+            DELIVERED if delivered else DROPPED, record_attrs,
         )
         self.link_stats[link.link_id][0 if delivered else 1] += 1
         if delivered:
@@ -309,18 +325,7 @@ class Network:
         exact.
         """
         size = pkt_or_size.wire_size if isinstance(pkt_or_size, SimPacket) else pkt_or_size
-        self.tap_emit(
-            TapRecord(
-                ts=self.now,
-                link_id=f"local:{entity}",
-                src=src,
-                dst=entity,
-                protocol=protocol,
-                size=size,
-                outcome=outcome,
-                attrs=dict(attrs or {}),
-            )
-        )
+        self._log(f"local:{entity}", src, entity, protocol, size, outcome, attrs or {})
 
     # time ---------------------------------------------------------------
 
@@ -335,7 +340,7 @@ class Network:
 
 
 def conservation_report(net: Network, records: Iterable[TapRecord]) -> dict[str, tuple[int, int, int]]:
-    """Per-link (sends, delivered, dropped) recomputed from tap records.
+    """Per-link (sends, delivered, dropped) recomputed from logged records.
 
     Only wire links count; synthetic local records are excluded by key.
     """

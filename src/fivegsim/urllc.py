@@ -142,20 +142,3 @@ class ReliabilityResult:
     def observed_loss(self) -> float:
         return 1.0 - self.delivery_ratio
 
-
-def measure_delivery_reliability(
-    mode: Redundancy,
-    loss_prob: float,
-    n_packets: int,
-    seed: int,
-    topology=None,
-) -> ReliabilityResult:
-    """Send n uplink data units through a session in the given mode and count
-    post-elimination arrivals at the application server.
-
-    Loss is applied independently on every N3 (gNB-UPF) link; the radio and
-    N6/N9 legs stay lossless so the observed loss isolates the tunnel legs.
-    """
-    from . import runner  # deferred: runner imports this module
-
-    return runner.run_reliability_measurement(mode, loss_prob, n_packets, seed, topology)

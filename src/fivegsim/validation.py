@@ -12,6 +12,8 @@ from __future__ import annotations
 import ipaddress
 from dataclasses import dataclass
 
+from .wirefmt import Protocol
+
 SBI_KINDS_REGISTER = ("NF_REGISTER_REQ", "NF_REGISTER_RESP")
 
 REGISTRATION_CHAIN = (
@@ -211,7 +213,7 @@ def check_user_plane(events, ue_pool: str) -> CheckResult:
     name = "user_plane_routing"
     pool = ipaddress.IPv4Network(ue_pool)
     delivered = _delivered(events)
-    gtpu = [ev for ev in delivered if ev.protocol == "GTPU"]
+    gtpu = [ev for ev in delivered if ev.protocol is Protocol.GTPU]
     if not gtpu:
         return CheckResult(name, False, "no tunnel traffic in the log")
     for ev in gtpu:
@@ -220,7 +222,7 @@ def check_user_plane(events, ue_pool: str) -> CheckResult:
             return CheckResult(name, False, "tunnel packet without a valid teid", ev.event_id)
     session_sourced = False
     for ev in delivered:
-        if ev.protocol != "APP":
+        if ev.protocol is not Protocol.APP:
             continue
         src = ev.attrs.get("src_ip", "")
         try:

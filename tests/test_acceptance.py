@@ -14,9 +14,9 @@ from fivegsim.nwdaf import (
     write_kpi_counts_csv,
     write_throughput_csv,
 )
-from fivegsim.runner import Testbed, run_scenario
+from fivegsim.runner import Testbed, run_reliability_measurement, run_scenario
 from fivegsim.simnet import DELIVERED
-from fivegsim.urllc import Redundancy, measure_delivery_reliability
+from fivegsim.urllc import Redundancy
 from fivegsim.validation import REGISTRATION_CHAIN, validate_sequences
 from fivegsim.wirefmt import (
     Protocol,
@@ -74,7 +74,7 @@ def single_run():
 
 def reliability(mode: Redundancy):
     if mode not in _reliability:
-        _reliability[mode] = measure_delivery_reliability(mode, 0.1, 10_000, seed=2026)
+        _reliability[mode] = run_reliability_measurement(mode, 0.1, 10_000, seed=2026)
     return _reliability[mode]
 
 
@@ -190,7 +190,7 @@ def test_criterion_06_validation_checks_localize_mutations():
             "heartbeat_cadence": drop_kinds({"NF_HEARTBEAT_REQ", "NF_HEARTBEAT_RESP"}),
             "registration_chain": drop_kinds(set(REGISTRATION_CHAIN)),
             "user_plane_routing": [
-                e for e in events if e.protocol not in ("GTPU", "APP")
+                e for e in events if e.protocol not in (Protocol.GTPU, Protocol.APP)
             ],
         }
         for target, mutated in mutations.items():

@@ -6,10 +6,13 @@ from fivegsim.config import (
     Params,
     ScenarioSpec,
     default_topology,
+    default_topology_path,
     parse_topology,
     with_link_loss,
     with_second_gnb,
 )
+from fivegsim.runner import run_scenario
+from fivegsim.wirefmt import Protocol
 
 MINIMAL = """
 [entities]
@@ -83,6 +86,9 @@ def test_entity_lookup_unknown_name():
         ("[entities]\nROUTER,R1,10.0.0.1\n", "unknown entity kind"),
         ("[entities]\nNRF,NRF,999.0.0.1\n", "cannot parse"),
         ("[entities]\nNRF,NRF\n", "cannot parse"),
+        ("[entities]\nNRF,,192.168.0.12\n", "bad entity name"),
+        ("[entities]\nNRF,N\tRF,192.168.0.12\n", "bad entity name"),
+        ("[entities]\nNRF,N RF,192.168.0.12\n", "bad entity name"),
         ("[params]\nwarp_factor=9\n", "unknown param"),
         ("[params]\nsbi_port=eleven\n", "cannot parse"),
     ],
@@ -151,6 +157,30 @@ def test_params_guard_ranges():
         Params(segment_bytes=-1)
     with pytest.raises(ConfigError, match="ue_pool"):
         Params(ue_pool="10.45.0.0/99")
+    with pytest.raises(ConfigError, match="app_server_ip"):
+        Params(app_server_ip="192.168.0.400")
+
+
+def test_address_params_place_the_injected_entities():
+    text = default_topology_path().read_text() + "app_server_ip=192.168.0.50\n"
+    run = run_scenario(ScenarioSpec(name="single_request"), parse_topology(text))
+    tb = run.testbed
+    assert (tb.server.name, tb.server.ip) == ("SERVER", "192.168.0.50")
+    assert (tb.nwdaf.name, tb.nwdaf.ip) == ("NWDAF", "192.168.0.41")
+    assert all(t.ok for t in run.transfers["UE"])
+    to_server = {
+        ev.attrs["dst_ip"] for ev in run.events
+        if ev.protocol is Protocol.APP and ev.dst == "SERVER" and ev.is_wire
+    }
+    assert to_server == {"192.168.0.50"}
+
+
+@pytest.mark.parametrize(
+    "line", ["app_server_ip=192.168.0.12", "nwdaf_ip=10.45.0.2", "nwdaf_ip=192.168.0.40"]
+)
+def test_injected_addresses_must_not_collide(line):
+    with pytest.raises(ConfigError, match="collides"):
+        parse_topology(MINIMAL + "\n[params]\n" + line + "\n")
 
 
 # -- transforms ---------------------------------------------------------------

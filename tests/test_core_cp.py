@@ -125,8 +125,7 @@ def test_discover_requires_registered_requester():
     from fivegsim.messages import MsgKind
 
     net, nrf, x = micro_net()
-    records = []
-    net.register_tap(records.append)
+    records = net.events
     x.send_sbi("NRF", MsgKind.NF_DISCOVER_REQ, nf_type="UPF")
     net.run_until(10)
     resps = kinds_in(records, "NF_DISCOVER_RESP")
@@ -136,8 +135,7 @@ def test_discover_requires_registered_requester():
 
 def test_heartbeats_land_on_the_shared_grid():
     net, nrf, x = micro_net()
-    records = []
-    net.register_tap(records.append)
+    records = net.events
     net.schedule(7, x.boot_register)
     net.run_until(4 * HB + 10)
     beats = kinds_in(records, "NF_HEARTBEAT_REQ")

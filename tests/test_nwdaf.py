@@ -1,11 +1,9 @@
-"""Analytics store schema, KPI math, and the event-log round trip."""
+"""Import schema, KPI math, and the event-log round trip."""
 import pytest
 
 from fivegsim.errors import SetupError
 from fivegsim.nwdaf import (
-    EventStore,
     KpiReport,
-    NwdafEvent,
     SchemaError,
     export_events,
     export_events_text,
@@ -19,8 +17,8 @@ from fivegsim.nwdaf import (
 )
 from fivegsim.runner import Testbed
 from fivegsim.config import default_topology
-from fivegsim.simnet import DELIVERED, DROPPED, TapRecord
-from fivegsim.wirefmt import Protocol
+from fivegsim.simnet import DELIVERED, DROPPED, Entity, Network, TapRecord
+from fivegsim.wirefmt import Protocol, SimPacket
 
 GOOD = dict(
     ts=10, link_id="AMF|NRF", src="AMF", dst="NRF",
@@ -30,7 +28,8 @@ GOOD = dict(
 
 def ev(event_id=1, **over):
     merged = {**GOOD, **over}
-    return NwdafEvent(event_id=event_id, **merged)
+    merged["protocol"] = Protocol[merged["protocol"]]
+    return TapRecord(event_id=event_id, **merged)
 
 
 # -- field validation --------------------------------------------------------------
@@ -65,52 +64,37 @@ def test_bad_fields_rejected(over, message):
         validate_event_fields(**{**GOOD, **over})
 
 
-# -- event store -------------------------------------------------------------------
+# -- the fabric's log ----------------------------------------------------------------
 
-def test_store_assigns_increasing_ids_from_one():
-    store = EventStore()
-    a = store.ingest(**GOOD)
-    b = store.ingest(**{**GOOD, "ts": 11})
-    assert (a.event_id, b.event_id) == (1, 2)
-    assert len(store) == 2 and store.rejected == 0
-
-
-def test_store_rejects_backwards_time_but_keeps_counting():
-    store = EventStore()
-    store.ingest(**{**GOOD, "ts": 100})
-    assert store.ingest(**{**GOOD, "ts": 99}) is None
-    assert store.rejected == 1
-    ok = store.ingest(**{**GOOD, "ts": 100})  # equal ts is fine
-    assert ok is not None and ok.event_id == 2
-
-
-def test_store_rejects_invalid_fields_without_raising():
-    store = EventStore()
-    assert store.ingest(**{**GOOD, "protocol": "QUIC"}) is None
-    assert store.rejected == 1 and len(store) == 0
+def gnb_upf_net():
+    net = Network()
+    for name, ip in (("gNB", "10.0.0.1"), ("UPF1", "10.0.0.2")):
+        net.add_entity(Entity(name, ip, net))
+    return net, net.add_link("gNB", "UPF1", 1)
 
 
 def test_ingest_tap_sanitizes_reserved_characters():
-    store = EventStore()
-    rec = TapRecord(
-        ts=5, link_id="local:UPF1", src="gNB", dst="UPF1",
-        protocol=Protocol.GTPU, size=20, outcome=DROPPED,
-        attrs={"reason": "bad teid,\ttry again\n"},
-    )
-    store.ingest_tap(rec)
-    assert store.events[0].attrs["reason"] == "bad teid; try again "
-    assert store.rejected == 0
+    net, link = gnb_upf_net()
+    net.tap_local("UPF1", 20, Protocol.GTPU, DROPPED, src="gNB",
+                  attrs={"reason": "bad teid,\ttry\ragain\n"})
+    net.send(link, SimPacket(Protocol.GTPU, "10.0.0.1", "10.0.0.2", 2152, 2152),
+             attrs={"ue_id": "imsi,1\t"})
+    assert net.events[0].attrs == {"reason": "bad teid; try again "}
+    assert net.events[1].attrs["ue_id"] == "imsi;1 "
+    text = export_events_text(net.events)
+    assert import_events_text(text) == net.events
+    assert export_events_text(import_events_text(text)) == text
 
 
 def test_ingest_tap_copies_attrs():
-    store = EventStore()
-    attrs = {"k": "v"}
-    store.ingest_tap(
-        TapRecord(ts=1, link_id="a|b", src="a", dst="b",
-                  protocol=Protocol.APP, size=1, outcome=DELIVERED, attrs=attrs)
-    )
-    attrs["k"] = "changed"
-    assert store.events[0].attrs["k"] == "v"
+    net, link = gnb_upf_net()
+    local = {"k": "v"}
+    sent = {"k": "v"}
+    net.tap_local("UPF1", 1, Protocol.APP, DELIVERED, src="gNB", attrs=local)
+    net.send(link, SimPacket(Protocol.GTPU, "10.0.0.1", "10.0.0.2", 2152, 2152),
+             attrs=sent)
+    local["k"] = sent["k"] = "changed"  # the log holds its own copies
+    assert [e.attrs["k"] for e in net.events] == ["v", "v"]
 
 
 # -- KPI math ----------------------------------------------------------------------
@@ -177,29 +161,27 @@ def test_kpi_report_total():
 
 # -- log round trip ------------------------------------------------------------------
 
-def store_with_traffic():
-    store = EventStore()
-    store.ingest(**GOOD)
-    store.ingest(ts=12, link_id="local:UPF1", src="gNB", dst="UPF1",
-                 protocol="GTPU", size=64, outcome=DROPPED,
-                 attrs={"reason": "unknown teid", "teid": "9"})
-    store.ingest(ts=12, link_id="UE|gNB", src="UE", dst="gNB",
-                 protocol="RLS", size=120, outcome=DELIVERED, attrs={})
-    return store
+def logged_traffic():
+    return [
+        ev(1),
+        ev(2, ts=12, link_id="local:UPF1", src="gNB", dst="UPF1",
+           protocol="GTPU", size=64, outcome=DROPPED,
+           attrs={"reason": "unknown teid", "teid": "9"}),
+        ev(3, ts=12, link_id="UE|gNB", src="UE", dst="gNB",
+           protocol="RLS", size=120, outcome=DELIVERED, attrs={}),
+    ]
 
 
 def test_export_import_round_trip_is_lossless():
-    store = store_with_traffic()
-    text = export_events_text(store.events)
+    events = logged_traffic()
+    text = export_events_text(events)
     again = import_events_text(text)
-    assert again == store.events
+    assert again == events
     assert export_events_text(again) == text
 
 
 def test_export_format_is_exact():
-    store = EventStore()
-    store.ingest(**GOOD)
-    text = export_events_text(store.events)
+    text = export_events_text([ev(1)])
     assert text == (
         "# id\tts\tlink_id\tsrc\tdst\tprotocol\tsize\toutcome\tattrs\n"
         "1\t10\tAMF|NRF\tAMF\tNRF\tSBI\t40\tDELIVERED\tmsg_kind=NF_REGISTER_REQ\n"
@@ -207,24 +189,20 @@ def test_export_format_is_exact():
 
 
 def test_empty_attrs_serialize_as_dash():
-    store = EventStore()
-    store.ingest(**{**GOOD, "attrs": {}})
-    line = export_events_text(store.events).splitlines()[1]
+    line = export_events_text([ev(1, attrs={})]).splitlines()[1]
     assert line.endswith("\tDELIVERED\t-")
 
 
 def test_attrs_serialize_sorted_by_key():
-    store = EventStore()
-    store.ingest(**{**GOOD, "attrs": {"z": "1", "a": "2"}})
-    line = export_events_text(store.events).splitlines()[1]
+    line = export_events_text([ev(1, attrs={"z": "1", "a": "2"})]).splitlines()[1]
     assert line.endswith("\ta=2,z=1")
 
 
 def test_file_round_trip(tmp_path):
-    store = store_with_traffic()
+    events = logged_traffic()
     path = tmp_path / "events.log"
-    export_events(store.events, path)
-    assert import_events(path) == store.events
+    export_events(events, path)
+    assert import_events(path) == events
 
 
 @pytest.mark.parametrize(
@@ -238,17 +216,14 @@ def test_file_round_trip(tmp_path):
     ],
 )
 def test_import_rejects_malformed_lines(mutate, message):
-    store = EventStore()
-    store.ingest(**GOOD)
-    lines = export_events_text(store.events).splitlines()
+    lines = export_events_text([ev(1)]).splitlines()
     lines[1] = mutate(lines)
     with pytest.raises(SchemaError, match=message):
         import_events_text("\n".join(lines))
 
 
 def test_import_rejects_broken_order():
-    store = store_with_traffic()
-    lines = export_events_text(store.events).splitlines()
+    lines = export_events_text(logged_traffic()).splitlines()
     dupid = "\n".join([lines[0], lines[1], lines[1]])
     with pytest.raises(SchemaError, match="not increasing"):
         import_events_text(dupid)
@@ -265,10 +240,8 @@ def test_import_reports_offending_line_number():
 
 
 def test_import_skips_comments_and_blank_lines():
-    store = EventStore()
-    store.ingest(**GOOD)
-    body = export_events_text(store.events)
-    assert import_events_text("# extra comment\n\n" + body) == store.events
+    body = export_events_text([ev(1)])
+    assert import_events_text("# extra comment\n\n" + body) == [ev(1)]
 
 
 # -- CSV writers ----------------------------------------------------------------------
@@ -318,7 +291,8 @@ def test_tap_feed_fills_the_store_during_a_run():
     tb.boot()
     tb.run_until(200)
     store = tb.nwdaf.store
-    assert len(store) > 0
+    assert store.events is tb.records
+    assert len(store.events) > 0
     assert store.rejected == 0
     kinds = {e.attrs.get("msg_kind") for e in store.events}
     assert "NF_REGISTER_REQ" in kinds

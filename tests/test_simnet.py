@@ -158,8 +158,7 @@ def test_unresolvable_direction_raises():
 
 def test_every_send_is_tapped_once():
     net, a, b, link = make_pair()
-    records = []
-    net.register_tap(records.append)
+    records = net.events
     for _ in range(4):
         net.send(link, pkt_ab())
     assert len(records) == 4
@@ -168,10 +167,18 @@ def test_every_send_is_tapped_once():
     assert all(r.attrs["src_port"] == "80" for r in records)
 
 
+def test_log_numbers_events_from_one():
+    net, a, b, link = make_pair()
+    net.send(link, pkt_ab())
+    net.tap_local("B", 1, Protocol.APP, DROPPED, src="A")
+    net.send(link, pkt_ab())
+    assert [r.event_id for r in net.events] == [1, 2, 3]
+    assert [r.is_wire for r in net.events] == [True, False, True]
+
+
 def test_tap_local_uses_synthetic_link():
     net, a, b, link = make_pair()
-    records = []
-    net.register_tap(records.append)
+    records = net.events
     net.tap_local("B", 42, Protocol.GTPU, DROPPED, src="A", attrs={"reason": "x"})
     assert records[0].link_id == "local:B"
     assert records[0].size == 42
@@ -218,8 +225,7 @@ def test_loss_streams_are_independent():
 
 def test_dropped_packets_never_arrive():
     net, a, b, link = make_pair(seed=1, loss=0.5)
-    records = []
-    net.register_tap(records.append)
+    records = net.events
     sent = 100
     for _ in range(sent):
         net.send(link, pkt_ab())
@@ -235,8 +241,7 @@ def test_dropped_packets_never_arrive():
 
 def test_conservation_report_matches_link_stats():
     net, a, b, link = make_pair(seed=2, loss=0.2)
-    records = []
-    net.register_tap(records.append)
+    records = net.events
     for _ in range(300):
         net.send(link, pkt_ab())
     net.run_until(10)
@@ -248,8 +253,7 @@ def test_conservation_report_matches_link_stats():
 
 def test_conservation_ignores_local_records():
     net, a, b, link = make_pair()
-    records = []
-    net.register_tap(records.append)
+    records = net.events
     net.send(link, pkt_ab())
     net.tap_local("B", 1, Protocol.APP, DROPPED, src="A")
     report = conservation_report(net, records)

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fivegsim.runner import run_reliability_measurement
 from fivegsim.urllc import (
     DEDUP_WINDOW,
     SEQ_MODULUS,
@@ -11,7 +12,6 @@ from fivegsim.urllc import (
     RedundancyMode,
     ReliabilityResult,
     eliminate_duplicates,
-    measure_delivery_reliability,
     seq_newer,
 )
 
@@ -166,13 +166,13 @@ SEED = 1234
 @pytest.fixture(scope="module")
 def small_runs():
     return {
-        mode: measure_delivery_reliability(mode, LOSS, N_SMALL, SEED)
+        mode: run_reliability_measurement(mode, LOSS, N_SMALL, SEED)
         for mode in Redundancy
     }
 
 
 def test_lossless_run_delivers_everything():
-    r = measure_delivery_reliability(Redundancy.NONE, 0.0, 50, SEED)
+    r = run_reliability_measurement(Redundancy.NONE, 0.0, 50, SEED)
     assert r.delivered == r.sent == 50
     assert r.delivered_indices == frozenset(range(50))
 

@@ -4,8 +4,8 @@ import itertools
 import pytest
 
 from fivegsim.config import ScenarioSpec
-from fivegsim.nwdaf import NwdafEvent
 from fivegsim.runner import run_scenario
+from fivegsim.simnet import TapRecord
 from fivegsim.validation import (
     REGISTRATION_CHAIN,
     CheckResult,
@@ -18,6 +18,7 @@ from fivegsim.validation import (
     check_user_plane,
     validate_sequences,
 )
+from fivegsim.wirefmt import Protocol
 
 CHECK_NAMES = (
     "sbi_registration",
@@ -36,7 +37,7 @@ class EventFactory:
         self._ids = itertools.count(1)
         self.ts = 0
 
-    def make(self, kind=None, *, src="A", dst="B", protocol="SBI", outcome="DELIVERED",
+    def make(self, kind=None, *, src="A", dst="B", protocol=Protocol.SBI, outcome="DELIVERED",
              ts=None, size=40, **attrs):
         if kind is not None:
             attrs["msg_kind"] = kind
@@ -45,7 +46,7 @@ class EventFactory:
             ts = self.ts
         else:
             self.ts = max(self.ts, ts)
-        return NwdafEvent(
+        return TapRecord(
             event_id=next(self._ids), ts=ts, link_id=f"{src}|{dst}",
             src=src, dst=dst, protocol=protocol, size=size, outcome=outcome,
             attrs={k: str(v) for k, v in attrs.items()},
@@ -122,8 +123,8 @@ def test_sbi_ignores_dropped_traffic(fab):
 
 def assoc_pair(fab, smf="SMF", upf="UPF1"):
     return [
-        fab.make("PFCP_ASSOC_REQ", src=smf, dst=upf, protocol="PFCP"),
-        fab.make("PFCP_ASSOC_RESP", src=upf, dst=smf, protocol="PFCP"),
+        fab.make("PFCP_ASSOC_REQ", src=smf, dst=upf, protocol=Protocol.PFCP),
+        fab.make("PFCP_ASSOC_RESP", src=upf, dst=smf, protocol=Protocol.PFCP),
     ]
 
 
@@ -140,20 +141,20 @@ def test_pfcp_fails_without_evidence():
 
 def test_pfcp_flags_duplicate_request(fab):
     events = assoc_pair(fab)
-    events.append(fab.make("PFCP_ASSOC_REQ", src="SMF", dst="UPF1", protocol="PFCP"))
+    events.append(fab.make("PFCP_ASSOC_REQ", src="SMF", dst="UPF1", protocol=Protocol.PFCP))
     res = check_pfcp_association(events)
     assert not res.passed and "2 association requests" in res.detail
 
 
 def test_pfcp_flags_unanswered_request(fab):
-    events = [fab.make("PFCP_ASSOC_REQ", src="SMF", dst="UPF1", protocol="PFCP")]
+    events = [fab.make("PFCP_ASSOC_REQ", src="SMF", dst="UPF1", protocol=Protocol.PFCP)]
     res = check_pfcp_association(events)
     assert not res.passed and "0 association responses" in res.detail
 
 
 def test_pfcp_flags_response_before_request(fab):
-    resp = fab.make("PFCP_ASSOC_RESP", src="UPF1", dst="SMF", protocol="PFCP")
-    req = fab.make("PFCP_ASSOC_REQ", src="SMF", dst="UPF1", protocol="PFCP")
+    resp = fab.make("PFCP_ASSOC_RESP", src="UPF1", dst="SMF", protocol=Protocol.PFCP)
+    req = fab.make("PFCP_ASSOC_REQ", src="SMF", dst="UPF1", protocol=Protocol.PFCP)
     res = check_pfcp_association([resp, req])
     assert not res.passed
     assert "response precedes request" in res.detail
@@ -162,7 +163,7 @@ def test_pfcp_flags_response_before_request(fab):
 
 def test_pfcp_flags_orphan_response(fab):
     events = assoc_pair(fab)
-    events.append(fab.make("PFCP_ASSOC_RESP", src="UPF2", dst="SMF", protocol="PFCP"))
+    events.append(fab.make("PFCP_ASSOC_RESP", src="UPF2", dst="SMF", protocol=Protocol.PFCP))
     res = check_pfcp_association(events)
     assert not res.passed and "without request" in res.detail
 
@@ -171,14 +172,14 @@ def test_pfcp_flags_orphan_response(fab):
 
 def ngap_setup(fab, gnb="gNB"):
     return [
-        fab.make("NGAP_SETUP_REQ", src=gnb, dst="AMF", protocol="NGAP"),
-        fab.make("NGAP_SETUP_RESP", src="AMF", dst=gnb, protocol="NGAP"),
+        fab.make("NGAP_SETUP_REQ", src=gnb, dst="AMF", protocol=Protocol.NGAP),
+        fab.make("NGAP_SETUP_RESP", src="AMF", dst=gnb, protocol=Protocol.NGAP),
     ]
 
 
 def test_ngap_passes_when_setup_precedes_registration(fab):
     events = ngap_setup(fab)
-    events.append(fab.make("NAS_REGISTER_REQ", src="gNB", dst="AMF", protocol="NGAP"))
+    events.append(fab.make("NAS_REGISTER_REQ", src="gNB", dst="AMF", protocol=Protocol.NGAP))
     res = check_ngap_before_registration(events)
     assert res.passed
 
@@ -189,15 +190,15 @@ def test_ngap_fails_without_evidence():
 
 
 def test_ngap_flags_unanswered_setup(fab):
-    events = [fab.make("NGAP_SETUP_REQ", src="gNB", dst="AMF", protocol="NGAP")]
+    events = [fab.make("NGAP_SETUP_REQ", src="gNB", dst="AMF", protocol=Protocol.NGAP)]
     res = check_ngap_before_registration(events)
     assert not res.passed and "never answered" in res.detail
 
 
 def test_ngap_flags_registration_before_setup_completed(fab):
-    req = fab.make("NGAP_SETUP_REQ", src="gNB", dst="AMF", protocol="NGAP")
-    nas = fab.make("NAS_REGISTER_REQ", src="gNB", dst="AMF", protocol="NGAP")
-    resp = fab.make("NGAP_SETUP_RESP", src="AMF", dst="gNB", protocol="NGAP")
+    req = fab.make("NGAP_SETUP_REQ", src="gNB", dst="AMF", protocol=Protocol.NGAP)
+    nas = fab.make("NAS_REGISTER_REQ", src="gNB", dst="AMF", protocol=Protocol.NGAP)
+    resp = fab.make("NGAP_SETUP_RESP", src="AMF", dst="gNB", protocol=Protocol.NGAP)
     res = check_ngap_before_registration([req, nas, resp])
     assert not res.passed
     assert "before its NGAP setup completed" in res.detail
@@ -246,7 +247,7 @@ UE = "imsi-001010000000001"
 def full_chain(fab, ue=UE):
     events = [fab.sbi(step, ue_id=ue) for step in REGISTRATION_CHAIN]
     events.append(fab.make("NAS_REGISTER_ACCEPT", src="AMF", dst="gNB",
-                           protocol="NGAP", ue_id=ue))
+                           protocol=Protocol.NGAP, ue_id=ue))
     return events
 
 
@@ -273,14 +274,14 @@ def test_chain_flags_out_of_order_step(fab):
     steps[0], steps[1] = steps[1], steps[0]
     events = [fab.sbi(step, ue_id=UE) for step in steps]
     events.append(fab.make("NAS_REGISTER_ACCEPT", src="AMF", dst="gNB",
-                           protocol="NGAP", ue_id=UE))
+                           protocol=Protocol.NGAP, ue_id=UE))
     res = check_registration_chain(events)
     assert not res.passed and "out of order" in res.detail
 
 
 def test_chain_flags_steps_after_the_accept(fab):
     accept = fab.make("NAS_REGISTER_ACCEPT", src="AMF", dst="gNB",
-                      protocol="NGAP", ue_id=UE)
+                      protocol=Protocol.NGAP, ue_id=UE)
     events = [accept] + [fab.sbi(step, ue_id=UE) for step in REGISTRATION_CHAIN]
     res = check_registration_chain(events)
     assert not res.passed and "after the accept" in res.detail
@@ -290,8 +291,8 @@ def test_chain_flags_steps_after_the_accept(fab):
 
 def user_traffic(fab, teid=7, src_ip="10.45.0.2"):
     return [
-        fab.make(src="gNB", dst="UPF1", protocol="GTPU", teid=teid, inner="APP_GET"),
-        fab.make(src="UPF1", dst="SERVER", protocol="APP",
+        fab.make(src="gNB", dst="UPF1", protocol=Protocol.GTPU, teid=teid, inner="APP_GET"),
+        fab.make(src="UPF1", dst="SERVER", protocol=Protocol.APP,
                  msg_kind="APP_GET", src_ip=src_ip),
     ]
 
