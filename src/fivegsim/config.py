@@ -7,11 +7,12 @@ documents, params.
 from __future__ import annotations
 
 import ipaddress
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 from .errors import ConfigError
 from .urllc import Redundancy
+from .wirefmt import Protocol
 
 ENTITY_KINDS = {
     "NRF", "AMF", "SMF", "AUSF", "UDM", "UDR", "PCF", "NSSF", "BSF",
@@ -21,6 +22,17 @@ ENTITY_KINDS = {
 SCENARIO_NAMES = ("idle", "single_request", "many_requests", "urllc_sweep", "validate")
 
 _DATA_DIR = Path(__file__).parent / "data"
+
+# the one protocol -> port map; NAS rides the NGAP association
+_PORT_PARAM = {
+    Protocol.SBI: "sbi_port",
+    Protocol.NGAP: "ngap_port",
+    Protocol.NAS: "ngap_port",
+    Protocol.PFCP: "pfcp_port",
+    Protocol.GTPU: "gtpu_port",
+    Protocol.RLS: "rls_port",
+    Protocol.APP: "app_port",
+}
 
 
 @dataclass(frozen=True)
@@ -57,7 +69,7 @@ class Params:
     rls_port: int = 4997
 
     def __post_init__(self) -> None:
-        for name in ("sbi_port", "app_port", "gtpu_port", "pfcp_port", "ngap_port", "rls_port"):
+        for name in dict.fromkeys(_PORT_PARAM.values()):
             port = getattr(self, name)
             if not 0 < port <= 65535:
                 raise ConfigError(f"{name} out of range: {port}")
@@ -76,6 +88,10 @@ class Params:
                 ipaddress.IPv4Address(getattr(self, name))
             except ValueError as exc:
                 raise ConfigError(f"bad {name}: {exc}") from None
+
+    def port(self, protocol: Protocol) -> int:
+        """The port both ends of a `protocol` message use."""
+        return getattr(self, _PORT_PARAM[protocol])
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,14 @@
 """Control-plane network functions: registry, access management, sessions.
 
 Every entity here is an event-driven state machine attached to the fabric.
+NfEntity, the base of every node, owns the one send path: `send` builds a
+message and takes its protocol from the kind (messages.PROTOCOL), both ports
+from the protocol (Params.port) and its log row's msg_kind and ue_id from the
+message. Only nodes forwarding bytes another node built (GTP-U tunnels, the
+gNB's uplink NAS relay, UPF routing, the server's downlink fan-out) call
+`send_msg` with a protocol and ports of their own. Packets dispatch by
+protocol to the matching `on_<protocol>` handler.
+
 Flows are the standard ones: NFs register with the NRF and heartbeat on a
 shared grid; the AMF discovers its peers, accepts NGAP setups from gNBs and
 runs UE registration through AUSF, UDM (backed by UDR) and PCF; the SMF
@@ -11,14 +19,15 @@ from __future__ import annotations
 
 import ipaddress
 import logging
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
+from typing import Callable
 
 from .config import Params
 from .errors import FlowError, SetupError
-from .messages import MsgKind, Tag, build, parse
+from .messages import PROTOCOL, MsgKind, Tag, build, parse
 from .simnet import Entity, Link, Network
 from .urllc import Redundancy, RedundancyMode
-from .wirefmt import Protocol, SimPacket
+from .wirefmt import Protocol, SimPacket, gtpu_encapsulate
 
 log = logging.getLogger(__name__)
 
@@ -95,6 +104,15 @@ def decode_paths(text: str) -> tuple[SessionPath, ...]:
     return tuple(out)
 
 
+def discovered(m) -> list[str]:
+    """The nf_ids in an NRF discovery answer, in the registry's nf_id order."""
+    return [e.split("|")[0] for e in m.text(Tag.DATA, "").split(";") if e]
+
+
+# protocol -> the handler its packets go to; GTP-U hands over the raw packet
+_HANDLER = {p: f"on_{p.name.lower()}" for p in Protocol}
+
+
 class NfEntity(Entity):
     """Base for every node that talks on the fabric.
 
@@ -113,7 +131,24 @@ class NfEntity(Entity):
         self.heartbeat_enabled = True
         self.notifications: list[tuple[str, str]] = []  # (nf_id, status) seen via NF_STATUS_NOTIFY
 
-    # -- sending helpers --------------------------------------------------
+    # -- sending -----------------------------------------------------------
+
+    def send(self, peer: str, kind: MsgKind, attrs: dict[str, str] | None = None, **fields) -> bool:
+        """Build a `kind` message from `fields` and send it to `peer`.
+
+        The kind fixes the protocol (PROTOCOL), the protocol fixes both
+        ports (Params.port). The log row always names the kind and, when the
+        message carries one, the UE; `attrs` add to that.
+        """
+        protocol = PROTOCOL[kind]
+        port = self.env.params.port(protocol)
+        row = {"msg_kind": kind.name}
+        if attrs:
+            row.update(attrs)
+        ue_id = fields.get("ue_id")
+        if ue_id is not None:
+            row.setdefault("ue_id", str(ue_id))
+        return self.send_msg(peer, protocol, build(kind, **fields), sport=port, dport=port, attrs=row)
 
     def send_msg(
         self,
@@ -128,6 +163,7 @@ class NfEntity(Entity):
         src_ip: str | None = None,
         dst_ip: str | None = None,
     ) -> bool:
+        """Send ready-made bytes; for forwarding what another node built."""
         link = self.net.require_link(self.name, peer)
         peer_entity = self.net.entity(peer)
         pkt = SimPacket(
@@ -140,21 +176,37 @@ class NfEntity(Entity):
         )
         return self.net.send(link, pkt, stream=stream, attrs=attrs)
 
-    def send_sbi(self, peer: str, kind: MsgKind, attrs: dict[str, str] | None = None, **fields) -> bool:
-        port = self.env.params.sbi_port
-        merged = {"msg_kind": kind.name}
-        if attrs:
-            merged.update(attrs)
-        if "ue_id" in fields and fields["ue_id"] is not None:
-            merged.setdefault("ue_id", str(fields["ue_id"]))
-        return self.send_msg(
-            peer, Protocol.SBI, build(kind, **fields), sport=port, dport=port, attrs=merged
+    def send_gtpu(
+        self, peer: str, teid: int, inner_raw: bytes, seq: int | None, inner_kind: str, **attrs
+    ) -> None:
+        """Tunnel an encoded packet to `peer`; each TEID is its own loss stream."""
+        attrs["teid"] = str(teid)
+        if seq is not None:
+            attrs["seq"] = str(seq)
+        if inner_kind:
+            attrs["inner"] = inner_kind
+        port = self.env.params.port(Protocol.GTPU)
+        self.send_msg(
+            peer, Protocol.GTPU, gtpu_encapsulate(inner_raw, teid, seq),
+            sport=port, dport=port, stream=teid, attrs=attrs,
         )
+
+    # -- timers --------------------------------------------------------------
+
+    def on_heartbeat_grid(self, fn: Callable[[], None]) -> None:
+        """Call `fn` at every later multiple of heartbeat_ms."""
+        hb = self.env.params.heartbeat_ms
+
+        def tick() -> None:
+            fn()
+            self.on_heartbeat_grid(fn)
+
+        self.net.schedule((self.net.now // hb + 1) * hb, tick)
 
     # -- NRF client -------------------------------------------------------
 
     def boot_register(self) -> None:
-        self.send_sbi(
+        self.send(
             self.env.nrf_name,
             MsgKind.NF_REGISTER_REQ,
             nf_id=self.name,
@@ -165,40 +217,26 @@ class NfEntity(Entity):
     def after_registered(self) -> None:
         """Hook invoked once the registry acknowledged us."""
 
-    def _arm_heartbeat(self) -> None:
-        hb = self.env.params.heartbeat_ms
-        self.net.schedule((self.net.now // hb + 1) * hb, self._heartbeat_fire)
-
-    def _heartbeat_fire(self) -> None:
-        if self.registered and self.heartbeat_enabled:
-            self.send_sbi(self.env.nrf_name, MsgKind.NF_HEARTBEAT_REQ, nf_id=self.name)
-        self._arm_heartbeat()
+    def _heartbeat(self) -> None:
+        if self.heartbeat_enabled:
+            self.send(self.env.nrf_name, MsgKind.NF_HEARTBEAT_REQ, nf_id=self.name)
 
     # -- dispatch ----------------------------------------------------------
 
     def handle_packet(self, pkt: SimPacket, link: Link, now: int) -> None:
-        if pkt.protocol == Protocol.SBI:
-            self.on_sbi(parse(pkt.payload), pkt, link, now)
-        elif pkt.protocol == Protocol.NGAP:
-            self.on_ngap(parse(pkt.payload), pkt, link, now)
-        elif pkt.protocol == Protocol.NAS:
-            self.on_nas(parse(pkt.payload), pkt, link, now)
-        elif pkt.protocol == Protocol.PFCP:
-            self.on_pfcp(parse(pkt.payload), pkt, link, now)
-        elif pkt.protocol == Protocol.GTPU:
-            self.on_gtpu(pkt, link, now)
-        elif pkt.protocol == Protocol.RLS:
-            self.on_rls(parse(pkt.payload), pkt, link, now)
-        elif pkt.protocol == Protocol.APP:
-            self.on_app(parse(pkt.payload), pkt, link, now)
+        handler = getattr(self, _HANDLER[pkt.protocol])
+        if pkt.protocol is Protocol.GTPU:
+            handler(pkt, link, now)
+        else:
+            handler(parse(pkt.payload), pkt, link, now)
 
     def on_sbi(self, m, pkt: SimPacket, link: Link, now: int) -> None:
         if m.kind == MsgKind.NF_REGISTER_RESP:
             if m.text(Tag.RESULT) == OK:
                 self.registered = True
-                self._arm_heartbeat()
+                self.on_heartbeat_grid(self._heartbeat)
                 if self.subscribes_status:
-                    self.send_sbi(self.env.nrf_name, MsgKind.NF_STATUS_SUBSCRIBE_REQ, nf_id=self.name)
+                    self.send(self.env.nrf_name, MsgKind.NF_STATUS_SUBSCRIBE_REQ, nf_id=self.name)
                 self.after_registered()
             else:
                 log.warning("%s: registration rejected: %s", self.name, m.text(Tag.REASON))
@@ -248,7 +286,6 @@ class Nrf(NfEntity):
         super().__init__(name, ip, net, env)
         self.registry: dict[str, NfProfile] = {}
         self.status_subscribers: list[str] = []
-        self.heartbeat_enabled = False
 
     def boot(self) -> None:
         # The registry holds its own profile; no packets are involved.
@@ -256,7 +293,7 @@ class Nrf(NfEntity):
             nf_id=self.name, nf_type=self.kind, addr=self.ip, last_heartbeat=self.net.now
         )
         self.registered = True
-        self._arm_sweep()
+        self.on_heartbeat_grid(self._sweep)
 
     # -- registry operations (local API, also backing the SBI handlers) ---
 
@@ -294,11 +331,7 @@ class Nrf(NfEntity):
 
     # -- sweep -------------------------------------------------------------
 
-    def _arm_sweep(self) -> None:
-        hb = self.env.params.heartbeat_ms
-        self.net.schedule((self.net.now // hb + 1) * hb, self._sweep_fire)
-
-    def _sweep_fire(self) -> None:
+    def _sweep(self) -> None:
         hb = self.env.params.heartbeat_ms
         for profile in self.registry.values():
             if profile.nf_id == self.name:
@@ -306,12 +339,11 @@ class Nrf(NfEntity):
             elif profile.status == REGISTERED and self.net.now - profile.last_heartbeat > 2 * hb:
                 profile.status = SUSPENDED
                 self._notify(profile)
-        self._arm_sweep()
 
     def _notify(self, profile: NfProfile) -> None:
         for sub in self.status_subscribers:
             if sub != profile.nf_id:
-                self.send_sbi(
+                self.send(
                     sub,
                     MsgKind.NF_STATUS_NOTIFY,
                     nf_id=profile.nf_id,
@@ -328,44 +360,44 @@ class Nrf(NfEntity):
             try:
                 profile = self.register_profile(nf_id, m.require(Tag.NF_TYPE), m.require(Tag.ADDR))
             except FlowError as exc:
-                self.send_sbi(requester, MsgKind.NF_REGISTER_RESP, result=ERROR, reason=str(exc))
+                self.send(requester, MsgKind.NF_REGISTER_RESP, result=ERROR, reason=str(exc))
                 return
-            self.send_sbi(requester, MsgKind.NF_REGISTER_RESP, result=OK, nf_id=nf_id)
+            self.send(requester, MsgKind.NF_REGISTER_RESP, result=OK, nf_id=nf_id)
             self._notify(profile)
         elif m.kind == MsgKind.NF_HEARTBEAT_REQ:
             nf_id = m.require(Tag.NF_ID)
             try:
                 self.heartbeat(nf_id)
             except FlowError as exc:
-                self.send_sbi(
+                self.send(
                     requester, MsgKind.NF_HEARTBEAT_RESP, result=ERROR, reason=str(exc), nf_id=nf_id
                 )
                 return
-            self.send_sbi(requester, MsgKind.NF_HEARTBEAT_RESP, result=OK, nf_id=nf_id)
+            self.send(requester, MsgKind.NF_HEARTBEAT_RESP, result=OK, nf_id=nf_id)
         elif m.kind == MsgKind.NF_DISCOVER_REQ:
             req_profile = self.registry.get(requester)
             if req_profile is None or req_profile.status != REGISTERED:
-                self.send_sbi(
+                self.send(
                     requester, MsgKind.NF_DISCOVER_RESP, result=ERROR, reason="requester not registered"
                 )
                 return
             nf_type = m.require(Tag.NF_TYPE)
             data = ";".join(f"{p.nf_id}|{p.nf_type}|{p.addr}" for p in self.discover(nf_type))
-            self.send_sbi(
+            self.send(
                 requester, MsgKind.NF_DISCOVER_RESP, result=OK, nf_type=nf_type, data=data.encode()
             )
         elif m.kind == MsgKind.NF_STATUS_SUBSCRIBE_REQ:
             if requester not in self.status_subscribers:
                 self.status_subscribers.append(requester)
-            self.send_sbi(requester, MsgKind.NF_STATUS_SUBSCRIBE_RESP, result=OK)
+            self.send(requester, MsgKind.NF_STATUS_SUBSCRIBE_RESP, result=OK)
         elif m.kind == MsgKind.NF_DEREGISTER_REQ:
             nf_id = m.require(Tag.NF_ID)
             try:
                 profile = self.deregister(nf_id)
             except FlowError as exc:
-                self.send_sbi(requester, MsgKind.NF_DEREGISTER_RESP, result=ERROR, reason=str(exc))
+                self.send(requester, MsgKind.NF_DEREGISTER_RESP, result=ERROR, reason=str(exc))
                 return
-            self.send_sbi(requester, MsgKind.NF_DEREGISTER_RESP, result=OK, nf_id=nf_id)
+            self.send(requester, MsgKind.NF_DEREGISTER_RESP, result=OK, nf_id=nf_id)
             self._notify(profile)
         else:
             super().on_sbi(m, pkt, link, now)
@@ -387,7 +419,7 @@ class Amf(NfEntity):
 
     def discover_peers(self) -> None:
         for nf_type in ("AUSF", "UDM", "PCF", "SMF"):
-            self.send_sbi(self.env.nrf_name, MsgKind.NF_DISCOVER_REQ, nf_type=nf_type)
+            self.send(self.env.nrf_name, MsgKind.NF_DISCOVER_REQ, nf_type=nf_type)
 
     def _peer(self, nf_type: str) -> str:
         name = self.peers.get(nf_type)
@@ -401,33 +433,12 @@ class Amf(NfEntity):
         gnb = self._sender_name(pkt, link)
         if m.kind == MsgKind.NGAP_SETUP_REQ:
             if not link.reliable:
-                self.send_msg(
-                    gnb,
-                    Protocol.NGAP,
-                    build(MsgKind.NGAP_SETUP_RESP, result=ERROR, reason="transport not reliable"),
-                    sport=self.env.params.ngap_port,
-                    dport=self.env.params.ngap_port,
-                    attrs={"msg_kind": MsgKind.NGAP_SETUP_RESP.name},
-                )
+                self.send(gnb, MsgKind.NGAP_SETUP_RESP, result=ERROR, reason="transport not reliable")
                 return
             self.gnbs.add(gnb)
-            self.send_msg(
-                gnb,
-                Protocol.NGAP,
-                build(MsgKind.NGAP_SETUP_RESP, result=OK),
-                sport=self.env.params.ngap_port,
-                dport=self.env.params.ngap_port,
-                attrs={"msg_kind": MsgKind.NGAP_SETUP_RESP.name},
-            )
+            self.send(gnb, MsgKind.NGAP_SETUP_RESP, result=OK)
         elif m.kind == MsgKind.NGAP_KEEPALIVE_REQ:
-            self.send_msg(
-                gnb,
-                Protocol.NGAP,
-                build(MsgKind.NGAP_KEEPALIVE_RESP, result=OK),
-                sport=self.env.params.ngap_port,
-                dport=self.env.params.ngap_port,
-                attrs={"msg_kind": MsgKind.NGAP_KEEPALIVE_RESP.name},
-            )
+            self.send(gnb, MsgKind.NGAP_KEEPALIVE_RESP, result=OK)
         elif m.kind == MsgKind.NGAP_SESSION_SETUP_ACK:
             pass
         else:
@@ -435,38 +446,25 @@ class Amf(NfEntity):
 
     # -- NAS relayed by gNBs -------------------------------------------------
 
-    def _send_nas(self, gnb: str, kind: MsgKind, **fields) -> None:
-        attrs = {"msg_kind": kind.name}
-        if fields.get("ue_id"):
-            attrs["ue_id"] = str(fields["ue_id"])
-        self.send_msg(
-            gnb,
-            Protocol.NAS,
-            build(kind, **fields),
-            sport=self.env.params.ngap_port,
-            dport=self.env.params.ngap_port,
-            attrs=attrs,
-        )
-
     def on_nas(self, m, pkt, link, now) -> None:
         gnb = self._sender_name(pkt, link)
         if m.kind == MsgKind.NAS_REGISTER_REQ:
             ue_id = m.require(Tag.UE_ID)
             if gnb not in self.gnbs:
-                self._send_nas(gnb, MsgKind.NAS_REGISTER_REJECT, ue_id=ue_id, reason="no NGAP setup")
+                self.send(gnb, MsgKind.NAS_REGISTER_REJECT, ue_id=ue_id, reason="no NGAP setup")
                 return
             if ue_id in self.ue_registered:
-                self._send_nas(gnb, MsgKind.NAS_REGISTER_ACCEPT, ue_id=ue_id)
+                self.send(gnb, MsgKind.NAS_REGISTER_ACCEPT, ue_id=ue_id)
                 return
             self._pending_reg[ue_id] = gnb
-            self.send_sbi(self._peer("AUSF"), MsgKind.AUTH_REQ, ue_id=ue_id)
+            self.send(self._peer("AUSF"), MsgKind.AUTH_REQ, ue_id=ue_id)
         elif m.kind == MsgKind.NAS_SESSION_REQ:
             ue_id = m.require(Tag.UE_ID)
             if ue_id not in self.ue_registered:
-                self._send_nas(gnb, MsgKind.NAS_SESSION_REJECT, ue_id=ue_id, reason="not registered")
+                self.send(gnb, MsgKind.NAS_SESSION_REJECT, ue_id=ue_id, reason="not registered")
                 return
             self._pending_sess[ue_id] = gnb
-            self.send_sbi(
+            self.send(
                 self._peer("SMF"),
                 MsgKind.SESSION_CREATE_REQ,
                 ue_id=ue_id,
@@ -480,26 +478,23 @@ class Amf(NfEntity):
 
     def on_sbi(self, m, pkt, link, now) -> None:
         if m.kind == MsgKind.NF_DISCOVER_RESP:
-            if m.text(Tag.RESULT) == OK:
-                nf_type = m.require(Tag.NF_TYPE)
-                entries = (m.raw(Tag.DATA) or b"").decode()
-                if entries:
-                    # entries arrive sorted by nf_id; take the lowest
-                    self.peers[nf_type] = entries.split(";")[0].split("|")[0]
+            found = discovered(m) if m.text(Tag.RESULT) == OK else []
+            if found:
+                self.peers[m.require(Tag.NF_TYPE)] = found[0]  # lowest nf_id
         elif m.kind == MsgKind.AUTH_RESP:
             ue_id = m.require(Tag.UE_ID)
             if ue_id in self._pending_reg:
-                self.send_sbi(self._peer("UDM"), MsgKind.SUBSCRIBER_REQ, ue_id=ue_id)
+                self.send(self._peer("UDM"), MsgKind.SUBSCRIBER_REQ, ue_id=ue_id)
         elif m.kind == MsgKind.SUBSCRIBER_RESP:
             ue_id = m.require(Tag.UE_ID)
             gnb = self._pending_reg.get(ue_id)
             if gnb is None:
                 return
             if m.text(Tag.RESULT) == OK:
-                self.send_sbi(self._peer("PCF"), MsgKind.POLICY_REQ, ue_id=ue_id)
+                self.send(self._peer("PCF"), MsgKind.POLICY_REQ, ue_id=ue_id)
             else:
                 del self._pending_reg[ue_id]
-                self._send_nas(
+                self.send(
                     gnb,
                     MsgKind.NAS_REGISTER_REJECT,
                     ue_id=ue_id,
@@ -511,14 +506,14 @@ class Amf(NfEntity):
             if gnb is None:
                 return
             self.ue_registered[ue_id] = gnb
-            self._send_nas(gnb, MsgKind.NAS_REGISTER_ACCEPT, ue_id=ue_id)
+            self.send(gnb, MsgKind.NAS_REGISTER_ACCEPT, ue_id=ue_id)
         elif m.kind == MsgKind.SESSION_CREATE_RESP:
             ue_id = m.require(Tag.UE_ID)
             gnb = self._pending_sess.pop(ue_id, None)
             if gnb is None:
                 return
             if m.text(Tag.RESULT) != OK:
-                self._send_nas(
+                self.send(
                     gnb, MsgKind.NAS_SESSION_REJECT, ue_id=ue_id, reason=m.text(Tag.REASON, "error")
                 )
                 return
@@ -527,21 +522,15 @@ class Amf(NfEntity):
             # Secondary gNBs get their tunnel legs over NGAP before the UE
             # hears anything.
             for other in sorted({p.gnb for p in paths} - {gnb}):
-                self.send_msg(
+                self.send(
                     other,
-                    Protocol.NGAP,
-                    build(
-                        MsgKind.NGAP_SESSION_SETUP,
-                        ue_id=ue_id,
-                        ue_ip=m.require(Tag.UE_IP),
-                        mode=m.text(Tag.MODE, Redundancy.NONE.name),
-                        paths=paths_text,
-                    ),
-                    sport=self.env.params.ngap_port,
-                    dport=self.env.params.ngap_port,
-                    attrs={"msg_kind": MsgKind.NGAP_SESSION_SETUP.name, "ue_id": ue_id},
+                    MsgKind.NGAP_SESSION_SETUP,
+                    ue_id=ue_id,
+                    ue_ip=m.require(Tag.UE_IP),
+                    mode=m.text(Tag.MODE, Redundancy.NONE.name),
+                    paths=paths_text,
                 )
-            self._send_nas(
+            self.send(
                 gnb,
                 MsgKind.NAS_SESSION_ACCEPT,
                 ue_id=ue_id,
@@ -570,7 +559,7 @@ class Smf(NfEntity):
         self._pending: dict[str, dict] = {}
 
     def discover_upfs(self) -> None:
-        self.send_sbi(self.env.nrf_name, MsgKind.NF_DISCOVER_REQ, nf_type="UPF")
+        self.send(self.env.nrf_name, MsgKind.NF_DISCOVER_REQ, nf_type="UPF")
 
     def next_teid(self) -> int:
         self._teid += 1
@@ -589,14 +578,7 @@ class Smf(NfEntity):
         if self.associations.get(upf) in ("PENDING", "ACTIVE"):
             return
         self.associations[upf] = "PENDING"
-        self.send_msg(
-            upf,
-            Protocol.PFCP,
-            build(MsgKind.PFCP_ASSOC_REQ, nf_id=self.name),
-            sport=self.env.params.pfcp_port,
-            dport=self.env.params.pfcp_port,
-            attrs={"msg_kind": MsgKind.PFCP_ASSOC_REQ.name},
-        )
+        self.send(upf, MsgKind.PFCP_ASSOC_REQ, nf_id=self.name)
 
     def associate_all(self) -> None:
         for upf in self.upfs:
@@ -623,8 +605,7 @@ class Smf(NfEntity):
 
     def on_sbi(self, m, pkt, link, now) -> None:
         if m.kind == MsgKind.NF_DISCOVER_RESP and m.text(Tag.NF_TYPE) == "UPF":
-            entries = (m.raw(Tag.DATA) or b"").decode()
-            self.upfs = [e.split("|")[0] for e in entries.split(";") if e]
+            self.upfs = discovered(m)
         elif m.kind == MsgKind.SESSION_CREATE_REQ:
             self._create_session(
                 requester=self._sender_name(pkt, link),
@@ -636,7 +617,7 @@ class Smf(NfEntity):
             super().on_sbi(m, pkt, link, now)
 
     def _fail_session(self, requester: str, ue_id: str, reason: str) -> None:
-        self.send_sbi(
+        self.send(
             requester, MsgKind.SESSION_CREATE_RESP, ue_id=ue_id, result=ERROR, reason=reason
         )
 
@@ -724,14 +705,7 @@ class Smf(NfEntity):
         }
         self._pending[ue_id] = pending
         for upf, rules in rule_sets.items():
-            self.send_msg(
-                upf,
-                Protocol.PFCP,
-                build(MsgKind.PFCP_SESSION_REQ, ue_id=ue_id, ue_ip=ue_ip, rules=rules),
-                sport=self.env.params.pfcp_port,
-                dport=self.env.params.pfcp_port,
-                attrs={"msg_kind": MsgKind.PFCP_SESSION_REQ.name, "ue_id": ue_id},
-            )
+            self.send(upf, MsgKind.PFCP_SESSION_REQ, ue_id=ue_id, ue_ip=ue_ip, rules=rules)
 
     def _build_rules(
         self,
@@ -786,7 +760,7 @@ class Smf(NfEntity):
             paths=pending["paths"],
         )
         self.sessions[session.ue_id] = session
-        self.send_sbi(
+        self.send(
             pending["requester"],
             MsgKind.SESSION_CREATE_RESP,
             ue_id=session.ue_id,
@@ -806,7 +780,7 @@ class Ausf(NfEntity):
     def on_sbi(self, m, pkt, link, now) -> None:
         if m.kind == MsgKind.AUTH_REQ:
             requester = self._sender_name(pkt, link)
-            self.send_sbi(requester, MsgKind.AUTH_RESP, ue_id=m.require(Tag.UE_ID), result=OK)
+            self.send(requester, MsgKind.AUTH_RESP, ue_id=m.require(Tag.UE_ID), result=OK)
         else:
             super().on_sbi(m, pkt, link, now)
 
@@ -822,24 +796,24 @@ class Udm(NfEntity):
         self._pending: dict[str, str] = {}  # ue_id -> requester
 
     def after_registered(self) -> None:
-        self.send_sbi(self.env.nrf_name, MsgKind.NF_DISCOVER_REQ, nf_type="UDR")
+        self.send(self.env.nrf_name, MsgKind.NF_DISCOVER_REQ, nf_type="UDR")
 
     def on_sbi(self, m, pkt, link, now) -> None:
         if m.kind == MsgKind.NF_DISCOVER_RESP and m.text(Tag.NF_TYPE) == "UDR":
-            entries = (m.raw(Tag.DATA) or b"").decode()
-            if entries:
-                self.udr_name = entries.split(";")[0].split("|")[0]
+            found = discovered(m)
+            if found:
+                self.udr_name = found[0]
         elif m.kind == MsgKind.SUBSCRIBER_REQ:
             ue_id = m.require(Tag.UE_ID)
             self._pending[ue_id] = self._sender_name(pkt, link)
             if self.udr_name is None:
                 raise SetupError(f"{self.name}: no UDR wired")
-            self.send_sbi(self.udr_name, MsgKind.UDR_QUERY_REQ, ue_id=ue_id)
+            self.send(self.udr_name, MsgKind.UDR_QUERY_REQ, ue_id=ue_id)
         elif m.kind == MsgKind.UDR_QUERY_RESP:
             ue_id = m.require(Tag.UE_ID)
             requester = self._pending.pop(ue_id, None)
             if requester is not None:
-                self.send_sbi(
+                self.send(
                     requester,
                     MsgKind.SUBSCRIBER_RESP,
                     ue_id=ue_id,
@@ -864,9 +838,9 @@ class Udr(NfEntity):
             ue_id = m.require(Tag.UE_ID)
             requester = self._sender_name(pkt, link)
             if ue_id in self.subscribers:
-                self.send_sbi(requester, MsgKind.UDR_QUERY_RESP, ue_id=ue_id, result=OK)
+                self.send(requester, MsgKind.UDR_QUERY_RESP, ue_id=ue_id, result=OK)
             else:
-                self.send_sbi(
+                self.send(
                     requester,
                     MsgKind.UDR_QUERY_RESP,
                     ue_id=ue_id,
@@ -885,7 +859,7 @@ class Pcf(NfEntity):
     def on_sbi(self, m, pkt, link, now) -> None:
         if m.kind == MsgKind.POLICY_REQ:
             requester = self._sender_name(pkt, link)
-            self.send_sbi(requester, MsgKind.POLICY_RESP, ue_id=m.require(Tag.UE_ID), result=OK)
+            self.send(requester, MsgKind.POLICY_RESP, ue_id=m.require(Tag.UE_ID), result=OK)
         else:
             super().on_sbi(m, pkt, link, now)
 

@@ -2,13 +2,14 @@
 
 Every message is a TlvMessage: a MsgKind code plus tagged fields. Field
 values are UTF-8 text except DATA, which carries raw bytes (encoded inner
-packets, document segments).
+packets, document segments). A kind's name prefix names the protocol it
+rides on (PROTOCOL).
 """
 from __future__ import annotations
 
 from enum import IntEnum
 
-from .wirefmt import TlvMessage, WireFormatError, decode_tlv, encode_tlv
+from .wirefmt import Protocol, TlvMessage, WireFormatError, decode_tlv, encode_tlv
 
 
 class MsgKind(IntEnum):
@@ -94,6 +95,11 @@ class Tag(IntEnum):
     DIGEST = 26
 
 
+# PFCP_, NGAP_, NAS_, RLS_ and APP_ kinds name their protocol; the rest ride SBI.
+PROTOCOL = {
+    kind: Protocol.__members__.get(kind.name.partition("_")[0], Protocol.SBI) for kind in MsgKind
+}
+
 _TAG_BY_NAME = {t.name.lower(): t for t in Tag}
 
 
@@ -115,7 +121,11 @@ def build(kind: MsgKind, **fields: str | int | bytes) -> bytes:
 
 
 class ParsedMsg:
-    """Read-only view over a decoded message."""
+    """Read-only view over a decoded message.
+
+    Every accessor is total: a field that is not UTF-8 text, or not an
+    integer where one is read, raises WireFormatError.
+    """
 
     __slots__ = ("kind", "_fields")
 
@@ -126,19 +136,31 @@ class ParsedMsg:
     def raw(self, tag: Tag) -> bytes | None:
         return self._fields.get(int(tag))
 
+    def _decode(self, tag: Tag, raw: bytes) -> str:
+        try:
+            return raw.decode()
+        except UnicodeDecodeError:
+            raise WireFormatError(f"field {tag.name} in {self.kind.name} is not UTF-8") from None
+
     def text(self, tag: Tag, default: str | None = None) -> str | None:
         raw = self._fields.get(int(tag))
-        return raw.decode() if raw is not None else default
+        return self._decode(tag, raw) if raw is not None else default
 
     def num(self, tag: Tag, default: int | None = None) -> int | None:
         raw = self._fields.get(int(tag))
-        return int(raw.decode()) if raw is not None else default
+        if raw is None:
+            return default
+        text = self._decode(tag, raw)
+        try:
+            return int(text)
+        except ValueError:
+            raise WireFormatError(f"field {tag.name} in {self.kind.name} is not an integer") from None
 
     def require(self, tag: Tag) -> str:
         raw = self._fields.get(int(tag))
         if raw is None:
             raise WireFormatError(f"missing mandatory field {tag.name} in {self.kind.name}")
-        return raw.decode()
+        return self._decode(tag, raw)
 
 
 def parse(payload: bytes) -> ParsedMsg:

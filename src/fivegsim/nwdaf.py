@@ -264,7 +264,7 @@ class Nwdaf(NfEntity):
     def _notify_fire(self, subscriber: str, kind: str, period_ms: int) -> None:
         t1 = self.net.now
         rep = self.report(kind, max(0, t1 - period_ms), t1)
-        self.send_sbi(
+        self.send(
             subscriber,
             MsgKind.KPI_NOTIFY,
             kpi_kind=kind,

@@ -25,7 +25,6 @@ from .wirefmt import (
     decode_packet,
     encode_packet,
     gtpu_decapsulate,
-    gtpu_encapsulate,
 )
 
 log = logging.getLogger(__name__)
@@ -52,7 +51,6 @@ class Gnb(NfEntity):
 
     def __init__(self, name, ip, net, env, amf: str):
         super().__init__(name, ip, net, env)
-        self.heartbeat_enabled = False  # gNBs keep alive over NGAP instead
         self.amf = amf
         self.ng_ready = False
         self._ue_names: dict[str, str] = {}      # ue_id -> roster name
@@ -61,35 +59,20 @@ class Gnb(NfEntity):
 
     # -- N2 ---------------------------------------------------------------
 
-    def _send_ngap(self, kind: MsgKind, attrs: dict[str, str] | None = None, **fields) -> None:
-        port = self.env.params.ngap_port
-        merged = {"msg_kind": kind.name}
-        if attrs:
-            merged.update(attrs)
-        self.send_msg(
-            self.amf, Protocol.NGAP, build(kind, **fields), sport=port, dport=port, attrs=merged
-        )
-
     def ng_setup(self) -> None:
         link = self.net.require_link(self.name, self.amf)
         if not link.reliable:
             raise SetupError(f"{self.name}: NGAP needs a reliable transport to {self.amf}")
-        self._send_ngap(MsgKind.NGAP_SETUP_REQ, nf_id=self.name)
+        self.send(self.amf, MsgKind.NGAP_SETUP_REQ, nf_id=self.name)
 
-    def _arm_keepalive(self) -> None:
-        hb = self.env.params.heartbeat_ms
-        self.net.schedule((self.net.now // hb + 1) * hb, self._keepalive_fire)
-
-    def _keepalive_fire(self) -> None:
-        if self.ng_ready:
-            self._send_ngap(MsgKind.NGAP_KEEPALIVE_REQ, nf_id=self.name)
-        self._arm_keepalive()
+    def _keepalive(self) -> None:
+        self.send(self.amf, MsgKind.NGAP_KEEPALIVE_REQ, nf_id=self.name)
 
     def on_ngap(self, m, pkt, link, now) -> None:
         if m.kind == MsgKind.NGAP_SETUP_RESP:
             if m.text(Tag.RESULT) == "OK" and not self.ng_ready:
                 self.ng_ready = True
-                self._arm_keepalive()
+                self.on_heartbeat_grid(self._keepalive)
         elif m.kind == MsgKind.NGAP_KEEPALIVE_RESP:
             pass
         elif m.kind == MsgKind.NGAP_SESSION_SETUP:
@@ -100,7 +83,7 @@ class Gnb(NfEntity):
                 mode=Redundancy.parse(m.text(Tag.MODE, "NONE")),
                 paths=decode_paths(m.text(Tag.PATHS, "")),
             )
-            self._send_ngap(MsgKind.NGAP_SESSION_SETUP_ACK, attrs={"ue_id": ue_id}, ue_id=ue_id)
+            self.send(self.amf, MsgKind.NGAP_SESSION_SETUP_ACK, ue_id=ue_id)
         else:
             super().on_ngap(m, pkt, link, now)
 
@@ -142,14 +125,8 @@ class Gnb(NfEntity):
                 mode=Redundancy.parse(m.text(Tag.MODE, "NONE")),
                 paths=decode_paths(m.text(Tag.PATHS, "")),
             )
-        port = self.env.params.rls_port
-        self.send_msg(
-            ue_name,
-            Protocol.RLS,
-            build(MsgKind.RLS_NAS, ue_id=ue_id, data=pkt.payload),
-            sport=port,
-            dport=port,
-            attrs={"msg_kind": MsgKind.RLS_NAS.name, "nas_kind": m.kind.name, "ue_id": ue_id},
+        self.send(
+            ue_name, MsgKind.RLS_NAS, attrs={"nas_kind": m.kind.name}, ue_id=ue_id, data=pkt.payload
         )
 
     # -- radio uplink ------------------------------------------------------------
@@ -161,12 +138,9 @@ class Gnb(NfEntity):
             self._ue_names[ue_id] = sender
             nas = m.raw(Tag.DATA) or b""
             inner_kind = parse(nas).kind.name
+            port = self.env.params.port(Protocol.NAS)
             self.send_msg(
-                self.amf,
-                Protocol.NAS,
-                nas,
-                sport=self.env.params.ngap_port,
-                dport=self.env.params.ngap_port,
+                self.amf, Protocol.NAS, nas, sport=port, dport=port,
                 attrs={"msg_kind": inner_kind, "ue_id": ue_id},
             )
         elif m.kind == MsgKind.RLS_DATA:
@@ -201,21 +175,10 @@ class Gnb(NfEntity):
             seq = ctx.ul_seq
             ctx.ul_seq = (ctx.ul_seq + 1) % SEQ_MODULUS
         inner_kind = parse(inner.payload).kind.name if inner.protocol == Protocol.APP else ""
-        port = self.env.params.gtpu_port
         for p in ctx.paths:
-            attrs = {"teid": str(p.teid_ul), "ue_id": ctx.ue_id}
-            if seq is not None and p.carry_seq:
-                attrs["seq"] = str(seq)
-            if inner_kind:
-                attrs["inner"] = inner_kind
-            self.send_msg(
-                p.upf,
-                Protocol.GTPU,
-                gtpu_encapsulate(inner_raw, p.teid_ul, seq if p.carry_seq else None),
-                sport=port,
-                dport=port,
-                stream=p.teid_ul,
-                attrs=attrs,
+            self.send_gtpu(
+                p.upf, p.teid_ul, inner_raw, seq if p.carry_seq else None, inner_kind,
+                ue_id=ctx.ue_id,
             )
 
     # -- downlink ------------------------------------------------------------
@@ -260,15 +223,7 @@ class Gnb(NfEntity):
                 attrs={"reason": "no radio peer", "ue_id": ctx.ue_id},
             )
             return
-        port = self.env.params.rls_port
-        self.send_msg(
-            ctx.ue_name,
-            Protocol.RLS,
-            build(MsgKind.RLS_DATA, ue_id=ctx.ue_id, data=inner_raw),
-            sport=port,
-            dport=port,
-            attrs={"msg_kind": MsgKind.RLS_DATA.name, "ue_id": ctx.ue_id},
-        )
+        self.send(ctx.ue_name, MsgKind.RLS_DATA, ue_id=ctx.ue_id, data=inner_raw)
 
 
 DEREGISTERED = "DEREGISTERED"
@@ -320,7 +275,6 @@ class Ue(NfEntity):
 
     def __init__(self, name, ip, net, env, imsi: str, gnbs: tuple[str, ...] = ()):
         super().__init__(name, ip, net, env)
-        self.heartbeat_enabled = False
         self.imsi = imsi
         self.gnbs: tuple[str, ...] = tuple(gnbs)
         self.state = DEREGISTERED
@@ -345,11 +299,7 @@ class Ue(NfEntity):
     def _rls_send(self, gnb: str, kind: MsgKind, attrs: dict[str, str] | None = None, **fields) -> None:
         if self.net.link_between(self.name, gnb) is None:
             raise SetupError(f"{self.name}: no radio link to {gnb}")
-        port = self.env.params.rls_port
-        merged = {"msg_kind": kind.name, "ue_id": self.imsi}
-        if attrs:
-            merged.update(attrs)
-        self.send_msg(gnb, Protocol.RLS, build(kind, **fields), sport=port, dport=port, attrs=merged)
+        self.send(gnb, kind, attrs={"ue_id": self.imsi, **(attrs or {})}, **fields)
 
     def _send_nas(self, kind: MsgKind, **fields) -> None:
         nas = build(kind, **fields)
@@ -428,7 +378,7 @@ class Ue(NfEntity):
         if sess.mode is Redundancy.DUAL_CONNECTIVITY:
             fields["seq"] = self._app_seq
             self._app_seq = (self._app_seq + 1) % SEQ_MODULUS
-        port = self.env.params.app_port
+        port = self.env.params.port(Protocol.APP)
         inner = SimPacket(
             protocol=Protocol.APP,
             src_ip=sess.ue_ip,

@@ -51,6 +51,11 @@ T_ATTACH = 45
 SWEEP_LOSS = 0.1
 SWEEP_PACKETS = 2000
 
+# kinds built from (name, ip, net, env) alone
+_PLAIN_KINDS = {
+    cls.kind: cls for cls in (Nrf, Amf, Smf, Ausf, Udm, Pcf, Nssf, Bsf, Upf, Nwdaf)
+}
+
 
 class Testbed:
     """Entities plus fabric for one run."""
@@ -122,26 +127,10 @@ class Testbed:
 
     def _make_entity(self, decl: EntityDecl, amf_name, subscribers, ue_decls):
         args = (decl.name, decl.ip, self.net, self.env)
-        if decl.kind == "NRF":
-            return Nrf(*args)
-        if decl.kind == "AMF":
-            return Amf(*args)
-        if decl.kind == "SMF":
-            return Smf(*args)
-        if decl.kind == "AUSF":
-            return Ausf(*args)
-        if decl.kind == "UDM":
-            return Udm(*args)
+        if decl.kind in _PLAIN_KINDS:
+            return _PLAIN_KINDS[decl.kind](*args)
         if decl.kind == "UDR":
             return Udr(*args, subscribers=subscribers)
-        if decl.kind == "PCF":
-            return Pcf(*args)
-        if decl.kind == "NSSF":
-            return Nssf(*args)
-        if decl.kind == "BSF":
-            return Bsf(*args)
-        if decl.kind == "UPF":
-            return Upf(*args)
         if decl.kind == "GNB":
             if amf_name is None:
                 raise SetupError("a radio node needs an AMF in the topology")
@@ -156,8 +145,6 @@ class Testbed:
             return Ue(*args, imsi=imsi)
         if decl.kind == "SERVER":
             return AppServer(*args, documents=dict(self.topo.documents))
-        if decl.kind == "NWDAF":
-            return Nwdaf(*args)
         raise SetupError(f"no entity implementation for kind {decl.kind}")
 
     # -- convenient accessors ------------------------------------------------

@@ -19,6 +19,7 @@ import logging
 from dataclasses import dataclass
 from typing import Callable, Iterable
 
+from .errors import FivegsimError
 from .wirefmt import Protocol, SimPacket
 
 log = logging.getLogger(__name__)
@@ -34,7 +35,7 @@ OUTCOMES = (DELIVERED, DROPPED, ELIMINATED_DUPLICATE)
 _SCRUB = str.maketrans({"\t": " ", "\n": " ", "\r": " ", ",": ";"})
 
 
-class SimNetError(Exception):
+class SimNetError(FivegsimError):
     """Fabric-level contract violation (bad link, bad time, bad endpoint)."""
 
 

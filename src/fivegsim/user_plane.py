@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .core_cp import ERROR, OK, NfEntity
 from .errors import FlowError
@@ -24,7 +24,6 @@ from .wirefmt import (
     decode_packet,
     encode_packet,
     gtpu_decapsulate,
-    gtpu_encapsulate,
 )
 
 log = logging.getLogger(__name__)
@@ -117,38 +116,22 @@ class Upf(NfEntity):
 
     def on_pfcp(self, m, pkt, link, now) -> None:
         smf = self._sender_name(pkt, link)
-        port = self.env.params.pfcp_port
         if m.kind == MsgKind.PFCP_ASSOC_REQ:
             self.associated_smfs.add(smf)
-            self.send_msg(
-                smf,
-                Protocol.PFCP,
-                build(MsgKind.PFCP_ASSOC_RESP, result=OK, nf_id=self.name),
-                sport=port,
-                dport=port,
-                attrs={"msg_kind": MsgKind.PFCP_ASSOC_RESP.name},
-            )
+            self.send(smf, MsgKind.PFCP_ASSOC_RESP, result=OK, nf_id=self.name)
         elif m.kind == MsgKind.PFCP_SESSION_REQ:
             ue_id = m.require(Tag.UE_ID)
             if smf not in self.associated_smfs:
-                resp = build(
-                    MsgKind.PFCP_SESSION_RESP, ue_id=ue_id, result=ERROR, reason="no association"
+                self.send(
+                    smf, MsgKind.PFCP_SESSION_RESP, ue_id=ue_id, result=ERROR, reason="no association"
                 )
-            else:
-                teid_rules, ueip_rules = parse_rule_program(m.text(Tag.RULES, ""), ue_id)
-                for rule in teid_rules:
-                    self.teid_rules[rule.teid] = rule
-                for rule in ueip_rules:
-                    self.ueip_rules[rule.ue_ip] = rule
-                resp = build(MsgKind.PFCP_SESSION_RESP, ue_id=ue_id, result=OK)
-            self.send_msg(
-                smf,
-                Protocol.PFCP,
-                resp,
-                sport=port,
-                dport=port,
-                attrs={"msg_kind": MsgKind.PFCP_SESSION_RESP.name, "ue_id": ue_id},
-            )
+                return
+            teid_rules, ueip_rules = parse_rule_program(m.text(Tag.RULES, ""), ue_id)
+            for rule in teid_rules:
+                self.teid_rules[rule.teid] = rule
+            for rule in ueip_rules:
+                self.ueip_rules[rule.ue_ip] = rule
+            self.send(smf, MsgKind.PFCP_SESSION_RESP, ue_id=ue_id, result=OK)
         else:
             super().on_pfcp(m, pkt, link, now)
 
@@ -172,26 +155,7 @@ class Upf(NfEntity):
                 )
             else:
                 out_seq = seq if action.carry_seq else None
-                self._encap_to(action.target, action.teid, inner_raw, out_seq, inner_kind)
-
-    def _encap_to(
-        self, target: str, teid: int, inner_raw: bytes, seq: int | None, inner_kind: str
-    ) -> None:
-        attrs = {"teid": str(teid)}
-        if seq is not None:
-            attrs["seq"] = str(seq)
-        if inner_kind:
-            attrs["inner"] = inner_kind
-        port = self.env.params.gtpu_port
-        self.send_msg(
-            target,
-            Protocol.GTPU,
-            gtpu_encapsulate(inner_raw, teid, seq),
-            sport=port,
-            dport=port,
-            stream=teid,
-            attrs=attrs,
-        )
+                self.send_gtpu(action.target, action.teid, inner_raw, out_seq, inner_kind)
 
     def on_gtpu(self, pkt: SimPacket, link: Link, now: int) -> None:
         sender = self._sender_name(pkt, link)
@@ -250,7 +214,7 @@ class Upf(NfEntity):
         inner_kind = m.kind.name
         for action in rule.actions:
             if action.kind == "encap":
-                self._encap_to(action.target, action.teid, inner_raw, seq, inner_kind)
+                self.send_gtpu(action.target, action.teid, inner_raw, seq, inner_kind)
             else:
                 self._run_actions((action,), inner_raw, pkt, seq)
 
@@ -296,7 +260,6 @@ class AppServer(NfEntity):
 
     def __init__(self, name, ip, net, env, documents: dict[str, int] | None = None):
         super().__init__(name, ip, net, env)
-        self.heartbeat_enabled = False
         self.documents: dict[str, int] = dict(documents or {})
         self.routes: dict[str, list[str]] = {}       # ue_ip -> UPFs that delivered uplink
         self._dedup: dict[str, DedupWindow] = {}     # ue_ip -> uplink window (app-level seq)
@@ -329,7 +292,7 @@ class AppServer(NfEntity):
             self._dl_seq[ue_ip] = (seq + 1) % SEQ_MODULUS
             fields["seq"] = seq
         payload = build(kind, **fields)
-        port = self.env.params.app_port
+        port = self.env.params.port(Protocol.APP)
         for upf in routes:
             self.send_msg(
                 upf,

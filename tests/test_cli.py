@@ -1,7 +1,13 @@
 """Command line behaviour: artifacts, exit codes, output formats."""
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from fivegsim.cli import main
+from fivegsim.config import default_topology
 from fivegsim.nwdaf import import_events, kpi_packet_counts
 
 ARTIFACTS = ("events.log", "kpi_counts.csv", "kpi_throughput.csv", "summary.txt")
@@ -118,6 +124,28 @@ def test_corrupt_events_file_is_a_usage_error(tmp_path, capsys):
 def test_missing_topology_file_is_a_usage_error(tmp_path, capsys):
     rc = main(["run", "--topology", str(tmp_path / "absent.cfg")])
     assert rc == 2
+
+
+def test_unrunnable_topology_fails_with_one_error_line(tmp_path):
+    # a declared SERVER gets no injected UPF links, so the first uplink
+    # packet finds no route to it
+    topo = tmp_path / "no_server_links.cfg"
+    topo.write_text(
+        Path(default_topology().source)
+        .read_text()
+        .replace("[links]", "SERVER,SERVER,192.168.0.40\n\n[links]")
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-m", "fivegsim.cli", "run", "--topology", str(topo),
+         "--duration-ms", "3000"],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 1
+    assert proc.stderr == "error: no link between UPF1 and SERVER\n"
+    assert "Traceback" not in proc.stderr
 
 
 def test_unknown_scenario_rejected_by_the_parser(capsys):

@@ -1,7 +1,7 @@
 """Control-plane tests: registry semantics, bring-up, sessions, heartbeats."""
 import pytest
 
-from fivegsim.config import Params, default_topology
+from fivegsim.config import Params, ScenarioSpec, default_topology
 from fivegsim.core_cp import (
     DEREGISTERED,
     REGISTERED,
@@ -14,9 +14,11 @@ from fivegsim.core_cp import (
     encode_paths,
 )
 from fivegsim.errors import FlowError, SetupError
-from fivegsim.runner import T_ATTACH, Testbed
+from fivegsim.messages import PROTOCOL, MsgKind
+from fivegsim.runner import T_ATTACH, Testbed, run_scenario
 from fivegsim.simnet import DELIVERED, Network
 from fivegsim.urllc import Redundancy
+from fivegsim.wirefmt import Protocol
 
 HB = 3333
 SETTLE = 1000
@@ -122,11 +124,9 @@ def test_boot_register_round_trip():
 
 
 def test_discover_requires_registered_requester():
-    from fivegsim.messages import MsgKind
-
     net, nrf, x = micro_net()
     records = net.events
-    x.send_sbi("NRF", MsgKind.NF_DISCOVER_REQ, nf_type="UPF")
+    x.send("NRF", MsgKind.NF_DISCOVER_REQ, nf_type="UPF")
     net.run_until(10)
     resps = kinds_in(records, "NF_DISCOVER_RESP")
     assert len(resps) == 1  # answered, but with an error inside
@@ -351,3 +351,17 @@ def test_idle_window_heartbeat_counts():
     # 3333ms grid puts exactly three beats inside a 10s window for every NF
     assert set(per_nf.values()) == {3}
     assert per_nf["AUSF"] == per_nf["NSSF"] == per_nf["PCF"] == 3
+
+
+# -- send policy ------------------------------------------------------------------
+
+@pytest.mark.parametrize("name,ues", [("validate", 1), ("single_request", 1), ("many_requests", 5)])
+def test_every_message_row_follows_the_send_policy(name, ues):
+    # the kind names the protocol, the protocol names both ports
+    result = run_scenario(ScenarioSpec(name=name, ue_count=ues, seed=0))
+    params = result.testbed.params
+    rows = [r for r in result.events if r.is_wire and r.protocol is not Protocol.GTPU]
+    assert len(rows) > 100
+    for r in rows:
+        assert PROTOCOL[MsgKind[r.attrs["msg_kind"]]] is r.protocol, r
+        assert r.attrs["src_port"] == r.attrs["dst_port"] == str(params.port(r.protocol)), r

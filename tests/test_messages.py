@@ -1,0 +1,66 @@
+"""Message vocabulary: the kind -> protocol table and total field accessors."""
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from fivegsim.messages import PROTOCOL, MsgKind, Tag, build, parse
+from fivegsim.wirefmt import Protocol, TlvMessage, WireFormatError, encode_tlv
+
+
+def test_kind_prefix_names_the_protocol():
+    assert set(PROTOCOL) == set(MsgKind)
+    assert PROTOCOL[MsgKind.PFCP_SESSION_REQ] is Protocol.PFCP
+    assert PROTOCOL[MsgKind.NGAP_SETUP_REQ] is Protocol.NGAP
+    assert PROTOCOL[MsgKind.NAS_SESSION_ACCEPT] is Protocol.NAS
+    assert PROTOCOL[MsgKind.RLS_NAS] is Protocol.RLS
+    assert PROTOCOL[MsgKind.APP_SEGMENT] is Protocol.APP
+    for kind in (MsgKind.NF_REGISTER_REQ, MsgKind.AUTH_REQ, MsgKind.SESSION_CREATE_RESP,
+                 MsgKind.UDR_QUERY_REQ, MsgKind.KPI_NOTIFY):
+        assert PROTOCOL[kind] is Protocol.SBI
+    assert Protocol.GTPU not in PROTOCOL.values()  # tunnels carry bytes, not messages
+
+
+def test_accessors_raise_wire_format_errors_on_bad_fields():
+    m = parse(build(MsgKind.APP_SEGMENT, index="x1", doc=b"\xff\xfe"))
+    with pytest.raises(WireFormatError, match="INDEX .* not an integer"):
+        m.num(Tag.INDEX)
+    with pytest.raises(WireFormatError, match="DOC .* not UTF-8"):
+        m.text(Tag.DOC)
+    with pytest.raises(WireFormatError, match="DOC .* not UTF-8"):
+        m.require(Tag.DOC)
+    with pytest.raises(WireFormatError, match="DOC .* not UTF-8"):
+        m.num(Tag.DOC)
+    assert m.raw(Tag.DOC) == b"\xff\xfe"
+    assert m.num(Tag.SIZE, 7) == 7
+
+
+_KINDS = st.one_of(st.sampled_from([int(k) for k in MsgKind]), st.integers(0, 0xFFFF))
+_TAGS = st.one_of(st.sampled_from([int(t) for t in Tag]), st.integers(0, 0xFFFF))
+_VALUES = st.one_of(
+    st.binary(max_size=24),
+    st.integers(-(10**6), 10**6).map(lambda n: str(n).encode()),
+    st.text(max_size=8).map(str.encode),
+)
+_TLV_BYTES = st.one_of(
+    st.builds(
+        lambda kind, elements: encode_tlv(TlvMessage(kind, tuple(elements))),
+        _KINDS,
+        st.lists(st.tuples(_TAGS, _VALUES), max_size=8),
+    ),
+    st.binary(max_size=64),
+)
+
+
+@settings(max_examples=500, deadline=None)
+@given(_TLV_BYTES)
+def test_parse_and_every_accessor_raise_only_wire_format_errors(buf):
+    try:
+        m = parse(buf)
+    except WireFormatError:
+        return
+    for tag in Tag:
+        for accessor in (m.raw, m.text, m.num, m.require):
+            try:
+                accessor(tag)
+            except WireFormatError:
+                pass

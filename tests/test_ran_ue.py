@@ -44,7 +44,7 @@ def test_amf_refuses_setup_from_unreliable_link():
     )
     tb = Testbed(parse_topology(raw), seed=0)
     gnb = tb.gnbs[0]
-    tb.net.schedule(10, lambda: gnb._send_ngap(MsgKind.NGAP_SETUP_REQ, nf_id=gnb.name))
+    tb.net.schedule(10, lambda: gnb.send(gnb.amf, MsgKind.NGAP_SETUP_REQ, nf_id=gnb.name))
     tb.run_until(100)
     assert gnb.ng_ready is False
     assert gnb.name not in tb.amfs[0].gnbs
@@ -73,7 +73,7 @@ def test_gnb_learns_ue_identity_from_uplink():
 
 def test_gnb_drops_downlink_nas_for_unknown_ue():
     tb, _ = attached_testbed()
-    tb.amfs[0]._send_nas("gNB", MsgKind.NAS_REGISTER_ACCEPT, ue_id="imsi-nobody")
+    tb.amfs[0].send("gNB", MsgKind.NAS_REGISTER_ACCEPT, ue_id="imsi-nobody")
     tb.run_until(SETTLE + 10)
     drops = [
         r
