@@ -6,8 +6,16 @@ message and takes its protocol from the kind (messages.PROTOCOL), both ports
 from the protocol (Params.port) and its log row's msg_kind and ue_id from the
 message. Only nodes forwarding bytes another node built (GTP-U tunnels, the
 gNB's uplink NAS relay, UPF routing, the server's downlink fan-out) call
-`send_msg` with a protocol and ports of their own. Packets dispatch by
-protocol to the matching `on_<protocol>` handler.
+`send_msg` with a protocol and ports of their own.
+
+NfEntity owns the one receive path too. `handle_packet` dispatches by
+protocol to the matching `on_<protocol>` handler and contains bad input: a
+WireFormatError from decoding or from any handler (every parser of peer
+text raises it) becomes a local DROPPED row with the reason, and the run
+goes on. `on_gtpu` is the one tunnel endpoint: it decapsulates, drops an
+unknown TEID and eliminates duplicates, leaving the node only its TEID
+lookup and what to do with the inner bytes. `drop` and `first_copy` write
+every local row.
 
 Flows are the standard ones: NFs register with the NRF and heartbeat on a
 shared grid; the AMF discovers its peers, accepts NGAP setups from gNBs and
@@ -24,10 +32,10 @@ from typing import Callable
 
 from .config import Params
 from .errors import FlowError, SetupError
-from .messages import PROTOCOL, MsgKind, Tag, build, parse
-from .simnet import Entity, Link, Network
-from .urllc import Redundancy, RedundancyMode
-from .wirefmt import Protocol, SimPacket, gtpu_encapsulate
+from .messages import PROTOCOL, MsgKind, Tag, build, canonical_int, parse
+from .simnet import DROPPED, ELIMINATED_DUPLICATE, Entity, Link, Network
+from .urllc import DedupWindow, Redundancy, RedundancyMode
+from .wirefmt import Protocol, SimPacket, WireFormatError, gtpu_decapsulate, gtpu_encapsulate
 
 log = logging.getLogger(__name__)
 
@@ -97,11 +105,31 @@ def decode_paths(text: str) -> tuple[SessionPath, ...]:
     for part in text.split(";"):
         if not part:
             continue
-        gnb, upf, tu, td, carry = part.split("/")
-        out.append(
-            SessionPath(gnb=gnb, upf=upf, teid_ul=int(tu), teid_dl=int(td), carry_seq=carry == "1")
-        )
+        fields = part.split("/")
+        if len(fields) != 5:
+            raise WireFormatError(f"malformed session path {part!r}")
+        gnb, upf, tu, td, carry = fields
+        teid_ul, teid_dl = (canonical_int(t, f"TEID in session path {part!r}") for t in (tu, td))
+        out.append(SessionPath(gnb, upf, teid_ul, teid_dl, carry_seq=carry == "1"))
     return tuple(out)
+
+
+def read_mode(m) -> Redundancy:
+    """The redundancy mode a message names (NONE when it names none)."""
+    try:
+        return Redundancy.parse(m.text(Tag.MODE, Redundancy.NONE.name))
+    except ValueError as exc:
+        raise WireFormatError(str(exc)) from None
+
+
+def read_session(m) -> tuple[str, Redundancy, tuple[SessionPath, ...]]:
+    """The (ue_ip, mode, paths) a session accept or setup carries."""
+    ue_ip = m.require(Tag.UE_IP)
+    try:
+        ipaddress.IPv4Address(ue_ip)
+    except ValueError:
+        raise WireFormatError(f"bad IPv4 address {ue_ip!r}") from None
+    return ue_ip, read_mode(m), decode_paths(m.text(Tag.PATHS, ""))
 
 
 def discovered(m) -> list[str]:
@@ -163,9 +191,16 @@ class NfEntity(Entity):
         src_ip: str | None = None,
         dst_ip: str | None = None,
     ) -> bool:
-        """Send ready-made bytes; for forwarding what another node built."""
+        """Send ready-made bytes; for forwarding what another node built.
+
+        A peer that names no node on the fabric can only come from a message
+        (a forged discovery answer, rule program or session path), so such a
+        packet becomes a DROPPED row instead of an error."""
+        peer_entity = self.net.entities.get(peer)
+        if peer_entity is None:
+            self.drop(len(payload), self.name, "unknown peer", protocol, peer=peer)
+            return False
         link = self.net.require_link(self.name, peer)
-        peer_entity = self.net.entity(peer)
         pkt = SimPacket(
             protocol=protocol,
             src_ip=src_ip or self.ip,
@@ -221,17 +256,43 @@ class NfEntity(Entity):
         if self.heartbeat_enabled:
             self.send(self.env.nrf_name, MsgKind.NF_HEARTBEAT_REQ, nf_id=self.name)
 
-    # -- dispatch ----------------------------------------------------------
+    # -- receiving ---------------------------------------------------------
 
     def handle_packet(self, pkt: SimPacket, link: Link, now: int) -> None:
-        handler = getattr(self, _HANDLER[pkt.protocol])
-        if pkt.protocol is Protocol.GTPU:
-            handler(pkt, link, now)
-        else:
-            handler(parse(pkt.payload), pkt, link, now)
+        """The one dispatcher. Bad input from a peer ends here as a DROPPED
+        row; it never stops the run."""
+        try:
+            handler = getattr(self, _HANDLER[pkt.protocol])
+            if pkt.protocol is Protocol.GTPU:
+                handler(pkt, link, now)
+            else:
+                handler(parse(pkt.payload), pkt, link, now)
+        except WireFormatError as exc:
+            self.drop(pkt, self._sender_name(pkt, link), str(exc))
+
+    def drop(
+        self, pkt_or_size: SimPacket | int, src: str, reason: str, protocol: Protocol | None = None,
+        **attrs: str,
+    ) -> None:
+        """Log a local DROPPED row; the protocol defaults to the packet's."""
+        if protocol is None:
+            protocol = pkt_or_size.protocol
+        self.net.tap_local(
+            self.name, pkt_or_size, protocol, DROPPED, src=src, attrs={"reason": reason, **attrs}
+        )
+
+    def first_copy(self, window: DedupWindow, seq: int, pkt: SimPacket, src: str, **attrs: str) -> bool:
+        """Whether `seq` is new to `window`; a later copy is logged as eliminated."""
+        if window.accept(seq):
+            return True
+        self.net.tap_local(
+            self.name, pkt, pkt.protocol, ELIMINATED_DUPLICATE, src=src,
+            attrs={**attrs, "seq": str(seq)},
+        )
+        return False
 
     def on_sbi(self, m, pkt: SimPacket, link: Link, now: int) -> None:
-        if m.kind == MsgKind.NF_REGISTER_RESP:
+        if m.kind == MsgKind.NF_REGISTER_RESP and self.registers and not self.registered:
             if m.text(Tag.RESULT) == OK:
                 self.registered = True
                 self.on_heartbeat_grid(self._heartbeat)
@@ -252,23 +313,30 @@ class NfEntity(Entity):
         else:
             log.debug("%s: unhandled SBI %s", self.name, m.kind.name)
 
-    def on_ngap(self, m, pkt, link, now) -> None:
-        log.debug("%s: unhandled NGAP %s", self.name, m.kind.name)
+    def on_unhandled(self, m, pkt, link, now) -> None:
+        log.debug("%s: unhandled %s %s", self.name, pkt.protocol.name, m.kind.name)
 
-    def on_nas(self, m, pkt, link, now) -> None:
-        log.debug("%s: unhandled NAS %s", self.name, m.kind.name)
+    on_ngap = on_nas = on_pfcp = on_rls = on_app = on_unhandled
 
-    def on_pfcp(self, m, pkt, link, now) -> None:
-        log.debug("%s: unhandled PFCP %s", self.name, m.kind.name)
+    def on_gtpu(self, pkt: SimPacket, link: Link, now: int) -> None:
+        """The tunnel endpoint of every node that terminates GTP-U."""
+        inner_raw, teid, seq = gtpu_decapsulate(pkt.payload)
+        sender = self._sender_name(pkt, link)
+        found = self.tunnel(teid)
+        if found is None:
+            self.drop(pkt, sender, "unknown teid", teid=str(teid))
+            return
+        ctx, window = found
+        if seq is None or window is None or self.first_copy(window, seq, pkt, sender, teid=str(teid)):
+            self.on_tunnelled(ctx, inner_raw, seq, pkt, sender)
 
-    def on_gtpu(self, pkt, link, now) -> None:
-        log.debug("%s: unexpected GTP-U packet", self.name)
+    def tunnel(self, teid: int) -> tuple[object, DedupWindow | None] | None:
+        """(context, duplicate window or None) for a TEID this node
+        allocated, None for any other."""
+        return None
 
-    def on_rls(self, m, pkt, link, now) -> None:
-        log.debug("%s: unhandled RLS %s", self.name, m.kind.name)
-
-    def on_app(self, m, pkt, link, now) -> None:
-        log.debug("%s: unhandled APP %s", self.name, m.kind.name)
+    def on_tunnelled(self, ctx, inner_raw: bytes, seq: int | None, pkt: SimPacket, sender: str) -> None:
+        """Take the inner packet of a first-copy G-PDU on a known TEID."""
 
     def _sender_name(self, pkt: SimPacket, link: Link) -> str:
         ent = self.net.by_ip.get(pkt.src_ip)
@@ -518,26 +586,15 @@ class Amf(NfEntity):
                 )
                 return
             paths_text = m.text(Tag.PATHS, "")
-            paths = decode_paths(paths_text)
-            # Secondary gNBs get their tunnel legs over NGAP before the UE
-            # hears anything.
-            for other in sorted({p.gnb for p in paths} - {gnb}):
-                self.send(
-                    other,
-                    MsgKind.NGAP_SESSION_SETUP,
-                    ue_id=ue_id,
-                    ue_ip=m.require(Tag.UE_IP),
-                    mode=m.text(Tag.MODE, Redundancy.NONE.name),
-                    paths=paths_text,
-                )
-            self.send(
-                gnb,
-                MsgKind.NAS_SESSION_ACCEPT,
-                ue_id=ue_id,
-                ue_ip=m.require(Tag.UE_IP),
-                mode=m.text(Tag.MODE, Redundancy.NONE.name),
+            session = dict(
+                ue_id=ue_id, ue_ip=m.require(Tag.UE_IP), mode=m.text(Tag.MODE, Redundancy.NONE.name),
                 paths=paths_text,
             )
+            # Secondary gNBs get their tunnel legs over NGAP before the UE
+            # hears anything.
+            for other in sorted({p.gnb for p in decode_paths(paths_text)} - {gnb}):
+                self.send(other, MsgKind.NGAP_SESSION_SETUP, **session)
+            self.send(gnb, MsgKind.NAS_SESSION_ACCEPT, **session)
         else:
             super().on_sbi(m, pkt, link, now)
 
@@ -595,7 +652,10 @@ class Smf(NfEntity):
             if pending is None:
                 return
             pending["outstanding"].discard(upf)
-            if not pending["outstanding"]:
+            if m.text(Tag.RESULT) != OK:
+                del self._pending[ue_id]
+                self._fail_session(pending["requester"], ue_id, m.text(Tag.REASON, "error"))
+            elif not pending["outstanding"]:
                 del self._pending[ue_id]
                 self._finish_session(pending)
         else:
@@ -610,7 +670,7 @@ class Smf(NfEntity):
             self._create_session(
                 requester=self._sender_name(pkt, link),
                 ue_id=m.require(Tag.UE_ID),
-                mode=Redundancy.parse(m.text(Tag.MODE, Redundancy.NONE.name)),
+                mode=read_mode(m),
                 gnbs=[g for g in m.text(Tag.GNB, "").split(";") if g],
             )
         else:
@@ -678,7 +738,7 @@ class Smf(NfEntity):
             return
         try:
             plan, paths = self.plan_paths(mode, gnbs)
-        except SetupError as exc:
+        except (SetupError, ValueError) as exc:  # ValueError: the plan fails validate()
             self._fail_session(requester, ue_id, str(exc))
             return
         involved = sorted({p.upf for p in paths})
@@ -805,9 +865,11 @@ class Udm(NfEntity):
                 self.udr_name = found[0]
         elif m.kind == MsgKind.SUBSCRIBER_REQ:
             ue_id = m.require(Tag.UE_ID)
-            self._pending[ue_id] = self._sender_name(pkt, link)
+            requester = self._sender_name(pkt, link)
             if self.udr_name is None:
-                raise SetupError(f"{self.name}: no UDR wired")
+                self.send(requester, MsgKind.SUBSCRIBER_RESP, ue_id=ue_id, result=ERROR, reason="no UDR")
+                return
+            self._pending[ue_id] = requester
             self.send(self.udr_name, MsgKind.UDR_QUERY_REQ, ue_id=ue_id)
         elif m.kind == MsgKind.UDR_QUERY_RESP:
             ue_id = m.require(Tag.UE_ID)

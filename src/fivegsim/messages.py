@@ -7,6 +7,7 @@ rides on (PROTOCOL).
 """
 from __future__ import annotations
 
+import re
 from enum import IntEnum
 
 from .wirefmt import Protocol, TlvMessage, WireFormatError, decode_tlv, encode_tlv
@@ -102,6 +103,19 @@ PROTOCOL = {
 
 _TAG_BY_NAME = {t.name.lower(): t for t in Tag}
 
+# one spelling per integer: no sign, space, '_', non-ASCII digit or leading zero
+_CANONICAL_INT = re.compile(r"0|[1-9][0-9]*")
+
+
+def canonical_int(text: str, what: str) -> int:
+    """Read a non-negative integer from peer text; anything else is bad input."""
+    if _CANONICAL_INT.fullmatch(text):
+        try:
+            return int(text)
+        except ValueError:  # more digits than int() converts
+            pass
+    raise WireFormatError(f"{what} is not an integer")
+
 
 def build(kind: MsgKind, **fields: str | int | bytes) -> bytes:
     """Encode a message; keyword names are Tag names, lowercased."""
@@ -123,8 +137,8 @@ def build(kind: MsgKind, **fields: str | int | bytes) -> bytes:
 class ParsedMsg:
     """Read-only view over a decoded message.
 
-    Every accessor is total: a field that is not UTF-8 text, or not an
-    integer where one is read, raises WireFormatError.
+    Every accessor is total: a field that is not UTF-8 text, or not a
+    canonical non-negative integer where one is read, raises WireFormatError.
     """
 
     __slots__ = ("kind", "_fields")
@@ -150,11 +164,7 @@ class ParsedMsg:
         raw = self._fields.get(int(tag))
         if raw is None:
             return default
-        text = self._decode(tag, raw)
-        try:
-            return int(text)
-        except ValueError:
-            raise WireFormatError(f"field {tag.name} in {self.kind.name} is not an integer") from None
+        return canonical_int(self._decode(tag, raw), f"field {tag.name} in {self.kind.name}")
 
     def require(self, tag: Tag) -> str:
         raw = self._fields.get(int(tag))

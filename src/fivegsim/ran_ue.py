@@ -13,19 +13,12 @@ import hashlib
 import logging
 from dataclasses import dataclass, field
 
-from .core_cp import NfEntity, SessionPath, decode_paths
+from .core_cp import NfEntity, SessionPath, read_session
 from .errors import FlowError, SetupError
 from .messages import MsgKind, Tag, build, parse
-from .simnet import DROPPED, ELIMINATED_DUPLICATE, Link
+from .simnet import Link
 from .urllc import SEQ_MODULUS, DedupWindow, Redundancy
-from .wirefmt import (
-    Protocol,
-    SimPacket,
-    WireFormatError,
-    decode_packet,
-    encode_packet,
-    gtpu_decapsulate,
-)
+from .wirefmt import Protocol, SimPacket, WireFormatError, decode_packet, encode_packet
 
 log = logging.getLogger(__name__)
 
@@ -77,12 +70,7 @@ class Gnb(NfEntity):
             pass
         elif m.kind == MsgKind.NGAP_SESSION_SETUP:
             ue_id = m.require(Tag.UE_ID)
-            self.install_session(
-                ue_id=ue_id,
-                ue_ip=m.require(Tag.UE_IP),
-                mode=Redundancy.parse(m.text(Tag.MODE, "NONE")),
-                paths=decode_paths(m.text(Tag.PATHS, "")),
-            )
+            self.install_session(ue_id, *read_session(m))
             self.send(self.amf, MsgKind.NGAP_SESSION_SETUP_ACK, ue_id=ue_id)
         else:
             super().on_ngap(m, pkt, link, now)
@@ -109,22 +97,10 @@ class Gnb(NfEntity):
         ue_id = m.text(Tag.UE_ID)
         ue_name = self._ue_names.get(ue_id) if ue_id else None
         if ue_name is None:
-            self.net.tap_local(
-                self.name,
-                pkt,
-                Protocol.NAS,
-                DROPPED,
-                src=self.amf,
-                attrs={"reason": "unknown ue", "ue_id": ue_id or ""},
-            )
+            self.drop(pkt, self.amf, "unknown ue", ue_id=ue_id or "")
             return
         if m.kind == MsgKind.NAS_SESSION_ACCEPT:
-            self.install_session(
-                ue_id=ue_id,
-                ue_ip=m.require(Tag.UE_IP),
-                mode=Redundancy.parse(m.text(Tag.MODE, "NONE")),
-                paths=decode_paths(m.text(Tag.PATHS, "")),
-            )
+            self.install_session(ue_id, *read_session(m))
         self.send(
             ue_name, MsgKind.RLS_NAS, attrs={"nas_kind": m.kind.name}, ue_id=ue_id, data=pkt.payload
         )
@@ -149,24 +125,10 @@ class Gnb(NfEntity):
             super().on_rls(m, pkt, link, now)
 
     def _uplink(self, inner_raw: bytes, sender: str) -> None:
-        try:
-            inner = decode_packet(inner_raw)
-        except WireFormatError as exc:
-            self.net.tap_local(
-                self.name, len(inner_raw), Protocol.RLS, DROPPED, src=sender,
-                attrs={"reason": str(exc)},
-            )
-            return
+        inner = decode_packet(inner_raw)
         ctx = self._by_ue_ip.get(inner.src_ip)
         if ctx is None:
-            self.net.tap_local(
-                self.name,
-                inner,
-                Protocol.RLS,
-                DROPPED,
-                src=sender,
-                attrs={"reason": "no session", "src_ip": inner.src_ip},
-            )
+            self.drop(inner, sender, "no session", Protocol.RLS, src_ip=inner.src_ip)
             return
         if ctx.ue_name is None:
             ctx.ue_name = sender
@@ -183,47 +145,15 @@ class Gnb(NfEntity):
 
     # -- downlink ------------------------------------------------------------
 
-    def on_gtpu(self, pkt: SimPacket, link: Link, now: int) -> None:
-        sender = self._sender_name(pkt, link)
-        try:
-            inner_raw, teid, seq = gtpu_decapsulate(pkt.payload)
-        except WireFormatError as exc:
-            self.net.tap_local(
-                self.name, pkt, Protocol.GTPU, DROPPED, src=sender, attrs={"reason": str(exc)}
-            )
-            return
+    def tunnel(self, teid: int) -> tuple[GnbUeContext, DedupWindow] | None:
         ctx = self._by_teid_dl.get(teid)
-        if ctx is None:
-            self.net.tap_local(
-                self.name,
-                pkt,
-                Protocol.GTPU,
-                DROPPED,
-                src=sender,
-                attrs={"reason": "unknown teid", "teid": str(teid)},
-            )
-            return
-        if seq is not None and not ctx.dl_window.accept(seq):
-            self.net.tap_local(
-                self.name,
-                pkt,
-                Protocol.GTPU,
-                ELIMINATED_DUPLICATE,
-                src=sender,
-                attrs={"teid": str(teid), "seq": str(seq)},
-            )
-            return
+        return None if ctx is None else (ctx, ctx.dl_window)
+
+    def on_tunnelled(self, ctx: GnbUeContext, inner_raw, seq, pkt, sender) -> None:
         if ctx.ue_name is None:
-            self.net.tap_local(
-                self.name,
-                pkt,
-                Protocol.GTPU,
-                DROPPED,
-                src=sender,
-                attrs={"reason": "no radio peer", "ue_id": ctx.ue_id},
-            )
-            return
-        self.send(ctx.ue_name, MsgKind.RLS_DATA, ue_id=ctx.ue_id, data=inner_raw)
+            self.drop(pkt, sender, "no radio peer", ue_id=ctx.ue_id)
+        else:
+            self.send(ctx.ue_name, MsgKind.RLS_DATA, ue_id=ctx.ue_id, data=inner_raw)
 
 
 DEREGISTERED = "DEREGISTERED"
@@ -346,26 +276,24 @@ class Ue(NfEntity):
             super().on_rls(m, pkt, link, now)
 
     def _on_nas_inner(self, m, now: int) -> None:
-        if m.kind == MsgKind.NAS_REGISTER_ACCEPT:
-            if self.state == REGISTERING:
-                self.state = REGISTERED
-                if self._want_mode is not None:
-                    self.request_session(self._want_mode)
-        elif m.kind == MsgKind.NAS_REGISTER_REJECT:
+        if m.kind == MsgKind.NAS_REGISTER_ACCEPT and self.state == REGISTERING:
+            self.state = REGISTERED
+            if self._want_mode is not None:
+                self.request_session(self._want_mode)
+        elif m.kind == MsgKind.NAS_REGISTER_REJECT and self.state == REGISTERING:
             self.state = DEREGISTERED
             self.reject_reason = m.text(Tag.REASON, "rejected")
-        elif m.kind == MsgKind.NAS_SESSION_ACCEPT:
-            self.session = UeSession(
-                ue_ip=m.require(Tag.UE_IP),
-                mode=Redundancy.parse(m.text(Tag.MODE, "NONE")),
-                paths=decode_paths(m.text(Tag.PATHS, "")),
-            )
+        elif m.kind == MsgKind.NAS_SESSION_ACCEPT and self.state == SESSION_PENDING:
+            session = UeSession(*read_session(m))
+            if not session.gnbs or not set(session.gnbs) <= set(self.gnbs):
+                raise WireFormatError(f"session over gNBs {session.gnbs} this UE cannot reach")
+            self.session = session
             self.state = SESSION_ACTIVE
-        elif m.kind == MsgKind.NAS_SESSION_REJECT:
+        elif m.kind == MsgKind.NAS_SESSION_REJECT and self.state == SESSION_PENDING:
             self.state = REGISTERED
             self.reject_reason = m.text(Tag.REASON, "rejected")
-        else:
-            log.debug("%s: unhandled NAS %s", self.name, m.kind.name)
+        else:  # unknown, or stale for the current state
+            log.debug("%s: unhandled NAS %s in %s", self.name, m.kind.name, self.state)
 
     # -- application client -------------------------------------------------------
 
@@ -410,26 +338,15 @@ class Ue(NfEntity):
     # -- downlink application packets ----------------------------------------------
 
     def _on_user_packet(self, raw: bytes, pkt: SimPacket, link: Link, now: int) -> None:
-        try:
-            inner = decode_packet(raw)
-            m = parse(inner.payload)
-        except WireFormatError as exc:
-            self.net.tap_local(
-                self.name, len(raw), Protocol.APP, DROPPED,
-                src=self._sender_name(pkt, link), attrs={"reason": str(exc)},
-            )
-            return
+        inner = decode_packet(raw)
+        m = parse(inner.payload)
         seq = m.num(Tag.SEQ)
         if (
             self.session is not None
             and self.session.mode is Redundancy.DUAL_CONNECTIVITY
             and seq is not None
-            and not self._dl_window.accept(seq)
+            and not self.first_copy(self._dl_window, seq, inner, self._sender_name(pkt, link))
         ):
-            self.net.tap_local(
-                self.name, inner, Protocol.APP, ELIMINATED_DUPLICATE,
-                src=self._sender_name(pkt, link), attrs={"seq": str(seq)},
-            )
             return
         if m.kind == MsgKind.APP_GET_ACK:
             transfer = self._transfer_for(m.require(Tag.DOC))

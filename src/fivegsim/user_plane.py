@@ -15,16 +15,9 @@ from dataclasses import dataclass
 from .core_cp import ERROR, OK, NfEntity
 from .errors import FlowError
 from .messages import MsgKind, Tag, build, parse
-from .simnet import DROPPED, ELIMINATED_DUPLICATE, Link
+from .simnet import Link
 from .urllc import SEQ_MODULUS, DedupWindow
-from .wirefmt import (
-    Protocol,
-    SimPacket,
-    WireFormatError,
-    decode_packet,
-    encode_packet,
-    gtpu_decapsulate,
-)
+from .wirefmt import Protocol, SimPacket, decode_packet, encode_packet
 
 log = logging.getLogger(__name__)
 
@@ -77,7 +70,7 @@ def parse_rule_program(text: str, ue_id: str) -> tuple[list[TeidRule], list[UeIp
             bits = spec.split(":")
             if bits[0] == "route" and len(bits) == 2:
                 actions.append(ForwardAction(kind="route", target=bits[1]))
-            elif bits[0] == "encap" and len(bits) == 4 and bits[2].isdigit():
+            elif bits[0] == "encap" and len(bits) == 4 and bits[2].isdecimal():
                 actions.append(
                     ForwardAction(
                         kind="encap", target=bits[1], teid=int(bits[2]), carry_seq=bits[3] == "1"
@@ -86,7 +79,7 @@ def parse_rule_program(text: str, ue_id: str) -> tuple[list[TeidRule], list[UeIp
             else:
                 raise FlowError(f"malformed action {spec!r}")
         if kind == "TEID":
-            if not selector.isdigit():
+            if not selector.isdecimal():
                 raise FlowError(f"malformed rule selector {selector!r}")
             teid_rules.append(
                 TeidRule(teid=int(selector), ue_id=ue_id, dedup=flag == "1", actions=tuple(actions))
@@ -126,7 +119,11 @@ class Upf(NfEntity):
                     smf, MsgKind.PFCP_SESSION_RESP, ue_id=ue_id, result=ERROR, reason="no association"
                 )
                 return
-            teid_rules, ueip_rules = parse_rule_program(m.text(Tag.RULES, ""), ue_id)
+            try:
+                teid_rules, ueip_rules = parse_rule_program(m.text(Tag.RULES, ""), ue_id)
+            except FlowError as exc:
+                self.send(smf, MsgKind.PFCP_SESSION_RESP, ue_id=ue_id, result=ERROR, reason=str(exc))
+                return
             for rule in teid_rules:
                 self.teid_rules[rule.teid] = rule
             for rule in ueip_rules:
@@ -138,11 +135,16 @@ class Upf(NfEntity):
     # -- forwarding ------------------------------------------------------------
 
     def _run_actions(
-        self, actions: tuple[ForwardAction, ...], inner_raw: bytes, inner: SimPacket, seq: int | None
+        self, actions: tuple[ForwardAction, ...], inner_raw: bytes, inner: SimPacket, seq: int | None,
+        inner_kind: str,
     ) -> None:
-        inner_kind = parse(inner.payload).kind.name if inner.protocol == Protocol.APP else ""
         for action in actions:
             if action.kind == "route":
+                owner = self.net.by_ip.get(inner.dst_ip)
+                if owner is None or owner.name != action.target:
+                    # the rule names the neighbour, the UE chose the address
+                    self.drop(inner, self.name, "no route", dst_ip=inner.dst_ip)
+                    continue
                 self.send_msg(
                     action.target,
                     inner.protocol,
@@ -157,66 +159,29 @@ class Upf(NfEntity):
                 out_seq = seq if action.carry_seq else None
                 self.send_gtpu(action.target, action.teid, inner_raw, out_seq, inner_kind)
 
-    def on_gtpu(self, pkt: SimPacket, link: Link, now: int) -> None:
-        sender = self._sender_name(pkt, link)
-        try:
-            inner_raw, teid, seq = gtpu_decapsulate(pkt.payload)
-            inner = decode_packet(inner_raw)
-        except WireFormatError as exc:
-            self.net.tap_local(
-                self.name, pkt, Protocol.GTPU, DROPPED, src=sender, attrs={"reason": str(exc)}
-            )
-            return
+    def tunnel(self, teid: int) -> tuple[TeidRule, DedupWindow | None] | None:
         rule = self.teid_rules.get(teid)
         if rule is None:
-            self.net.tap_local(
-                self.name,
-                pkt,
-                Protocol.GTPU,
-                DROPPED,
-                src=sender,
-                attrs={"reason": "unknown teid", "teid": str(teid)},
-            )
-            return
-        if rule.dedup and seq is not None:
-            window = self._ul_windows.setdefault(rule.ue_id, DedupWindow())
-            if not window.accept(seq):
-                self.net.tap_local(
-                    self.name,
-                    pkt,
-                    Protocol.GTPU,
-                    ELIMINATED_DUPLICATE,
-                    src=sender,
-                    attrs={"teid": str(teid), "seq": str(seq)},
-                )
-                return
-        self._run_actions(rule.actions, inner_raw, inner, seq)
+            return None
+        # replicas of one uplink packet share a window across the UE's tunnels
+        return rule, (self._ul_windows.setdefault(rule.ue_id, DedupWindow()) if rule.dedup else None)
+
+    def on_tunnelled(self, rule: TeidRule, inner_raw, seq, pkt, sender) -> None:
+        inner = decode_packet(inner_raw)
+        inner_kind = parse(inner.payload).kind.name if inner.protocol == Protocol.APP else ""
+        self._run_actions(rule.actions, inner_raw, inner, seq, inner_kind)
 
     def on_app(self, m, pkt: SimPacket, link: Link, now: int) -> None:
         # plain packet from the data network: match the session address
         rule = self.ueip_rules.get(pkt.dst_ip)
-        sender = self._sender_name(pkt, link)
         if rule is None:
-            self.net.tap_local(
-                self.name,
-                pkt,
-                Protocol.APP,
-                DROPPED,
-                src=sender,
-                attrs={"reason": "no downlink rule", "dst_ip": pkt.dst_ip},
-            )
+            self.drop(pkt, self._sender_name(pkt, link), "no downlink rule", dst_ip=pkt.dst_ip)
             return
         seq = None
         if rule.assign_seq:
             seq = rule.next_seq
             rule.next_seq = (rule.next_seq + 1) % SEQ_MODULUS
-        inner_raw = encode_packet(pkt)
-        inner_kind = m.kind.name
-        for action in rule.actions:
-            if action.kind == "encap":
-                self.send_gtpu(action.target, action.teid, inner_raw, seq, inner_kind)
-            else:
-                self._run_actions((action,), inner_raw, pkt, seq)
+        self._run_actions(rule.actions, encode_packet(pkt), pkt, seq, m.kind.name)
 
 
 def document_content(doc: str, size: int) -> bytes:
@@ -278,14 +243,7 @@ class AppServer(NfEntity):
     def _send_downlink(self, ue_ip: str, dport: int, kind: MsgKind, **fields) -> None:
         routes = self.routes.get(ue_ip)
         if not routes:
-            self.net.tap_local(
-                self.name,
-                0,
-                Protocol.APP,
-                DROPPED,
-                src=self.name,
-                attrs={"reason": "no route", "ue_ip": ue_ip},
-            )
+            self.drop(0, self.name, "no route", Protocol.APP, ue_ip=ue_ip)
             return
         if ue_ip in self._tagging:
             seq = self._dl_seq.get(ue_ip, 0)
@@ -306,21 +264,14 @@ class AppServer(NfEntity):
 
     def on_app(self, m, pkt: SimPacket, link: Link, now: int) -> None:
         ue_ip = pkt.src_ip
-        self._learn_route(ue_ip, self._sender_name(pkt, link))
+        sender = self._sender_name(pkt, link)
+        self._learn_route(ue_ip, sender)
         seq = m.num(Tag.SEQ)
         if seq is not None:
             # endpoint-level redundancy: eliminate replicas before counting
             self._tagging.add(ue_ip)
             window = self._dedup.setdefault(ue_ip, DedupWindow())
-            if not window.accept(seq):
-                self.net.tap_local(
-                    self.name,
-                    pkt,
-                    Protocol.APP,
-                    ELIMINATED_DUPLICATE,
-                    src=self._sender_name(pkt, link),
-                    attrs={"seq": str(seq), "ue_ip": ue_ip},
-                )
+            if not self.first_copy(window, seq, pkt, sender, ue_ip=ue_ip):
                 return
         if m.kind == MsgKind.APP_GET:
             # Serve after draining same-tick arrivals so a replicated request

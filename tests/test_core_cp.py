@@ -1,7 +1,7 @@
 """Control-plane tests: registry semantics, bring-up, sessions, heartbeats."""
 import pytest
 
-from fivegsim.config import Params, ScenarioSpec, default_topology
+from fivegsim.config import Params, ScenarioSpec, default_topology, parse_topology
 from fivegsim.core_cp import (
     DEREGISTERED,
     REGISTERED,
@@ -18,7 +18,7 @@ from fivegsim.messages import PROTOCOL, MsgKind
 from fivegsim.runner import T_ATTACH, Testbed, run_scenario
 from fivegsim.simnet import DELIVERED, Network
 from fivegsim.urllc import Redundancy
-from fivegsim.wirefmt import Protocol
+from fivegsim.wirefmt import Protocol, WireFormatError
 
 HB = 3333
 SETTLE = 1000
@@ -207,6 +207,37 @@ def test_unknown_subscriber_is_rejected():
     assert ue.imsi not in tb.amfs[0].ue_registered
 
 
+def test_udm_without_udr_rejects_the_registration():
+    text = open(default_topology().source).read()
+    topo = parse_topology("\n".join(line for line in text.splitlines() if "UDR" not in line))
+    tb = Testbed(topo, seed=0)
+    tb.boot()
+    ue = tb.ues[0]
+    tb.net.schedule(T_ATTACH, ue.attach)
+    tb.run_until(SETTLE + HB)
+    assert ue.state == "DEREGISTERED"
+    assert ue.reject_reason == "no UDR"
+    assert tb.invariant_violations(SETTLE + HB) == []
+
+
+def test_session_fails_when_a_upf_refuses_its_rules():
+    tb = Testbed(default_topology(), seed=0)
+    tb.boot()
+    tb.run_until(T_ATTACH - 1)  # PFCP associations are up
+    for upf in tb.upfs:
+        upf.associated_smfs.clear()
+    ue = tb.ues[0]
+    tb.net.schedule(T_ATTACH, ue.attach)
+    tb.run_until(SETTLE)
+    assert ue.state == "REGISTERED"
+    assert ue.reject_reason == "no association"
+    assert ue.session is None
+    assert ue.imsi not in tb.smfs[0].sessions
+    assert not tb.upfs[0].teid_rules and not tb.upfs[0].ueip_rules
+    assert [r.src for r in kinds_in(tb.records, "NAS_SESSION_REJECT")] == ["AMF"]
+    assert any(r.attrs.get("nas_kind") == "NAS_SESSION_REJECT" for r in tb.records)
+
+
 def test_known_subscriber_registers_and_gets_session():
     tb = Testbed(default_topology(), seed=0)
     tb.boot()
@@ -323,6 +354,12 @@ def test_paths_encode_decode_round_trip():
     )
     assert decode_paths(encode_paths(paths)) == paths
     assert decode_paths("") == ()
+
+
+@pytest.mark.parametrize("text", ["a/b/c", "g/u/1/2/0/9", "g/u/x/2/0", "g/u/01/2/0", "g/u/1/+2/0"])
+def test_decode_paths_rejects_malformed_legs(text):
+    with pytest.raises(WireFormatError):
+        decode_paths(text)
 
 
 # -- status fanout -----------------------------------------------------------------------

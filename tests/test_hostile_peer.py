@@ -1,0 +1,289 @@
+"""Hostile peers: bad input on any link is dropped with a reason, never fatal.
+
+Every case starts from a booted default testbed at t=500, injects packets
+on existing links and runs on. Each fixed case ends the run with an
+exception unless the receiving node contains the bad input.
+"""
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from fivegsim.config import default_topology
+from fivegsim.messages import MsgKind, build
+from fivegsim.runner import T_ATTACH, Testbed
+from fivegsim.simnet import DROPPED, ELIMINATED_DUPLICATE
+from fivegsim.wirefmt import Protocol, SimPacket, encode_packet
+
+BOOTED = 500
+HORIZON = 700
+
+
+def booted(attach=False):
+    tb = Testbed(default_topology(), seed=0)
+    tb.boot()
+    if attach:
+        ue = tb.ues[0]
+        tb.net.schedule(T_ATTACH, ue.attach)
+    tb.run_until(BOOTED)
+    return tb
+
+
+def inject(tb, at, link, sender, protocol, payload):
+    """Send `payload` from `sender` over `link` at virtual time `at`."""
+    receiver = link.peer_of(sender)
+    port = tb.params.port(protocol)
+    pkt = SimPacket(protocol, tb.net.entity(sender).ip, receiver.ip, port, port, payload)
+    tb.net.schedule(at, lambda: tb.net.send(link, pkt))
+
+
+def local_rows(tb, entity):
+    return [r for r in tb.records if r.link_id == f"local:{entity}"]
+
+
+def assert_contained(tb, horizon=HORIZON):
+    """The run reached its horizon, its invariants hold and every local row
+    is a drop with a reason or an elimination with a sequence number."""
+    assert tb.net.now == horizon
+    assert tb.invariant_violations(horizon) == []
+    for r in tb.records:
+        if not r.is_wire:
+            assert (r.outcome == DROPPED and r.attrs.get("reason")) or (
+                r.outcome == ELIMINATED_DUPLICATE and r.attrs.get("seq")
+            ), r
+
+
+FIXED_CASES = [
+    pytest.param(
+        "AMF", "NRF", Protocol.SBI, b"\x00\x01\x00\x07\x00\x09ab", "runs past",
+        id="truncated-tlv",
+    ),
+    pytest.param(
+        "AMF", "NRF", Protocol.SBI, build(MsgKind.NF_HEARTBEAT_REQ),
+        "missing mandatory field NF_ID", id="heartbeat-without-nf-id",
+    ),
+    pytest.param(
+        "AMF", "SMF", Protocol.SBI,
+        build(MsgKind.SESSION_CREATE_REQ, ue_id="imsi-001010000000001", mode="BOGUS", gnb="gNB"),
+        "unknown redundancy mode 'BOGUS'", id="session-mode-bogus",
+    ),
+    pytest.param(
+        "AMF", "gNB", Protocol.NGAP,
+        build(MsgKind.NGAP_SESSION_SETUP, ue_id="imsi-1", ue_ip="10.45.0.9", paths="a/b/c"),
+        "malformed session path 'a/b/c'", id="setup-paths-a-b-c",
+    ),
+    pytest.param(
+        "AMF", "gNB", Protocol.NGAP,
+        build(MsgKind.NGAP_SESSION_SETUP, ue_id="imsi-1", ue_ip="10.45.0.9", mode="ZZZ"),
+        "unknown redundancy mode 'ZZZ'", id="setup-mode-zzz",
+    ),
+]
+
+
+@pytest.mark.parametrize("sender,receiver,protocol,payload,reason", FIXED_CASES)
+def test_bad_message_is_dropped_with_its_reason(sender, receiver, protocol, payload, reason):
+    tb = booted()
+    inject(tb, BOOTED + 1, tb.net.require_link(sender, receiver), sender, protocol, payload)
+    tb.run_until(HORIZON)
+    assert_contained(tb)
+    drops = local_rows(tb, receiver)
+    assert len(drops) == 1
+    assert drops[0].src == sender and drops[0].protocol is protocol
+    assert reason in drops[0].attrs["reason"]
+
+
+# "\u00b2" passes str.isdigit() but not int()
+@pytest.mark.parametrize(
+    "rules", ["TEID|x|0|route:SERVER", "TEID|\u00b2|1|route:SERVER", "TEID|5|1|encap:gNB:\u00b2:1"]
+)
+def test_upf_answers_a_malformed_rule_program_with_an_error(rules):
+    tb = booted()
+    upf = tb.upfs[0]
+    rules_before = dict(upf.teid_rules)
+    payload = build(MsgKind.PFCP_SESSION_REQ, ue_id="imsi-1", ue_ip="10.45.0.9", rules=rules)
+    inject(tb, BOOTED + 1, tb.net.require_link("SMF", upf.name), "SMF", Protocol.PFCP, payload)
+    tb.run_until(HORIZON)
+    assert_contained(tb)
+    answers = [
+        r for r in tb.records
+        if r.ts > BOOTED and r.src == upf.name and r.attrs.get("msg_kind") == "PFCP_SESSION_RESP"
+    ]
+    assert len(answers) == 1
+    assert upf.teid_rules == rules_before
+
+
+@pytest.mark.parametrize(
+    "sender,receiver,protocol,payload",
+    [
+        pytest.param(
+            "UE", "gNB", Protocol.RLS, build(MsgKind.RLS_DATA, ue_id="imsi-1", data=b"garbage"),
+            id="undecodable-uplink",
+        ),
+        pytest.param(
+            "gNB", "UE", Protocol.RLS, build(MsgKind.RLS_DATA, ue_id="imsi-1", data=b"garbage"),
+            id="undecodable-downlink",
+        ),
+        pytest.param("AMF", "NRF", Protocol.GTPU, b"\xde\xad\xbe\xef", id="gtpu-to-the-registry"),
+    ],
+)
+def test_drop_row_names_the_packet_that_carried_the_bad_bytes(sender, receiver, protocol, payload):
+    tb = booted()
+    inject(tb, BOOTED + 1, tb.net.require_link(sender, receiver), sender, protocol, payload)
+    tb.run_until(HORIZON)
+    assert_contained(tb)
+    [carrier] = [r for r in tb.records if r.is_wire and r.ts > BOOTED and r.dst == receiver]
+    [drop] = local_rows(tb, receiver)
+    assert (drop.src, drop.protocol, drop.size) == (sender, protocol, carrier.size)
+
+
+def test_stale_nas_rejects_leave_an_active_session_alone():
+    tb = booted(attach=True)
+    ue = tb.ues[0]
+    tb.net.schedule(BOOTED + 1, lambda: ue.request_document("document"))
+    radio = tb.net.require_link("gNB", ue.name)
+    for kind in (MsgKind.NAS_REGISTER_REJECT, MsgKind.NAS_SESSION_REJECT):
+        nas = build(kind, ue_id=ue.imsi, reason="forged")
+        inject(tb, BOOTED + 2, radio, "gNB", Protocol.RLS, build(MsgKind.RLS_NAS, ue_id=ue.imsi, data=nas))
+    tb.run_until(HORIZON)
+    assert_contained(tb)
+    assert ue.state == "SESSION_ACTIVE" and ue.reject_reason is None
+    assert ue.transfers[0].ok
+
+
+def test_smf_refuses_dual_connectivity_over_one_gnb_named_twice():
+    tb = booted()
+    payload = build(
+        MsgKind.SESSION_CREATE_REQ, ue_id="imsi-7", mode="DUAL_CONNECTIVITY", gnb="gNB;gNB"
+    )
+    inject(tb, BOOTED + 1, tb.net.require_link("AMF", "SMF"), "AMF", Protocol.SBI, payload)
+    tb.run_until(HORIZON)
+    assert_contained(tb)
+    answers = [r for r in tb.records if r.ts > BOOTED and r.attrs.get("msg_kind") == "SESSION_CREATE_RESP"]
+    assert [r.src for r in answers] == ["SMF"]
+    assert "imsi-7" not in tb.smfs[0].sessions
+
+
+def test_upf_routes_uplink_only_to_the_owner_of_its_destination():
+    tb = booted(attach=True)
+    ue = tb.ues[0]
+    inner = SimPacket(
+        Protocol.APP, ue.session.ue_ip, "193.168.0.40", 80, 80, build(MsgKind.APP_GET, doc="document")
+    )
+    rls = build(MsgKind.RLS_DATA, ue_id=ue.imsi, data=encode_packet(inner))
+    inject(tb, BOOTED + 1, tb.net.require_link(ue.name, "gNB"), ue.name, Protocol.RLS, rls)
+    tb.run_until(HORIZON)
+    assert_contained(tb)
+    [drop] = local_rows(tb, "UPF1")
+    assert (drop.attrs["reason"], drop.attrs["dst_ip"]) == ("no route", "193.168.0.40")
+
+
+def test_forwarding_to_a_node_the_fabric_lacks_is_dropped():
+    tb = booted(attach=True)
+    ue = tb.ues[0]
+    rules = f"UEIP|{ue.session.ue_ip}|0|encap:gNX:2:0"
+    payload = build(MsgKind.PFCP_SESSION_REQ, ue_id=ue.imsi, ue_ip=ue.session.ue_ip, rules=rules)
+    inject(tb, BOOTED + 1, tb.net.require_link("SMF", "UPF1"), "SMF", Protocol.PFCP, payload)
+    tb.net.schedule(BOOTED + 5, lambda: ue.request_document("document"))
+    tb.run_until(HORIZON)
+    assert_contained(tb)
+    drops = local_rows(tb, "UPF1")
+    assert drops and {(r.attrs["reason"], r.attrs["peer"]) for r in drops} == {("unknown peer", "gNX")}
+
+
+@pytest.mark.parametrize("receiver", ["NRF", "gNB"])
+def test_unsolicited_registration_answer_is_ignored(receiver):
+    tb = booted()
+    sender = "AMF"
+    payload = build(MsgKind.NF_REGISTER_RESP, result="OK", nf_id=receiver)
+    inject(tb, BOOTED + 1, tb.net.require_link(sender, receiver), sender, Protocol.SBI, payload)
+    horizon = 2 * tb.params.heartbeat_ms  # past the next heartbeat tick
+    tb.run_until(horizon)
+    assert_contained(tb, horizon)
+    assert not [r for r in tb.records if r.src == receiver and r.attrs.get("msg_kind") == "NF_HEARTBEAT_REQ"]
+
+
+@pytest.mark.parametrize(
+    "ue_ip,paths,reason",
+    [
+        ("", "gNB/UPF1/1/2/0", "bad IPv4 address"),
+        ("10.45.0.9", "gNX/UPF1/1/2/0", "cannot reach"),
+        ("10.45.0.9", "", "cannot reach"),
+    ],
+)
+def test_forged_session_accept_is_dropped_and_the_real_one_still_lands(ue_ip, paths, reason):
+    tb = booted()
+    ue = tb.ues[0]
+    tb.net.schedule(BOOTED + 1, ue.attach)
+    while ue.state != "SESSION_PENDING":
+        tb.run_until(tb.net.now + 1)
+    nas = build(MsgKind.NAS_SESSION_ACCEPT, ue_id=ue.imsi, ue_ip=ue_ip, paths=paths)
+    rls = build(MsgKind.RLS_NAS, ue_id=ue.imsi, data=nas)
+    inject(tb, tb.net.now + 1, tb.net.require_link("gNB", ue.name), "gNB", Protocol.RLS, rls)
+    tb.run_until(HORIZON)
+    assert_contained(tb)
+    [drop] = local_rows(tb, ue.name)
+    assert reason in drop.attrs["reason"]
+    assert ue.state == "SESSION_ACTIVE" and ue.session.ue_ip == "10.45.0.2"
+
+
+# -- random bytes and bit-flipped real messages ------------------------------------
+
+
+def _real_packets() -> list[SimPacket]:
+    """One packet of each kind that bring-up, a registration, a session and
+    a document fetch put on the wire."""
+    tb = Testbed(default_topology(), seed=0)
+    seen: dict[tuple, SimPacket] = {}
+    send = tb.net.send
+
+    def capture(link, pkt, stream=0, attrs=None):
+        kind = tuple((attrs or {}).get(key, "") for key in ("msg_kind", "nas_kind", "inner"))
+        seen.setdefault((pkt.protocol, *kind), pkt)
+        return send(link, pkt, stream=stream, attrs=attrs)
+
+    tb.net.send = capture
+    tb.boot()
+    ue = tb.ues[0]
+    tb.net.schedule(T_ATTACH, ue.attach)
+    tb.net.schedule(BOOTED + 1, lambda: ue.request_document("document"))
+    tb.run_until(HORIZON)
+    return [seen[key] for key in sorted(seen)]
+
+
+REAL = _real_packets()
+
+
+def _flip(payload: bytes, bits: list[int]) -> bytes:
+    out = bytearray(payload)
+    for bit in bits:
+        out[(bit // 8) % len(out)] ^= 1 << (bit % 8)
+    return bytes(out)
+
+
+_RANDOM = st.tuples(st.sampled_from(list(Protocol)), st.binary(max_size=48))
+_FLIPPED = st.builds(
+    lambda pkt, bits: (pkt.protocol, _flip(pkt.payload, bits)),
+    st.sampled_from(REAL),
+    st.lists(st.integers(0, 8 * 1024), min_size=1, max_size=4),
+)
+_INJECTION = st.tuples(
+    st.integers(BOOTED + 1, HORIZON - 50),  # time
+    st.integers(0, 10**6),                  # link, modulo the link count
+    st.booleans(),                          # direction
+    st.one_of(_RANDOM, _FLIPPED),
+)
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(st.lists(_INJECTION, min_size=1, max_size=6))
+def test_hostile_peers_never_stop_the_run(injections):
+    tb = booted(attach=True)
+    tb.net.schedule(BOOTED + 1, lambda: tb.ues[0].request_document("document"))
+    links = sorted(tb.net.links.values(), key=lambda l: l.link_id)
+    for at, which, forward, (protocol, payload) in injections:
+        link = links[which % len(links)]
+        sender = link.a.name if forward else link.b.name
+        inject(tb, at, link, sender, protocol, payload)
+    # past the next heartbeat tick, so state a forged message left behind acts too
+    horizon = 2 * tb.params.heartbeat_ms
+    tb.run_until(horizon)
+    assert_contained(tb, horizon)

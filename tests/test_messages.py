@@ -51,6 +51,24 @@ _TLV_BYTES = st.one_of(
 )
 
 
+@pytest.mark.parametrize("text", [" 1_0 ", "+\u0663", "\u0663", "-1", "01", "00", "", "1e3", "0x10", "10 "])
+def test_num_rejects_non_canonical_integers(text):
+    m = parse(build(MsgKind.APP_SEGMENT, index=text))
+    with pytest.raises(WireFormatError, match="INDEX .* not an integer"):
+        m.num(Tag.INDEX)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(st.integers(0, 10**30).map(str), st.text(max_size=6)))
+def test_num_has_one_spelling_per_integer(text):
+    m = parse(build(MsgKind.APP_SEGMENT, index=text))
+    try:
+        value = m.num(Tag.INDEX)
+    except WireFormatError:
+        return
+    assert str(value) == text
+
+
 @settings(max_examples=500, deadline=None)
 @given(_TLV_BYTES)
 def test_parse_and_every_accessor_raise_only_wire_format_errors(buf):

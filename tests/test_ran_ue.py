@@ -208,8 +208,9 @@ def test_tampered_segment_fails_integrity_check():
 def test_undecodable_downlink_is_dropped_not_fatal():
     tb, ue = attached_testbed()
     link = tb.net.require_link(ue.name, "gNB")
-    carrier = SimPacket(Protocol.RLS, "192.168.0.22", ue.ip, 4997, 4997, b"")
-    ue._on_user_packet(b"garbage", carrier, link, tb.net.now)
+    payload = build(MsgKind.RLS_DATA, ue_id=ue.imsi, data=b"garbage")
+    carrier = SimPacket(Protocol.RLS, "192.168.0.22", ue.ip, 4997, 4997, payload)
+    ue.handle_packet(carrier, link, tb.net.now)
     drops = [r for r in tb.records if r.link_id == "local:UE" and r.outcome == DROPPED]
     assert drops
 
