@@ -161,6 +161,11 @@ def _validate(
             raise ConfigError(f"link {l.a},{l.b}: negative latency")
         if not 0.0 <= l.loss_prob <= 1.0:
             raise ConfigError(f"link {l.a},{l.b}: loss_prob {l.loss_prob} outside [0, 1]")
+    # only an injected SERVER gets links to the UPFs; a declared one needs its own
+    upfs = [e.name for e in entities if e.kind == "UPF"]
+    for server in (e.name for e in entities if e.kind == "SERVER"):
+        if upfs and not any(frozenset((server, u)) in seen_pairs for u in upfs):
+            raise ConfigError(f"SERVER {server} has no link to any UPF")
     if len(set(subscribers)) != len(subscribers):
         raise ConfigError("duplicate subscriber id")
     for doc, size in documents.items():

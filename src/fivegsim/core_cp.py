@@ -22,6 +22,12 @@ shared grid; the AMF discovers its peers, accepts NGAP setups from gNBs and
 runs UE registration through AUSF, UDM (backed by UDR) and PCF; the SMF
 associates with UPFs over PFCP and anchors PDU sessions, allocating UE
 addresses and tunnel endpoints.
+
+A session's tunnel legs are its only plan: Smf.plan_paths lays them out per
+redundancy mode and _build_rules turns them into UPF rule programs; no other
+code branches on the mode's layout. One PduSession carries the session from
+the SMF through the AMF to the gNBs and the UE: `fields()` puts it in a
+message and `read_session` reads it back.
 """
 from __future__ import annotations
 
@@ -34,7 +40,7 @@ from .config import Params
 from .errors import FlowError, SetupError
 from .messages import PROTOCOL, MsgKind, Tag, build, canonical_int, parse
 from .simnet import DROPPED, ELIMINATED_DUPLICATE, Entity, Link, Network
-from .urllc import DedupWindow, Redundancy, RedundancyMode
+from .urllc import DedupWindow, Redundancy
 from .wirefmt import Protocol, SimPacket, WireFormatError, gtpu_decapsulate, gtpu_encapsulate
 
 log = logging.getLogger(__name__)
@@ -74,13 +80,25 @@ class SessionPath:
 
 @dataclass(frozen=True)
 class PduSession:
-    """An established session: address, plan, concrete tunnel endpoints."""
+    """One PDU session, as the SMF set it up and as the AMF, the gNBs on its
+    legs and the UE keep it: the UE's address, its mode and its tunnel legs."""
 
     ue_id: str
     ue_ip: str
-    plan: RedundancyMode
+    mode: Redundancy
     paths: tuple[SessionPath, ...]
-    state: str = "ACTIVE"
+
+    @property
+    def gnbs(self) -> tuple[str, ...]:
+        """The gNBs the legs run through, in leg order, each once."""
+        return tuple(dict.fromkeys(p.gnb for p in self.paths))
+
+    def fields(self) -> dict[str, str]:
+        """The message fields that carry the session; read_session reads them."""
+        return {
+            "ue_id": self.ue_id, "ue_ip": self.ue_ip, "mode": self.mode.name,
+            "paths": encode_paths(self.paths),
+        }
 
 
 @dataclass(frozen=True)
@@ -115,21 +133,24 @@ def decode_paths(text: str) -> tuple[SessionPath, ...]:
 
 
 def read_mode(m) -> Redundancy:
-    """The redundancy mode a message names (NONE when it names none)."""
-    try:
-        return Redundancy.parse(m.text(Tag.MODE, Redundancy.NONE.name))
-    except ValueError as exc:
-        raise WireFormatError(str(exc)) from None
+    """The mode a message names by its exact member name (NONE when it names
+    none); one spelling per mode on the wire."""
+    text = m.text(Tag.MODE, Redundancy.NONE.name)
+    mode = Redundancy.__members__.get(text)
+    if mode is None:
+        raise WireFormatError(f"unknown redundancy mode {text!r}")
+    return mode
 
 
-def read_session(m) -> tuple[str, Redundancy, tuple[SessionPath, ...]]:
-    """The (ue_ip, mode, paths) a session accept or setup carries."""
+def read_session(m) -> PduSession:
+    """The session a message carries; the inverse of PduSession.fields."""
+    ue_id = m.require(Tag.UE_ID)
     ue_ip = m.require(Tag.UE_IP)
     try:
         ipaddress.IPv4Address(ue_ip)
     except ValueError:
         raise WireFormatError(f"bad IPv4 address {ue_ip!r}") from None
-    return ue_ip, read_mode(m), decode_paths(m.text(Tag.PATHS, ""))
+    return PduSession(ue_id, ue_ip, read_mode(m), decode_paths(m.text(Tag.PATHS, "")))
 
 
 def discovered(m) -> list[str]:
@@ -585,16 +606,13 @@ class Amf(NfEntity):
                     gnb, MsgKind.NAS_SESSION_REJECT, ue_id=ue_id, reason=m.text(Tag.REASON, "error")
                 )
                 return
-            paths_text = m.text(Tag.PATHS, "")
-            session = dict(
-                ue_id=ue_id, ue_ip=m.require(Tag.UE_IP), mode=m.text(Tag.MODE, Redundancy.NONE.name),
-                paths=paths_text,
-            )
+            session = read_session(m)
+            fields = session.fields()
             # Secondary gNBs get their tunnel legs over NGAP before the UE
             # hears anything.
-            for other in sorted({p.gnb for p in decode_paths(paths_text)} - {gnb}):
-                self.send(other, MsgKind.NGAP_SESSION_SETUP, **session)
-            self.send(gnb, MsgKind.NAS_SESSION_ACCEPT, **session)
+            for other in sorted(set(session.gnbs) - {gnb}):
+                self.send(other, MsgKind.NGAP_SESSION_SETUP, **fields)
+            self.send(gnb, MsgKind.NAS_SESSION_ACCEPT, **fields)
         else:
             super().on_sbi(m, pkt, link, now)
 
@@ -613,7 +631,8 @@ class Smf(NfEntity):
         self._pool_iter = iter(pool.hosts())
         self.gateway_ip = str(next(self._pool_iter))  # first host is the gateway
         self._teid = 0
-        self._pending: dict[str, dict] = {}
+        # ue_id -> (requester, session, UPFs yet to confirm their rules)
+        self._pending: dict[str, tuple[str, PduSession, set[str]]] = {}
 
     def discover_upfs(self) -> None:
         self.send(self.env.nrf_name, MsgKind.NF_DISCOVER_REQ, nf_type="UPF")
@@ -648,16 +667,16 @@ class Smf(NfEntity):
                 self.associations[upf] = "ACTIVE"
         elif m.kind == MsgKind.PFCP_SESSION_RESP:
             ue_id = m.require(Tag.UE_ID)
-            pending = self._pending.get(ue_id)
-            if pending is None:
+            if ue_id not in self._pending:
                 return
-            pending["outstanding"].discard(upf)
+            requester, session, outstanding = self._pending[ue_id]
+            outstanding.discard(upf)
             if m.text(Tag.RESULT) != OK:
                 del self._pending[ue_id]
-                self._fail_session(pending["requester"], ue_id, m.text(Tag.REASON, "error"))
-            elif not pending["outstanding"]:
+                self._fail_session(requester, ue_id, m.text(Tag.REASON, "error"))
+            elif not outstanding:
                 del self._pending[ue_id]
-                self._finish_session(pending)
+                self._finish_session(requester, session)
         else:
             super().on_pfcp(m, pkt, link, now)
 
@@ -681,70 +700,47 @@ class Smf(NfEntity):
             requester, MsgKind.SESSION_CREATE_RESP, ue_id=ue_id, result=ERROR, reason=reason
         )
 
-    def plan_paths(
-        self, mode: Redundancy, gnbs: list[str]
-    ) -> tuple[RedundancyMode, tuple[SessionPath, ...]]:
-        """Choose tunnel legs for a session. Raises SetupError when the
-        topology cannot support the requested mode."""
+    def plan_paths(self, mode: Redundancy, gnbs: list[str]) -> tuple[SessionPath, ...]:
+        """Lay out a session's tunnel legs, the only plan a session has.
+        Raises SetupError for every layout the serving gNBs and the
+        discovered UPFs cannot give."""
         if not gnbs:
             raise SetupError("no serving gNB")
         if not self.upfs:
             raise SetupError("no UPF discovered")
         upfs = self.upfs
         if mode is Redundancy.NONE:
-            paths = (
-                SessionPath(gnbs[0], upfs[0], self.next_teid(), self.next_teid(), False),
-            )
-            plan = RedundancyMode(mode=mode, paths=((gnbs[0], upfs[0]),))
+            legs = [(gnbs[0], upfs[0], False)]
         elif mode is Redundancy.DUAL_CONNECTIVITY:
             if len(gnbs) < 2:
                 raise SetupError("dual connectivity needs two serving gNBs")
             if len(upfs) < 2:
                 raise SetupError("dual connectivity needs two UPFs")
-            paths = (
-                SessionPath(gnbs[0], upfs[0], self.next_teid(), self.next_teid(), False),
-                SessionPath(gnbs[1], upfs[1], self.next_teid(), self.next_teid(), False),
-            )
-            plan = RedundancyMode(
-                mode=mode, paths=((gnbs[0], upfs[0]), (gnbs[1], upfs[1]))
-            )
+            # peer input: a gNB list or a discovery answer may name one twice
+            if gnbs[0] == gnbs[1] or upfs[0] == upfs[1]:
+                raise SetupError("dual connectivity needs two distinct gNBs and two distinct UPFs")
+            legs = [(gnbs[0], upfs[0], False), (gnbs[1], upfs[1], False)]
         elif mode is Redundancy.N3_REPLICATION:
-            paths = (
-                SessionPath(gnbs[0], upfs[0], self.next_teid(), self.next_teid(), True),
-                SessionPath(gnbs[0], upfs[0], self.next_teid(), self.next_teid(), True),
-            )
-            plan = RedundancyMode(
-                mode=mode, paths=((gnbs[0], upfs[0]), (gnbs[0], upfs[0]))
-            )
-        elif mode is Redundancy.PSA_ANCHOR:
-            if len(upfs) < 2:
+            legs = [(gnbs[0], upfs[0], True)] * 2
+        else:  # PSA_ANCHOR: via an intermediate UPF, and direct to the anchor
+            if upfs[0] == upfs[-1]:  # one UPF, or a discovery answer naming it twice
                 raise SetupError("PSA anchoring needs an intermediate UPF and an anchor")
-            i_upf, psa = upfs[0], upfs[-1]
-            paths = (
-                SessionPath(gnbs[0], i_upf, self.next_teid(), self.next_teid(), True),
-                SessionPath(gnbs[0], psa, self.next_teid(), self.next_teid(), True),
-            )
-            plan = RedundancyMode(
-                mode=mode, paths=((gnbs[0], i_upf), (gnbs[0], psa)), psa_upf=psa
-            )
-        else:  # pragma: no cover - enum is closed
-            raise SetupError(f"unsupported mode {mode}")
-        plan.validate()
-        return plan, paths
+            legs = [(gnbs[0], upfs[0], True), (gnbs[0], upfs[-1], True)]
+        return tuple(
+            SessionPath(gnb, upf, self.next_teid(), self.next_teid(), carry)
+            for gnb, upf, carry in legs
+        )
 
     def _create_session(self, requester: str, ue_id: str, mode: Redundancy, gnbs: list[str]) -> None:
         if ue_id in self.sessions:
             self._fail_session(requester, ue_id, "session already established")
             return
         try:
-            plan, paths = self.plan_paths(mode, gnbs)
-        except (SetupError, ValueError) as exc:  # ValueError: the plan fails validate()
+            paths = self.plan_paths(mode, gnbs)
+        except SetupError as exc:
             self._fail_session(requester, ue_id, str(exc))
             return
-        involved = sorted({p.upf for p in paths})
-        if plan.psa_upf is not None and plan.psa_upf not in involved:
-            involved.append(plan.psa_upf)
-        for upf in involved:
+        for upf in sorted({p.upf for p in paths}):
             if self.associations.get(upf) != "ACTIVE":
                 self._fail_session(requester, ue_id, f"no PFCP association with {upf}")
                 return
@@ -754,26 +750,13 @@ class Smf(NfEntity):
             self._fail_session(requester, ue_id, str(exc))
             return
 
-        rule_sets = self._build_rules(ue_id, ue_ip, plan, paths)
-        pending = {
-            "requester": requester,
-            "ue_id": ue_id,
-            "ue_ip": ue_ip,
-            "plan": plan,
-            "paths": paths,
-            "outstanding": set(rule_sets),
-        }
-        self._pending[ue_id] = pending
+        session = PduSession(ue_id, ue_ip, mode, paths)
+        rule_sets = self._build_rules(session)
+        self._pending[ue_id] = (requester, session, set(rule_sets))
         for upf, rules in rule_sets.items():
             self.send(upf, MsgKind.PFCP_SESSION_REQ, ue_id=ue_id, ue_ip=ue_ip, rules=rules)
 
-    def _build_rules(
-        self,
-        ue_id: str,
-        ue_ip: str,
-        plan: RedundancyMode,
-        paths: tuple[SessionPath, ...],
-    ) -> dict[str, str]:
+    def _build_rules(self, session: PduSession) -> dict[str, str]:
         """Per-UPF forwarding rule programs, in the N4 rule grammar.
 
         teid rules match arriving G-PDUs, ueip rules match plain downlink
@@ -781,12 +764,12 @@ class Smf(NfEntity):
         encap:<entity>:<teid>:<carry_seq> re-tunnels it.
         """
         server = self.env.server_name
+        ue_ip, mode, paths = session.ue_ip, session.mode, session.paths
         rules: dict[str, list[str]] = {}
 
         def add(upf: str, rule: str) -> None:
             rules.setdefault(upf, []).append(rule)
 
-        mode = plan.mode
         if mode in (Redundancy.NONE, Redundancy.DUAL_CONNECTIVITY):
             for p in paths:
                 add(p.upf, f"TEID|{p.teid_ul}|0|route:{server}")
@@ -812,23 +795,11 @@ class Smf(NfEntity):
             add(psa, f"UEIP|{ue_ip}|1|{dl_actions}")
         return {upf: ";".join(parts) for upf, parts in rules.items()}
 
-    def _finish_session(self, pending: dict) -> None:
-        session = PduSession(
-            ue_id=pending["ue_id"],
-            ue_ip=pending["ue_ip"],
-            plan=pending["plan"],
-            paths=pending["paths"],
-        )
+    def _finish_session(self, requester: str, session: PduSession) -> None:
         self.sessions[session.ue_id] = session
-        self.send(
-            pending["requester"],
-            MsgKind.SESSION_CREATE_RESP,
-            ue_id=session.ue_id,
-            result=OK,
-            ue_ip=session.ue_ip,
-            mode=session.plan.mode.name,
-            paths=encode_paths(session.paths),
-        )
+        # the answer's fields stay in wire order: ue_id, result, then the session
+        answer = {"ue_id": session.ue_id, "result": OK, **session.fields()}
+        self.send(requester, MsgKind.SESSION_CREATE_RESP, **answer)
 
 
 class Ausf(NfEntity):

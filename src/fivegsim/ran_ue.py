@@ -3,9 +3,10 @@
 The radio leg is a simulated link carrying two envelope kinds: RLS_NAS for
 signalling (relayed verbatim between UE and AMF) and RLS_DATA for user
 packets. The gNB terminates GTP-U towards the UPFs: uplink it encapsulates
-(replicating and sequence-stamping when the session plan says so), downlink
+(replicating and sequence-stamping when the session's legs say so), downlink
 it strips tunnels, eliminates duplicates and hands the inner packet to the
-UE.
+UE. The UE and each gNB on a session's legs keep the core_cp.PduSession the
+SMF set up, read from the message that carried it (read_session).
 """
 from __future__ import annotations
 
@@ -13,7 +14,7 @@ import hashlib
 import logging
 from dataclasses import dataclass, field
 
-from .core_cp import NfEntity, SessionPath, read_session
+from .core_cp import NfEntity, PduSession, SessionPath, read_session
 from .errors import FlowError, SetupError
 from .messages import MsgKind, Tag, build, parse
 from .simnet import Link
@@ -29,7 +30,6 @@ class GnbUeContext:
 
     ue_id: str
     ue_ip: str
-    mode: Redundancy
     paths: tuple[SessionPath, ...]   # only the legs this gNB terminates
     ue_name: str | None = None
     ul_seq: int = 0
@@ -69,24 +69,23 @@ class Gnb(NfEntity):
         elif m.kind == MsgKind.NGAP_KEEPALIVE_RESP:
             pass
         elif m.kind == MsgKind.NGAP_SESSION_SETUP:
-            ue_id = m.require(Tag.UE_ID)
-            self.install_session(ue_id, *read_session(m))
-            self.send(self.amf, MsgKind.NGAP_SESSION_SETUP_ACK, ue_id=ue_id)
+            session = read_session(m)
+            self.install_session(session)
+            self.send(self.amf, MsgKind.NGAP_SESSION_SETUP_ACK, ue_id=session.ue_id)
         else:
             super().on_ngap(m, pkt, link, now)
 
     # -- session state -------------------------------------------------------
 
-    def install_session(
-        self, ue_id: str, ue_ip: str, mode: Redundancy, paths: tuple[SessionPath, ...]
-    ) -> None:
-        mine = tuple(p for p in paths if p.gnb == self.name)
+    def install_session(self, session: PduSession) -> None:
+        mine = tuple(p for p in session.paths if p.gnb == self.name)
         if not mine:
             return
         ctx = GnbUeContext(
-            ue_id=ue_id, ue_ip=ue_ip, mode=mode, paths=mine, ue_name=self._ue_names.get(ue_id)
+            ue_id=session.ue_id, ue_ip=session.ue_ip, paths=mine,
+            ue_name=self._ue_names.get(session.ue_id),
         )
-        self._by_ue_ip[ue_ip] = ctx
+        self._by_ue_ip[session.ue_ip] = ctx
         for p in mine:
             self._by_teid_dl[p.teid_dl] = ctx
 
@@ -100,7 +99,7 @@ class Gnb(NfEntity):
             self.drop(pkt, self.amf, "unknown ue", ue_id=ue_id or "")
             return
         if m.kind == MsgKind.NAS_SESSION_ACCEPT:
-            self.install_session(ue_id, *read_session(m))
+            self.install_session(read_session(m))
         self.send(
             ue_name, MsgKind.RLS_NAS, attrs={"nas_kind": m.kind.name}, ue_id=ue_id, data=pkt.payload
         )
@@ -163,21 +162,6 @@ SESSION_PENDING = "SESSION_PENDING"
 SESSION_ACTIVE = "SESSION_ACTIVE"
 
 
-@dataclass(frozen=True)
-class UeSession:
-    ue_ip: str
-    mode: Redundancy
-    paths: tuple[SessionPath, ...]
-
-    @property
-    def gnbs(self) -> tuple[str, ...]:
-        seen: list[str] = []
-        for p in self.paths:
-            if p.gnb not in seen:
-                seen.append(p.gnb)
-        return tuple(seen)
-
-
 @dataclass
 class Transfer:
     """One document fetch as seen from the UE."""
@@ -208,7 +192,7 @@ class Ue(NfEntity):
         self.imsi = imsi
         self.gnbs: tuple[str, ...] = tuple(gnbs)
         self.state = DEREGISTERED
-        self.session: UeSession | None = None
+        self.session: PduSession | None = None
         self.reject_reason: str | None = None
         self._want_mode: Redundancy | None = None
         self._app_seq = 0
@@ -284,7 +268,7 @@ class Ue(NfEntity):
             self.state = DEREGISTERED
             self.reject_reason = m.text(Tag.REASON, "rejected")
         elif m.kind == MsgKind.NAS_SESSION_ACCEPT and self.state == SESSION_PENDING:
-            session = UeSession(*read_session(m))
+            session = read_session(m)
             if not session.gnbs or not set(session.gnbs) <= set(self.gnbs):
                 raise WireFormatError(f"session over gNBs {session.gnbs} this UE cannot reach")
             self.session = session
@@ -321,9 +305,15 @@ class Ue(NfEntity):
             self._rls_send(gnb, MsgKind.RLS_DATA, attrs={"app_kind": kind.name}, data=raw)
 
     def request_document(self, doc: str) -> Transfer:
+        """Fetch `doc`; without an active session the transfer fails at once
+        and nothing is sent."""
         transfer = Transfer(doc=doc, started_ms=self.net.now)
         self.transfers.append(transfer)
-        self._app_send(MsgKind.APP_GET, doc=doc)
+        if self.state == SESSION_ACTIVE:
+            self._app_send(MsgKind.APP_GET, doc=doc)
+        else:
+            transfer.ok, transfer.error = False, "no active session"
+            transfer.completed_ms = self.net.now
         return transfer
 
     def send_data_burst(self, count: int, interval_ms: int = 1) -> None:

@@ -47,6 +47,7 @@ T_DISCOVER = 15
 T_ASSOCIATE = 25
 T_NGAP_SETUP = 35
 T_ATTACH = 45
+REQUEST_SPACING_MS = 15  # between the document requests of successive UEs
 
 SWEEP_LOSS = 0.1
 SWEEP_PACKETS = 2000
@@ -234,6 +235,14 @@ class Testbed:
     def run_until(self, t_end: int) -> int:
         return self.net.run_until(t_end)
 
+    def run_checked(self, horizon: int) -> None:
+        """Run to `horizon`, then raise FlowError if a built-in invariant
+        does not hold."""
+        self.run_until(horizon)
+        problems = self.invariant_violations(horizon)
+        if problems:
+            raise FlowError("; ".join(problems))
+
     # -- invariants --------------------------------------------------------------
 
     def invariant_violations(self, horizon: int) -> list[str]:
@@ -362,33 +371,32 @@ def run_scenario(
     horizon = settle + spec.duration_ms
     tb.boot()
 
-    active: list[Ue] = []
     if spec.name in ("single_request", "validate"):
-        active = [tb.ues[0]] if tb.ues else []
+        wanted = min(len(tb.ues), 1)
     elif spec.name == "many_requests":
-        active = tb.spawn_ues(max(spec.ue_count, 1))
-    elif spec.name != "idle":
+        wanted = max(spec.ue_count, 1)
+    elif spec.name == "idle":
+        wanted = 0
+    else:
         raise SetupError(f"unknown scenario {spec.name!r}")
+    # UE i attaches at T_ATTACH + i, inside the settle phase, and asks for the
+    # document REQUEST_SPACING_MS * i into the duration, so transfers finish
+    # in-window
+    fit = max(0, min(settle - T_ATTACH, (spec.duration_ms - 1) // REQUEST_SPACING_MS + 1))
+    if wanted > fit:
+        raise SetupError(
+            f"{wanted} UEs exceed the {fit} that fit settle_ms={settle},"
+            f" duration_ms={spec.duration_ms}"
+        )
+    active = tb.spawn_ues(wanted) if spec.name == "many_requests" else tb.ues[:wanted]
 
     for i, ue in enumerate(active):
-        # 1ms attach stagger keeps 500 registrations inside the settle
-        # phase; requests spread 15ms apart so transfers finish in-window.
-        attach_at = T_ATTACH + i
-        request_at = settle + 15 * i
-        if attach_at >= settle or request_at >= horizon:
-            raise SetupError(
-                f"{len(active)} UEs do not fit the settle/duration windows"
-            )
-        mode = spec.redundancy
-        self_ue = ue
-        tb.net.schedule(attach_at, lambda u=self_ue, m=mode: u.attach(m))
-        tb.net.schedule(request_at, lambda u=self_ue, d=spec.doc: u.request_document(d))
+        tb.net.schedule(T_ATTACH + i, lambda u=ue, m=spec.redundancy: u.attach(m))
+        tb.net.schedule(
+            settle + REQUEST_SPACING_MS * i, lambda u=ue, d=spec.doc: u.request_document(d)
+        )
 
-    tb.run_until(horizon)
-
-    problems = tb.invariant_violations(horizon)
-    if problems:
-        raise FlowError("; ".join(problems))
+    tb.run_checked(horizon)
 
     window = (settle, horizon)
     roster = list(tb.net.entities)
@@ -442,8 +450,7 @@ def run_reliability_measurement(
     settle = tb.params.settle_ms
     tb.net.schedule(T_ATTACH, lambda: ue.attach(mode))
     tb.net.schedule(settle, lambda: ue.send_data_burst(n_packets, interval_ms=1))
-    horizon = settle + n_packets + 500
-    tb.run_until(horizon)
+    tb.run_checked(settle + n_packets + 500)
 
     if ue.session is None:
         raise FlowError(

@@ -12,6 +12,10 @@ Three mechanisms are modeled on top of ordinary PDU sessions:
 Replicated copies of one user packet always carry the same sequence number;
 elimination keeps the first arrival inside a 1,024-wide window over a 16-bit
 wrapping sequence space.
+
+This module holds what the modes share: the mode names, the window, the
+sequence arithmetic and the measurement result. How a mode lays out its
+tunnel legs is the SMF's decision alone (core_cp.Smf.plan_paths).
 """
 from __future__ import annotations
 
@@ -30,42 +34,13 @@ class Redundancy(Enum):
 
     @classmethod
     def parse(cls, name: str) -> "Redundancy":
+        """Read a command-line spelling: blanks and case do not matter.
+        Messages name a mode exactly (core_cp.read_mode)."""
         try:
             return cls[name.strip().upper()]
         except KeyError:
             valid = ", ".join(m.name for m in cls)
             raise ValueError(f"unknown redundancy mode {name!r} (expected one of {valid})") from None
-
-
-@dataclass(frozen=True)
-class RedundancyMode:
-    """A resolved redundancy plan: which paths carry the session."""
-
-    mode: Redundancy
-    paths: tuple[tuple[str, str], ...] = ()  # (gnb name, upf name) per path
-    psa_upf: str | None = None
-
-    def validate(self) -> None:
-        if self.mode is Redundancy.NONE:
-            if len(self.paths) != 1:
-                raise ValueError("mode NONE uses exactly one path")
-        elif self.mode is Redundancy.DUAL_CONNECTIVITY:
-            if len(self.paths) != 2:
-                raise ValueError("dual connectivity uses exactly two paths")
-            gnbs = {g for g, _ in self.paths}
-            upfs = {u for _, u in self.paths}
-            if len(gnbs) != 2 or len(upfs) != 2:
-                raise ValueError("dual connectivity needs two distinct gNBs and two distinct UPFs")
-        elif self.mode is Redundancy.N3_REPLICATION:
-            if len(self.paths) != 2:
-                raise ValueError("N3 replication uses exactly two tunnels")
-            if len({g for g, _ in self.paths}) != 1 or len({u for _, u in self.paths}) != 1:
-                raise ValueError("N3 replication keeps one gNB and one UPF")
-        elif self.mode is Redundancy.PSA_ANCHOR:
-            if self.psa_upf is None:
-                raise ValueError("PSA anchor mode needs a psa_upf")
-            if len(self.paths) != 2:
-                raise ValueError("PSA anchor mode uses two tunnels")
 
 
 def seq_newer(a: int, b: int) -> bool:

@@ -126,26 +126,40 @@ def test_missing_topology_file_is_a_usage_error(tmp_path, capsys):
     assert rc == 2
 
 
-def test_unrunnable_topology_fails_with_one_error_line(tmp_path):
-    # a declared SERVER gets no injected UPF links, so the first uplink
-    # packet finds no route to it
-    topo = tmp_path / "no_server_links.cfg"
-    topo.write_text(
-        Path(default_topology().source)
-        .read_text()
-        .replace("[links]", "SERVER,SERVER,192.168.0.40\n\n[links]")
-    )
+def run_cli_on_default_topology(tmp_path, edit):
+    """Run the CLI in a fresh interpreter on an edited copy of the default
+    topology."""
+    topo = tmp_path / "edited.cfg"
+    topo.write_text(edit(Path(default_topology().source).read_text()))
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
-    proc = subprocess.run(
+    return subprocess.run(
         [sys.executable, "-m", "fivegsim.cli", "run", "--topology", str(topo),
          "--duration-ms", "3000"],
         capture_output=True, text=True, env=env, timeout=120,
     )
+
+
+def test_unrunnable_topology_fails_with_one_error_line(tmp_path):
+    # config accepts the topology; the AMF's first AUTH_REQ finds no link
+    proc = run_cli_on_default_topology(
+        tmp_path, lambda text: text.replace("AMF,AUSF,1,0.0,false\n", "")
+    )
     assert proc.returncode == 1
-    assert proc.stderr == "error: no link between UPF1 and SERVER\n"
+    assert proc.stderr == "error: no link between AMF and AUSF\n"
     assert "Traceback" not in proc.stderr
+
+
+def test_refused_ue_reports_its_transfer_as_failed(tmp_path):
+    # without a UDR the UDM refuses the registration, so the UE has no session
+    # when the scenario asks for the document
+    proc = run_cli_on_default_topology(
+        tmp_path, lambda text: "".join(l for l in text.splitlines(True) if "UDR" not in l)
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ""
+    assert "transfer UE document failed" in proc.stdout
 
 
 def test_unknown_scenario_rejected_by_the_parser(capsys):

@@ -146,6 +146,16 @@ def test_empty_topology_rejected():
         parse_topology("[entities]\n")
 
 
+def test_declared_server_needs_a_link_to_a_upf():
+    server = "\n[entities]\nSERVER,SRV,192.168.0.40\n"
+    with pytest.raises(ConfigError, match="SERVER SRV has no link to any UPF"):
+        parse_topology(MINIMAL + server + "[links]\nSRV,gNB,1,0.0,false\n")
+    topo = parse_topology(MINIMAL + server + "[links]\nSRV,UPF2,1,0.0,false\n")
+    assert topo.entity("SRV").kind == "SERVER"
+    # a topology without a UPF has no uplink to route, so its SERVER may stand alone
+    parse_topology("[entities]\nNRF,NRF,192.168.0.12\nSERVER,SRV,192.168.0.40\n")
+
+
 # -- params ------------------------------------------------------------------
 
 def test_params_guard_ranges():

@@ -1,4 +1,6 @@
 """Control-plane tests: registry semantics, bring-up, sessions, heartbeats."""
+import re
+
 import pytest
 
 from fivegsim.config import Params, ScenarioSpec, default_topology, parse_topology
@@ -9,12 +11,15 @@ from fivegsim.core_cp import (
     CoreEnv,
     NfEntity,
     Nrf,
+    PduSession,
     SessionPath,
     decode_paths,
     encode_paths,
+    read_mode,
+    read_session,
 )
 from fivegsim.errors import FlowError, SetupError
-from fivegsim.messages import PROTOCOL, MsgKind
+from fivegsim.messages import PROTOCOL, MsgKind, build, parse
 from fivegsim.runner import T_ATTACH, Testbed, run_scenario
 from fivegsim.simnet import DELIVERED, Network
 from fivegsim.urllc import Redundancy
@@ -257,7 +262,7 @@ def test_known_subscriber_registers_and_gets_session():
 
 def test_plan_paths_none_mode():
     smf = booted_testbed().smfs[0]
-    plan, paths = smf.plan_paths(Redundancy.NONE, ["gNB"])
+    paths = smf.plan_paths(Redundancy.NONE, ["gNB"])
     assert len(paths) == 1
     assert paths[0].gnb == "gNB" and paths[0].upf == "UPF1"
     assert not paths[0].carry_seq
@@ -268,13 +273,13 @@ def test_plan_paths_dual_needs_two_gnbs():
     smf = booted_testbed().smfs[0]
     with pytest.raises(SetupError, match="two serving gNBs"):
         smf.plan_paths(Redundancy.DUAL_CONNECTIVITY, ["gNB"])
-    plan, paths = smf.plan_paths(Redundancy.DUAL_CONNECTIVITY, ["gNB", "gNB2"])
+    paths = smf.plan_paths(Redundancy.DUAL_CONNECTIVITY, ["gNB", "gNB2"])
     assert {(p.gnb, p.upf) for p in paths} == {("gNB", "UPF1"), ("gNB2", "UPF2")}
 
 
 def test_plan_paths_n3_replication_shares_one_leg():
     smf = booted_testbed().smfs[0]
-    plan, paths = smf.plan_paths(Redundancy.N3_REPLICATION, ["gNB"])
+    paths = smf.plan_paths(Redundancy.N3_REPLICATION, ["gNB"])
     assert len(paths) == 2
     assert {(p.gnb, p.upf) for p in paths} == {("gNB", "UPF1")}
     assert all(p.carry_seq for p in paths)
@@ -283,8 +288,8 @@ def test_plan_paths_n3_replication_shares_one_leg():
 
 def test_plan_paths_psa_uses_first_and_last_upf():
     smf = booted_testbed().smfs[0]
-    plan, paths = smf.plan_paths(Redundancy.PSA_ANCHOR, ["gNB"])
-    assert plan.psa_upf == "UPF2"
+    paths = smf.plan_paths(Redundancy.PSA_ANCHOR, ["gNB"])
+    assert paths[1].upf == "UPF2"
     assert paths[0].upf == "UPF1" and paths[1].upf == "UPF2"
 
 
@@ -323,22 +328,22 @@ def test_duplicate_session_rejected_at_ue():
 def test_rule_programs_by_mode():
     smf = booted_testbed().smfs[0]
 
-    plan, paths = smf.plan_paths(Redundancy.NONE, ["gNB"])
-    rules = smf._build_rules("u", "10.45.0.2", plan, paths)
+    paths = smf.plan_paths(Redundancy.NONE, ["gNB"])
+    rules = smf._build_rules(PduSession("u", "10.45.0.2", Redundancy.NONE, paths))
     p = paths[0]
     assert rules == {
         "UPF1": f"TEID|{p.teid_ul}|0|route:SERVER;UEIP|10.45.0.2|0|encap:gNB:{p.teid_dl}:0"
     }
 
-    plan, paths = smf.plan_paths(Redundancy.N3_REPLICATION, ["gNB"])
-    rules = smf._build_rules("u", "10.45.0.3", plan, paths)
+    paths = smf.plan_paths(Redundancy.N3_REPLICATION, ["gNB"])
+    rules = smf._build_rules(PduSession("u", "10.45.0.3", Redundancy.N3_REPLICATION, paths))
     assert set(rules) == {"UPF1"}
     assert rules["UPF1"].count("TEID|") == 2
     assert rules["UPF1"].count("|1|") == 3  # both tunnels dedup, downlink tags
     assert rules["UPF1"].count("encap:gNB:") == 2
 
-    plan, paths = smf.plan_paths(Redundancy.PSA_ANCHOR, ["gNB"])
-    rules = smf._build_rules("u", "10.45.0.4", plan, paths)
+    paths = smf.plan_paths(Redundancy.PSA_ANCHOR, ["gNB"])
+    rules = smf._build_rules(PduSession("u", "10.45.0.4", Redundancy.PSA_ANCHOR, paths))
     assert set(rules) == {"UPF1", "UPF2"}
     assert "encap:UPF2:" in rules["UPF1"]   # N3 -> N9 bridge
     assert "route:SERVER" in rules["UPF2"]  # anchor terminates both tunnels
@@ -360,6 +365,26 @@ def test_paths_encode_decode_round_trip():
 def test_decode_paths_rejects_malformed_legs(text):
     with pytest.raises(WireFormatError):
         decode_paths(text)
+
+
+def test_session_fields_round_trip_through_a_message():
+    session = PduSession(
+        "imsi-1", "10.45.0.9", Redundancy.PSA_ANCHOR,
+        (SessionPath("gNB", "UPF1", 1, 2, True), SessionPath("gNB", "UPF2", 3, 4, True)),
+    )
+    assert list(session.fields()) == ["ue_id", "ue_ip", "mode", "paths"]
+    assert read_session(parse(build(MsgKind.NAS_SESSION_ACCEPT, **session.fields()))) == session
+
+
+def test_read_mode_reads_exact_member_names():
+    for mode in Redundancy:
+        assert read_mode(parse(build(MsgKind.SESSION_CREATE_REQ, mode=mode.name))) is mode
+
+
+@pytest.mark.parametrize("text", ["psa_anchor", " NONE", " psa_anchor ", "NONE\n"])
+def test_read_mode_refuses_any_other_spelling(text):
+    with pytest.raises(WireFormatError, match=re.escape(f"unknown redundancy mode {text!r}")):
+        read_mode(parse(build(MsgKind.SESSION_CREATE_REQ, mode=text)))
 
 
 # -- status fanout -----------------------------------------------------------------------

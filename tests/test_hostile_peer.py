@@ -12,6 +12,7 @@ from fivegsim.config import default_topology
 from fivegsim.messages import MsgKind, build
 from fivegsim.runner import T_ATTACH, Testbed
 from fivegsim.simnet import DROPPED, ELIMINATED_DUPLICATE
+from fivegsim.urllc import Redundancy
 from fivegsim.wirefmt import Protocol, SimPacket, encode_packet
 
 BOOTED = 500
@@ -160,6 +161,21 @@ def test_smf_refuses_dual_connectivity_over_one_gnb_named_twice():
     answers = [r for r in tb.records if r.ts > BOOTED and r.attrs.get("msg_kind") == "SESSION_CREATE_RESP"]
     assert [r.src for r in answers] == ["SMF"]
     assert "imsi-7" not in tb.smfs[0].sessions
+
+
+def test_smf_refuses_psa_anchoring_over_one_upf_named_twice():
+    tb = booted()
+    ue = tb.ues[0]
+    answer = build(
+        MsgKind.NF_DISCOVER_RESP, result="OK", nf_type="UPF",
+        data=b"UPF1|UPF|192.168.0.21;UPF1|UPF|192.168.0.21",
+    )
+    inject(tb, BOOTED + 1, tb.net.require_link("SMF", "NRF"), "NRF", Protocol.SBI, answer)
+    tb.net.schedule(BOOTED + 2, lambda: ue.attach(Redundancy.PSA_ANCHOR))
+    tb.run_until(HORIZON)
+    assert_contained(tb)
+    assert tb.smfs[0].upfs == ["UPF1", "UPF1"]
+    assert ue.state == "REGISTERED" and "an intermediate UPF and an anchor" in ue.reject_reason
 
 
 def test_upf_routes_uplink_only_to_the_owner_of_its_destination():

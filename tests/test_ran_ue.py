@@ -6,8 +6,7 @@ import pytest
 from fivegsim.config import ScenarioSpec, default_topology, parse_topology, with_second_gnb
 from fivegsim.errors import FlowError, SetupError
 from fivegsim.messages import MsgKind, build
-from fivegsim.ran_ue import UeSession
-from fivegsim.core_cp import SessionPath
+from fivegsim.core_cp import PduSession, SessionPath
 from fivegsim.runner import T_ATTACH, Testbed, run_scenario
 from fivegsim.simnet import DELIVERED, DROPPED, ELIMINATED_DUPLICATE
 from fivegsim.urllc import Redundancy
@@ -96,7 +95,23 @@ def test_app_send_requires_active_session():
     tb = Testbed(default_topology(), seed=0)
     ue = tb.ues[0]
     with pytest.raises(FlowError, match="no active session"):
-        ue.request_document("document")
+        ue._app_send(MsgKind.APP_GET, doc="document")
+    # a document request without a session fails at once and sends nothing
+    transfer = ue.request_document("document")
+    assert (transfer.ok, transfer.error, transfer.completed_ms) == (False, "no active session", 0)
+    assert ue.transfers == [transfer]
+    assert not tb.records
+
+
+def test_many_requests_names_its_population_limit(monkeypatch):
+    def must_not_run(*args):
+        raise AssertionError("the limit is checked before UEs spawn or the clock runs")
+
+    monkeypatch.setattr(Testbed, "spawn_ues", must_not_run)
+    monkeypatch.setattr(Testbed, "run_until", must_not_run)
+    limit = "668 UEs exceed the 667 that fit settle_ms=1000, duration_ms=10000"
+    with pytest.raises(SetupError, match=limit):
+        run_scenario(ScenarioSpec(name="many_requests", ue_count=668))
 
 
 def test_register_is_idempotent_while_pending():
@@ -156,7 +171,8 @@ def test_session_paths_after_dual_attach():
 
 
 def test_ue_session_gnbs_are_ordered_unique():
-    sess = UeSession(
+    sess = PduSession(
+        ue_id="imsi-001010000000001",
         ue_ip="10.45.0.2",
         mode=Redundancy.N3_REPLICATION,
         paths=(

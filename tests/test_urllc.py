@@ -3,13 +3,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fivegsim.runner import run_reliability_measurement
+from fivegsim.config import default_topology
+from fivegsim.errors import FlowError, SetupError
+from fivegsim.runner import Testbed, run_reliability_measurement
 from fivegsim.urllc import (
     DEDUP_WINDOW,
     SEQ_MODULUS,
     DedupWindow,
     Redundancy,
-    RedundancyMode,
     ReliabilityResult,
     eliminate_duplicates,
     seq_newer,
@@ -114,36 +115,38 @@ def test_parse_rejects_unknown_mode_listing_choices():
         Redundancy.parse("triple")
 
 
+# -- tunnel layouts the planner refuses -----------------------------------------------
+
+
 @pytest.mark.parametrize(
-    "plan,message",
+    "mode,gnbs,upfs,message",
     [
-        (RedundancyMode(Redundancy.NONE, ()), "exactly one path"),
-        (RedundancyMode(Redundancy.DUAL_CONNECTIVITY, (("g", "u"),)), "exactly two paths"),
-        (
-            RedundancyMode(Redundancy.DUAL_CONNECTIVITY, (("g", "u1"), ("g", "u2"))),
-            "two distinct gNBs",
+        pytest.param(
+            Redundancy.DUAL_CONNECTIVITY, ["gNB", "gNB"], None,
+            "two distinct gNBs and two distinct UPFs", id="dual-gnb-twice",
         ),
-        (
-            RedundancyMode(Redundancy.N3_REPLICATION, (("g1", "u"), ("g2", "u"))),
-            "one gNB and one UPF",
+        pytest.param(
+            Redundancy.DUAL_CONNECTIVITY, ["gNB", "gNB2"], ["UPF1", "UPF1"],
+            "two distinct gNBs and two distinct UPFs", id="dual-upf-twice",
         ),
-        (RedundancyMode(Redundancy.PSA_ANCHOR, (("g", "u1"), ("g", "u2"))), "needs a psa_upf"),
-        (
-            RedundancyMode(Redundancy.PSA_ANCHOR, (("g", "u1"),), psa_upf="u2"),
-            "uses two tunnels",
+        pytest.param(
+            Redundancy.PSA_ANCHOR, ["gNB"], ["UPF1", "UPF1"],
+            "an intermediate UPF and an anchor", id="psa-upf-twice",
         ),
     ],
 )
-def test_validate_rejects_malformed_plans(plan, message):
-    with pytest.raises(ValueError, match=message):
-        plan.validate()
-
-
-def test_validate_accepts_well_formed_plans():
-    RedundancyMode(Redundancy.NONE, (("g", "u"),)).validate()
-    RedundancyMode(Redundancy.DUAL_CONNECTIVITY, (("g1", "u1"), ("g2", "u2"))).validate()
-    RedundancyMode(Redundancy.N3_REPLICATION, (("g", "u"), ("g", "u"))).validate()
-    RedundancyMode(Redundancy.PSA_ANCHOR, (("g", "u1"), ("g", "u2")), psa_upf="u2").validate()
+def test_plan_paths_refuses_a_leg_named_twice(mode, gnbs, upfs, message):
+    # a gNB list or a discovery answer from a peer may name one node twice
+    tb = Testbed(default_topology(), seed=0)
+    tb.boot()
+    tb.run_until(1000)
+    smf = tb.smfs[0]
+    if upfs is not None:
+        smf.upfs = upfs
+    teid = smf._teid
+    with pytest.raises(SetupError, match=message):
+        smf.plan_paths(mode, gnbs)
+    assert smf._teid == teid  # a refused layout allocates no tunnel endpoint
 
 
 # -- result arithmetic ---------------------------------------------------------------
@@ -201,3 +204,9 @@ def test_per_tunnel_counts_cover_two_tunnels(small_runs):
 def test_dual_connectivity_paths_are_disjoint(small_runs):
     assert small_runs[Redundancy.DUAL_CONNECTIVITY].paths_disjoint is True
     assert small_runs[Redundancy.NONE].paths_disjoint is False
+
+
+def test_reliability_run_raises_on_a_broken_invariant(monkeypatch):
+    monkeypatch.setattr(Testbed, "invariant_violations", lambda tb, horizon: ["planted violation"])
+    with pytest.raises(FlowError, match="planted violation"):
+        run_reliability_measurement(Redundancy.NONE, 0.0, 10, SEED)
