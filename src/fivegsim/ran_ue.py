@@ -164,7 +164,14 @@ SESSION_ACTIVE = "SESSION_ACTIVE"
 
 @dataclass
 class Transfer:
-    """One document fetch as seen from the UE."""
+    """One document fetch as seen from the UE.
+
+    The body is hashed as it arrives and never kept whole. Segments in index
+    order go straight into `hasher`; `segments` holds only the bodies that
+    arrived ahead of a gap, and they drain into the hash once the gap closes.
+    `received` counts the distinct indices seen and `size` the bytes they
+    carried.
+    """
 
     doc: str
     started_ms: int
@@ -173,12 +180,34 @@ class Transfer:
     expected_segments: int | None = None
     digest: str | None = None
     segments: dict[int, bytes] = field(default_factory=dict)
+    next_index: int = 0
+    received: int = 0
+    size: int = 0
+    hasher: hashlib._Hash = field(default_factory=hashlib.sha256, repr=False)
     ok: bool | None = None
     error: str | None = None
 
     @property
     def done(self) -> bool:
         return self.ok is not None
+
+    def add_segment(self, index: int, body: bytes) -> None:
+        """Take one segment; a repeated index keeps its first body."""
+        if index < self.next_index or index in self.segments:
+            return
+        self.received += 1
+        self.size += len(body)
+        self.segments[index] = body
+        while self.next_index in self.segments:
+            self.hasher.update(self.segments.pop(self.next_index))
+            self.next_index += 1
+
+    def body_digest(self) -> str:
+        """SHA-256 of every body received, in index order; drains the held ones."""
+        for index in sorted(self.segments):
+            self.hasher.update(self.segments[index])
+        self.segments.clear()
+        return self.hasher.hexdigest()
 
 
 class Ue(NfEntity):
@@ -351,8 +380,8 @@ class Ue(NfEntity):
             if transfer is None:
                 return
             index = m.num(Tag.INDEX)
-            if index is not None and index not in transfer.segments:
-                transfer.segments[index] = m.raw(Tag.DATA) or b""
+            if index is not None:
+                transfer.add_segment(index, m.raw(Tag.DATA) or b"")
             self._try_finish(transfer, now)
         elif m.kind == MsgKind.APP_ERROR:
             transfer = self._transfer_for(m.text(Tag.DOC, ""))
@@ -372,13 +401,10 @@ class Ue(NfEntity):
     def _try_finish(self, transfer: Transfer, now: int) -> None:
         if transfer.expected_segments is None:
             return
-        if len(transfer.segments) < transfer.expected_segments:
+        if transfer.received < transfer.expected_segments:
             return
-        body = b"".join(transfer.segments[i] for i in sorted(transfer.segments))
-        good = (
-            len(body) == (transfer.expected_size or 0)
-            and hashlib.sha256(body).hexdigest() == transfer.digest
-        )
+        digest = transfer.body_digest()
+        good = transfer.size == (transfer.expected_size or 0) and digest == transfer.digest
         transfer.ok = good
         transfer.error = None if good else "integrity check failed"
         transfer.completed_ms = now
@@ -386,5 +412,5 @@ class Ue(NfEntity):
             MsgKind.APP_COMPLETE,
             doc=transfer.doc,
             result="OK" if good else "ERROR",
-            size=len(body),
+            size=transfer.size,
         )

@@ -49,6 +49,8 @@ T_NGAP_SETUP = 35
 T_ATTACH = 45
 REQUEST_SPACING_MS = 15  # between the document requests of successive UEs
 
+_LINE_BREAKS = str.maketrans("\t\n\r", "   ")
+
 SWEEP_LOSS = 0.1
 SWEEP_PACKETS = 2000
 
@@ -324,11 +326,11 @@ def _summarise(result: RunResult) -> None:
         for t in transfers:
             status = "ok" if t.ok else ("failed" if t.done else "incomplete")
             took = (t.completed_ms - t.started_ms) if t.completed_ms is not None else -1
-            lines.append(
-                f"transfer {ue_name} {t.doc} {status}"
-                f" segments={len(t.segments)} bytes={sum(len(s) for s in t.segments.values())}"
-                f" ms={took}"
-            )
+            line = f"transfer {ue_name} {t.doc} {status} segments={t.received} bytes={t.size} ms={took}"
+            if status == "failed":
+                # APP_ERROR's reason is peer text
+                line += " error=" + (t.error or "").translate(_LINE_BREAKS)
+            lines.append(line)
     for r in result.reliability:
         tunnels = ",".join(f"{teid}:{n}" for teid, n in sorted(r.per_tunnel_delivered.items()))
         lines.append(

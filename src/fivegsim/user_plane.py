@@ -234,6 +234,7 @@ class AppServer(NfEntity):
         self.completes: dict[str, int] = {}          # ue_ip -> APP_COMPLETE count
         self.data_received: dict[str, int] = {}      # ue_ip -> post-elimination APP_DATA count
         self.data_indices: dict[str, set[int]] = {}
+        self._built: dict[tuple[str, int], tuple[bytes, str]] = {}  # (doc, size) -> body, SHA-256
 
     def _learn_route(self, ue_ip: str, upf: str) -> None:
         routes = self.routes.setdefault(ue_ip, [])
@@ -289,6 +290,14 @@ class AppServer(NfEntity):
         else:
             log.debug("%s: ignoring APP %s", self.name, m.kind.name)
 
+    def _document(self, doc: str, size: int) -> tuple[bytes, str]:
+        """Body and SHA-256 of a document, built once per server."""
+        built = self._built.get((doc, size))
+        if built is None:
+            content = document_content(doc, size)
+            built = self._built[doc, size] = (content, hashlib.sha256(content).hexdigest())
+        return built
+
     def _serve(self, ue_ip: str, dport: int, doc: str, now: int) -> None:
         size = self.documents.get(doc)
         if size is None:
@@ -296,7 +305,7 @@ class AppServer(NfEntity):
             return
         seg = self.env.params.segment_bytes
         n_segments = segment_count(size, seg)
-        content = document_content(doc, size)
+        content, digest = self._document(doc, size)
         self.served.append(ServedRequest(ue_ip=ue_ip, doc=doc, ts=now, segments=n_segments))
         self._send_downlink(
             ue_ip,
@@ -305,7 +314,7 @@ class AppServer(NfEntity):
             doc=doc,
             size=size,
             segments=n_segments,
-            digest=hashlib.sha256(content).hexdigest(),
+            digest=digest,
         )
         for index in range(n_segments):
             self._send_downlink(

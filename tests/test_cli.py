@@ -160,6 +160,7 @@ def test_refused_ue_reports_its_transfer_as_failed(tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert proc.stderr == ""
     assert "transfer UE document failed" in proc.stdout
+    assert "error=no active session" in proc.stdout
 
 
 def test_unknown_scenario_rejected_by_the_parser(capsys):

@@ -1,7 +1,11 @@
 """Radio-side tests: NGAP setup, NAS relay, UE state machine, dedup points."""
+import functools
 import hashlib
+import tracemalloc
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fivegsim.config import ScenarioSpec, default_topology, parse_topology, with_second_gnb
 from fivegsim.errors import FlowError, SetupError
@@ -114,6 +118,19 @@ def test_many_requests_names_its_population_limit(monkeypatch):
         run_scenario(ScenarioSpec(name="many_requests", ue_count=668))
 
 
+def test_many_requests_memory_stays_bounded():
+    # 100 UEs each fetch the 487,659-byte document: keeping every body until
+    # the run ends would take ~49 MB on its own
+    tracemalloc.start()
+    try:
+        result = run_scenario(ScenarioSpec(name="many_requests", ue_count=100, seed=1))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert sum(t.ok for ts in result.transfers.values() for t in ts) == 100
+    assert peak < 16_000_000
+
+
 def test_register_is_idempotent_while_pending():
     tb = Testbed(default_topology(), seed=0)
     tb.boot()
@@ -219,6 +236,106 @@ def test_tampered_segment_fails_integrity_check():
     transfer = ue.transfers[0]
     assert transfer.done and transfer.ok is False
     assert transfer.error == "integrity check failed"
+
+
+def sha256(body):
+    return hashlib.sha256(body).hexdigest()
+
+
+def ack(size, segments, digest):
+    return build(MsgKind.APP_GET_ACK, doc="document", size=size, segments=segments, digest=digest)
+
+
+def segment(index, body):
+    return build(MsgKind.APP_SEGMENT, doc="document", index=index, data=body)
+
+
+@functools.cache
+def recording_ue():
+    """One attached UE whose application sends are recorded, not sent."""
+    tb, ue = attached_testbed()
+    ue.app_sent = []
+    ue._app_send = lambda kind, **fields: ue.app_sent.append((kind, fields))
+    return ue
+
+
+def fresh_fetch():
+    ue = recording_ue()
+    ue.transfers.clear()
+    ue.app_sent.clear()
+    return ue, ue.request_document("document")
+
+
+def test_out_of_order_segments_drain_once_the_gap_closes():
+    ue, transfer = fresh_fetch()
+    bodies = [b"alpha", b"beta", b"gamma", b"delta"]
+    fake_downlink(ue, ack(sum(map(len, bodies)), 4, sha256(b"".join(bodies))))
+    fake_downlink(ue, segment(2, bodies[2]))
+    fake_downlink(ue, segment(1, bodies[1]))
+    assert sorted(transfer.segments) == [1, 2]
+    fake_downlink(ue, segment(0, bodies[0]))
+    assert transfer.segments == {} and transfer.next_index == 3 and not transfer.done
+    fake_downlink(ue, segment(3, bodies[3]))
+    assert transfer.ok is True and transfer.segments == {}
+    assert (transfer.received, transfer.size) == (4, 19)
+    assert ue.app_sent[-1] == (MsgKind.APP_COMPLETE, {"doc": "document", "result": "OK", "size": 19})
+
+
+def joined_outcome(deliveries):
+    """The rule the streaming reassembler must keep: the first body per
+    index, joined in index order once `segments` distinct indices are in."""
+    held, expected = {}, None
+    for kind, *fields in deliveries:
+        if kind == "ack":
+            expected = fields
+        elif fields[0] not in held:
+            held[fields[0]] = fields[1]
+        if expected is not None and len(held) >= expected[1]:
+            body = b"".join(held[i] for i in sorted(held))
+            ok = len(body) == expected[0] and sha256(body) == expected[2]
+            return ok, len(held), len(body), body
+    return None, len(held), sum(map(len, held.values())), None
+
+
+@st.composite
+def segment_deliveries(draw):
+    """An ACK and the segments of a random body, shuffled, with strays and
+    repeats mixed in, some left out and at most one byte flipped."""
+    bodies = draw(st.lists(st.binary(min_size=1, max_size=4), max_size=5))
+    content = b"".join(bodies)
+    sent = list(enumerate(bodies))
+    strays = st.tuples(st.integers(0, len(bodies) + 2), st.binary(max_size=4))
+    sent += draw(st.lists(strays, max_size=3))
+    sent = draw(st.permutations(sent))
+    if sent:
+        lost = draw(st.sets(st.integers(0, len(sent) - 1), max_size=2))
+        sent = [s for k, s in enumerate(sent) if k not in lost]
+    flip = draw(st.none() | st.integers(0, max(len(sent) - 1, 0)))
+    if flip is not None and sent and sent[flip][1]:
+        index, body = sent[flip]
+        sent[flip] = (index, bytes([body[0] ^ 0x01]) + body[1:])
+    deliveries = [("segment", index, body) for index, body in sent]
+    deliveries.insert(
+        draw(st.integers(0, len(deliveries))), ("ack", len(content), len(bodies), sha256(content))
+    )
+    return deliveries
+
+
+@settings(max_examples=300, deadline=None)
+@given(segment_deliveries())
+def test_streaming_reassembly_matches_the_joined_body(deliveries):
+    ue, transfer = fresh_fetch()
+    for kind, *fields in deliveries:
+        fake_downlink(ue, ack(*fields) if kind == "ack" else segment(*fields))
+    ok, received, size, body = joined_outcome(deliveries)
+    assert (transfer.ok, transfer.received, transfer.size) == (ok, received, size)
+    assert transfer.error == ("integrity check failed" if ok is False else None)
+    completes = [fields for kind, fields in ue.app_sent if kind == MsgKind.APP_COMPLETE]
+    assert [c["size"] for c in completes] == ([] if body is None else [len(body)])
+    if body is not None:
+        # the bytes hashed are the joined body's, whether the transfer passed or not
+        assert transfer.hasher.hexdigest() == sha256(body)
+        assert transfer.segments == {}
 
 
 def test_undecodable_downlink_is_dropped_not_fatal():

@@ -9,6 +9,7 @@ from fivegsim.messages import MsgKind, build
 from fivegsim.runner import T_ATTACH, Testbed, run_scenario
 from fivegsim.simnet import DROPPED
 from fivegsim.user_plane import (
+    AppServer,
     document_content,
     document_digest,
     parse_rule_program,
@@ -178,13 +179,56 @@ def test_server_serves_document_and_counts_complete(request_run):
 
 
 def test_transfer_reassembles_exact_content(request_run):
+    # the UE hashes segments as they arrive and keeps no body once done
     ue = request_run.testbed.ues[0]
     transfer = ue.transfers[0]
     assert transfer.ok is True
     assert transfer.expected_segments == 8
-    body = b"".join(transfer.segments[i] for i in sorted(transfer.segments))
-    assert len(body) == 487659
-    assert hashlib.sha256(body).hexdigest() == document_digest("document", 487659)
+    assert transfer.received == 8
+    assert transfer.size == 487659
+    assert transfer.segments == {}
+    assert transfer.digest == document_digest("document", 487659)
+
+
+def test_corrupted_segment_fails_the_transfer():
+    tb = Testbed(default_topology(), seed=3)
+    tb.boot()
+    ue = tb.ues[0]
+    send_downlink = tb.server._send_downlink
+
+    def corrupt_segment_3(ue_ip, dport, kind, **fields):
+        if kind == MsgKind.APP_SEGMENT and fields["index"] == 3:
+            data = bytearray(fields["data"])
+            data[17] ^= 0x01
+            fields["data"] = bytes(data)
+        send_downlink(ue_ip, dport, kind, **fields)
+
+    tb.server._send_downlink = corrupt_segment_3
+    tb.net.schedule(T_ATTACH, lambda: ue.attach(Redundancy.NONE))
+    tb.net.schedule(SETTLE, lambda: ue.request_document("document"))
+    tb.run_until(SETTLE + 1000)
+    transfer = ue.transfers[0]
+    assert transfer.done and transfer.ok is False
+    assert transfer.error == "integrity check failed"
+    assert (transfer.received, transfer.size, transfer.segments) == (8, 487659, {})
+
+
+def test_server_builds_each_document_once(monkeypatch):
+    digest = document_digest("document", 487659)
+    built = []
+
+    def counting_document_content(doc, size):
+        built.append((doc, size))
+        return document_content(doc, size)
+
+    monkeypatch.setattr("fivegsim.user_plane.document_content", counting_document_content)
+    result = run_scenario(ScenarioSpec(name="many_requests", ue_count=3, seed=5))
+    transfers = [t for ts in result.transfers.values() for t in ts]
+    assert len(transfers) == 3
+    assert all(t.ok for t in transfers)
+    assert all(t.digest == digest for t in transfers)
+    assert len(result.testbed.server.served) == 3
+    assert built == [("document", 487659)]
 
 
 def test_missing_document_flows_back_as_error():
@@ -198,6 +242,17 @@ def test_missing_document_flows_back_as_error():
     assert transfer.done and transfer.ok is False
     assert transfer.error == "no such document"
     assert tb.server.served == []
+
+
+def test_failed_transfer_line_names_the_reason_on_one_line(monkeypatch):
+    def refuse(server, ue_ip, dport, doc, now):
+        server._send_downlink(ue_ip, dport, MsgKind.APP_ERROR, doc=doc, reason="busy\tnow\r\nretry")
+
+    monkeypatch.setattr(AppServer, "_serve", refuse)
+    result = run_scenario(ScenarioSpec(name="single_request", seed=2))
+    [line] = [l for l in result.summary_lines if l.startswith("transfer ")]
+    assert line.startswith("transfer UE document failed segments=0 bytes=0 ms=")
+    assert line.endswith(" error=busy now  retry")
 
 
 def test_server_drops_downlink_without_learned_route():
