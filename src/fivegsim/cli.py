@@ -1,7 +1,8 @@
 """Command line front end.
 
 Three subcommands: ``run`` executes a scenario and writes artifacts,
-``validate`` replays the sequence checks over an exported event log, and
+``validate`` replays the sequence checks over an exported event log (with
+the sbi_port and ue_pool of ``--topology``, if given), and
 ``kpi`` recomputes packet counts from a log over a chosen window.
 
 Exit codes: 0 success, 1 a run or check failed, 2 bad input or configuration.
@@ -11,7 +12,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .config import ConfigError, SCENARIO_NAMES, ScenarioSpec, default_topology, load_topology
+from .config import ConfigError, SCENARIO_NAMES, Params, ScenarioSpec, default_topology, load_topology
 from .errors import FivegsimError
 from .nwdaf import SEMANTICS, SchemaError, import_events, kpi_packet_counts
 from .runner import run_scenario
@@ -43,6 +44,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     val = sub.add_parser("validate", help="run sequence checks over an event log")
     val.add_argument("--events", required=True, help="events.log produced by run --out")
+    val.add_argument(
+        "--topology", help="topology of the run, for its sbi_port and ue_pool (default: built-in)"
+    )
     val.set_defaults(func=_cmd_validate)
 
     kpi = sub.add_parser("kpi", help="recompute packet counts from an event log")
@@ -79,7 +83,8 @@ def _cmd_run(args) -> int:
 
 def _cmd_validate(args) -> int:
     events = import_events(args.events)
-    results = validate_sequences(events)
+    params = load_topology(args.topology).params if args.topology else Params()
+    results = validate_sequences(events, sbi_port=params.sbi_port, ue_pool=params.ue_pool)
     for check in results:
         print(check.line())
     return 0 if all_passed(results) else 1

@@ -3,6 +3,10 @@
 The topology format is line-oriented and diff-friendly: '[section]' headers,
 '#' comments, comma-separated fields. Sections: entities, links, subscribers,
 documents, params.
+
+Only this module knows the topology contract: run_roster adds the SERVER and
+NWDAF a topology does not declare, and _validate checks that roster once,
+including a link from each entity to each PEER_KINDS kind the topology has.
 """
 from __future__ import annotations
 
@@ -17,6 +21,18 @@ from .wirefmt import Protocol
 ENTITY_KINDS = {
     "NRF", "AMF", "SMF", "AUSF", "UDM", "UDR", "PCF", "NSSF", "BSF",
     "UPF", "GNB", "UE", "SERVER", "NWDAF",
+}
+
+# kind -> the kinds it sends to (3GPP TS 23.501 reference points: Nnrf, the
+# AMF's N8/N11/N12/N15, the SMF's N4, the gNB's N2/N3, radio, N6)
+PEER_KINDS = {
+    "AMF": ("NRF", "AUSF", "UDM", "PCF", "SMF"),
+    "SMF": ("NRF", "UPF"),
+    "UDM": ("NRF", "UDR"),
+    **dict.fromkeys(("AUSF", "UDR", "PCF", "NSSF", "BSF", "UPF", "NWDAF"), ("NRF",)),
+    "GNB": ("AMF", "UPF"),
+    "UE": ("GNB",),
+    "SERVER": ("UPF",),
 }
 
 SCENARIO_NAMES = ("idle", "single_request", "many_requests", "urllc_sweep", "validate")
@@ -115,6 +131,28 @@ class TopologyConfig:
         return [e for e in self.entities if e.kind == kind]
 
 
+def run_roster(entities, links, params: Params) -> tuple[list[EntityDecl], list[LinkDecl]]:
+    """The entities and links a run builds: the declared ones, plus a SERVER
+    at app_server_ip linked to every UPF and an NWDAF at nwdaf_ip linked to
+    the NRF, PCF and NSSF, each only when the topology declares none."""
+    entities, links = list(entities), list(links)
+    kinds = {e.kind for e in entities}
+    for kind, ip, peer_kinds in (
+        ("SERVER", params.app_server_ip, ("UPF",)),
+        ("NWDAF", params.nwdaf_ip, ("NRF", "PCF", "NSSF")),
+    ):
+        if kind in kinds:
+            continue
+        entities.append(EntityDecl(kind=kind, name=kind, ip=ip))
+        links += [
+            LinkDecl(a=kind, b=e.name, latency_ms=1, loss_prob=0.0, reliable=True)
+            for peer_kind in peer_kinds
+            for e in entities
+            if e.kind == peer_kind
+        ]
+    return entities, links
+
+
 def _validate(
     entities: list[EntityDecl],
     links: list[LinkDecl],
@@ -126,46 +164,44 @@ def _validate(
     if not entities:
         raise ConfigError(f"{source}: no entities declared")
     names: set[str] = set()
-    ips: set[str] = set()
+    holders: dict[str, str] = {}  # address -> entity name
     pool = ipaddress.IPv4Network(params.ue_pool)
-    for e in entities:
+    roster, roster_links = run_roster(entities, links, params)
+    for e in roster:
         if e.name in names:
             raise ConfigError(f"duplicate entity name {e.name}")
         names.add(e.name)
-        if e.ip in ips:
-            raise ConfigError(f"duplicate entity address {e.ip}")
-        ips.add(e.ip)
+        if e.ip in holders:
+            raise ConfigError(f"duplicate entity address {e.ip}: {e.name} collides with {holders[e.ip]}")
+        holders[e.ip] = e.name
         if ipaddress.IPv4Address(e.ip) in pool:
             raise ConfigError(f"entity address {e.ip} collides with the UE pool {params.ue_pool}")
-    # a run injects SERVER and NWDAF at these addresses unless they are declared
-    declared = {e.kind for e in entities}
-    for kind, param in (("SERVER", "app_server_ip"), ("NWDAF", "nwdaf_ip")):
-        ip = getattr(params, param)
-        if kind in declared:
-            continue
-        if ip in ips or ipaddress.IPv4Address(ip) in pool:
-            raise ConfigError(f"{param} {ip} collides with an entity address or the UE pool")
-        ips.add(ip)
-    seen_pairs: set[frozenset[str]] = set()
-    for l in links:
+    neighbours: dict[str, set[str]] = {name: set() for name in names}
+    for l in roster_links:
         for end in (l.a, l.b):
             if end not in names:
                 raise ConfigError(f"link {l.a},{l.b} references unknown entity {end}")
         if l.a == l.b:
             raise ConfigError(f"link endpoints must differ, got {l.a} twice")
-        key = frozenset((l.a, l.b))
-        if key in seen_pairs:
+        if l.b in neighbours[l.a]:
             raise ConfigError(f"duplicate link between {l.a} and {l.b}")
-        seen_pairs.add(key)
+        neighbours[l.a].add(l.b)
+        neighbours[l.b].add(l.a)
         if l.latency_ms < 0:
             raise ConfigError(f"link {l.a},{l.b}: negative latency")
         if not 0.0 <= l.loss_prob <= 1.0:
             raise ConfigError(f"link {l.a},{l.b}: loss_prob {l.loss_prob} outside [0, 1]")
-    # only an injected SERVER gets links to the UPFs; a declared one needs its own
-    upfs = [e.name for e in entities if e.kind == "UPF"]
-    for server in (e.name for e in entities if e.kind == "SERVER"):
-        if upfs and not any(frozenset((server, u)) in seen_pairs for u in upfs):
-            raise ConfigError(f"SERVER {server} has no link to any UPF")
+    kind_of = {e.name: e.kind for e in roster}
+    kinds = set(kind_of.values())
+    if "NRF" not in kinds:
+        raise ConfigError("topology has no registry function")
+    if "GNB" in kinds and "AMF" not in kinds:
+        raise ConfigError("a radio node needs an AMF in the topology")
+    for e in roster:
+        linked = {kind_of[n] for n in neighbours[e.name]}
+        for peer in PEER_KINDS.get(e.kind, ()):
+            if peer in kinds and peer not in linked:
+                raise ConfigError(f"{e.kind} {e.name} has no link to any {peer}")
     if len(set(subscribers)) != len(subscribers):
         raise ConfigError("duplicate subscriber id")
     for doc, size in documents.items():

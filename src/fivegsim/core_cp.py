@@ -6,7 +6,8 @@ message and takes its protocol from the kind (messages.PROTOCOL), both ports
 from the protocol (Params.port) and its log row's msg_kind and ue_id from the
 message. Only nodes forwarding bytes another node built (GTP-U tunnels, the
 gNB's uplink NAS relay, UPF routing, the server's downlink fan-out) call
-`send_msg` with a protocol and ports of their own.
+`send_msg` with a protocol and ports of their own. A send to a peer without
+a link is a DROPPED row "no link" (config linked the peers each kind needs).
 
 NfEntity owns the one receive path too. `handle_packet` dispatches by
 protocol to the matching `on_<protocol>` handler and contains bad input: a
@@ -19,9 +20,11 @@ every local row.
 
 Flows are the standard ones: NFs register with the NRF and heartbeat on a
 shared grid; the AMF discovers its peers, accepts NGAP setups from gNBs and
-runs UE registration through AUSF, UDM (backed by UDR) and PCF; the SMF
-associates with UPFs over PFCP and anchors PDU sessions, allocating UE
-addresses and tunnel endpoints.
+runs UE registration through AUSF, UDM (backed by UDR) and PCF, refusing
+the UE when it discovered none of a kind it needs; the SMF associates with
+UPFs over PFCP and anchors PDU sessions, allocating UE addresses and tunnel
+endpoints. When one UPF refuses a session's rules, the SMF deletes the
+session at its other UPFs and takes the UE address back.
 
 A session's tunnel legs are its only plan: Smf.plan_paths lays them out per
 redundancy mode and _build_rules turns them into UPF rule programs; no other
@@ -109,7 +112,6 @@ class CoreEnv:
     nrf_name: str
     server_name: str
     server_ip: str
-    nwdaf_name: str
 
 
 def encode_paths(paths: tuple[SessionPath, ...]) -> str:
@@ -214,18 +216,17 @@ class NfEntity(Entity):
     ) -> bool:
         """Send ready-made bytes; for forwarding what another node built.
 
-        A peer that names no node on the fabric can only come from a message
-        (a forged discovery answer, rule program or session path), so such a
-        packet becomes a DROPPED row instead of an error."""
-        peer_entity = self.net.entities.get(peer)
-        if peer_entity is None:
-            self.drop(len(payload), self.name, "unknown peer", protocol, peer=peer)
+        Config linked every node to the peer kinds it needs, so a peer without
+        a link comes from a message (a forged discovery answer, rule program
+        or session path): the packet is a DROPPED row "no link", not an error."""
+        link = self.net.link_between(self.name, peer)
+        if link is None:
+            self.drop(len(payload), self.name, "no link", protocol, peer=peer)
             return False
-        link = self.net.require_link(self.name, peer)
         pkt = SimPacket(
             protocol=protocol,
             src_ip=src_ip or self.ip,
-            dst_ip=dst_ip or peer_entity.ip,
+            dst_ip=dst_ip or link.peer_of(self.name).ip,
             src_port=sport,
             dst_port=dport,
             payload=payload,
@@ -510,11 +511,17 @@ class Amf(NfEntity):
         for nf_type in ("AUSF", "UDM", "PCF", "SMF"):
             self.send(self.env.nrf_name, MsgKind.NF_DISCOVER_REQ, nf_type=nf_type)
 
-    def _peer(self, nf_type: str) -> str:
-        name = self.peers.get(nf_type)
-        if name is None:
-            raise SetupError(f"{self.name}: no {nf_type} discovered yet")
-        return name
+    def _ask(self, nf_type: str, kind: MsgKind, ue_id: str, **fields) -> None:
+        """Send a UE's next request to the discovered `nf_type`; without one,
+        refuse the UE's session (SESSION_CREATE_REQ) or registration."""
+        peer = self.peers.get(nf_type)
+        if peer is not None:
+            self.send(peer, kind, ue_id=ue_id, **fields)
+            return
+        session = kind is MsgKind.SESSION_CREATE_REQ
+        gnb = (self._pending_sess if session else self._pending_reg).pop(ue_id)
+        refusal = MsgKind.NAS_SESSION_REJECT if session else MsgKind.NAS_REGISTER_REJECT
+        self.send(gnb, refusal, ue_id=ue_id, reason=f"no {nf_type} discovered")
 
     # -- NGAP (towards gNBs, reliable transport required) -------------------
 
@@ -546,17 +553,17 @@ class Amf(NfEntity):
                 self.send(gnb, MsgKind.NAS_REGISTER_ACCEPT, ue_id=ue_id)
                 return
             self._pending_reg[ue_id] = gnb
-            self.send(self._peer("AUSF"), MsgKind.AUTH_REQ, ue_id=ue_id)
+            self._ask("AUSF", MsgKind.AUTH_REQ, ue_id)
         elif m.kind == MsgKind.NAS_SESSION_REQ:
             ue_id = m.require(Tag.UE_ID)
             if ue_id not in self.ue_registered:
                 self.send(gnb, MsgKind.NAS_SESSION_REJECT, ue_id=ue_id, reason="not registered")
                 return
             self._pending_sess[ue_id] = gnb
-            self.send(
-                self._peer("SMF"),
+            self._ask(
+                "SMF",
                 MsgKind.SESSION_CREATE_REQ,
-                ue_id=ue_id,
+                ue_id,
                 mode=m.text(Tag.MODE, Redundancy.NONE.name),
                 gnb=m.text(Tag.GNB, gnb),
             )
@@ -573,14 +580,14 @@ class Amf(NfEntity):
         elif m.kind == MsgKind.AUTH_RESP:
             ue_id = m.require(Tag.UE_ID)
             if ue_id in self._pending_reg:
-                self.send(self._peer("UDM"), MsgKind.SUBSCRIBER_REQ, ue_id=ue_id)
+                self._ask("UDM", MsgKind.SUBSCRIBER_REQ, ue_id)
         elif m.kind == MsgKind.SUBSCRIBER_RESP:
             ue_id = m.require(Tag.UE_ID)
             gnb = self._pending_reg.get(ue_id)
             if gnb is None:
                 return
             if m.text(Tag.RESULT) == OK:
-                self.send(self._peer("PCF"), MsgKind.POLICY_REQ, ue_id=ue_id)
+                self._ask("PCF", MsgKind.POLICY_REQ, ue_id)
             else:
                 del self._pending_reg[ue_id]
                 self.send(
@@ -630,6 +637,7 @@ class Smf(NfEntity):
         pool = ipaddress.IPv4Network(env.params.ue_pool)
         self._pool_iter = iter(pool.hosts())
         self.gateway_ip = str(next(self._pool_iter))  # first host is the gateway
+        self._released: list[str] = []  # addresses of failed sessions, handed out first
         self._teid = 0
         # ue_id -> (requester, session, UPFs yet to confirm their rules)
         self._pending: dict[str, tuple[str, PduSession, set[str]]] = {}
@@ -642,6 +650,8 @@ class Smf(NfEntity):
         return self._teid
 
     def allocate_ue_ip(self) -> str:
+        if self._released:
+            return self._released.pop()
         try:
             return str(next(self._pool_iter))
         except StopIteration:
@@ -673,10 +683,16 @@ class Smf(NfEntity):
             outstanding.discard(upf)
             if m.text(Tag.RESULT) != OK:
                 del self._pending[ue_id]
+                # undo the session at every other UPF (TS 29.244 §7.5.6)
+                for other in sorted({p.upf for p in session.paths} - {upf}):
+                    self.send(other, MsgKind.PFCP_SESSION_DELETE_REQ, ue_id=ue_id)
+                self._released.append(session.ue_ip)
                 self._fail_session(requester, ue_id, m.text(Tag.REASON, "error"))
             elif not outstanding:
                 del self._pending[ue_id]
                 self._finish_session(requester, session)
+        elif m.kind == MsgKind.PFCP_SESSION_DELETE_RESP:
+            pass
         else:
             super().on_pfcp(m, pkt, link, now)
 

@@ -31,6 +31,8 @@ class MsgKind(IntEnum):
     PFCP_ASSOC_RESP = 21
     PFCP_SESSION_REQ = 22
     PFCP_SESSION_RESP = 23
+    PFCP_SESSION_DELETE_REQ = 24
+    PFCP_SESSION_DELETE_RESP = 25
     # N2 (NGAP)
     NGAP_SETUP_REQ = 30
     NGAP_SETUP_RESP = 31

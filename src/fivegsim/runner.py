@@ -1,10 +1,10 @@
 """Testbed assembly and scenario execution.
 
-A Testbed turns a topology into live entities on one fabric, stages the
-bring-up (registry first, then the other functions, discovery, N4
-association, NGAP setup) and leaves the clock ready to run. Scenarios layer
-UE activity on top and collect KPIs, transfers and the fabric's event log
-into a RunResult.
+A Testbed turns a topology's roster (config.run_roster, checked at parse)
+into live entities on one fabric, stages the bring-up (registry first, then
+the other functions, discovery, N4 association, NGAP setup) and leaves the
+clock ready to run. Scenarios layer UE activity on top and collect KPIs,
+transfers and the fabric's event log into a RunResult.
 """
 from __future__ import annotations
 
@@ -18,6 +18,7 @@ from .config import (
     ScenarioSpec,
     TopologyConfig,
     default_topology,
+    run_roster,
     with_link_loss,
     with_second_gnb,
 )
@@ -68,87 +69,47 @@ class Testbed:
     def __init__(self, topo: TopologyConfig, seed: int = 0):
         self.topo = topo
         self.params = topo.params
-        entities = list(topo.entities)
-        links = list(topo.links)
-        self._inject_defaults(entities, links)
-
-        nrfs = [e for e in entities if e.kind == "NRF"]
-        if not nrfs:
-            raise SetupError("topology has no registry function")
+        entities, links = run_roster(topo.entities, topo.links, topo.params)
         server = next(e for e in entities if e.kind == "SERVER")
-        nwdaf = next(e for e in entities if e.kind == "NWDAF")
         self.env = CoreEnv(
             params=self.params,
-            nrf_name=nrfs[0].name,
+            nrf_name=next(e.name for e in entities if e.kind == "NRF"),
             server_name=server.name,
             server_ip=server.ip,
-            nwdaf_name=nwdaf.name,
         )
 
         self.net = Network(seed=seed)
         self.records = self.net.events
 
-        amf_name = next((e.name for e in entities if e.kind == "AMF"), None)
-        ue_decls = [e for e in entities if e.kind == "UE"]
-        subscribers = list(topo.subscribers)
-
         self.by_kind: dict[str, list] = {}
         for decl in entities:
-            entity = self._make_entity(decl, amf_name, subscribers, ue_decls)
+            entity = self._make_entity(decl, entities, links)
             self.net.add_entity(entity)
             self.by_kind.setdefault(decl.kind, []).append(entity)
         for l in links:
             self.net.add_link(l.a, l.b, l.latency_ms, l.loss_prob, l.reliable)
 
-        gnb_names = [g.name for g in self.gnbs]
         for ue in self.ues:
-            attached = tuple(
-                g for g in gnb_names if self.net.link_between(ue.name, g) is not None
-            )
-            ue.attach_gnbs(attached)
+            ue.attach_gnbs(tuple(g.name for g in self.gnbs if self.net.link_between(ue.name, g.name)))
 
     # -- construction helpers ---------------------------------------------
 
-    def _inject_defaults(self, entities: list[EntityDecl], links: list[LinkDecl]) -> None:
-        """Add the data-network server and the analytics function when the
-        topology does not declare them, wiring both with reliable links."""
-        upf_names = [e.name for e in entities if e.kind == "UPF"]
-        if not any(e.kind == "SERVER" for e in entities):
-            name = "SERVER"
-            entities.append(EntityDecl(kind="SERVER", name=name, ip=self.params.app_server_ip))
-            for upf in upf_names:
-                links.append(LinkDecl(a=name, b=upf, latency_ms=1, loss_prob=0.0, reliable=True))
-        if not any(e.kind == "NWDAF" for e in entities):
-            name = "NWDAF"
-            entities.append(EntityDecl(kind="NWDAF", name=name, ip=self.params.nwdaf_ip))
-            for peer_kind in ("NRF", "PCF", "NSSF"):
-                for e in entities:
-                    if e.kind == peer_kind:
-                        links.append(
-                            LinkDecl(a=name, b=e.name, latency_ms=1, loss_prob=0.0, reliable=True)
-                        )
-
-    def _make_entity(self, decl: EntityDecl, amf_name, subscribers, ue_decls):
+    def _make_entity(self, decl: EntityDecl, entities: list[EntityDecl], links: list[LinkDecl]):
         args = (decl.name, decl.ip, self.net, self.env)
+        subscribers = self.topo.subscribers
         if decl.kind in _PLAIN_KINDS:
             return _PLAIN_KINDS[decl.kind](*args)
         if decl.kind == "UDR":
             return Udr(*args, subscribers=subscribers)
         if decl.kind == "GNB":
-            if amf_name is None:
-                raise SetupError("a radio node needs an AMF in the topology")
-            return Gnb(*args, amf=amf_name)
+            # the first AMF it links to; config checked that there is one
+            linked = {l.a if l.b == decl.name else l.b for l in links if decl.name in (l.a, l.b)}
+            return Gnb(*args, amf=next(e.name for e in entities if e.kind == "AMF" and e.name in linked))
         if decl.kind == "UE":
-            index = [d.name for d in ue_decls].index(decl.name)
-            imsi = (
-                subscribers[index]
-                if index < len(subscribers)
-                else f"imsi-00101{index + 1:010d}"
-            )
+            index = [e.name for e in entities if e.kind == "UE"].index(decl.name)
+            imsi = subscribers[index] if index < len(subscribers) else f"imsi-00101{index + 1:010d}"
             return Ue(*args, imsi=imsi)
-        if decl.kind == "SERVER":
-            return AppServer(*args, documents=dict(self.topo.documents))
-        raise SetupError(f"no entity implementation for kind {decl.kind}")
+        return AppServer(*args, documents=dict(self.topo.documents))  # SERVER, the kind left
 
     # -- convenient accessors ------------------------------------------------
 

@@ -112,23 +112,27 @@ class Upf(NfEntity):
         if m.kind == MsgKind.PFCP_ASSOC_REQ:
             self.associated_smfs.add(smf)
             self.send(smf, MsgKind.PFCP_ASSOC_RESP, result=OK, nf_id=self.name)
-        elif m.kind == MsgKind.PFCP_SESSION_REQ:
+        elif m.kind in (MsgKind.PFCP_SESSION_REQ, MsgKind.PFCP_SESSION_DELETE_REQ):
             ue_id = m.require(Tag.UE_ID)
+            answer = MsgKind(m.kind + 1)  # each request's response is the next code
             if smf not in self.associated_smfs:
-                self.send(
-                    smf, MsgKind.PFCP_SESSION_RESP, ue_id=ue_id, result=ERROR, reason="no association"
-                )
+                self.send(smf, answer, ue_id=ue_id, result=ERROR, reason="no association")
                 return
-            try:
-                teid_rules, ueip_rules = parse_rule_program(m.text(Tag.RULES, ""), ue_id)
-            except FlowError as exc:
-                self.send(smf, MsgKind.PFCP_SESSION_RESP, ue_id=ue_id, result=ERROR, reason=str(exc))
-                return
-            for rule in teid_rules:
-                self.teid_rules[rule.teid] = rule
-            for rule in ueip_rules:
-                self.ueip_rules[rule.ue_ip] = rule
-            self.send(smf, MsgKind.PFCP_SESSION_RESP, ue_id=ue_id, result=OK)
+            if m.kind == MsgKind.PFCP_SESSION_DELETE_REQ:
+                self.teid_rules = {t: r for t, r in self.teid_rules.items() if r.ue_id != ue_id}
+                self.ueip_rules = {a: r for a, r in self.ueip_rules.items() if r.ue_id != ue_id}
+                self._ul_windows.pop(ue_id, None)
+            else:
+                try:
+                    teid_rules, ueip_rules = parse_rule_program(m.text(Tag.RULES, ""), ue_id)
+                except FlowError as exc:
+                    self.send(smf, answer, ue_id=ue_id, result=ERROR, reason=str(exc))
+                    return
+                for rule in teid_rules:
+                    self.teid_rules[rule.teid] = rule
+                for rule in ueip_rules:
+                    self.ueip_rules[rule.ue_ip] = rule
+            self.send(smf, answer, ue_id=ue_id, result=OK)
         else:
             super().on_pfcp(m, pkt, link, now)
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 import ipaddress
 from dataclasses import dataclass
 
+from .config import Params
 from .wirefmt import Protocol
 
 SBI_KINDS_REGISTER = ("NF_REGISTER_REQ", "NF_REGISTER_RESP")
@@ -238,8 +239,11 @@ def check_user_plane(events, ue_pool: str) -> CheckResult:
     return CheckResult(name, True, f"{len(gtpu)} tunnel packets, session-sourced traffic present")
 
 
-def validate_sequences(events, sbi_port: int = 7777, ue_pool: str = "10.45.0.0/16") -> list[CheckResult]:
-    """Run every sequence check over an event log, in a fixed order."""
+def validate_sequences(
+    events, sbi_port: int = Params.sbi_port, ue_pool: str = Params.ue_pool
+) -> list[CheckResult]:
+    """Run every sequence check over an event log, in a fixed order; the port
+    and pool default to Params'."""
     events = list(events)
     return [
         check_sbi_registration(events, sbi_port),

@@ -6,9 +6,12 @@ from pathlib import Path
 
 import pytest
 
+from fivegsim import cli
 from fivegsim.cli import main
 from fivegsim.config import default_topology
 from fivegsim.nwdaf import import_events, kpi_packet_counts
+from fivegsim.simnet import DROPPED
+from fivegsim.wirefmt import Protocol
 
 ARTIFACTS = ("events.log", "kpi_counts.csv", "kpi_throughput.csv", "summary.txt")
 
@@ -72,6 +75,21 @@ def test_validate_fails_on_gutted_log(run_dir, tmp_path, capsys):
     out = capsys.readouterr().out
     assert rc == 1
     assert "FAIL user_plane_routing: no tunnel traffic in the log" in out
+
+
+def test_validate_reads_ports_and_pool_from_the_topology(tmp_path, capsys):
+    topo = tmp_path / "sbi8888.cfg"
+    topo.write_text(
+        Path(default_topology().source).read_text().replace("sbi_port=7777", "sbi_port=8888")
+    )
+    assert main(["run", "--topology", str(topo), "--duration-ms", "3000", "--out", str(tmp_path)]) == 0
+    log = str(tmp_path / "events.log")
+    capsys.readouterr()
+    assert main(["validate", "--events", log, "--topology", str(topo)]) == 0
+    assert all(line.startswith("PASS ") for line in capsys.readouterr().out.splitlines())
+    assert main(["validate", "--events", log]) == 1
+    failed = [line for line in capsys.readouterr().out.splitlines() if line.startswith("FAIL ")]
+    assert [line.split(":")[0] for line in failed] == ["FAIL sbi_registration"]
 
 
 def test_kpi_matches_direct_recomputation(run_dir, capsys):
@@ -141,14 +159,95 @@ def run_cli_on_default_topology(tmp_path, edit):
     )
 
 
-def test_unrunnable_topology_fails_with_one_error_line(tmp_path):
-    # config accepts the topology; the AMF's first AUTH_REQ finds no link
-    proc = run_cli_on_default_topology(
-        tmp_path, lambda text: text.replace("AMF,AUSF,1,0.0,false\n", "")
+def _drop_link(a, b):
+    return lambda text: text.replace(f"{a},{b},", "#")
+
+
+def _drop_every(name):
+    """Drop each entity or link line that names `name` in its first two fields."""
+    return lambda text: "".join(
+        line for line in text.splitlines(True) if name not in line.split(",")[:2]
     )
-    assert proc.returncode == 1
-    assert proc.stderr == "error: no link between AMF and AUSF\n"
-    assert "Traceback" not in proc.stderr
+
+
+def _refused(reason, state):
+    def check(result):
+        ue = result.testbed.ues[0]
+        assert (ue.reject_reason, ue.state) == (reason, state)
+        assert "transfer UE document failed segments=0 bytes=0 ms=0 error=no active session" in (
+            result.summary
+        )
+    return check
+
+
+def _no_link_rows(protocol, pairs):
+    """Every drop is a `protocol` packet from a sender to a peer it has no
+    link to, the (sender, peer) pairs are `pairs`, and the transfer is ok."""
+    def check(result):
+        drops = [r for r in result.events if r.outcome == DROPPED]
+        assert all((r.protocol, r.attrs["reason"]) == (protocol, "no link") for r in drops)
+        assert {(r.src, r.attrs["peer"]) for r in drops} == pairs
+        assert all(t.ok for t in result.transfers["UE"])
+    return check
+
+
+def _unreliable_n2(result):
+    # the AMF answers the setup over an unreliable link with an error and
+    # keeps no NGAP association with that gNB
+    tb = result.testbed
+    [answer] = [r for r in result.events if r.attrs.get("msg_kind") == "NGAP_SETUP_RESP"]
+    assert (answer.src, answer.dst) == ("AMF", "gNB")
+    assert tb.gnbs[0].ng_ready is False and tb.amfs[0].gnbs == set()
+    _refused("no NGAP setup", "DEREGISTERED")(result)
+
+
+TOPOLOGY_EDITS = [
+    pytest.param(_drop_link("AMF", "AUSF"), [], "AMF AMF has no link to any AUSF", None,
+                 id="drop-AMF-AUSF-link"),
+    pytest.param(_drop_link("UPF2", "NRF"), [], "UPF UPF2 has no link to any NRF", None,
+                 id="drop-UPF2-NRF-link"),
+    pytest.param(_drop_every("NRF"), [], "topology has no registry function", None,
+                 id="drop-every-NRF-line"),
+    pytest.param(_drop_every("AMF"), [], "a radio node needs an AMF in the topology", None,
+                 id="drop-every-AMF-line"),
+    pytest.param(_drop_every("AUSF"), [], None, _refused("no AUSF discovered", "DEREGISTERED"),
+                 id="drop-every-AUSF-line"),
+    pytest.param(_drop_every("PCF"), [], None, _refused("no PCF discovered", "DEREGISTERED"),
+                 id="drop-every-PCF-line"),
+    pytest.param(_drop_every("SMF"), [], None, _refused("no SMF discovered", "REGISTERED"),
+                 id="drop-every-SMF-line"),
+    pytest.param(_drop_every("UDR"), [], None, _refused("no UDR", "DEREGISTERED"),
+                 id="drop-every-UDR-line"),
+    pytest.param(_drop_link("SMF", "UPF2"), [], None,
+                 _no_link_rows(Protocol.PFCP, {("SMF", "UPF2")}),
+                 id="drop-SMF-UPF2-link"),
+    pytest.param(lambda text: text.replace("gNB,AMF,1,0.0,true", "gNB,AMF,1,0.0,false"), [],
+                 None, _unreliable_n2, id="unreliable-gNB-AMF-link"),
+    pytest.param(_drop_link("UPF1", "UPF2"), ["--redundancy", "psa_anchor"], None,
+                 _no_link_rows(Protocol.GTPU, {("UPF1", "UPF2"), ("UPF2", "UPF1")}),
+                 id="psa-anchor-without-UPF1-UPF2-link"),
+]
+
+
+@pytest.mark.parametrize("edit, args, error, check", TOPOLOGY_EDITS)
+def test_topology_edit_ends_in_exit_2_or_a_clean_run(
+    edit, args, error, check, tmp_path, capsys, monkeypatch
+):
+    """Config refuses an unwired topology with one error line (exit 2); a
+    missing peer kind or link that config allows is met as refusals and
+    DROPPED rows in a run that ends with exit 0."""
+    topo = tmp_path / "edited.cfg"
+    topo.write_text(edit(Path(default_topology().source).read_text()))
+    results = []
+    run = cli.run_scenario
+    monkeypatch.setattr(cli, "run_scenario", lambda *a, **kw: results.append(run(*a, **kw)) or results[-1])
+    rc = main(["run", "--topology", str(topo), "--duration-ms", "3000", *args])
+    err = capsys.readouterr().err
+    if error is not None:
+        assert (rc, err, results) == (2, f"error: {error}\n", [])
+    else:
+        assert (rc, err) == (0, "")
+        check(results[0])
 
 
 def test_refused_ue_reports_its_transfer_as_failed(tmp_path):

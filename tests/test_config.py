@@ -8,6 +8,7 @@ from fivegsim.config import (
     default_topology,
     default_topology_path,
     parse_topology,
+    run_roster,
     with_link_loss,
     with_second_gnb,
 )
@@ -25,6 +26,8 @@ UE,UE,192.168.0.30
 
 [links]
 AMF,NRF,1,0.0,false
+UPF1,NRF,1,0.0,false
+UPF2,NRF,1,0.0,false
 gNB,AMF,1,0.0,true
 UE,gNB,2,0.0,false
 gNB,UPF1,2,0.0,false
@@ -68,7 +71,7 @@ def test_default_topology_params_and_extras():
 def test_parse_accepts_comments_and_blank_lines():
     topo = parse_topology(MINIMAL)
     assert len(topo.entities) == 6
-    assert len(topo.links) == 4
+    assert len(topo.links) == 6
     assert topo.entity("gNB").ip == "192.168.0.22"
     assert [e.name for e in topo.of_kind("UPF")] == ["UPF1", "UPF2"]
 
@@ -110,6 +113,7 @@ def test_parse_error_carries_line_number():
     [
         ("NRF,NRF,192.168.0.99", "duplicate entity name"),
         ("UDM,UDM,192.168.0.12", "duplicate entity address"),
+        ("UDM,UDM,192.168.0.21", "^duplicate entity address 192.168.0.21: UDM collides with UPF1$"),
         ("UDM,UDM,10.45.0.7", "collides with the UE pool"),
     ],
 )
@@ -154,6 +158,39 @@ def test_declared_server_needs_a_link_to_a_upf():
     assert topo.entity("SRV").kind == "SERVER"
     # a topology without a UPF has no uplink to route, so its SERVER may stand alone
     parse_topology("[entities]\nNRF,NRF,192.168.0.12\nSERVER,SRV,192.168.0.40\n")
+
+
+def test_an_injected_address_clash_names_both_holders():
+    with pytest.raises(ConfigError) as err:
+        parse_topology(MINIMAL + "[params]\napp_server_ip=192.168.0.12\n")
+    assert str(err.value) == "duplicate entity address 192.168.0.12: SERVER collides with NRF"
+
+
+@pytest.mark.parametrize(
+    "links, message",
+    [
+        ("UPF1,NRF,", "UPF UPF1 has no link to any NRF"),
+        ("gNB,UPF1,", "GNB gNB has no link to any UPF"),
+        ("UE,gNB,", "UE UE has no link to any GNB"),
+        ("gNB,AMF,", "GNB gNB has no link to any AMF"),
+    ],
+)
+def test_every_entity_links_to_each_peer_kind_it_sends_to(links, message):
+    with pytest.raises(ConfigError) as err:
+        parse_topology(MINIMAL.replace(links, "#"))
+    assert str(err.value) == message
+
+
+def test_injected_entities_are_wired_to_their_peers():
+    entities, links = run_roster(default_topology().entities, default_topology().links, Params())
+    assert [(e.kind, e.name, e.ip) for e in entities[-2:]] == [
+        ("SERVER", "SERVER", "192.168.0.40"), ("NWDAF", "NWDAF", "192.168.0.41"),
+    ]
+    added = [(l.a, l.b, l.reliable) for l in links[len(default_topology().links):]]
+    assert added == [
+        ("SERVER", "UPF1", True), ("SERVER", "UPF2", True),
+        ("NWDAF", "NRF", True), ("NWDAF", "PCF", True), ("NWDAF", "NSSF", True),
+    ]
 
 
 # -- params ------------------------------------------------------------------
@@ -214,7 +251,9 @@ def test_with_second_gnb_is_idempotent():
 
 
 def test_with_second_gnb_needs_two_upfs():
-    single_upf = parse_topology(MINIMAL.replace("UPF,UPF2,192.168.0.32\n", ""))
+    single_upf = parse_topology(
+        MINIMAL.replace("UPF,UPF2,192.168.0.32\n", "").replace("UPF2,NRF,1,0.0,false\n", "")
+    )
     with pytest.raises(ConfigError, match="two UPFs"):
         with_second_gnb(single_upf)
 

@@ -35,7 +35,6 @@ def micro_env() -> CoreEnv:
         nrf_name="NRF",
         server_name="SRV",
         server_ip="192.168.9.1",
-        nwdaf_name="NW",
     )
 
 
@@ -241,6 +240,27 @@ def test_session_fails_when_a_upf_refuses_its_rules():
     assert not tb.upfs[0].teid_rules and not tb.upfs[0].ueip_rules
     assert [r.src for r in kinds_in(tb.records, "NAS_SESSION_REJECT")] == ["AMF"]
     assert any(r.attrs.get("nas_kind") == "NAS_SESSION_REJECT" for r in tb.records)
+
+
+def test_a_refused_session_is_deleted_at_the_upfs_that_accepted_it():
+    tb = Testbed(default_topology(), seed=0)
+    tb.boot()
+    tb.run_until(T_ATTACH - 1)  # PFCP associations are up
+    upf1, upf2 = tb.upfs
+    upf2.associated_smfs.clear()
+    ue = tb.ues[0]
+    tb.net.schedule(T_ATTACH, lambda: ue.attach(Redundancy.PSA_ANCHOR))
+    tb.run_until(SETTLE)
+    assert (ue.state, ue.reject_reason) == ("REGISTERED", "no association")
+    assert not upf1.teid_rules and not upf1.ueip_rules and not upf1._ul_windows
+    assert [(r.src, r.dst) for r in kinds_in(tb.records, "PFCP_SESSION_DELETE_REQ")] == [("SMF", "UPF1")]
+    assert [r.src for r in kinds_in(tb.records, "PFCP_SESSION_DELETE_RESP")] == ["UPF1"]
+    # the refused session's address goes to the next one
+    upf2.associated_smfs.add("SMF")
+    ue.request_session(Redundancy.PSA_ANCHOR)
+    tb.run_until(SETTLE + 100)
+    assert ue.state == "SESSION_ACTIVE" and ue.session.ue_ip == "10.45.0.2"
+    assert {r.ue_id for r in upf1.teid_rules.values()} == {ue.imsi}
 
 
 def test_known_subscriber_registers_and_gets_session():

@@ -4,16 +4,18 @@ Every case starts from a booted default testbed at t=500, injects packets
 on existing links and runs on. Each fixed case ends the run with an
 exception unless the receiving node contains the bad input.
 """
+from dataclasses import replace
+
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from fivegsim.config import default_topology
-from fivegsim.messages import MsgKind, build
+from fivegsim.messages import MsgKind, Tag, build
 from fivegsim.runner import T_ATTACH, Testbed
 from fivegsim.simnet import DROPPED, ELIMINATED_DUPLICATE
 from fivegsim.urllc import Redundancy
-from fivegsim.wirefmt import Protocol, SimPacket, encode_packet
+from fivegsim.wirefmt import Protocol, SimPacket, decode_tlv, encode_packet, encode_tlv
 
 BOOTED = 500
 HORIZON = 700
@@ -202,7 +204,22 @@ def test_forwarding_to_a_node_the_fabric_lacks_is_dropped():
     tb.run_until(HORIZON)
     assert_contained(tb)
     drops = local_rows(tb, "UPF1")
-    assert drops and {(r.attrs["reason"], r.attrs["peer"]) for r in drops} == {("unknown peer", "gNX")}
+    assert drops and {(r.attrs["reason"], r.attrs["peer"]) for r in drops} == {("no link", "gNX")}
+
+
+def test_forged_name_of_an_unlinked_node_is_a_no_link_row():
+    # a discovery answer naming UPF1 as the UDR: the UDM has no link to UPF1
+    tb = booted()
+    ue = tb.ues[0]
+    answer = build(MsgKind.NF_DISCOVER_RESP, result="OK", nf_type="UDR", data=b"UPF1|UDR|192.168.0.21")
+    inject(tb, BOOTED + 1, tb.net.require_link("NRF", "UDM"), "NRF", Protocol.SBI, answer)
+    tb.net.schedule(BOOTED + 2, ue.attach)
+    tb.run_until(HORIZON)
+    assert_contained(tb)
+    [drop] = local_rows(tb, "UDM")
+    assert (drop.protocol, drop.attrs["reason"], drop.attrs["peer"]) == (Protocol.SBI, "no link", "UPF1")
+    assert drop.size == len(build(MsgKind.UDR_QUERY_REQ, ue_id=ue.imsi))
+    assert ue.state == "REGISTERING"
 
 
 @pytest.mark.parametrize("receiver", ["NRF", "gNB"])
@@ -244,16 +261,24 @@ def test_forged_session_accept_is_dropped_and_the_real_one_still_lands(ue_ip, pa
 # -- random bytes and bit-flipped real messages ------------------------------------
 
 
-def _real_packets() -> list[SimPacket]:
-    """One packet of each kind that bring-up, a registration, a session and
-    a document fetch put on the wire."""
+def _real_packets() -> tuple[list[SimPacket], list[tuple[SimPacket, str, str]]]:
+    """The packets that bring-up, a registration, a session and a document
+    fetch put on the wire: one of each kind, and one of each kind per
+    (sender, receiver) with those names."""
     tb = Testbed(default_topology(), seed=0)
     seen: dict[tuple, SimPacket] = {}
+    sent: dict[tuple, tuple[SimPacket, str, str]] = {}
     send = tb.net.send
 
     def capture(link, pkt, stream=0, attrs=None):
         kind = tuple((attrs or {}).get(key, "") for key in ("msg_kind", "nas_kind", "inner"))
         seen.setdefault((pkt.protocol, *kind), pkt)
+        # forwarded packets keep a UE's source address; the receiver's end
+        # is then the one the destination address names, or the other one
+        a, b = link.a, link.b
+        sender = a if a.ip == pkt.src_ip or (b.ip != pkt.src_ip and b.ip == pkt.dst_ip) else b
+        receiver = link.peer_of(sender.name)
+        sent.setdefault((pkt.protocol, *kind, sender.name, receiver.name), (pkt, sender.name, receiver.name))
         return send(link, pkt, stream=stream, attrs=attrs)
 
     tb.net.send = capture
@@ -262,10 +287,10 @@ def _real_packets() -> list[SimPacket]:
     tb.net.schedule(T_ATTACH, ue.attach)
     tb.net.schedule(BOOTED + 1, lambda: ue.request_document("document"))
     tb.run_until(HORIZON)
-    return [seen[key] for key in sorted(seen)]
+    return [seen[key] for key in sorted(seen)], [sent[key] for key in sorted(sent)]
 
 
-REAL = _real_packets()
+REAL, REAL_SENT = _real_packets()
 
 
 def _flip(payload: bytes, bits: list[int]) -> bytes:
@@ -300,6 +325,58 @@ def test_hostile_peers_never_stop_the_run(injections):
         sender = link.a.name if forward else link.b.name
         inject(tb, at, link, sender, protocol, payload)
     # past the next heartbeat tick, so state a forged message left behind acts too
+    horizon = 2 * tb.params.heartbeat_ms
+    tb.run_until(horizon)
+    assert_contained(tb, horizon)
+
+
+# -- real messages with one field forged ---------------------------------------------
+
+# what a forged field may name: a node (linked to the receiver or not, or
+# none at all), a redundancy mode, an address or an N4 rule program
+_NAMES = sorted(Testbed(default_topology()).net.entities) + ["gNX"]
+_FORGED_VALUES = st.sampled_from(
+    _NAMES
+    + [mode.name for mode in Redundancy]
+    + ["192.168.0.21", "192.168.0.40", "10.45.0.2", "10.45.0.3"]
+    + [
+        "TEID|1|0|route:SERVER",
+        "TEID|1|1|encap:UE:5:1",
+        "TEID|2|0|encap:AMF:7:0;UEIP|10.45.0.2|1|encap:gNB:2:1,encap:NRF:9:1",
+        "UEIP|10.45.0.2|0|route:UDM",
+    ]
+)
+
+
+def _forge(payload: bytes, which: int, value: str) -> bytes:
+    """`payload` with its field number `which` (modulo its field count) set to `value`."""
+    msg = decode_tlv(payload)
+    elements = list(msg.elements) or [(int(Tag.NF_ID), b"")]
+    tag, _ = elements[which % len(elements)]
+    elements[which % len(elements)] = (tag, value.encode())
+    return encode_tlv(replace(msg, elements=tuple(elements)))
+
+
+_FIELD_FORGERY = st.tuples(
+    st.integers(BOOTED + 1, BOOTED + 150),  # time
+    st.sampled_from([sent for sent in REAL_SENT if sent[0].protocol is not Protocol.GTPU]),
+    st.integers(0, 10**6),                  # field, modulo the message's field count
+    _FORGED_VALUES,
+)
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(st.integers(0, 100), st.lists(_FIELD_FORGERY, min_size=1, max_size=6))
+def test_real_messages_with_a_forged_field_never_stop_the_run(attach_after, forgeries):
+    """Each forgery goes from the real message's sender over the link it took,
+    before, during and after a UE's attach and document fetch."""
+    tb = booted()
+    ue = tb.ues[0]
+    tb.net.schedule(BOOTED + attach_after, ue.attach)
+    tb.net.schedule(BOOTED + 200, lambda: ue.request_document("document"))
+    for at, (pkt, sender, receiver), which, value in forgeries:
+        payload = _forge(pkt.payload, which, value)
+        inject(tb, at, tb.net.require_link(sender, receiver), sender, pkt.protocol, payload)
     horizon = 2 * tb.params.heartbeat_ms
     tb.run_until(horizon)
     assert_contained(tb, horizon)

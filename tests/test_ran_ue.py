@@ -31,17 +31,7 @@ def attached_testbed(mode=Redundancy.NONE, seed=0, topo=None):
 
 # -- NGAP ---------------------------------------------------------------------
 
-def test_ng_setup_requires_reliable_transport():
-    text = default_topology().source
-    raw = open(text).read().replace("gNB,AMF,1,0.0,true", "gNB,AMF,1,0.0,false")
-    tb = Testbed(parse_topology(raw), seed=0)
-    tb.boot()
-    with pytest.raises(SetupError, match="reliable transport"):
-        tb.run_until(SETTLE)  # ng_setup fires at t=35
-
-
 def test_amf_refuses_setup_from_unreliable_link():
-    # bypass the client-side guard and let the AMF answer with an error
     raw = open(default_topology().source).read().replace(
         "gNB,AMF,1,0.0,true", "gNB,AMF,1,0.0,false"
     )
@@ -165,8 +155,10 @@ def test_unlinked_gnb_is_rejected_for_sending():
     ue.attach_gnbs(())
     with pytest.raises(SetupError, match="not attached"):
         ue.primary_gnb
-    with pytest.raises(SetupError, match="no radio link"):
-        ue._rls_send("UPF1", MsgKind.NAS_REGISTER_REQ, ue_id=ue.imsi)
+    ue._rls_send("UPF1", MsgKind.NAS_REGISTER_REQ, ue_id=ue.imsi)
+    [row] = tb.records
+    assert (row.link_id, row.outcome, row.src) == (f"local:{ue.name}", DROPPED, ue.name)
+    assert (row.attrs["reason"], row.attrs["peer"]) == ("no link", "UPF1")
 
 
 def test_dual_connectivity_needs_second_gnb_on_this_topology():
