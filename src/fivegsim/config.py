@@ -200,7 +200,9 @@ def _validate(
     for e in roster:
         linked = {kind_of[n] for n in neighbours[e.name]}
         for peer in PEER_KINDS.get(e.kind, ()):
-            if peer in kinds and peer not in linked:
+            # a UE reaches everything through its gNB, so it needs one even
+            # where the topology has none
+            if (peer in kinds or e.kind == "UE") and peer not in linked:
                 raise ConfigError(f"{e.kind} {e.name} has no link to any {peer}")
     if len(set(subscribers)) != len(subscribers):
         raise ConfigError("duplicate subscriber id")

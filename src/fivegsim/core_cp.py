@@ -221,7 +221,8 @@ class NfEntity(Entity):
         or session path): the packet is a DROPPED row "no link", not an error."""
         link = self.net.link_between(self.name, peer)
         if link is None:
-            self.drop(len(payload), self.name, "no link", protocol, peer=peer)
+            kind = {"msg_kind": attrs["msg_kind"]} if attrs and "msg_kind" in attrs else {}
+            self.drop(len(payload), self.name, "no link", protocol, peer=peer, **kind)
             return False
         pkt = SimPacket(
             protocol=protocol,
@@ -231,7 +232,7 @@ class NfEntity(Entity):
             dst_port=dport,
             payload=payload,
         )
-        return self.net.send(link, pkt, stream=stream, attrs=attrs)
+        return self.net.send(link, self.name, pkt, stream=stream, attrs=attrs)
 
     def send_gtpu(
         self, peer: str, teid: int, inner_raw: bytes, seq: int | None, inner_kind: str, **attrs

@@ -103,6 +103,7 @@ PROTOCOL = {
     kind: Protocol.__members__.get(kind.name.partition("_")[0], Protocol.SBI) for kind in MsgKind
 }
 
+_KIND_BY_CODE = {int(k): k for k in MsgKind}
 _TAG_BY_NAME = {t.name.lower(): t for t in Tag}
 
 # one spelling per integer: no sign, space, '_', non-ASCII digit or leading zero
@@ -177,10 +178,9 @@ class ParsedMsg:
 
 def parse(payload: bytes) -> ParsedMsg:
     msg = decode_tlv(payload)
-    try:
-        kind = MsgKind(msg.msg_kind)
-    except ValueError as exc:
-        raise WireFormatError(f"unknown message kind {msg.msg_kind}") from exc
+    kind = _KIND_BY_CODE.get(msg.msg_kind)
+    if kind is None:
+        raise WireFormatError(f"unknown message kind {msg.msg_kind}")
     fields: dict[int, bytes] = {}
     for tag, value in msg.elements:
         fields.setdefault(tag, value)

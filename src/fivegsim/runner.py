@@ -174,12 +174,11 @@ class Testbed:
 
     def spawn_ues(self, total: int) -> list[Ue]:
         """Grow the UE population to `total`, cloning the first UE's radio
-        attachment and provisioning matching subscriptions."""
+        attachment and, where the topology has a UDR, provisioning matching
+        subscriptions; without one the UDM refuses each UE `no UDR`."""
         ues = self.ues
         if not ues:
             raise SetupError("cannot spawn UEs without a declared template UE")
-        if not self.udrs:
-            raise SetupError("cannot provision spawned UEs without a UDR")
         template = ues[0]
         for k in range(len(ues) + 1, total + 1):
             name = f"UE{k:03d}"
@@ -191,7 +190,8 @@ class Testbed:
                 radio = self.net.require_link(template.name, gnb)
                 self.net.add_link(name, gnb, radio.latency_ms, radio.loss_prob, radio.reliable)
             ue.attach_gnbs(template.gnbs)
-            self.udrs[0].subscribers.add(imsi)
+            if self.udrs:
+                self.udrs[0].subscribers.add(imsi)
             self.by_kind["UE"].append(ue)
         return self.ues
 

@@ -7,6 +7,10 @@ analytics function, the invariants and the exporter all read. Everything is
 single-threaded: one event queue, ties broken FIFO, so a (topology, scenario,
 seed) triple fully determines every delivery.
 
+A send names its sender; the receiver is the link's other end. Only the
+attrs a caller passes are scrubbed of the log's separators: the envelope's
+addresses are dotted quads and its ports are numbers.
+
 Loss is drawn from counter-based substreams keyed by (seed, link id, stream,
 draw index). Streams separate tunnels sharing a physical link, so adding a
 link or a tunnel never perturbs the draws of another.
@@ -30,7 +34,7 @@ ELIMINATED_DUPLICATE = "ELIMINATED_DUPLICATE"
 
 OUTCOMES = (DELIVERED, DROPPED, ELIMINATED_DUPLICATE)
 
-# Attr values can carry text from parsed peer messages; the log format
+# Caller attr values can carry text from parsed peer messages; the log format
 # reserves tabs and newlines as separators and ',' between attrs.
 _SCRUB = str.maketrans({"\t": " ", "\n": " ", "\r": " ", ",": ";"})
 
@@ -231,49 +235,24 @@ class Network:
         self, link_id: str, src: str, dst: str, protocol: Protocol, size: int, outcome: str,
         attrs: dict[str, str],
     ) -> None:
+        """Append one row; `attrs` is the row's own dict, already scrubbed."""
         events = self.events
         events.append(
-            TapRecord(
-                event_id=len(events) + 1,
-                ts=self.now,
-                link_id=link_id,
-                src=src,
-                dst=dst,
-                protocol=protocol,
-                size=size,
-                outcome=outcome,
-                attrs={key: value.translate(_SCRUB) for key, value in attrs.items()},
-            )
+            TapRecord(len(events) + 1, self.clock.now, link_id, src, dst, protocol, size, outcome, attrs)
         )
 
     # traffic ------------------------------------------------------------
 
-    def _resolve_direction(self, link: Link, pkt: SimPacket) -> tuple[EntityAddr, EntityAddr]:
-        """Return (sender, receiver) endpoints for this packet on this link.
-
-        Tunneled user traffic keeps off-roster session addresses on one side,
-        so only one of src/dst has to coincide with an endpoint address.
-        """
-        if pkt.dst_ip == link.a.ip:
-            return link.b, link.a
-        if pkt.dst_ip == link.b.ip:
-            return link.a, link.b
-        if pkt.src_ip == link.a.ip:
-            return link.a, link.b
-        if pkt.src_ip == link.b.ip:
-            return link.b, link.a
-        raise SimNetError(
-            f"packet {pkt.src_ip}->{pkt.dst_ip} matches neither endpoint of link {link.link_id}"
-        )
-
     def send(
         self,
         link: Link | str,
+        sender: str,
         pkt: SimPacket,
         stream: int = 0,
         attrs: dict[str, str] | None = None,
     ) -> bool:
-        """Offer one packet to a link. Returns True when delivery is scheduled.
+        """Offer one packet from `sender` to the other end of a link. Returns
+        True when delivery is scheduled.
 
         Every send is logged exactly once, with outcome DELIVERED or DROPPED.
         """
@@ -282,7 +261,7 @@ class Network:
                 link = self.links[link]
             except KeyError:
                 raise SimNetError(f"unknown link {link}") from None
-        sender, receiver = self._resolve_direction(link, pkt)
+        receiver = link.peer_of(sender).name
 
         delivered = True
         if not link.reliable and link.loss_prob > 0.0:
@@ -298,17 +277,17 @@ class Network:
             "dst_port": str(pkt.dst_port),
         }
         if attrs:
-            record_attrs.update(attrs)
+            for key, value in attrs.items():
+                record_attrs[key] = value.translate(_SCRUB)
         self._log(
-            link.link_id, sender.name, receiver.name, pkt.protocol, pkt.wire_size,
+            link.link_id, sender, receiver, pkt.protocol, pkt.wire_size,
             DELIVERED if delivered else DROPPED, record_attrs,
         )
         self.link_stats[link.link_id][0 if delivered else 1] += 1
         if delivered:
-            target = self.entities[receiver.name]
-            bound_link = link
+            target = self.entities[receiver]
             at = self.now + link.latency_ms
-            self.clock.schedule(at, lambda: target.handle_packet(pkt, bound_link, at))
+            self.clock.schedule(at, lambda: target.handle_packet(pkt, link, at))
         return delivered
 
     def tap_local(
@@ -326,7 +305,8 @@ class Network:
         exact.
         """
         size = pkt_or_size.wire_size if isinstance(pkt_or_size, SimPacket) else pkt_or_size
-        self._log(f"local:{entity}", src, entity, protocol, size, outcome, attrs or {})
+        scrubbed = {key: value.translate(_SCRUB) for key, value in attrs.items()} if attrs else {}
+        self._log(f"local:{entity}", src, entity, protocol, size, outcome, scrubbed)
 
     # time ---------------------------------------------------------------
 

@@ -12,6 +12,7 @@ WireFormatError, never anything else.
 """
 from __future__ import annotations
 
+import functools
 import ipaddress
 import struct
 from dataclasses import dataclass
@@ -43,10 +44,20 @@ class Protocol(IntEnum):
     APP = 7
 
 
+_PROTOCOL_BY_CODE = {int(p): p for p in Protocol}
+
+_ENVELOPE = struct.Struct(">BB4s4sHHI")
+_TLV_KIND = struct.Struct(">H")
+_TLV_HEAD = struct.Struct(">HH")
+
+
 class WireFormatError(ValueError):
     """Input bytes or field values violate a wire format contract."""
 
 
+# A run encodes the same few entity and session addresses over and over; the
+# bound covers those plus a few thousand UE sessions. A raise is not cached.
+@functools.lru_cache(maxsize=4096)
 def _pack_ip(ip: str) -> bytes:
     try:
         return ipaddress.IPv4Address(ip).packed
@@ -98,8 +109,7 @@ def encode_packet(p: SimPacket) -> bytes:
             "large transfers must be segmented above this layer"
         )
     return (
-        struct.pack(
-            ">BB4s4sHHI",
+        _ENVELOPE.pack(
             p.version,
             int(proto),
             _pack_ip(p.src_ip),
@@ -119,15 +129,12 @@ def decode_packet(b: bytes) -> SimPacket:
     b = bytes(b)
     if len(b) < ENVELOPE_HEADER_LEN:
         raise WireFormatError(f"truncated envelope: {len(b)} < {ENVELOPE_HEADER_LEN} bytes")
-    version, proto, src, dst, sport, dport, plen = struct.unpack(
-        ">BB4s4sHHI", b[:ENVELOPE_HEADER_LEN]
-    )
+    version, proto, src, dst, sport, dport, plen = _ENVELOPE.unpack_from(b)
     if version != ENVELOPE_VERSION:
         raise WireFormatError(f"unsupported envelope version {version}")
-    try:
-        protocol = Protocol(proto)
-    except ValueError as exc:
-        raise WireFormatError(f"unknown protocol code {proto}") from exc
+    protocol = _PROTOCOL_BY_CODE.get(proto)
+    if protocol is None:
+        raise WireFormatError(f"unknown protocol code {proto}")
     if plen > MAX_PAYLOAD:
         raise WireFormatError(f"declared payload length {plen} exceeds cap {MAX_PAYLOAD}")
     if plen != len(b) - ENVELOPE_HEADER_LEN:
@@ -136,8 +143,8 @@ def decode_packet(b: bytes) -> SimPacket:
         )
     return SimPacket(
         protocol=protocol,
-        src_ip=str(ipaddress.IPv4Address(src)),
-        dst_ip=str(ipaddress.IPv4Address(dst)),
+        src_ip=f"{src[0]}.{src[1]}.{src[2]}.{src[3]}",
+        dst_ip=f"{dst[0]}.{dst[1]}.{dst[2]}.{dst[3]}",
         src_port=sport,
         dst_port=dport,
         payload=b[ENVELOPE_HEADER_LEN:],
@@ -238,13 +245,13 @@ class TlvMessage:
 def encode_tlv(m: TlvMessage) -> bytes:
     if not 0 <= m.msg_kind <= 0xFFFF:
         raise WireFormatError(f"msg_kind out of range: {m.msg_kind}")
-    out = [struct.pack(">H", m.msg_kind)]
+    out = [_TLV_KIND.pack(m.msg_kind)]
     for tag, value in m.elements:
         if not 0 <= tag <= 0xFFFF:
             raise WireFormatError(f"TLV tag out of range: {tag}")
         if len(value) > 0xFFFF:
             raise WireFormatError(f"TLV value of {len(value)} bytes overflows the length field")
-        out.append(struct.pack(">HH", tag, len(value)))
+        out.append(_TLV_HEAD.pack(tag, len(value)))
         out.append(bytes(value))
     return b"".join(out)
 
@@ -253,13 +260,13 @@ def decode_tlv(b: bytes) -> TlvMessage:
     b = bytes(b)
     if len(b) < 2:
         raise WireFormatError("truncated TLV message: missing msg_kind")
-    (msg_kind,) = struct.unpack(">H", b[:2])
+    (msg_kind,) = _TLV_KIND.unpack_from(b)
     elements: list[tuple[int, bytes]] = []
     off = 2
     while off < len(b):
         if off + 4 > len(b):
             raise WireFormatError(f"truncated TLV element header at offset {off}")
-        tag, length = struct.unpack(">HH", b[off : off + 4])
+        tag, length = _TLV_HEAD.unpack_from(b, off)
         off += 4
         if off + length > len(b):
             raise WireFormatError(f"TLV value for tag {tag} runs past the buffer")

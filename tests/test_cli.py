@@ -170,23 +170,27 @@ def _drop_every(name):
     )
 
 
-def _refused(reason, state):
+def _refused(reason, state, ues=1):
+    """Each of the run's `ues` UEs is refused and reports a failed transfer."""
     def check(result):
-        ue = result.testbed.ues[0]
-        assert (ue.reject_reason, ue.state) == (reason, state)
-        assert "transfer UE document failed segments=0 bytes=0 ms=0 error=no active session" in (
-            result.summary
-        )
+        assert len(result.testbed.ues) == ues
+        for ue in result.testbed.ues:
+            assert (ue.reject_reason, ue.state) == (reason, state)
+            assert (
+                f"transfer {ue.name} document failed segments=0 bytes=0 ms=0 error=no active session"
+                in result.summary
+            )
     return check
 
 
-def _no_link_rows(protocol, pairs):
+def _no_link_rows(protocol, rows):
     """Every drop is a `protocol` packet from a sender to a peer it has no
-    link to, the (sender, peer) pairs are `pairs`, and the transfer is ok."""
+    link to, the (sender, peer, msg_kind or None) triples are `rows`, and the
+    transfer is ok."""
     def check(result):
         drops = [r for r in result.events if r.outcome == DROPPED]
         assert all((r.protocol, r.attrs["reason"]) == (protocol, "no link") for r in drops)
-        assert {(r.src, r.attrs["peer"]) for r in drops} == pairs
+        assert {(r.src, r.attrs["peer"], r.attrs.get("msg_kind")) for r in drops} == rows
         assert all(t.ok for t in result.transfers["UE"])
     return check
 
@@ -219,13 +223,17 @@ TOPOLOGY_EDITS = [
     pytest.param(_drop_every("UDR"), [], None, _refused("no UDR", "DEREGISTERED"),
                  id="drop-every-UDR-line"),
     pytest.param(_drop_link("SMF", "UPF2"), [], None,
-                 _no_link_rows(Protocol.PFCP, {("SMF", "UPF2")}),
+                 _no_link_rows(Protocol.PFCP, {("SMF", "UPF2", "PFCP_ASSOC_REQ")}),
                  id="drop-SMF-UPF2-link"),
     pytest.param(lambda text: text.replace("gNB,AMF,1,0.0,true", "gNB,AMF,1,0.0,false"), [],
                  None, _unreliable_n2, id="unreliable-gNB-AMF-link"),
     pytest.param(_drop_link("UPF1", "UPF2"), ["--redundancy", "psa_anchor"], None,
-                 _no_link_rows(Protocol.GTPU, {("UPF1", "UPF2"), ("UPF2", "UPF1")}),
+                 _no_link_rows(Protocol.GTPU, {("UPF1", "UPF2", None), ("UPF2", "UPF1", None)}),
                  id="psa-anchor-without-UPF1-UPF2-link"),
+    pytest.param(_drop_every("gNB"), [], "UE UE has no link to any GNB", None,
+                 id="drop-every-gNB-line"),
+    pytest.param(_drop_every("UDR"), ["--scenario", "many_requests", "--ues", "5"], None,
+                 _refused("no UDR", "DEREGISTERED", ues=5), id="many-requests-without-UDR"),
 ]
 
 

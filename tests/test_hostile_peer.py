@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from fivegsim.config import default_topology
 from fivegsim.messages import MsgKind, Tag, build
+from fivegsim.nwdaf import export_events_text, import_events_text
 from fivegsim.runner import T_ATTACH, Testbed
 from fivegsim.simnet import DROPPED, ELIMINATED_DUPLICATE
 from fivegsim.urllc import Redundancy
@@ -36,7 +37,13 @@ def inject(tb, at, link, sender, protocol, payload):
     receiver = link.peer_of(sender)
     port = tb.params.port(protocol)
     pkt = SimPacket(protocol, tb.net.entity(sender).ip, receiver.ip, port, port, payload)
-    tb.net.schedule(at, lambda: tb.net.send(link, pkt))
+    tb.net.schedule(at, lambda: tb.net.send(link, sender, pkt))
+
+
+def assert_log_round_trips(tb):
+    """No reserved character reached a row: the exported log reads back as itself."""
+    text = export_events_text(tb.records)
+    assert export_events_text(import_events_text(text)) == text
 
 
 def local_rows(tb, entity):
@@ -270,16 +277,12 @@ def _real_packets() -> tuple[list[SimPacket], list[tuple[SimPacket, str, str]]]:
     sent: dict[tuple, tuple[SimPacket, str, str]] = {}
     send = tb.net.send
 
-    def capture(link, pkt, stream=0, attrs=None):
+    def capture(link, sender, pkt, stream=0, attrs=None):
         kind = tuple((attrs or {}).get(key, "") for key in ("msg_kind", "nas_kind", "inner"))
         seen.setdefault((pkt.protocol, *kind), pkt)
-        # forwarded packets keep a UE's source address; the receiver's end
-        # is then the one the destination address names, or the other one
-        a, b = link.a, link.b
-        sender = a if a.ip == pkt.src_ip or (b.ip != pkt.src_ip and b.ip == pkt.dst_ip) else b
-        receiver = link.peer_of(sender.name)
-        sent.setdefault((pkt.protocol, *kind, sender.name, receiver.name), (pkt, sender.name, receiver.name))
-        return send(link, pkt, stream=stream, attrs=attrs)
+        receiver = link.peer_of(sender).name
+        sent.setdefault((pkt.protocol, *kind, sender, receiver), (pkt, sender, receiver))
+        return send(link, sender, pkt, stream=stream, attrs=attrs)
 
     tb.net.send = capture
     tb.boot()
@@ -328,6 +331,7 @@ def test_hostile_peers_never_stop_the_run(injections):
     horizon = 2 * tb.params.heartbeat_ms
     tb.run_until(horizon)
     assert_contained(tb, horizon)
+    assert_log_round_trips(tb)
 
 
 # -- real messages with one field forged ---------------------------------------------
@@ -380,3 +384,4 @@ def test_real_messages_with_a_forged_field_never_stop_the_run(attach_after, forg
     horizon = 2 * tb.params.heartbeat_ms
     tb.run_until(horizon)
     assert_contained(tb, horizon)
+    assert_log_round_trips(tb)

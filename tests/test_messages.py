@@ -34,6 +34,12 @@ def test_accessors_raise_wire_format_errors_on_bad_fields():
     assert m.num(Tag.SIZE, 7) == 7
 
 
+@pytest.mark.parametrize("code", [0, 12, 0xFFFF])
+def test_unknown_message_kind_keeps_its_error_text(code):
+    with pytest.raises(WireFormatError, match=f"^unknown message kind {code}$"):
+        parse(encode_tlv(TlvMessage(code, ())))
+
+
 _KINDS = st.one_of(st.sampled_from([int(k) for k in MsgKind]), st.integers(0, 0xFFFF))
 _TAGS = st.one_of(st.sampled_from([int(t) for t in Tag]), st.integers(0, 0xFFFF))
 _VALUES = st.one_of(

@@ -77,7 +77,7 @@ def test_ingest_tap_sanitizes_reserved_characters():
     net, link = gnb_upf_net()
     net.tap_local("UPF1", 20, Protocol.GTPU, DROPPED, src="gNB",
                   attrs={"reason": "bad teid,\ttry\ragain\n"})
-    net.send(link, SimPacket(Protocol.GTPU, "10.0.0.1", "10.0.0.2", 2152, 2152),
+    net.send(link, "gNB", SimPacket(Protocol.GTPU, "10.0.0.1", "10.0.0.2", 2152, 2152),
              attrs={"ue_id": "imsi,1\t"})
     assert net.events[0].attrs == {"reason": "bad teid; try again "}
     assert net.events[1].attrs["ue_id"] == "imsi;1 "
@@ -91,7 +91,7 @@ def test_ingest_tap_copies_attrs():
     local = {"k": "v"}
     sent = {"k": "v"}
     net.tap_local("UPF1", 1, Protocol.APP, DELIVERED, src="gNB", attrs=local)
-    net.send(link, SimPacket(Protocol.GTPU, "10.0.0.1", "10.0.0.2", 2152, 2152),
+    net.send(link, "gNB", SimPacket(Protocol.GTPU, "10.0.0.1", "10.0.0.2", 2152, 2152),
              attrs=sent)
     local["k"] = sent["k"] = "changed"  # the log holds its own copies
     assert [e.attrs["k"] for e in net.events] == ["v", "v"]

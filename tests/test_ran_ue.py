@@ -159,6 +159,7 @@ def test_unlinked_gnb_is_rejected_for_sending():
     [row] = tb.records
     assert (row.link_id, row.outcome, row.src) == (f"local:{ue.name}", DROPPED, ue.name)
     assert (row.attrs["reason"], row.attrs["peer"]) == ("no link", "UPF1")
+    assert row.attrs["msg_kind"] == "NAS_REGISTER_REQ"
 
 
 def test_dual_connectivity_needs_second_gnb_on_this_topology():

@@ -119,14 +119,14 @@ def test_unknown_entity_or_link_raises():
     with pytest.raises(SimNetError, match="no link"):
         net.require_link("A", "ghost")
     with pytest.raises(SimNetError, match="unknown link"):
-        net.send("ghost--A", pkt_ab())
+        net.send("ghost--A", "A", pkt_ab())
 
 
 # -- delivery ---------------------------------------------------------------------
 
 def test_delivery_honors_latency():
     net, a, b, link = make_pair(latency=3)
-    net.send(link, pkt_ab(b"hi"))
+    net.send(link, "A", pkt_ab(b"hi"))
     net.run_until(2)
     assert b.inbox == []
     net.run_until(3)
@@ -134,33 +134,38 @@ def test_delivery_honors_latency():
     assert b.inbox[0][0] == 3
 
 
-def test_direction_resolved_by_destination():
+def test_named_sender_and_its_peer_are_logged():
     net, a, b, link = make_pair()
     # reply travels B -> A over the same link object
-    net.send(link, SimPacket(Protocol.APP, "10.0.0.2", "10.0.0.1", 80, 80))
+    net.send(link, "B", SimPacket(Protocol.APP, "10.0.0.2", "10.0.0.1", 80, 80))
     net.run_until(10)
     assert len(a.inbox) == 1 and b.inbox == []
+    [row] = net.events
+    assert (row.src, row.dst) == ("B", "A")
 
 
-def test_direction_falls_back_to_source_for_session_addresses():
-    # downlink to an off-roster session address: src identifies the sender
+def test_downlink_to_a_session_address_reaches_the_other_end():
+    # neither address of the packet needs to be an endpoint's
     net, a, b, link = make_pair()
-    net.send(link, SimPacket(Protocol.APP, "10.0.0.1", "172.99.0.5", 80, 80))
+    net.send(link, "A", SimPacket(Protocol.APP, "172.99.0.4", "172.99.0.5", 80, 80))
     net.run_until(10)
-    assert len(b.inbox) == 1
+    assert len(b.inbox) == 1 and a.inbox == []
+    assert (net.events[0].src, net.events[0].dst) == ("A", "B")
 
 
-def test_unresolvable_direction_raises():
+def test_sender_off_the_link_raises():
     net, _, _, link = make_pair()
-    with pytest.raises(SimNetError, match="neither endpoint"):
-        net.send(link, SimPacket(Protocol.APP, "172.99.0.5", "172.99.0.6", 1, 1))
+    net.add_entity(Sink("C", "10.0.0.3", net))
+    with pytest.raises(SimNetError, match="C is not an endpoint"):
+        net.send(link, "C", pkt_ab())
+    assert net.events == [] and net.link_stats[link.link_id] == [0, 0]
 
 
 def test_every_send_is_tapped_once():
     net, a, b, link = make_pair()
     records = net.events
     for _ in range(4):
-        net.send(link, pkt_ab())
+        net.send(link, "A", pkt_ab())
     assert len(records) == 4
     assert all(r.outcome == DELIVERED for r in records)
     assert all(r.src == "A" and r.dst == "B" for r in records)
@@ -169,9 +174,9 @@ def test_every_send_is_tapped_once():
 
 def test_log_numbers_events_from_one():
     net, a, b, link = make_pair()
-    net.send(link, pkt_ab())
+    net.send(link, "A", pkt_ab())
     net.tap_local("B", 1, Protocol.APP, DROPPED, src="A")
-    net.send(link, pkt_ab())
+    net.send(link, "A", pkt_ab())
     assert [r.event_id for r in net.events] == [1, 2, 3]
     assert [r.is_wire for r in net.events] == [True, False, True]
 
@@ -189,21 +194,21 @@ def test_tap_local_uses_synthetic_link():
 
 def test_reliable_link_never_drops():
     net, a, b, link = make_pair(loss=0.9, reliable=True)
-    results = [net.send(link, pkt_ab()) for _ in range(500)]
+    results = [net.send(link, "A", pkt_ab()) for _ in range(500)]
     assert all(results)
 
 
 def test_loss_rate_within_three_sigma():
     # p=0.1 over 10,000 draws: expect 9,000 +- 90 deliveries
     net, a, b, link = make_pair(loss=0.1)
-    delivered = sum(net.send(link, pkt_ab()) for _ in range(10_000))
+    delivered = sum(net.send(link, "A", pkt_ab()) for _ in range(10_000))
     assert abs(delivered - 9_000) <= 90
 
 
 def test_loss_is_seed_deterministic():
     def pattern(seed):
         net, a, b, link = make_pair(seed=seed, loss=0.3)
-        return [net.send(link, pkt_ab()) for _ in range(200)]
+        return [net.send(link, "A", pkt_ab()) for _ in range(200)]
 
     assert pattern(5) == pattern(5)
     assert pattern(5) != pattern(6)
@@ -216,8 +221,8 @@ def test_loss_streams_are_independent():
         out = []
         for i in range(100):
             if with_stream1_noise:
-                net.send(link, pkt_ab(), stream=1)
-            out.append(net.send(link, pkt_ab(), stream=2))
+                net.send(link, "A", pkt_ab(), stream=1)
+            out.append(net.send(link, "A", pkt_ab(), stream=2))
         return out
 
     assert stream2_pattern(False) == stream2_pattern(True)
@@ -228,7 +233,7 @@ def test_dropped_packets_never_arrive():
     records = net.events
     sent = 100
     for _ in range(sent):
-        net.send(link, pkt_ab())
+        net.send(link, "A", pkt_ab())
     net.run_until(100)
     delivered = sum(1 for r in records if r.outcome == DELIVERED)
     dropped = sum(1 for r in records if r.outcome == DROPPED)
@@ -243,7 +248,7 @@ def test_conservation_report_matches_link_stats():
     net, a, b, link = make_pair(seed=2, loss=0.2)
     records = net.events
     for _ in range(300):
-        net.send(link, pkt_ab())
+        net.send(link, "A", pkt_ab())
     net.run_until(10)
     report = conservation_report(net, records)
     sends, delivered, dropped = report[link.link_id]
@@ -254,7 +259,7 @@ def test_conservation_report_matches_link_stats():
 def test_conservation_ignores_local_records():
     net, a, b, link = make_pair()
     records = net.events
-    net.send(link, pkt_ab())
+    net.send(link, "A", pkt_ab())
     net.tap_local("B", 1, Protocol.APP, DROPPED, src="A")
     report = conservation_report(net, records)
     assert report[link.link_id] == (1, 1, 0)

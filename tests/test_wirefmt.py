@@ -6,6 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fivegsim import wirefmt
+from fivegsim.runner import run_reliability_measurement
+from fivegsim.urllc import Redundancy
 from fivegsim.wirefmt import (
     ENVELOPE_HEADER_LEN,
     GTPU_HEADER_LEN,
@@ -92,6 +95,20 @@ def test_encode_rejects_bad_address():
         encode_packet(pkt)
 
 
+@pytest.mark.parametrize("bad", ["10.0.0.01", " 10.0.0.1", "10.0.0.1\n", "1.2.3"])
+def test_encode_rejects_what_ipaddress_rejects_also_once_cached(bad):
+    good = SimPacket(Protocol.SBI, "10.0.0.1", "10.0.0.2", 1, 1)
+    encode_packet(good)  # the valid spelling is now cached
+    with pytest.raises(ipaddress.AddressValueError):
+        ipaddress.IPv4Address(bad)
+    for _ in range(2):  # a raise is never cached
+        with pytest.raises(WireFormatError, match="bad IPv4 address"):
+            encode_packet(SimPacket(Protocol.SBI, bad, "10.0.0.2", 1, 1))
+        with pytest.raises(WireFormatError, match="bad IPv4 address"):
+            encode_packet(SimPacket(Protocol.SBI, "10.0.0.1", bad, 1, 1))
+    assert decode_packet(encode_packet(good)) == good
+
+
 def test_encode_rejects_bad_port():
     pkt = SimPacket(Protocol.SBI, "10.0.0.1", "10.0.0.2", 70000, 1)
     with pytest.raises(WireFormatError):
@@ -127,7 +144,7 @@ def test_decode_rejects_length_mismatch():
 def test_decode_rejects_unknown_protocol():
     raw = bytearray(GOLDEN["envelope_sbi_empty"])
     raw[1] = 0xEE
-    with pytest.raises(WireFormatError, match="protocol"):
+    with pytest.raises(WireFormatError, match="^unknown protocol code 238$"):
         decode_packet(bytes(raw))
 
 
@@ -253,6 +270,14 @@ def test_envelope_survives_tunneling(pkt, teid):
     assert decode_packet(inner) == pkt
 
 
+@settings(max_examples=300, deadline=None)
+@given(st.binary(min_size=4, max_size=4), st.binary(min_size=4, max_size=4))
+def test_decoded_addresses_read_as_ipaddress_prints_them(src, dst):
+    raw = bytes([1, int(Protocol.APP)]) + src + dst + bytes(8)
+    pkt = decode_packet(raw)
+    assert (pkt.src_ip, pkt.dst_ip) == (str(ipaddress.IPv4Address(src)), str(ipaddress.IPv4Address(dst)))
+
+
 def test_wire_size_counts_header():
     pkt = GOLDEN_OBJECTS["envelope_app_get"]
     assert pkt.wire_size == ENVELOPE_HEADER_LEN + 3
@@ -262,3 +287,24 @@ def test_wire_size_counts_header():
 def test_gtpu_header_len_property():
     assert GtpuHeader(teid=1, length=0).header_len == GTPU_HEADER_LEN
     assert GtpuHeader(teid=1, length=4, seq=0).header_len == GTPU_HEADER_LEN + 4
+
+
+def test_per_packet_path_parses_no_addresses(monkeypatch):
+    """Config, the session and the first encoding of each address parse
+    dotted quads; a packet more costs no ipaddress call."""
+    calls = [0]
+
+    class CountingAddress(ipaddress.IPv4Address):
+        def __init__(self, address):
+            calls[0] += 1
+            super().__init__(address)
+
+    monkeypatch.setattr(wirefmt.ipaddress, "IPv4Address", CountingAddress)
+    counts = []
+    for n in (100, 1000):
+        wirefmt._pack_ip.cache_clear()
+        calls[0] = 0
+        result = run_reliability_measurement(Redundancy.PSA_ANCHOR, 0.1, n, seed=7)
+        assert result.sent == n
+        counts.append(calls[0])
+    assert counts[0] == counts[1] > 0
