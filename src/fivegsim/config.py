@@ -11,7 +11,7 @@ including a link from each entity to each PEER_KINDS kind the topology has.
 from __future__ import annotations
 
 import ipaddress
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 from .errors import ConfigError
@@ -219,20 +219,8 @@ def _validate(
     )
 
 
-_PARAM_TYPES = {
-    "sbi_port": int,
-    "heartbeat_ms": int,
-    "segment_bytes": int,
-    "ue_pool": str,
-    "app_server_ip": str,
-    "nwdaf_ip": str,
-    "settle_ms": int,
-    "app_port": int,
-    "gtpu_port": int,
-    "pfcp_port": int,
-    "ngap_port": int,
-    "rls_port": int,
-}
+# [params] key -> the type its text converts to: the type of the field's default
+_PARAM_TYPES = {f.name: type(f.default) for f in fields(Params)}
 
 
 def parse_topology(text: str, source: str = "<memory>") -> TopologyConfig:

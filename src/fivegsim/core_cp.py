@@ -9,22 +9,25 @@ gNB's uplink NAS relay, UPF routing, the server's downlink fan-out) call
 `send_msg` with a protocol and ports of their own. A send to a peer without
 a link is a DROPPED row "no link" (config linked the peers each kind needs).
 
-NfEntity owns the one receive path too. `handle_packet` dispatches by
-protocol to the matching `on_<protocol>` handler and contains bad input: a
+NfEntity owns the one receive path too. The fabric hands `handle_packet`
+the packet and the name of the link's other end, its sender; no packet
+address names a peer. `handle_packet` dispatches by protocol to the
+matching `on_<protocol>(m, pkt, sender)` handler and contains bad input: a
 WireFormatError from decoding or from any handler (every parser of peer
-text raises it) becomes a local DROPPED row with the reason, and the run
-goes on. `on_gtpu` is the one tunnel endpoint: it decapsulates, drops an
-unknown TEID and eliminates duplicates, leaving the node only its TEID
-lookup and what to do with the inner bytes. `drop` and `first_copy` write
-every local row.
+text raises it) becomes a local DROPPED row naming the sender with the
+reason, and the run goes on. `on_gtpu` is the one tunnel endpoint: it
+decapsulates, drops an unknown TEID and eliminates duplicates, leaving the
+node only its TEID lookup and what to do with the inner bytes. `drop` and
+`first_copy` write every local row.
 
 Flows are the standard ones: NFs register with the NRF and heartbeat on a
-shared grid; the AMF discovers its peers, accepts NGAP setups from gNBs and
-runs UE registration through AUSF, UDM (backed by UDR) and PCF, refusing
-the UE when it discovered none of a kind it needs; the SMF associates with
-UPFs over PFCP and anchors PDU sessions, allocating UE addresses and tunnel
-endpoints. When one UPF refuses a session's rules, the SMF deletes the
-session at its other UPFs and takes the UE address back.
+shared grid, each managing only its own profile; the AMF discovers its
+peers, accepts NGAP setups from gNBs and runs UE registration through AUSF,
+UDM (backed by UDR) and PCF, refusing the UE when it discovered none of a
+kind it needs; the SMF associates with UPFs over PFCP and anchors PDU
+sessions, allocating UE addresses and tunnel endpoints. When one UPF
+refuses a session's rules, the SMF deletes the session at its other UPFs
+and takes the UE address back.
 
 A session's tunnel legs are its only plan: Smf.plan_paths lays them out per
 redundancy mode and _build_rules turns them into UPF rule programs; no other
@@ -42,7 +45,7 @@ from typing import Callable
 from .config import Params
 from .errors import FlowError, SetupError
 from .messages import PROTOCOL, MsgKind, Tag, build, canonical_int, parse
-from .simnet import DROPPED, ELIMINATED_DUPLICATE, Entity, Link, Network
+from .simnet import DROPPED, ELIMINATED_DUPLICATE, Entity, Network
 from .urllc import DedupWindow, Redundancy
 from .wirefmt import Protocol, SimPacket, WireFormatError, gtpu_decapsulate, gtpu_encapsulate
 
@@ -163,6 +166,13 @@ def discovered(m) -> list[str]:
 # protocol -> the handler its packets go to; GTP-U hands over the raw packet
 _HANDLER = {p: f"on_{p.name.lower()}" for p in Protocol}
 
+# the registry requests a node makes about its own profile -> their answers
+_OWN_PROFILE = {
+    MsgKind.NF_REGISTER_REQ: MsgKind.NF_REGISTER_RESP,
+    MsgKind.NF_HEARTBEAT_REQ: MsgKind.NF_HEARTBEAT_RESP,
+    MsgKind.NF_DEREGISTER_REQ: MsgKind.NF_DEREGISTER_RESP,
+}
+
 
 class NfEntity(Entity):
     """Base for every node that talks on the fabric.
@@ -281,17 +291,17 @@ class NfEntity(Entity):
 
     # -- receiving ---------------------------------------------------------
 
-    def handle_packet(self, pkt: SimPacket, link: Link, now: int) -> None:
+    def handle_packet(self, pkt: SimPacket, sender: str) -> None:
         """The one dispatcher. Bad input from a peer ends here as a DROPPED
         row; it never stops the run."""
         try:
             handler = getattr(self, _HANDLER[pkt.protocol])
             if pkt.protocol is Protocol.GTPU:
-                handler(pkt, link, now)
+                handler(pkt, sender)
             else:
-                handler(parse(pkt.payload), pkt, link, now)
+                handler(parse(pkt.payload), pkt, sender)
         except WireFormatError as exc:
-            self.drop(pkt, self._sender_name(pkt, link), str(exc))
+            self.drop(pkt, sender, str(exc))
 
     def drop(
         self, pkt_or_size: SimPacket | int, src: str, reason: str, protocol: Protocol | None = None,
@@ -314,7 +324,7 @@ class NfEntity(Entity):
         )
         return False
 
-    def on_sbi(self, m, pkt: SimPacket, link: Link, now: int) -> None:
+    def on_sbi(self, m, pkt: SimPacket, sender: str) -> None:
         if m.kind == MsgKind.NF_REGISTER_RESP and self.registers and not self.registered:
             if m.text(Tag.RESULT) == OK:
                 self.registered = True
@@ -336,15 +346,14 @@ class NfEntity(Entity):
         else:
             log.debug("%s: unhandled SBI %s", self.name, m.kind.name)
 
-    def on_unhandled(self, m, pkt, link, now) -> None:
+    def on_unhandled(self, m, pkt, sender) -> None:
         log.debug("%s: unhandled %s %s", self.name, pkt.protocol.name, m.kind.name)
 
     on_ngap = on_nas = on_pfcp = on_rls = on_app = on_unhandled
 
-    def on_gtpu(self, pkt: SimPacket, link: Link, now: int) -> None:
+    def on_gtpu(self, pkt: SimPacket, sender: str) -> None:
         """The tunnel endpoint of every node that terminates GTP-U."""
         inner_raw, teid, seq = gtpu_decapsulate(pkt.payload)
-        sender = self._sender_name(pkt, link)
         found = self.tunnel(teid)
         if found is None:
             self.drop(pkt, sender, "unknown teid", teid=str(teid))
@@ -360,12 +369,6 @@ class NfEntity(Entity):
 
     def on_tunnelled(self, ctx, inner_raw: bytes, seq: int | None, pkt: SimPacket, sender: str) -> None:
         """Take the inner packet of a first-copy G-PDU on a known TEID."""
-
-    def _sender_name(self, pkt: SimPacket, link: Link) -> str:
-        ent = self.net.by_ip.get(pkt.src_ip)
-        if ent is not None:
-            return ent.name
-        return link.peer_of(self.name).name
 
 
 class Nrf(NfEntity):
@@ -444,54 +447,47 @@ class Nrf(NfEntity):
 
     # -- SBI server ---------------------------------------------------------
 
-    def on_sbi(self, m, pkt, link, now) -> None:
-        requester = self._sender_name(pkt, link)
-        if m.kind == MsgKind.NF_REGISTER_REQ:
-            nf_id = m.require(Tag.NF_ID)
-            try:
+    def _manage_profile(self, m, sender: str) -> None:
+        """Register, heartbeat or deregister the profile a request names; a
+        node may manage only its own."""
+        nf_id = m.require(Tag.NF_ID)
+        try:
+            if nf_id != sender:
+                raise FlowError(f"{sender} cannot manage the profile of {nf_id}")
+            if m.kind == MsgKind.NF_REGISTER_REQ:
                 profile = self.register_profile(nf_id, m.require(Tag.NF_TYPE), m.require(Tag.ADDR))
-            except FlowError as exc:
-                self.send(requester, MsgKind.NF_REGISTER_RESP, result=ERROR, reason=str(exc))
-                return
-            self.send(requester, MsgKind.NF_REGISTER_RESP, result=OK, nf_id=nf_id)
+            elif m.kind == MsgKind.NF_HEARTBEAT_REQ:
+                profile = self.heartbeat(nf_id)
+            else:
+                profile = self.deregister(nf_id)
+        except FlowError as exc:
+            self.send(sender, _OWN_PROFILE[m.kind], result=ERROR, reason=str(exc), nf_id=nf_id)
+            return
+        self.send(sender, _OWN_PROFILE[m.kind], result=OK, nf_id=nf_id)
+        if m.kind != MsgKind.NF_HEARTBEAT_REQ:
             self._notify(profile)
-        elif m.kind == MsgKind.NF_HEARTBEAT_REQ:
-            nf_id = m.require(Tag.NF_ID)
-            try:
-                self.heartbeat(nf_id)
-            except FlowError as exc:
-                self.send(
-                    requester, MsgKind.NF_HEARTBEAT_RESP, result=ERROR, reason=str(exc), nf_id=nf_id
-                )
-                return
-            self.send(requester, MsgKind.NF_HEARTBEAT_RESP, result=OK, nf_id=nf_id)
+
+    def on_sbi(self, m, pkt, sender) -> None:
+        if m.kind in _OWN_PROFILE:
+            self._manage_profile(m, sender)
         elif m.kind == MsgKind.NF_DISCOVER_REQ:
-            req_profile = self.registry.get(requester)
+            req_profile = self.registry.get(sender)
             if req_profile is None or req_profile.status != REGISTERED:
                 self.send(
-                    requester, MsgKind.NF_DISCOVER_RESP, result=ERROR, reason="requester not registered"
+                    sender, MsgKind.NF_DISCOVER_RESP, result=ERROR, reason="requester not registered"
                 )
                 return
             nf_type = m.require(Tag.NF_TYPE)
             data = ";".join(f"{p.nf_id}|{p.nf_type}|{p.addr}" for p in self.discover(nf_type))
             self.send(
-                requester, MsgKind.NF_DISCOVER_RESP, result=OK, nf_type=nf_type, data=data.encode()
+                sender, MsgKind.NF_DISCOVER_RESP, result=OK, nf_type=nf_type, data=data.encode()
             )
         elif m.kind == MsgKind.NF_STATUS_SUBSCRIBE_REQ:
-            if requester not in self.status_subscribers:
-                self.status_subscribers.append(requester)
-            self.send(requester, MsgKind.NF_STATUS_SUBSCRIBE_RESP, result=OK)
-        elif m.kind == MsgKind.NF_DEREGISTER_REQ:
-            nf_id = m.require(Tag.NF_ID)
-            try:
-                profile = self.deregister(nf_id)
-            except FlowError as exc:
-                self.send(requester, MsgKind.NF_DEREGISTER_RESP, result=ERROR, reason=str(exc))
-                return
-            self.send(requester, MsgKind.NF_DEREGISTER_RESP, result=OK, nf_id=nf_id)
-            self._notify(profile)
+            if sender not in self.status_subscribers:
+                self.status_subscribers.append(sender)
+            self.send(sender, MsgKind.NF_STATUS_SUBSCRIBE_RESP, result=OK)
         else:
-            super().on_sbi(m, pkt, link, now)
+            super().on_sbi(m, pkt, sender)
 
 
 class Amf(NfEntity):
@@ -526,54 +522,52 @@ class Amf(NfEntity):
 
     # -- NGAP (towards gNBs, reliable transport required) -------------------
 
-    def on_ngap(self, m, pkt, link, now) -> None:
-        gnb = self._sender_name(pkt, link)
+    def on_ngap(self, m, pkt, sender) -> None:
         if m.kind == MsgKind.NGAP_SETUP_REQ:
-            if not link.reliable:
-                self.send(gnb, MsgKind.NGAP_SETUP_RESP, result=ERROR, reason="transport not reliable")
+            if not self.net.link_between(self.name, sender).reliable:
+                self.send(sender, MsgKind.NGAP_SETUP_RESP, result=ERROR, reason="transport not reliable")
                 return
-            self.gnbs.add(gnb)
-            self.send(gnb, MsgKind.NGAP_SETUP_RESP, result=OK)
+            self.gnbs.add(sender)
+            self.send(sender, MsgKind.NGAP_SETUP_RESP, result=OK)
         elif m.kind == MsgKind.NGAP_KEEPALIVE_REQ:
-            self.send(gnb, MsgKind.NGAP_KEEPALIVE_RESP, result=OK)
+            self.send(sender, MsgKind.NGAP_KEEPALIVE_RESP, result=OK)
         elif m.kind == MsgKind.NGAP_SESSION_SETUP_ACK:
             pass
         else:
-            super().on_ngap(m, pkt, link, now)
+            super().on_ngap(m, pkt, sender)
 
     # -- NAS relayed by gNBs -------------------------------------------------
 
-    def on_nas(self, m, pkt, link, now) -> None:
-        gnb = self._sender_name(pkt, link)
+    def on_nas(self, m, pkt, sender) -> None:
         if m.kind == MsgKind.NAS_REGISTER_REQ:
             ue_id = m.require(Tag.UE_ID)
-            if gnb not in self.gnbs:
-                self.send(gnb, MsgKind.NAS_REGISTER_REJECT, ue_id=ue_id, reason="no NGAP setup")
+            if sender not in self.gnbs:
+                self.send(sender, MsgKind.NAS_REGISTER_REJECT, ue_id=ue_id, reason="no NGAP setup")
                 return
             if ue_id in self.ue_registered:
-                self.send(gnb, MsgKind.NAS_REGISTER_ACCEPT, ue_id=ue_id)
+                self.send(sender, MsgKind.NAS_REGISTER_ACCEPT, ue_id=ue_id)
                 return
-            self._pending_reg[ue_id] = gnb
+            self._pending_reg[ue_id] = sender
             self._ask("AUSF", MsgKind.AUTH_REQ, ue_id)
         elif m.kind == MsgKind.NAS_SESSION_REQ:
             ue_id = m.require(Tag.UE_ID)
             if ue_id not in self.ue_registered:
-                self.send(gnb, MsgKind.NAS_SESSION_REJECT, ue_id=ue_id, reason="not registered")
+                self.send(sender, MsgKind.NAS_SESSION_REJECT, ue_id=ue_id, reason="not registered")
                 return
-            self._pending_sess[ue_id] = gnb
+            self._pending_sess[ue_id] = sender
             self._ask(
                 "SMF",
                 MsgKind.SESSION_CREATE_REQ,
                 ue_id,
                 mode=m.text(Tag.MODE, Redundancy.NONE.name),
-                gnb=m.text(Tag.GNB, gnb),
+                gnb=m.text(Tag.GNB, sender),
             )
         else:
-            super().on_nas(m, pkt, link, now)
+            super().on_nas(m, pkt, sender)
 
     # -- SBI client side -----------------------------------------------------
 
-    def on_sbi(self, m, pkt, link, now) -> None:
+    def on_sbi(self, m, pkt, sender) -> None:
         if m.kind == MsgKind.NF_DISCOVER_RESP:
             found = discovered(m) if m.text(Tag.RESULT) == OK else []
             if found:
@@ -622,7 +616,7 @@ class Amf(NfEntity):
                 self.send(other, MsgKind.NGAP_SESSION_SETUP, **fields)
             self.send(gnb, MsgKind.NAS_SESSION_ACCEPT, **fields)
         else:
-            super().on_sbi(m, pkt, link, now)
+            super().on_sbi(m, pkt, sender)
 
 
 class Smf(NfEntity):
@@ -671,21 +665,20 @@ class Smf(NfEntity):
         for upf in self.upfs:
             self.pfcp_associate(upf)
 
-    def on_pfcp(self, m, pkt, link, now) -> None:
-        upf = self._sender_name(pkt, link)
+    def on_pfcp(self, m, pkt, sender) -> None:
         if m.kind == MsgKind.PFCP_ASSOC_RESP:
             if m.text(Tag.RESULT) == OK:
-                self.associations[upf] = "ACTIVE"
+                self.associations[sender] = "ACTIVE"
         elif m.kind == MsgKind.PFCP_SESSION_RESP:
             ue_id = m.require(Tag.UE_ID)
             if ue_id not in self._pending:
                 return
             requester, session, outstanding = self._pending[ue_id]
-            outstanding.discard(upf)
+            outstanding.discard(sender)
             if m.text(Tag.RESULT) != OK:
                 del self._pending[ue_id]
                 # undo the session at every other UPF (TS 29.244 §7.5.6)
-                for other in sorted({p.upf for p in session.paths} - {upf}):
+                for other in sorted({p.upf for p in session.paths} - {sender}):
                     self.send(other, MsgKind.PFCP_SESSION_DELETE_REQ, ue_id=ue_id)
                 self._released.append(session.ue_ip)
                 self._fail_session(requester, ue_id, m.text(Tag.REASON, "error"))
@@ -695,22 +688,22 @@ class Smf(NfEntity):
         elif m.kind == MsgKind.PFCP_SESSION_DELETE_RESP:
             pass
         else:
-            super().on_pfcp(m, pkt, link, now)
+            super().on_pfcp(m, pkt, sender)
 
     # -- session establishment ------------------------------------------------
 
-    def on_sbi(self, m, pkt, link, now) -> None:
+    def on_sbi(self, m, pkt, sender) -> None:
         if m.kind == MsgKind.NF_DISCOVER_RESP and m.text(Tag.NF_TYPE) == "UPF":
             self.upfs = discovered(m)
         elif m.kind == MsgKind.SESSION_CREATE_REQ:
             self._create_session(
-                requester=self._sender_name(pkt, link),
+                requester=sender,
                 ue_id=m.require(Tag.UE_ID),
                 mode=read_mode(m),
                 gnbs=[g for g in m.text(Tag.GNB, "").split(";") if g],
             )
         else:
-            super().on_sbi(m, pkt, link, now)
+            super().on_sbi(m, pkt, sender)
 
     def _fail_session(self, requester: str, ue_id: str, reason: str) -> None:
         self.send(
@@ -825,12 +818,11 @@ class Ausf(NfEntity):
     kind = "AUSF"
     subscribes_status = True
 
-    def on_sbi(self, m, pkt, link, now) -> None:
+    def on_sbi(self, m, pkt, sender) -> None:
         if m.kind == MsgKind.AUTH_REQ:
-            requester = self._sender_name(pkt, link)
-            self.send(requester, MsgKind.AUTH_RESP, ue_id=m.require(Tag.UE_ID), result=OK)
+            self.send(sender, MsgKind.AUTH_RESP, ue_id=m.require(Tag.UE_ID), result=OK)
         else:
-            super().on_sbi(m, pkt, link, now)
+            super().on_sbi(m, pkt, sender)
 
 
 class Udm(NfEntity):
@@ -846,18 +838,17 @@ class Udm(NfEntity):
     def after_registered(self) -> None:
         self.send(self.env.nrf_name, MsgKind.NF_DISCOVER_REQ, nf_type="UDR")
 
-    def on_sbi(self, m, pkt, link, now) -> None:
+    def on_sbi(self, m, pkt, sender) -> None:
         if m.kind == MsgKind.NF_DISCOVER_RESP and m.text(Tag.NF_TYPE) == "UDR":
             found = discovered(m)
             if found:
                 self.udr_name = found[0]
         elif m.kind == MsgKind.SUBSCRIBER_REQ:
             ue_id = m.require(Tag.UE_ID)
-            requester = self._sender_name(pkt, link)
             if self.udr_name is None:
-                self.send(requester, MsgKind.SUBSCRIBER_RESP, ue_id=ue_id, result=ERROR, reason="no UDR")
+                self.send(sender, MsgKind.SUBSCRIBER_RESP, ue_id=ue_id, result=ERROR, reason="no UDR")
                 return
-            self._pending[ue_id] = requester
+            self._pending[ue_id] = sender
             self.send(self.udr_name, MsgKind.UDR_QUERY_REQ, ue_id=ue_id)
         elif m.kind == MsgKind.UDR_QUERY_RESP:
             ue_id = m.require(Tag.UE_ID)
@@ -871,7 +862,7 @@ class Udm(NfEntity):
                     reason=m.text(Tag.REASON),
                 )
         else:
-            super().on_sbi(m, pkt, link, now)
+            super().on_sbi(m, pkt, sender)
 
 
 class Udr(NfEntity):
@@ -883,22 +874,21 @@ class Udr(NfEntity):
         super().__init__(name, ip, net, env)
         self.subscribers: set[str] = set(subscribers)
 
-    def on_sbi(self, m, pkt, link, now) -> None:
+    def on_sbi(self, m, pkt, sender) -> None:
         if m.kind == MsgKind.UDR_QUERY_REQ:
             ue_id = m.require(Tag.UE_ID)
-            requester = self._sender_name(pkt, link)
             if ue_id in self.subscribers:
-                self.send(requester, MsgKind.UDR_QUERY_RESP, ue_id=ue_id, result=OK)
+                self.send(sender, MsgKind.UDR_QUERY_RESP, ue_id=ue_id, result=OK)
             else:
                 self.send(
-                    requester,
+                    sender,
                     MsgKind.UDR_QUERY_RESP,
                     ue_id=ue_id,
                     result=ERROR,
                     reason="unknown subscriber",
                 )
         else:
-            super().on_sbi(m, pkt, link, now)
+            super().on_sbi(m, pkt, sender)
 
 
 class Pcf(NfEntity):
@@ -906,12 +896,11 @@ class Pcf(NfEntity):
 
     kind = "PCF"
 
-    def on_sbi(self, m, pkt, link, now) -> None:
+    def on_sbi(self, m, pkt, sender) -> None:
         if m.kind == MsgKind.POLICY_REQ:
-            requester = self._sender_name(pkt, link)
-            self.send(requester, MsgKind.POLICY_RESP, ue_id=m.require(Tag.UE_ID), result=OK)
+            self.send(sender, MsgKind.POLICY_RESP, ue_id=m.require(Tag.UE_ID), result=OK)
         else:
-            super().on_sbi(m, pkt, link, now)
+            super().on_sbi(m, pkt, sender)
 
 
 class Nssf(NfEntity):

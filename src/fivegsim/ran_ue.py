@@ -17,7 +17,6 @@ from dataclasses import dataclass, field
 from .core_cp import NfEntity, PduSession, SessionPath, read_session
 from .errors import FlowError, SetupError
 from .messages import MsgKind, Tag, build, parse
-from .simnet import Link
 from .urllc import SEQ_MODULUS, DedupWindow, Redundancy
 from .wirefmt import Protocol, SimPacket, WireFormatError, decode_packet, encode_packet
 
@@ -59,7 +58,7 @@ class Gnb(NfEntity):
     def _keepalive(self) -> None:
         self.send(self.amf, MsgKind.NGAP_KEEPALIVE_REQ, nf_id=self.name)
 
-    def on_ngap(self, m, pkt, link, now) -> None:
+    def on_ngap(self, m, pkt, sender) -> None:
         if m.kind == MsgKind.NGAP_SETUP_RESP:
             if m.text(Tag.RESULT) == "OK" and not self.ng_ready:
                 self.ng_ready = True
@@ -71,7 +70,7 @@ class Gnb(NfEntity):
             self.install_session(session)
             self.send(self.amf, MsgKind.NGAP_SESSION_SETUP_ACK, ue_id=session.ue_id)
         else:
-            super().on_ngap(m, pkt, link, now)
+            super().on_ngap(m, pkt, sender)
 
     # -- session state -------------------------------------------------------
 
@@ -89,12 +88,12 @@ class Gnb(NfEntity):
 
     # -- NAS relay -------------------------------------------------------------
 
-    def on_nas(self, m, pkt, link, now) -> None:
+    def on_nas(self, m, pkt, sender) -> None:
         # downlink NAS from the AMF; wrap for the radio leg
         ue_id = m.text(Tag.UE_ID)
         ue_name = self._ue_names.get(ue_id) if ue_id else None
         if ue_name is None:
-            self.drop(pkt, self.amf, "unknown ue", ue_id=ue_id or "")
+            self.drop(pkt, sender, "unknown ue", ue_id=ue_id or "")
             return
         if m.kind == MsgKind.NAS_SESSION_ACCEPT:
             self.install_session(read_session(m))
@@ -104,8 +103,7 @@ class Gnb(NfEntity):
 
     # -- radio uplink ------------------------------------------------------------
 
-    def on_rls(self, m, pkt: SimPacket, link: Link, now: int) -> None:
-        sender = self._sender_name(pkt, link)
+    def on_rls(self, m, pkt: SimPacket, sender: str) -> None:
         if m.kind == MsgKind.RLS_NAS:
             ue_id = m.require(Tag.UE_ID)
             self._ue_names[ue_id] = sender
@@ -119,7 +117,7 @@ class Gnb(NfEntity):
         elif m.kind == MsgKind.RLS_DATA:
             self._uplink(m.raw(Tag.DATA) or b"", sender)
         else:
-            super().on_rls(m, pkt, link, now)
+            super().on_rls(m, pkt, sender)
 
     def _uplink(self, inner_raw: bytes, sender: str) -> None:
         inner = decode_packet(inner_raw)
@@ -276,15 +274,15 @@ class Ue(NfEntity):
 
     # -- incoming radio ---------------------------------------------------------
 
-    def on_rls(self, m, pkt: SimPacket, link: Link, now: int) -> None:
+    def on_rls(self, m, pkt: SimPacket, sender: str) -> None:
         if m.kind == MsgKind.RLS_NAS:
-            self._on_nas_inner(parse(m.raw(Tag.DATA) or b""), now)
+            self._on_nas_inner(parse(m.raw(Tag.DATA) or b""))
         elif m.kind == MsgKind.RLS_DATA:
-            self._on_user_packet(m.raw(Tag.DATA) or b"", pkt, link, now)
+            self._on_user_packet(m.raw(Tag.DATA) or b"", sender)
         else:
-            super().on_rls(m, pkt, link, now)
+            super().on_rls(m, pkt, sender)
 
-    def _on_nas_inner(self, m, now: int) -> None:
+    def _on_nas_inner(self, m) -> None:
         if m.kind == MsgKind.NAS_REGISTER_ACCEPT and self.state == REGISTERING:
             self.state = REGISTERED
             if self._want_mode is not None:
@@ -352,7 +350,7 @@ class Ue(NfEntity):
 
     # -- downlink application packets ----------------------------------------------
 
-    def _on_user_packet(self, raw: bytes, pkt: SimPacket, link: Link, now: int) -> None:
+    def _on_user_packet(self, raw: bytes, sender: str) -> None:
         inner = decode_packet(raw)
         m = parse(inner.payload)
         seq = m.num(Tag.SEQ)
@@ -360,7 +358,7 @@ class Ue(NfEntity):
             self.session is not None
             and self.session.mode is Redundancy.DUAL_CONNECTIVITY
             and seq is not None
-            and not self.first_copy(self._dl_window, seq, inner, self._sender_name(pkt, link))
+            and not self.first_copy(self._dl_window, seq, inner, sender)
         ):
             return
         if m.kind == MsgKind.APP_GET_ACK:
@@ -370,7 +368,7 @@ class Ue(NfEntity):
             transfer.expected_size = m.num(Tag.SIZE)
             transfer.expected_segments = m.num(Tag.SEGMENTS)
             transfer.digest = m.text(Tag.DIGEST)
-            self._try_finish(transfer, now)
+            self._try_finish(transfer)
         elif m.kind == MsgKind.APP_SEGMENT:
             transfer = self._transfer_for(m.require(Tag.DOC))
             if transfer is None:
@@ -378,13 +376,13 @@ class Ue(NfEntity):
             index = m.num(Tag.INDEX)
             if index is not None:
                 transfer.add_segment(index, m.raw(Tag.DATA) or b"")
-            self._try_finish(transfer, now)
+            self._try_finish(transfer)
         elif m.kind == MsgKind.APP_ERROR:
             transfer = self._transfer_for(m.text(Tag.DOC, ""))
             if transfer is not None:
                 transfer.ok = False
                 transfer.error = m.text(Tag.REASON, "error")
-                transfer.completed_ms = now
+                transfer.completed_ms = self.net.now
         else:
             log.debug("%s: unhandled APP %s", self.name, m.kind.name)
 
@@ -394,7 +392,7 @@ class Ue(NfEntity):
                 return transfer
         return None
 
-    def _try_finish(self, transfer: Transfer, now: int) -> None:
+    def _try_finish(self, transfer: Transfer) -> None:
         if transfer.expected_segments is None:
             return
         if transfer.received < transfer.expected_segments:
@@ -403,7 +401,7 @@ class Ue(NfEntity):
         good = transfer.size == (transfer.expected_size or 0) and digest == transfer.digest
         transfer.ok = good
         transfer.error = None if good else "integrity check failed"
-        transfer.completed_ms = now
+        transfer.completed_ms = self.net.now
         self._app_send(
             MsgKind.APP_COMPLETE,
             doc=transfer.doc,

@@ -173,9 +173,10 @@ class Testbed:
             self.net.schedule(T_NGAP_SETUP, gnb.ng_setup)
 
     def spawn_ues(self, total: int) -> list[Ue]:
-        """Grow the UE population to `total`, cloning the first UE's radio
-        attachment and, where the topology has a UDR, provisioning matching
-        subscriptions; without one the UDM refuses each UE `no UDR`."""
+        """The first `total` UEs, growing the population to `total` by cloning
+        the first UE's radio attachment and, where the topology has a UDR,
+        provisioning matching subscriptions; without one the UDM refuses each
+        UE `no UDR`."""
         ues = self.ues
         if not ues:
             raise SetupError("cannot spawn UEs without a declared template UE")
@@ -193,7 +194,7 @@ class Testbed:
             if self.udrs:
                 self.udrs[0].subscribers.add(imsi)
             self.by_kind["UE"].append(ue)
-        return self.ues
+        return self.ues[:total]
 
     def run_until(self, t_end: int) -> int:
         return self.net.run_until(t_end)

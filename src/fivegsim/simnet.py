@@ -7,9 +7,11 @@ analytics function, the invariants and the exporter all read. Everything is
 single-threaded: one event queue, ties broken FIFO, so a (topology, scenario,
 seed) triple fully determines every delivery.
 
-A send names its sender; the receiver is the link's other end. Only the
-attrs a caller passes are scrubbed of the log's separators: the envelope's
-addresses are dotted quads and its ports are numbers.
+A send names its sender; the receiver is the link's other end, and the
+fabric hands it the sender's name with the packet. That name is the only
+identity a receiver learns: no packet address names a peer. Only the attrs a
+caller passes are scrubbed of the log's separators: the envelope's addresses
+are dotted quads and its ports are numbers.
 
 Loss is drawn from counter-based substreams keyed by (seed, link id, stream,
 draw index). Streams separate tunnels sharing a physical link, so adding a
@@ -148,7 +150,8 @@ class Entity:
     def addr(self) -> EntityAddr:
         return EntityAddr(name=self.name, kind=self.kind, ip=self.ip)
 
-    def handle_packet(self, pkt: SimPacket, link: Link, now: int) -> None:
+    def handle_packet(self, pkt: SimPacket, sender: str) -> None:
+        """Take a packet that `sender`, the other end of a link, put on it."""
         raise NotImplementedError
 
 
@@ -286,8 +289,7 @@ class Network:
         self.link_stats[link.link_id][0 if delivered else 1] += 1
         if delivered:
             target = self.entities[receiver]
-            at = self.now + link.latency_ms
-            self.clock.schedule(at, lambda: target.handle_packet(pkt, link, at))
+            self.clock.schedule(self.now + link.latency_ms, lambda: target.handle_packet(pkt, sender))
         return delivered
 
     def tap_local(

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from .core_cp import ERROR, OK, NfEntity
 from .errors import FlowError
 from .messages import MsgKind, Tag, build, parse
-from .simnet import Link
 from .urllc import SEQ_MODULUS, DedupWindow
 from .wirefmt import Protocol, SimPacket, decode_packet, encode_packet
 
@@ -107,16 +106,15 @@ class Upf(NfEntity):
 
     # -- N4 ------------------------------------------------------------------
 
-    def on_pfcp(self, m, pkt, link, now) -> None:
-        smf = self._sender_name(pkt, link)
+    def on_pfcp(self, m, pkt, sender) -> None:
         if m.kind == MsgKind.PFCP_ASSOC_REQ:
-            self.associated_smfs.add(smf)
-            self.send(smf, MsgKind.PFCP_ASSOC_RESP, result=OK, nf_id=self.name)
+            self.associated_smfs.add(sender)
+            self.send(sender, MsgKind.PFCP_ASSOC_RESP, result=OK, nf_id=self.name)
         elif m.kind in (MsgKind.PFCP_SESSION_REQ, MsgKind.PFCP_SESSION_DELETE_REQ):
             ue_id = m.require(Tag.UE_ID)
             answer = MsgKind(m.kind + 1)  # each request's response is the next code
-            if smf not in self.associated_smfs:
-                self.send(smf, answer, ue_id=ue_id, result=ERROR, reason="no association")
+            if sender not in self.associated_smfs:
+                self.send(sender, answer, ue_id=ue_id, result=ERROR, reason="no association")
                 return
             if m.kind == MsgKind.PFCP_SESSION_DELETE_REQ:
                 self.teid_rules = {t: r for t, r in self.teid_rules.items() if r.ue_id != ue_id}
@@ -126,15 +124,15 @@ class Upf(NfEntity):
                 try:
                     teid_rules, ueip_rules = parse_rule_program(m.text(Tag.RULES, ""), ue_id)
                 except FlowError as exc:
-                    self.send(smf, answer, ue_id=ue_id, result=ERROR, reason=str(exc))
+                    self.send(sender, answer, ue_id=ue_id, result=ERROR, reason=str(exc))
                     return
                 for rule in teid_rules:
                     self.teid_rules[rule.teid] = rule
                 for rule in ueip_rules:
                     self.ueip_rules[rule.ue_ip] = rule
-            self.send(smf, answer, ue_id=ue_id, result=OK)
+            self.send(sender, answer, ue_id=ue_id, result=OK)
         else:
-            super().on_pfcp(m, pkt, link, now)
+            super().on_pfcp(m, pkt, sender)
 
     # -- forwarding ------------------------------------------------------------
 
@@ -175,11 +173,11 @@ class Upf(NfEntity):
         inner_kind = parse(inner.payload).kind.name if inner.protocol == Protocol.APP else ""
         self._run_actions(rule.actions, inner_raw, inner, seq, inner_kind)
 
-    def on_app(self, m, pkt: SimPacket, link: Link, now: int) -> None:
+    def on_app(self, m, pkt: SimPacket, sender: str) -> None:
         # plain packet from the data network: match the session address
         rule = self.ueip_rules.get(pkt.dst_ip)
         if rule is None:
-            self.drop(pkt, self._sender_name(pkt, link), "no downlink rule", dst_ip=pkt.dst_ip)
+            self.drop(pkt, sender, "no downlink rule", dst_ip=pkt.dst_ip)
             return
         seq = None
         if rule.assign_seq:
@@ -267,9 +265,8 @@ class AppServer(NfEntity):
                 attrs={"msg_kind": kind.name, "ue_ip": ue_ip},
             )
 
-    def on_app(self, m, pkt: SimPacket, link: Link, now: int) -> None:
+    def on_app(self, m, pkt: SimPacket, sender: str) -> None:
         ue_ip = pkt.src_ip
-        sender = self._sender_name(pkt, link)
         self._learn_route(ue_ip, sender)
         seq = m.num(Tag.SEQ)
         if seq is not None:

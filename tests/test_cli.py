@@ -1,4 +1,5 @@
 """Command line behaviour: artifacts, exit codes, output formats."""
+import hashlib
 import os
 import subprocess
 import sys
@@ -90,6 +91,23 @@ def test_validate_reads_ports_and_pool_from_the_topology(tmp_path, capsys):
     assert main(["validate", "--events", log]) == 1
     failed = [line for line in capsys.readouterr().out.splitlines() if line.startswith("FAIL ")]
     assert [line.split(":")[0] for line in failed] == ["FAIL sbi_registration"]
+
+
+# SHA-256 of summary.txt from `run --topology topology.cfg --scenario
+# urllc_sweep`, the built-in topology copied to topology.cfg, seed 0
+URLLC_SWEEP_SUMMARY_SHA256 = "0e87c31bfce0f95e4a7949e49bbf8d69bebc101e99e5019a465161f5d528dd8d"
+
+
+def test_urllc_sweep_summary_is_pinned(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    Path("topology.cfg").write_text(Path(default_topology().source).read_text())
+    rc = main(["run", "--topology", "topology.cfg", "--scenario", "urllc_sweep", "--out", "out"])
+    summary = Path("out", "summary.txt").read_text()
+    assert rc == 0 and capsys.readouterr().out == summary
+    assert hashlib.sha256(summary.encode()).hexdigest() == URLLC_SWEEP_SUMMARY_SHA256
+    # the sweep's runs are its own testbeds; the artifact log has only its header
+    [header] = Path("out", "events.log").read_text().splitlines()
+    assert header.startswith("# id\t")
 
 
 def test_kpi_matches_direct_recomputation(run_dir, capsys):

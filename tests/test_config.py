@@ -1,4 +1,6 @@
 """Topology parsing, validation errors, transforms, scenario specs."""
+import dataclasses
+
 import pytest
 
 from fivegsim.config import (
@@ -206,6 +208,18 @@ def test_params_guard_ranges():
         Params(ue_pool="10.45.0.0/99")
     with pytest.raises(ConfigError, match="app_server_ip"):
         Params(app_server_ip="192.168.0.400")
+
+
+def test_every_param_is_set_through_the_params_section():
+    values = {
+        "sbi_port": 7000, "heartbeat_ms": 1000, "segment_bytes": 1200, "ue_pool": "10.46.0.0/16",
+        "app_server_ip": "192.168.0.50", "nwdaf_ip": "192.168.0.51", "settle_ms": 2000,
+        "app_port": 8080, "gtpu_port": 2153, "pfcp_port": 8806, "ngap_port": 38413, "rls_port": 4998,
+    }
+    assert set(values) == {f.name for f in dataclasses.fields(Params)}
+    assert all(getattr(Params(), name) != value for name, value in values.items())
+    text = MINIMAL + "[params]\n" + "".join(f"{name} = {value}\n" for name, value in values.items())
+    assert parse_topology(text).params == Params(**values)
 
 
 def test_address_params_place_the_injected_entities():

@@ -2,7 +2,9 @@
 
 Every case starts from a booted default testbed at t=500, injects packets
 on existing links and runs on. Each fixed case ends the run with an
-exception unless the receiving node contains the bad input.
+exception unless the receiving node contains the bad input. A packet's
+claimed source address never names its sender: the receiver learns that
+from the link.
 """
 from dataclasses import replace
 
@@ -11,7 +13,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from fivegsim.config import default_topology
-from fivegsim.messages import MsgKind, Tag, build
+from fivegsim.messages import MsgKind, Tag, build, parse
 from fivegsim.nwdaf import export_events_text, import_events_text
 from fivegsim.runner import T_ATTACH, Testbed
 from fivegsim.simnet import DROPPED, ELIMINATED_DUPLICATE
@@ -32,11 +34,12 @@ def booted(attach=False):
     return tb
 
 
-def inject(tb, at, link, sender, protocol, payload):
-    """Send `payload` from `sender` over `link` at virtual time `at`."""
+def inject(tb, at, link, sender, protocol, payload, src_ip=None):
+    """Send `payload` from `sender` over `link` at virtual time `at`, with
+    `src_ip` (by default the sender's own address) as its source."""
     receiver = link.peer_of(sender)
     port = tb.params.port(protocol)
-    pkt = SimPacket(protocol, tb.net.entity(sender).ip, receiver.ip, port, port, payload)
+    pkt = SimPacket(protocol, src_ip or tb.net.entity(sender).ip, receiver.ip, port, port, payload)
     tb.net.schedule(at, lambda: tb.net.send(link, sender, pkt))
 
 
@@ -52,7 +55,8 @@ def local_rows(tb, entity):
 
 def assert_contained(tb, horizon=HORIZON):
     """The run reached its horizon, its invariants hold and every local row
-    is a drop with a reason or an elimination with a sequence number."""
+    is a drop with a reason or an elimination with a sequence number. Each
+    names as its source the node itself or the other end of one of its links."""
     assert tb.net.now == horizon
     assert tb.invariant_violations(horizon) == []
     for r in tb.records:
@@ -60,6 +64,21 @@ def assert_contained(tb, horizon=HORIZON):
             assert (r.outcome == DROPPED and r.attrs.get("reason")) or (
                 r.outcome == ELIMINATED_DUPLICATE and r.attrs.get("seq")
             ), r
+            assert r.src == r.dst or tb.net.link_between(r.src, r.dst), r
+
+
+def received(tb, name):
+    """Every message `name` takes from now on, parsed."""
+    got = []
+    node = tb.net.entity(name)
+    handle = node.handle_packet
+
+    def record(pkt, *rest):
+        got.append(parse(pkt.payload))
+        handle(pkt, *rest)
+
+    node.handle_packet = record
+    return got
 
 
 FIXED_CASES = [
@@ -99,6 +118,52 @@ def test_bad_message_is_dropped_with_its_reason(sender, receiver, protocol, payl
     assert len(drops) == 1
     assert drops[0].src == sender and drops[0].protocol is protocol
     assert reason in drops[0].attrs["reason"]
+
+
+def test_a_drop_names_the_link_sender_not_the_claimed_address():
+    tb = booted()
+    truncated = b"\x00\x01\x00\x07\x00\x09ab"
+    udm_ip = tb.net.entity("UDM").ip
+    inject(tb, BOOTED + 1, tb.net.require_link("AMF", "NRF"), "AMF", Protocol.SBI, truncated, udm_ip)
+    tb.run_until(HORIZON)
+    assert_contained(tb)
+    [drop] = local_rows(tb, "NRF")
+    assert drop.src == "AMF" and "runs past" in drop.attrs["reason"]
+
+
+def test_a_forged_source_address_is_answered_over_the_link_it_came_by():
+    tb = booted()
+    link = tb.net.require_link("AMF", "NRF")
+    heartbeat = build(MsgKind.NF_HEARTBEAT_REQ, nf_id="AMF")
+    inject(tb, BOOTED + 1, link, "AMF", Protocol.SBI, heartbeat, tb.net.entity("UDM").ip)
+    tb.run_until(HORIZON)
+    assert_contained(tb)
+    answers = [r for r in tb.records if r.ts > BOOTED and r.attrs.get("msg_kind") == "NF_HEARTBEAT_RESP"]
+    assert [(r.link_id, r.src, r.dst) for r in answers] == [(link.link_id, "NRF", "AMF")]
+
+
+@pytest.mark.parametrize(
+    "kind,fields",
+    [
+        pytest.param(
+            MsgKind.NF_REGISTER_REQ, {"nf_id": "gNX", "nf_type": "UDM", "addr": "192.168.0.16"},
+            id="register",
+        ),
+        pytest.param(MsgKind.NF_HEARTBEAT_REQ, {"nf_id": "UDM"}, id="heartbeat"),
+        pytest.param(MsgKind.NF_DEREGISTER_REQ, {"nf_id": "UDM"}, id="deregister"),
+    ],
+)
+def test_the_registry_lets_a_node_manage_only_its_own_profile(kind, fields):
+    tb = booted()
+    before = {nf_id: profile.snapshot() for nf_id, profile in tb.nrf.registry.items()}
+    answers = received(tb, "AMF")
+    inject(tb, BOOTED + 1, tb.net.require_link("AMF", "NRF"), "AMF", Protocol.SBI, build(kind, **fields))
+    tb.run_until(HORIZON)
+    assert_contained(tb)
+    assert tb.nrf.registry == before
+    [answer] = answers
+    assert answer.kind == kind + 1 and answer.text(Tag.RESULT) == "ERROR"
+    assert answer.text(Tag.REASON) == f"AMF cannot manage the profile of {fields['nf_id']}"
 
 
 # "\u00b2" passes str.isdigit() but not int()
@@ -309,11 +374,13 @@ _FLIPPED = st.builds(
     st.sampled_from(REAL),
     st.lists(st.integers(0, 8 * 1024), min_size=1, max_size=4),
 )
+_ROSTER = Testbed(default_topology()).net.entities
 _INJECTION = st.tuples(
     st.integers(BOOTED + 1, HORIZON - 50),  # time
     st.integers(0, 10**6),                  # link, modulo the link count
     st.booleans(),                          # direction
     st.one_of(_RANDOM, _FLIPPED),
+    st.sampled_from(sorted(e.ip for e in _ROSTER.values())),  # claimed source address
 )
 
 
@@ -323,10 +390,10 @@ def test_hostile_peers_never_stop_the_run(injections):
     tb = booted(attach=True)
     tb.net.schedule(BOOTED + 1, lambda: tb.ues[0].request_document("document"))
     links = sorted(tb.net.links.values(), key=lambda l: l.link_id)
-    for at, which, forward, (protocol, payload) in injections:
+    for at, which, forward, (protocol, payload), src_ip in injections:
         link = links[which % len(links)]
         sender = link.a.name if forward else link.b.name
-        inject(tb, at, link, sender, protocol, payload)
+        inject(tb, at, link, sender, protocol, payload, src_ip)
     # past the next heartbeat tick, so state a forged message left behind acts too
     horizon = 2 * tb.params.heartbeat_ms
     tb.run_until(horizon)
@@ -338,7 +405,7 @@ def test_hostile_peers_never_stop_the_run(injections):
 
 # what a forged field may name: a node (linked to the receiver or not, or
 # none at all), a redundancy mode, an address or an N4 rule program
-_NAMES = sorted(Testbed(default_topology()).net.entities) + ["gNX"]
+_NAMES = sorted(_ROSTER) + ["gNX"]
 _FORGED_VALUES = st.sampled_from(
     _NAMES
     + [mode.name for mode in Redundancy]

@@ -7,7 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fivegsim.config import ScenarioSpec, default_topology, parse_topology, with_second_gnb
+from fivegsim.config import (
+    ScenarioSpec,
+    default_topology,
+    default_topology_path,
+    parse_topology,
+    with_second_gnb,
+)
 from fivegsim.errors import FlowError, SetupError
 from fivegsim.messages import MsgKind, build
 from fivegsim.core_cp import PduSession, SessionPath
@@ -108,6 +114,25 @@ def test_many_requests_names_its_population_limit(monkeypatch):
         run_scenario(ScenarioSpec(name="many_requests", ue_count=668))
 
 
+@pytest.mark.parametrize("ues", [1, 2, 3])
+def test_many_requests_drives_exactly_the_ues_it_is_asked_for(ues):
+    # a topology that declares two UEs: the first `ues` of them, then
+    # spawned ones, attach and fetch; no other UE sends anything
+    text = (
+        default_topology_path().read_text()
+        .replace("UE,UE,192.168.0.30\n", "UE,UE,192.168.0.30\nUE,UE2,192.168.0.31\n")
+        .replace("UE,gNB,2,0.0,false\n", "UE,gNB,2,0.0,false\nUE2,gNB,2,0.0,false\n")
+        .replace("imsi-001010000000001\n", "imsi-001010000000001\nimsi-001010000000002\n")
+    )
+    result = run_scenario(
+        ScenarioSpec(name="many_requests", ue_count=ues, seed=1), topo=parse_topology(text)
+    )
+    driven = {name: [t.ok for t in ts] for name, ts in result.transfers.items() if ts}
+    assert driven == dict.fromkeys(["UE", "UE2", "UE003"][:ues], [True])
+    senders = {r.src for r in result.events if r.protocol is Protocol.RLS}
+    assert senders - {"gNB"} == set(driven)
+
+
 def test_many_requests_memory_stays_bounded():
     # 100 UEs each fetch the 487,659-byte document: keeping every body until
     # the run ends would take ~49 MB on its own
@@ -205,9 +230,7 @@ def fake_downlink(ue, payload_msg):
         dst_port=80,
         payload=payload_msg,
     )
-    link = ue.net.require_link(ue.name, "gNB")
-    carrier = SimPacket(Protocol.RLS, "192.168.0.22", ue.ip, 4997, 4997, b"")
-    ue._on_user_packet(encode_packet(inner), carrier, link, ue.net.now)
+    ue._on_user_packet(encode_packet(inner), "gNB")
 
 
 def test_tampered_segment_fails_integrity_check():
@@ -333,10 +356,9 @@ def test_streaming_reassembly_matches_the_joined_body(deliveries):
 
 def test_undecodable_downlink_is_dropped_not_fatal():
     tb, ue = attached_testbed()
-    link = tb.net.require_link(ue.name, "gNB")
     payload = build(MsgKind.RLS_DATA, ue_id=ue.imsi, data=b"garbage")
     carrier = SimPacket(Protocol.RLS, "192.168.0.22", ue.ip, 4997, 4997, payload)
-    ue.handle_packet(carrier, link, tb.net.now)
+    ue.handle_packet(carrier, "gNB")
     drops = [r for r in tb.records if r.link_id == "local:UE" and r.outcome == DROPPED]
     assert drops
 

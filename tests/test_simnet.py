@@ -14,7 +14,7 @@ from fivegsim.wirefmt import Protocol, SimPacket
 
 
 class Sink(Entity):
-    """Records every delivered packet with its arrival time."""
+    """Records every delivered packet with its arrival time and sender."""
 
     kind = "NODE"
 
@@ -22,8 +22,8 @@ class Sink(Entity):
         super().__init__(name, ip, net)
         self.inbox = []
 
-    def handle_packet(self, pkt, link, now):
-        self.inbox.append((now, pkt))
+    def handle_packet(self, pkt, sender):
+        self.inbox.append((self.net.now, pkt, sender))
 
 
 def make_pair(seed=0, latency=3, loss=0.0, reliable=False):
@@ -151,6 +151,14 @@ def test_downlink_to_a_session_address_reaches_the_other_end():
     net.run_until(10)
     assert len(b.inbox) == 1 and a.inbox == []
     assert (net.events[0].src, net.events[0].dst) == ("A", "B")
+
+
+def test_receiver_learns_the_sender_from_the_link_not_the_packet():
+    # A claims B's address as its source; B is still handed "A"
+    net, a, b, link = make_pair()
+    net.send(link, "A", SimPacket(Protocol.APP, "10.0.0.2", "10.0.0.2", 80, 80))
+    net.run_until(10)
+    assert [sender for _, _, sender in b.inbox] == ["A"]
 
 
 def test_sender_off_the_link_raises():
