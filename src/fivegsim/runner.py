@@ -271,7 +271,7 @@ def _summarise(result: RunResult) -> None:
     lines = result.summary_lines
     lines.append(f"scenario: {result.spec.name}")
     lines.append(f"seed: {result.spec.seed}")
-    lines.append(f"topology: {tb.topo.source}")
+    lines.append(f"topology: {Path(tb.topo.source).name}")  # not its directory: the same run, the same summary
     lines.append(f"entities: {len(tb.net.entities)}")
     lines.append(f"window_ms: [{result.window[0]}, {result.window[1]})")
     outcomes = {DELIVERED: 0, DROPPED: 0, ELIMINATED_DUPLICATE: 0}

@@ -10,6 +10,7 @@ flow's check rather than passing vacuously.
 from __future__ import annotations
 
 import ipaddress
+from collections import defaultdict
 from dataclasses import dataclass
 
 from .config import Params
@@ -42,47 +43,68 @@ class CheckResult:
         return f"{verdict} {self.name}: {self.detail}{suffix}"
 
 
-def _kind(ev) -> str:
-    return ev.attrs.get("msg_kind", "")
+class _Delivered:
+    """The delivered rows of a log, grouped in one pass by ``msg_kind`` and by
+    protocol. Each group keeps log order; a group with no rows is empty."""
+
+    def __init__(self, events) -> None:
+        groups: dict = defaultdict(list)
+        for ev in events:
+            if ev.outcome == "DELIVERED":
+                groups[ev.protocol].append(ev)
+                kind = ev.attrs.get("msg_kind")
+                if kind is not None:
+                    groups[kind].append(ev)
+        self.groups = groups
+
+    def __getitem__(self, key: str | Protocol) -> list:
+        return self.groups.get(key, [])
 
 
-def _delivered(events):
-    return [ev for ev in events if ev.outcome == "DELIVERED"]
+def _delivered(events) -> _Delivered:
+    """``events`` grouped, unless ``validate_sequences`` already grouped it."""
+    return events if isinstance(events, _Delivered) else _Delivered(events)
 
 
 def check_sbi_registration(events, sbi_port: int) -> CheckResult:
     name = "sbi_registration"
-    regs = [ev for ev in _delivered(events) if _kind(ev) in SBI_KINDS_REGISTER]
-    if not regs:
+    delivered = _delivered(events)
+    reqs, resps = (delivered[kind] for kind in SBI_KINDS_REGISTER)
+    if not reqs and not resps:
         return CheckResult(name, False, "no registration evidence in the log")
-    for ev in regs:
-        if ev.attrs.get("src_port") != str(sbi_port) or ev.attrs.get("dst_port") != str(sbi_port):
-            return CheckResult(
-                name,
-                False,
-                f"registration traffic off the service port {sbi_port}",
-                ev.event_id,
-            )
-    first_req = next((ev for ev in regs if _kind(ev) == "NF_REGISTER_REQ"), None)
-    notifies = [ev for ev in _delivered(events) if _kind(ev) == "NF_STATUS_NOTIFY"]
-    if first_req is None or not any(ev.event_id > first_req.event_id for ev in notifies):
+    port = str(sbi_port)
+    off_port = [
+        ev for group in (reqs, resps) for ev in group
+        if ev.attrs.get("src_port") != port or ev.attrs.get("dst_port") != port
+    ]
+    if off_port:
+        # the earliest one: ids increase through a log
+        return CheckResult(
+            name,
+            False,
+            f"registration traffic off the service port {sbi_port}",
+            min(ev.event_id for ev in off_port),
+        )
+    notifies = delivered["NF_STATUS_NOTIFY"]
+    if not reqs or not any(ev.event_id > reqs[0].event_id for ev in notifies):
         return CheckResult(
             name, False, "registrations produced no status notification fanout"
         )
+    regs = len(reqs) + len(resps)
     return CheckResult(
-        name, True, f"{len(regs)} registration messages on port {sbi_port}, status fanout present"
+        name, True, f"{regs} registration messages on port {sbi_port}, status fanout present"
     )
 
 
 def check_pfcp_association(events) -> CheckResult:
     name = "pfcp_association"
+    delivered = _delivered(events)
     reqs: dict[tuple[str, str], list] = {}
     resps: dict[tuple[str, str], list] = {}
-    for ev in _delivered(events):
-        if _kind(ev) == "PFCP_ASSOC_REQ":
-            reqs.setdefault((ev.src, ev.dst), []).append(ev)
-        elif _kind(ev) == "PFCP_ASSOC_RESP":
-            resps.setdefault((ev.dst, ev.src), []).append(ev)
+    for ev in delivered["PFCP_ASSOC_REQ"]:
+        reqs.setdefault((ev.src, ev.dst), []).append(ev)
+    for ev in delivered["PFCP_ASSOC_RESP"]:
+        resps.setdefault((ev.dst, ev.src), []).append(ev)
     if not reqs and not resps:
         return CheckResult(name, False, "no association evidence in the log")
     for pair, rs in sorted(reqs.items()):
@@ -119,39 +141,37 @@ def check_ngap_before_registration(events) -> CheckResult:
     delivered = _delivered(events)
     setups_req = {}
     setups_ok = {}
-    for ev in delivered:
-        if _kind(ev) == "NGAP_SETUP_REQ" and ev.src not in setups_req:
-            setups_req[ev.src] = ev
-        elif _kind(ev) == "NGAP_SETUP_RESP" and ev.dst not in setups_ok:
-            setups_ok[ev.dst] = ev
+    for ev in delivered["NGAP_SETUP_REQ"]:
+        setups_req.setdefault(ev.src, ev)
+    for ev in delivered["NGAP_SETUP_RESP"]:
+        setups_ok.setdefault(ev.dst, ev)
     if not setups_req:
         return CheckResult(name, False, "no NGAP setup evidence in the log")
     for gnb, req in sorted(setups_req.items()):
         if gnb not in setups_ok:
             return CheckResult(name, False, f"{gnb} setup never answered", req.event_id)
-    for ev in delivered:
-        if _kind(ev) == "NAS_REGISTER_REQ":
-            gnb = ev.src  # the relaying radio node
-            ok = setups_ok.get(gnb)
-            if ok is None or ok.event_id > ev.event_id:
-                return CheckResult(
-                    name,
-                    False,
-                    f"UE registration through {gnb} before its NGAP setup completed",
-                    ev.event_id,
-                )
+    for ev in delivered["NAS_REGISTER_REQ"]:
+        gnb = ev.src  # the relaying radio node
+        ok = setups_ok.get(gnb)
+        if ok is None or ok.event_id > ev.event_id:
+            return CheckResult(
+                name,
+                False,
+                f"UE registration through {gnb} before its NGAP setup completed",
+                ev.event_id,
+            )
     return CheckResult(name, True, f"setup precedes registration for {len(setups_req)} radio nodes")
 
 
 def check_heartbeat_cadence(events) -> CheckResult:
     name = "heartbeat_cadence"
+    delivered = _delivered(events)
     reqs: dict[str, list] = {}
     resp_count: dict[str, int] = {}
-    for ev in _delivered(events):
-        if _kind(ev) == "NF_HEARTBEAT_REQ":
-            reqs.setdefault(ev.src, []).append(ev)
-        elif _kind(ev) == "NF_HEARTBEAT_RESP":
-            resp_count[ev.dst] = resp_count.get(ev.dst, 0) + 1
+    for ev in delivered["NF_HEARTBEAT_REQ"]:
+        reqs.setdefault(ev.src, []).append(ev)
+    for ev in delivered["NF_HEARTBEAT_RESP"]:
+        resp_count[ev.dst] = resp_count.get(ev.dst, 0) + 1
     if not reqs:
         return CheckResult(name, False, "no heartbeat evidence in the log")
     gaps = set()
@@ -179,15 +199,15 @@ def check_heartbeat_cadence(events) -> CheckResult:
 def check_registration_chain(events) -> CheckResult:
     name = "registration_chain"
     delivered = _delivered(events)
-    accepts = [ev for ev in delivered if _kind(ev) == "NAS_REGISTER_ACCEPT"]
+    accepts = delivered["NAS_REGISTER_ACCEPT"]
     if not accepts:
         return CheckResult(name, False, "no accepted registration in the log")
     by_ue: dict[str, dict[str, int]] = {}
-    for ev in delivered:
-        kind = _kind(ev)
-        ue = ev.attrs.get("ue_id")
-        if kind in REGISTRATION_CHAIN and ue:
-            by_ue.setdefault(ue, {}).setdefault(kind, ev.event_id)
+    for kind in REGISTRATION_CHAIN:
+        for ev in delivered[kind]:
+            ue = ev.attrs.get("ue_id")
+            if ue:
+                by_ue.setdefault(ue, {}).setdefault(kind, ev.event_id)
     for accept in accepts:
         ue = accept.attrs.get("ue_id", "")
         seen = by_ue.get(ue, {})
@@ -214,7 +234,7 @@ def check_user_plane(events, ue_pool: str) -> CheckResult:
     name = "user_plane_routing"
     pool = ipaddress.IPv4Network(ue_pool)
     delivered = _delivered(events)
-    gtpu = [ev for ev in delivered if ev.protocol is Protocol.GTPU]
+    gtpu = delivered[Protocol.GTPU]
     if not gtpu:
         return CheckResult(name, False, "no tunnel traffic in the log")
     for ev in gtpu:
@@ -222,9 +242,7 @@ def check_user_plane(events, ue_pool: str) -> CheckResult:
         if teid is None or not teid.isdigit() or int(teid) <= 0:
             return CheckResult(name, False, "tunnel packet without a valid teid", ev.event_id)
     session_sourced = False
-    for ev in delivered:
-        if ev.protocol is not Protocol.APP:
-            continue
+    for ev in delivered[Protocol.APP]:
         src = ev.attrs.get("src_ip", "")
         try:
             if ipaddress.IPv4Address(src) in pool:
@@ -244,14 +262,14 @@ def validate_sequences(
 ) -> list[CheckResult]:
     """Run every sequence check over an event log, in a fixed order; the port
     and pool default to Params'."""
-    events = list(events)
+    delivered = _Delivered(events)
     return [
-        check_sbi_registration(events, sbi_port),
-        check_pfcp_association(events),
-        check_ngap_before_registration(events),
-        check_heartbeat_cadence(events),
-        check_registration_chain(events),
-        check_user_plane(events, ue_pool),
+        check_sbi_registration(delivered, sbi_port),
+        check_pfcp_association(delivered),
+        check_ngap_before_registration(delivered),
+        check_heartbeat_cadence(delivered),
+        check_registration_chain(delivered),
+        check_user_plane(delivered, ue_pool),
     ]
 
 

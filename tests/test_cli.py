@@ -98,16 +98,27 @@ def test_validate_reads_ports_and_pool_from_the_topology(tmp_path, capsys):
 URLLC_SWEEP_SUMMARY_SHA256 = "0e87c31bfce0f95e4a7949e49bbf8d69bebc101e99e5019a465161f5d528dd8d"
 
 
-def test_urllc_sweep_summary_is_pinned(tmp_path, monkeypatch, capsys):
-    monkeypatch.chdir(tmp_path)
-    Path("topology.cfg").write_text(Path(default_topology().source).read_text())
-    rc = main(["run", "--topology", "topology.cfg", "--scenario", "urllc_sweep", "--out", "out"])
+def sweep_summary(topology: str, capsys) -> str:
+    Path(topology).write_text(Path(default_topology().source).read_text())
+    rc = main(["run", "--topology", topology, "--scenario", "urllc_sweep", "--out", "out"])
     summary = Path("out", "summary.txt").read_text()
     assert rc == 0 and capsys.readouterr().out == summary
+    return summary
+
+
+def test_urllc_sweep_summary_is_pinned(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    summary = sweep_summary("topology.cfg", capsys)
     assert hashlib.sha256(summary.encode()).hexdigest() == URLLC_SWEEP_SUMMARY_SHA256
     # the sweep's runs are its own testbeds; the artifact log has only its header
     [header] = Path("out", "events.log").read_text().splitlines()
     assert header.startswith("# id\t")
+
+
+def test_urllc_sweep_summary_does_not_name_the_topology_directory(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    summary = sweep_summary(str(tmp_path.resolve() / "topology.cfg"), capsys)
+    assert hashlib.sha256(summary.encode()).hexdigest() == URLLC_SWEEP_SUMMARY_SHA256
 
 
 def test_kpi_matches_direct_recomputation(run_dir, capsys):

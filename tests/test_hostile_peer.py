@@ -13,7 +13,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from fivegsim.config import default_topology
-from fivegsim.messages import MsgKind, Tag, build, parse
+from fivegsim.messages import PROTOCOL, MsgKind, Tag, build, parse
 from fivegsim.nwdaf import export_events_text, import_events_text
 from fivegsim.runner import T_ATTACH, Testbed
 from fivegsim.simnet import DROPPED, ELIMINATED_DUPLICATE
@@ -330,6 +330,23 @@ def test_forged_session_accept_is_dropped_and_the_real_one_still_lands(ue_ip, pa
     assert ue.state == "SESSION_ACTIVE" and ue.session.ue_ip == "10.45.0.2"
 
 
+# the line breaks str.splitlines() knows besides \n and \r: the log's scrub
+# leaves them in peer text, so a row may carry them
+OTHER_LINE_BREAKS = "\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
+
+
+@pytest.mark.parametrize("brk", OTHER_LINE_BREAKS, ids=lambda c: f"U+{ord(c):04X}")
+def test_a_line_break_in_peer_text_leaves_the_log_importable(brk):
+    tb = booted()
+    register = build(MsgKind.NAS_REGISTER_REQ, ue_id=f"imsi{brk}1")
+    link = tb.net.require_link("gNB", "AMF")
+    inject(tb, BOOTED + 1, link, "gNB", PROTOCOL[MsgKind.NAS_REGISTER_REQ], register)
+    tb.run_until(HORIZON)
+    assert_contained(tb)
+    assert any(r.attrs.get("ue_id") == f"imsi{brk}1" for r in tb.records)
+    assert_log_round_trips(tb)
+
+
 # -- random bytes and bit-flipped real messages ------------------------------------
 
 
@@ -451,4 +468,43 @@ def test_real_messages_with_a_forged_field_never_stop_the_run(attach_after, forg
     horizon = 2 * tb.params.heartbeat_ms
     tb.run_until(horizon)
     assert_contained(tb, horizon)
+    assert_log_round_trips(tb)
+
+
+# -- peer text in a UE id --------------------------------------------------------
+
+_PEER_TEXT = st.text(
+    st.one_of(st.sampled_from("\t\n\r,=" + OTHER_LINE_BREAKS), st.characters(max_codepoint=127)),
+    min_size=1,
+    max_size=12,
+)
+
+
+def _with_ue_id(payload: bytes, text: str) -> bytes:
+    """`payload` with its UE id set to `text`."""
+    msg = decode_tlv(payload)
+    elements = tuple((tag, text.encode() if tag == Tag.UE_ID else value) for tag, value in msg.elements)
+    return encode_tlv(replace(msg, elements=elements))
+
+
+_CARRIES_UE_ID = [
+    sent for sent in REAL_SENT
+    if sent[0].protocol is not Protocol.GTPU and Tag.UE_ID in dict(decode_tlv(sent[0].payload).elements)
+]
+
+
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(st.lists(
+    st.tuples(st.integers(BOOTED + 1, BOOTED + 150), st.sampled_from(_CARRIES_UE_ID), _PEER_TEXT),
+    min_size=1, max_size=4,
+))
+def test_peer_text_in_a_ue_id_never_breaks_the_log(injections):
+    """A real message that names a UE, sent again over the link it took with
+    arbitrary text as the UE id, which the receiver may echo into the log."""
+    tb = booted(attach=True)
+    for at, (pkt, sender, receiver), text in injections:
+        payload = _with_ue_id(pkt.payload, text)
+        inject(tb, at, tb.net.require_link(sender, receiver), sender, pkt.protocol, payload)
+    tb.run_until(HORIZON)
+    assert_contained(tb)
     assert_log_round_trips(tb)

@@ -1,5 +1,7 @@
 """Import schema, KPI math, and the event-log round trip."""
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fivegsim.errors import SetupError
 from fivegsim.nwdaf import (
@@ -11,13 +13,12 @@ from fivegsim.nwdaf import (
     import_events_text,
     kpi_packet_counts,
     kpi_throughput_matrix,
-    validate_event_fields,
     write_kpi_counts_csv,
     write_throughput_csv,
 )
 from fivegsim.runner import Testbed
 from fivegsim.config import default_topology
-from fivegsim.simnet import DELIVERED, DROPPED, Entity, Network, TapRecord
+from fivegsim.simnet import _SCRUB, DELIVERED, DROPPED, OUTCOMES, Entity, Network, TapRecord
 from fivegsim.wirefmt import Protocol, SimPacket
 
 GOOD = dict(
@@ -30,38 +31,6 @@ def ev(event_id=1, **over):
     merged = {**GOOD, **over}
     merged["protocol"] = Protocol[merged["protocol"]]
     return TapRecord(event_id=event_id, **merged)
-
-
-# -- field validation --------------------------------------------------------------
-
-def test_good_fields_pass():
-    validate_event_fields(**GOOD)
-
-
-@pytest.mark.parametrize(
-    "over,message",
-    [
-        (dict(ts=-1), "non-negative"),
-        (dict(ts=True), "non-negative"),
-        (dict(ts="5"), "non-negative"),
-        (dict(link_id=""), "non-empty"),
-        (dict(src="A\nF"), "forbidden whitespace"),
-        (dict(dst="B\tC"), "forbidden whitespace"),
-        (dict(protocol="QUIC"), "unknown protocol"),
-        (dict(size=-4), "non-negative"),
-        (dict(size=True), "non-negative"),
-        (dict(outcome="LOST"), "unknown outcome"),
-        (dict(attrs={"a=b": "x"}), "reserved character"),
-        (dict(attrs={"a,b": "x"}), "reserved character"),
-        (dict(attrs={"k": "x,y"}), "reserved character"),
-        (dict(attrs={"k": "x\ty"}), "reserved character"),
-        (dict(attrs={"k": 7}), "non-string"),
-        (dict(attrs={"": "x"}), "non-empty"),
-    ],
-)
-def test_bad_fields_rejected(over, message):
-    with pytest.raises(SchemaError, match=message):
-        validate_event_fields(**{**GOOD, **over})
 
 
 # -- the fabric's log ----------------------------------------------------------------
@@ -205,6 +174,50 @@ def test_file_round_trip(tmp_path):
     assert import_events(path) == events
 
 
+def test_file_with_crlf_line_endings_is_rejected(tmp_path):
+    path = tmp_path / "events.log"
+    path.write_bytes(export_events_text(logged_traffic()).replace("\n", "\r\n").encode())
+    with pytest.raises(SchemaError, match="line 1: carriage return"):
+        import_events(path)
+
+
+COLUMNS = ("id", "ts", "link_id", "src", "dst", "protocol", "size", "outcome", "attrs")
+
+
+def row(**text):
+    """The exported row of ev(1), with the named columns replaced by raw text."""
+    cols = dict(zip(COLUMNS, export_events_text([ev(1)]).split("\n")[1].split("\t")))
+    return "\t".join({**cols, **text}.values())
+
+
+def test_good_fields_pass():
+    assert import_events_text(export_events_text([]) + row() + "\n") == [ev(1)]
+
+
+# the field rules of a row, each broken in log text; an id names the rule
+@pytest.mark.parametrize(
+    "over,message",
+    [
+        pytest.param(dict(ts="-1"), "non-integer", id="over0-non-negative"),
+        pytest.param(dict(ts="True"), "non-integer", id="over1-non-negative"),
+        pytest.param(dict(link_id=""), "non-empty", id="over3-non-empty"),
+        pytest.param(dict(src="A\nF"), "expected 9 columns", id="over4-forbidden whitespace"),
+        pytest.param(dict(dst="B\tC"), "expected 9 columns", id="over5-forbidden whitespace"),
+        pytest.param(dict(protocol="QUIC"), "unknown protocol", id="over6-unknown protocol"),
+        pytest.param(dict(size="-4"), "non-integer", id="over7-non-negative"),
+        pytest.param(dict(size="True"), "non-integer", id="over8-non-negative"),
+        pytest.param(dict(outcome="LOST"), "unknown outcome", id="over9-unknown outcome"),
+        pytest.param(dict(attrs="a,b=x"), "malformed attr", id="over11-reserved character"),
+        pytest.param(dict(attrs="k=x,y"), "malformed attr", id="over12-reserved character"),
+        pytest.param(dict(attrs="k=x\ty"), "expected 9 columns", id="over13-reserved character"),
+        pytest.param(dict(attrs="=x"), "malformed attr", id="over15-non-empty"),
+    ],
+)
+def test_bad_fields_rejected(over, message):
+    with pytest.raises(SchemaError, match=f"line 2: .*{message}"):
+        import_events_text(export_events_text([]) + row(**over) + "\n")
+
+
 @pytest.mark.parametrize(
     "mutate,message",
     [
@@ -213,13 +226,92 @@ def test_file_round_trip(tmp_path):
         (lambda lines: lines[1].replace("1\t10", "x\t10", 1), "non-integer"),
         (lambda lines: lines[1].replace("DELIVERED\tmsg_kind=NF_REGISTER_REQ", "DELIVERED\tmsg_kind"), "malformed attr"),
         (lambda lines: lines[1].replace("\tSBI\t", "\tICMP\t"), "unknown protocol"),
+        pytest.param(lambda _: row(src="A\rF"), "carriage return", id="carriage-return-in-src"),
+        # integers have one spelling, so a row re-exports as itself
+        pytest.param(lambda _: row(ts="010"), "non-canonical", id="leading-zero-ts"),
+        pytest.param(lambda _: row(size="+40"), "non-canonical", id="signed-size"),
+        pytest.param(lambda _: row(id="01"), "non-canonical", id="leading-zero-id"),
+        pytest.param(lambda _: row(ts="1_0"), "non-canonical", id="underscore-ts"),
+        pytest.param(lambda _: row(size="\u0664\u0660"), "non-canonical", id="arabic-indic-size"),
+        pytest.param(lambda _: row(id="1" * 5000), "too long", id="id-past-int-limit"),
+        # attr keys are sorted and unique
+        pytest.param(lambda _: row(attrs="k=a,k=b"), "attr key 'k' not increasing", id="duplicate-attr-key"),
+        pytest.param(lambda _: row(attrs="z=1,a=2"), "attr key 'a' not increasing", id="unsorted-attr-keys"),
     ],
 )
 def test_import_rejects_malformed_lines(mutate, message):
     lines = export_events_text([ev(1)]).splitlines()
     lines[1] = mutate(lines)
-    with pytest.raises(SchemaError, match=message):
+    with pytest.raises(SchemaError, match=f"line 2: .*{message}"):
         import_events_text("\n".join(lines))
+
+
+# the log's separators, the other line breaks str.splitlines() knows, what
+# else a row gives meaning to, and other spellings of digits
+_CHARS = (
+    "\t\n\r,=#-" + "\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
+    + "01+_ \u0664\u00b2" + "aZ|;:.\u00e9\u4e2d\U0001f600"
+)
+_EDIT_CHAR = st.sampled_from("\t\n\r,=#01+_ \u0664\x85\u2028aZ")
+# text fields as the fabric logs them: through its scrub
+_FIELD = st.text(_CHARS, min_size=1, max_size=8).map(lambda t: t.translate(_SCRUB))
+_KEY = _FIELD.filter(lambda k: "=" not in k)
+_VALUE = st.text(_CHARS, max_size=8).map(lambda t: t.translate(_SCRUB))
+
+
+@st.composite
+def _logs(draw, min_rows=0):
+    rows = []
+    event_id = ts = 0
+    for _ in range(draw(st.integers(min_rows, 4))):
+        event_id += draw(st.integers(1, 10**6))
+        ts += draw(st.integers(0, 10**6))
+        rows.append(TapRecord(
+            event_id, ts, draw(_FIELD), draw(_FIELD), draw(_FIELD),
+            draw(st.sampled_from(list(Protocol))), draw(st.integers(0, 10**9)),
+            draw(st.sampled_from(OUTCOMES)), draw(st.dictionaries(_KEY, _VALUE, max_size=3)),
+        ))
+    return rows
+
+
+@given(_logs())
+def test_scrubbed_rows_round_trip(rows):
+    assert import_events_text(export_events_text(rows)) == rows
+
+
+def _rows(text):
+    """The lines of a log that import reads: not blank, not a comment."""
+    return [line for line in text.split("\n") if line and not line.startswith("#")]
+
+
+@settings(max_examples=300)
+@given(_logs(min_rows=1), st.data())
+def test_an_edited_row_is_rejected_or_re_exports_as_edited(rows, data):
+    """One character inserted, replaced or deleted in a row: import refuses
+    the log, or it re-exports with that row as edited. A row the edit made
+    blank or a comment is skipped on both sides."""
+    text = export_events_text(rows)
+    lines = text.split("\n")
+    i = data.draw(st.integers(1, len(rows)), label="row")
+    line = lines[i]
+    cols = line.split("\t")
+    col = data.draw(st.sampled_from(range(9)), label="column")
+    # from the column's first character to the tab (or line end) after it
+    at = sum(len(c) + 1 for c in cols[:col]) + data.draw(
+        st.sampled_from(range(len(cols[col]) + 1)), label="at"
+    )
+    char = data.draw(_EDIT_CHAR, label="char")
+    lines[i] = data.draw(st.sampled_from([
+        line[:at] + char + line[at:],      # insert
+        line[:at] + char + line[at + 1:],  # replace
+        line[:at] + line[at + 1:],         # delete
+    ]), label="edited")
+    edited = "\n".join(lines)
+    try:
+        again = import_events_text(edited)
+    except SchemaError:
+        return
+    assert _rows(export_events_text(again)) == _rows(edited)
 
 
 def test_import_rejects_broken_order():
