@@ -35,8 +35,6 @@ PEER_KINDS = {
     "SERVER": ("UPF",),
 }
 
-SCENARIO_NAMES = ("idle", "single_request", "many_requests", "urllc_sweep", "validate")
-
 _DATA_DIR = Path(__file__).parent / "data"
 
 # the one protocol -> port map; NAS rides the NGAP association
@@ -270,12 +268,16 @@ def parse_topology(text: str, source: str = "<memory>") -> TopologyConfig:
                 subscribers.append(line)
             elif section == "documents":
                 name, size = (f.strip() for f in line.split(","))
+                if name in documents:
+                    raise ConfigError(f"duplicate document {name!r}", lineno)
                 documents[name] = int(size)
             elif section == "params":
                 key, _, value = line.partition("=")
                 key = key.strip()
                 if key not in _PARAM_TYPES:
                     raise ConfigError(f"unknown param {key!r}", lineno)
+                if key in param_overrides:
+                    raise ConfigError(f"duplicate param {key!r}", lineno)
                 param_overrides[key] = _PARAM_TYPES[key](value.strip())
         except ConfigError:
             raise
@@ -349,6 +351,32 @@ def with_link_loss(topo: TopologyConfig, loss_prob: float, kinds: frozenset[str]
 
 
 @dataclass(frozen=True)
+class Scenario:
+    """One row of the scenario table.
+
+    `ues` is the population: at most that many of the declared UEs, or None
+    for ScenarioSpec.ue_count, spawned past the declared ones. The runner
+    derives the attach and request schedule from the population. `checks`
+    puts the six sequence checks in the summary. A `sweep` has no testbed of
+    its own: it measures reliability once per redundancy mode.
+    """
+
+    ues: int | None
+    checks: bool = False
+    sweep: bool = False
+
+
+SCENARIOS = {
+    "idle": Scenario(ues=0),
+    "single_request": Scenario(ues=1),
+    "many_requests": Scenario(ues=None),
+    "urllc_sweep": Scenario(ues=0, sweep=True),
+    "validate": Scenario(ues=1, checks=True),
+}
+SCENARIO_NAMES = tuple(SCENARIOS)
+
+
+@dataclass(frozen=True)
 class ScenarioSpec:
     """What to run: scenario name plus its knobs."""
 
@@ -368,3 +396,5 @@ class ScenarioSpec:
             raise ConfigError(f"duration_ms must be positive, got {self.duration_ms}")
         if self.ue_count < 0:
             raise ConfigError(f"ue_count must be non-negative, got {self.ue_count}")
+        if self.ue_count == 0 and SCENARIOS[self.name].ues is None:
+            raise ConfigError(f"{self.name} needs ue_count >= 1, got 0")

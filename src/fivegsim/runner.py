@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .config import (
+    SCENARIOS,
     EntityDecl,
     LinkDecl,
     ScenarioSpec,
@@ -49,6 +50,10 @@ T_ASSOCIATE = 25
 T_NGAP_SETUP = 35
 T_ATTACH = 45
 REQUEST_SPACING_MS = 15  # between the document requests of successive UEs
+# the default document's transfer on the default topology: the last UE's
+# request comes at least this long before the horizon
+TRANSFER_MS = 10
+MAX_UES = 0xFFFF  # spawned UE k is addressed 172.16.(k >> 8).(k & 0xFF)
 
 _LINE_BREAKS = str.maketrans("\t\n\r", "   ")
 
@@ -83,9 +88,10 @@ class Testbed:
 
         self.by_kind: dict[str, list] = {}
         for decl in entities:
-            entity = self._make_entity(decl, entities, links)
+            built = self.by_kind.setdefault(decl.kind, [])
+            entity = self._make_entity(decl, len(built), entities, links)
             self.net.add_entity(entity)
-            self.by_kind.setdefault(decl.kind, []).append(entity)
+            built.append(entity)
         for l in links:
             self.net.add_link(l.a, l.b, l.latency_ms, l.loss_prob, l.reliable)
 
@@ -94,7 +100,8 @@ class Testbed:
 
     # -- construction helpers ---------------------------------------------
 
-    def _make_entity(self, decl: EntityDecl, entities: list[EntityDecl], links: list[LinkDecl]):
+    def _make_entity(self, decl: EntityDecl, index: int, entities: list[EntityDecl], links: list[LinkDecl]):
+        """Build `decl`, the entity at `index` among the declared ones of its kind."""
         args = (decl.name, decl.ip, self.net, self.env)
         subscribers = self.topo.subscribers
         if decl.kind in _PLAIN_KINDS:
@@ -106,7 +113,6 @@ class Testbed:
             linked = {l.a if l.b == decl.name else l.b for l in links if decl.name in (l.a, l.b)}
             return Gnb(*args, amf=next(e.name for e in entities if e.kind == "AMF" and e.name in linked))
         if decl.kind == "UE":
-            index = [e.name for e in entities if e.kind == "UE"].index(decl.name)
             imsi = subscribers[index] if index < len(subscribers) else f"imsi-00101{index + 1:010d}"
             return Ue(*args, imsi=imsi)
         return AppServer(*args, documents=dict(self.topo.documents))  # SERVER, the kind left
@@ -178,6 +184,8 @@ class Testbed:
         provisioning matching subscriptions; without one the UDM refuses each
         UE `no UDR`."""
         ues = self.ues
+        if len(ues) >= total:
+            return ues[:total]
         if not ues:
             raise SetupError("cannot spawn UEs without a declared template UE")
         template = ues[0]
@@ -239,7 +247,7 @@ class RunResult:
     """Everything a finished scenario leaves behind."""
 
     spec: ScenarioSpec
-    testbed: Testbed
+    testbed: Testbed | None  # None for urllc_sweep, whose runs each have their own
     horizon: int
     window: tuple[int, int]
     kpi_counts: dict[str, int] = field(default_factory=dict)
@@ -251,7 +259,7 @@ class RunResult:
 
     @property
     def events(self):
-        return self.testbed.records
+        return self.testbed.records if self.testbed else []
 
     @property
     def summary(self) -> str:
@@ -266,13 +274,12 @@ class RunResult:
         (out / "summary.txt").write_text(self.summary, encoding="utf-8")
 
 
-def _summarise(result: RunResult) -> None:
-    tb = result.testbed
+def _summarise(result: RunResult, source: str, entities: int) -> None:
     lines = result.summary_lines
     lines.append(f"scenario: {result.spec.name}")
     lines.append(f"seed: {result.spec.seed}")
-    lines.append(f"topology: {Path(tb.topo.source).name}")  # not its directory: the same run, the same summary
-    lines.append(f"entities: {len(tb.net.entities)}")
+    lines.append(f"topology: {Path(source).name}")  # not its directory: the same run, the same summary
+    lines.append(f"entities: {entities}")
     lines.append(f"window_ms: [{result.window[0]}, {result.window[1]})")
     outcomes = {DELIVERED: 0, DROPPED: 0, ELIMINATED_DUPLICATE: 0}
     for ev in result.events:
@@ -303,82 +310,86 @@ def _summarise(result: RunResult) -> None:
         lines.append(c.line())
 
 
+def _bring_up(
+    topo: TopologyConfig, seed: int, mode: Redundancy, n: int, loss_prob: float = 0.0
+) -> tuple[Testbed, list[Ue], int]:
+    """A booted testbed whose first `n` UEs attach in `mode`, UE i at
+    T_ATTACH + i, and the end of its settle phase: Params.settle_ms, or just
+    past the last attach. Dual connectivity adds the second gNB before the N3
+    legs, its own included, take `loss_prob`."""
+    if mode is Redundancy.DUAL_CONNECTIVITY:
+        topo = with_second_gnb(topo)
+    if loss_prob > 0.0:
+        topo = with_link_loss(topo, loss_prob)
+    tb = Testbed(topo, seed=seed)
+    tb.boot()
+    ues = tb.spawn_ues(n)
+    for i, ue in enumerate(ues):
+        tb.net.schedule(T_ATTACH + i, lambda u=ue: u.attach(mode))
+    return tb, ues, max(tb.params.settle_ms, T_ATTACH + n) if n else tb.params.settle_ms
+
+
 def run_scenario(
     spec: ScenarioSpec, topo: TopologyConfig | None = None, out_dir=None
 ) -> RunResult:
     """Execute one named scenario and return its results.
 
-    `urllc_sweep` loops the reliability measurement over every redundancy
-    mode; the other scenarios drive UE activity on a single testbed.
+    `urllc_sweep` measures reliability once per redundancy mode, each on a
+    testbed of its own, and its result carries none. The other scenarios
+    bring up one testbed where the scenario's n UEs attach and UE i asks for
+    the document REQUEST_SPACING_MS * i into the window [settle, horizon).
+    The window is settle_ms and spec.duration_ms, stretched only as far as
+    n needs: settle past the last attach, the horizon TRANSFER_MS past the
+    last request. n is refused above MAX_UES, the spawned UE addresses.
     """
     topo = topo or default_topology()
-
-    if spec.name == "urllc_sweep":
-        results = tuple(
-            run_reliability_measurement(mode, SWEEP_LOSS, SWEEP_PACKETS, spec.seed, topo)
-            for mode in Redundancy
-        )
-        tb = Testbed(topo, seed=spec.seed)  # empty bed: summary context only
+    scenario = SCENARIOS[spec.name]
+    if scenario.sweep:
         result = RunResult(
-            spec=spec, testbed=tb, horizon=0, window=(0, 0), reliability=results
+            spec=spec,
+            testbed=None,
+            horizon=0,
+            window=(0, 0),
+            reliability=tuple(
+                run_reliability_measurement(mode, SWEEP_LOSS, SWEEP_PACKETS, spec.seed, topo)
+                for mode in Redundancy
+            ),
         )
-        _summarise(result)
-        if out_dir is not None:
-            result.write_artifacts(out_dir)
-        return result
-
-    if spec.redundancy in (Redundancy.DUAL_CONNECTIVITY,):
-        topo = with_second_gnb(topo)
-
-    tb = Testbed(topo, seed=spec.seed)
-    settle = tb.params.settle_ms
-    horizon = settle + spec.duration_ms
-    tb.boot()
-
-    if spec.name in ("single_request", "validate"):
-        wanted = min(len(tb.ues), 1)
-    elif spec.name == "many_requests":
-        wanted = max(spec.ue_count, 1)
-    elif spec.name == "idle":
-        wanted = 0
+        entities = len(run_roster(topo.entities, topo.links, topo.params)[0])
     else:
-        raise SetupError(f"unknown scenario {spec.name!r}")
-    # UE i attaches at T_ATTACH + i, inside the settle phase, and asks for the
-    # document REQUEST_SPACING_MS * i into the duration, so transfers finish
-    # in-window
-    fit = max(0, min(settle - T_ATTACH, (spec.duration_ms - 1) // REQUEST_SPACING_MS + 1))
-    if wanted > fit:
-        raise SetupError(
-            f"{wanted} UEs exceed the {fit} that fit settle_ms={settle},"
-            f" duration_ms={spec.duration_ms}"
-        )
-    active = tb.spawn_ues(wanted) if spec.name == "many_requests" else tb.ues[:wanted]
+        n = spec.ue_count if scenario.ues is None else min(scenario.ues, len(topo.of_kind("UE")))
+        if n > MAX_UES:
+            raise SetupError(
+                f"{n} UEs exceed the limit of {MAX_UES}: spawned UE k is addressed"
+                " 172.16.(k >> 8).(k & 0xFF)"
+            )
+        duration = spec.duration_ms
+        if n:
+            duration = max(duration, REQUEST_SPACING_MS * (n - 1) + TRANSFER_MS)
+        tb, ues, settle = _bring_up(topo, spec.seed, spec.redundancy, n)
+        for i, ue in enumerate(ues):
+            tb.net.schedule(
+                settle + REQUEST_SPACING_MS * i, lambda u=ue: u.request_document(spec.doc)
+            )
+        horizon = settle + duration
+        tb.run_checked(horizon)
 
-    for i, ue in enumerate(active):
-        tb.net.schedule(T_ATTACH + i, lambda u=ue, m=spec.redundancy: u.attach(m))
-        tb.net.schedule(
-            settle + REQUEST_SPACING_MS * i, lambda u=ue, d=spec.doc: u.request_document(d)
+        events = tb.records
+        result = RunResult(
+            spec=spec,
+            testbed=tb,
+            horizon=horizon,
+            window=(settle, horizon),
+            kpi_counts=kpi_packet_counts(events, settle, horizon, entities=list(tb.net.entities)),
+            throughput=kpi_throughput_matrix(events, settle, horizon),
+            transfers={ue.name: list(ue.transfers) for ue in tb.ues},
         )
-
-    tb.run_checked(horizon)
-
-    window = (settle, horizon)
-    roster = list(tb.net.entities)
-    events = tb.records
-    result = RunResult(
-        spec=spec,
-        testbed=tb,
-        horizon=horizon,
-        window=window,
-        kpi_counts=kpi_packet_counts(events, window[0], window[1], entities=roster),
-        throughput=kpi_throughput_matrix(events, window[0], window[1]),
-        transfers={ue.name: list(ue.transfers) for ue in tb.ues},
-    )
-    if spec.name == "validate":
-        result.checks = tuple(
-            validate_sequences(events, sbi_port=tb.params.sbi_port, ue_pool=tb.params.ue_pool)
-        )
-    _summarise(result)
+        if scenario.checks:
+            result.checks = tuple(
+                validate_sequences(events, sbi_port=tb.params.sbi_port, ue_pool=tb.params.ue_pool)
+            )
+        entities = len(tb.net.entities)
+    _summarise(result, topo.source, entities)
     if out_dir is not None:
         result.write_artifacts(out_dir)
     return result
@@ -400,22 +411,9 @@ def run_reliability_measurement(
         raise ValueError("n_packets must be positive")
     if not 0.0 <= loss_prob < 1.0:
         raise ValueError(f"loss_prob {loss_prob} outside [0, 1)")
-    topo = topology or default_topology()
-    if mode is Redundancy.DUAL_CONNECTIVITY:
-        topo = with_second_gnb(topo)
-    if loss_prob > 0.0:
-        topo = with_link_loss(topo, loss_prob)
-
-    tb = Testbed(topo, seed=seed)
-    tb.boot()
-    if not tb.ues:
-        raise SetupError("reliability measurement needs a UE")
-    ue = tb.ues[0]
-    settle = tb.params.settle_ms
-    tb.net.schedule(T_ATTACH, lambda: ue.attach(mode))
+    tb, (ue,), settle = _bring_up(topology or default_topology(), seed, mode, 1, loss_prob)
     tb.net.schedule(settle, lambda: ue.send_data_burst(n_packets, interval_ms=1))
     tb.run_checked(settle + n_packets + 500)
-
     if ue.session is None:
         raise FlowError(
             f"no session in mode {mode.name}: {ue.reject_reason or 'still pending'}"

@@ -4,6 +4,8 @@ import dataclasses
 import pytest
 
 from fivegsim.config import (
+    SCENARIO_NAMES,
+    SCENARIOS,
     ConfigError,
     Params,
     ScenarioSpec,
@@ -108,6 +110,24 @@ def test_parse_error_carries_line_number():
     with pytest.raises(ConfigError, match="line 3") as err:
         parse_topology(bad)
     assert err.value.line == 3
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        pytest.param("[params]\nue_pool=10.45.0.0/16\nsettle_ms=5\nue_pool=10.46.0.0/16\n",
+                     "^line 4: duplicate param 'ue_pool'$", id="param"),
+        # a section opened twice is one section
+        pytest.param("[params]\nsettle_ms=5\n[documents]\nd,1\n[params]\nsettle_ms = 6\n",
+                     "^line 6: duplicate param 'settle_ms'$", id="param-in-a-reopened-section"),
+        pytest.param("[documents]\nd,10\ne,20\nd,30\n", "^line 4: duplicate document 'd'$",
+                     id="document"),
+    ],
+)
+def test_a_repeated_key_is_refused_with_its_line(text, message):
+    # the second value would silently win
+    with pytest.raises(ConfigError, match=message):
+        parse_topology(text)
 
 
 @pytest.mark.parametrize(
@@ -293,6 +313,20 @@ def test_scenario_spec_validation():
         ScenarioSpec(name="idle", duration_ms=0)
     with pytest.raises(ConfigError, match="ue_count"):
         ScenarioSpec(name="many_requests", ue_count=-1)
+
+
+def test_many_requests_refuses_an_empty_population():
+    # ue_count is the population of many_requests, so 0 would run no UE
+    with pytest.raises(ConfigError, match="^many_requests needs ue_count >= 1, got 0$"):
+        ScenarioSpec(name="many_requests", ue_count=0)
+    # the other scenarios take their population from the scenario table
+    assert ScenarioSpec(name="idle", ue_count=0).ue_count == 0
+
+
+def test_scenario_names_come_from_the_scenario_table():
+    assert SCENARIO_NAMES == tuple(SCENARIOS) == (
+        "idle", "single_request", "many_requests", "urllc_sweep", "validate"
+    )
 
 
 def test_scenario_spec_defaults():

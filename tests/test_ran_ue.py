@@ -109,9 +109,10 @@ def test_many_requests_names_its_population_limit(monkeypatch):
 
     monkeypatch.setattr(Testbed, "spawn_ues", must_not_run)
     monkeypatch.setattr(Testbed, "run_until", must_not_run)
-    limit = "668 UEs exceed the 667 that fit settle_ms=1000, duration_ms=10000"
+    # past UE 65535 a spawned address would read 172.16.256.0
+    limit = r"^65536 UEs exceed the limit of 65535: spawned UE k is addressed 172\.16\.\(k >> 8\)\.\(k & 0xFF\)$"
     with pytest.raises(SetupError, match=limit):
-        run_scenario(ScenarioSpec(name="many_requests", ue_count=668))
+        run_scenario(ScenarioSpec(name="many_requests", ue_count=65536))
 
 
 @pytest.mark.parametrize("ues", [1, 2, 3])
@@ -131,6 +132,27 @@ def test_many_requests_drives_exactly_the_ues_it_is_asked_for(ues):
     assert driven == dict.fromkeys(["UE", "UE2", "UE003"][:ues], [True])
     senders = {r.src for r in result.events if r.protocol is Protocol.RLS}
     assert senders - {"gNB"} == set(driven)
+
+
+def many_requests(ues, topo=None, **kw):
+    result = run_scenario(ScenarioSpec(name="many_requests", ue_count=ues, seed=1, **kw), topo=topo)
+    transfers = [t for ts in result.transfers.values() for t in ts]
+    return result, (len(transfers), sum(t.ok for t in transfers))
+
+
+@pytest.mark.parametrize("ues, horizon", [(1, 11000), (10, 11000), (667, 11000), (700, 11495)])
+def test_the_duration_stretches_only_as_far_as_the_last_request_needs(ues, horizon):
+    # UE i asks for the document at 1000 + 15 * i and gets TRANSFER_MS;
+    # UE 666 finishes at the default horizon
+    result, (started, ok) = many_requests(ues)
+    assert (result.window, started, ok) == ((1000, horizon), ues, ues)
+
+
+def test_a_larger_population_stretches_the_settle_phase_past_its_last_attach():
+    # UE 99 attaches at T_ATTACH + 99, after settle_ms=50
+    topo = parse_topology(default_topology_path().read_text() + "settle_ms=50\n")
+    result, (started, ok) = many_requests(100, topo=topo, duration_ms=2000)
+    assert (result.window, started, ok) == ((T_ATTACH + 100, T_ATTACH + 2100), 100, 100)
 
 
 def test_many_requests_memory_stays_bounded():

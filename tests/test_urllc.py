@@ -3,9 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fivegsim.config import default_topology
+from fivegsim.config import ScenarioSpec, default_topology
 from fivegsim.errors import FlowError, SetupError
-from fivegsim.runner import Testbed, run_reliability_measurement
+from fivegsim.runner import Testbed, run_reliability_measurement, run_scenario
 from fivegsim.urllc import (
     DEDUP_WINDOW,
     SEQ_MODULUS,
@@ -210,3 +210,14 @@ def test_reliability_run_raises_on_a_broken_invariant(monkeypatch):
     monkeypatch.setattr(Testbed, "invariant_violations", lambda tb, horizon: ["planted violation"])
     with pytest.raises(FlowError, match="planted violation"):
         run_reliability_measurement(Redundancy.NONE, 0.0, 10, SEED)
+
+
+def test_urllc_sweep_builds_one_testbed_per_redundancy_mode(monkeypatch):
+    built = []
+    init = Testbed.__init__
+    monkeypatch.setattr(Testbed, "__init__", lambda tb, *a, **kw: built.append(tb) or init(tb, *a, **kw))
+    result = run_scenario(ScenarioSpec(name="urllc_sweep", seed=SEED))
+    assert len(built) == len(Redundancy) == len(result.reliability)
+    # the sweep's runs keep their testbeds; its own result has none and no log
+    assert (result.testbed, result.events) == (None, [])
+    assert "entities: 15" in result.summary.splitlines()
