@@ -6,10 +6,13 @@ the sbi_port and ue_pool of ``--topology``, if given), and
 ``kpi`` recomputes packet counts from a log over a chosen window.
 
 Exit codes: 0 success, 1 a run or check failed, 2 bad input or configuration.
+``--log-level`` (default warning) sets which of the package's log lines
+reach stderr.
 """
 from __future__ import annotations
 
 import argparse
+import logging
 import sys
 
 from .config import ConfigError, SCENARIO_NAMES, Params, ScenarioSpec, default_topology, load_topology
@@ -24,6 +27,10 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="fivegsim",
         description="Deterministic desk-scale mobile core simulator.",
+    )
+    parser.add_argument(
+        "--log-level", default="warning", choices=("debug", "info", "warning", "error"),
+        help="least severe log line shown on stderr",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -105,6 +112,11 @@ def _cmd_kpi(args) -> int:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    logger = logging.getLogger("fivegsim")
+    handler = logging.StreamHandler(sys.stderr)
+    handler.setFormatter(logging.Formatter("%(levelname)s %(name)s: %(message)s"))
+    logger.addHandler(handler)
+    logger.setLevel(args.log_level.upper())
     try:
         return args.func(args)
     except (ConfigError, SchemaError, FileNotFoundError, IsADirectoryError) as exc:
@@ -113,6 +125,9 @@ def main(argv=None) -> int:
     except FivegsimError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    finally:
+        logger.removeHandler(handler)
+        logger.setLevel(logging.NOTSET)
 
 
 if __name__ == "__main__":

@@ -166,6 +166,8 @@ def discovered(m) -> list[str]:
 # protocol -> the handler its packets go to; GTP-U hands over the raw packet
 _HANDLER = {p: f"on_{p.name.lower()}" for p in Protocol}
 
+_KIND_NAME = {kind: kind.name for kind in MsgKind}  # a log row's msg_kind
+
 # the registry requests a node makes about its own profile -> their answers
 _OWN_PROFILE = {
     MsgKind.NF_REGISTER_REQ: MsgKind.NF_REGISTER_RESP,
@@ -203,7 +205,7 @@ class NfEntity(Entity):
         """
         protocol = PROTOCOL[kind]
         port = self.env.params.port(protocol)
-        row = {"msg_kind": kind.name}
+        row = {"msg_kind": _KIND_NAME[kind]}
         if attrs:
             row.update(attrs)
         ue_id = fields.get("ue_id")

@@ -1,16 +1,19 @@
-"""Control and application message vocabulary.
+"""Control and application message vocabulary and its TLV wire layout.
 
-Every message is a TlvMessage: a MsgKind code plus tagged fields. Field
-values are UTF-8 text except DATA, which carries raw bytes (encoded inner
-packets, document segments). A kind's name prefix names the protocol it
-rides on (PROTOCOL).
+Every message is a MsgKind code plus tagged fields, laid out big-endian as
+msg_kind(2) then each field as tag(2) | length(2) | value, in the order
+`build` was given them; `parse` keeps the first value of a repeated tag.
+Field values are UTF-8 text except DATA, which carries raw bytes (encoded
+inner packets, document segments). A kind's name prefix names the protocol
+it rides on (PROTOCOL).
 """
 from __future__ import annotations
 
 import re
+import struct
 from enum import IntEnum
 
-from .wirefmt import Protocol, TlvMessage, WireFormatError, decode_tlv, encode_tlv
+from .wirefmt import Protocol, WireFormatError
 
 
 class MsgKind(IntEnum):
@@ -104,7 +107,9 @@ PROTOCOL = {
 }
 
 _KIND_BY_CODE = {int(k): k for k in MsgKind}
-_TAG_BY_NAME = {t.name.lower(): t for t in Tag}
+_HEAD = struct.Struct(">HH")  # an element's tag and length
+_KIND_PREFIX = {k: struct.pack(">H", k) for k in MsgKind}
+_TAG_CODE = {t.name.lower(): int(t) for t in Tag}
 
 # one spelling per integer: no sign, space, '_', non-ASCII digit or leading zero
 _CANONICAL_INT = re.compile(r"0|[1-9][0-9]*")
@@ -120,21 +125,31 @@ def canonical_int(text: str, what: str) -> int:
     raise WireFormatError(f"{what} is not an integer")
 
 
-def build(kind: MsgKind, **fields: str | int | bytes) -> bytes:
-    """Encode a message; keyword names are Tag names, lowercased."""
-    elements = []
+def build(kind: MsgKind, **fields: str | int | bytes | None) -> bytes:
+    """Encode a message; keyword names are Tag names, lowercased. A bytes-like
+    value is sent as its bytes, a str or int as its text; None leaves it out."""
+    prefix = _KIND_PREFIX.get(kind)
+    if prefix is None:
+        raise KeyError(f"unknown message kind {kind!r}")
+    out = [prefix]
     for name, value in fields.items():
         if value is None:
             continue
-        tag = _TAG_BY_NAME.get(name)
+        tag = _TAG_CODE.get(name)
         if tag is None:
             raise KeyError(f"unknown message field {name!r}")
-        if isinstance(value, bytes):
-            raw = value
-        else:
+        if type(value) is str:
+            raw = value.encode()
+        elif isinstance(value, (bytes, bytearray, memoryview)):
+            raw = bytes(value)
+        elif isinstance(value, (str, int)):
             raw = str(value).encode()
-        elements.append((int(tag), raw))
-    return encode_tlv(TlvMessage(msg_kind=int(kind), elements=tuple(elements)))
+        else:
+            raise TypeError(f"message field {name!r} is {type(value).__name__}, not str, int or bytes")
+        if len(raw) > 0xFFFF:
+            raise WireFormatError(f"TLV value of {len(raw)} bytes overflows the length field")
+        out += (_HEAD.pack(tag, len(raw)), raw)
+    return b"".join(out)
 
 
 class ParsedMsg:
@@ -151,7 +166,7 @@ class ParsedMsg:
         self._fields = fields
 
     def raw(self, tag: Tag) -> bytes | None:
-        return self._fields.get(int(tag))
+        return self._fields.get(tag)
 
     def _decode(self, tag: Tag, raw: bytes) -> str:
         try:
@@ -160,28 +175,42 @@ class ParsedMsg:
             raise WireFormatError(f"field {tag.name} in {self.kind.name} is not UTF-8") from None
 
     def text(self, tag: Tag, default: str | None = None) -> str | None:
-        raw = self._fields.get(int(tag))
+        raw = self._fields.get(tag)
         return self._decode(tag, raw) if raw is not None else default
 
     def num(self, tag: Tag, default: int | None = None) -> int | None:
-        raw = self._fields.get(int(tag))
+        raw = self._fields.get(tag)
         if raw is None:
             return default
         return canonical_int(self._decode(tag, raw), f"field {tag.name} in {self.kind.name}")
 
     def require(self, tag: Tag) -> str:
-        raw = self._fields.get(int(tag))
+        raw = self._fields.get(tag)
         if raw is None:
             raise WireFormatError(f"missing mandatory field {tag.name} in {self.kind.name}")
         return self._decode(tag, raw)
 
 
 def parse(payload: bytes) -> ParsedMsg:
-    msg = decode_tlv(payload)
-    kind = _KIND_BY_CODE.get(msg.msg_kind)
-    if kind is None:
-        raise WireFormatError(f"unknown message kind {msg.msg_kind}")
+    """Decode a message. Total: a truncated element, then an unknown kind,
+    raises WireFormatError."""
+    end = len(payload)
+    if end < 2:
+        raise WireFormatError("truncated TLV message: missing msg_kind")
     fields: dict[int, bytes] = {}
-    for tag, value in msg.elements:
-        fields.setdefault(tag, value)
+    unpack, off = _HEAD.unpack_from, 2
+    while off < end:
+        if off + 4 > end:
+            raise WireFormatError(f"truncated TLV element header at offset {off}")
+        tag, length = unpack(payload, off)
+        off += 4
+        if off + length > end:
+            raise WireFormatError(f"TLV value for tag {tag} runs past the buffer")
+        if tag not in fields:
+            fields[tag] = payload[off : off + length]
+        off += length
+    code = payload[0] << 8 | payload[1]
+    kind = _KIND_BY_CODE.get(code)
+    if kind is None:
+        raise WireFormatError(f"unknown message kind {code}")
     return ParsedMsg(kind, fields)

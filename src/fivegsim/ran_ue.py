@@ -328,14 +328,15 @@ class Ue(NfEntity):
             self._rls_send(gnb, MsgKind.RLS_DATA, attrs={"app_kind": kind.name}, data=raw)
 
     def request_document(self, doc: str) -> Transfer:
-        """Fetch `doc`; without an active session the transfer fails at once
-        and nothing is sent."""
+        """Fetch `doc`; without an active session the transfer fails at once,
+        naming the refusal when there was one, and nothing is sent."""
         transfer = Transfer(doc=doc, started_ms=self.net.now)
         self.transfers.append(transfer)
         if self.state == SESSION_ACTIVE:
             self._app_send(MsgKind.APP_GET, doc=doc)
         else:
-            transfer.ok, transfer.error = False, "no active session"
+            reason = f" ({self.reject_reason})" if self.reject_reason else ""
+            transfer.ok, transfer.error = False, "no active session" + reason
             transfer.completed_ms = self.net.now
         return transfer
 

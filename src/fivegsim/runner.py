@@ -297,7 +297,7 @@ def _summarise(result: RunResult, source: str, entities: int) -> None:
             took = (t.completed_ms - t.started_ms) if t.completed_ms is not None else -1
             line = f"transfer {ue_name} {t.doc} {status} segments={t.received} bytes={t.size} ms={took}"
             if status == "failed":
-                # APP_ERROR's reason is peer text
+                # APP_ERROR's reason and a refusal's reason are peer text
                 line += " error=" + (t.error or "").translate(_LINE_BREAKS)
             lines.append(line)
     for r in result.reliability:

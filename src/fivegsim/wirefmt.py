@@ -1,14 +1,14 @@
 """Byte-level formats that travel over simulated links.
 
-Three formats live here:
+Two formats live here:
 
 * the packet envelope, a fixed 18-byte header plus payload, which stands in
   for the IP/UDP framing every simulated protocol rides on;
-* the GTP-U user-plane header used to tunnel packets between gNB and UPF;
-* a minimal TLV container used by every control and application message.
+* the GTP-U user-plane header used to tunnel packets between gNB and UPF.
 
-All integers are big-endian. Every decoder is total: malformed input raises
-WireFormatError, never anything else.
+The TLV layout of control and application messages lives with their
+vocabulary, in `messages`. All integers are big-endian. Every decoder is
+total: malformed input raises WireFormatError, never anything else.
 """
 from __future__ import annotations
 
@@ -47,8 +47,8 @@ class Protocol(IntEnum):
 _PROTOCOL_BY_CODE = {int(p): p for p in Protocol}
 
 _ENVELOPE = struct.Struct(">BB4s4sHHI")
-_TLV_KIND = struct.Struct(">H")
-_TLV_HEAD = struct.Struct(">HH")
+_GTPU = struct.Struct(">BBHI")
+_GTPU_SEQ = struct.Struct(">BBHIHBB")  # with the optional field block
 
 
 class WireFormatError(ValueError):
@@ -70,7 +70,7 @@ def _check_port(port: int, label: str) -> None:
         raise WireFormatError(f"{label} out of range: {port!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class SimPacket:
     """One simulated datagram.
 
@@ -98,28 +98,24 @@ def encode_packet(p: SimPacket) -> bytes:
     if p.version != ENVELOPE_VERSION:
         raise WireFormatError(f"unsupported envelope version {p.version}")
     try:
-        proto = Protocol(p.protocol)
-    except ValueError as exc:
-        raise WireFormatError(f"unknown protocol {p.protocol!r}") from exc
+        proto = _PROTOCOL_BY_CODE[p.protocol]
+    except (KeyError, TypeError):
+        raise WireFormatError(f"unknown protocol {p.protocol!r}") from None
+    src, dst, payload = p.src_ip, p.dst_ip, p.payload
+    if not (isinstance(src, str) and isinstance(dst, str)):
+        raise WireFormatError(f"bad IPv4 address {dst if isinstance(src, str) else src!r}")
     _check_port(p.src_port, "src_port")
     _check_port(p.dst_port, "dst_port")
-    if len(p.payload) > MAX_PAYLOAD:
+    if not isinstance(payload, bytes):
+        raise WireFormatError(f"payload is {type(payload).__name__}, not bytes")
+    if len(payload) > MAX_PAYLOAD:
         raise WireFormatError(
-            f"payload of {len(p.payload)} bytes exceeds the {MAX_PAYLOAD}-byte cap; "
+            f"payload of {len(payload)} bytes exceeds the {MAX_PAYLOAD}-byte cap; "
             "large transfers must be segmented above this layer"
         )
-    return (
-        _ENVELOPE.pack(
-            p.version,
-            int(proto),
-            _pack_ip(p.src_ip),
-            _pack_ip(p.dst_ip),
-            p.src_port,
-            p.dst_port,
-            len(p.payload),
-        )
-        + p.payload
-    )
+    return _ENVELOPE.pack(
+        p.version, proto, _pack_ip(src), _pack_ip(dst), p.src_port, p.dst_port, len(payload)
+    ) + payload
 
 
 def decode_packet(b: bytes) -> SimPacket:
@@ -141,14 +137,8 @@ def decode_packet(b: bytes) -> SimPacket:
         raise WireFormatError(
             f"declared payload length {plen} does not match actual {len(b) - ENVELOPE_HEADER_LEN}"
         )
-    return SimPacket(
-        protocol=protocol,
-        src_ip=f"{src[0]}.{src[1]}.{src[2]}.{src[3]}",
-        dst_ip=f"{dst[0]}.{dst[1]}.{dst[2]}.{dst[3]}",
-        src_port=sport,
-        dst_port=dport,
-        payload=b[ENVELOPE_HEADER_LEN:],
-    )
+    src_ip, dst_ip = f"{src[0]}.{src[1]}.{src[2]}.{src[3]}", f"{dst[0]}.{dst[1]}.{dst[2]}.{dst[3]}"
+    return SimPacket(protocol, src_ip, dst_ip, sport, dport, b[ENVELOPE_HEADER_LEN:])
 
 
 @dataclass(frozen=True)
@@ -165,45 +155,49 @@ class GtpuHeader:
     msg_type: int = GTPU_MSG_GPDU
 
     @property
-    def flags(self) -> int:
-        return GTPU_FLAGS_SEQ if self.seq is not None else GTPU_FLAGS_BASE
-
-    @property
     def header_len(self) -> int:
         return GTPU_HEADER_LEN + (GTPU_OPT_LEN if self.seq is not None else 0)
 
 
-def encode_gtpu_header(h: GtpuHeader) -> bytes:
-    if not 0 <= h.teid <= MAX_TEID:
-        raise WireFormatError(f"TEID out of range: {h.teid}")
-    if not 0 <= h.length <= MAX_SEQ:
-        raise WireFormatError(f"GTP-U length out of range: {h.length}")
-    if h.msg_type != GTPU_MSG_GPDU:
-        raise WireFormatError(f"unsupported GTP-U message type {h.msg_type:#x}")
-    head = struct.pack(">BBHI", h.flags, h.msg_type, h.length, h.teid)
-    if h.seq is not None:
-        if not 0 <= h.seq <= MAX_SEQ:
-            raise WireFormatError(f"GTP-U sequence out of range: {h.seq}")
-        head += struct.pack(">HBB", h.seq, 0, 0)
-    return head
+def _pack_gtpu(teid: int, length: int, seq: int | None, msg_type: int = GTPU_MSG_GPDU) -> bytes:
+    if not 0 <= teid <= MAX_TEID:
+        raise WireFormatError(f"TEID out of range: {teid}")
+    if not 0 <= length <= MAX_SEQ:
+        raise WireFormatError(f"GTP-U length out of range: {length}")
+    if msg_type != GTPU_MSG_GPDU:
+        raise WireFormatError(f"unsupported GTP-U message type {msg_type:#x}")
+    if seq is None:
+        return _GTPU.pack(GTPU_FLAGS_BASE, msg_type, length, teid)
+    if not 0 <= seq <= MAX_SEQ:
+        raise WireFormatError(f"GTP-U sequence out of range: {seq}")
+    return _GTPU_SEQ.pack(GTPU_FLAGS_SEQ, msg_type, length, teid, seq, 0, 0)
 
 
-def decode_gtpu_header(b: bytes) -> GtpuHeader:
-    b = bytes(b)
+def _unpack_gtpu(b: bytes) -> tuple[int, int, int | None]:
+    """(teid, length, seq or None) of a G-PDU header."""
     if len(b) < GTPU_HEADER_LEN:
         raise WireFormatError(f"truncated GTP-U header: {len(b)} bytes")
-    flags, msg_type, length, teid = struct.unpack(">BBHI", b[:GTPU_HEADER_LEN])
+    flags, msg_type, length, teid = _GTPU.unpack_from(b)
     if flags == GTPU_FLAGS_BASE:
         seq = None
     elif flags == GTPU_FLAGS_SEQ:
         if len(b) < GTPU_HEADER_LEN + GTPU_OPT_LEN:
             raise WireFormatError("S flag set but optional field block truncated")
-        seq = struct.unpack(">H", b[GTPU_HEADER_LEN : GTPU_HEADER_LEN + 2])[0]
+        seq = _GTPU_SEQ.unpack_from(b)[4]
     else:
         raise WireFormatError(f"unsupported GTP-U flags {flags:#04x}")
     if msg_type != GTPU_MSG_GPDU:
         raise WireFormatError(f"unsupported GTP-U message type {msg_type:#x}")
-    return GtpuHeader(teid=teid, length=length, seq=seq, msg_type=msg_type)
+    return teid, length, seq
+
+
+def encode_gtpu_header(h: GtpuHeader) -> bytes:
+    return _pack_gtpu(h.teid, h.length, h.seq, h.msg_type)
+
+
+def decode_gtpu_header(b: bytes) -> GtpuHeader:
+    teid, length, seq = _unpack_gtpu(b)
+    return GtpuHeader(teid=teid, length=length, seq=seq)
 
 
 def gtpu_encapsulate(inner: bytes, teid: int, seq: int | None = None) -> bytes:
@@ -213,63 +207,17 @@ def gtpu_encapsulate(inner: bytes, teid: int, seq: int | None = None) -> bytes:
     length = len(inner) + (GTPU_OPT_LEN if seq is not None else 0)
     if length > MAX_SEQ:
         raise WireFormatError(f"inner packet of {len(inner)} bytes overflows the length field")
-    header = GtpuHeader(teid=teid, length=length, seq=seq)
-    return encode_gtpu_header(header) + inner
+    return _pack_gtpu(teid, length, seq) + inner
 
 
 def gtpu_decapsulate(b: bytes) -> tuple[bytes, int, int | None]:
     """Unwrap a G-PDU, returning (inner bytes, teid, seq or None)."""
-    header = decode_gtpu_header(b)
-    if header.length != len(b) - GTPU_HEADER_LEN:
+    teid, length, seq = _unpack_gtpu(b)
+    if length != len(b) - GTPU_HEADER_LEN:
         raise WireFormatError(
-            f"GTP-U length field {header.length} does not match actual {len(b) - GTPU_HEADER_LEN}"
+            f"GTP-U length field {length} does not match actual {len(b) - GTPU_HEADER_LEN}"
         )
-    inner = bytes(b[GTPU_HEADER_LEN + (GTPU_OPT_LEN if header.seq is not None else 0) :])
+    inner = b[GTPU_HEADER_LEN if seq is None else GTPU_HEADER_LEN + GTPU_OPT_LEN :]
     if not inner:
         raise WireFormatError("G-PDU carries no inner packet")
-    return inner, header.teid, header.seq
-
-
-@dataclass(frozen=True)
-class TlvMessage:
-    """Ordered tag-length-value container with a 16-bit message kind.
-
-    Serialization is canonical: msg_kind(2) then each element as
-    tag(2) | length(2) | value, in list order.
-    """
-
-    msg_kind: int
-    elements: tuple[tuple[int, bytes], ...] = ()
-
-
-def encode_tlv(m: TlvMessage) -> bytes:
-    if not 0 <= m.msg_kind <= 0xFFFF:
-        raise WireFormatError(f"msg_kind out of range: {m.msg_kind}")
-    out = [_TLV_KIND.pack(m.msg_kind)]
-    for tag, value in m.elements:
-        if not 0 <= tag <= 0xFFFF:
-            raise WireFormatError(f"TLV tag out of range: {tag}")
-        if len(value) > 0xFFFF:
-            raise WireFormatError(f"TLV value of {len(value)} bytes overflows the length field")
-        out.append(_TLV_HEAD.pack(tag, len(value)))
-        out.append(bytes(value))
-    return b"".join(out)
-
-
-def decode_tlv(b: bytes) -> TlvMessage:
-    b = bytes(b)
-    if len(b) < 2:
-        raise WireFormatError("truncated TLV message: missing msg_kind")
-    (msg_kind,) = _TLV_KIND.unpack_from(b)
-    elements: list[tuple[int, bytes]] = []
-    off = 2
-    while off < len(b):
-        if off + 4 > len(b):
-            raise WireFormatError(f"truncated TLV element header at offset {off}")
-        tag, length = _TLV_HEAD.unpack_from(b, off)
-        off += 4
-        if off + length > len(b):
-            raise WireFormatError(f"TLV value for tag {tag} runs past the buffer")
-        elements.append((tag, b[off : off + length]))
-        off += length
-    return TlvMessage(msg_kind=msg_kind, elements=tuple(elements))
+    return inner, teid, seq

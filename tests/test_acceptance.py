@@ -7,7 +7,9 @@ first test that needs a run also pays for it inside its budget.
 import random
 import time
 
+import tlv_elements
 from fivegsim.config import ScenarioSpec, default_topology
+from fivegsim.messages import MsgKind, Tag, build, parse
 from fivegsim.nwdaf import (
     export_events_text,
     import_events,
@@ -21,12 +23,9 @@ from fivegsim.validation import REGISTRATION_CHAIN, validate_sequences
 from fivegsim.wirefmt import (
     Protocol,
     SimPacket,
-    TlvMessage,
     WireFormatError,
     decode_packet,
-    decode_tlv,
     encode_packet,
-    encode_tlv,
     gtpu_decapsulate,
     gtpu_encapsulate,
 )
@@ -282,20 +281,28 @@ def test_criterion_10_codec_round_trips_and_decoder_totality():
             seq = rng.randrange(1 << 16) if rng.random() < 0.5 else None
             assert gtpu_decapsulate(gtpu_encapsulate(inner, teid, seq)) == (inner, teid, seq)
 
+        kinds, tags = list(MsgKind), list(Tag)
         for _ in range(4000):
-            msg = TlvMessage(
-                msg_kind=rng.randrange(1 << 16),
-                elements=tuple(
-                    (rng.randrange(1 << 16), rng.randbytes(rng.randrange(40)))
-                    for _ in range(rng.randrange(6))
-                ),
-            )
-            assert decode_tlv(encode_tlv(msg)) == msg
+            # any tag, repeats included; parse keeps the first value of each
+            kind = rng.choice(kinds)
+            elements = [
+                (rng.choice(tags) if rng.random() < 0.8 else rng.randrange(1 << 16),
+                 rng.randbytes(rng.randrange(40)))
+                for _ in range(rng.randrange(6))
+            ]
+            raw = tlv_elements.encode(kind, elements)
+            first = {}
+            for tag, value in elements:
+                first.setdefault(tag, value)
+            msg = parse(raw)
+            assert msg.kind is kind and {tag: msg.raw(tag) for tag in first} == first
+            if len(first) == len(elements) and all(tag in tags for tag in first):
+                assert build(kind, **{Tag(tag).name.lower(): v for tag, v in elements}) == raw
 
         crashes = 0
         for _ in range(10_000):
             buf = rng.randbytes(rng.randrange(64))
-            for decoder in (decode_packet, gtpu_decapsulate, decode_tlv):
+            for decoder in (decode_packet, gtpu_decapsulate, parse):
                 try:
                     decoder(buf)
                 except WireFormatError:

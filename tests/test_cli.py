@@ -10,7 +10,9 @@ import pytest
 from fivegsim import cli
 from fivegsim.cli import main
 from fivegsim.config import default_topology
+from fivegsim.messages import MsgKind
 from fivegsim.nwdaf import import_events, kpi_packet_counts
+from fivegsim.runner import Testbed
 from fivegsim.simnet import DROPPED
 from fivegsim.wirefmt import Protocol
 
@@ -297,6 +299,58 @@ def test_refused_ue_reports_its_transfer_as_failed(tmp_path):
     assert proc.stderr == ""
     assert "transfer UE document failed" in proc.stdout
     assert "error=no active session" in proc.stdout
+
+
+def test_ue_refused_a_session_names_the_refusal(tmp_path, capsys):
+    # a /28 pool holds 13 UE addresses after the network and gateway, so the
+    # SMF refuses UE014 to UE020 their sessions
+    topo = tmp_path / "small_pool.cfg"
+    topo.write_text(
+        Path(default_topology().source).read_text().replace("ue_pool=10.45.0.0/16", "ue_pool=10.45.0.0/28")
+    )
+    rc = main(["run", "--topology", str(topo), "--scenario", "many_requests", "--ues", "20"])
+    out, err = capsys.readouterr()
+    assert (rc, err) == (0, "")
+    for k in range(1, 21):
+        # the declared UE is UE, the spawned ones UE002 onwards
+        line = f"transfer UE{k:03d} document ".replace("UE001", "UE")
+        if k < 14:
+            assert line + "ok " in out
+        else:
+            assert (
+                line + "failed segments=0 bytes=0 ms=0"
+                " error=no active session (UE address pool exhausted)\n"
+            ) in out
+
+
+def _stray_keepalive_answer(monkeypatch):
+    """At t=100 the gNB sends the AMF a keepalive answer, which the AMF does
+    not handle and logs at debug level."""
+    boot = Testbed.boot
+
+    def boot_and_stray(tb):
+        boot(tb)
+        gnb, amf = tb.gnbs[0], tb.amfs[0]
+        tb.net.schedule(100, lambda: gnb.send(amf.name, MsgKind.NGAP_KEEPALIVE_RESP, result="OK"))
+
+    monkeypatch.setattr(Testbed, "boot", boot_and_stray)
+
+
+def test_stderr_carries_no_debug_lines_by_default(monkeypatch, capsys):
+    _stray_keepalive_answer(monkeypatch)
+    assert main(["run", "--duration-ms", "3000"]) == 0
+    assert capsys.readouterr().err == ""
+
+
+def test_log_level_debug_shows_the_package_debug_lines(monkeypatch, capsys):
+    _stray_keepalive_answer(monkeypatch)
+    assert main(["--log-level", "debug", "run", "--duration-ms", "3000"]) == 0
+    out, err = capsys.readouterr()
+    assert err == "DEBUG fivegsim.core_cp: AMF: unhandled NGAP NGAP_KEEPALIVE_RESP\n"
+    assert "DEBUG" not in out
+    # the level does not outlive the command
+    assert main(["run", "--duration-ms", "3000"]) == 0
+    assert capsys.readouterr().err == ""
 
 
 def test_unknown_scenario_rejected_by_the_parser(capsys):

@@ -6,19 +6,18 @@ exception unless the receiving node contains the bad input. A packet's
 claimed source address never names its sender: the receiver learns that
 from the link.
 """
-from dataclasses import replace
-
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import tlv_elements
 from fivegsim.config import default_topology
 from fivegsim.messages import PROTOCOL, MsgKind, Tag, build, parse
 from fivegsim.nwdaf import export_events_text, import_events_text
 from fivegsim.runner import T_ATTACH, Testbed
 from fivegsim.simnet import DROPPED, ELIMINATED_DUPLICATE
 from fivegsim.urllc import Redundancy
-from fivegsim.wirefmt import Protocol, SimPacket, decode_tlv, encode_packet, encode_tlv
+from fivegsim.wirefmt import Protocol, SimPacket, encode_packet
 
 BOOTED = 500
 HORIZON = 700
@@ -438,11 +437,11 @@ _FORGED_VALUES = st.sampled_from(
 
 def _forge(payload: bytes, which: int, value: str) -> bytes:
     """`payload` with its field number `which` (modulo its field count) set to `value`."""
-    msg = decode_tlv(payload)
-    elements = list(msg.elements) or [(int(Tag.NF_ID), b"")]
+    kind, elements = tlv_elements.decode(payload)
+    elements = elements or [(int(Tag.NF_ID), b"")]
     tag, _ = elements[which % len(elements)]
     elements[which % len(elements)] = (tag, value.encode())
-    return encode_tlv(replace(msg, elements=tuple(elements)))
+    return tlv_elements.encode(kind, elements)
 
 
 _FIELD_FORGERY = st.tuples(
@@ -482,14 +481,14 @@ _PEER_TEXT = st.text(
 
 def _with_ue_id(payload: bytes, text: str) -> bytes:
     """`payload` with its UE id set to `text`."""
-    msg = decode_tlv(payload)
-    elements = tuple((tag, text.encode() if tag == Tag.UE_ID else value) for tag, value in msg.elements)
-    return encode_tlv(replace(msg, elements=elements))
+    kind, elements = tlv_elements.decode(payload)
+    elements = [(tag, text.encode() if tag == Tag.UE_ID else value) for tag, value in elements]
+    return tlv_elements.encode(kind, elements)
 
 
 _CARRIES_UE_ID = [
     sent for sent in REAL_SENT
-    if sent[0].protocol is not Protocol.GTPU and Tag.UE_ID in dict(decode_tlv(sent[0].payload).elements)
+    if sent[0].protocol is not Protocol.GTPU and Tag.UE_ID in dict(tlv_elements.decode(sent[0].payload)[1])
 ]
 
 

@@ -1,10 +1,12 @@
-"""Message vocabulary: the kind -> protocol table and total field accessors."""
+"""Message vocabulary: the kind -> protocol table, what build takes and
+total field accessors."""
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import tlv_elements
 from fivegsim.messages import PROTOCOL, MsgKind, Tag, build, parse
-from fivegsim.wirefmt import Protocol, TlvMessage, WireFormatError, encode_tlv
+from fivegsim.wirefmt import Protocol, WireFormatError
 
 
 def test_kind_prefix_names_the_protocol():
@@ -37,7 +39,43 @@ def test_accessors_raise_wire_format_errors_on_bad_fields():
 @pytest.mark.parametrize("code", [0, 12, 0xFFFF])
 def test_unknown_message_kind_keeps_its_error_text(code):
     with pytest.raises(WireFormatError, match=f"^unknown message kind {code}$"):
-        parse(encode_tlv(TlvMessage(code, ())))
+        parse(tlv_elements.encode(code, ()))
+
+
+def test_element_errors_come_before_an_unknown_kind():
+    """A truncated element is reported even when the kind is unknown too, so
+    a drop reason names the first fault in the buffer."""
+    with pytest.raises(WireFormatError, match="^TLV value for tag 1 runs past the buffer$"):
+        parse(bytes.fromhex("03e7000100047a"))
+    with pytest.raises(WireFormatError, match="^truncated TLV element header at offset 6$"):
+        parse(bytes.fromhex("03e70001000078"))
+
+
+def test_parse_keeps_the_first_value_of_a_repeated_tag():
+    m = parse(tlv_elements.encode(80, [(8, b"a"), (9, b"1"), (8, b"b"), (999, b"?")]))
+    assert (m.raw(Tag.DOC), m.num(Tag.SIZE), m.raw(999)) == (b"a", 1, b"?")
+
+
+def test_build_sends_bytes_like_values_as_bytes_and_str_or_int_as_text():
+    assert build(MsgKind.APP_GET, doc=memoryview(b"xy")) == build(MsgKind.APP_GET, doc=b"xy")
+    assert build(MsgKind.APP_GET, doc=bytearray(b"xy")) == build(MsgKind.APP_GET, doc=b"xy")
+    assert build(MsgKind.APP_GET, size=42) == build(MsgKind.APP_GET, size="42")
+    assert build(MsgKind.APP_GET, doc=None) == build(MsgKind.APP_GET)
+    assert parse(build(MsgKind.APP_GET, doc=memoryview(b"xy"))).raw(Tag.DOC) == b"xy"
+
+
+@pytest.mark.parametrize("value", [1.5, object(), [b"x"], {"a": 1}, ("x",)])
+def test_build_refuses_other_values_naming_the_field(value):
+    with pytest.raises(TypeError, match=f"^message field 'doc' is {type(value).__name__}, not"):
+        build(MsgKind.APP_GET, doc=value)
+
+
+def test_build_refuses_unknown_kinds_and_fields():
+    with pytest.raises(KeyError, match="unknown message kind 999"):
+        build(999)
+    with pytest.raises(KeyError, match="unknown message field 'colour'"):
+        build(MsgKind.APP_GET, colour="red")
+    assert build(80) == build(MsgKind.APP_GET)
 
 
 _KINDS = st.one_of(st.sampled_from([int(k) for k in MsgKind]), st.integers(0, 0xFFFF))
@@ -49,7 +87,7 @@ _VALUES = st.one_of(
 )
 _TLV_BYTES = st.one_of(
     st.builds(
-        lambda kind, elements: encode_tlv(TlvMessage(kind, tuple(elements))),
+        tlv_elements.encode,
         _KINDS,
         st.lists(st.tuples(_TAGS, _VALUES), max_size=8),
     ),

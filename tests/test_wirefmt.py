@@ -6,7 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import tlv_elements
 from fivegsim import wirefmt
+from fivegsim.messages import MsgKind, Tag, build, parse
 from fivegsim.runner import run_reliability_measurement
 from fivegsim.urllc import Redundancy
 from fivegsim.wirefmt import (
@@ -16,14 +18,11 @@ from fivegsim.wirefmt import (
     GtpuHeader,
     Protocol,
     SimPacket,
-    TlvMessage,
     WireFormatError,
     decode_gtpu_header,
     decode_packet,
-    decode_tlv,
     encode_gtpu_header,
     encode_packet,
-    encode_tlv,
     gtpu_decapsulate,
     gtpu_encapsulate,
 )
@@ -74,12 +73,23 @@ def test_gtpu_golden():
 
 
 def test_tlv_golden():
-    two = TlvMessage(msg_kind=80, elements=((1, b"x"), (2, b"yz")))
-    assert encode_tlv(two) == GOLDEN["tlv_two_elements"]
-    assert decode_tlv(GOLDEN["tlv_two_elements"]) == two
-    bare = TlvMessage(msg_kind=5)
-    assert encode_tlv(bare) == GOLDEN["tlv_bare"]
-    assert decode_tlv(GOLDEN["tlv_bare"]) == bare
+    assert build(MsgKind.APP_GET, ue_id="x", nf_id="yz") == GOLDEN["tlv_two_elements"]
+    two = parse(GOLDEN["tlv_two_elements"])
+    assert (two.kind, two.raw(Tag.UE_ID), two.raw(Tag.NF_ID)) == (MsgKind.APP_GET, b"x", b"yz")
+    assert [t for t in Tag if two.raw(t) is not None] == [Tag.UE_ID, Tag.NF_ID]
+    assert build(MsgKind.NF_HEARTBEAT_REQ) == GOLDEN["tlv_bare"]
+    bare = parse(GOLDEN["tlv_bare"])
+    assert bare.kind is MsgKind.NF_HEARTBEAT_REQ
+    assert all(bare.raw(t) is None for t in Tag)
+
+
+def test_element_level_test_codec_matches_the_golden_vectors():
+    for name, kind, elements in (
+        ("tlv_two_elements", 80, [(1, b"x"), (2, b"yz")]),
+        ("tlv_bare", 5, []),
+    ):
+        assert tlv_elements.encode(kind, elements) == GOLDEN[name]
+        assert tlv_elements.decode(GOLDEN[name]) == (kind, elements)
 
 
 def test_envelope_header_is_18_bytes():
@@ -190,12 +200,18 @@ def test_gtpu_rejects_out_of_range_fields():
 
 def test_tlv_rejects_truncated_element():
     # header says 4 value bytes, only 1 present
-    with pytest.raises(WireFormatError, match="runs past"):
-        decode_tlv(bytes.fromhex("0050000100047a"))
-    with pytest.raises(WireFormatError, match="element header"):
-        decode_tlv(bytes.fromhex("005000"))
-    with pytest.raises(WireFormatError, match="msg_kind"):
-        decode_tlv(b"\x00")
+    with pytest.raises(WireFormatError, match="^TLV value for tag 1 runs past the buffer$"):
+        parse(bytes.fromhex("0050000100047a"))
+    with pytest.raises(WireFormatError, match="^truncated TLV element header at offset 2$"):
+        parse(bytes.fromhex("005000"))
+    with pytest.raises(WireFormatError, match="^truncated TLV message: missing msg_kind$"):
+        parse(b"\x00")
+
+
+def test_tlv_value_over_the_length_field_is_refused():
+    with pytest.raises(WireFormatError, match="^TLV value of 65536 bytes overflows the length field$"):
+        build(MsgKind.APP_SEGMENT, data=bytes(0x10000))
+    assert len(build(MsgKind.APP_SEGMENT, data=bytes(0xFFFF))) == 2 + 4 + 0xFFFF
 
 
 # -- round-trip properties ------------------------------------------------------
@@ -233,27 +249,40 @@ def test_gtpu_roundtrip(inner, teid, seq):
     assert gtpu_decapsulate(gtpu_encapsulate(inner, teid, seq)) == (inner, teid, seq)
 
 
-tlvs = st.builds(
-    TlvMessage,
-    msg_kind=st.integers(min_value=0, max_value=0xFFFF),
-    elements=st.lists(
-        st.tuples(st.integers(min_value=0, max_value=0xFFFF), st.binary(max_size=64)),
-        max_size=8,
-    ).map(tuple),
+# field name -> value, over every Tag; any value build takes
+fields = st.dictionaries(
+    st.sampled_from([t.name.lower() for t in Tag]),
+    st.one_of(
+        st.binary(max_size=64),
+        st.binary(max_size=64).map(bytearray),
+        st.binary(max_size=64).map(memoryview),
+        st.text(max_size=16),
+        st.integers(min_value=-(10**20), max_value=10**20),
+    ),
+    max_size=len(Tag),
 )
 
 
+def _wire_value(value) -> bytes:
+    return str(value).encode() if isinstance(value, (str, int)) else bytes(value)
+
+
 @settings(max_examples=300, deadline=None)
-@given(tlvs)
-def test_tlv_roundtrip(msg):
-    assert decode_tlv(encode_tlv(msg)) == msg
+@given(st.sampled_from(list(MsgKind)), fields)
+def test_tlv_roundtrip(kind, fields):
+    raw = build(kind, **fields)
+    expect = [(int(Tag[name.upper()]), _wire_value(value)) for name, value in fields.items()]
+    assert tlv_elements.decode(raw) == (kind, expect)
+    m = parse(raw)
+    assert m.kind is kind
+    assert {t: m.raw(t) for t in Tag if m.raw(t) is not None} == dict(expect)
 
 
 @settings(max_examples=400, deadline=None)
 @given(st.binary(max_size=64))
 def test_decoders_total_on_random_buffers(buf):
     """Arbitrary bytes either decode or raise WireFormatError, never crash."""
-    for decoder in (decode_packet, decode_gtpu_header, gtpu_decapsulate, decode_tlv):
+    for decoder in (decode_packet, decode_gtpu_header, gtpu_decapsulate, parse):
         try:
             decoder(buf)
         except WireFormatError:
@@ -282,6 +311,48 @@ def test_wire_size_counts_header():
     pkt = GOLDEN_OBJECTS["envelope_app_get"]
     assert pkt.wire_size == ENVELOPE_HEADER_LEN + 3
     assert len(encode_packet(pkt)) == pkt.wire_size
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    inner=st.binary(min_size=1, max_size=512),
+    teid=st.integers(min_value=0, max_value=2**32 - 1),
+    seq=st.one_of(st.none(), st.integers(min_value=0, max_value=2**16 - 1)),
+)
+def test_gtpu_encapsulation_is_the_header_codec_plus_inner(inner, teid, seq):
+    header = GtpuHeader(teid=teid, length=len(inner) + (4 if seq is not None else 0), seq=seq)
+    raw = gtpu_encapsulate(inner, teid, seq)
+    assert raw == encode_gtpu_header(header) + inner
+    assert decode_gtpu_header(raw) == header
+    assert raw[header.header_len :] == inner
+
+
+# values encode_packet cannot carry: an address that is not a str, a payload
+# that is not bytes
+not_str = st.one_of(
+    st.none(), st.integers(), st.floats(), st.binary(max_size=4), st.lists(st.integers(), max_size=2)
+)
+not_bytes = st.one_of(
+    st.none(), st.integers(), st.text(max_size=4), st.lists(st.integers(), max_size=2),
+    st.binary(max_size=4).map(bytearray), st.binary(max_size=4).map(memoryview),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(packets, st.sampled_from(["src_ip", "dst_ip", "payload"]), st.data())
+def test_encode_rejects_what_cannot_round_trip(pkt, field, data):
+    setattr(pkt, field, data.draw(not_bytes if field == "payload" else not_str))
+    with pytest.raises(WireFormatError, match="bad IPv4 address|payload is .*, not bytes"):
+        encode_packet(pkt)
+
+
+def test_encode_rejects_an_integer_address_and_a_text_payload():
+    with pytest.raises(WireFormatError, match="^bad IPv4 address 16909060$"):
+        encode_packet(SimPacket(Protocol.SBI, 16909060, "10.0.0.2", 1, 1))
+    with pytest.raises(WireFormatError, match="^payload is str, not bytes$"):
+        encode_packet(SimPacket(Protocol.SBI, "10.0.0.1", "10.0.0.2", 1, 1, payload="abc"))
+    with pytest.raises(WireFormatError, match="^unknown protocol 99$"):
+        encode_packet(SimPacket(99, "10.0.0.1", "10.0.0.2", 1, 1))
 
 
 def test_gtpu_header_len_property():
