@@ -36,22 +36,13 @@ from .simnet import (
     SimNetError,
     TapRecord,
 )
-from .urllc import (
-    DedupWindow,
-    Redundancy,
-    ReliabilityResult,
-    eliminate_duplicates,
-    seq_newer,
-)
+from .urllc import DedupWindow, Redundancy, ReliabilityResult, seq_newer
 from .validation import CheckResult, all_passed, validate_sequences
 from .wirefmt import (
-    GtpuHeader,
     Protocol,
     SimPacket,
     WireFormatError,
-    decode_gtpu_header,
     decode_packet,
-    encode_gtpu_header,
     encode_packet,
     gtpu_decapsulate,
     gtpu_encapsulate,
@@ -69,7 +60,6 @@ __all__ = [
     "EventStore",
     "FivegsimError",
     "FlowError",
-    "GtpuHeader",
     "Link",
     "Network",
     "Params",
@@ -87,11 +77,8 @@ __all__ = [
     "TopologyConfig",
     "WireFormatError",
     "all_passed",
-    "decode_gtpu_header",
     "decode_packet",
     "default_topology",
-    "eliminate_duplicates",
-    "encode_gtpu_header",
     "encode_packet",
     "export_events",
     "gtpu_decapsulate",

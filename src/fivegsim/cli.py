@@ -119,7 +119,7 @@ def main(argv=None) -> int:
     logger.setLevel(args.log_level.upper())
     try:
         return args.func(args)
-    except (ConfigError, SchemaError, FileNotFoundError, IsADirectoryError) as exc:
+    except (ConfigError, SchemaError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except FivegsimError as exc:

@@ -129,22 +129,26 @@ class TopologyConfig:
         return [e for e in self.entities if e.kind == kind]
 
 
+def ue_imsi(k: int, subscribers=()) -> str:
+    """The IMSI of the UE at 1-based population position k: the k-th
+    [subscribers] id, where a declared UE has one, else imsi-00101 and k in
+    ten digits."""
+    return subscribers[k - 1] if k <= len(subscribers) else f"imsi-00101{k:010d}"
+
+
 def run_roster(entities, links, params: Params) -> tuple[list[EntityDecl], list[LinkDecl]]:
     """The entities and links a run builds: the declared ones, plus a SERVER
-    at app_server_ip linked to every UPF and an NWDAF at nwdaf_ip linked to
-    the NRF, PCF and NSSF, each only when the topology declares none."""
+    at app_server_ip and an NWDAF at nwdaf_ip, each only when the topology
+    declares none, linked to every entity of each of its PEER_KINDS."""
     entities, links = list(entities), list(links)
     kinds = {e.kind for e in entities}
-    for kind, ip, peer_kinds in (
-        ("SERVER", params.app_server_ip, ("UPF",)),
-        ("NWDAF", params.nwdaf_ip, ("NRF", "PCF", "NSSF")),
-    ):
+    for kind, ip in (("SERVER", params.app_server_ip), ("NWDAF", params.nwdaf_ip)):
         if kind in kinds:
             continue
         entities.append(EntityDecl(kind=kind, name=kind, ip=ip))
         links += [
             LinkDecl(a=kind, b=e.name, latency_ms=1, loss_prob=0.0, reliable=True)
-            for peer_kind in peer_kinds
+            for peer_kind in PEER_KINDS[kind]
             for e in entities
             if e.kind == peer_kind
         ]
@@ -204,6 +208,12 @@ def _validate(
                 raise ConfigError(f"{e.kind} {e.name} has no link to any {peer}")
     if len(set(subscribers)) != len(subscribers):
         raise ConfigError("duplicate subscriber id")
+    holder: dict[str, str] = {}  # IMSI -> declared UE
+    for k, ue in enumerate((e for e in entities if e.kind == "UE"), start=1):
+        imsi = ue_imsi(k, subscribers)
+        if imsi in holder:
+            raise ConfigError(f"UEs {holder[imsi]} and {ue.name} share the IMSI {imsi}")
+        holder[imsi] = ue.name
     for doc, size in documents.items():
         if size < 0:
             raise ConfigError(f"document {doc}: negative size")
@@ -290,8 +300,8 @@ def parse_topology(text: str, source: str = "<memory>") -> TopologyConfig:
 def load_topology(path: str | Path) -> TopologyConfig:
     path = Path(path)
     try:
-        text = path.read_text()
-    except OSError as exc:
+        text = path.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read topology {path}: {exc}") from None
     return parse_topology(text, source=str(path))
 

@@ -339,10 +339,7 @@ class NfEntity(Entity):
         elif m.kind == MsgKind.NF_STATUS_NOTIFY:
             self.notifications.append((m.text(Tag.NF_ID, ""), m.text(Tag.STATUS, "")))
         elif m.kind in (
-            MsgKind.NF_HEARTBEAT_RESP,
-            MsgKind.NF_STATUS_SUBSCRIBE_RESP,
-            MsgKind.NF_DEREGISTER_RESP,
-            MsgKind.KPI_NOTIFY,
+            MsgKind.NF_HEARTBEAT_RESP, MsgKind.NF_STATUS_SUBSCRIBE_RESP, MsgKind.NF_DEREGISTER_RESP
         ):
             pass
         else:

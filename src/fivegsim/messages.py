@@ -71,8 +71,6 @@ class MsgKind(IntEnum):
     APP_COMPLETE = 83
     APP_ERROR = 84
     APP_DATA = 85
-    # analytics
-    KPI_NOTIFY = 90
 
 
 class Tag(IntEnum):
@@ -92,10 +90,6 @@ class Tag(IntEnum):
     MODE = 15
     PATHS = 16
     RULES = 17
-    KPI_KIND = 18
-    WINDOW_T0 = 20
-    WINDOW_T1 = 21
-    PACKETS = 22
     SEGMENTS = 24
     GNB = 25
     DIGEST = 26

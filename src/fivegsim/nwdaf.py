@@ -1,4 +1,4 @@
-"""Embedded analytics: KPI synthesis, log round-tripping, periodic feeds.
+"""Embedded analytics: KPI synthesis and log round-tripping.
 
 The analytics function reads the fabric's own event log (management plane,
 not packets); the fabric built every row, so the live path checks nothing.
@@ -18,8 +18,8 @@ import io
 from dataclasses import dataclass
 
 from .core_cp import NfEntity
-from .errors import FivegsimError, SetupError
-from .messages import _CANONICAL_INT, MsgKind
+from .errors import FivegsimError
+from .messages import _CANONICAL_INT
 from .simnet import DELIVERED, OUTCOMES, TapRecord
 from .wirefmt import Protocol
 
@@ -92,19 +92,6 @@ def kpi_throughput_matrix(events, t0: int, t1: int) -> dict[tuple[str, str], flo
         total[key] = total.get(key, 0) + ev.size
     seconds = (t1 - t0) / 1000.0
     return {key: size / seconds for key, size in total.items()}
-
-
-@dataclass(frozen=True)
-class KpiReport:
-    """A finished KPI window, ready for notification or export."""
-
-    kind: str
-    window: tuple[int, int]
-    entries: tuple[tuple[str, int], ...]
-
-    @property
-    def total(self) -> int:
-        return sum(v for _, v in self.entries)
 
 
 # -- log round-tripping ----------------------------------------------------------
@@ -189,8 +176,14 @@ def import_events_text(text: str) -> list[TapRecord]:
 
 
 def import_events(path) -> list[TapRecord]:
-    with open(path, "r", encoding="utf-8", newline="") as fh:  # a \r is refused, not read as a line end
-        return import_events_text(fh.read())
+    with open(path, "rb") as fh:  # a \r is refused, not read as a line end
+        raw = fh.read()
+    try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        lineno = raw.count(b"\n", 0, exc.start) + 1
+        raise SchemaError(f"line {lineno}: not UTF-8 text") from None
+    return import_events_text(text)
 
 
 def write_kpi_counts_csv(path, counts: dict[str, int]) -> None:
@@ -211,44 +204,10 @@ def write_throughput_csv(path, matrix: dict[tuple[str, str], float]) -> None:
 
 
 class Nwdaf(NfEntity):
-    """Analytics function: reads the fabric's log, serves periodic KPI feeds."""
+    """Analytics function: registers with the NRF and reads the fabric's log."""
 
     kind = "NWDAF"
 
     def __init__(self, name, ip, net, env):
         super().__init__(name, ip, net, env)
         self.store = EventStore(net.events)
-
-    def subscribe_analytics(self, subscriber: str, kind: str = "packet_counts", period_ms: int = 1000) -> None:
-        """Register a periodic KPI feed towards another NF.
-
-        Requires this function to have completed its own registration; the
-        feed starts one period from now.
-        """
-        if not self.registered:
-            raise SetupError(f"{self.name}: analytics subscription before registration")
-        if kind != "packet_counts":
-            raise SetupError(f"{self.name}: unsupported analytics kind {kind!r}")
-        if period_ms <= 0:
-            raise SetupError(f"{self.name}: period must be positive")
-        self.net.schedule_in(period_ms, lambda: self._notify_fire(subscriber, kind, period_ms))
-
-    def report(self, kind: str, t0: int, t1: int) -> KpiReport:
-        counts = kpi_packet_counts(self.store.events, t0, t1)
-        return KpiReport(
-            kind=kind, window=(t0, t1), entries=tuple(sorted(counts.items()))
-        )
-
-    def _notify_fire(self, subscriber: str, kind: str, period_ms: int) -> None:
-        t1 = self.net.now
-        rep = self.report(kind, max(0, t1 - period_ms), t1)
-        self.send(
-            subscriber,
-            MsgKind.KPI_NOTIFY,
-            kpi_kind=kind,
-            window_t0=rep.window[0],
-            window_t1=rep.window[1],
-            packets=rep.total,
-            data=";".join(f"{name}={count}" for name, count in rep.entries),
-        )
-        self.net.schedule_in(period_ms, lambda: self._notify_fire(subscriber, kind, period_ms))

@@ -20,11 +20,12 @@ from .config import (
     TopologyConfig,
     default_topology,
     run_roster,
+    ue_imsi,
     with_link_loss,
     with_second_gnb,
 )
 from .core_cp import Amf, Ausf, Bsf, CoreEnv, Nrf, Nssf, Pcf, Smf, Udm, Udr
-from .errors import FlowError, SetupError
+from .errors import ConfigError, FlowError, SetupError
 from .nwdaf import (
     Nwdaf,
     export_events,
@@ -113,8 +114,7 @@ class Testbed:
             linked = {l.a if l.b == decl.name else l.b for l in links if decl.name in (l.a, l.b)}
             return Gnb(*args, amf=next(e.name for e in entities if e.kind == "AMF" and e.name in linked))
         if decl.kind == "UE":
-            imsi = subscribers[index] if index < len(subscribers) else f"imsi-00101{index + 1:010d}"
-            return Ue(*args, imsi=imsi)
+            return Ue(*args, imsi=ue_imsi(index + 1, subscribers))
         return AppServer(*args, documents=dict(self.topo.documents))  # SERVER, the kind left
 
     # -- convenient accessors ------------------------------------------------
@@ -182,18 +182,21 @@ class Testbed:
         """The first `total` UEs, growing the population to `total` by cloning
         the first UE's radio attachment and, where the topology has a UDR,
         provisioning matching subscriptions; without one the UDM refuses each
-        UE `no UDR`."""
+        UE `no UDR`. A spawned UE whose IMSI a declared UE holds is a
+        ConfigError."""
         ues = self.ues
         if len(ues) >= total:
             return ues[:total]
         if not ues:
             raise SetupError("cannot spawn UEs without a declared template UE")
         template = ues[0]
+        declared = {ue.imsi: ue.name for ue in ues}
         for k in range(len(ues) + 1, total + 1):
             name = f"UE{k:03d}"
-            ip = f"172.16.{k >> 8}.{k & 0xFF}"
-            imsi = f"imsi-00101{k:010d}"
-            ue = Ue(name, ip, self.net, self.env, imsi=imsi)
+            imsi = ue_imsi(k)
+            if imsi in declared:
+                raise ConfigError(f"UEs {declared[imsi]} and {name} share the IMSI {imsi}")
+            ue = Ue(name, f"172.16.{k >> 8}.{k & 0xFF}", self.net, self.env, imsi=imsi)
             self.net.add_entity(ue)
             for gnb in template.gnbs:
                 radio = self.net.require_link(template.name, gnb)
@@ -226,18 +229,18 @@ class Testbed:
             if (delivered, dropped) != (stat_delivered, stat_dropped):
                 problems.append(f"conservation broken on {link_id}")
         last_ts = 0
+        out_of_order = None  # the first timestamp out of causal order
         wire_delivered = 0
         for r in self.records:
-            if r.ts < last_ts or r.ts > horizon:
-                problems.append(f"event timestamp {r.ts} outside causal order")
-                break
+            if out_of_order is None and (r.ts < last_ts or r.ts > horizon):
+                out_of_order = r.ts
             last_ts = r.ts
-            if r.outcome == DELIVERED:
+            if r.outcome == DELIVERED and r.is_wire:
                 wire_delivered += 1
+        if out_of_order is not None:
+            problems.append(f"event timestamp {out_of_order} outside causal order")
         both = kpi_packet_counts(self.records, 0, horizon + 1, semantics="src_or_dst")
-        if sum(both.values()) != 2 * sum(
-            1 for ev in self.records if ev.outcome == DELIVERED and ev.is_wire
-        ):
+        if sum(both.values()) != 2 * wire_delivered:
             problems.append("src_or_dst accounting does not credit exactly two ends per packet")
         return problems
 

@@ -82,21 +82,6 @@ class DedupWindow:
         return True
 
 
-def eliminate_duplicates(stream, window: int = DEDUP_WINDOW) -> list:
-    """Filter a stream of items down to first arrivals.
-
-    Items are either bare sequence numbers or (seq, payload) pairs; output
-    preserves first-arrival order.
-    """
-    win = DedupWindow(window)
-    out = []
-    for item in stream:
-        seq = item if isinstance(item, int) else item[0]
-        if win.accept(seq):
-            out.append(item)
-    return out
-
-
 @dataclass(frozen=True)
 class ReliabilityResult:
     """Outcome of one delivery-reliability measurement."""

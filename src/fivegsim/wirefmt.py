@@ -141,83 +141,47 @@ def decode_packet(b: bytes) -> SimPacket:
     return SimPacket(protocol, src_ip, dst_ip, sport, dport, b[ENVELOPE_HEADER_LEN:])
 
 
-@dataclass(frozen=True)
-class GtpuHeader:
-    """GTPv1-U header for G-PDU tunneling.
-
-    length counts every byte after the mandatory 8-byte header, so it is the
-    inner payload size plus 4 whenever the optional field block is present.
-    """
-
-    teid: int
-    length: int
-    seq: int | None = None
-    msg_type: int = GTPU_MSG_GPDU
-
-    @property
-    def header_len(self) -> int:
-        return GTPU_HEADER_LEN + (GTPU_OPT_LEN if self.seq is not None else 0)
-
-
-def _pack_gtpu(teid: int, length: int, seq: int | None, msg_type: int = GTPU_MSG_GPDU) -> bytes:
-    if not 0 <= teid <= MAX_TEID:
-        raise WireFormatError(f"TEID out of range: {teid}")
-    if not 0 <= length <= MAX_SEQ:
-        raise WireFormatError(f"GTP-U length out of range: {length}")
-    if msg_type != GTPU_MSG_GPDU:
-        raise WireFormatError(f"unsupported GTP-U message type {msg_type:#x}")
-    if seq is None:
-        return _GTPU.pack(GTPU_FLAGS_BASE, msg_type, length, teid)
-    if not 0 <= seq <= MAX_SEQ:
-        raise WireFormatError(f"GTP-U sequence out of range: {seq}")
-    return _GTPU_SEQ.pack(GTPU_FLAGS_SEQ, msg_type, length, teid, seq, 0, 0)
-
-
-def _unpack_gtpu(b: bytes) -> tuple[int, int, int | None]:
-    """(teid, length, seq or None) of a G-PDU header."""
-    if len(b) < GTPU_HEADER_LEN:
-        raise WireFormatError(f"truncated GTP-U header: {len(b)} bytes")
-    flags, msg_type, length, teid = _GTPU.unpack_from(b)
-    if flags == GTPU_FLAGS_BASE:
-        seq = None
-    elif flags == GTPU_FLAGS_SEQ:
-        if len(b) < GTPU_HEADER_LEN + GTPU_OPT_LEN:
-            raise WireFormatError("S flag set but optional field block truncated")
-        seq = _GTPU_SEQ.unpack_from(b)[4]
-    else:
-        raise WireFormatError(f"unsupported GTP-U flags {flags:#04x}")
-    if msg_type != GTPU_MSG_GPDU:
-        raise WireFormatError(f"unsupported GTP-U message type {msg_type:#x}")
-    return teid, length, seq
-
-
-def encode_gtpu_header(h: GtpuHeader) -> bytes:
-    return _pack_gtpu(h.teid, h.length, h.seq, h.msg_type)
-
-
-def decode_gtpu_header(b: bytes) -> GtpuHeader:
-    teid, length, seq = _unpack_gtpu(b)
-    return GtpuHeader(teid=teid, length=length, seq=seq)
-
-
 def gtpu_encapsulate(inner: bytes, teid: int, seq: int | None = None) -> bytes:
-    """Wrap an inner datagram in a G-PDU. The inner bytes must be non-empty."""
+    """Wrap an inner datagram in a G-PDU. The inner bytes must be non-empty.
+
+    The header's length field counts every byte after its mandatory 8, so
+    it is the inner size plus 4 whenever the optional field block (seq) is
+    present.
+    """
     if not inner:
         raise WireFormatError("refusing to encapsulate an empty inner packet")
     length = len(inner) + (GTPU_OPT_LEN if seq is not None else 0)
     if length > MAX_SEQ:
         raise WireFormatError(f"inner packet of {len(inner)} bytes overflows the length field")
-    return _pack_gtpu(teid, length, seq) + inner
+    if not 0 <= teid <= MAX_TEID:
+        raise WireFormatError(f"TEID out of range: {teid}")
+    if seq is None:
+        return _GTPU.pack(GTPU_FLAGS_BASE, GTPU_MSG_GPDU, length, teid) + inner
+    if not 0 <= seq <= MAX_SEQ:
+        raise WireFormatError(f"GTP-U sequence out of range: {seq}")
+    return _GTPU_SEQ.pack(GTPU_FLAGS_SEQ, GTPU_MSG_GPDU, length, teid, seq, 0, 0) + inner
 
 
 def gtpu_decapsulate(b: bytes) -> tuple[bytes, int, int | None]:
     """Unwrap a G-PDU, returning (inner bytes, teid, seq or None)."""
-    teid, length, seq = _unpack_gtpu(b)
+    if len(b) < GTPU_HEADER_LEN:
+        raise WireFormatError(f"truncated GTP-U header: {len(b)} bytes")
+    flags, msg_type, length, teid = _GTPU.unpack_from(b)
+    if flags == GTPU_FLAGS_BASE:
+        seq, start = None, GTPU_HEADER_LEN
+    elif flags == GTPU_FLAGS_SEQ:
+        if len(b) < GTPU_HEADER_LEN + GTPU_OPT_LEN:
+            raise WireFormatError("S flag set but optional field block truncated")
+        seq, start = _GTPU_SEQ.unpack_from(b)[4], GTPU_HEADER_LEN + GTPU_OPT_LEN
+    else:
+        raise WireFormatError(f"unsupported GTP-U flags {flags:#04x}")
+    if msg_type != GTPU_MSG_GPDU:
+        raise WireFormatError(f"unsupported GTP-U message type {msg_type:#x}")
     if length != len(b) - GTPU_HEADER_LEN:
         raise WireFormatError(
             f"GTP-U length field {length} does not match actual {len(b) - GTPU_HEADER_LEN}"
         )
-    inner = b[GTPU_HEADER_LEN if seq is None else GTPU_HEADER_LEN + GTPU_OPT_LEN :]
+    inner = b[start:]
     if not inner:
         raise WireFormatError("G-PDU carries no inner packet")
     return inner, teid, seq

@@ -1,0 +1,55 @@
+"""The names the benchmark under perfbench/ reads from the package.
+
+perfbench/ is changed only together with the benchmark, so these names stay
+as long as it reads them: a change that deletes one breaks every benchmark
+run, not just a test.
+"""
+import fivegsim
+from fivegsim.config import ScenarioSpec, default_topology
+from fivegsim.runner import Testbed, run_scenario
+
+# package attributes the workloads and the tracer call
+PACKAGE_NAMES = (
+    "DELIVERED", "DROPPED", "ELIMINATED_DUPLICATE", "Redundancy", "ScenarioSpec", "Testbed",
+    "default_topology", "run_reliability_measurement", "run_scenario", "with_link_loss",
+)
+MODULE_NAMES = {
+    "nwdaf": ("export_events_text", "import_events_text", "kpi_packet_counts", "kpi_throughput_matrix"),
+    "validation": ("validate_sequences",),
+    "runner": ("Testbed",),
+}
+
+
+def test_package_names_the_benchmark_calls():
+    for name in PACKAGE_NAMES:
+        assert hasattr(fivegsim, name), name
+    for module, names in MODULE_NAMES.items():
+        for name in names:
+            assert hasattr(getattr(fivegsim, module), name), f"{module}.{name}"
+    for method in ("boot", "spawn_ues", "invariant_violations"):
+        assert callable(getattr(Testbed, method)), method
+
+
+def test_testbed_names_the_benchmark_reads():
+    tb = Testbed(default_topology(), seed=1)
+    tb.boot()
+    tb.run_until(200)
+    assert tb.records is tb.net.events and len(tb.records) > 0
+    assert tb.nwdaf.store.events is tb.records
+    assert tb.nwdaf.store.rejected == 0
+    assert isinstance(tb.net.link_stats, dict) and tb.net.link_stats
+    assert isinstance(tb.net._loss_counters, dict)
+    assert tb.amfs and tb.smfs and tb.ues and tb.gnbs
+    assert isinstance(tb.server.data_received, dict)
+    assert isinstance(tb.amfs[0].ue_registered, dict)
+    assert isinstance(tb.smfs[0].sessions, dict)
+    assert (tb.params.sbi_port, tb.params.ue_pool) == (7777, "10.45.0.0/16")
+
+
+def test_run_result_names_the_benchmark_reads():
+    result = run_scenario(ScenarioSpec("single_request", seed=1, duration_ms=3000))
+    assert result.events is result.testbed.records and result.events
+    assert result.window[0] < result.window[1]
+    assert result.kpi_counts and result.throughput
+    [transfer] = result.transfers["UE"]
+    assert transfer.ok and transfer.segments == {}

@@ -175,6 +175,34 @@ def test_missing_topology_file_is_a_usage_error(tmp_path, capsys):
     assert rc == 2
 
 
+@pytest.mark.parametrize("command", [["validate"], ["kpi", "--window-ms", "0", "10"]])
+def test_events_file_that_is_not_utf8_is_a_usage_error(run_dir, tmp_path, command, capsys):
+    lines = (run_dir / "events.log").read_bytes().split(b"\n")
+    lines[2] = lines[2].replace(b"NRF", b"N\xffF", 1)
+    bad = tmp_path / "latin.log"
+    bad.write_bytes(b"\n".join(lines))
+    rc = main([command[0], "--events", str(bad), *command[1:]])
+    assert (rc, capsys.readouterr().err) == (2, "error: line 3: not UTF-8 text\n")
+
+
+def test_topology_file_that_is_not_utf8_is_a_usage_error(tmp_path, capsys):
+    topo = tmp_path / "latin.cfg"
+    topo.write_bytes(Path(default_topology().source).read_bytes().replace(b"# Desk", b"# D\xe9sk"))
+    rc = main(["run", "--topology", str(topo)])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith(f"error: cannot read topology {topo}: 'utf-8' codec can't decode")
+    assert err.count("\n") == 1
+
+
+def test_out_below_a_file_is_a_usage_error(tmp_path, capsys):
+    (tmp_path / "file").write_text("")
+    rc = main(["run", "--duration-ms", "3000", "--out", str(tmp_path / "file" / "run")])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def run_cli_on_default_topology(tmp_path, edit):
     """Run the CLI in a fresh interpreter on an edited copy of the default
     topology."""
@@ -199,6 +227,18 @@ def _drop_every(name):
     return lambda text: "".join(
         line for line in text.splitlines(True) if name not in line.split(",")[:2]
     )
+
+
+def _subscriber(imsi, second_ue=False):
+    """The one subscriber id becomes `imsi`; `second_ue` declares UE2 on the
+    gNB, with no subscriber id of its own."""
+    def edit(text):
+        text = text.replace("imsi-001010000000001", imsi)
+        if second_ue:
+            text = text.replace("UE,UE,192.168.0.30\n", "UE,UE,192.168.0.30\nUE,UE2,192.168.0.31\n")
+            text = text.replace("UE,gNB,2,0.0,false\n", "UE,gNB,2,0.0,false\nUE2,gNB,2,0.0,false\n")
+        return text
+    return edit
 
 
 def _refused(reason, state, ues=1):
@@ -265,6 +305,13 @@ TOPOLOGY_EDITS = [
                  id="drop-every-gNB-line"),
     pytest.param(_drop_every("UDR"), ["--scenario", "many_requests", "--ues", "5"], None,
                  _refused("no UDR", "DEREGISTERED", ues=5), id="many-requests-without-UDR"),
+    pytest.param(_subscriber("imsi-001010000000002", second_ue=True),
+                 ["--scenario", "many_requests", "--ues", "2"],
+                 "UEs UE and UE2 share the IMSI imsi-001010000000002", None,
+                 id="subscriber-id-of-a-later-declared-UE"),
+    pytest.param(_subscriber("imsi-001010000000003"), ["--scenario", "many_requests", "--ues", "3"],
+                 "UEs UE and UE003 share the IMSI imsi-001010000000003", None,
+                 id="subscriber-id-of-a-spawned-UE"),
 ]
 
 

@@ -4,6 +4,7 @@ import dataclasses
 import pytest
 
 from fivegsim.config import (
+    PEER_KINDS,
     SCENARIO_NAMES,
     SCENARIOS,
     ConfigError,
@@ -209,10 +210,15 @@ def test_injected_entities_are_wired_to_their_peers():
         ("SERVER", "SERVER", "192.168.0.40"), ("NWDAF", "NWDAF", "192.168.0.41"),
     ]
     added = [(l.a, l.b, l.reliable) for l in links[len(default_topology().links):]]
+    # each injected entity links to every entity of each of its PEER_KINDS
     assert added == [
-        ("SERVER", "UPF1", True), ("SERVER", "UPF2", True),
-        ("NWDAF", "NRF", True), ("NWDAF", "PCF", True), ("NWDAF", "NSSF", True),
+        (kind, e.name, True)
+        for kind in ("SERVER", "NWDAF")
+        for peer in PEER_KINDS[kind]
+        for e in entities
+        if e.kind == peer
     ]
+    assert added == [("SERVER", "UPF1", True), ("SERVER", "UPF2", True), ("NWDAF", "NRF", True)]
 
 
 # -- params ------------------------------------------------------------------

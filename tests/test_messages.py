@@ -17,7 +17,7 @@ def test_kind_prefix_names_the_protocol():
     assert PROTOCOL[MsgKind.RLS_NAS] is Protocol.RLS
     assert PROTOCOL[MsgKind.APP_SEGMENT] is Protocol.APP
     for kind in (MsgKind.NF_REGISTER_REQ, MsgKind.AUTH_REQ, MsgKind.SESSION_CREATE_RESP,
-                 MsgKind.UDR_QUERY_REQ, MsgKind.KPI_NOTIFY):
+                 MsgKind.UDR_QUERY_REQ, MsgKind.POLICY_RESP):
         assert PROTOCOL[kind] is Protocol.SBI
     assert Protocol.GTPU not in PROTOCOL.values()  # tunnels carry bytes, not messages
 

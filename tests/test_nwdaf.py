@@ -3,9 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fivegsim.errors import SetupError
 from fivegsim.nwdaf import (
-    KpiReport,
     SchemaError,
     export_events,
     export_events_text,
@@ -122,13 +120,6 @@ def test_throughput_matrix_rejects_empty_window(sample_events):
     with pytest.raises(ValueError, match="bad window"):
         kpi_throughput_matrix(sample_events, 10, 10)
 
-
-def test_kpi_report_total():
-    rep = KpiReport(kind="packet_counts", window=(0, 10), entries=(("A", 2), ("B", 3)))
-    assert rep.total == 5
-
-
-# -- log round trip ------------------------------------------------------------------
 
 def logged_traffic():
     return [
@@ -351,32 +342,6 @@ def test_throughput_csv_exact_bytes(tmp_path):
 
 
 # -- embedded analytics entity ----------------------------------------------------------
-
-def test_subscription_guards():
-    tb = Testbed(default_topology(), seed=0)
-    nwdaf = tb.nwdaf
-    with pytest.raises(SetupError, match="before registration"):
-        nwdaf.subscribe_analytics("AMF")
-    nwdaf.registered = True
-    with pytest.raises(SetupError, match="unsupported analytics kind"):
-        nwdaf.subscribe_analytics("AMF", kind="latency")
-    with pytest.raises(SetupError, match="period must be positive"):
-        nwdaf.subscribe_analytics("AMF", period_ms=0)
-
-
-def test_periodic_kpi_feed_reaches_subscriber():
-    tb = Testbed(default_topology(), seed=0)
-    tb.boot()
-    tb.run_until(500)
-    tb.nwdaf.subscribe_analytics("PCF", period_ms=200)
-    tb.run_until(1500)
-    notifies = [
-        r for r in tb.records
-        if r.attrs.get("msg_kind") == "KPI_NOTIFY" and r.src == "NWDAF" and r.dst == "PCF"
-    ]
-    assert len(notifies) == 5  # fires at 700, 900, 1100, 1300, 1500
-    assert all(r.outcome == DELIVERED for r in notifies)
-
 
 def test_tap_feed_fills_the_store_during_a_run():
     tb = Testbed(default_topology(), seed=0)

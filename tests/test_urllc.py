@@ -12,7 +12,6 @@ from fivegsim.urllc import (
     DedupWindow,
     Redundancy,
     ReliabilityResult,
-    eliminate_duplicates,
     seq_newer,
 )
 
@@ -94,13 +93,6 @@ def test_accept_never_passes_an_in_window_repeat(seqs):
         if win.accept(seq):
             assert seq not in passed
             passed.add(seq)
-
-
-def test_eliminate_duplicates_bare_and_paired():
-    assert eliminate_duplicates([1, 1, 2, 3, 2, 4]) == [1, 2, 3, 4]
-    pairs = [(1, "a"), (2, "b"), (1, "dup"), (3, "c")]
-    assert eliminate_duplicates(pairs) == [(1, "a"), (2, "b"), (3, "c")]
-    assert eliminate_duplicates([]) == []
 
 
 # -- mode parsing and validation ----------------------------------------------------

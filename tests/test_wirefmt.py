@@ -1,5 +1,6 @@
 """Wire format tests: golden vectors, round-trip properties, decoder totality."""
 import ipaddress
+import struct
 from pathlib import Path
 
 import pytest
@@ -15,13 +16,10 @@ from fivegsim.wirefmt import (
     ENVELOPE_HEADER_LEN,
     GTPU_HEADER_LEN,
     MAX_PAYLOAD,
-    GtpuHeader,
     Protocol,
     SimPacket,
     WireFormatError,
-    decode_gtpu_header,
     decode_packet,
-    encode_gtpu_header,
     encode_packet,
     gtpu_decapsulate,
     gtpu_encapsulate,
@@ -167,13 +165,13 @@ def test_gtpu_rejects_unknown_flags():
     raw = bytearray(GOLDEN["gtpu_noseq"])
     raw[0] = 0x10
     with pytest.raises(WireFormatError, match="flags"):
-        decode_gtpu_header(bytes(raw))
+        gtpu_decapsulate(bytes(raw))
 
 
 def test_gtpu_rejects_truncated_options():
     # S flag set but the optional block is missing
     with pytest.raises(WireFormatError, match="truncated"):
-        decode_gtpu_header(bytes.fromhex("32ff000700000007"))
+        gtpu_decapsulate(bytes.fromhex("32ff000700000007"))
 
 
 def test_gtpu_rejects_length_mismatch():
@@ -190,12 +188,10 @@ def test_gtpu_rejects_empty_inner():
 
 
 def test_gtpu_rejects_out_of_range_fields():
-    with pytest.raises(WireFormatError):
-        encode_gtpu_header(GtpuHeader(teid=1 << 32, length=0))
-    with pytest.raises(WireFormatError):
-        encode_gtpu_header(GtpuHeader(teid=1, length=0, seq=1 << 16))
-    with pytest.raises(WireFormatError):
-        encode_gtpu_header(GtpuHeader(teid=1, length=0, msg_type=0x01))
+    with pytest.raises(WireFormatError, match="^TEID out of range: 4294967296$"):
+        gtpu_encapsulate(b"x", teid=1 << 32)
+    with pytest.raises(WireFormatError, match="^GTP-U sequence out of range: 65536$"):
+        gtpu_encapsulate(b"x", teid=1, seq=1 << 16)
 
 
 def test_tlv_rejects_truncated_element():
@@ -282,7 +278,7 @@ def test_tlv_roundtrip(kind, fields):
 @given(st.binary(max_size=64))
 def test_decoders_total_on_random_buffers(buf):
     """Arbitrary bytes either decode or raise WireFormatError, never crash."""
-    for decoder in (decode_packet, decode_gtpu_header, gtpu_decapsulate, parse):
+    for decoder in (decode_packet, gtpu_decapsulate, parse):
         try:
             decoder(buf)
         except WireFormatError:
@@ -320,11 +316,17 @@ def test_wire_size_counts_header():
     seq=st.one_of(st.none(), st.integers(min_value=0, max_value=2**16 - 1)),
 )
 def test_gtpu_encapsulation_is_the_header_codec_plus_inner(inner, teid, seq):
-    header = GtpuHeader(teid=teid, length=len(inner) + (4 if seq is not None else 0), seq=seq)
+    # flags 0x30 (version 1, GTP) or 0x32 (S flag and the optional block:
+    # seq, N-PDU 0, next extension 0), message type G-PDU, length after the
+    # first 8 bytes, TEID
+    if seq is None:
+        header = struct.pack(">BBHI", 0x30, 0xFF, len(inner), teid)
+    else:
+        header = struct.pack(">BBHIHBB", 0x32, 0xFF, len(inner) + 4, teid, seq, 0, 0)
     raw = gtpu_encapsulate(inner, teid, seq)
-    assert raw == encode_gtpu_header(header) + inner
-    assert decode_gtpu_header(raw) == header
-    assert raw[header.header_len :] == inner
+    assert raw == header + inner
+    assert gtpu_decapsulate(raw) == (inner, teid, seq)
+    assert len(header) == GTPU_HEADER_LEN + (0 if seq is None else 4)
 
 
 # values encode_packet cannot carry: an address that is not a str, a payload
@@ -353,11 +355,6 @@ def test_encode_rejects_an_integer_address_and_a_text_payload():
         encode_packet(SimPacket(Protocol.SBI, "10.0.0.1", "10.0.0.2", 1, 1, payload="abc"))
     with pytest.raises(WireFormatError, match="^unknown protocol 99$"):
         encode_packet(SimPacket(99, "10.0.0.1", "10.0.0.2", 1, 1))
-
-
-def test_gtpu_header_len_property():
-    assert GtpuHeader(teid=1, length=0).header_len == GTPU_HEADER_LEN
-    assert GtpuHeader(teid=1, length=4, seq=0).header_len == GTPU_HEADER_LEN + 4
 
 
 def test_per_packet_path_parses_no_addresses(monkeypatch):
