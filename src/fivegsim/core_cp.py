@@ -231,28 +231,22 @@ class NfEntity(Entity):
         Config linked every node to the peer kinds it needs, so a peer without
         a link comes from a message (a forged discovery answer, rule program
         or session path): the packet is a DROPPED row "no link", not an error."""
-        link = self.net.link_between(self.name, peer)
-        if link is None:
+        hop = self.net.hops.get((self.name, peer))
+        if hop is None:
             kind = {"msg_kind": attrs["msg_kind"]} if attrs and "msg_kind" in attrs else {}
             self.drop(len(payload), self.name, "no link", protocol, peer=peer, **kind)
             return False
-        pkt = SimPacket(
-            protocol=protocol,
-            src_ip=src_ip or self.ip,
-            dst_ip=dst_ip or link.peer_of(self.name).ip,
-            src_port=sport,
-            dst_port=dport,
-            payload=payload,
-        )
-        return self.net.send(link, self.name, pkt, stream=stream, attrs=attrs)
+        pkt = SimPacket(protocol, src_ip or self.ip, dst_ip or hop.dst_ip, sport, dport, payload)
+        return self.net.send(hop, pkt, stream, attrs)
 
     def send_gtpu(
         self, peer: str, teid: int, inner_raw: bytes, seq: int | None, inner_kind: str, **attrs
     ) -> None:
         """Tunnel an encoded packet to `peer`; each TEID is its own loss stream."""
-        attrs["teid"] = str(teid)
+        int_text = self.net.int_text
+        attrs["teid"] = int_text[teid]
         if seq is not None:
-            attrs["seq"] = str(seq)
+            attrs["seq"] = int_text[seq]
         if inner_kind:
             attrs["inner"] = inner_kind
         port = self.env.params.port(Protocol.GTPU)
@@ -322,7 +316,7 @@ class NfEntity(Entity):
             return True
         self.net.tap_local(
             self.name, pkt, pkt.protocol, ELIMINATED_DUPLICATE, src=src,
-            attrs={**attrs, "seq": str(seq)},
+            attrs={**attrs, "seq": self.net.int_text[seq]},
         )
         return False
 
@@ -355,11 +349,13 @@ class NfEntity(Entity):
         inner_raw, teid, seq = gtpu_decapsulate(pkt.payload)
         found = self.tunnel(teid)
         if found is None:
-            self.drop(pkt, sender, "unknown teid", teid=str(teid))
+            self.drop(pkt, sender, "unknown teid", teid=self.net.int_text[teid])
             return
         ctx, window = found
-        if seq is None or window is None or self.first_copy(window, seq, pkt, sender, teid=str(teid)):
-            self.on_tunnelled(ctx, inner_raw, seq, pkt, sender)
+        if seq is not None and window is not None:
+            if not self.first_copy(window, seq, pkt, sender, teid=self.net.int_text[teid]):
+                return
+        self.on_tunnelled(ctx, inner_raw, seq, pkt, sender)
 
     def tunnel(self, teid: int) -> tuple[object, DedupWindow | None] | None:
         """(context, duplicate window or None) for a TEID this node
@@ -523,7 +519,7 @@ class Amf(NfEntity):
 
     def on_ngap(self, m, pkt, sender) -> None:
         if m.kind == MsgKind.NGAP_SETUP_REQ:
-            if not self.net.link_between(self.name, sender).reliable:
+            if not self.net.hop(self.name, sender).link.reliable:
                 self.send(sender, MsgKind.NGAP_SETUP_RESP, result=ERROR, reason="transport not reliable")
                 return
             self.gnbs.add(sender)

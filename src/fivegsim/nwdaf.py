@@ -5,6 +5,8 @@ not packets); the fabric built every row, so the live path checks nothing.
 KPIs are synthesised over half-open time windows; logs export to a
 line-oriented TSV that re-imports byte-identically. Import is the one
 untrusted boundary, and the only place rows are checked against the schema.
+Imported rows share their values as live rows do: one import keeps one
+string per distinct link id, name, outcome, attr key and attr value.
 
 Format: a ``#`` header, then one row per event ending in ``\n``, nine
 tab-separated columns. Id, ts and size have one spelling each (``0`` or
@@ -28,6 +30,8 @@ SEMANTICS = ("src_only", "src_or_dst")
 _PROTOCOLS = {p.name: p for p in Protocol}  # exported name -> member
 
 _ONE_SPELLING = _CANONICAL_INT.fullmatch  # of an id, a timestamp or a size
+
+_OUTCOMES = {o: o for o in OUTCOMES}  # exported text -> the fabric's own string
 
 
 class SchemaError(FivegsimError):
@@ -127,6 +131,11 @@ def import_events_text(text: str) -> list[TapRecord]:
     Only the spellings export writes are accepted, so an accepted row
     re-exports as itself. Ids must strictly increase and timestamps must
     never go backwards.
+
+    Rows share their values: one string per distinct link id, name, attr
+    key and attr value, and one parsed pair per distinct ``key=value`` text.
+    A pair met before skips only its split; every other check runs on every
+    row.
     """
     cr = text.find("\r")
     if cr >= 0:
@@ -135,29 +144,37 @@ def import_events_text(text: str) -> list[TapRecord]:
     events: list[TapRecord] = []
     last_id = 0
     last_ts = 0
+    shared: dict[str, str] = {}                 # each distinct value, once
+    pairs: dict[str, tuple[str, str]] = {}      # "key=value" -> (key, value)
+    share = shared.setdefault
     for lineno, line in enumerate(text.split("\n"), start=1):
         if not line or line[0] == "#":
             continue
         cols = line.split("\t")
         if len(cols) != 9:
             raise SchemaError(f"line {lineno}: expected 9 columns, got {len(cols)}")
-        event_id, ts, link_id, src, dst, protocol, size, outcome, attrs_text = cols
+        event_id, ts, link_id, src, dst, protocol, size, outcome_text, attrs_text = cols
         if not (_ONE_SPELLING(event_id) and _ONE_SPELLING(ts) and _ONE_SPELLING(size)):
             raise SchemaError(f"line {lineno}: non-integer or non-canonical id, ts or size")
         member = _PROTOCOLS.get(protocol)
         if member is None:
             raise SchemaError(f"line {lineno}: unknown protocol {protocol!r}")
-        if outcome not in OUTCOMES:
-            raise SchemaError(f"line {lineno}: unknown outcome {outcome!r}")
+        outcome = _OUTCOMES.get(outcome_text)
+        if outcome is None:
+            raise SchemaError(f"line {lineno}: unknown outcome {outcome_text!r}")
         if not (link_id and src and dst):
             raise SchemaError(f"line {lineno}: link_id, src and dst must be non-empty")
         attrs: dict[str, str] = {}
         if attrs_text != "-":
             last_key = ""
             for pair in attrs_text.split(","):
-                key, sep, value = pair.partition("=")
-                if not (sep and key):
-                    raise SchemaError(f"line {lineno}: malformed attr {pair!r}")
+                kv = pairs.get(pair)
+                if kv is None:
+                    key, sep, value = pair.partition("=")
+                    if not (sep and key):
+                        raise SchemaError(f"line {lineno}: malformed attr {pair!r}")
+                    kv = pairs[pair] = (share(key, key), share(value, value))
+                key, value = kv
                 if key <= last_key:
                     raise SchemaError(f"line {lineno}: attr key {key!r} not increasing")
                 attrs[key] = value
@@ -171,7 +188,10 @@ def import_events_text(text: str) -> list[TapRecord]:
         if ts < last_ts:
             raise SchemaError(f"line {lineno}: time went backwards")
         last_id, last_ts = event_id, ts
-        events.append(TapRecord(event_id, ts, link_id, src, dst, member, size, outcome, attrs))
+        events.append(TapRecord(
+            event_id, ts, share(link_id, link_id), share(src, src), share(dst, dst), member, size,
+            outcome, attrs,
+        ))
     return events
 
 
@@ -183,6 +203,7 @@ def import_events(path) -> list[TapRecord]:
     except UnicodeDecodeError as exc:
         lineno = raw.count(b"\n", 0, exc.start) + 1
         raise SchemaError(f"line {lineno}: not UTF-8 text") from None
+    del raw  # only the text is parsed: the bytes are not held beside it
     return import_events_text(text)
 
 

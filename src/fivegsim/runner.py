@@ -97,7 +97,7 @@ class Testbed:
             self.net.add_link(l.a, l.b, l.latency_ms, l.loss_prob, l.reliable)
 
         for ue in self.ues:
-            ue.attach_gnbs(tuple(g.name for g in self.gnbs if self.net.link_between(ue.name, g.name)))
+            ue.attach_gnbs(tuple(g.name for g in self.gnbs if (ue.name, g.name) in self.net.hops))
 
     # -- construction helpers ---------------------------------------------
 
@@ -199,7 +199,7 @@ class Testbed:
             ue = Ue(name, f"172.16.{k >> 8}.{k & 0xFF}", self.net, self.env, imsi=imsi)
             self.net.add_entity(ue)
             for gnb in template.gnbs:
-                radio = self.net.require_link(template.name, gnb)
+                radio = self.net.hop(template.name, gnb).link
                 self.net.add_link(name, gnb, radio.latency_ms, radio.loss_prob, radio.reliable)
             ue.attach_gnbs(template.gnbs)
             if self.udrs:

@@ -7,11 +7,18 @@ analytics function, the invariants and the exporter all read. Everything is
 single-threaded: one event queue, ties broken FIFO, so a (topology, scenario,
 seed) triple fully determines every delivery.
 
-A send names its sender; the receiver is the link's other end, and the
+A link is two Hops, one per direction, built once by `add_link`: a send
+takes the hop `Network.hop(sender, peer)` resolved, and the hop holds
+everything the send needs. The receiver is the hop's other end, and the
 fabric hands it the sender's name with the packet. That name is the only
 identity a receiver learns: no packet address names a peer. Only the attrs a
 caller passes are scrubbed of the log's separators: the envelope's addresses
 are dotted quads and its ports are numbers.
+
+Rows share their strings: a port, TEID or sequence number is written from
+the network's int -> text table, a local row reuses its entity's
+``local:<entity>`` id, and an attr value is copied only when it holds a
+separator.
 
 Loss is drawn from counter-based substreams keyed by (seed, link id, stream,
 draw index). Streams separate tunnels sharing a physical link, so adding a
@@ -39,6 +46,12 @@ OUTCOMES = (DELIVERED, DROPPED, ELIMINATED_DUPLICATE)
 # Caller attr values can carry text from parsed peer messages; the log format
 # reserves tabs and newlines as separators and ',' between attrs.
 _SCRUB = str.maketrans({"\t": " ", "\n": " ", "\r": " ", ",": ";"})
+
+
+def scrub(value: str) -> str:
+    """`value` with the log's separators replaced; `value` itself when it
+    holds none (isprintable() is False for a tab, \\n and \\r)."""
+    return value if value.isprintable() and "," not in value else value.translate(_SCRUB)
 
 
 class SimNetError(FivegsimError):
@@ -73,12 +86,20 @@ class Link:
         if self.a.name == self.b.name:
             raise SimNetError(f"link {self.link_id}: endpoints must differ")
 
-    def peer_of(self, name: str) -> EntityAddr:
-        if name == self.a.name:
-            return self.b
-        if name == self.b.name:
-            return self.a
-        raise SimNetError(f"{name} is not an endpoint of link {self.link_id}")
+
+@dataclass(slots=True, eq=False)
+class Hop:
+    """One direction of a link, resolved once by `Network.add_link`."""
+
+    link: Link
+    link_id: str
+    sender: str
+    receiver: str
+    target: "Entity"
+    dst_ip: str         # the receiver's address
+    latency_ms: int
+    lossy: bool         # whether a send draws for loss
+    stats: list[int]    # the link's [delivered, dropped], shared by both hops
 
 
 @dataclass(slots=True)
@@ -155,6 +176,14 @@ class Entity:
         raise NotImplementedError
 
 
+class _IntText(dict):
+    """int -> its decimal text, each text made once, on first use."""
+
+    def __missing__(self, n: int) -> str:
+        text = self[n] = str(n)
+        return text
+
+
 def _derive_u01(seed: int, link_id: str, stream: int, counter: int) -> float:
     digest = hashlib.sha256(f"{seed}|{link_id}|{stream}|{counter}".encode()).digest()
     return int.from_bytes(digest[:8], "big") / 2.0**64
@@ -167,12 +196,14 @@ class Network:
         self.seed = seed
         self.clock = SimClock()
         self.links: dict[str, Link] = {}
-        self._pairs: dict[frozenset[str], Link] = {}
+        self.hops: dict[tuple[str, str], Hop] = {}  # (sender, receiver) -> Hop
         self.entities: dict[str, Entity] = {}
         self.by_ip: dict[str, Entity] = {}
         self.events: list[TapRecord] = []
         self._loss_counters: dict[tuple[str, int], int] = {}
         self.link_stats: dict[str, list[int]] = {}  # link_id -> [delivered, dropped]
+        self.int_text: dict[int, str] = _IntText()   # ports, TEIDs, seqs of the rows
+        self._local_ids: dict[str, str] = {}          # entity -> "local:<entity>"
 
     @property
     def now(self) -> int:
@@ -204,33 +235,35 @@ class Network:
         reliable: bool = False,
         link_id: str | None = None,
     ) -> Link:
-        ea, eb = self.entity(a).addr, self.entity(b).addr
+        ea, eb = self.entity(a), self.entity(b)
         link = Link(
             link_id=link_id or f"{a}--{b}",
-            a=ea,
-            b=eb,
+            a=ea.addr,
+            b=eb.addr,
             latency_ms=latency_ms,
             loss_prob=loss_prob,
             reliable=reliable,
         )
         if link.link_id in self.links:
             raise SimNetError(f"duplicate link id {link.link_id}")
-        key = frozenset((a, b))
-        if key in self._pairs:
+        if (a, b) in self.hops:
             raise SimNetError(f"a link between {a} and {b} already exists")
         self.links[link.link_id] = link
-        self._pairs[key] = link
-        self.link_stats[link.link_id] = [0, 0]
+        stats = self.link_stats[link.link_id] = [0, 0]
+        lossy = not reliable and loss_prob > 0.0
+        for sender, receiver in ((ea, eb), (eb, ea)):
+            self.hops[(sender.name, receiver.name)] = Hop(
+                link, link.link_id, sender.name, receiver.name, receiver, receiver.ip,
+                latency_ms, lossy, stats,
+            )
         return link
 
-    def link_between(self, a: str, b: str) -> Link | None:
-        return self._pairs.get(frozenset((a, b)))
-
-    def require_link(self, a: str, b: str) -> Link:
-        link = self.link_between(a, b)
-        if link is None:
-            raise SimNetError(f"no link between {a} and {b}")
-        return link
+    def hop(self, sender: str, peer: str) -> Hop:
+        """The hop from `sender` to `peer`; an unlinked pair has none."""
+        try:
+            return self.hops[(sender, peer)]
+        except KeyError:
+            raise SimNetError(f"no link between {sender} and {peer}") from None
 
     # event log ------------------------------------------------------------
 
@@ -247,49 +280,39 @@ class Network:
     # traffic ------------------------------------------------------------
 
     def send(
-        self,
-        link: Link | str,
-        sender: str,
-        pkt: SimPacket,
-        stream: int = 0,
-        attrs: dict[str, str] | None = None,
+        self, hop: Hop, pkt: SimPacket, stream: int = 0, attrs: dict[str, str] | None = None,
     ) -> bool:
-        """Offer one packet from `sender` to the other end of a link. Returns
-        True when delivery is scheduled.
+        """Offer one packet to the far end of `hop`. Returns True when
+        delivery is scheduled.
 
         Every send is logged exactly once, with outcome DELIVERED or DROPPED.
         """
-        if isinstance(link, str):
-            try:
-                link = self.links[link]
-            except KeyError:
-                raise SimNetError(f"unknown link {link}") from None
-        receiver = link.peer_of(sender).name
-
         delivered = True
-        if not link.reliable and link.loss_prob > 0.0:
-            key = (link.link_id, stream)
+        if hop.lossy:
+            key = (hop.link_id, stream)
             n = self._loss_counters.get(key, 0) + 1
             self._loss_counters[key] = n
-            delivered = _derive_u01(self.seed, link.link_id, stream, n) >= link.loss_prob
+            delivered = _derive_u01(self.seed, hop.link_id, stream, n) >= hop.link.loss_prob
 
+        int_text = self.int_text
         record_attrs = {
             "src_ip": pkt.src_ip,
             "dst_ip": pkt.dst_ip,
-            "src_port": str(pkt.src_port),
-            "dst_port": str(pkt.dst_port),
+            "src_port": int_text[pkt.src_port],
+            "dst_port": int_text[pkt.dst_port],
         }
         if attrs:
             for key, value in attrs.items():
-                record_attrs[key] = value.translate(_SCRUB)
+                record_attrs[key] = scrub(value)
+        sender = hop.sender
         self._log(
-            link.link_id, sender, receiver, pkt.protocol, pkt.wire_size,
+            hop.link_id, sender, hop.receiver, pkt.protocol, pkt.wire_size,
             DELIVERED if delivered else DROPPED, record_attrs,
         )
-        self.link_stats[link.link_id][0 if delivered else 1] += 1
+        hop.stats[0 if delivered else 1] += 1
         if delivered:
-            target = self.entities[receiver]
-            self.clock.schedule(self.now + link.latency_ms, lambda: target.handle_packet(pkt, sender))
+            target = hop.target
+            self.clock.schedule(self.clock.now + hop.latency_ms, lambda: target.handle_packet(pkt, sender))
         return delivered
 
     def tap_local(
@@ -307,8 +330,11 @@ class Network:
         exact.
         """
         size = pkt_or_size.wire_size if isinstance(pkt_or_size, SimPacket) else pkt_or_size
-        scrubbed = {key: value.translate(_SCRUB) for key, value in attrs.items()} if attrs else {}
-        self._log(f"local:{entity}", src, entity, protocol, size, outcome, scrubbed)
+        scrubbed = {key: scrub(value) for key, value in attrs.items()} if attrs else {}
+        link_id = self._local_ids.get(entity)
+        if link_id is None:
+            link_id = self._local_ids[entity] = f"local:{entity}"
+        self._log(link_id, src, entity, protocol, size, outcome, scrubbed)
 
     # time ---------------------------------------------------------------
 

@@ -14,7 +14,7 @@ from collections import defaultdict
 from dataclasses import dataclass
 
 from .config import Params
-from .wirefmt import Protocol
+from .wirefmt import MAX_TEID, Protocol
 
 SBI_KINDS_REGISTER = ("NF_REGISTER_REQ", "NF_REGISTER_RESP")
 
@@ -230,6 +230,14 @@ def check_registration_chain(events) -> CheckResult:
     return CheckResult(name, True, f"full auth/subscription/policy chain for {len(accepts)} acceptances")
 
 
+def _valid_teid(text: str | None) -> bool:
+    """A tunnel endpoint id: 1 to MAX_TEID, in at most 10 ASCII digits."""
+    return (
+        text is not None and text.isascii() and text.isdigit() and len(text) <= 10
+        and 0 < int(text) <= MAX_TEID
+    )
+
+
 def check_user_plane(events, ue_pool: str) -> CheckResult:
     name = "user_plane_routing"
     pool = ipaddress.IPv4Network(ue_pool)
@@ -238,8 +246,7 @@ def check_user_plane(events, ue_pool: str) -> CheckResult:
     if not gtpu:
         return CheckResult(name, False, "no tunnel traffic in the log")
     for ev in gtpu:
-        teid = ev.attrs.get("teid")
-        if teid is None or not teid.isdigit() or int(teid) <= 0:
+        if not _valid_teid(ev.attrs.get("teid")):
             return CheckResult(name, False, "tunnel packet without a valid teid", ev.event_id)
     session_sourced = False
     for ev in delivered[Protocol.APP]:

@@ -65,6 +65,12 @@ def _pack_ip(ip: str) -> bytes:
         raise WireFormatError(f"bad IPv4 address {ip!r}") from exc
 
 
+# The decode side of the same few addresses: one dotted quad per 4 bytes.
+@functools.lru_cache(maxsize=4096)
+def _dotted(raw: bytes) -> str:
+    return f"{raw[0]}.{raw[1]}.{raw[2]}.{raw[3]}"
+
+
 def _check_port(port: int, label: str) -> None:
     if not isinstance(port, int) or not 0 <= port <= 65535:
         raise WireFormatError(f"{label} out of range: {port!r}")
@@ -137,8 +143,7 @@ def decode_packet(b: bytes) -> SimPacket:
         raise WireFormatError(
             f"declared payload length {plen} does not match actual {len(b) - ENVELOPE_HEADER_LEN}"
         )
-    src_ip, dst_ip = f"{src[0]}.{src[1]}.{src[2]}.{src[3]}", f"{dst[0]}.{dst[1]}.{dst[2]}.{dst[3]}"
-    return SimPacket(protocol, src_ip, dst_ip, sport, dport, b[ENVELOPE_HEADER_LEN:])
+    return SimPacket(protocol, _dotted(src), _dotted(dst), sport, dport, b[ENVELOPE_HEADER_LEN:])
 
 
 def gtpu_encapsulate(inner: bytes, teid: int, seq: int | None = None) -> bytes:

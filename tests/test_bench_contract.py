@@ -7,6 +7,7 @@ run, not just a test.
 import fivegsim
 from fivegsim.config import ScenarioSpec, default_topology
 from fivegsim.runner import Testbed, run_scenario
+from fivegsim.simnet import Network, SimClock
 
 # package attributes the workloads and the tracer call
 PACKAGE_NAMES = (
@@ -53,3 +54,25 @@ def test_run_result_names_the_benchmark_reads():
     assert result.kpi_counts and result.throughput
     [transfer] = result.transfers["UE"]
     assert transfer.ok and transfer.segments == {}
+
+
+def test_the_tracer_sees_every_send_and_every_schedule(monkeypatch):
+    """The tracer wraps Network.send and SimClock.schedule on their classes,
+    the latter as (at, fn): so every wire row is one call of Network.send,
+    and every schedule passes exactly a time and a callable."""
+    sends = []
+    send, schedule = Network.send, SimClock.schedule
+
+    def counted_send(net, *args, **kwargs):
+        sends.append(args)
+        return send(net, *args, **kwargs)
+
+    def checked_schedule(clock, at, fn, /):
+        assert isinstance(at, int) and callable(fn)
+        return schedule(clock, at, fn)
+
+    monkeypatch.setattr(Network, "send", counted_send)
+    monkeypatch.setattr(SimClock, "schedule", checked_schedule)
+    result = run_scenario(ScenarioSpec("single_request", seed=1, duration_ms=3000))
+    wire = [r for r in result.events if r.is_wire]
+    assert wire and len(sends) == len(wire)

@@ -80,6 +80,32 @@ def test_validate_fails_on_gutted_log(run_dir, tmp_path, capsys):
     assert "FAIL user_plane_routing: no tunnel traffic in the log" in out
 
 
+@pytest.fixture(scope="module")
+def single_request_log(tmp_path_factory):
+    out = tmp_path_factory.mktemp("single")
+    assert main(["run", "--scenario", "single_request", "--out", str(out)]) == 0
+    return (out / "events.log").read_text()
+
+
+# a digit str.isdigit() accepts but int() refuses; more digits than int() converts;
+# one past the 32-bit field
+@pytest.mark.parametrize(
+    "teid", ["\u00b2", "9" * 5000, "4294967296"], ids=["superscript-two", "5000-digits", "33-bits"]
+)
+def test_validate_fails_on_a_bad_teid(single_request_log, tmp_path, teid, capsys):
+    lines = single_request_log.split("\n")
+    cols = lines[84].split("\t")  # event 84, the run's first tunnel packet
+    assert (cols[0], cols[5]) == ("84", "GTPU") and ",teid=1," in cols[8]
+    cols[8] = cols[8].replace(",teid=1,", f",teid={teid},")
+    lines[84] = "\t".join(cols)
+    bad = tmp_path / "bad_teid.log"
+    bad.write_text("\n".join(lines))
+    rc = main(["validate", "--events", str(bad)])
+    out, err = capsys.readouterr()
+    assert rc == 1 and err == ""
+    assert "FAIL user_plane_routing: tunnel packet without a valid teid (event 84)" in out.splitlines()
+
+
 def test_validate_reads_ports_and_pool_from_the_topology(tmp_path, capsys):
     topo = tmp_path / "sbi8888.cfg"
     topo.write_text(

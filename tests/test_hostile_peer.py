@@ -33,13 +33,14 @@ def booted(attach=False):
     return tb
 
 
-def inject(tb, at, link, sender, protocol, payload, src_ip=None):
-    """Send `payload` from `sender` over `link` at virtual time `at`, with
-    `src_ip` (by default the sender's own address) as its source."""
-    receiver = link.peer_of(sender)
+def inject(tb, at, sender, receiver, protocol, payload, src_ip=None):
+    """Send `payload` from `sender` to its link peer `receiver` at virtual
+    time `at`, with `src_ip` (by default the sender's own address) as its
+    source."""
+    hop = tb.net.hop(sender, receiver)
     port = tb.params.port(protocol)
-    pkt = SimPacket(protocol, src_ip or tb.net.entity(sender).ip, receiver.ip, port, port, payload)
-    tb.net.schedule(at, lambda: tb.net.send(link, sender, pkt))
+    pkt = SimPacket(protocol, src_ip or tb.net.entity(sender).ip, hop.dst_ip, port, port, payload)
+    tb.net.schedule(at, lambda: tb.net.send(hop, pkt))
 
 
 def assert_log_round_trips(tb):
@@ -63,7 +64,7 @@ def assert_contained(tb, horizon=HORIZON):
             assert (r.outcome == DROPPED and r.attrs.get("reason")) or (
                 r.outcome == ELIMINATED_DUPLICATE and r.attrs.get("seq")
             ), r
-            assert r.src == r.dst or tb.net.link_between(r.src, r.dst), r
+            assert r.src == r.dst or (r.src, r.dst) in tb.net.hops, r
 
 
 def received(tb, name):
@@ -110,7 +111,7 @@ FIXED_CASES = [
 @pytest.mark.parametrize("sender,receiver,protocol,payload,reason", FIXED_CASES)
 def test_bad_message_is_dropped_with_its_reason(sender, receiver, protocol, payload, reason):
     tb = booted()
-    inject(tb, BOOTED + 1, tb.net.require_link(sender, receiver), sender, protocol, payload)
+    inject(tb, BOOTED + 1, sender, receiver, protocol, payload)
     tb.run_until(HORIZON)
     assert_contained(tb)
     drops = local_rows(tb, receiver)
@@ -123,7 +124,7 @@ def test_a_drop_names_the_link_sender_not_the_claimed_address():
     tb = booted()
     truncated = b"\x00\x01\x00\x07\x00\x09ab"
     udm_ip = tb.net.entity("UDM").ip
-    inject(tb, BOOTED + 1, tb.net.require_link("AMF", "NRF"), "AMF", Protocol.SBI, truncated, udm_ip)
+    inject(tb, BOOTED + 1, "AMF", "NRF", Protocol.SBI, truncated, udm_ip)
     tb.run_until(HORIZON)
     assert_contained(tb)
     [drop] = local_rows(tb, "NRF")
@@ -132,9 +133,9 @@ def test_a_drop_names_the_link_sender_not_the_claimed_address():
 
 def test_a_forged_source_address_is_answered_over_the_link_it_came_by():
     tb = booted()
-    link = tb.net.require_link("AMF", "NRF")
+    link = tb.net.hop("AMF", "NRF").link
     heartbeat = build(MsgKind.NF_HEARTBEAT_REQ, nf_id="AMF")
-    inject(tb, BOOTED + 1, link, "AMF", Protocol.SBI, heartbeat, tb.net.entity("UDM").ip)
+    inject(tb, BOOTED + 1, "AMF", "NRF", Protocol.SBI, heartbeat, tb.net.entity("UDM").ip)
     tb.run_until(HORIZON)
     assert_contained(tb)
     answers = [r for r in tb.records if r.ts > BOOTED and r.attrs.get("msg_kind") == "NF_HEARTBEAT_RESP"]
@@ -156,7 +157,7 @@ def test_the_registry_lets_a_node_manage_only_its_own_profile(kind, fields):
     tb = booted()
     before = {nf_id: profile.snapshot() for nf_id, profile in tb.nrf.registry.items()}
     answers = received(tb, "AMF")
-    inject(tb, BOOTED + 1, tb.net.require_link("AMF", "NRF"), "AMF", Protocol.SBI, build(kind, **fields))
+    inject(tb, BOOTED + 1, "AMF", "NRF", Protocol.SBI, build(kind, **fields))
     tb.run_until(HORIZON)
     assert_contained(tb)
     assert tb.nrf.registry == before
@@ -174,7 +175,7 @@ def test_upf_answers_a_malformed_rule_program_with_an_error(rules):
     upf = tb.upfs[0]
     rules_before = dict(upf.teid_rules)
     payload = build(MsgKind.PFCP_SESSION_REQ, ue_id="imsi-1", ue_ip="10.45.0.9", rules=rules)
-    inject(tb, BOOTED + 1, tb.net.require_link("SMF", upf.name), "SMF", Protocol.PFCP, payload)
+    inject(tb, BOOTED + 1, "SMF", upf.name, Protocol.PFCP, payload)
     tb.run_until(HORIZON)
     assert_contained(tb)
     answers = [
@@ -201,7 +202,7 @@ def test_upf_answers_a_malformed_rule_program_with_an_error(rules):
 )
 def test_drop_row_names_the_packet_that_carried_the_bad_bytes(sender, receiver, protocol, payload):
     tb = booted()
-    inject(tb, BOOTED + 1, tb.net.require_link(sender, receiver), sender, protocol, payload)
+    inject(tb, BOOTED + 1, sender, receiver, protocol, payload)
     tb.run_until(HORIZON)
     assert_contained(tb)
     [carrier] = [r for r in tb.records if r.is_wire and r.ts > BOOTED and r.dst == receiver]
@@ -213,10 +214,9 @@ def test_stale_nas_rejects_leave_an_active_session_alone():
     tb = booted(attach=True)
     ue = tb.ues[0]
     tb.net.schedule(BOOTED + 1, lambda: ue.request_document("document"))
-    radio = tb.net.require_link("gNB", ue.name)
     for kind in (MsgKind.NAS_REGISTER_REJECT, MsgKind.NAS_SESSION_REJECT):
         nas = build(kind, ue_id=ue.imsi, reason="forged")
-        inject(tb, BOOTED + 2, radio, "gNB", Protocol.RLS, build(MsgKind.RLS_NAS, ue_id=ue.imsi, data=nas))
+        inject(tb, BOOTED + 2, "gNB", ue.name, Protocol.RLS, build(MsgKind.RLS_NAS, ue_id=ue.imsi, data=nas))
     tb.run_until(HORIZON)
     assert_contained(tb)
     assert ue.state == "SESSION_ACTIVE" and ue.reject_reason is None
@@ -228,7 +228,7 @@ def test_smf_refuses_dual_connectivity_over_one_gnb_named_twice():
     payload = build(
         MsgKind.SESSION_CREATE_REQ, ue_id="imsi-7", mode="DUAL_CONNECTIVITY", gnb="gNB;gNB"
     )
-    inject(tb, BOOTED + 1, tb.net.require_link("AMF", "SMF"), "AMF", Protocol.SBI, payload)
+    inject(tb, BOOTED + 1, "AMF", "SMF", Protocol.SBI, payload)
     tb.run_until(HORIZON)
     assert_contained(tb)
     answers = [r for r in tb.records if r.ts > BOOTED and r.attrs.get("msg_kind") == "SESSION_CREATE_RESP"]
@@ -243,7 +243,7 @@ def test_smf_refuses_psa_anchoring_over_one_upf_named_twice():
         MsgKind.NF_DISCOVER_RESP, result="OK", nf_type="UPF",
         data=b"UPF1|UPF|192.168.0.21;UPF1|UPF|192.168.0.21",
     )
-    inject(tb, BOOTED + 1, tb.net.require_link("SMF", "NRF"), "NRF", Protocol.SBI, answer)
+    inject(tb, BOOTED + 1, "NRF", "SMF", Protocol.SBI, answer)
     tb.net.schedule(BOOTED + 2, lambda: ue.attach(Redundancy.PSA_ANCHOR))
     tb.run_until(HORIZON)
     assert_contained(tb)
@@ -258,7 +258,7 @@ def test_upf_routes_uplink_only_to_the_owner_of_its_destination():
         Protocol.APP, ue.session.ue_ip, "193.168.0.40", 80, 80, build(MsgKind.APP_GET, doc="document")
     )
     rls = build(MsgKind.RLS_DATA, ue_id=ue.imsi, data=encode_packet(inner))
-    inject(tb, BOOTED + 1, tb.net.require_link(ue.name, "gNB"), ue.name, Protocol.RLS, rls)
+    inject(tb, BOOTED + 1, ue.name, "gNB", Protocol.RLS, rls)
     tb.run_until(HORIZON)
     assert_contained(tb)
     [drop] = local_rows(tb, "UPF1")
@@ -270,7 +270,7 @@ def test_forwarding_to_a_node_the_fabric_lacks_is_dropped():
     ue = tb.ues[0]
     rules = f"UEIP|{ue.session.ue_ip}|0|encap:gNX:2:0"
     payload = build(MsgKind.PFCP_SESSION_REQ, ue_id=ue.imsi, ue_ip=ue.session.ue_ip, rules=rules)
-    inject(tb, BOOTED + 1, tb.net.require_link("SMF", "UPF1"), "SMF", Protocol.PFCP, payload)
+    inject(tb, BOOTED + 1, "SMF", "UPF1", Protocol.PFCP, payload)
     tb.net.schedule(BOOTED + 5, lambda: ue.request_document("document"))
     tb.run_until(HORIZON)
     assert_contained(tb)
@@ -283,7 +283,7 @@ def test_forged_name_of_an_unlinked_node_is_a_no_link_row():
     tb = booted()
     ue = tb.ues[0]
     answer = build(MsgKind.NF_DISCOVER_RESP, result="OK", nf_type="UDR", data=b"UPF1|UDR|192.168.0.21")
-    inject(tb, BOOTED + 1, tb.net.require_link("NRF", "UDM"), "NRF", Protocol.SBI, answer)
+    inject(tb, BOOTED + 1, "NRF", "UDM", Protocol.SBI, answer)
     tb.net.schedule(BOOTED + 2, ue.attach)
     tb.run_until(HORIZON)
     assert_contained(tb)
@@ -298,7 +298,7 @@ def test_unsolicited_registration_answer_is_ignored(receiver):
     tb = booted()
     sender = "AMF"
     payload = build(MsgKind.NF_REGISTER_RESP, result="OK", nf_id=receiver)
-    inject(tb, BOOTED + 1, tb.net.require_link(sender, receiver), sender, Protocol.SBI, payload)
+    inject(tb, BOOTED + 1, sender, receiver, Protocol.SBI, payload)
     horizon = 2 * tb.params.heartbeat_ms  # past the next heartbeat tick
     tb.run_until(horizon)
     assert_contained(tb, horizon)
@@ -321,7 +321,7 @@ def test_forged_session_accept_is_dropped_and_the_real_one_still_lands(ue_ip, pa
         tb.run_until(tb.net.now + 1)
     nas = build(MsgKind.NAS_SESSION_ACCEPT, ue_id=ue.imsi, ue_ip=ue_ip, paths=paths)
     rls = build(MsgKind.RLS_NAS, ue_id=ue.imsi, data=nas)
-    inject(tb, tb.net.now + 1, tb.net.require_link("gNB", ue.name), "gNB", Protocol.RLS, rls)
+    inject(tb, tb.net.now + 1, "gNB", ue.name, Protocol.RLS, rls)
     tb.run_until(HORIZON)
     assert_contained(tb)
     [drop] = local_rows(tb, ue.name)
@@ -338,8 +338,7 @@ OTHER_LINE_BREAKS = "\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
 def test_a_line_break_in_peer_text_leaves_the_log_importable(brk):
     tb = booted()
     register = build(MsgKind.NAS_REGISTER_REQ, ue_id=f"imsi{brk}1")
-    link = tb.net.require_link("gNB", "AMF")
-    inject(tb, BOOTED + 1, link, "gNB", PROTOCOL[MsgKind.NAS_REGISTER_REQ], register)
+    inject(tb, BOOTED + 1, "gNB", "AMF", PROTOCOL[MsgKind.NAS_REGISTER_REQ], register)
     tb.run_until(HORIZON)
     assert_contained(tb)
     assert any(r.attrs.get("ue_id") == f"imsi{brk}1" for r in tb.records)
@@ -358,12 +357,12 @@ def _real_packets() -> tuple[list[SimPacket], list[tuple[SimPacket, str, str]]]:
     sent: dict[tuple, tuple[SimPacket, str, str]] = {}
     send = tb.net.send
 
-    def capture(link, sender, pkt, stream=0, attrs=None):
+    def capture(hop, pkt, stream=0, attrs=None):
         kind = tuple((attrs or {}).get(key, "") for key in ("msg_kind", "nas_kind", "inner"))
         seen.setdefault((pkt.protocol, *kind), pkt)
-        receiver = link.peer_of(sender).name
+        sender, receiver = hop.sender, hop.receiver
         sent.setdefault((pkt.protocol, *kind, sender, receiver), (pkt, sender, receiver))
-        return send(link, sender, pkt, stream=stream, attrs=attrs)
+        return send(hop, pkt, stream, attrs)
 
     tb.net.send = capture
     tb.boot()
@@ -408,8 +407,8 @@ def test_hostile_peers_never_stop_the_run(injections):
     links = sorted(tb.net.links.values(), key=lambda l: l.link_id)
     for at, which, forward, (protocol, payload), src_ip in injections:
         link = links[which % len(links)]
-        sender = link.a.name if forward else link.b.name
-        inject(tb, at, link, sender, protocol, payload, src_ip)
+        sender, receiver = (link.a.name, link.b.name) if forward else (link.b.name, link.a.name)
+        inject(tb, at, sender, receiver, protocol, payload, src_ip)
     # past the next heartbeat tick, so state a forged message left behind acts too
     horizon = 2 * tb.params.heartbeat_ms
     tb.run_until(horizon)
@@ -463,7 +462,7 @@ def test_real_messages_with_a_forged_field_never_stop_the_run(attach_after, forg
     tb.net.schedule(BOOTED + 200, lambda: ue.request_document("document"))
     for at, (pkt, sender, receiver), which, value in forgeries:
         payload = _forge(pkt.payload, which, value)
-        inject(tb, at, tb.net.require_link(sender, receiver), sender, pkt.protocol, payload)
+        inject(tb, at, sender, receiver, pkt.protocol, payload)
     horizon = 2 * tb.params.heartbeat_ms
     tb.run_until(horizon)
     assert_contained(tb, horizon)
@@ -503,7 +502,7 @@ def test_peer_text_in_a_ue_id_never_breaks_the_log(injections):
     tb = booted(attach=True)
     for at, (pkt, sender, receiver), text in injections:
         payload = _with_ue_id(pkt.payload, text)
-        inject(tb, at, tb.net.require_link(sender, receiver), sender, pkt.protocol, payload)
+        inject(tb, at, sender, receiver, pkt.protocol, payload)
     tb.run_until(HORIZON)
     assert_contained(tb)
     assert_log_round_trips(tb)

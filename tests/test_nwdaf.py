@@ -14,8 +14,8 @@ from fivegsim.nwdaf import (
     write_kpi_counts_csv,
     write_throughput_csv,
 )
-from fivegsim.runner import Testbed
-from fivegsim.config import default_topology
+from fivegsim.runner import Testbed, run_scenario
+from fivegsim.config import ScenarioSpec, default_topology
 from fivegsim.simnet import _SCRUB, DELIVERED, DROPPED, OUTCOMES, Entity, Network, TapRecord
 from fivegsim.wirefmt import Protocol, SimPacket
 
@@ -37,14 +37,15 @@ def gnb_upf_net():
     net = Network()
     for name, ip in (("gNB", "10.0.0.1"), ("UPF1", "10.0.0.2")):
         net.add_entity(Entity(name, ip, net))
-    return net, net.add_link("gNB", "UPF1", 1)
+    net.add_link("gNB", "UPF1", 1)
+    return net, net.hop("gNB", "UPF1")
 
 
 def test_ingest_tap_sanitizes_reserved_characters():
-    net, link = gnb_upf_net()
+    net, hop = gnb_upf_net()
     net.tap_local("UPF1", 20, Protocol.GTPU, DROPPED, src="gNB",
                   attrs={"reason": "bad teid,\ttry\ragain\n"})
-    net.send(link, "gNB", SimPacket(Protocol.GTPU, "10.0.0.1", "10.0.0.2", 2152, 2152),
+    net.send(hop, SimPacket(Protocol.GTPU, "10.0.0.1", "10.0.0.2", 2152, 2152),
              attrs={"ue_id": "imsi,1\t"})
     assert net.events[0].attrs == {"reason": "bad teid; try again "}
     assert net.events[1].attrs["ue_id"] == "imsi;1 "
@@ -54,11 +55,11 @@ def test_ingest_tap_sanitizes_reserved_characters():
 
 
 def test_ingest_tap_copies_attrs():
-    net, link = gnb_upf_net()
+    net, hop = gnb_upf_net()
     local = {"k": "v"}
     sent = {"k": "v"}
     net.tap_local("UPF1", 1, Protocol.APP, DELIVERED, src="gNB", attrs=local)
-    net.send(link, "gNB", SimPacket(Protocol.GTPU, "10.0.0.1", "10.0.0.2", 2152, 2152),
+    net.send(hop, SimPacket(Protocol.GTPU, "10.0.0.1", "10.0.0.2", 2152, 2152),
              attrs=sent)
     local["k"] = sent["k"] = "changed"  # the log holds its own copies
     assert [e.attrs["k"] for e in net.events] == ["v", "v"]
@@ -305,6 +306,25 @@ def test_an_edited_row_is_rejected_or_re_exports_as_edited(rows, data):
     assert _rows(export_events_text(again)) == _rows(edited)
 
 
+def test_a_cached_pair_keeps_the_key_order_check():
+    # the second row's pairs were both met on the first row
+    lines = export_events_text([ev(1, attrs={"a": "1"})]).splitlines()
+    lines.append(row(id="2", attrs="a=1,a=1"))
+    with pytest.raises(SchemaError, match="line 3: attr key 'a' not increasing"):
+        import_events_text("\n".join(lines))
+
+
+@pytest.mark.parametrize("bad", ["a", "=1", "a1"])
+def test_a_malformed_pair_on_a_later_row_is_rejected(bad):
+    lines = export_events_text([ev(1, attrs={"a": "1"}), ev(2, attrs={"a": "1"})]).splitlines()
+    lines.append(row(id="3", attrs=f"a=1,{bad}"))
+    lines.append(row(id="4", attrs=bad))
+    with pytest.raises(SchemaError, match=f"line 4: malformed attr {bad!r}"):
+        import_events_text("\n".join(lines))
+    with pytest.raises(SchemaError, match=f"line 4: malformed attr {bad!r}"):
+        import_events_text("\n".join(lines[:3] + lines[4:]))
+
+
 def test_import_rejects_broken_order():
     lines = export_events_text(logged_traffic()).splitlines()
     dupid = "\n".join([lines[0], lines[1], lines[1]])
@@ -353,3 +373,34 @@ def test_tap_feed_fills_the_store_during_a_run():
     assert store.rejected == 0
     kinds = {e.attrs.get("msg_kind") for e in store.events}
     assert "NF_REGISTER_REQ" in kinds
+
+
+# -- shared strings -------------------------------------------------------------------------
+
+
+def _one_object_per_value(values) -> bool:
+    """Whether the equal values among `values` are all one object."""
+    first: dict[str, str] = {}
+    return all(first.setdefault(v, v) is v for v in values)
+
+
+@pytest.fixture(scope="module")
+def default_run():
+    return run_scenario(ScenarioSpec("single_request", seed=1, duration_ms=3000)).events
+
+
+def test_live_rows_share_their_strings(default_run):
+    wire = [r for r in default_run if r.is_wire]
+    for key in ("src_port", "dst_port"):
+        assert _one_object_per_value(r.attrs[key] for r in wire), key
+    assert _one_object_per_value(r.attrs["teid"] for r in wire if "teid" in r.attrs)
+    assert _one_object_per_value(r.link_id for r in default_run)
+
+
+def test_imported_rows_share_their_strings(default_run):
+    rows = import_events_text(export_events_text(default_run))
+    assert rows == default_run
+    assert _one_object_per_value(r.link_id for r in rows)
+    assert _one_object_per_value(r.src for r in rows)
+    assert _one_object_per_value(v for r in rows for v in r.attrs.values())
+    assert _one_object_per_value(k for r in rows for k in r.attrs)

@@ -1,7 +1,10 @@
 """Fabric tests: clock discipline, delivery, seeded loss, conservation."""
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from fivegsim.simnet import (
+    _SCRUB,
     DELIVERED,
     DROPPED,
     Entity,
@@ -9,6 +12,7 @@ from fivegsim.simnet import (
     SimClock,
     SimNetError,
     conservation_report,
+    scrub,
 )
 from fivegsim.wirefmt import Protocol, SimPacket
 
@@ -117,16 +121,16 @@ def test_unknown_entity_or_link_raises():
     with pytest.raises(SimNetError, match="unknown entity"):
         net.entity("ghost")
     with pytest.raises(SimNetError, match="no link"):
-        net.require_link("A", "ghost")
-    with pytest.raises(SimNetError, match="unknown link"):
-        net.send("ghost--A", "A", pkt_ab())
+        net.hop("A", "ghost")
+    with pytest.raises(SimNetError, match="no link"):
+        net.hop("ghost", "A")
 
 
 # -- delivery ---------------------------------------------------------------------
 
 def test_delivery_honors_latency():
     net, a, b, link = make_pair(latency=3)
-    net.send(link, "A", pkt_ab(b"hi"))
+    net.send(net.hop("A", "B"), pkt_ab(b"hi"))
     net.run_until(2)
     assert b.inbox == []
     net.run_until(3)
@@ -137,7 +141,7 @@ def test_delivery_honors_latency():
 def test_named_sender_and_its_peer_are_logged():
     net, a, b, link = make_pair()
     # reply travels B -> A over the same link object
-    net.send(link, "B", SimPacket(Protocol.APP, "10.0.0.2", "10.0.0.1", 80, 80))
+    net.send(net.hop("B", "A"), SimPacket(Protocol.APP, "10.0.0.2", "10.0.0.1", 80, 80))
     net.run_until(10)
     assert len(a.inbox) == 1 and b.inbox == []
     [row] = net.events
@@ -147,7 +151,7 @@ def test_named_sender_and_its_peer_are_logged():
 def test_downlink_to_a_session_address_reaches_the_other_end():
     # neither address of the packet needs to be an endpoint's
     net, a, b, link = make_pair()
-    net.send(link, "A", SimPacket(Protocol.APP, "172.99.0.4", "172.99.0.5", 80, 80))
+    net.send(net.hop("A", "B"), SimPacket(Protocol.APP, "172.99.0.4", "172.99.0.5", 80, 80))
     net.run_until(10)
     assert len(b.inbox) == 1 and a.inbox == []
     assert (net.events[0].src, net.events[0].dst) == ("A", "B")
@@ -156,24 +160,36 @@ def test_downlink_to_a_session_address_reaches_the_other_end():
 def test_receiver_learns_the_sender_from_the_link_not_the_packet():
     # A claims B's address as its source; B is still handed "A"
     net, a, b, link = make_pair()
-    net.send(link, "A", SimPacket(Protocol.APP, "10.0.0.2", "10.0.0.2", 80, 80))
+    net.send(net.hop("A", "B"), SimPacket(Protocol.APP, "10.0.0.2", "10.0.0.2", 80, 80))
     net.run_until(10)
     assert [sender for _, _, sender in b.inbox] == ["A"]
 
 
-def test_sender_off_the_link_raises():
+def test_unlinked_pair_has_no_hop():
     net, _, _, link = make_pair()
     net.add_entity(Sink("C", "10.0.0.3", net))
-    with pytest.raises(SimNetError, match="C is not an endpoint"):
-        net.send(link, "C", pkt_ab())
+    assert ("C", "B") not in net.hops and ("B", "C") not in net.hops
+    with pytest.raises(SimNetError, match="no link between C and B"):
+        net.hop("C", "B")
     assert net.events == [] and net.link_stats[link.link_id] == [0, 0]
+
+
+def test_a_link_is_two_hops_sharing_its_stats():
+    net, a, b, link = make_pair(latency=3, loss=0.2)
+    ab, ba = net.hop("A", "B"), net.hop("B", "A")
+    assert (ab.link, ab.sender, ab.receiver, ab.target, ab.dst_ip) == (link, "A", "B", b, "10.0.0.2")
+    assert (ba.link, ba.sender, ba.receiver, ba.target, ba.dst_ip) == (link, "B", "A", a, "10.0.0.1")
+    assert ab.stats is ba.stats is net.link_stats[link.link_id]
+    assert ab.latency_ms == 3 and ab.lossy
+    reliable, *_ = make_pair(loss=0.2, reliable=True)
+    assert not reliable.hop("A", "B").lossy
 
 
 def test_every_send_is_tapped_once():
     net, a, b, link = make_pair()
     records = net.events
     for _ in range(4):
-        net.send(link, "A", pkt_ab())
+        net.send(net.hop("A", "B"), pkt_ab())
     assert len(records) == 4
     assert all(r.outcome == DELIVERED for r in records)
     assert all(r.src == "A" and r.dst == "B" for r in records)
@@ -182,11 +198,25 @@ def test_every_send_is_tapped_once():
 
 def test_log_numbers_events_from_one():
     net, a, b, link = make_pair()
-    net.send(link, "A", pkt_ab())
+    net.send(net.hop("A", "B"), pkt_ab())
     net.tap_local("B", 1, Protocol.APP, DROPPED, src="A")
-    net.send(link, "A", pkt_ab())
+    net.send(net.hop("A", "B"), pkt_ab())
     assert [r.event_id for r in net.events] == [1, 2, 3]
     assert [r.is_wire for r in net.events] == [True, False, True]
+
+
+# the log's separators, the eight other line breaks, then any character
+_SEPARATORS = st.sampled_from("\t\n\r," + "\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029")
+
+
+@given(st.text(st.one_of(_SEPARATORS, st.characters())))
+def test_scrub_equals_the_full_translate(value):
+    assert scrub(value) == value.translate(_SCRUB)
+
+
+def test_scrub_keeps_a_clean_value_itself():
+    value = "".join(["imsi-", "001"])
+    assert scrub(value) is value
 
 
 def test_tap_local_uses_synthetic_link():
@@ -196,27 +226,29 @@ def test_tap_local_uses_synthetic_link():
     assert records[0].link_id == "local:B"
     assert records[0].size == 42
     assert records[0].link_id not in net.links
+    net.tap_local("B", 1, Protocol.GTPU, DROPPED, src="A")
+    assert records[1].link_id is records[0].link_id
 
 
 # -- loss -------------------------------------------------------------------------
 
 def test_reliable_link_never_drops():
     net, a, b, link = make_pair(loss=0.9, reliable=True)
-    results = [net.send(link, "A", pkt_ab()) for _ in range(500)]
+    results = [net.send(net.hop("A", "B"), pkt_ab()) for _ in range(500)]
     assert all(results)
 
 
 def test_loss_rate_within_three_sigma():
     # p=0.1 over 10,000 draws: expect 9,000 +- 90 deliveries
     net, a, b, link = make_pair(loss=0.1)
-    delivered = sum(net.send(link, "A", pkt_ab()) for _ in range(10_000))
+    delivered = sum(net.send(net.hop("A", "B"), pkt_ab()) for _ in range(10_000))
     assert abs(delivered - 9_000) <= 90
 
 
 def test_loss_is_seed_deterministic():
     def pattern(seed):
         net, a, b, link = make_pair(seed=seed, loss=0.3)
-        return [net.send(link, "A", pkt_ab()) for _ in range(200)]
+        return [net.send(net.hop("A", "B"), pkt_ab()) for _ in range(200)]
 
     assert pattern(5) == pattern(5)
     assert pattern(5) != pattern(6)
@@ -229,8 +261,8 @@ def test_loss_streams_are_independent():
         out = []
         for i in range(100):
             if with_stream1_noise:
-                net.send(link, "A", pkt_ab(), stream=1)
-            out.append(net.send(link, "A", pkt_ab(), stream=2))
+                net.send(net.hop("A", "B"), pkt_ab(), stream=1)
+            out.append(net.send(net.hop("A", "B"), pkt_ab(), stream=2))
         return out
 
     assert stream2_pattern(False) == stream2_pattern(True)
@@ -241,7 +273,7 @@ def test_dropped_packets_never_arrive():
     records = net.events
     sent = 100
     for _ in range(sent):
-        net.send(link, "A", pkt_ab())
+        net.send(net.hop("A", "B"), pkt_ab())
     net.run_until(100)
     delivered = sum(1 for r in records if r.outcome == DELIVERED)
     dropped = sum(1 for r in records if r.outcome == DROPPED)
@@ -256,7 +288,7 @@ def test_conservation_report_matches_link_stats():
     net, a, b, link = make_pair(seed=2, loss=0.2)
     records = net.events
     for _ in range(300):
-        net.send(link, "A", pkt_ab())
+        net.send(net.hop("A", "B"), pkt_ab())
     net.run_until(10)
     report = conservation_report(net, records)
     sends, delivered, dropped = report[link.link_id]
@@ -267,7 +299,7 @@ def test_conservation_report_matches_link_stats():
 def test_conservation_ignores_local_records():
     net, a, b, link = make_pair()
     records = net.events
-    net.send(link, "A", pkt_ab())
+    net.send(net.hop("A", "B"), pkt_ab())
     net.tap_local("B", 1, Protocol.APP, DROPPED, src="A")
     report = conservation_report(net, records)
     assert report[link.link_id] == (1, 1, 0)
