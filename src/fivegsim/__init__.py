@@ -31,7 +31,6 @@ from .simnet import (
     DELIVERED,
     DROPPED,
     ELIMINATED_DUPLICATE,
-    Link,
     Network,
     SimNetError,
     TapRecord,
@@ -60,7 +59,6 @@ __all__ = [
     "EventStore",
     "FivegsimError",
     "FlowError",
-    "Link",
     "Network",
     "Params",
     "Protocol",

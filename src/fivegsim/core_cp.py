@@ -515,11 +515,25 @@ class Amf(NfEntity):
         refusal = MsgKind.NAS_SESSION_REJECT if session else MsgKind.NAS_REGISTER_REJECT
         self.send(gnb, refusal, ue_id=ue_id, reason=f"no {nf_type} discovered")
 
+    def _registration_step(self, m, refusal: str) -> str | None:
+        """The UE whose pending registration the answer `m` lets go on. An
+        answer that is not OK ends it: the UE's gNB is sent a
+        NAS_REGISTER_REJECT with the answer's reason, else `refusal` (TS
+        33.501 §6.1.3 for a failed authentication)."""
+        ue_id = m.require(Tag.UE_ID)
+        if ue_id not in self._pending_reg:
+            return None
+        if m.text(Tag.RESULT) == OK:
+            return ue_id
+        gnb = self._pending_reg.pop(ue_id)
+        self.send(gnb, MsgKind.NAS_REGISTER_REJECT, ue_id=ue_id, reason=m.text(Tag.REASON, refusal))
+        return None
+
     # -- NGAP (towards gNBs, reliable transport required) -------------------
 
     def on_ngap(self, m, pkt, sender) -> None:
         if m.kind == MsgKind.NGAP_SETUP_REQ:
-            if not self.net.hop(self.name, sender).link.reliable:
+            if not self.net.hop(self.name, sender).reliable:
                 self.send(sender, MsgKind.NGAP_SETUP_RESP, result=ERROR, reason="transport not reliable")
                 return
             self.gnbs.add(sender)
@@ -568,31 +582,18 @@ class Amf(NfEntity):
             if found:
                 self.peers[m.require(Tag.NF_TYPE)] = found[0]  # lowest nf_id
         elif m.kind == MsgKind.AUTH_RESP:
-            ue_id = m.require(Tag.UE_ID)
-            if ue_id in self._pending_reg:
+            ue_id = self._registration_step(m, "authentication failed")
+            if ue_id is not None:
                 self._ask("UDM", MsgKind.SUBSCRIBER_REQ, ue_id)
         elif m.kind == MsgKind.SUBSCRIBER_RESP:
-            ue_id = m.require(Tag.UE_ID)
-            gnb = self._pending_reg.get(ue_id)
-            if gnb is None:
-                return
-            if m.text(Tag.RESULT) == OK:
+            ue_id = self._registration_step(m, "unknown subscriber")
+            if ue_id is not None:
                 self._ask("PCF", MsgKind.POLICY_REQ, ue_id)
-            else:
-                del self._pending_reg[ue_id]
-                self.send(
-                    gnb,
-                    MsgKind.NAS_REGISTER_REJECT,
-                    ue_id=ue_id,
-                    reason=m.text(Tag.REASON, "unknown subscriber"),
-                )
         elif m.kind == MsgKind.POLICY_RESP:
-            ue_id = m.require(Tag.UE_ID)
-            gnb = self._pending_reg.pop(ue_id, None)
-            if gnb is None:
-                return
-            self.ue_registered[ue_id] = gnb
-            self.send(gnb, MsgKind.NAS_REGISTER_ACCEPT, ue_id=ue_id)
+            ue_id = self._registration_step(m, "policy refused")
+            if ue_id is not None:
+                gnb = self.ue_registered[ue_id] = self._pending_reg.pop(ue_id)
+                self.send(gnb, MsgKind.NAS_REGISTER_ACCEPT, ue_id=ue_id)
         elif m.kind == MsgKind.SESSION_CREATE_RESP:
             ue_id = m.require(Tag.UE_ID)
             gnb = self._pending_sess.pop(ue_id, None)

@@ -109,20 +109,28 @@ def _attrs_text(attrs: dict[str, str]) -> str:
     return ",".join(f"{k}={attrs[k]}" for k in sorted(attrs))
 
 
-def export_events_text(events) -> str:
-    out = io.StringIO()
-    out.write(_HEADER)
+def _write_rows(out, events) -> None:
+    """Write the header, then one line per row, to the text stream `out`."""
+    write = out.write
+    write(_HEADER)
     for ev in events:
-        out.write(
+        write(
             f"{ev.event_id}\t{ev.ts}\t{ev.link_id}\t{ev.src}\t{ev.dst}"
             f"\t{ev.protocol.name}\t{ev.size}\t{ev.outcome}\t{_attrs_text(ev.attrs)}\n"
         )
+
+
+def export_events_text(events) -> str:
+    out = io.StringIO()
+    _write_rows(out, events)
     return out.getvalue()
 
 
 def export_events(events, path) -> None:
+    """Write the log to `path` row by row; the file holds exactly
+    export_events_text(events)."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(export_events_text(events))
+        _write_rows(fh, events)
 
 
 def import_events_text(text: str) -> list[TapRecord]:

@@ -41,9 +41,9 @@ class Gnb(NfEntity):
     kind = "GNB"
     registers = False
 
-    def __init__(self, name, ip, net, env, amf: str):
+    def __init__(self, name, ip, net, env):
         super().__init__(name, ip, net, env)
-        self.amf = amf
+        self.amf = ""  # the AMF it links to, set once the links are up
         self.ng_ready = False
         self._ue_names: dict[str, str] = {}      # ue_id -> roster name
         self._by_ue_ip: dict[str, GnbUeContext] = {}
@@ -212,10 +212,10 @@ class Ue(NfEntity):
     kind = "UE"
     registers = False
 
-    def __init__(self, name, ip, net, env, imsi: str, gnbs: tuple[str, ...] = ()):
+    def __init__(self, name, ip, net, env, imsi: str):
         super().__init__(name, ip, net, env)
         self.imsi = imsi
-        self.gnbs: tuple[str, ...] = tuple(gnbs)
+        self.gnbs: tuple[str, ...] = ()  # the gNBs it links to, set once the links are up
         self.state = DEREGISTERED
         self.session: PduSession | None = None
         self.reject_reason: str | None = None
@@ -223,9 +223,6 @@ class Ue(NfEntity):
         self._app_seq = 0
         self._dl_window = DedupWindow()
         self.transfers: list[Transfer] = []
-
-    def attach_gnbs(self, gnbs: tuple[str, ...]) -> None:
-        self.gnbs = tuple(gnbs)
 
     @property
     def primary_gnb(self) -> str:

@@ -15,7 +15,6 @@ from pathlib import Path
 from .config import (
     SCENARIOS,
     EntityDecl,
-    LinkDecl,
     ScenarioSpec,
     TopologyConfig,
     default_topology,
@@ -63,7 +62,7 @@ SWEEP_PACKETS = 2000
 
 # kinds built from (name, ip, net, env) alone
 _PLAIN_KINDS = {
-    cls.kind: cls for cls in (Nrf, Amf, Smf, Ausf, Udm, Pcf, Nssf, Bsf, Upf, Nwdaf)
+    cls.kind: cls for cls in (Nrf, Amf, Smf, Ausf, Udm, Pcf, Nssf, Bsf, Upf, Nwdaf, Gnb)
 }
 
 
@@ -90,18 +89,23 @@ class Testbed:
         self.by_kind: dict[str, list] = {}
         for decl in entities:
             built = self.by_kind.setdefault(decl.kind, [])
-            entity = self._make_entity(decl, len(built), entities, links)
+            entity = self._make_entity(decl, len(built))
             self.net.add_entity(entity)
             built.append(entity)
         for l in links:
             self.net.add_link(l.a, l.b, l.latency_ms, l.loss_prob, l.reliable)
 
+        # peers come from the links: a gNB's AMF is the first it links to
+        # (config checked that there is one), a UE's gNBs are all it links to
+        hops = self.net.hops
+        for gnb in self.gnbs:
+            gnb.amf = next(amf.name for amf in self.amfs if (gnb.name, amf.name) in hops)
         for ue in self.ues:
-            ue.attach_gnbs(tuple(g.name for g in self.gnbs if (ue.name, g.name) in self.net.hops))
+            ue.gnbs = tuple(g.name for g in self.gnbs if (ue.name, g.name) in hops)
 
     # -- construction helpers ---------------------------------------------
 
-    def _make_entity(self, decl: EntityDecl, index: int, entities: list[EntityDecl], links: list[LinkDecl]):
+    def _make_entity(self, decl: EntityDecl, index: int):
         """Build `decl`, the entity at `index` among the declared ones of its kind."""
         args = (decl.name, decl.ip, self.net, self.env)
         subscribers = self.topo.subscribers
@@ -109,10 +113,6 @@ class Testbed:
             return _PLAIN_KINDS[decl.kind](*args)
         if decl.kind == "UDR":
             return Udr(*args, subscribers=subscribers)
-        if decl.kind == "GNB":
-            # the first AMF it links to; config checked that there is one
-            linked = {l.a if l.b == decl.name else l.b for l in links if decl.name in (l.a, l.b)}
-            return Gnb(*args, amf=next(e.name for e in entities if e.kind == "AMF" and e.name in linked))
         if decl.kind == "UE":
             return Ue(*args, imsi=ue_imsi(index + 1, subscribers))
         return AppServer(*args, documents=dict(self.topo.documents))  # SERVER, the kind left
@@ -182,8 +182,8 @@ class Testbed:
         """The first `total` UEs, growing the population to `total` by cloning
         the first UE's radio attachment and, where the topology has a UDR,
         provisioning matching subscriptions; without one the UDM refuses each
-        UE `no UDR`. A spawned UE whose IMSI a declared UE holds is a
-        ConfigError."""
+        UE `no UDR`. A spawned UE whose IMSI a declared UE holds, or whose
+        name or address a declared entity holds, is a ConfigError."""
         ues = self.ues
         if len(ues) >= total:
             return ues[:total]
@@ -193,15 +193,22 @@ class Testbed:
         declared = {ue.imsi: ue.name for ue in ues}
         for k in range(len(ues) + 1, total + 1):
             name = f"UE{k:03d}"
+            ip = f"172.16.{k >> 8}.{k & 0xFF}"
             imsi = ue_imsi(k)
             if imsi in declared:
                 raise ConfigError(f"UEs {declared[imsi]} and {name} share the IMSI {imsi}")
-            ue = Ue(name, f"172.16.{k >> 8}.{k & 0xFF}", self.net, self.env, imsi=imsi)
+            holder = self.net.entities.get(name) or self.net.by_ip.get(ip)
+            if holder is not None:
+                taken = f"name {name}" if holder.name == name else f"address {ip}"
+                raise ConfigError(
+                    f"duplicate entity {taken}: spawned UE {name} collides with {holder.kind} {holder.name}"
+                )
+            ue = Ue(name, ip, self.net, self.env, imsi=imsi)
             self.net.add_entity(ue)
             for gnb in template.gnbs:
-                radio = self.net.hop(template.name, gnb).link
+                radio = self.net.hop(template.name, gnb)
                 self.net.add_link(name, gnb, radio.latency_ms, radio.loss_prob, radio.reliable)
-            ue.attach_gnbs(template.gnbs)
+            ue.gnbs = template.gnbs
             if self.udrs:
                 self.udrs[0].subscribers.add(imsi)
             self.by_kind["UE"].append(ue)
@@ -362,7 +369,7 @@ def run_scenario(
     else:
         n = spec.ue_count if scenario.ues is None else min(scenario.ues, len(topo.of_kind("UE")))
         if n > MAX_UES:
-            raise SetupError(
+            raise ConfigError(
                 f"{n} UEs exceed the limit of {MAX_UES}: spawned UE k is addressed"
                 " 172.16.(k >> 8).(k & 0xFF)"
             )

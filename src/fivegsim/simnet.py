@@ -7,7 +7,9 @@ analytics function, the invariants and the exporter all read. Everything is
 single-threaded: one event queue, ties broken FIFO, so a (topology, scenario,
 seed) triple fully determines every delivery.
 
-A link is two Hops, one per direction, built once by `add_link`: a send
+A link is two Hops, one per direction, built once by `add_link`, which
+returns the a -> b hop. Each holds the link's latency, loss probability and
+reliability, and both share the link's [delivered, dropped] counters. A send
 takes the hop `Network.hop(sender, peer)` resolved, and the hop holds
 everything the send needs. The receiver is the hop's other end, and the
 fabric hands it the sender's name with the packet. That name is the only
@@ -58,46 +60,19 @@ class SimNetError(FivegsimError):
     """Fabric-level contract violation (bad link, bad time, bad endpoint)."""
 
 
-@dataclass(frozen=True)
-class EntityAddr:
-    """Identity of one attachable node: roster name, kind, IPv4 address."""
-
-    name: str
-    kind: str
-    ip: str
-
-
-@dataclass(frozen=True)
-class Link:
-    """Point-to-point link. A reliable link never drops or reorders."""
-
-    link_id: str
-    a: EntityAddr
-    b: EntityAddr
-    latency_ms: int
-    loss_prob: float
-    reliable: bool = False
-
-    def __post_init__(self) -> None:
-        if self.latency_ms < 0:
-            raise SimNetError(f"link {self.link_id}: negative latency")
-        if not 0.0 <= self.loss_prob <= 1.0:
-            raise SimNetError(f"link {self.link_id}: loss_prob {self.loss_prob} outside [0, 1]")
-        if self.a.name == self.b.name:
-            raise SimNetError(f"link {self.link_id}: endpoints must differ")
-
-
 @dataclass(slots=True, eq=False)
 class Hop:
-    """One direction of a link, resolved once by `Network.add_link`."""
+    """One direction of a link, resolved once by `Network.add_link`. A
+    reliable link never drops or reorders."""
 
-    link: Link
     link_id: str
     sender: str
     receiver: str
     target: "Entity"
     dst_ip: str         # the receiver's address
     latency_ms: int
+    loss_prob: float
+    reliable: bool
     lossy: bool         # whether a send draws for loss
     stats: list[int]    # the link's [delivered, dropped], shared by both hops
 
@@ -167,10 +142,6 @@ class Entity:
         self.ip = ip
         self.net = net
 
-    @property
-    def addr(self) -> EntityAddr:
-        return EntityAddr(name=self.name, kind=self.kind, ip=self.ip)
-
     def handle_packet(self, pkt: SimPacket, sender: str) -> None:
         """Take a packet that `sender`, the other end of a link, put on it."""
         raise NotImplementedError
@@ -195,7 +166,6 @@ class Network:
     def __init__(self, seed: int = 0):
         self.seed = seed
         self.clock = SimClock()
-        self.links: dict[str, Link] = {}
         self.hops: dict[tuple[str, str], Hop] = {}  # (sender, receiver) -> Hop
         self.entities: dict[str, Entity] = {}
         self.by_ip: dict[str, Entity] = {}
@@ -234,29 +204,28 @@ class Network:
         loss_prob: float = 0.0,
         reliable: bool = False,
         link_id: str | None = None,
-    ) -> Link:
+    ) -> Hop:
+        """Link `a` and `b` with one hop per direction; returns the a -> b hop."""
         ea, eb = self.entity(a), self.entity(b)
-        link = Link(
-            link_id=link_id or f"{a}--{b}",
-            a=ea.addr,
-            b=eb.addr,
-            latency_ms=latency_ms,
-            loss_prob=loss_prob,
-            reliable=reliable,
-        )
-        if link.link_id in self.links:
-            raise SimNetError(f"duplicate link id {link.link_id}")
+        link_id = link_id or f"{a}--{b}"
+        if latency_ms < 0:
+            raise SimNetError(f"link {link_id}: negative latency")
+        if not 0.0 <= loss_prob <= 1.0:
+            raise SimNetError(f"link {link_id}: loss_prob {loss_prob} outside [0, 1]")
+        if a == b:
+            raise SimNetError(f"link {link_id}: endpoints must differ")
+        if link_id in self.link_stats:
+            raise SimNetError(f"duplicate link id {link_id}")
         if (a, b) in self.hops:
             raise SimNetError(f"a link between {a} and {b} already exists")
-        self.links[link.link_id] = link
-        stats = self.link_stats[link.link_id] = [0, 0]
+        stats = self.link_stats[link_id] = [0, 0]
         lossy = not reliable and loss_prob > 0.0
         for sender, receiver in ((ea, eb), (eb, ea)):
             self.hops[(sender.name, receiver.name)] = Hop(
-                link, link.link_id, sender.name, receiver.name, receiver, receiver.ip,
-                latency_ms, lossy, stats,
+                link_id, sender.name, receiver.name, receiver, receiver.ip,
+                latency_ms, loss_prob, reliable, lossy, stats,
             )
-        return link
+        return self.hops[(a, b)]
 
     def hop(self, sender: str, peer: str) -> Hop:
         """The hop from `sender` to `peer`; an unlinked pair has none."""
@@ -292,7 +261,7 @@ class Network:
             key = (hop.link_id, stream)
             n = self._loss_counters.get(key, 0) + 1
             self._loss_counters[key] = n
-            delivered = _derive_u01(self.seed, hop.link_id, stream, n) >= hop.link.loss_prob
+            delivered = _derive_u01(self.seed, hop.link_id, stream, n) >= hop.loss_prob
 
         int_text = self.int_text
         record_attrs = {
@@ -353,7 +322,7 @@ def conservation_report(net: Network, records: Iterable[TapRecord]) -> dict[str,
 
     Only wire links count; synthetic local records are excluded by key.
     """
-    seen: dict[str, list[int]] = {lid: [0, 0] for lid in net.links}
+    seen: dict[str, list[int]] = {lid: [0, 0] for lid in net.link_stats}
     for r in records:
         if r.link_id in seen and r.outcome in (DELIVERED, DROPPED):
             seen[r.link_id][0 if r.outcome == DELIVERED else 1] += 1

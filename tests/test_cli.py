@@ -229,6 +229,14 @@ def test_out_below_a_file_is_a_usage_error(tmp_path, capsys):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+def test_more_ues_than_spawned_addresses_is_a_usage_error(capsys):
+    rc = main(["run", "--scenario", "many_requests", "--ues", "65536"])
+    assert (rc, capsys.readouterr().err) == (
+        2,
+        "error: 65536 UEs exceed the limit of 65535: spawned UE k is addressed 172.16.(k >> 8).(k & 0xFF)\n",
+    )
+
+
 def run_cli_on_default_topology(tmp_path, edit):
     """Run the CLI in a fresh interpreter on an edited copy of the default
     topology."""
@@ -338,6 +346,14 @@ TOPOLOGY_EDITS = [
     pytest.param(_subscriber("imsi-001010000000003"), ["--scenario", "many_requests", "--ues", "3"],
                  "UEs UE and UE003 share the IMSI imsi-001010000000003", None,
                  id="subscriber-id-of-a-spawned-UE"),
+    pytest.param(lambda text: text.replace("NSSF,NSSF,192.168.0.19", "NSSF,NSSF,172.16.0.2"),
+                 ["--scenario", "many_requests", "--ues", "2"],
+                 "duplicate entity address 172.16.0.2: spawned UE UE002 collides with NSSF NSSF", None,
+                 id="address-of-a-spawned-UE"),
+    pytest.param(lambda text: text.replace("BSF,BSF,", "BSF,UE002,").replace("BSF,NRF,", "UE002,NRF,"),
+                 ["--scenario", "many_requests", "--ues", "2"],
+                 "duplicate entity name UE002: spawned UE UE002 collides with BSF UE002", None,
+                 id="name-of-a-spawned-UE"),
 ]
 
 

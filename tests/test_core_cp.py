@@ -19,7 +19,7 @@ from fivegsim.core_cp import (
     read_session,
 )
 from fivegsim.errors import FlowError, SetupError
-from fivegsim.messages import PROTOCOL, MsgKind, build, parse
+from fivegsim.messages import PROTOCOL, MsgKind, Tag, build, parse
 from fivegsim.runner import T_ATTACH, Testbed, run_scenario
 from fivegsim.simnet import DELIVERED, Network
 from fivegsim.urllc import Redundancy
@@ -222,6 +222,39 @@ def test_udm_without_udr_rejects_the_registration():
     assert ue.state == "DEREGISTERED"
     assert ue.reject_reason == "no UDR"
     assert tb.invariant_violations(SETTLE + HB) == []
+
+
+@pytest.mark.parametrize(
+    "nf,request_kind,answer_kind",
+    [
+        pytest.param("AUSF", MsgKind.AUTH_REQ, MsgKind.AUTH_RESP, id="auth"),
+        pytest.param("PCF", MsgKind.POLICY_REQ, MsgKind.POLICY_RESP, id="policy"),
+    ],
+)
+def test_a_refused_authentication_or_policy_rejects_the_registration(nf, request_kind, answer_kind):
+    tb = Testbed(default_topology(), seed=0)
+    refuser = tb.net.entity(nf)
+    answer_ok = refuser.on_sbi
+
+    def refuse(m, pkt, sender):
+        if m.kind == request_kind:
+            ue_id = m.require(Tag.UE_ID)
+            refuser.send(sender, answer_kind, ue_id=ue_id, result="ERROR", reason=f"{nf} says no")
+        else:
+            answer_ok(m, pkt, sender)
+
+    refuser.on_sbi = refuse
+    tb.boot()
+    ue = tb.ues[0]
+    tb.net.schedule(T_ATTACH, ue.attach)
+    tb.run_until(SETTLE)
+    assert (ue.state, ue.reject_reason, ue.session) == ("DEREGISTERED", f"{nf} says no", None)
+    amf = tb.amfs[0]
+    assert ue.imsi not in amf.ue_registered and ue.imsi not in amf._pending_reg
+    # the refusal ends the chain: nothing is asked after the refused answer
+    asked = [r.attrs["msg_kind"] for r in tb.records if r.src == "AMF" and r.attrs.get("ue_id") == ue.imsi]
+    assert asked[-1] == "NAS_REGISTER_REJECT"
+    assert "NAS_REGISTER_ACCEPT" not in asked and "SESSION_CREATE_REQ" not in asked
 
 
 def test_session_fails_when_a_upf_refuses_its_rules():

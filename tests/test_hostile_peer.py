@@ -133,7 +133,7 @@ def test_a_drop_names_the_link_sender_not_the_claimed_address():
 
 def test_a_forged_source_address_is_answered_over_the_link_it_came_by():
     tb = booted()
-    link = tb.net.hop("AMF", "NRF").link
+    link = tb.net.hop("AMF", "NRF")
     heartbeat = build(MsgKind.NF_HEARTBEAT_REQ, nf_id="AMF")
     inject(tb, BOOTED + 1, "AMF", "NRF", Protocol.SBI, heartbeat, tb.net.entity("UDM").ip)
     tb.run_until(HORIZON)
@@ -404,10 +404,14 @@ _INJECTION = st.tuples(
 def test_hostile_peers_never_stop_the_run(injections):
     tb = booted(attach=True)
     tb.net.schedule(BOOTED + 1, lambda: tb.ues[0].request_document("document"))
-    links = sorted(tb.net.links.values(), key=lambda l: l.link_id)
+    links = {}  # link id -> its a -> b hop, the first add_link made
+    for hop in tb.net.hops.values():
+        links.setdefault(hop.link_id, hop)
+    links = sorted(links.values(), key=lambda hop: hop.link_id)
+    assert len(links) == len(tb.net.link_stats)
     for at, which, forward, (protocol, payload), src_ip in injections:
         link = links[which % len(links)]
-        sender, receiver = (link.a.name, link.b.name) if forward else (link.b.name, link.a.name)
+        sender, receiver = (link.sender, link.receiver) if forward else (link.receiver, link.sender)
         inject(tb, at, sender, receiver, protocol, payload, src_ip)
     # past the next heartbeat tick, so state a forged message left behind acts too
     horizon = 2 * tb.params.heartbeat_ms

@@ -1,4 +1,6 @@
 """Import schema, KPI math, and the event-log round trip."""
+import tracemalloc
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -404,3 +406,19 @@ def test_imported_rows_share_their_strings(default_run):
     assert _one_object_per_value(r.src for r in rows)
     assert _one_object_per_value(v for r in rows for v in r.attrs.values())
     assert _one_object_per_value(k for r in rows for k in r.attrs)
+
+
+def test_export_writes_rows_to_the_file_without_the_whole_text(default_run, tmp_path):
+    # twenty copies of a run's rows: the text runs to megabytes, a row to
+    # a few hundred bytes
+    events = default_run * 20
+    text = export_events_text(events)
+    path = tmp_path / "events.log"
+    tracemalloc.start()
+    try:
+        export_events(events, path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert path.read_bytes() == text.encode("utf-8")
+    assert peak < len(text) // 10, (peak, len(text))

@@ -14,7 +14,7 @@ from fivegsim.config import (
     parse_topology,
     with_second_gnb,
 )
-from fivegsim.errors import FlowError, SetupError
+from fivegsim.errors import ConfigError, FlowError, SetupError
 from fivegsim.messages import MsgKind, build
 from fivegsim.core_cp import PduSession, SessionPath
 from fivegsim.runner import T_ATTACH, Testbed, run_scenario
@@ -111,7 +111,7 @@ def test_many_requests_names_its_population_limit(monkeypatch):
     monkeypatch.setattr(Testbed, "run_until", must_not_run)
     # past UE 65535 a spawned address would read 172.16.256.0
     limit = r"^65536 UEs exceed the limit of 65535: spawned UE k is addressed 172\.16\.\(k >> 8\)\.\(k & 0xFF\)$"
-    with pytest.raises(SetupError, match=limit):
+    with pytest.raises(ConfigError, match=limit):
         run_scenario(ScenarioSpec(name="many_requests", ue_count=65536))
 
 
@@ -199,7 +199,7 @@ def test_attach_after_manual_registration_goes_straight_to_session():
 def test_unlinked_gnb_is_rejected_for_sending():
     tb = Testbed(default_topology(), seed=0)
     ue = tb.ues[0]
-    ue.attach_gnbs(())
+    ue.gnbs = ()
     with pytest.raises(SetupError, match="not attached"):
         ue.primary_gnb
     ue._rls_send("UPF1", MsgKind.NAS_REGISTER_REQ, ue_id=ue.imsi)

@@ -31,6 +31,7 @@ class Sink(Entity):
 
 
 def make_pair(seed=0, latency=3, loss=0.0, reliable=False):
+    """A network of two sinks and the A -> B hop of the link between them."""
     net = Network(seed=seed)
     a = net.add_entity(Sink("A", "10.0.0.1", net))
     b = net.add_entity(Sink("B", "10.0.0.2", net))
@@ -116,6 +117,25 @@ def test_bad_link_parameters_rejected():
         net.add_link("C", "B", 1, loss_prob=1.5)
 
 
+@pytest.mark.parametrize(
+    "a,b,kwargs,message",
+    [
+        ("A", "C", {"latency_ms": -1}, r"^link A--C: negative latency$"),
+        ("A", "C", {"latency_ms": 1, "loss_prob": -0.1}, r"^link A--C: loss_prob -0\.1 outside \[0, 1\]$"),
+        ("C", "C", {"latency_ms": 1}, r"^link C--C: endpoints must differ$"),
+        ("A", "C", {"latency_ms": 1, "link_id": "A--B"}, r"^duplicate link id A--B$"),
+        ("B", "A", {"latency_ms": 1, "link_id": "x"}, r"^a link between B and A already exists$"),
+    ],
+)
+def test_a_refused_link_leaves_no_hop(a, b, kwargs, message):
+    net, *_ = make_pair()
+    net.add_entity(Sink("C", "10.0.0.3", net))
+    hops, stats = dict(net.hops), dict(net.link_stats)
+    with pytest.raises(SimNetError, match=message):
+        net.add_link(a, b, **kwargs)
+    assert net.hops == hops and net.link_stats == stats
+
+
 def test_unknown_entity_or_link_raises():
     net, *_ = make_pair()
     with pytest.raises(SimNetError, match="unknown entity"):
@@ -175,14 +195,16 @@ def test_unlinked_pair_has_no_hop():
 
 
 def test_a_link_is_two_hops_sharing_its_stats():
-    net, a, b, link = make_pair(latency=3, loss=0.2)
-    ab, ba = net.hop("A", "B"), net.hop("B", "A")
-    assert (ab.link, ab.sender, ab.receiver, ab.target, ab.dst_ip) == (link, "A", "B", b, "10.0.0.2")
-    assert (ba.link, ba.sender, ba.receiver, ba.target, ba.dst_ip) == (link, "B", "A", a, "10.0.0.1")
-    assert ab.stats is ba.stats is net.link_stats[link.link_id]
-    assert ab.latency_ms == 3 and ab.lossy
-    reliable, *_ = make_pair(loss=0.2, reliable=True)
-    assert not reliable.hop("A", "B").lossy
+    net, a, b, ab = make_pair(latency=3, loss=0.2)
+    ba = net.hop("B", "A")
+    assert ab is net.hop("A", "B")
+    assert (ab.link_id, ab.sender, ab.receiver, ab.target, ab.dst_ip) == ("A--B", "A", "B", b, "10.0.0.2")
+    assert (ba.link_id, ba.sender, ba.receiver, ba.target, ba.dst_ip) == ("A--B", "B", "A", a, "10.0.0.1")
+    assert ab.stats is ba.stats is net.link_stats["A--B"]
+    for hop in (ab, ba):
+        assert (hop.latency_ms, hop.loss_prob, hop.reliable, hop.lossy) == (3, 0.2, False, True)
+    reliable = make_pair(loss=0.2, reliable=True)[3]
+    assert (reliable.reliable, reliable.lossy) == (True, False)
 
 
 def test_every_send_is_tapped_once():
@@ -225,7 +247,7 @@ def test_tap_local_uses_synthetic_link():
     net.tap_local("B", 42, Protocol.GTPU, DROPPED, src="A", attrs={"reason": "x"})
     assert records[0].link_id == "local:B"
     assert records[0].size == 42
-    assert records[0].link_id not in net.links
+    assert records[0].link_id not in net.link_stats
     net.tap_local("B", 1, Protocol.GTPU, DROPPED, src="A")
     assert records[1].link_id is records[0].link_id
 
