@@ -21,13 +21,21 @@ node only its TEID lookup and what to do with the inner bytes. `drop` and
 `first_copy` write every local row.
 
 Flows are the standard ones: NFs register with the NRF and heartbeat on a
-shared grid, each managing only its own profile; the AMF discovers its
-peers, accepts NGAP setups from gNBs and runs UE registration through AUSF,
-UDM (backed by UDR) and PCF, refusing the UE when it discovered none of a
-kind it needs; the SMF associates with UPFs over PFCP and anchors PDU
-sessions, allocating UE addresses and tunnel endpoints. When one UPF
-refuses a session's rules, the SMF deletes the session at its other UPFs
-and takes the UE address back.
+shared grid, each managing only its own profile; the AMF accepts NGAP
+setups from gNBs and runs UE registration through AUSF, UDM (backed by UDR)
+and PCF, refusing the UE when it has none of a kind it needs; the SMF
+associates with UPFs over PFCP and anchors PDU sessions, allocating UE
+addresses and tunnel endpoints. When one UPF refuses a session's rules, the
+SMF deletes the session at its other UPFs and takes the UE address back.
+
+Each NF has one peer view, `candidates` (kind -> registered nf_ids in nf_id
+order), and one choice, `pick` (the lowest). `discover` asks the NRF for
+the NF's PEER_KINDS (the AMF: AUSF, UDM, PCF, SMF; the SMF: UPF; the UDM:
+UDR), and `on_sbi` alone writes the view: a discovery answer replaces a
+kind's list, and a status notification (the AMF and the AUSF subscribe)
+edits it. So the AMF finds a peer that registers after its discovery, and
+refuses UEs a suspended one until a heartbeat revives it, which the NRF
+notifies too.
 
 A session's tunnel legs are its only plan: Smf.plan_paths lays them out per
 redundancy mode and _build_rules turns them into UPF rule programs; no other
@@ -37,12 +45,13 @@ message and `read_session` reads it back.
 """
 from __future__ import annotations
 
+import bisect
 import ipaddress
 import logging
 from dataclasses import dataclass, replace
 from typing import Callable
 
-from .config import Params
+from .config import PEER_KINDS, Params
 from .errors import FlowError, SetupError
 from .messages import PROTOCOL, MsgKind, Tag, build, canonical_int, parse
 from .simnet import DROPPED, ELIMINATED_DUPLICATE, Entity, Network
@@ -158,15 +167,16 @@ def read_session(m) -> PduSession:
     return PduSession(ue_id, ue_ip, read_mode(m), decode_paths(m.text(Tag.PATHS, "")))
 
 
-def discovered(m) -> list[str]:
-    """The nf_ids in an NRF discovery answer, in the registry's nf_id order."""
-    return [e.split("|")[0] for e in m.text(Tag.DATA, "").split(";") if e]
-
-
 # protocol -> the handler its packets go to; GTP-U hands over the raw packet
 _HANDLER = {p: f"on_{p.name.lower()}" for p in Protocol}
 
 _KIND_NAME = {kind: kind.name for kind in MsgKind}  # a log row's msg_kind
+
+# NF kind -> the peer kinds it asks the registry for: its PEER_KINDS entry
+# without the registry itself, in that order
+_DISCOVERS = {
+    kind: tuple(k for k in peers if k != "NRF") for kind, peers in PEER_KINDS.items() if "NRF" in peers
+}
 
 # the registry requests a node makes about its own profile -> their answers
 _OWN_PROFILE = {
@@ -192,7 +202,9 @@ class NfEntity(Entity):
         self.env = env
         self.registered = False
         self.heartbeat_enabled = True
-        self.notifications: list[tuple[str, str]] = []  # (nf_id, status) seen via NF_STATUS_NOTIFY
+        # peer kind -> its registered nf_ids in nf_id order, as the registry
+        # last reported them; only on_sbi writes it
+        self.candidates: dict[str, list[str]] = {}
 
     # -- sending -----------------------------------------------------------
 
@@ -281,6 +293,35 @@ class NfEntity(Entity):
     def after_registered(self) -> None:
         """Hook invoked once the registry acknowledged us."""
 
+    def discover(self) -> None:
+        """Ask the registry for every peer kind this node sends to."""
+        for kind in _DISCOVERS.get(self.kind, ()):
+            self.send(self.env.nrf_name, MsgKind.NF_DISCOVER_REQ, nf_type=kind)
+
+    def pick(self, kind: str) -> str | None:
+        """The registered `kind` peer to use: the lowest nf_id, or None."""
+        found = self.candidates.get(kind)
+        return found[0] if found else None
+
+    def _update_candidates(self, m) -> None:
+        """Fold a discovery answer or status notification into the view. An
+        OK answer replaces its kind's list with its nf_ids (already in nf_id
+        order); a notification inserts a REGISTERED peer in nf_id order and
+        removes a SUSPENDED or DEREGISTERED one. Anything about a kind this
+        node does not discover is ignored (TS 29.510 §5.2.2.5-6)."""
+        kind = m.text(Tag.NF_TYPE, "")
+        if kind not in _DISCOVERS.get(self.kind, ()):
+            return
+        if m.kind == MsgKind.NF_DISCOVER_RESP:
+            if m.text(Tag.RESULT) == OK:
+                self.candidates[kind] = [e.split("|")[0] for e in m.text(Tag.DATA, "").split(";") if e]
+        elif m.text(Tag.STATUS, "") in (REGISTERED, SUSPENDED, DEREGISTERED):
+            nf_id = m.require(Tag.NF_ID)
+            names = [n for n in self.candidates.get(kind, ()) if n != nf_id]
+            if m.text(Tag.STATUS) == REGISTERED:
+                bisect.insort(names, nf_id)
+            self.candidates[kind] = names
+
     def _heartbeat(self) -> None:
         if self.heartbeat_enabled:
             self.send(self.env.nrf_name, MsgKind.NF_HEARTBEAT_REQ, nf_id=self.name)
@@ -330,8 +371,8 @@ class NfEntity(Entity):
                 self.after_registered()
             else:
                 log.warning("%s: registration rejected: %s", self.name, m.text(Tag.REASON))
-        elif m.kind == MsgKind.NF_STATUS_NOTIFY:
-            self.notifications.append((m.text(Tag.NF_ID, ""), m.text(Tag.STATUS, "")))
+        elif m.kind in (MsgKind.NF_DISCOVER_RESP, MsgKind.NF_STATUS_NOTIFY):
+            self._update_candidates(m)
         elif m.kind in (
             MsgKind.NF_HEARTBEAT_RESP, MsgKind.NF_STATUS_SUBSCRIBE_RESP, MsgKind.NF_DEREGISTER_RESP
         ):
@@ -446,6 +487,7 @@ class Nrf(NfEntity):
         """Register, heartbeat or deregister the profile a request names; a
         node may manage only its own."""
         nf_id = m.require(Tag.NF_ID)
+        was_suspended = getattr(self.registry.get(nf_id), "status", None) == SUSPENDED
         try:
             if nf_id != sender:
                 raise FlowError(f"{sender} cannot manage the profile of {nf_id}")
@@ -459,7 +501,7 @@ class Nrf(NfEntity):
             self.send(sender, _OWN_PROFILE[m.kind], result=ERROR, reason=str(exc), nf_id=nf_id)
             return
         self.send(sender, _OWN_PROFILE[m.kind], result=OK, nf_id=nf_id)
-        if m.kind != MsgKind.NF_HEARTBEAT_REQ:
+        if m.kind != MsgKind.NF_HEARTBEAT_REQ or was_suspended:  # a heartbeat notifies a revival
             self._notify(profile)
 
     def on_sbi(self, m, pkt, sender) -> None:
@@ -493,20 +535,15 @@ class Amf(NfEntity):
 
     def __init__(self, name, ip, net, env):
         super().__init__(name, ip, net, env)
-        self.peers: dict[str, str] = {}  # nf_type -> chosen nf name
         self.gnbs: set[str] = set()
         self.ue_registered: dict[str, str] = {}  # ue_id -> serving gNB
         self._pending_reg: dict[str, str] = {}   # ue_id -> gNB the request came from
         self._pending_sess: dict[str, str] = {}
 
-    def discover_peers(self) -> None:
-        for nf_type in ("AUSF", "UDM", "PCF", "SMF"):
-            self.send(self.env.nrf_name, MsgKind.NF_DISCOVER_REQ, nf_type=nf_type)
-
     def _ask(self, nf_type: str, kind: MsgKind, ue_id: str, **fields) -> None:
-        """Send a UE's next request to the discovered `nf_type`; without one,
+        """Send a UE's next request to the picked `nf_type`; without one,
         refuse the UE's session (SESSION_CREATE_REQ) or registration."""
-        peer = self.peers.get(nf_type)
+        peer = self.pick(nf_type)
         if peer is not None:
             self.send(peer, kind, ue_id=ue_id, **fields)
             return
@@ -563,6 +600,9 @@ class Amf(NfEntity):
             if ue_id not in self.ue_registered:
                 self.send(sender, MsgKind.NAS_SESSION_REJECT, ue_id=ue_id, reason="not registered")
                 return
+            if ue_id in self._pending_sess:  # a second copy would plan a second session
+                self.drop(pkt, sender, "session request pending", ue_id=ue_id)
+                return
             self._pending_sess[ue_id] = sender
             self._ask(
                 "SMF",
@@ -577,11 +617,7 @@ class Amf(NfEntity):
     # -- SBI client side -----------------------------------------------------
 
     def on_sbi(self, m, pkt, sender) -> None:
-        if m.kind == MsgKind.NF_DISCOVER_RESP:
-            found = discovered(m) if m.text(Tag.RESULT) == OK else []
-            if found:
-                self.peers[m.require(Tag.NF_TYPE)] = found[0]  # lowest nf_id
-        elif m.kind == MsgKind.AUTH_RESP:
+        if m.kind == MsgKind.AUTH_RESP:
             ue_id = self._registration_step(m, "authentication failed")
             if ue_id is not None:
                 self._ask("UDM", MsgKind.SUBSCRIBER_REQ, ue_id)
@@ -622,7 +658,6 @@ class Smf(NfEntity):
 
     def __init__(self, name, ip, net, env):
         super().__init__(name, ip, net, env)
-        self.upfs: list[str] = []
         self.associations: dict[str, str] = {}  # upf name -> PENDING | ACTIVE
         self.sessions: dict[str, PduSession] = {}
         pool = ipaddress.IPv4Network(env.params.ue_pool)
@@ -632,9 +667,6 @@ class Smf(NfEntity):
         self._teid = 0
         # ue_id -> (requester, session, UPFs yet to confirm their rules)
         self._pending: dict[str, tuple[str, PduSession, set[str]]] = {}
-
-    def discover_upfs(self) -> None:
-        self.send(self.env.nrf_name, MsgKind.NF_DISCOVER_REQ, nf_type="UPF")
 
     def next_teid(self) -> int:
         self._teid += 1
@@ -658,7 +690,7 @@ class Smf(NfEntity):
         self.send(upf, MsgKind.PFCP_ASSOC_REQ, nf_id=self.name)
 
     def associate_all(self) -> None:
-        for upf in self.upfs:
+        for upf in self.candidates.get("UPF", ()):
             self.pfcp_associate(upf)
 
     def on_pfcp(self, m, pkt, sender) -> None:
@@ -689,9 +721,7 @@ class Smf(NfEntity):
     # -- session establishment ------------------------------------------------
 
     def on_sbi(self, m, pkt, sender) -> None:
-        if m.kind == MsgKind.NF_DISCOVER_RESP and m.text(Tag.NF_TYPE) == "UPF":
-            self.upfs = discovered(m)
-        elif m.kind == MsgKind.SESSION_CREATE_REQ:
+        if m.kind == MsgKind.SESSION_CREATE_REQ:
             self._create_session(
                 requester=sender,
                 ue_id=m.require(Tag.UE_ID),
@@ -712,9 +742,9 @@ class Smf(NfEntity):
         discovered UPFs cannot give."""
         if not gnbs:
             raise SetupError("no serving gNB")
-        if not self.upfs:
+        upfs = self.candidates.get("UPF")
+        if not upfs:
             raise SetupError("no UPF discovered")
-        upfs = self.upfs
         if mode is Redundancy.NONE:
             legs = [(gnbs[0], upfs[0], False)]
         elif mode is Redundancy.DUAL_CONNECTIVITY:
@@ -828,24 +858,20 @@ class Udm(NfEntity):
 
     def __init__(self, name, ip, net, env):
         super().__init__(name, ip, net, env)
-        self.udr_name: str | None = None
         self._pending: dict[str, str] = {}  # ue_id -> requester
 
     def after_registered(self) -> None:
-        self.send(self.env.nrf_name, MsgKind.NF_DISCOVER_REQ, nf_type="UDR")
+        self.discover()
 
     def on_sbi(self, m, pkt, sender) -> None:
-        if m.kind == MsgKind.NF_DISCOVER_RESP and m.text(Tag.NF_TYPE) == "UDR":
-            found = discovered(m)
-            if found:
-                self.udr_name = found[0]
-        elif m.kind == MsgKind.SUBSCRIBER_REQ:
+        if m.kind == MsgKind.SUBSCRIBER_REQ:
             ue_id = m.require(Tag.UE_ID)
-            if self.udr_name is None:
+            udr = self.pick("UDR")
+            if udr is None:
                 self.send(sender, MsgKind.SUBSCRIBER_RESP, ue_id=ue_id, result=ERROR, reason="no UDR")
                 return
             self._pending[ue_id] = sender
-            self.send(self.udr_name, MsgKind.UDR_QUERY_REQ, ue_id=ue_id)
+            self.send(udr, MsgKind.UDR_QUERY_REQ, ue_id=ue_id)
         elif m.kind == MsgKind.UDR_QUERY_RESP:
             ue_id = m.require(Tag.UE_ID)
             requester = self._pending.pop(ue_id, None)

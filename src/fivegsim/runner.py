@@ -171,9 +171,9 @@ class Testbed:
             if getattr(entity, "registers", False) and entity.name not in first_wave:
                 self.net.schedule(T_BOOT_CORE, entity.boot_register)
         for amf in self.amfs:
-            self.net.schedule(T_DISCOVER, amf.discover_peers)
+            self.net.schedule(T_DISCOVER, amf.discover)
         for smf in self.smfs:
-            self.net.schedule(T_DISCOVER, smf.discover_upfs)
+            self.net.schedule(T_DISCOVER, smf.discover)
             self.net.schedule(T_ASSOCIATE, smf.associate_all)
         for gnb in self.gnbs:
             self.net.schedule(T_NGAP_SETUP, gnb.ng_setup)

@@ -300,6 +300,11 @@ def _no_link_rows(protocol, rows):
     return check
 
 
+def _transfer_ok(result):
+    assert all(t.ok for t in result.transfers["UE"])
+    assert "transfer UE document ok " in result.summary
+
+
 def _unreliable_n2(result):
     # the AMF answers the setup over an unreliable link with an error and
     # keeps no NGAP association with that gNB
@@ -335,6 +340,10 @@ TOPOLOGY_EDITS = [
     pytest.param(_drop_link("UPF1", "UPF2"), ["--redundancy", "psa_anchor"], None,
                  _no_link_rows(Protocol.GTPU, {("UPF1", "UPF2", None), ("UPF2", "UPF1", None)}),
                  id="psa-anchor-without-UPF1-UPF2-link"),
+    # the PCF registers after the AMF's discovery; its REGISTERED notification
+    # puts it in the AMF's view
+    pytest.param(lambda text: text.replace("PCF,NRF,1,0.0,false", "PCF,NRF,12,0.0,false"), [],
+                 None, _transfer_ok, id="slow-PCF-registration"),
     pytest.param(_drop_every("gNB"), [], "UE UE has no link to any GNB", None,
                  id="drop-every-gNB-line"),
     pytest.param(_drop_every("UDR"), ["--scenario", "many_requests", "--ues", "5"], None,

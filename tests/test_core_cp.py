@@ -2,6 +2,8 @@
 import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fivegsim.config import Params, ScenarioSpec, default_topology, parse_topology
 from fivegsim.core_cp import (
@@ -59,6 +61,20 @@ def booted_testbed(seed=0, topo=None):
 
 def kinds_in(records, kind_name):
     return [r for r in records if r.attrs.get("msg_kind") == kind_name]
+
+
+def arrivals(tb, name):
+    """Every message `name` takes from now on, parsed."""
+    got = []
+    node = tb.net.entity(name)
+    handle = node.handle_packet
+
+    def record(pkt, sender):
+        got.append(parse(pkt.payload))
+        handle(pkt, sender)
+
+    node.handle_packet = record
+    return got
 
 
 # -- registry local API ---------------------------------------------------------
@@ -152,15 +168,25 @@ def test_missed_heartbeats_suspend_and_notify():
     nrf = tb.nrf
     ausf = tb.by_kind["AUSF"][0]
     amf = tb.amfs[0]
+    ue = tb.ues[0]
     assert nrf.registry["AUSF"].status == REGISTERED
     ausf.heartbeat_enabled = False
     tb.run_until(SETTLE + 4 * HB)
     assert nrf.registry["AUSF"].status == SUSPENDED
-    assert ("AUSF", SUSPENDED) in amf.notifications
-    # silence ends: the next heartbeat revives the profile
+    # the suspension's notification took the AUSF out of the AMF's view
+    assert amf.candidates["AUSF"] == [] and amf.pick("AUSF") is None
+    tb.net.schedule(SETTLE + 4 * HB + 1, ue.attach)
+    tb.run_until(SETTLE + 4 * HB + 100)
+    assert (ue.state, ue.reject_reason) == ("DEREGISTERED", "no AUSF discovered")
+    # silence ends: the next heartbeat revives the profile, and the revival's
+    # notification puts the AUSF back
     ausf.heartbeat_enabled = True
     tb.run_until(SETTLE + 6 * HB)
     assert nrf.registry["AUSF"].status == REGISTERED
+    assert amf.candidates["AUSF"] == ["AUSF"]
+    tb.net.schedule(SETTLE + 6 * HB + 1, ue.attach)
+    tb.run_until(SETTLE + 6 * HB + 100)
+    assert (ue.state, ue.reject_reason) == ("SESSION_ACTIVE", None)
 
 
 # -- bring-up ------------------------------------------------------------------------
@@ -173,11 +199,20 @@ def test_bringup_registers_every_control_function():
 
 
 def test_bringup_discovery_picks_lowest_id_peer():
-    tb = booted_testbed()
-    amf = tb.amfs[0]
-    assert amf.peers == {"AUSF": "AUSF", "UDM": "UDM", "PCF": "PCF", "SMF": "SMF"}
-    assert tb.by_kind["UDM"][0].udr_name == "UDR"
-    assert tb.smfs[0].upfs == ["UPF1", "UPF2"]
+    tb = Testbed(default_topology(), seed=0)
+    asked = arrivals(tb, "NRF")
+    tb.boot()
+    tb.run_until(SETTLE)
+    # each NF asks for the kinds PEER_KINDS gives it besides the registry: the
+    # UDM once registered, then the AMF and the SMF at T_DISCOVER
+    requests = [m.text(Tag.NF_TYPE) for m in asked if m.kind == MsgKind.NF_DISCOVER_REQ]
+    assert requests == ["UDR", "AUSF", "UDM", "PCF", "SMF", "UPF"]
+    amf, smf, udm = tb.amfs[0], tb.smfs[0], tb.by_kind["UDM"][0]
+    assert amf.candidates == {"AUSF": ["AUSF"], "UDM": ["UDM"], "PCF": ["PCF"], "SMF": ["SMF"]}
+    assert udm.candidates == {"UDR": ["UDR"]} and udm.pick("UDR") == "UDR"
+    assert smf.candidates == {"UPF": ["UPF1", "UPF2"]} and smf.pick("UPF") == "UPF1"
+    for kind in ("AUSF", "UDR", "PCF", "NSSF", "BSF"):
+        assert tb.by_kind[kind][0].candidates == {}, kind
 
 
 def test_pfcp_association_is_idempotent():
@@ -350,7 +385,7 @@ def test_plan_paths_without_prerequisites():
     smf = booted_testbed().smfs[0]
     with pytest.raises(SetupError, match="no serving gNB"):
         smf.plan_paths(Redundancy.NONE, [])
-    smf.upfs = []
+    smf.candidates["UPF"] = []
     with pytest.raises(SetupError, match="no UPF"):
         smf.plan_paths(Redundancy.NONE, ["gNB"])
 
@@ -443,11 +478,49 @@ def test_read_mode_refuses_any_other_spelling(text):
 # -- status fanout -----------------------------------------------------------------------
 
 def test_registration_fanout_reaches_subscribers():
+    tb = Testbed(default_topology(), seed=0)
+    got = arrivals(tb, "AMF")
+    tb.boot()
+    # AMF registers at t=0 and subscribes; every later registration fans out,
+    # and the notifications fill the AMF's view before its own discovery (the
+    # AUSF registered at t=0 too, before the subscription)
+    tb.run_until(10)
+    assert tb.amfs[0].candidates == {"UDM": ["UDM"], "PCF": ["PCF"], "SMF": ["SMF"]}
+    tb.run_until(SETTLE)
+    notified = {
+        m.text(Tag.NF_ID) for m in got
+        if m.kind == MsgKind.NF_STATUS_NOTIFY and m.text(Tag.STATUS) == REGISTERED
+    }
+    assert notified == {"SMF", "UDM", "UDR", "PCF", "NSSF", "BSF", "UPF1", "UPF2", "NWDAF"}
+
+
+FLAPPING = ("AUSF", "UDM", "PCF", "SMF")  # the kinds the AMF discovers
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    steps=st.lists(st.fixed_dictionaries({k: st.booleans() for k in FLAPPING}), min_size=1, max_size=5),
+    leaver=st.none() | st.tuples(st.sampled_from(FLAPPING), st.integers(0, 4)),
+)
+def test_amf_view_follows_the_registry(steps, leaver):
+    """Each step switches heartbeats on or off for two heartbeat periods,
+    enough for a silent NF to be suspended and a revived one to come back;
+    `leaver` deregisters one NF at the start of a step. Once a step settles,
+    the AMF's view of each kind it discovers is what the registry would
+    answer."""
     tb = booted_testbed()
-    amf = tb.amfs[0]
-    # AMF registers at t=0 and subscribes; every later registration fans out
-    notified = {nf_id for nf_id, status in amf.notifications if status == REGISTERED}
-    assert {"SMF", "UDM", "UDR", "PCF", "NSSF", "BSF", "UPF1", "UPF2"} <= notified
+    amf, nrf = tb.amfs[0], tb.nrf
+    for i, beating in enumerate(steps):
+        for kind, on in beating.items():
+            tb.by_kind[kind][0].heartbeat_enabled = on
+        if leaver is not None and leaver[1] == i:
+            nf = tb.by_kind[leaver[0]][0]
+            nf.send("NRF", MsgKind.NF_DEREGISTER_REQ, nf_id=nf.name)
+        horizon = (2 * i + 2) * HB + 100  # past the grid's sweeps, heartbeats and notifications
+        tb.run_until(horizon)
+        for kind in FLAPPING:
+            assert amf.candidates[kind] == [p.nf_id for p in nrf.discover(kind)], (i, kind)
+        assert tb.invariant_violations(horizon) == []
 
 
 def test_idle_window_heartbeat_counts():

@@ -247,8 +247,30 @@ def test_smf_refuses_psa_anchoring_over_one_upf_named_twice():
     tb.net.schedule(BOOTED + 2, lambda: ue.attach(Redundancy.PSA_ANCHOR))
     tb.run_until(HORIZON)
     assert_contained(tb)
-    assert tb.smfs[0].upfs == ["UPF1", "UPF1"]
+    assert tb.smfs[0].candidates["UPF"] == ["UPF1", "UPF1"]
     assert ue.state == "REGISTERED" and "an intermediate UPF and an anchor" in ue.reject_reason
+
+
+def test_a_session_request_arriving_twice_plans_one_session():
+    # the UE registers without a session; its session request then reaches
+    # the AMF twice while the first copy is still pending at the SMF
+    tb = booted()
+    ue = tb.ues[0]
+    tb.net.schedule(BOOTED + 1, ue.register)
+    nas = build(MsgKind.NAS_SESSION_REQ, ue_id=ue.imsi, mode="NONE", gnb="gNB")
+    rls = build(MsgKind.RLS_NAS, ue_id=ue.imsi, data=nas)
+    for _ in range(2):
+        inject(tb, BOOTED + 31, ue.name, "gNB", Protocol.RLS, rls)
+    tb.run_until(HORIZON)
+    assert_contained(tb)
+    assert ue.state == "REGISTERED"
+    creates = [r for r in tb.records if r.attrs.get("msg_kind") == "SESSION_CREATE_REQ"]
+    assert len(creates) == 1
+    [drop] = local_rows(tb, "AMF")
+    assert (drop.src, drop.attrs["reason"]) == ("gNB", "session request pending")
+    upf = tb.upfs[0]
+    assert list(upf.ueip_rules) == [tb.smfs[0].sessions[ue.imsi].ue_ip]
+    assert len(upf.teid_rules) == 1
 
 
 def test_upf_routes_uplink_only_to_the_owner_of_its_destination():

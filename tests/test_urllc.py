@@ -134,7 +134,7 @@ def test_plan_paths_refuses_a_leg_named_twice(mode, gnbs, upfs, message):
     tb.run_until(1000)
     smf = tb.smfs[0]
     if upfs is not None:
-        smf.upfs = upfs
+        smf.candidates["UPF"] = upfs
     teid = smf._teid
     with pytest.raises(SetupError, match=message):
         smf.plan_paths(mode, gnbs)
