@@ -119,12 +119,6 @@ class TopologyConfig:
     params: Params
     source: str = "<memory>"
 
-    def entity(self, name: str) -> EntityDecl:
-        for e in self.entities:
-            if e.name == name:
-                return e
-        raise ConfigError(f"unknown entity {name}")
-
     def of_kind(self, kind: str) -> list[EntityDecl]:
         return [e for e in self.entities if e.kind == kind]
 
@@ -314,13 +308,21 @@ def default_topology() -> TopologyConfig:
     return load_topology(default_topology_path())
 
 
-def with_second_gnb(topo: TopologyConfig, name: str = "gNB2", ip: str = "192.168.0.23") -> TopologyConfig:
-    """Extend a topology with a standby gNB wired for dual connectivity.
+# the standby gNB with_second_gnb adds
+_SECOND_GNB = EntityDecl(kind="GNB", name="gNB2", ip="192.168.0.23")
+# the kinds at the two ends of the links with_link_loss makes lossy: N3
+_LOSSY_KINDS = frozenset({"GNB", "UPF"})
+
+
+def with_second_gnb(topo: TopologyConfig) -> TopologyConfig:
+    """Extend a topology with the standby gNB _SECOND_GNB, wired for dual
+    connectivity.
 
     The new gNB gets a reliable N2 link to the first AMF, a radio link to
     every UE, and an N3 link to the second UPF so the two paths stay
     link-disjoint.
     """
+    name = _SECOND_GNB.name
     if any(e.name == name for e in topo.entities):
         return topo
     amfs = topo.of_kind("AMF")
@@ -328,7 +330,7 @@ def with_second_gnb(topo: TopologyConfig, name: str = "gNB2", ip: str = "192.168
     ues = topo.of_kind("UE")
     if not amfs or len(upfs) < 2:
         raise ConfigError("need an AMF and two UPFs to add a standby gNB")
-    entities = list(topo.entities) + [EntityDecl(kind="GNB", name=name, ip=ip)]
+    entities = list(topo.entities) + [_SECOND_GNB]
     links = list(topo.links)
     links.append(LinkDecl(a=name, b=amfs[0].name, latency_ms=1, loss_prob=0.0, reliable=True))
     for ue in ues:
@@ -337,16 +339,14 @@ def with_second_gnb(topo: TopologyConfig, name: str = "gNB2", ip: str = "192.168
     return _validate(entities, links, list(topo.subscribers), dict(topo.documents), topo.params, topo.source)
 
 
-def with_link_loss(topo: TopologyConfig, loss_prob: float, kinds: frozenset[str] = frozenset({"GNB", "UPF"})) -> TopologyConfig:
-    """Return a copy with loss applied to links whose endpoint kinds match.
-
-    By default only N3 legs (gNB to UPF) become lossy.
-    """
+def with_link_loss(topo: TopologyConfig, loss_prob: float) -> TopologyConfig:
+    """Return a copy with loss applied to the unreliable links between a gNB
+    and a UPF: only the N3 legs become lossy."""
     by_name = {e.name: e for e in topo.entities}
     links = []
     for l in topo.links:
         ka, kb = by_name[l.a].kind, by_name[l.b].kind
-        if {ka, kb} == set(kinds) and not l.reliable:
+        if {ka, kb} == _LOSSY_KINDS and not l.reliable:
             links.append(replace(l, loss_prob=loss_prob))
         else:
             links.append(l)

@@ -29,13 +29,14 @@ addresses and tunnel endpoints. When one UPF refuses a session's rules, the
 SMF deletes the session at its other UPFs and takes the UE address back.
 
 Each NF has one peer view, `candidates` (kind -> registered nf_ids in nf_id
-order), and one choice, `pick` (the lowest). `discover` asks the NRF for
-the NF's PEER_KINDS (the AMF: AUSF, UDM, PCF, SMF; the SMF: UPF; the UDM:
-UDR), and `on_sbi` alone writes the view: a discovery answer replaces a
-kind's list, and a status notification (the AMF and the AUSF subscribe)
-edits it. So the AMF finds a peer that registers after its discovery, and
-refuses UEs a suspended one until a heartbeat revives it, which the NRF
-notifies too.
+order), and one choice, `pick` (the lowest). An NF with peer kinds to find
+(DISCOVERS: the AMF finds AUSF, UDM, PCF and SMF; the SMF, UPFs; the UDM,
+the UDR) subscribes to status and discovers right behind its registration,
+and `on_sbi` alone writes the view: a discovery answer replaces a kind's
+list, and a status notification edits it. So the NF finds a peer that
+registers after its discovery, whatever the link delays, and refuses UEs a
+suspended one until a heartbeat revives it, which the NRF notifies too. The
+SMF associates over PFCP with each UPF as it enters the view.
 
 A session's tunnel legs are its only plan: Smf.plan_paths lays them out per
 redundancy mode and _build_rules turns them into UPF rule programs; no other
@@ -173,9 +174,10 @@ _HANDLER = {p: f"on_{p.name.lower()}" for p in Protocol}
 _KIND_NAME = {kind: kind.name for kind in MsgKind}  # a log row's msg_kind
 
 # NF kind -> the peer kinds it asks the registry for: its PEER_KINDS entry
-# without the registry itself, in that order
-_DISCOVERS = {
-    kind: tuple(k for k in peers if k != "NRF") for kind, peers in PEER_KINDS.items() if "NRF" in peers
+# without the registry itself, in that order; only the kinds that have any
+DISCOVERS = {
+    kind: tuple(k for k in peers if k != "NRF")
+    for kind, peers in PEER_KINDS.items() if "NRF" in peers and len(peers) > 1
 }
 
 # the registry requests a node makes about its own profile -> their answers
@@ -195,7 +197,6 @@ class NfEntity(Entity):
     """
 
     registers = True          # takes part in NRF registration at boot
-    subscribes_status = False
 
     def __init__(self, name: str, ip: str, net: Network, env: CoreEnv):
         super().__init__(name, ip, net)
@@ -282,20 +283,20 @@ class NfEntity(Entity):
     # -- NRF client -------------------------------------------------------
 
     def boot_register(self) -> None:
-        self.send(
-            self.env.nrf_name,
-            MsgKind.NF_REGISTER_REQ,
-            nf_id=self.name,
-            nf_type=self.kind,
-            addr=self.ip,
-        )
-
-    def after_registered(self) -> None:
-        """Hook invoked once the registry acknowledged us."""
+        """Register; a node with peer kinds to find also subscribes to status
+        and discovers them right behind, without waiting for the answer. The
+        registry takes the requests in order over the one hop, so it answers
+        each after the registration, and the notifications cover whatever
+        registers after the discovery (TS 29.510 §5.2.2.5-6)."""
+        nrf = self.env.nrf_name
+        self.send(nrf, MsgKind.NF_REGISTER_REQ, nf_id=self.name, nf_type=self.kind, addr=self.ip)
+        if self.kind in DISCOVERS:
+            self.send(nrf, MsgKind.NF_STATUS_SUBSCRIBE_REQ, nf_id=self.name)
+            self.discover()
 
     def discover(self) -> None:
         """Ask the registry for every peer kind this node sends to."""
-        for kind in _DISCOVERS.get(self.kind, ()):
+        for kind in DISCOVERS.get(self.kind, ()):
             self.send(self.env.nrf_name, MsgKind.NF_DISCOVER_REQ, nf_type=kind)
 
     def pick(self, kind: str) -> str | None:
@@ -310,7 +311,7 @@ class NfEntity(Entity):
         removes a SUSPENDED or DEREGISTERED one. Anything about a kind this
         node does not discover is ignored (TS 29.510 §5.2.2.5-6)."""
         kind = m.text(Tag.NF_TYPE, "")
-        if kind not in _DISCOVERS.get(self.kind, ()):
+        if kind not in DISCOVERS.get(self.kind, ()):
             return
         if m.kind == MsgKind.NF_DISCOVER_RESP:
             if m.text(Tag.RESULT) == OK:
@@ -366,9 +367,6 @@ class NfEntity(Entity):
             if m.text(Tag.RESULT) == OK:
                 self.registered = True
                 self.on_heartbeat_grid(self._heartbeat)
-                if self.subscribes_status:
-                    self.send(self.env.nrf_name, MsgKind.NF_STATUS_SUBSCRIBE_REQ, nf_id=self.name)
-                self.after_registered()
             else:
                 log.warning("%s: registration rejected: %s", self.name, m.text(Tag.REASON))
         elif m.kind in (MsgKind.NF_DISCOVER_RESP, MsgKind.NF_STATUS_NOTIFY):
@@ -531,7 +529,6 @@ class Amf(NfEntity):
     """Access and mobility function: NGAP endpoint plus registration broker."""
 
     kind = "AMF"
-    subscribes_status = True
 
     def __init__(self, name, ip, net, env):
         super().__init__(name, ip, net, env)
@@ -689,7 +686,9 @@ class Smf(NfEntity):
         self.associations[upf] = "PENDING"
         self.send(upf, MsgKind.PFCP_ASSOC_REQ, nf_id=self.name)
 
-    def associate_all(self) -> None:
+    def _update_candidates(self, m) -> None:
+        """Associate with each UPF as it enters the view."""
+        super()._update_candidates(m)
         for upf in self.candidates.get("UPF", ()):
             self.pfcp_associate(upf)
 
@@ -842,7 +841,6 @@ class Ausf(NfEntity):
     """Authentication front end: answers every challenge affirmatively."""
 
     kind = "AUSF"
-    subscribes_status = True
 
     def on_sbi(self, m, pkt, sender) -> None:
         if m.kind == MsgKind.AUTH_REQ:
@@ -859,9 +857,6 @@ class Udm(NfEntity):
     def __init__(self, name, ip, net, env):
         super().__init__(name, ip, net, env)
         self._pending: dict[str, str] = {}  # ue_id -> requester
-
-    def after_registered(self) -> None:
-        self.discover()
 
     def on_sbi(self, m, pkt, sender) -> None:
         if m.kind == MsgKind.SUBSCRIBER_REQ:

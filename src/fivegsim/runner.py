@@ -1,10 +1,14 @@
 """Testbed assembly and scenario execution.
 
 A Testbed turns a topology's roster (config.run_roster, checked at parse)
-into live entities on one fabric, stages the bring-up (registry first, then
-the other functions, discovery, N4 association, NGAP setup) and leaves the
-clock ready to run. Scenarios layer UE activity on top and collect KPIs,
-transfers and the fabric's event log into a RunResult.
+into live entities on one fabric, stages the bring-up and leaves the clock
+ready to run. The bring-up has two waves and an NGAP setup: the registry and
+every NF that finds peers (core_cp.DISCOVERS) start at 0, each registering,
+subscribing to status and discovering at once; the other NFs register at
+T_BOOT_CORE, and the registry notifies the first wave of each. The rest
+follows the registry protocol: the SMF associates with each UPF it learns
+of. Scenarios layer UE activity on top and collect KPIs, transfers and the
+fabric's event log into a RunResult.
 """
 from __future__ import annotations
 
@@ -23,7 +27,7 @@ from .config import (
     with_link_loss,
     with_second_gnb,
 )
-from .core_cp import Amf, Ausf, Bsf, CoreEnv, Nrf, Nssf, Pcf, Smf, Udm, Udr
+from .core_cp import DISCOVERS, Amf, Ausf, Bsf, CoreEnv, Nrf, Nssf, Pcf, Smf, Udm, Udr
 from .errors import ConfigError, FlowError, SetupError
 from .nwdaf import (
     Nwdaf,
@@ -43,10 +47,7 @@ from .wirefmt import Protocol
 log = logging.getLogger(__name__)
 
 # bring-up schedule (virtual ms)
-T_BOOT_REGISTRY = 0
 T_BOOT_CORE = 5
-T_DISCOVER = 15
-T_ASSOCIATE = 25
 T_NGAP_SETUP = 35
 T_ATTACH = 45
 REQUEST_SPACING_MS = 15  # between the document requests of successive UEs
@@ -161,20 +162,16 @@ class Testbed:
     # -- lifecycle -------------------------------------------------------------
 
     def boot(self) -> None:
-        """Stage the bring-up on the virtual clock. Does not run it."""
-        first_wave = {self.nrf.name}
-        self.net.schedule(T_BOOT_REGISTRY, self.nrf.boot)
-        for entity in self.amfs + self._kind("AUSF"):
-            first_wave.add(entity.name)
-            self.net.schedule(T_BOOT_REGISTRY, entity.boot_register)
+        """Stage the bring-up on the virtual clock. Does not run it. The NFs
+        that find peers register at 0, with the registry, so they are
+        subscribed before the others register at T_BOOT_CORE: that status
+        fanout is what the sbi_registration check looks for."""
+        nrf = self.nrf
+        self.net.schedule(0, nrf.boot)
         for entity in self.net.entities.values():
-            if getattr(entity, "registers", False) and entity.name not in first_wave:
-                self.net.schedule(T_BOOT_CORE, entity.boot_register)
-        for amf in self.amfs:
-            self.net.schedule(T_DISCOVER, amf.discover)
-        for smf in self.smfs:
-            self.net.schedule(T_DISCOVER, smf.discover)
-            self.net.schedule(T_ASSOCIATE, smf.associate_all)
+            if getattr(entity, "registers", False) and entity is not nrf:
+                start = 0 if entity.kind in DISCOVERS else T_BOOT_CORE
+                self.net.schedule(start, entity.boot_register)
         for gnb in self.gnbs:
             self.net.schedule(T_NGAP_SETUP, gnb.ng_setup)
 

@@ -203,11 +203,11 @@ class Network:
         latency_ms: int,
         loss_prob: float = 0.0,
         reliable: bool = False,
-        link_id: str | None = None,
     ) -> Hop:
-        """Link `a` and `b` with one hop per direction; returns the a -> b hop."""
+        """Link `a` and `b` with one hop per direction, both counted under the
+        link id `a--b`; returns the a -> b hop."""
         ea, eb = self.entity(a), self.entity(b)
-        link_id = link_id or f"{a}--{b}"
+        link_id = f"{a}--{b}"
         if latency_ms < 0:
             raise SimNetError(f"link {link_id}: negative latency")
         if not 0.0 <= loss_prob <= 1.0:

@@ -9,14 +9,15 @@ anchor redundancy in the core.
 from __future__ import annotations
 
 import hashlib
+import ipaddress
 import logging
 from dataclasses import dataclass
 
 from .core_cp import ERROR, OK, NfEntity
 from .errors import FlowError
-from .messages import MsgKind, Tag, build, parse
+from .messages import MsgKind, Tag, build, canonical_int, parse
 from .urllc import SEQ_MODULUS, DedupWindow
-from .wirefmt import Protocol, SimPacket, decode_packet, encode_packet
+from .wirefmt import MAX_TEID, Protocol, SimPacket, WireFormatError, decode_packet, encode_packet
 
 log = logging.getLogger(__name__)
 
@@ -48,12 +49,26 @@ class UeIpRule:
     next_seq: int = 0
 
 
+def _rule_teid(text: str, what: str) -> int:
+    """A TEID as a rule program spells it: canonical digits, 1 to MAX_TEID.
+    Anything else makes `what` malformed."""
+    try:
+        teid = canonical_int(text, "TEID")
+    except WireFormatError:
+        teid = 0
+    if not 0 < teid <= MAX_TEID:
+        raise FlowError(f"malformed {what}")
+    return teid
+
+
 def parse_rule_program(text: str, ue_id: str) -> tuple[list[TeidRule], list[UeIpRule]]:
     """Parse the N4 rule grammar.
 
     ``TEID|<teid>|<dedup>|<actions>`` and ``UEIP|<addr>|<assign_seq>|<actions>``
     joined by ";"; actions are ``route:<entity>`` or
-    ``encap:<entity>:<teid>:<carry>`` joined by ",".
+    ``encap:<entity>:<teid>:<carry>`` joined by ",". A TEID is canonical
+    digits from 1 to MAX_TEID and an address is IPv4; a malformed program is
+    a FlowError, which the UPF answers with ERROR.
     """
     teid_rules: list[TeidRule] = []
     ueip_rules: list[UeIpRule] = []
@@ -69,21 +84,21 @@ def parse_rule_program(text: str, ue_id: str) -> tuple[list[TeidRule], list[UeIp
             bits = spec.split(":")
             if bits[0] == "route" and len(bits) == 2:
                 actions.append(ForwardAction(kind="route", target=bits[1]))
-            elif bits[0] == "encap" and len(bits) == 4 and bits[2].isdecimal():
+            elif bits[0] == "encap" and len(bits) == 4:
+                teid = _rule_teid(bits[2], f"action {spec!r}")
                 actions.append(
-                    ForwardAction(
-                        kind="encap", target=bits[1], teid=int(bits[2]), carry_seq=bits[3] == "1"
-                    )
+                    ForwardAction(kind="encap", target=bits[1], teid=teid, carry_seq=bits[3] == "1")
                 )
             else:
                 raise FlowError(f"malformed action {spec!r}")
         if kind == "TEID":
-            if not selector.isdecimal():
-                raise FlowError(f"malformed rule selector {selector!r}")
-            teid_rules.append(
-                TeidRule(teid=int(selector), ue_id=ue_id, dedup=flag == "1", actions=tuple(actions))
-            )
+            teid = _rule_teid(selector, f"rule selector {selector!r}")
+            teid_rules.append(TeidRule(teid=teid, ue_id=ue_id, dedup=flag == "1", actions=tuple(actions)))
         elif kind == "UEIP":
+            try:
+                ipaddress.IPv4Address(selector)
+            except ValueError:
+                raise FlowError(f"malformed rule selector {selector!r}") from None
             ueip_rules.append(
                 UeIpRule(ue_ip=selector, ue_id=ue_id, assign_seq=flag == "1", actions=tuple(actions))
             )
@@ -195,23 +210,11 @@ def document_content(doc: str, size: int) -> bytes:
     return (pattern * reps)[:size]
 
 
-def document_digest(doc: str, size: int) -> str:
-    return hashlib.sha256(document_content(doc, size)).hexdigest()
-
-
 def segment_count(size: int, segment_bytes: int) -> int:
     """Segments needed for a body; an empty body still takes one segment."""
     if size <= 0:
         return 1
     return -(-size // segment_bytes)
-
-
-@dataclass
-class ServedRequest:
-    ue_ip: str
-    doc: str
-    ts: int
-    segments: int
 
 
 class AppServer(NfEntity):
@@ -232,8 +235,6 @@ class AppServer(NfEntity):
         self._dedup: dict[str, DedupWindow] = {}     # ue_ip -> uplink window (app-level seq)
         self._tagging: set[str] = set()              # ue_ips whose downlink gets sequence tags
         self._dl_seq: dict[str, int] = {}
-        self.served: list[ServedRequest] = []
-        self.completes: dict[str, int] = {}          # ue_ip -> APP_COMPLETE count
         self.data_received: dict[str, int] = {}      # ue_ip -> post-elimination APP_DATA count
         self.data_indices: dict[str, set[int]] = {}
         self._built: dict[tuple[str, int], tuple[bytes, str]] = {}  # (doc, size) -> body, SHA-256
@@ -280,9 +281,9 @@ class AppServer(NfEntity):
             # teaches us every return route before the response fans out.
             doc = m.require(Tag.DOC)
             sport = pkt.src_port
-            self.net.schedule_in(0, lambda: self._serve(ue_ip, sport, doc, self.net.now))
+            self.net.schedule_in(0, lambda: self._serve(ue_ip, sport, doc))
         elif m.kind == MsgKind.APP_COMPLETE:
-            self.completes[ue_ip] = self.completes.get(ue_ip, 0) + 1
+            pass  # the UE's receipt; its log row is the record
         elif m.kind == MsgKind.APP_DATA:
             self.data_received[ue_ip] = self.data_received.get(ue_ip, 0) + 1
             index = m.num(Tag.INDEX)
@@ -299,7 +300,7 @@ class AppServer(NfEntity):
             built = self._built[doc, size] = (content, hashlib.sha256(content).hexdigest())
         return built
 
-    def _serve(self, ue_ip: str, dport: int, doc: str, now: int) -> None:
+    def _serve(self, ue_ip: str, dport: int, doc: str) -> None:
         size = self.documents.get(doc)
         if size is None:
             self._send_downlink(ue_ip, dport, MsgKind.APP_ERROR, doc=doc, reason="no such document")
@@ -307,7 +308,6 @@ class AppServer(NfEntity):
         seg = self.env.params.segment_bytes
         n_segments = segment_count(size, seg)
         content, digest = self._document(doc, size)
-        self.served.append(ServedRequest(ue_ip=ue_ip, doc=doc, ts=now, segments=n_segments))
         self._send_downlink(
             ue_ip,
             dport,

@@ -94,16 +94,37 @@ def single_request_log(tmp_path_factory):
 )
 def test_validate_fails_on_a_bad_teid(single_request_log, tmp_path, teid, capsys):
     lines = single_request_log.split("\n")
-    cols = lines[84].split("\t")  # event 84, the run's first tunnel packet
-    assert (cols[0], cols[5]) == ("84", "GTPU") and ",teid=1," in cols[8]
+    first = next(i for i, line in enumerate(lines) if "\tGTPU\t" in line)  # the first tunnel packet
+    cols = lines[first].split("\t")
+    assert cols[0] == str(first) and ",teid=1," in cols[8]
     cols[8] = cols[8].replace(",teid=1,", f",teid={teid},")
-    lines[84] = "\t".join(cols)
+    lines[first] = "\t".join(cols)
     bad = tmp_path / "bad_teid.log"
     bad.write_text("\n".join(lines))
     rc = main(["validate", "--events", str(bad)])
     out, err = capsys.readouterr()
     assert rc == 1 and err == ""
-    assert "FAIL user_plane_routing: tunnel packet without a valid teid (event 84)" in out.splitlines()
+    assert f"FAIL user_plane_routing: tunnel packet without a valid teid (event {first})" in out.splitlines()
+
+
+# every NF's SBI spoke to the registry in the built-in topology
+NRF_SPOKES = ("AMF", "SMF", "AUSF", "UDM", "UDR", "PCF", "NSSF", "BSF", "UPF1", "UPF2")
+
+
+@pytest.mark.parametrize("nf", NRF_SPOKES)
+def test_bring_up_survives_one_slow_registry_spoke(nf, tmp_path, capsys):
+    """A 14 ms spoke makes its NF register after the others discovered; the
+    registry's status notifications still bring it to them in time."""
+    text = Path(default_topology().source).read_text()
+    spoke = f"\n{nf},NRF,1,0.0,false\n"
+    assert spoke in text
+    topo = tmp_path / "slow.cfg"
+    topo.write_text(text.replace(spoke, f"\n{nf},NRF,14,0.0,false\n"))
+    rc = main(["run", "--scenario", "validate", "--topology", str(topo)])
+    lines = capsys.readouterr().out.splitlines()
+    assert rc == 0
+    assert sum(line.startswith("PASS ") for line in lines) == 6
+    assert any(line.startswith("transfer UE document ok ") for line in lines)
 
 
 def test_validate_reads_ports_and_pool_from_the_topology(tmp_path, capsys):

@@ -77,13 +77,8 @@ def test_parse_accepts_comments_and_blank_lines():
     topo = parse_topology(MINIMAL)
     assert len(topo.entities) == 6
     assert len(topo.links) == 6
-    assert topo.entity("gNB").ip == "192.168.0.22"
+    assert {e.name: e.ip for e in topo.entities}["gNB"] == "192.168.0.22"
     assert [e.name for e in topo.of_kind("UPF")] == ["UPF1", "UPF2"]
-
-
-def test_entity_lookup_unknown_name():
-    with pytest.raises(ConfigError, match="unknown entity"):
-        parse_topology(MINIMAL).entity("ghost")
 
 
 @pytest.mark.parametrize(
@@ -178,7 +173,7 @@ def test_declared_server_needs_a_link_to_a_upf():
     with pytest.raises(ConfigError, match="SERVER SRV has no link to any UPF"):
         parse_topology(MINIMAL + server + "[links]\nSRV,gNB,1,0.0,false\n")
     topo = parse_topology(MINIMAL + server + "[links]\nSRV,UPF2,1,0.0,false\n")
-    assert topo.entity("SRV").kind == "SERVER"
+    assert [e.name for e in topo.of_kind("SERVER")] == ["SRV"]
     # a topology without a UPF has no uplink to route, so its SERVER may stand alone
     parse_topology("[entities]\nNRF,NRF,192.168.0.12\nSERVER,SRV,192.168.0.40\n")
 
@@ -274,7 +269,7 @@ def test_injected_addresses_must_not_collide(line):
 
 def test_with_second_gnb_wires_three_legs():
     topo = with_second_gnb(default_topology())
-    added = topo.entity("gNB2")
+    [added] = [e for e in topo.entities if e.name == "gNB2"]
     assert added.kind == "GNB"
     ends = {frozenset((l.a, l.b)) for l in topo.links}
     assert frozenset(("gNB2", "AMF")) in ends

@@ -1,11 +1,12 @@
 """Control-plane tests: registry semantics, bring-up, sessions, heartbeats."""
 import re
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fivegsim.config import Params, ScenarioSpec, default_topology, parse_topology
+from fivegsim.config import Params, ScenarioSpec, default_topology, parse_topology, with_link_loss
 from fivegsim.core_cp import (
     DEREGISTERED,
     REGISTERED,
@@ -203,16 +204,64 @@ def test_bringup_discovery_picks_lowest_id_peer():
     asked = arrivals(tb, "NRF")
     tb.boot()
     tb.run_until(SETTLE)
-    # each NF asks for the kinds PEER_KINDS gives it besides the registry: the
-    # UDM once registered, then the AMF and the SMF at T_DISCOVER
-    requests = [m.text(Tag.NF_TYPE) for m in asked if m.kind == MsgKind.NF_DISCOVER_REQ]
-    assert requests == ["UDR", "AUSF", "UDM", "PCF", "SMF", "UPF"]
+    # each NF asks for the kinds PEER_KINDS gives it besides the registry,
+    # right behind its registration and subscription, in roster order
+    requests = [
+        (m.kind.name, m.text(Tag.NF_TYPE) or m.text(Tag.NF_ID)) for m in asked
+        if m.kind in (MsgKind.NF_REGISTER_REQ, MsgKind.NF_STATUS_SUBSCRIBE_REQ, MsgKind.NF_DISCOVER_REQ)
+    ][:12]
+    assert requests == [
+        ("NF_REGISTER_REQ", "AMF"), ("NF_STATUS_SUBSCRIBE_REQ", "AMF"),
+        ("NF_DISCOVER_REQ", "AUSF"), ("NF_DISCOVER_REQ", "UDM"),
+        ("NF_DISCOVER_REQ", "PCF"), ("NF_DISCOVER_REQ", "SMF"),
+        ("NF_REGISTER_REQ", "SMF"), ("NF_STATUS_SUBSCRIBE_REQ", "SMF"), ("NF_DISCOVER_REQ", "UPF"),
+        ("NF_REGISTER_REQ", "UDM"), ("NF_STATUS_SUBSCRIBE_REQ", "UDM"), ("NF_DISCOVER_REQ", "UDR"),
+    ]
+    assert sum(m.kind == MsgKind.NF_DISCOVER_REQ for m in asked) == 6
     amf, smf, udm = tb.amfs[0], tb.smfs[0], tb.by_kind["UDM"][0]
     assert amf.candidates == {"AUSF": ["AUSF"], "UDM": ["UDM"], "PCF": ["PCF"], "SMF": ["SMF"]}
     assert udm.candidates == {"UDR": ["UDR"]} and udm.pick("UDR") == "UDR"
     assert smf.candidates == {"UPF": ["UPF1", "UPF2"]} and smf.pick("UPF") == "UPF1"
     for kind in ("AUSF", "UDR", "PCF", "NSSF", "BSF"):
         assert tb.by_kind[kind][0].candidates == {}, kind
+
+
+def test_smf_associates_with_a_upf_registering_after_its_discovery():
+    # UPF2 is slow to reach the registry: it registers long after the SMF's
+    # discovery, which finds only UPF1, and its REGISTERED notification
+    # brings it into the SMF's view and association
+    text = Path(default_topology().source).read_text()
+    tb = Testbed(parse_topology(text.replace("\nUPF2,NRF,1,", "\nUPF2,NRF,100,")), seed=0)
+    got = arrivals(tb, "SMF")
+    tb.boot()
+    tb.run_until(SETTLE)
+    answers = [m for m in got if m.kind == MsgKind.NF_DISCOVER_RESP]
+    assert [a.text(Tag.DATA) for a in answers] == [""]  # the UPFs register at T_BOOT_CORE
+    smf = tb.smfs[0]
+    assert smf.candidates == {"UPF": ["UPF1", "UPF2"]}
+    assert smf.associations == {"UPF1": "ACTIVE", "UPF2": "ACTIVE"}
+    [late] = [r for r in kinds_in(tb.records, "PFCP_ASSOC_REQ") if r.dst == "UPF2"]
+    # sent as the notification of UPF2's registration (T_BOOT_CORE + 100) arrives
+    assert late.ts == 5 + 100 + 1
+
+
+GOLDEN = Path(__file__).parent / "vectors" / "events_log_sha256.txt"
+GOLDEN_RUNS = [
+    line.split()[:4] for line in
+    (raw.split("#", 1)[0].strip() for raw in GOLDEN.read_text().splitlines()) if line
+]
+
+
+@pytest.mark.parametrize("scenario,ues,mode,loss", GOLDEN_RUNS)
+def test_only_the_nfs_that_discover_are_notified(scenario, ues, mode, loss):
+    """The AUSF discovers nothing, so it does not subscribe and is told of
+    no registration; the AMF, the SMF and the UDM are."""
+    topo = with_link_loss(default_topology(), float(loss)) if float(loss) else None
+    spec = ScenarioSpec(name=scenario, ue_count=int(ues), redundancy=Redundancy[mode], seed=0)
+    run = run_scenario(spec, topo=topo)
+    notified = {r.dst for r in kinds_in(run.events, "NF_STATUS_NOTIFY")}
+    assert notified == {"AMF", "SMF", "UDM"}
+    assert run.testbed.nrf.status_subscribers == ["AMF", "SMF", "UDM"]
 
 
 def test_pfcp_association_is_idempotent():
@@ -481,17 +530,18 @@ def test_registration_fanout_reaches_subscribers():
     tb = Testbed(default_topology(), seed=0)
     got = arrivals(tb, "AMF")
     tb.boot()
-    # AMF registers at t=0 and subscribes; every later registration fans out,
-    # and the notifications fill the AMF's view before its own discovery (the
-    # AUSF registered at t=0 too, before the subscription)
-    tb.run_until(10)
-    assert tb.amfs[0].candidates == {"UDM": ["UDM"], "PCF": ["PCF"], "SMF": ["SMF"]}
+    # the AMF registers, subscribes and discovers at t=0, before the SMF and
+    # the UDM (t=0) and the rest (T_BOOT_CORE) register: its discovery finds
+    # none of its peer kinds, and every later registration fans out to it
+    tb.run_until(2)
+    assert tb.amfs[0].candidates == {"AUSF": [], "UDM": ["UDM"], "PCF": [], "SMF": ["SMF"]}
     tb.run_until(SETTLE)
+    assert tb.amfs[0].candidates == {"AUSF": ["AUSF"], "UDM": ["UDM"], "PCF": ["PCF"], "SMF": ["SMF"]}
     notified = {
         m.text(Tag.NF_ID) for m in got
         if m.kind == MsgKind.NF_STATUS_NOTIFY and m.text(Tag.STATUS) == REGISTERED
     }
-    assert notified == {"SMF", "UDM", "UDR", "PCF", "NSSF", "BSF", "UPF1", "UPF2", "NWDAF"}
+    assert notified == {"SMF", "UDM", "AUSF", "UDR", "PCF", "NSSF", "BSF", "UPF1", "UPF2", "NWDAF"}
 
 
 FLAPPING = ("AUSF", "UDM", "PCF", "SMF")  # the kinds the AMF discovers

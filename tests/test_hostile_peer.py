@@ -166,14 +166,21 @@ def test_the_registry_lets_a_node_manage_only_its_own_profile(kind, fields):
     assert answer.text(Tag.REASON) == f"AMF cannot manage the profile of {fields['nf_id']}"
 
 
-# "\u00b2" passes str.isdigit() but not int()
+# "\u00b2" passes str.isdigit() but not int(); "\u0663" passes both; a TEID has
+# one spelling, from 1 to 32 bits, and a UEIP selector is an IPv4 address
 @pytest.mark.parametrize(
-    "rules", ["TEID|x|0|route:SERVER", "TEID|\u00b2|1|route:SERVER", "TEID|5|1|encap:gNB:\u00b2:1"]
+    "rules",
+    [
+        "TEID|x|0|route:SERVER", "TEID|\u00b2|1|route:SERVER", "TEID|5|1|encap:gNB:\u00b2:1",
+        "TEID|0012|0|route:SERVER", "TEID|\u0663|0|route:SERVER", "TEID|0|0|route:SERVER",
+        "TEID|5|1|encap:gNB:99999999999:1", "UEIP|notanip|0|encap:gNB:8:0",
+    ],
 )
 def test_upf_answers_a_malformed_rule_program_with_an_error(rules):
     tb = booted()
     upf = tb.upfs[0]
-    rules_before = dict(upf.teid_rules)
+    rules_before, ueip_before = dict(upf.teid_rules), dict(upf.ueip_rules)
+    got = received(tb, "SMF")
     payload = build(MsgKind.PFCP_SESSION_REQ, ue_id="imsi-1", ue_ip="10.45.0.9", rules=rules)
     inject(tb, BOOTED + 1, "SMF", upf.name, Protocol.PFCP, payload)
     tb.run_until(HORIZON)
@@ -183,7 +190,9 @@ def test_upf_answers_a_malformed_rule_program_with_an_error(rules):
         if r.ts > BOOTED and r.src == upf.name and r.attrs.get("msg_kind") == "PFCP_SESSION_RESP"
     ]
     assert len(answers) == 1
-    assert upf.teid_rules == rules_before
+    [answer] = [m for m in got if m.kind == MsgKind.PFCP_SESSION_RESP]
+    assert answer.text(Tag.RESULT) == "ERROR"
+    assert upf.teid_rules == rules_before and upf.ueip_rules == ueip_before
 
 
 @pytest.mark.parametrize(

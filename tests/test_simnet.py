@@ -123,8 +123,8 @@ def test_bad_link_parameters_rejected():
         ("A", "C", {"latency_ms": -1}, r"^link A--C: negative latency$"),
         ("A", "C", {"latency_ms": 1, "loss_prob": -0.1}, r"^link A--C: loss_prob -0\.1 outside \[0, 1\]$"),
         ("C", "C", {"latency_ms": 1}, r"^link C--C: endpoints must differ$"),
-        ("A", "C", {"latency_ms": 1, "link_id": "A--B"}, r"^duplicate link id A--B$"),
-        ("B", "A", {"latency_ms": 1, "link_id": "x"}, r"^a link between B and A already exists$"),
+        ("A", "B", {"latency_ms": 1}, r"^duplicate link id A--B$"),
+        ("B", "A", {"latency_ms": 1}, r"^a link between B and A already exists$"),
     ],
 )
 def test_a_refused_link_leaves_no_hop(a, b, kwargs, message):

@@ -7,11 +7,10 @@ from fivegsim.config import ScenarioSpec, default_topology
 from fivegsim.errors import FlowError
 from fivegsim.messages import MsgKind, build
 from fivegsim.runner import T_ATTACH, Testbed, run_scenario
-from fivegsim.simnet import DROPPED
+from fivegsim.simnet import DELIVERED, DROPPED
 from fivegsim.user_plane import (
     AppServer,
     document_content,
-    document_digest,
     parse_rule_program,
     segment_count,
 )
@@ -55,6 +54,11 @@ def test_parse_rule_program_empty_text():
         "TEID|abc|1|route:SERVER",         # non-numeric teid
         "TEID|5|1|encap:gNB:x:1",          # non-numeric encap teid
         "MPLS|5|1|route:SERVER",           # unknown rule kind
+        "TEID|0012|0|route:SERVER",        # leading zeros: one spelling per TEID
+        "TEID|\u0663|0|route:SERVER",       # a non-ASCII digit
+        "TEID|0|0|route:SERVER",           # TEID 0 is no tunnel endpoint
+        "TEID|5|1|encap:g:99999999999:1",  # past the 32-bit field
+        "UEIP|notanip|0|encap:gNB:8:0",    # the selector is no IPv4 address
     ],
 )
 def test_parse_rule_program_rejects(text):
@@ -77,8 +81,11 @@ def test_document_content_empty_name_and_errors():
 
 
 def test_document_digest_matches_content():
-    body = document_content("doc", 1000)
-    assert document_digest("doc", 1000) == hashlib.sha256(body).hexdigest()
+    # the digest the server announces is the SHA-256 of the body it sends
+    server = Testbed(default_topology(), seed=0).server
+    body, digest = server._document("doc", 1000)
+    assert body == document_content("doc", 1000)
+    assert digest == hashlib.sha256(body).hexdigest()
 
 
 @pytest.mark.parametrize(
@@ -170,12 +177,22 @@ def test_server_learns_return_route(request_run):
     assert tb.server.routes[ue_ip] == ["UPF1"]
 
 
+def app_rows(events, kind, **attrs):
+    return [
+        r for r in events
+        if r.outcome == DELIVERED and r.attrs.get("msg_kind") == kind
+        and all(r.attrs.get(k) == v for k, v in attrs.items())
+    ]
+
+
 def test_server_serves_document_and_counts_complete(request_run):
-    tb = request_run.testbed
-    ue_ip = tb.ues[0].session.ue_ip
-    assert [s.doc for s in tb.server.served] == ["document"]
-    assert tb.server.served[0].segments == 8
-    assert tb.server.completes[ue_ip] == 1
+    events = request_run.events
+    ue_ip = request_run.testbed.ues[0].session.ue_ip
+    sent = [r.attrs["msg_kind"] for r in events if r.src == "SERVER"]
+    assert sent == ["APP_GET_ACK"] + ["APP_SEGMENT"] * 8
+    assert all(r.attrs["ue_ip"] == ue_ip for r in events if r.src == "SERVER")
+    [complete] = app_rows(events, "APP_COMPLETE", src_ip=ue_ip)
+    assert complete.dst == "SERVER"
 
 
 def test_transfer_reassembles_exact_content(request_run):
@@ -187,7 +204,7 @@ def test_transfer_reassembles_exact_content(request_run):
     assert transfer.received == 8
     assert transfer.size == 487659
     assert transfer.segments == {}
-    assert transfer.digest == document_digest("document", 487659)
+    assert transfer.digest == hashlib.sha256(document_content("document", 487659)).hexdigest()
 
 
 def test_corrupted_segment_fails_the_transfer():
@@ -214,7 +231,7 @@ def test_corrupted_segment_fails_the_transfer():
 
 
 def test_server_builds_each_document_once(monkeypatch):
-    digest = document_digest("document", 487659)
+    digest = hashlib.sha256(document_content("document", 487659)).hexdigest()
     built = []
 
     def counting_document_content(doc, size):
@@ -227,7 +244,7 @@ def test_server_builds_each_document_once(monkeypatch):
     assert len(transfers) == 3
     assert all(t.ok for t in transfers)
     assert all(t.digest == digest for t in transfers)
-    assert len(result.testbed.server.served) == 3
+    assert len(app_rows(result.events, "APP_GET_ACK")) == 3  # one answer per request
     assert built == [("document", 487659)]
 
 
@@ -241,11 +258,12 @@ def test_missing_document_flows_back_as_error():
     transfer = ue.transfers[0]
     assert transfer.done and transfer.ok is False
     assert transfer.error == "no such document"
-    assert tb.server.served == []
+    # the server answers the request with APP_ERROR and serves nothing
+    assert [r.attrs["msg_kind"] for r in tb.records if r.src == "SERVER"] == ["APP_ERROR"]
 
 
 def test_failed_transfer_line_names_the_reason_on_one_line(monkeypatch):
-    def refuse(server, ue_ip, dport, doc, now):
+    def refuse(server, ue_ip, dport, doc):
         server._send_downlink(ue_ip, dport, MsgKind.APP_ERROR, doc=doc, reason="busy\tnow\r\nretry")
 
     monkeypatch.setattr(AppServer, "_serve", refuse)
