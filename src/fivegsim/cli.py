@@ -6,6 +6,8 @@ the sbi_port and ue_pool of ``--topology``, if given), and
 ``kpi`` recomputes packet counts from a log over a chosen window.
 
 Exit codes: 0 success, 1 a run or check failed, 2 bad input or configuration.
+A reader that closes stdout early (``| head``) only cuts the output short:
+the exit code stands and nothing reaches stderr.
 ``--log-level`` (default warning) sets which of the package's log lines
 reach stderr.
 """
@@ -13,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import logging
+import os
 import sys
 
 from .config import ConfigError, SCENARIO_NAMES, Params, ScenarioSpec, default_topology, load_topology
@@ -71,6 +74,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _emit(text: str) -> None:
+    """Write `text` to stdout; a closed pipe ends the output, not the command."""
+    try:
+        print(text, end="", flush=True)
+    except BrokenPipeError:
+        # the interpreter flushes stdout again at exit: let that go to devnull
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+
+
 def _cmd_run(args) -> int:
     topo = load_topology(args.topology) if args.topology else default_topology()
     spec = ScenarioSpec(
@@ -82,7 +94,7 @@ def _cmd_run(args) -> int:
         seed=args.seed,
     )
     result = run_scenario(spec, topo, out_dir=args.out)
-    sys.stdout.write(result.summary)
+    _emit(result.summary)
     if result.checks and not all_passed(result.checks):
         return 1
     return 0
@@ -92,8 +104,7 @@ def _cmd_validate(args) -> int:
     events = import_events(args.events)
     params = load_topology(args.topology).params if args.topology else Params()
     results = validate_sequences(events, sbi_port=params.sbi_port, ue_pool=params.ue_pool)
-    for check in results:
-        print(check.line())
+    _emit("".join(f"{check.line()}\n" for check in results))
     return 0 if all_passed(results) else 1
 
 
@@ -103,9 +114,7 @@ def _cmd_kpi(args) -> int:
     if t1 < t0:
         raise ConfigError(f"window [{t0}, {t1}) is empty")
     counts = kpi_packet_counts(events, t0, t1, semantics=args.semantics)
-    print("entity,packets")
-    for name in sorted(counts):
-        print(f"{name},{counts[name]}")
+    _emit("entity,packets\n" + "".join(f"{name},{counts[name]}\n" for name in sorted(counts)))
     return 0
 
 

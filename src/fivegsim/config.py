@@ -11,6 +11,7 @@ including a link from each entity to each PEER_KINDS kind the topology has.
 from __future__ import annotations
 
 import ipaddress
+import re
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
@@ -221,6 +222,11 @@ def _validate(
     )
 
 
+# what the texts that carry entity names split on, so no name may hold it:
+# event-log fields (whitespace), link ids ("--"), rule actions (":"), session
+# paths ("/"), and discovery answers, rule programs and gNB lists ("|", ";")
+_NAME_SPLIT = re.compile(r"\s|--|[:/|;]")
+
 # [params] key -> the type its text converts to: the type of the field's default
 _PARAM_TYPES = {f.name: type(f.default) for f in fields(Params)}
 
@@ -249,8 +255,7 @@ def parse_topology(text: str, source: str = "<memory>") -> TopologyConfig:
                 kind = kind.upper()
                 if kind not in ENTITY_KINDS:
                     raise ConfigError(f"unknown entity kind {kind}", lineno)
-                # names become event-log fields, which are whitespace-separated
-                if not name or any(ch.isspace() for ch in name):
+                if not name or _NAME_SPLIT.search(name):
                     raise ConfigError(f"bad entity name {name!r}", lineno)
                 ipaddress.IPv4Address(ip)
                 entities.append(EntityDecl(kind=kind, name=name, ip=ip))
@@ -342,22 +347,13 @@ def with_second_gnb(topo: TopologyConfig) -> TopologyConfig:
 def with_link_loss(topo: TopologyConfig, loss_prob: float) -> TopologyConfig:
     """Return a copy with loss applied to the unreliable links between a gNB
     and a UPF: only the N3 legs become lossy."""
-    by_name = {e.name: e for e in topo.entities}
-    links = []
-    for l in topo.links:
-        ka, kb = by_name[l.a].kind, by_name[l.b].kind
-        if {ka, kb} == _LOSSY_KINDS and not l.reliable:
-            links.append(replace(l, loss_prob=loss_prob))
-        else:
-            links.append(l)
-    return TopologyConfig(
-        entities=topo.entities,
-        links=tuple(links),
-        subscribers=topo.subscribers,
-        documents=dict(topo.documents),
-        params=topo.params,
-        source=topo.source,
+    kind = {e.name: e.kind for e in topo.entities}
+    links = tuple(
+        replace(l, loss_prob=loss_prob)
+        if {kind[l.a], kind[l.b]} == _LOSSY_KINDS and not l.reliable else l
+        for l in topo.links
     )
+    return replace(topo, links=links, documents=dict(topo.documents))
 
 
 @dataclass(frozen=True)

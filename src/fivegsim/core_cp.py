@@ -39,22 +39,23 @@ suspended one until a heartbeat revives it, which the NRF notifies too. The
 SMF associates over PFCP with each UPF as it enters the view.
 
 A session's tunnel legs are its only plan: Smf.plan_paths lays them out per
-redundancy mode and _build_rules turns them into UPF rule programs; no other
-code branches on the mode's layout. One PduSession carries the session from
-the SMF through the AMF to the gNBs and the UE: `fields()` puts it in a
-message and `read_session` reads it back.
+redundancy mode, the only code that branches on a mode's layout; the UPF
+rule programs (_build_rules), the gNBs and the UE read the legs alone. One
+PduSession carries the session from the SMF through the AMF to the gNBs and
+the UE: `fields()` puts it in a message and `read_session` reads it back.
 """
 from __future__ import annotations
 
 import bisect
 import ipaddress
 import logging
+from collections import defaultdict
 from dataclasses import dataclass, replace
 from typing import Callable
 
 from .config import PEER_KINDS, Params
 from .errors import FlowError, SetupError
-from .messages import PROTOCOL, MsgKind, Tag, build, canonical_int, parse
+from .messages import PROTOCOL, MsgKind, Tag, build, parse, read_teid
 from .simnet import DROPPED, ELIMINATED_DUPLICATE, Entity, Network
 from .urllc import DedupWindow, Redundancy
 from .wirefmt import Protocol, SimPacket, WireFormatError, gtpu_decapsulate, gtpu_encapsulate
@@ -142,7 +143,7 @@ def decode_paths(text: str) -> tuple[SessionPath, ...]:
         if len(fields) != 5:
             raise WireFormatError(f"malformed session path {part!r}")
         gnb, upf, tu, td, carry = fields
-        teid_ul, teid_dl = (canonical_int(t, f"TEID in session path {part!r}") for t in (tu, td))
+        teid_ul, teid_dl = (read_teid(t, f"TEID in session path {part!r}") for t in (tu, td))
         out.append(SessionPath(gnb, upf, teid_ul, teid_dl, carry_seq=carry == "1"))
     return tuple(out)
 
@@ -792,42 +793,30 @@ class Smf(NfEntity):
             self.send(upf, MsgKind.PFCP_SESSION_REQ, ue_id=ue_id, ue_ip=ue_ip, rules=rules)
 
     def _build_rules(self, session: PduSession) -> dict[str, str]:
-        """Per-UPF forwarding rule programs, in the N4 rule grammar.
-
-        teid rules match arriving G-PDUs, ueip rules match plain downlink
-        packets. Actions: route:<entity> re-emits the inner packet,
-        encap:<entity>:<teid>:<carry_seq> re-tunnels it.
+        """Per-UPF rule programs in the N4 rule grammar, read off the legs
+        alone. teid rules match arriving G-PDUs, ueip rules plain downlink
+        packets; route:<entity> re-emits the inner packet and
+        encap:<entity>:<teid>:<carry_seq> re-tunnels it. The last leg's UPF
+        anchors: a sequenced leg on another UPF reaches it over an N9 bridge.
         """
-        server = self.env.server_name
-        ue_ip, mode, paths = session.ue_ip, session.mode, session.paths
-        rules: dict[str, list[str]] = {}
-
-        def add(upf: str, rule: str) -> None:
-            rules.setdefault(upf, []).append(rule)
-
-        if mode in (Redundancy.NONE, Redundancy.DUAL_CONNECTIVITY):
-            for p in paths:
-                add(p.upf, f"TEID|{p.teid_ul}|0|route:{server}")
-                add(p.upf, f"UEIP|{ue_ip}|0|encap:{p.gnb}:{p.teid_dl}:0")
-        elif mode is Redundancy.N3_REPLICATION:
-            upf = paths[0].upf
-            gnb = paths[0].gnb
-            for p in paths:
-                add(upf, f"TEID|{p.teid_ul}|1|route:{server}")
-            dl_actions = ",".join(f"encap:{gnb}:{p.teid_dl}:1" for p in paths)
-            add(upf, f"UEIP|{ue_ip}|1|{dl_actions}")
-        elif mode is Redundancy.PSA_ANCHOR:
-            via, direct = paths
-            i_upf, psa = via.upf, direct.upf
-            n9_ul, n9_dl = self.next_teid(), self.next_teid()
-            # intermediate UPF: uplink bridges N3 to N9, downlink unwraps N9
-            add(i_upf, f"TEID|{via.teid_ul}|0|encap:{psa}:{n9_ul}:1")
-            add(i_upf, f"TEID|{n9_dl}|0|encap:{via.gnb}:{via.teid_dl}:1")
-            # anchor: both tunnels converge and deduplicate here
-            add(psa, f"TEID|{n9_ul}|1|route:{server}")
-            add(psa, f"TEID|{direct.teid_ul}|1|route:{server}")
-            dl_actions = f"encap:{i_upf}:{n9_dl}:1,encap:{direct.gnb}:{direct.teid_dl}:1"
-            add(psa, f"UEIP|{ue_ip}|1|{dl_actions}")
+        server, ue_ip, anchor = self.env.server_name, session.ue_ip, session.paths[-1].upf
+        rules: dict[str, list[str]] = defaultdict(list)
+        downlink: dict[str, list[str]] = defaultdict(list)  # UPF -> its UEIP actions, one per leg
+        for p in session.paths:
+            if p.carry_seq and p.upf != anchor:
+                # the leg's UPF bridges uplink N3 to N9 and unwraps N9 downlink
+                n9_ul, n9_dl = self.next_teid(), self.next_teid()
+                rules[p.upf].append(f"TEID|{p.teid_ul}|0|encap:{anchor}:{n9_ul}:1")
+                rules[p.upf].append(f"TEID|{n9_dl}|0|encap:{p.gnb}:{p.teid_dl}:1")
+                rules[anchor].append(f"TEID|{n9_ul}|1|route:{server}")
+                downlink[anchor].append(f"encap:{p.upf}:{n9_dl}:1")
+            else:
+                carry = int(p.carry_seq)
+                rules[p.upf].append(f"TEID|{p.teid_ul}|{carry}|route:{server}")
+                downlink[p.upf].append(f"encap:{p.gnb}:{p.teid_dl}:{carry}")
+        tag = int(any(p.carry_seq for p in session.paths))  # the UPF sequences the downlink
+        for upf, actions in downlink.items():
+            rules[upf].append(f"UEIP|{ue_ip}|{tag}|{','.join(actions)}")
         return {upf: ";".join(parts) for upf, parts in rules.items()}
 
     def _finish_session(self, requester: str, session: PduSession) -> None:

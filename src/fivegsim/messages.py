@@ -13,7 +13,7 @@ import re
 import struct
 from enum import IntEnum
 
-from .wirefmt import Protocol, WireFormatError
+from .wirefmt import MAX_TEID, Protocol, WireFormatError
 
 
 class MsgKind(IntEnum):
@@ -117,6 +117,14 @@ def canonical_int(text: str, what: str) -> int:
         except ValueError:  # more digits than int() converts
             pass
     raise WireFormatError(f"{what} is not an integer")
+
+
+def read_teid(text: str, what: str) -> int:
+    """Read a tunnel endpoint id from peer text: canonical digits, 1 to MAX_TEID."""
+    teid = canonical_int(text, what)
+    if not 0 < teid <= MAX_TEID:
+        raise WireFormatError(f"{what} is not a TEID")
+    return teid
 
 
 def build(kind: MsgKind, **fields: str | int | bytes | None) -> bytes:

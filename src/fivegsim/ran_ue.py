@@ -6,7 +6,8 @@ packets. The gNB terminates GTP-U towards the UPFs: uplink it encapsulates
 (replicating and sequence-stamping when the session's legs say so), downlink
 it strips tunnels, eliminates duplicates and hands the inner packet to the
 UE. The UE and each gNB on a session's legs keep the core_cp.PduSession the
-SMF set up, read from the message that carried it (read_session).
+SMF set up (read_session) and act on its legs, never its mode: a UE whose
+legs run through several gNBs sends uplink to each with an app-level seq.
 """
 from __future__ import annotations
 
@@ -302,12 +303,13 @@ class Ue(NfEntity):
     # -- application client -------------------------------------------------------
 
     def _app_send(self, kind: MsgKind, **fields) -> None:
-        """Send one application message through the session, replicating at
-        the endpoint when the plan calls for it."""
+        """Send one application message through the session: to every gNB of
+        its legs, with an app-level seq when there is more than one."""
         if self.state != SESSION_ACTIVE or self.session is None:
             raise FlowError(f"{self.name}: no active session")
         sess = self.session
-        if sess.mode is Redundancy.DUAL_CONNECTIVITY:
+        gnbs = sess.gnbs
+        if len(gnbs) > 1:
             fields["seq"] = self._app_seq
             self._app_seq = (self._app_seq + 1) % SEQ_MODULUS
         port = self.env.params.port(Protocol.APP)
@@ -320,8 +322,7 @@ class Ue(NfEntity):
             payload=build(kind, **fields),
         )
         raw = encode_packet(inner)
-        targets = sess.gnbs if sess.mode is Redundancy.DUAL_CONNECTIVITY else (sess.gnbs[0],)
-        for gnb in targets:
+        for gnb in gnbs:
             self._rls_send(gnb, MsgKind.RLS_DATA, attrs={"app_kind": kind.name}, data=raw)
 
     def request_document(self, doc: str) -> Transfer:
@@ -352,12 +353,7 @@ class Ue(NfEntity):
         inner = decode_packet(raw)
         m = parse(inner.payload)
         seq = m.num(Tag.SEQ)
-        if (
-            self.session is not None
-            and self.session.mode is Redundancy.DUAL_CONNECTIVITY
-            and seq is not None
-            and not self.first_copy(self._dl_window, seq, inner, sender)
-        ):
+        if seq is not None and not self.first_copy(self._dl_window, seq, inner, sender):
             return
         if m.kind == MsgKind.APP_GET_ACK:
             transfer = self._transfer_for(m.require(Tag.DOC))

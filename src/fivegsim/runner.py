@@ -255,7 +255,6 @@ class RunResult:
 
     spec: ScenarioSpec
     testbed: Testbed | None  # None for urllc_sweep, whose runs each have their own
-    horizon: int
     window: tuple[int, int]
     kpi_counts: dict[str, int] = field(default_factory=dict)
     throughput: dict[tuple[str, str], float] = field(default_factory=dict)
@@ -355,7 +354,6 @@ def run_scenario(
         result = RunResult(
             spec=spec,
             testbed=None,
-            horizon=0,
             window=(0, 0),
             reliability=tuple(
                 run_reliability_measurement(mode, SWEEP_LOSS, SWEEP_PACKETS, spec.seed, topo)
@@ -385,7 +383,6 @@ def run_scenario(
         result = RunResult(
             spec=spec,
             testbed=tb,
-            horizon=horizon,
             window=(settle, horizon),
             kpi_counts=kpi_packet_counts(events, settle, horizon, entities=list(tb.net.entities)),
             throughput=kpi_throughput_matrix(events, settle, horizon),

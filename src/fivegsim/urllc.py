@@ -15,7 +15,8 @@ wrapping sequence space.
 
 This module holds what the modes share: the mode names, the window, the
 sequence arithmetic and the measurement result. How a mode lays out its
-tunnel legs is the SMF's decision alone (core_cp.Smf.plan_paths).
+tunnel legs is the SMF's decision alone (core_cp.Smf.plan_paths); the UPF
+rule programs and the UE's replication are read off those legs.
 """
 from __future__ import annotations
 

@@ -15,9 +15,9 @@ from dataclasses import dataclass
 
 from .core_cp import ERROR, OK, NfEntity
 from .errors import FlowError
-from .messages import MsgKind, Tag, build, canonical_int, parse
+from .messages import MsgKind, Tag, build, parse, read_teid
 from .urllc import SEQ_MODULUS, DedupWindow
-from .wirefmt import MAX_TEID, Protocol, SimPacket, WireFormatError, decode_packet, encode_packet
+from .wirefmt import Protocol, SimPacket, WireFormatError, decode_packet, encode_packet
 
 log = logging.getLogger(__name__)
 
@@ -50,15 +50,12 @@ class UeIpRule:
 
 
 def _rule_teid(text: str, what: str) -> int:
-    """A TEID as a rule program spells it: canonical digits, 1 to MAX_TEID.
-    Anything else makes `what` malformed."""
+    """A TEID as a rule program spells it (messages.read_teid); anything else
+    makes `what` malformed."""
     try:
-        teid = canonical_int(text, "TEID")
+        return read_teid(text, "TEID")
     except WireFormatError:
-        teid = 0
-    if not 0 < teid <= MAX_TEID:
-        raise FlowError(f"malformed {what}")
-    return teid
+        raise FlowError(f"malformed {what}") from None
 
 
 def parse_rule_program(text: str, ue_id: str) -> tuple[list[TeidRule], list[UeIpRule]]:
@@ -66,8 +63,8 @@ def parse_rule_program(text: str, ue_id: str) -> tuple[list[TeidRule], list[UeIp
 
     ``TEID|<teid>|<dedup>|<actions>`` and ``UEIP|<addr>|<assign_seq>|<actions>``
     joined by ";"; actions are ``route:<entity>`` or
-    ``encap:<entity>:<teid>:<carry>`` joined by ",". A TEID is canonical
-    digits from 1 to MAX_TEID and an address is IPv4; a malformed program is
+    ``encap:<entity>:<teid>:<carry>`` joined by ",". A TEID is what
+    messages.read_teid reads and an address is IPv4; a malformed program is
     a FlowError, which the UPF answers with ERROR.
     """
     teid_rules: list[TeidRule] = []

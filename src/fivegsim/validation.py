@@ -14,7 +14,8 @@ from collections import defaultdict
 from dataclasses import dataclass
 
 from .config import Params
-from .wirefmt import MAX_TEID, Protocol
+from .messages import read_teid
+from .wirefmt import Protocol, WireFormatError
 
 SBI_KINDS_REGISTER = ("NF_REGISTER_REQ", "NF_REGISTER_RESP")
 
@@ -231,11 +232,12 @@ def check_registration_chain(events) -> CheckResult:
 
 
 def _valid_teid(text: str | None) -> bool:
-    """A tunnel endpoint id: 1 to MAX_TEID, in at most 10 ASCII digits."""
-    return (
-        text is not None and text.isascii() and text.isdigit() and len(text) <= 10
-        and 0 < int(text) <= MAX_TEID
-    )
+    """Whether a row's teid is one messages.read_teid reads."""
+    try:
+        read_teid(text or "", "teid")
+    except WireFormatError:
+        return False
+    return True
 
 
 def check_user_plane(events, ue_pool: str) -> CheckResult:
@@ -245,8 +247,10 @@ def check_user_plane(events, ue_pool: str) -> CheckResult:
     gtpu = delivered[Protocol.GTPU]
     if not gtpu:
         return CheckResult(name, False, "no tunnel traffic in the log")
+    # a log holds few distinct TEID texts: read each once
+    valid = {t for t in {ev.attrs.get("teid") for ev in gtpu} if _valid_teid(t)}
     for ev in gtpu:
-        if not _valid_teid(ev.attrs.get("teid")):
+        if ev.attrs.get("teid") not in valid:
             return CheckResult(name, False, "tunnel packet without a valid teid", ev.event_id)
     session_sourced = False
     for ev in delivered[Protocol.APP]:

@@ -88,9 +88,10 @@ def single_request_log(tmp_path_factory):
 
 
 # a digit str.isdigit() accepts but int() refuses; more digits than int() converts;
-# one past the 32-bit field
+# one past the 32-bit field; a second spelling of TEID 12
 @pytest.mark.parametrize(
-    "teid", ["\u00b2", "9" * 5000, "4294967296"], ids=["superscript-two", "5000-digits", "33-bits"]
+    "teid", ["\u00b2", "9" * 5000, "4294967296", "0012"],
+    ids=["superscript-two", "5000-digits", "33-bits", "leading-zeros"],
 )
 def test_validate_fails_on_a_bad_teid(single_request_log, tmp_path, teid, capsys):
     lines = single_request_log.split("\n")
@@ -258,19 +259,53 @@ def test_more_ues_than_spawned_addresses_is_a_usage_error(capsys):
     )
 
 
+def cli_env():
+    """The environment a fresh interpreter needs to import this checkout."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    return env
+
+
 def run_cli_on_default_topology(tmp_path, edit):
     """Run the CLI in a fresh interpreter on an edited copy of the default
     topology."""
     topo = tmp_path / "edited.cfg"
     topo.write_text(edit(Path(default_topology().source).read_text()))
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
     return subprocess.run(
         [sys.executable, "-m", "fivegsim.cli", "run", "--topology", str(topo),
          "--duration-ms", "3000"],
-        capture_output=True, text=True, env=env, timeout=120,
+        capture_output=True, text=True, env=cli_env(), timeout=120,
     )
+
+
+@pytest.mark.parametrize(
+    "command, gutted, code",
+    [
+        (["kpi", "--window-ms", "1000", "4000"], False, 0),
+        (["validate"], False, 0),
+        (["validate"], True, 1),  # a failed check keeps its exit code
+    ],
+    ids=["kpi", "validate", "validate-failing"],
+)
+def test_a_closed_stdout_ends_the_command_quietly(run_dir, tmp_path, command, gutted, code):
+    """A reader that closed the pipe (`| head`) only cuts the output short:
+    the command's exit code stands and nothing reaches stderr."""
+    events = run_dir / "events.log"
+    if gutted:
+        events = tmp_path / "gutted.log"
+        lines = (run_dir / "events.log").read_text().splitlines(True)
+        events.write_text("".join(line for line in lines if "\tGTPU\t" not in line))
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # every write to stdout now fails with EPIPE
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "fivegsim.cli", command[0], "--events", str(events), *command[1:]],
+            stdout=write_end, stderr=subprocess.PIPE, text=True, env=cli_env(), timeout=120,
+        )
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (code, "")
 
 
 def _drop_link(a, b):

@@ -3,6 +3,7 @@ import dataclasses
 
 import pytest
 
+from fivegsim.cli import main
 from fivegsim.config import (
     PEER_KINDS,
     SCENARIO_NAMES,
@@ -92,6 +93,13 @@ def test_parse_accepts_comments_and_blank_lines():
         ("[entities]\nNRF,,192.168.0.12\n", "bad entity name"),
         ("[entities]\nNRF,N\tRF,192.168.0.12\n", "bad entity name"),
         ("[entities]\nNRF,N RF,192.168.0.12\n", "bad entity name"),
+        # the wire grammars split on these: link ids, rule actions, session
+        # paths, discovery answers, rule programs and gNB lists
+        ("[entities]\nNRF,N--RF,192.168.0.12\n", "bad entity name"),
+        ("[entities]\nNRF,local:NRF,192.168.0.12\n", "bad entity name"),
+        ("[entities]\nNRF,N/RF,192.168.0.12\n", "bad entity name"),
+        ("[entities]\nNRF,N|RF,192.168.0.12\n", "bad entity name"),
+        ("[entities]\nNRF,N;RF,192.168.0.12\n", "bad entity name"),
         ("[params]\nwarp_factor=9\n", "unknown param"),
         ("[params]\nsbi_port=eleven\n", "cannot parse"),
     ],
@@ -99,6 +107,30 @@ def test_parse_accepts_comments_and_blank_lines():
 def test_parse_rejects_malformed_lines(text, message):
     with pytest.raises(ConfigError, match=message):
         parse_topology(text)
+
+
+@pytest.mark.parametrize(
+    "edit, error",
+    [
+        # two link ids would both read NSSF--X--NRF
+        pytest.param(
+            lambda text: text.replace("NSSF,NSSF,192.168.0.19\n",
+                                      "NSSF,NSSF,192.168.0.19\nNSSF,NSSF--X,192.168.0.50\n")
+            .replace("BSF,BSF,", "BSF,X--NRF,").replace("BSF,NRF,", "X--NRF,NRF,")
+            .replace("NSSF,NRF,1,0.0,false\n",
+                     "NSSF,NRF,1,0.0,false\nNSSF--X,NRF,1,0.0,false\nNSSF,X--NRF,1,0.0,false\n"),
+            "line 12: bad entity name 'NSSF--X'", id="link-id-clash",
+        ),
+        # its rule actions, and the log's local rows, split on ":"
+        pytest.param(lambda text: text.replace("gNB", "local:gNB"),
+                     "line 14: bad entity name 'local:gNB'", id="gnb-named-like-a-local-row"),
+    ],
+)
+def test_a_name_the_wire_grammars_split_exits_2(edit, error, tmp_path, capsys):
+    topo = tmp_path / "named.cfg"
+    topo.write_text(edit(default_topology_path().read_text()))
+    rc = main(["run", "--topology", str(topo), "--duration-ms", "3000"])
+    assert (rc, capsys.readouterr().err) == (2, f"error: {error}\n")
 
 
 def test_parse_error_carries_line_number():

@@ -472,19 +472,36 @@ def test_rule_programs_by_mode():
         "UPF1": f"TEID|{p.teid_ul}|0|route:SERVER;UEIP|10.45.0.2|0|encap:gNB:{p.teid_dl}:0"
     }
 
-    paths = smf.plan_paths(Redundancy.N3_REPLICATION, ["gNB"])
-    rules = smf._build_rules(PduSession("u", "10.45.0.3", Redundancy.N3_REPLICATION, paths))
-    assert set(rules) == {"UPF1"}
-    assert rules["UPF1"].count("TEID|") == 2
-    assert rules["UPF1"].count("|1|") == 3  # both tunnels dedup, downlink tags
-    assert rules["UPF1"].count("encap:gNB:") == 2
+    # dual connectivity: one plain leg per gNB, each on its own UPF
+    paths = smf.plan_paths(Redundancy.DUAL_CONNECTIVITY, ["gNB", "gNB2"])
+    assert [(p.teid_ul, p.teid_dl) for p in paths] == [(3, 4), (5, 6)]
+    rules = smf._build_rules(PduSession("u", "10.45.0.3", Redundancy.DUAL_CONNECTIVITY, paths))
+    assert rules == {
+        "UPF1": "TEID|3|0|route:SERVER;UEIP|10.45.0.3|0|encap:gNB:4:0",
+        "UPF2": "TEID|5|0|route:SERVER;UEIP|10.45.0.3|0|encap:gNB2:6:0",
+    }
 
+    # N3 replication: both tunnels dedup at one UPF, the downlink is tagged and doubled
+    paths = smf.plan_paths(Redundancy.N3_REPLICATION, ["gNB"])
+    assert [(p.teid_ul, p.teid_dl) for p in paths] == [(7, 8), (9, 10)]
+    rules = smf._build_rules(PduSession("u", "10.45.0.4", Redundancy.N3_REPLICATION, paths))
+    assert rules == {
+        "UPF1": "TEID|7|1|route:SERVER;TEID|9|1|route:SERVER;"
+        "UEIP|10.45.0.4|1|encap:gNB:8:1,encap:gNB:10:1",
+    }
+
+    # PSA anchor: the first leg bridges N3 to N9 (TEIDs 15 up, 16 down) at
+    # UPF1; the anchor UPF2 terminates and deduplicates both tunnels
     paths = smf.plan_paths(Redundancy.PSA_ANCHOR, ["gNB"])
-    rules = smf._build_rules(PduSession("u", "10.45.0.4", Redundancy.PSA_ANCHOR, paths))
-    assert set(rules) == {"UPF1", "UPF2"}
-    assert "encap:UPF2:" in rules["UPF1"]   # N3 -> N9 bridge
-    assert "route:SERVER" in rules["UPF2"]  # anchor terminates both tunnels
-    assert "encap:UPF1:" in rules["UPF2"]   # downlink goes back through the bridge
+    assert [(p.upf, p.teid_ul, p.teid_dl) for p in paths] == [("UPF1", 11, 12), ("UPF2", 13, 14)]
+    rules = smf._build_rules(PduSession("u", "10.45.0.5", Redundancy.PSA_ANCHOR, paths))
+    assert list(rules) == ["UPF1", "UPF2"]
+    assert rules == {
+        "UPF1": "TEID|11|0|encap:UPF2:15:1;TEID|16|0|encap:gNB:12:1",
+        "UPF2": "TEID|15|1|route:SERVER;TEID|13|1|route:SERVER;"
+        "UEIP|10.45.0.5|1|encap:UPF1:16:1,encap:gNB:14:1",
+    }
+    assert smf.next_teid() == 17  # the bridge took exactly two TEIDs
 
 
 # -- path codec --------------------------------------------------------------------------
@@ -498,7 +515,11 @@ def test_paths_encode_decode_round_trip():
     assert decode_paths("") == ()
 
 
-@pytest.mark.parametrize("text", ["a/b/c", "g/u/1/2/0/9", "g/u/x/2/0", "g/u/01/2/0", "g/u/1/+2/0"])
+@pytest.mark.parametrize(
+    "text",
+    # TEID 0 is no tunnel endpoint, and 4294967296 is one past the 32-bit field
+    ["a/b/c", "g/u/1/2/0/9", "g/u/x/2/0", "g/u/01/2/0", "g/u/1/+2/0", "g/u/0/2/0", "g/u/1/4294967296/0"],
+)
 def test_decode_paths_rejects_malformed_legs(text):
     with pytest.raises(WireFormatError):
         decode_paths(text)
