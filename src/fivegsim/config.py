@@ -7,6 +7,8 @@ documents, params.
 Only this module knows the topology contract: run_roster adds the SERVER and
 NWDAF a topology does not declare, and _validate checks that roster once,
 including a link from each entity to each PEER_KINDS kind the topology has.
+with_ues grows the population past the declared UEs, and _validate checks
+the spawned UEs as it checks the declared ones.
 """
 from __future__ import annotations
 
@@ -55,6 +57,7 @@ class EntityDecl:
     kind: str
     name: str
     ip: str
+    imsi: str = ""  # a UE's subscriber identity; "" for every other kind
 
 
 @dataclass(frozen=True)
@@ -160,23 +163,23 @@ def _validate(
 ) -> TopologyConfig:
     if not entities:
         raise ConfigError(f"{source}: no entities declared")
-    names: set[str] = set()
+    kind_of: dict[str, str] = {}  # entity name -> kind
     holders: dict[str, str] = {}  # address -> entity name
     pool = ipaddress.IPv4Network(params.ue_pool)
     roster, roster_links = run_roster(entities, links, params)
     for e in roster:
-        if e.name in names:
-            raise ConfigError(f"duplicate entity name {e.name}")
-        names.add(e.name)
+        if e.name in kind_of:
+            raise ConfigError(f"duplicate entity name {e.name}: {e.kind} collides with {kind_of[e.name]}")
+        kind_of[e.name] = e.kind
         if e.ip in holders:
             raise ConfigError(f"duplicate entity address {e.ip}: {e.name} collides with {holders[e.ip]}")
         holders[e.ip] = e.name
         if ipaddress.IPv4Address(e.ip) in pool:
             raise ConfigError(f"entity address {e.ip} collides with the UE pool {params.ue_pool}")
-    neighbours: dict[str, set[str]] = {name: set() for name in names}
+    neighbours: dict[str, set[str]] = {name: set() for name in kind_of}
     for l in roster_links:
         for end in (l.a, l.b):
-            if end not in names:
+            if end not in kind_of:
                 raise ConfigError(f"link {l.a},{l.b} references unknown entity {end}")
         if l.a == l.b:
             raise ConfigError(f"link endpoints must differ, got {l.a} twice")
@@ -188,7 +191,6 @@ def _validate(
             raise ConfigError(f"link {l.a},{l.b}: negative latency")
         if not 0.0 <= l.loss_prob <= 1.0:
             raise ConfigError(f"link {l.a},{l.b}: loss_prob {l.loss_prob} outside [0, 1]")
-    kind_of = {e.name: e.kind for e in roster}
     kinds = set(kind_of.values())
     if "NRF" not in kinds:
         raise ConfigError("topology has no registry function")
@@ -201,14 +203,13 @@ def _validate(
             # where the topology has none
             if (peer in kinds or e.kind == "UE") and peer not in linked:
                 raise ConfigError(f"{e.kind} {e.name} has no link to any {peer}")
+    holder: dict[str, str] = {}  # IMSI -> UE
+    for ue in (e for e in entities if e.kind == "UE"):
+        if ue.imsi in holder:
+            raise ConfigError(f"UEs {holder[ue.imsi]} and {ue.name} share the IMSI {ue.imsi}")
+        holder[ue.imsi] = ue.name
     if len(set(subscribers)) != len(subscribers):
         raise ConfigError("duplicate subscriber id")
-    holder: dict[str, str] = {}  # IMSI -> declared UE
-    for k, ue in enumerate((e for e in entities if e.kind == "UE"), start=1):
-        imsi = ue_imsi(k, subscribers)
-        if imsi in holder:
-            raise ConfigError(f"UEs {holder[imsi]} and {ue.name} share the IMSI {imsi}")
-        holder[imsi] = ue.name
     for doc, size in documents.items():
         if size < 0:
             raise ConfigError(f"document {doc}: negative size")
@@ -293,6 +294,9 @@ def parse_topology(text: str, source: str = "<memory>") -> TopologyConfig:
         except (ValueError, ipaddress.AddressValueError) as exc:
             raise ConfigError(f"cannot parse {line!r}: {exc}", lineno) from None
     params = Params(**param_overrides)
+    ues = (i for i, e in enumerate(entities) if e.kind == "UE")
+    for k, i in enumerate(ues, start=1):
+        entities[i] = replace(entities[i], imsi=ue_imsi(k, subscribers))
     return _validate(entities, links, subscribers, documents, params, source)
 
 
@@ -313,6 +317,7 @@ def default_topology() -> TopologyConfig:
     return load_topology(default_topology_path())
 
 
+MAX_UES = 0xFFFF  # spawned UE k is addressed 172.16.(k >> 8).(k & 0xFF)
 # the standby gNB with_second_gnb adds
 _SECOND_GNB = EntityDecl(kind="GNB", name="gNB2", ip="192.168.0.23")
 # the kinds at the two ends of the links with_link_loss makes lossy: N3
@@ -342,6 +347,31 @@ def with_second_gnb(topo: TopologyConfig) -> TopologyConfig:
         links.append(LinkDecl(a=ue.name, b=name, latency_ms=2, loss_prob=0.0, reliable=False))
     links.append(LinkDecl(a=name, b=upfs[1].name, latency_ms=2, loss_prob=0.0, reliable=False))
     return _validate(entities, links, list(topo.subscribers), dict(topo.documents), topo.params, topo.source)
+
+
+def with_ues(topo: TopologyConfig, total: int) -> TopologyConfig:
+    """Grow the population to `total` UEs: `topo` itself when it declares
+    that many, else a copy where UE k past the declared ones is UE<k:03d> at
+    172.16.(k >> 8).(k & 0xFF), with a copy of each radio link of the first
+    UE and the provisioned IMSI ue_imsi(k)."""
+    ues = topo.of_kind("UE")
+    if total <= len(ues):
+        return topo
+    if total > MAX_UES:
+        raise ConfigError(
+            f"{total} UEs exceed the limit of {MAX_UES}: spawned UE k is addressed"
+            " 172.16.(k >> 8).(k & 0xFF)"
+        )
+    first, gnbs = ues[0].name if ues else None, {g.name for g in topo.of_kind("GNB")}
+    # (gNB, link) per radio link of the first UE
+    radio = [(g, l) for l in topo.links if first in (l.a, l.b) for g in (l.a, l.b) if g in gnbs]
+    entities, links, subscribers = list(topo.entities), list(topo.links), list(topo.subscribers)
+    for k in range(len(ues) + 1, total + 1):
+        name, imsi = f"UE{k:03d}", ue_imsi(k)
+        entities.append(EntityDecl(kind="UE", name=name, ip=f"172.16.{k >> 8}.{k & 0xFF}", imsi=imsi))
+        links += [replace(l, a=name, b=gnb) for gnb, l in radio]
+        subscribers.append(imsi)
+    return _validate(entities, links, subscribers, dict(topo.documents), topo.params, topo.source)
 
 
 def with_link_loss(topo: TopologyConfig, loss_prob: float) -> TopologyConfig:

@@ -450,7 +450,8 @@ class Nrf(NfEntity):
         profile.status = DEREGISTERED
         return profile
 
-    def discover(self, nf_type: str) -> list[NfProfile]:
+    def profiles_of(self, nf_type: str) -> list[NfProfile]:
+        """Snapshots of the registered `nf_type` profiles by nf_id: a discovery answer."""
         found = [
             p.snapshot()
             for p in self.registry.values()
@@ -514,7 +515,7 @@ class Nrf(NfEntity):
                 )
                 return
             nf_type = m.require(Tag.NF_TYPE)
-            data = ";".join(f"{p.nf_id}|{p.nf_type}|{p.addr}" for p in self.discover(nf_type))
+            data = ";".join(f"{p.nf_id}|{p.nf_type}|{p.addr}" for p in self.profiles_of(nf_type))
             self.send(
                 sender, MsgKind.NF_DISCOVER_RESP, result=OK, nf_type=nf_type, data=data.encode()
             )
@@ -660,7 +661,7 @@ class Smf(NfEntity):
         self.sessions: dict[str, PduSession] = {}
         pool = ipaddress.IPv4Network(env.params.ue_pool)
         self._pool_iter = iter(pool.hosts())
-        self.gateway_ip = str(next(self._pool_iter))  # first host is the gateway
+        next(self._pool_iter)  # the first host is the gateway
         self._released: list[str] = []  # addresses of failed sessions, handed out first
         self._teid = 0
         # ue_id -> (requester, session, UPFs yet to confirm their rules)
@@ -876,9 +877,9 @@ class Udr(NfEntity):
 
     kind = "UDR"
 
-    def __init__(self, name, ip, net, env, subscribers=()):
+    def __init__(self, name, ip, net, env):
         super().__init__(name, ip, net, env)
-        self.subscribers: set[str] = set(subscribers)
+        self.subscribers: set[str] = set()
 
     def on_sbi(self, m, pkt, sender) -> None:
         if m.kind == MsgKind.UDR_QUERY_REQ:

@@ -220,7 +220,7 @@ class Ue(NfEntity):
         self.state = DEREGISTERED
         self.session: PduSession | None = None
         self.reject_reason: str | None = None
-        self._want_mode: Redundancy | None = None
+        self._want_mode = Redundancy.NONE
         self._app_seq = 0
         self._dl_window = DedupWindow()
         self.transfers: list[Transfer] = []
@@ -245,22 +245,17 @@ class Ue(NfEntity):
 
     # -- control flows -------------------------------------------------------
 
-    def register(self) -> None:
-        """Start NAS registration. A second call while pending or registered
-        is a no-op."""
-        if self.state != DEREGISTERED:
-            return
-        self.state = REGISTERING
-        self.reject_reason = None
-        self._send_nas(MsgKind.NAS_REGISTER_REQ, ue_id=self.imsi)
-
     def attach(self, mode: Redundancy = Redundancy.NONE) -> None:
-        """Register and, once accepted, request a session in the given mode."""
+        """Register and, once accepted, request a session in the given mode.
+        A registered UE requests the session at once; while registering, a
+        second call only changes the mode."""
         self._want_mode = mode
         if self.state == REGISTERED:
             self.request_session(mode)
-        else:
-            self.register()
+        elif self.state == DEREGISTERED:
+            self.state = REGISTERING
+            self.reject_reason = None
+            self._send_nas(MsgKind.NAS_REGISTER_REQ, ue_id=self.imsi)
 
     def request_session(self, mode: Redundancy = Redundancy.NONE) -> None:
         if self.state != REGISTERED:
@@ -283,8 +278,7 @@ class Ue(NfEntity):
     def _on_nas_inner(self, m) -> None:
         if m.kind == MsgKind.NAS_REGISTER_ACCEPT and self.state == REGISTERING:
             self.state = REGISTERED
-            if self._want_mode is not None:
-                self.request_session(self._want_mode)
+            self.request_session(self._want_mode)
         elif m.kind == MsgKind.NAS_REGISTER_REJECT and self.state == REGISTERING:
             self.state = DEREGISTERED
             self.reject_reason = m.text(Tag.REASON, "rejected")

@@ -8,7 +8,8 @@ subscribing to status and discovering at once; the other NFs register at
 T_BOOT_CORE, and the registry notifies the first wave of each. The rest
 follows the registry protocol: the SMF associates with each UPF it learns
 of. Scenarios layer UE activity on top and collect KPIs, transfers and the
-fabric's event log into a RunResult.
+fabric's event log into a RunResult. Declared, injected and spawned
+(config.with_ues) entities are all built one way, by Testbed._build.
 """
 from __future__ import annotations
 
@@ -19,16 +20,17 @@ from pathlib import Path
 from .config import (
     SCENARIOS,
     EntityDecl,
+    LinkDecl,
     ScenarioSpec,
     TopologyConfig,
     default_topology,
     run_roster,
-    ue_imsi,
     with_link_loss,
     with_second_gnb,
+    with_ues,
 )
 from .core_cp import DISCOVERS, Amf, Ausf, Bsf, CoreEnv, Nrf, Nssf, Pcf, Smf, Udm, Udr
-from .errors import ConfigError, FlowError, SetupError
+from .errors import FlowError
 from .nwdaf import (
     Nwdaf,
     export_events,
@@ -54,7 +56,6 @@ REQUEST_SPACING_MS = 15  # between the document requests of successive UEs
 # the default document's transfer on the default topology: the last UE's
 # request comes at least this long before the horizon
 TRANSFER_MS = 10
-MAX_UES = 0xFFFF  # spawned UE k is addressed 172.16.(k >> 8).(k & 0xFF)
 
 _LINE_BREAKS = str.maketrans("\t\n\r", "   ")
 
@@ -63,7 +64,7 @@ SWEEP_PACKETS = 2000
 
 # kinds built from (name, ip, net, env) alone
 _PLAIN_KINDS = {
-    cls.kind: cls for cls in (Nrf, Amf, Smf, Ausf, Udm, Pcf, Nssf, Bsf, Upf, Nwdaf, Gnb)
+    cls.kind: cls for cls in (Nrf, Amf, Smf, Ausf, Udm, Udr, Pcf, Nssf, Bsf, Upf, Nwdaf, Gnb)
 }
 
 
@@ -86,36 +87,37 @@ class Testbed:
 
         self.net = Network(seed=seed)
         self.records = self.net.events
-
         self.by_kind: dict[str, list] = {}
-        for decl in entities:
-            built = self.by_kind.setdefault(decl.kind, [])
-            entity = self._make_entity(decl, len(built))
-            self.net.add_entity(entity)
-            built.append(entity)
-        for l in links:
-            self.net.add_link(l.a, l.b, l.latency_ms, l.loss_prob, l.reliable)
-
-        # peers come from the links: a gNB's AMF is the first it links to
-        # (config checked that there is one), a UE's gNBs are all it links to
-        hops = self.net.hops
-        for gnb in self.gnbs:
-            gnb.amf = next(amf.name for amf in self.amfs if (gnb.name, amf.name) in hops)
-        for ue in self.ues:
-            ue.gnbs = tuple(g.name for g in self.gnbs if (ue.name, g.name) in hops)
+        self._build(entities, links)
 
     # -- construction helpers ---------------------------------------------
 
-    def _make_entity(self, decl: EntityDecl, index: int):
-        """Build `decl`, the entity at `index` among the declared ones of its kind."""
+    def _build(self, entities: list[EntityDecl], links: list[LinkDecl]) -> None:
+        """Add `entities` and `links` to the fabric and wire the new nodes'
+        peers from the links: a gNB's AMF is the first it links to (config
+        checked that there is one), a UE's gNBs are all it links to. Every
+        UDR then holds the topology's subscribers."""
+        built = [self._make_entity(decl) for decl in entities]
+        for entity in built:
+            self.net.add_entity(entity)
+            self.by_kind.setdefault(entity.kind, []).append(entity)
+        for l in links:
+            self.net.add_link(l.a, l.b, l.latency_ms, l.loss_prob, l.reliable)
+        hops = self.net.hops
+        for entity in built:
+            if entity.kind == "GNB":
+                entity.amf = next(amf.name for amf in self.amfs if (entity.name, amf.name) in hops)
+            elif entity.kind == "UE":
+                entity.gnbs = tuple(g.name for g in self.gnbs if (entity.name, g.name) in hops)
+        for udr in self.udrs:
+            udr.subscribers.update(self.topo.subscribers)
+
+    def _make_entity(self, decl: EntityDecl):
         args = (decl.name, decl.ip, self.net, self.env)
-        subscribers = self.topo.subscribers
         if decl.kind in _PLAIN_KINDS:
             return _PLAIN_KINDS[decl.kind](*args)
-        if decl.kind == "UDR":
-            return Udr(*args, subscribers=subscribers)
         if decl.kind == "UE":
-            return Ue(*args, imsi=ue_imsi(index + 1, subscribers))
+            return Ue(*args, imsi=decl.imsi)
         return AppServer(*args, documents=dict(self.topo.documents))  # SERVER, the kind left
 
     # -- convenient accessors ------------------------------------------------
@@ -176,39 +178,10 @@ class Testbed:
             self.net.schedule(T_NGAP_SETUP, gnb.ng_setup)
 
     def spawn_ues(self, total: int) -> list[Ue]:
-        """The first `total` UEs, growing the population to `total` by cloning
-        the first UE's radio attachment and, where the topology has a UDR,
-        provisioning matching subscriptions; without one the UDM refuses each
-        UE `no UDR`. A spawned UE whose IMSI a declared UE holds, or whose
-        name or address a declared entity holds, is a ConfigError."""
-        ues = self.ues
-        if len(ues) >= total:
-            return ues[:total]
-        if not ues:
-            raise SetupError("cannot spawn UEs without a declared template UE")
-        template = ues[0]
-        declared = {ue.imsi: ue.name for ue in ues}
-        for k in range(len(ues) + 1, total + 1):
-            name = f"UE{k:03d}"
-            ip = f"172.16.{k >> 8}.{k & 0xFF}"
-            imsi = ue_imsi(k)
-            if imsi in declared:
-                raise ConfigError(f"UEs {declared[imsi]} and {name} share the IMSI {imsi}")
-            holder = self.net.entities.get(name) or self.net.by_ip.get(ip)
-            if holder is not None:
-                taken = f"name {name}" if holder.name == name else f"address {ip}"
-                raise ConfigError(
-                    f"duplicate entity {taken}: spawned UE {name} collides with {holder.kind} {holder.name}"
-                )
-            ue = Ue(name, ip, self.net, self.env, imsi=imsi)
-            self.net.add_entity(ue)
-            for gnb in template.gnbs:
-                radio = self.net.hop(template.name, gnb)
-                self.net.add_link(name, gnb, radio.latency_ms, radio.loss_prob, radio.reliable)
-            ue.gnbs = template.gnbs
-            if self.udrs:
-                self.udrs[0].subscribers.add(imsi)
-            self.by_kind["UE"].append(ue)
+        """The first `total` UEs: the topology grows to `total` UEs as
+        config.with_ues grows it, and the testbed builds the new ones."""
+        topo, self.topo = self.topo, with_ues(self.topo, total)
+        self._build(self.topo.entities[len(topo.entities):], self.topo.links[len(topo.links):])
         return self.ues[:total]
 
     def run_until(self, t_end: int) -> int:
@@ -327,9 +300,9 @@ def _bring_up(
         topo = with_second_gnb(topo)
     if loss_prob > 0.0:
         topo = with_link_loss(topo, loss_prob)
-    tb = Testbed(topo, seed=seed)
+    tb = Testbed(with_ues(topo, n), seed=seed)
     tb.boot()
-    ues = tb.spawn_ues(n)
+    ues = tb.ues[:n]
     for i, ue in enumerate(ues):
         tb.net.schedule(T_ATTACH + i, lambda u=ue: u.attach(mode))
     return tb, ues, max(tb.params.settle_ms, T_ATTACH + n) if n else tb.params.settle_ms
@@ -346,7 +319,7 @@ def run_scenario(
     the document REQUEST_SPACING_MS * i into the window [settle, horizon).
     The window is settle_ms and spec.duration_ms, stretched only as far as
     n needs: settle past the last attach, the horizon TRANSFER_MS past the
-    last request. n is refused above MAX_UES, the spawned UE addresses.
+    last request.
     """
     topo = topo or default_topology()
     scenario = SCENARIOS[spec.name]
@@ -363,11 +336,6 @@ def run_scenario(
         entities = len(run_roster(topo.entities, topo.links, topo.params)[0])
     else:
         n = spec.ue_count if scenario.ues is None else min(scenario.ues, len(topo.of_kind("UE")))
-        if n > MAX_UES:
-            raise ConfigError(
-                f"{n} UEs exceed the limit of {MAX_UES}: spawned UE k is addressed"
-                " 172.16.(k >> 8).(k & 0xFF)"
-            )
         duration = spec.duration_ms
         if n:
             duration = max(duration, REQUEST_SPACING_MS * (n - 1) + TRANSFER_MS)

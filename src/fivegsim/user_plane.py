@@ -230,7 +230,6 @@ class AppServer(NfEntity):
         self.documents: dict[str, int] = dict(documents or {})
         self.routes: dict[str, list[str]] = {}       # ue_ip -> UPFs that delivered uplink
         self._dedup: dict[str, DedupWindow] = {}     # ue_ip -> uplink window (app-level seq)
-        self._tagging: set[str] = set()              # ue_ips whose downlink gets sequence tags
         self._dl_seq: dict[str, int] = {}
         self.data_received: dict[str, int] = {}      # ue_ip -> post-elimination APP_DATA count
         self.data_indices: dict[str, set[int]] = {}
@@ -246,7 +245,7 @@ class AppServer(NfEntity):
         if not routes:
             self.drop(0, self.name, "no route", Protocol.APP, ue_ip=ue_ip)
             return
-        if ue_ip in self._tagging:
+        if ue_ip in self._dedup:  # a UE that tags its uplink gets tagged downlink
             seq = self._dl_seq.get(ue_ip, 0)
             self._dl_seq[ue_ip] = (seq + 1) % SEQ_MODULUS
             fields["seq"] = seq
@@ -269,7 +268,6 @@ class AppServer(NfEntity):
         seq = m.num(Tag.SEQ)
         if seq is not None:
             # endpoint-level redundancy: eliminate replicas before counting
-            self._tagging.add(ue_ip)
             window = self._dedup.setdefault(ue_ip, DedupWindow())
             if not self.first_copy(window, seq, pkt, sender, ue_ip=ue_ip):
                 return

@@ -103,7 +103,7 @@ def test_criterion_01_default_topology_and_upf_discovery():
         tb = Testbed(topo, seed=0)
         tb.boot()
         tb.run_until(100)
-        found = tb.nrf.discover("UPF")
+        found = tb.nrf.profiles_of("UPF")
         assert [p.nf_id for p in found] == ["UPF1", "UPF2"]
 
 

@@ -361,6 +361,21 @@ def _transfer_ok(result):
     assert "transfer UE document ok " in result.summary
 
 
+def _three_transfers_ok(result):
+    assert [ue.name for ue in result.testbed.ues] == ["UE", "UE002", "UE003"]
+    assert [t.ok for ts in result.transfers.values() for t in ts] == [True] * 3
+
+
+def _two_udrs(text):
+    """The one UDR becomes UDRB, and UDRA is declared after it and linked
+    alike: the UDM asks the lowest nf_id, UDRA."""
+    return (
+        text.replace("UDR,UDR,192.168.0.17", "UDR,UDRB,192.168.0.17\nUDR,UDRA,192.168.0.24")
+        .replace("UDR,NRF,1,0.0,false", "UDRB,NRF,1,0.0,false\nUDRA,NRF,1,0.0,false")
+        .replace("UDM,UDR,1,0.0,false", "UDM,UDRB,1,0.0,false\nUDM,UDRA,1,0.0,false")
+    )
+
+
 def _unreliable_n2(result):
     # the AMF answers the setup over an unreliable link with an error and
     # keeps no NGAP association with that gNB
@@ -413,12 +428,18 @@ TOPOLOGY_EDITS = [
                  id="subscriber-id-of-a-spawned-UE"),
     pytest.param(lambda text: text.replace("NSSF,NSSF,192.168.0.19", "NSSF,NSSF,172.16.0.2"),
                  ["--scenario", "many_requests", "--ues", "2"],
-                 "duplicate entity address 172.16.0.2: spawned UE UE002 collides with NSSF NSSF", None,
+                 "duplicate entity address 172.16.0.2: UE002 collides with NSSF", None,
                  id="address-of-a-spawned-UE"),
     pytest.param(lambda text: text.replace("BSF,BSF,", "BSF,UE002,").replace("BSF,NRF,", "UE002,NRF,"),
                  ["--scenario", "many_requests", "--ues", "2"],
-                 "duplicate entity name UE002: spawned UE UE002 collides with BSF UE002", None,
+                 "duplicate entity name UE002: UE collides with BSF", None,
                  id="name-of-a-spawned-UE"),
+    pytest.param(lambda text: text.replace("ue_pool=10.45.0.0/16", "ue_pool=172.16.0.0/24"),
+                 ["--scenario", "many_requests", "--ues", "3"],
+                 "entity address 172.16.0.2 collides with the UE pool 172.16.0.0/24", None,
+                 id="UE-pool-of-the-spawned-UEs"),
+    pytest.param(_two_udrs, ["--scenario", "many_requests", "--ues", "3"], None, _three_transfers_ok,
+                 id="spawned-UEs-with-two-UDRs"),
 ]
 
 

@@ -127,7 +127,7 @@ def test_discover_returns_sorted_registered_snapshots():
     nrf.register_profile("B1", "UPF", "10.0.0.1")
     nrf.register_profile("B3", "UPF", "10.0.0.3")
     nrf.deregister("B3")
-    found = nrf.discover("UPF")
+    found = nrf.profiles_of("UPF")
     assert [p.nf_id for p in found] == ["B1", "B2"]
     found[0].status = "TAMPERED"  # snapshots must not alias registry state
     assert nrf.registry["B1"].status == REGISTERED
@@ -196,7 +196,7 @@ def test_bringup_registers_every_control_function():
     tb = booted_testbed()
     for name in ("AMF", "SMF", "AUSF", "UDM", "UDR", "PCF", "NSSF", "BSF", "UPF1", "UPF2"):
         assert tb.net.entities[name].registered, name
-    assert [p.nf_id for p in tb.nrf.discover("UPF")] == ["UPF1", "UPF2"]
+    assert [p.nf_id for p in tb.nrf.profiles_of("UPF")] == ["UPF1", "UPF2"]
 
 
 def test_bringup_discovery_picks_lowest_id_peer():
@@ -288,7 +288,7 @@ def test_unknown_subscriber_is_rejected():
     tb.udrs[0].subscribers.clear()
     tb.boot()
     ue = tb.ues[0]
-    tb.net.schedule(T_ATTACH, ue.register)
+    tb.net.schedule(T_ATTACH, ue.attach)
     tb.run_until(SETTLE)
     assert ue.state == "DEREGISTERED"
     assert "unknown subscriber" in (ue.reject_reason or "")
@@ -392,7 +392,7 @@ def test_known_subscriber_registers_and_gets_session():
     smf = tb.smfs[0]
     assert ue.imsi in smf.sessions
     # first pool host is reserved for the gateway
-    assert ue.session.ue_ip != smf.gateway_ip
+    assert ue.session.ue_ip == "10.45.0.2"
 
 
 # -- session planning --------------------------------------------------------------------
@@ -590,7 +590,7 @@ def test_amf_view_follows_the_registry(steps, leaver):
         horizon = (2 * i + 2) * HB + 100  # past the grid's sweeps, heartbeats and notifications
         tb.run_until(horizon)
         for kind in FLAPPING:
-            assert amf.candidates[kind] == [p.nf_id for p in nrf.discover(kind)], (i, kind)
+            assert amf.candidates[kind] == [p.nf_id for p in nrf.profiles_of(kind)], (i, kind)
         assert tb.invariant_violations(horizon) == []
 
 

@@ -261,19 +261,22 @@ def test_smf_refuses_psa_anchoring_over_one_upf_named_twice():
 
 
 def test_a_session_request_arriving_twice_plans_one_session():
-    # the UE registers without a session; its session request then reaches
-    # the AMF twice while the first copy is still pending at the SMF
+    # the UE registers, and one gNB cannot serve the dual connectivity it
+    # asks for, so it has no session; a session request then reaches the AMF
+    # twice while the first copy is still pending at the SMF
     tb = booted()
     ue = tb.ues[0]
-    tb.net.schedule(BOOTED + 1, ue.register)
+    tb.net.schedule(BOOTED + 1, lambda: ue.attach(Redundancy.DUAL_CONNECTIVITY))
     nas = build(MsgKind.NAS_SESSION_REQ, ue_id=ue.imsi, mode="NONE", gnb="gNB")
     rls = build(MsgKind.RLS_NAS, ue_id=ue.imsi, data=nas)
     for _ in range(2):
         inject(tb, BOOTED + 31, ue.name, "gNB", Protocol.RLS, rls)
     tb.run_until(HORIZON)
     assert_contained(tb)
-    assert ue.state == "REGISTERED"
-    creates = [r for r in tb.records if r.attrs.get("msg_kind") == "SESSION_CREATE_REQ"]
+    assert ue.state == "REGISTERED" and "two serving gNBs" in ue.reject_reason
+    creates = [
+        r for r in tb.records if r.attrs.get("msg_kind") == "SESSION_CREATE_REQ" and r.ts > BOOTED + 31
+    ]
     assert len(creates) == 1
     [drop] = local_rows(tb, "AMF")
     assert (drop.src, drop.attrs["reason"]) == ("gNB", "session request pending")

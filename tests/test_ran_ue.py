@@ -11,6 +11,7 @@ from fivegsim.config import (
     ScenarioSpec,
     default_topology,
     default_topology_path,
+    load_topology,
     parse_topology,
     with_second_gnb,
 )
@@ -134,6 +135,63 @@ def test_many_requests_drives_exactly_the_ues_it_is_asked_for(ues):
     assert senders - {"gNB"} == set(driven)
 
 
+def test_a_declared_ue_like_a_spawned_one_runs_the_same(tmp_path):
+    # UE002 declared exactly as with_ues would spawn it: same address, radio
+    # link and provisioned IMSI; the run's artifacts are the same bytes
+    base = default_topology_path().read_text()
+    declared = (
+        base.replace("UE,UE,192.168.0.30\n", "UE,UE,192.168.0.30\nUE,UE002,172.16.0.2\n")
+        .replace("UE,gNB,2,0.0,false\n", "UE,gNB,2,0.0,false\nUE002,gNB,2,0.0,false\n")
+        .replace("imsi-001010000000001\n", "imsi-001010000000001\nimsi-001010000000002\n")
+    )
+    spec = ScenarioSpec(name="many_requests", ue_count=3, seed=1)
+    out = {}
+    for name, text in (("spawned", base), ("declared", declared)):
+        (tmp_path / name).mkdir()
+        (tmp_path / name / "topo.cfg").write_text(text)  # one file name: one summary line
+        out[name] = tmp_path / name / "out"
+        run_scenario(spec, load_topology(tmp_path / name / "topo.cfg"), out_dir=out[name])
+    files = sorted(f.name for f in out["spawned"].iterdir())
+    assert files == ["events.log", "kpi_counts.csv", "kpi_throughput.csv", "summary.txt"]
+    for f in files:
+        assert (out["declared"] / f).read_bytes() == (out["spawned"] / f).read_bytes(), f
+
+
+_IDS = ("imsi-001019990000001", "imsi-001019990000002", "imsi-001019990000003")
+
+
+@pytest.mark.parametrize(
+    "listed, imsis, refused",
+    [
+        # UE2 has no listed id: its generated IMSI is not provisioned
+        pytest.param(1, ("imsi-001019990000001", "imsi-001010000000002"), {"UE2"}, id="fewer-ids"),
+        pytest.param(2, _IDS[:2], set(), id="as-many-ids"),
+        # an id past the declared UEs is provisioned but held by no UE
+        pytest.param(3, _IDS[:2], set(), id="more-ids"),
+    ],
+)
+def test_spawned_ues_with_each_subscriber_layout(listed, imsis, refused):
+    # two declared UEs, two spawned: a spawned UE k always takes the
+    # generated IMSI of position k, and the UDR holds every listed id too
+    text = (
+        default_topology_path().read_text()
+        .replace("UE,UE,192.168.0.30\n", "UE,UE,192.168.0.30\nUE,UE2,192.168.0.31\n")
+        .replace("UE,gNB,2,0.0,false\n", "UE,gNB,2,0.0,false\nUE2,gNB,2,0.0,false\n")
+        .replace("imsi-001010000000001\n", "".join(f"{i}\n" for i in _IDS[:listed]))
+    )
+    result = run_scenario(ScenarioSpec(name="many_requests", ue_count=4, seed=1), parse_topology(text))
+    tb = result.testbed
+    spawned = ("imsi-001010000000003", "imsi-001010000000004")
+    assert [(ue.name, ue.imsi) for ue in tb.ues] == list(
+        zip(["UE", "UE2", "UE003", "UE004"], imsis + spawned)
+    )
+    assert tb.udrs[0].subscribers == set(_IDS[:listed] + spawned)
+    outcomes = {name: [t.ok for t in ts] for name, ts in result.transfers.items()}
+    assert outcomes == {ue.name: [ue.name not in refused] for ue in tb.ues}
+    for ue in tb.ues:
+        assert ue.reject_reason == ("unknown subscriber" if ue.name in refused else None)
+
+
 def many_requests(ues, topo=None, **kw):
     result = run_scenario(ScenarioSpec(name="many_requests", ue_count=ues, seed=1, **kw), topo=topo)
     transfers = [t for ts in result.transfers.values() for t in ts]
@@ -172,8 +230,8 @@ def test_register_is_idempotent_while_pending():
     tb = Testbed(default_topology(), seed=0)
     tb.boot()
     ue = tb.ues[0]
-    tb.net.schedule(T_ATTACH, ue.register)
-    tb.net.schedule(T_ATTACH + 1, ue.register)  # arrives while REGISTERING
+    tb.net.schedule(T_ATTACH, ue.attach)
+    tb.net.schedule(T_ATTACH + 1, ue.attach)  # arrives while REGISTERING
     tb.run_until(SETTLE)
     reqs = [
         r
@@ -181,19 +239,23 @@ def test_register_is_idempotent_while_pending():
         if r.attrs.get("nas_kind") == "NAS_REGISTER_REQ" and r.src == ue.name
     ]
     assert len(reqs) == 1
-    assert ue.state == "REGISTERED"
+    assert ue.state == "SESSION_ACTIVE"
 
 
-def test_attach_after_manual_registration_goes_straight_to_session():
+def test_attach_after_a_refused_session_goes_straight_to_session():
+    # one gNB cannot serve dual connectivity: the UE stays registered
+    # without a session, and its next attach registers no second time
     tb = Testbed(default_topology(), seed=0)
     tb.boot()
     ue = tb.ues[0]
-    tb.net.schedule(T_ATTACH, ue.register)
+    tb.net.schedule(T_ATTACH, lambda: ue.attach(Redundancy.DUAL_CONNECTIVITY))
     tb.run_until(500)
     assert ue.state == "REGISTERED" and ue.session is None
+    assert "two serving gNBs" in ue.reject_reason
     ue.attach(Redundancy.NONE)
     tb.run_until(SETTLE)
     assert ue.state == "SESSION_ACTIVE"
+    assert sum(r.attrs.get("nas_kind") == "NAS_REGISTER_REQ" for r in tb.records) == 1
 
 
 def test_unlinked_gnb_is_rejected_for_sending():
