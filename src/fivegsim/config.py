@@ -353,7 +353,7 @@ def with_ues(topo: TopologyConfig, total: int) -> TopologyConfig:
     """Grow the population to `total` UEs: `topo` itself when it declares
     that many, else a copy where UE k past the declared ones is UE<k:03d> at
     172.16.(k >> 8).(k & 0xFF), with a copy of each radio link of the first
-    UE and the provisioned IMSI ue_imsi(k)."""
+    UE and the IMSI ue_imsi(k), listed in [subscribers] unless it already is."""
     ues = topo.of_kind("UE")
     if total <= len(ues):
         return topo
@@ -366,11 +366,13 @@ def with_ues(topo: TopologyConfig, total: int) -> TopologyConfig:
     # (gNB, link) per radio link of the first UE
     radio = [(g, l) for l in topo.links if first in (l.a, l.b) for g in (l.a, l.b) if g in gnbs]
     entities, links, subscribers = list(topo.entities), list(topo.links), list(topo.subscribers)
+    listed = set(subscribers)
     for k in range(len(ues) + 1, total + 1):
         name, imsi = f"UE{k:03d}", ue_imsi(k)
         entities.append(EntityDecl(kind="UE", name=name, ip=f"172.16.{k >> 8}.{k & 0xFF}", imsi=imsi))
         links += [replace(l, a=name, b=gnb) for gnb, l in radio]
-        subscribers.append(imsi)
+        if imsi not in listed:
+            subscribers.append(imsi)
     return _validate(entities, links, subscribers, dict(topo.documents), topo.params, topo.source)
 
 

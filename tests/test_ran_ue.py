@@ -106,9 +106,9 @@ def test_app_send_requires_active_session():
 
 def test_many_requests_names_its_population_limit(monkeypatch):
     def must_not_run(*args):
-        raise AssertionError("the limit is checked before UEs spawn or the clock runs")
+        raise AssertionError("the limit is checked before any testbed is built or the clock runs")
 
-    monkeypatch.setattr(Testbed, "spawn_ues", must_not_run)
+    monkeypatch.setattr(Testbed, "__init__", must_not_run)
     monkeypatch.setattr(Testbed, "run_until", must_not_run)
     # past UE 65535 a spawned address would read 172.16.256.0
     limit = r"^65536 UEs exceed the limit of 65535: spawned UE k is addressed 172\.16\.\(k >> 8\)\.\(k & 0xFF\)$"
@@ -158,16 +158,19 @@ def test_a_declared_ue_like_a_spawned_one_runs_the_same(tmp_path):
 
 
 _IDS = ("imsi-001019990000001", "imsi-001019990000002", "imsi-001019990000003")
+_SPAWNED = ("imsi-001010000000003", "imsi-001010000000004")
 
 
 @pytest.mark.parametrize(
     "listed, imsis, refused",
     [
         # UE2 has no listed id: its generated IMSI is not provisioned
-        pytest.param(1, ("imsi-001019990000001", "imsi-001010000000002"), {"UE2"}, id="fewer-ids"),
-        pytest.param(2, _IDS[:2], set(), id="as-many-ids"),
+        pytest.param(_IDS[:1], ("imsi-001019990000001", "imsi-001010000000002"), {"UE2"}, id="fewer-ids"),
+        pytest.param(_IDS[:2], _IDS[:2], set(), id="as-many-ids"),
         # an id past the declared UEs is provisioned but held by no UE
-        pytest.param(3, _IDS[:2], set(), id="more-ids"),
+        pytest.param(_IDS, _IDS[:2], set(), id="more-ids"),
+        # ids past the declared UEs that are the spawned UEs' generated ones
+        pytest.param(_IDS[:2] + _SPAWNED, _IDS[:2], set(), id="more-ids-the-spawned-ones"),
     ],
 )
 def test_spawned_ues_with_each_subscriber_layout(listed, imsis, refused):
@@ -177,15 +180,14 @@ def test_spawned_ues_with_each_subscriber_layout(listed, imsis, refused):
         default_topology_path().read_text()
         .replace("UE,UE,192.168.0.30\n", "UE,UE,192.168.0.30\nUE,UE2,192.168.0.31\n")
         .replace("UE,gNB,2,0.0,false\n", "UE,gNB,2,0.0,false\nUE2,gNB,2,0.0,false\n")
-        .replace("imsi-001010000000001\n", "".join(f"{i}\n" for i in _IDS[:listed]))
+        .replace("imsi-001010000000001\n", "".join(f"{i}\n" for i in listed))
     )
     result = run_scenario(ScenarioSpec(name="many_requests", ue_count=4, seed=1), parse_topology(text))
     tb = result.testbed
-    spawned = ("imsi-001010000000003", "imsi-001010000000004")
     assert [(ue.name, ue.imsi) for ue in tb.ues] == list(
-        zip(["UE", "UE2", "UE003", "UE004"], imsis + spawned)
+        zip(["UE", "UE2", "UE003", "UE004"], imsis + _SPAWNED)
     )
-    assert tb.udrs[0].subscribers == set(_IDS[:listed] + spawned)
+    assert tb.udrs[0].subscribers == set(listed + _SPAWNED)
     outcomes = {name: [t.ok for t in ts] for name, ts in result.transfers.items()}
     assert outcomes == {ue.name: [ue.name not in refused] for ue in tb.ues}
     for ue in tb.ues:
