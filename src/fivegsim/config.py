@@ -8,7 +8,9 @@ Only this module knows the topology contract: run_roster adds the SERVER and
 NWDAF a topology does not declare, and _validate checks that roster once,
 including a link from each entity to each PEER_KINDS kind the topology has.
 with_ues grows the population past the declared UEs, and _validate checks
-the spawned UEs as it checks the declared ones.
+the spawned UEs as it checks the declared ones. What a run cannot serve is
+refused here too: a second NRF or SERVER, and a document segment or a
+scenario's request that does not fit one G-PDU.
 """
 from __future__ import annotations
 
@@ -18,8 +20,9 @@ from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 from .errors import ConfigError
-from .urllc import Redundancy
-from .wirefmt import Protocol
+from .messages import MsgKind, build
+from .urllc import SEQ_MODULUS, Redundancy
+from .wirefmt import Protocol, SimPacket, encode_packet, gtpu_encapsulate
 
 ENTITY_KINDS = {
     "NRF", "AMF", "SMF", "AUSF", "UDM", "UDR", "PCF", "NSSF", "BSF",
@@ -37,6 +40,9 @@ PEER_KINDS = {
     "UE": ("GNB",),
     "SERVER": ("UPF",),
 }
+
+# the kinds a run serves one of: CoreEnv names one NRF and one SERVER
+_ONE_ONLY = ("NRF", "SERVER")
 
 _DATA_DIR = Path(__file__).parent / "data"
 
@@ -153,6 +159,16 @@ def run_roster(entities, links, params: Params) -> tuple[list[EntityDecl], list[
     return entities, links
 
 
+def _require_one_gpdu(what: str, kind: MsgKind, **fields) -> None:
+    """Refuse `what` unless a `kind` message with `fields` and the widest
+    app-level seq fits one G-PDU, as the codecs build it."""
+    try:
+        payload = build(kind, seq=SEQ_MODULUS - 1, **fields)
+        gtpu_encapsulate(encode_packet(SimPacket(Protocol.APP, "0.0.0.0", "0.0.0.0", 0, 0, payload)), 0)
+    except ValueError as exc:  # a WireFormatError, or text that is not UTF-8
+        raise ConfigError(f"{what} does not fit one G-PDU: {exc}") from None
+
+
 def _validate(
     entities: list[EntityDecl],
     links: list[LinkDecl],
@@ -165,6 +181,7 @@ def _validate(
         raise ConfigError(f"{source}: no entities declared")
     kind_of: dict[str, str] = {}  # entity name -> kind
     holders: dict[str, str] = {}  # address -> entity name
+    first_of: dict[str, str] = {}  # kind in _ONE_ONLY -> its entity's name
     pool = ipaddress.IPv4Network(params.ue_pool)
     roster, roster_links = run_roster(entities, links, params)
     for e in roster:
@@ -176,6 +193,10 @@ def _validate(
         holders[e.ip] = e.name
         if ipaddress.IPv4Address(e.ip) in pool:
             raise ConfigError(f"entity address {e.ip} collides with the UE pool {params.ue_pool}")
+        if e.kind in _ONE_ONLY:
+            if e.kind in first_of:
+                raise ConfigError(f"{first_of[e.kind]} and {e.name} are both {e.kind}s: a topology has one")
+            first_of[e.kind] = e.name
     neighbours: dict[str, set[str]] = {name: set() for name in kind_of}
     for l in roster_links:
         for end in (l.a, l.b):
@@ -213,6 +234,11 @@ def _validate(
     for doc, size in documents.items():
         if size < 0:
             raise ConfigError(f"document {doc}: negative size")
+        seg = params.segment_bytes
+        _require_one_gpdu(
+            f"segment_bytes={seg}: a segment of document {doc!r}", MsgKind.APP_SEGMENT,
+            doc=doc, index=max(size - 1, 0) // seg, data=bytes(min(seg, size)),
+        )
     return TopologyConfig(
         entities=tuple(entities),
         links=tuple(links),
@@ -436,3 +462,4 @@ class ScenarioSpec:
             raise ConfigError(f"ue_count must be non-negative, got {self.ue_count}")
         if self.ue_count == 0 and SCENARIOS[self.name].ues is None:
             raise ConfigError(f"{self.name} needs ue_count >= 1, got 0")
+        _require_one_gpdu(f"doc of {len(self.doc)} characters: its APP_GET", MsgKind.APP_GET, doc=self.doc)

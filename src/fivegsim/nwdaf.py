@@ -133,6 +133,17 @@ def export_events(events, path) -> None:
         _write_rows(fh, events)
 
 
+def _lines(text: str):
+    """The lines of `text` as text.split("\\n") gives them, one at a time:
+    no list of every line is held."""
+    start = 0
+    find = text.find
+    while (end := find("\n", start)) >= 0:
+        yield text[start:end]
+        start = end + 1
+    yield text[start:]
+
+
 def import_events_text(text: str) -> list[TapRecord]:
     """Parse an exported log, checking every row against the schema in one pass.
 
@@ -155,7 +166,7 @@ def import_events_text(text: str) -> list[TapRecord]:
     shared: dict[str, str] = {}                 # each distinct value, once
     pairs: dict[str, tuple[str, str]] = {}      # "key=value" -> (key, value)
     share = shared.setdefault
-    for lineno, line in enumerate(text.split("\n"), start=1):
+    for lineno, line in enumerate(_lines(text), start=1):
         if not line or line[0] == "#":
             continue
         cols = line.split("\t")

@@ -9,7 +9,8 @@ seed) triple fully determines every delivery.
 
 A link is two Hops, one per direction, built once by `add_link`, which
 returns the a -> b hop. Each holds the link's latency, loss probability and
-reliability, and both share the link's [delivered, dropped] counters. A send
+reliability, and both share the link's [delivered, dropped] counters in
+``link_stats``, which the runner's invariants recount from the log. A send
 takes the hop `Network.hop(sender, peer)` resolved, and the hop holds
 everything the send needs. The receiver is the hop's other end, and the
 fabric hands it the sender's name with the packet. That name is the only
@@ -32,7 +33,7 @@ import hashlib
 import heapq
 import logging
 from dataclasses import dataclass
-from typing import Callable, Iterable
+from typing import Callable
 
 from .errors import FivegsimError
 from .wirefmt import Protocol, SimPacket
@@ -126,10 +127,6 @@ class SimClock:
             processed += 1
         self.now = t_end
         return processed
-
-    @property
-    def pending(self) -> int:
-        return len(self._heap)
 
 
 class Entity:
@@ -315,18 +312,3 @@ class Network:
 
     def run_until(self, t_end: int) -> int:
         return self.clock.run_until(t_end)
-
-
-def conservation_report(net: Network, records: Iterable[TapRecord]) -> dict[str, tuple[int, int, int]]:
-    """Per-link (sends, delivered, dropped) recomputed from logged records.
-
-    Only wire links count; synthetic local records are excluded by key.
-    """
-    seen: dict[str, list[int]] = {lid: [0, 0] for lid in net.link_stats}
-    for r in records:
-        if r.link_id in seen and r.outcome in (DELIVERED, DROPPED):
-            seen[r.link_id][0 if r.outcome == DELIVERED else 1] += 1
-    return {
-        lid: (delivered + dropped, delivered, dropped)
-        for lid, (delivered, dropped) in seen.items()
-    }

@@ -18,6 +18,8 @@ import struct
 from dataclasses import dataclass
 from enum import IntEnum
 
+from .errors import FivegsimError
+
 ENVELOPE_VERSION = 1
 ENVELOPE_HEADER_LEN = 18
 MAX_PAYLOAD = 65535
@@ -51,7 +53,7 @@ _GTPU = struct.Struct(">BBHI")
 _GTPU_SEQ = struct.Struct(">BBHIHBB")  # with the optional field block
 
 
-class WireFormatError(ValueError):
+class WireFormatError(FivegsimError, ValueError):
     """Input bytes or field values violate a wire format contract."""
 
 
@@ -92,7 +94,6 @@ class SimPacket:
     src_port: int
     dst_port: int
     payload: bytes = b""
-    version: int = ENVELOPE_VERSION
 
     @property
     def wire_size(self) -> int:
@@ -101,8 +102,6 @@ class SimPacket:
 
 def encode_packet(p: SimPacket) -> bytes:
     """Serialize a packet. Rejects anything that cannot round-trip."""
-    if p.version != ENVELOPE_VERSION:
-        raise WireFormatError(f"unsupported envelope version {p.version}")
     try:
         proto = _PROTOCOL_BY_CODE[p.protocol]
     except (KeyError, TypeError):
@@ -120,7 +119,7 @@ def encode_packet(p: SimPacket) -> bytes:
             "large transfers must be segmented above this layer"
         )
     return _ENVELOPE.pack(
-        p.version, proto, _pack_ip(src), _pack_ip(dst), p.src_port, p.dst_port, len(payload)
+        ENVELOPE_VERSION, proto, _pack_ip(src), _pack_ip(dst), p.src_port, p.dst_port, len(payload)
     ) + payload
 
 

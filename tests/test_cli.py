@@ -14,7 +14,7 @@ from fivegsim.messages import MsgKind
 from fivegsim.nwdaf import import_events, kpi_packet_counts
 from fivegsim.runner import Testbed
 from fivegsim.simnet import DROPPED
-from fivegsim.wirefmt import Protocol
+from fivegsim.wirefmt import Protocol, WireFormatError
 
 ARTIFACTS = ("events.log", "kpi_counts.csv", "kpi_throughput.csv", "summary.txt")
 
@@ -376,6 +376,32 @@ def _two_udrs(text):
     )
 
 
+def _segments(segment_bytes, doc_size=487659):
+    """segment_bytes and the size of the built-in document become the given."""
+    return lambda text: (
+        text.replace("segment_bytes=64000", f"segment_bytes={segment_bytes}")
+        .replace("document,487659", f"document,{doc_size}")
+    )
+
+
+def _two_nrfs(text):
+    """NRF0 is declared before the NRF, and the PCF's spoke goes to it."""
+    return (
+        text.replace("NRF,NRF,192.168.0.12", "NRF,NRF0,192.168.0.11\nNRF,NRF,192.168.0.12")
+        .replace("PCF,NRF,1,0.0,false", "PCF,NRF0,1,0.0,false")
+    )
+
+
+def _two_servers(text):
+    """WEB1, declared first, links to UPF2 only; WEB2 links to UPF1."""
+    return (
+        text.replace("UPF,UPF2,192.168.0.32", "UPF,UPF2,192.168.0.32\nSERVER,WEB1,192.168.0.40\n"
+                     "SERVER,WEB2,192.168.0.42")
+        .replace("UPF1,UPF2,1,0.0,false", "UPF1,UPF2,1,0.0,false\nWEB1,UPF2,1,0.0,false\n"
+                 "WEB2,UPF1,1,0.0,false")
+    )
+
+
 def _unreliable_n2(result):
     # the AMF answers the setup over an unreliable link with an error and
     # keeps no NGAP association with that gNB
@@ -440,6 +466,21 @@ TOPOLOGY_EDITS = [
                  id="UE-pool-of-the-spawned-UEs"),
     pytest.param(_two_udrs, ["--scenario", "many_requests", "--ues", "3"], None, _three_transfers_ok,
                  id="spawned-UEs-with-two-UDRs"),
+    # a segment's message, envelope and G-PDU header share the GTP-U length field
+    pytest.param(_segments(70000), [],
+                 "segment_bytes=70000: a segment of document 'document' does not fit one G-PDU:"
+                 " TLV value of 70000 bytes overflows the length field", None,
+                 id="segment-bytes-70000"),
+    pytest.param(_segments(65500), [],
+                 "segment_bytes=65500: a segment of document 'document' does not fit one G-PDU:"
+                 " inner packet of 65550 bytes overflows the length field", None,
+                 id="segment-bytes-65500"),
+    pytest.param(_segments(70000, doc_size=5000), [], None, _transfer_ok,
+                 id="segment-bytes-70000-for-a-5000-byte-document"),
+    pytest.param(_two_nrfs, [], "NRF0 and NRF are both NRFs: a topology has one", None,
+                 id="two-NRFs"),
+    pytest.param(_two_servers, [], "WEB1 and WEB2 are both SERVERs: a topology has one", None,
+                 id="two-SERVERs"),
 ]
 
 
@@ -462,6 +503,22 @@ def test_topology_edit_ends_in_exit_2_or_a_clean_run(
     else:
         assert (rc, err) == (0, "")
         check(results[0])
+
+
+def test_a_doc_name_too_long_for_one_request_is_a_usage_error(capsys):
+    assert main(["run", "--doc", "d" * 70000]) == 2
+    assert capsys.readouterr().err == (
+        "error: doc of 70000 characters: its APP_GET does not fit one G-PDU:"
+        " TLV value of 70000 bytes overflows the length field\n"
+    )
+
+
+def test_a_wire_format_error_that_escapes_a_run_is_one_error_line(monkeypatch, capsys):
+    def escape(*args, **kwargs):
+        raise WireFormatError("planted")
+    monkeypatch.setattr(cli, "run_scenario", escape)
+    assert main(["run"]) == 1
+    assert capsys.readouterr().err == "error: planted\n"
 
 
 def test_refused_ue_reports_its_transfer_as_failed(tmp_path):

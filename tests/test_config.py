@@ -19,6 +19,7 @@ from fivegsim.config import (
     with_second_gnb,
 )
 from fivegsim.runner import run_scenario
+from fivegsim.urllc import Redundancy
 from fivegsim.wirefmt import Protocol
 
 MINIMAL = """
@@ -287,6 +288,24 @@ def test_address_params_place_the_injected_entities():
         if ev.protocol is Protocol.APP and ev.dst == "SERVER" and ev.is_wire
     }
     assert to_server == {"192.168.0.50"}
+
+
+# a NONE segment of the built-in document fills one G-PDU at 65,494 bytes; the
+# widest app-level seq (5 digits, as dual connectivity may send) takes 9 more
+LARGEST_SEGMENT = 65485
+
+
+def test_the_largest_accepted_segment_completes_in_every_mode():
+    text = default_topology_path().read_text()
+    topo = parse_topology(text.replace("segment_bytes=64000", f"segment_bytes={LARGEST_SEGMENT}"))
+    for mode in Redundancy:
+        run = run_scenario(ScenarioSpec(name="single_request", redundancy=mode), topo)
+        assert "transfer UE document ok segments=8 bytes=487659 ms=10" in run.summary_lines, mode
+    with pytest.raises(ConfigError, match=(
+        f"^segment_bytes={LARGEST_SEGMENT + 1}: a segment of document 'document' does not fit one"
+        " G-PDU: inner packet of 65536 bytes overflows the length field$"
+    )):
+        parse_topology(text.replace("segment_bytes=64000", f"segment_bytes={LARGEST_SEGMENT + 1}"))
 
 
 @pytest.mark.parametrize(

@@ -1,4 +1,5 @@
-"""Fabric tests: clock discipline, delivery, seeded loss, conservation."""
+"""Fabric tests: clock discipline, delivery, seeded loss, and the built-in
+invariants over the fabric's log."""
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -7,13 +8,17 @@ from fivegsim.simnet import (
     _SCRUB,
     DELIVERED,
     DROPPED,
+    ELIMINATED_DUPLICATE,
     Entity,
     Network,
     SimClock,
     SimNetError,
-    conservation_report,
+    TapRecord,
     scrub,
 )
+from fivegsim import runner
+from fivegsim.config import default_topology
+from fivegsim.runner import Testbed
 from fivegsim.wirefmt import Protocol, SimPacket
 
 
@@ -304,25 +309,83 @@ def test_dropped_packets_never_arrive():
     assert 0 < dropped < sent
 
 
-# -- conservation -------------------------------------------------------------------
+# -- the built-in invariants ------------------------------------------------------
+# a fault planted in a default testbed (seed 1, booted, run to 200 ms), and the
+# exact problems Testbed.invariant_violations(200) then reports
 
-def test_conservation_report_matches_link_stats():
-    net, a, b, link = make_pair(seed=2, loss=0.2)
-    records = net.events
-    for _ in range(300):
-        net.send(net.hop("A", "B"), pkt_ab())
-    net.run_until(10)
-    report = conservation_report(net, records)
-    sends, delivered, dropped = report[link.link_id]
-    assert sends == 300
-    assert [delivered, dropped] == net.link_stats[link.link_id]
+def _booted(until):
+    """A booted default testbed, seed 1, run to `until`."""
+    tb = Testbed(default_topology(), seed=1)
+    tb.boot()
+    tb.run_until(until)
+    return tb
 
 
-def test_conservation_ignores_local_records():
-    net, a, b, link = make_pair()
-    records = net.events
-    net.send(net.hop("A", "B"), pkt_ab())
-    net.tap_local("B", 1, Protocol.APP, DROPPED, src="A")
-    report = conservation_report(net, records)
-    assert report[link.link_id] == (1, 1, 0)
-    assert set(report) == {link.link_id}
+def _relabel_first(outcome):
+    def plant(tb):
+        row = next(r for r in tb.records if r.link_id == "AMF--NRF" and r.outcome == DELIVERED)
+        row.outcome = outcome
+    return plant
+
+
+def _shift_sixth_row(tb):
+    tb.records[5].ts = 150
+
+
+def _append_delivered(link_id):
+    def plant(tb):
+        tb.records.append(TapRecord(
+            len(tb.records) + 1, 200, link_id, "A", "B", Protocol.SBI, 10, DELIVERED, {},
+        ))
+    return plant
+
+
+def _count_one_more_delivery(tb):
+    tb.net.link_stats["AMF--NRF"][0] += 1
+
+
+def _drop_first_with_its_stats(tb):
+    _relabel_first(DROPPED)(tb)
+    stats = tb.net.link_stats["AMF--NRF"]
+    stats[0] -= 1
+    stats[1] += 1
+
+
+CONSERVATION = ["conservation broken on AMF--NRF"]
+SRC_OR_DST = "src_or_dst accounting does not credit exactly two ends per packet"
+
+
+@pytest.mark.parametrize("plant, problems", [
+    pytest.param(_count_one_more_delivery, CONSERVATION, id="link-stats-one-more-delivery"),
+    pytest.param(_relabel_first(DROPPED), CONSERVATION, id="delivered-row-relabelled-dropped"),
+    pytest.param(_relabel_first(ELIMINATED_DUPLICATE), CONSERVATION,
+                 id="wire-row-relabelled-eliminated"),
+    # the log and the link's stats agree on the drop
+    pytest.param(_drop_first_with_its_stats, [], id="delivered-row-and-its-stats-dropped"),
+    pytest.param(_shift_sixth_row, ["event timestamp 0 outside causal order"],
+                 id="sixth-row-at-150"),
+    # rows off the fabric's links: the recount has no link to credit them to
+    pytest.param(_append_delivered("local:X"), [], id="delivered-local-row"),
+    pytest.param(_append_delivered("ghost--link"), [], id="delivered-row-on-no-link"),
+])
+def test_each_planted_fault_gives_its_exact_problems(plant, problems):
+    tb = _booted(200)
+    plant(tb)
+    assert tb.invariant_violations(200) == problems
+
+
+def test_rows_past_the_horizon_break_causal_order_and_the_src_or_dst_count():
+    tb = _booted(4000)
+    assert tb.invariant_violations(3000) == ["event timestamp 3333 outside causal order", SRC_OR_DST]
+
+
+def test_a_src_or_dst_count_one_credit_short_is_reported_alone(monkeypatch):
+    tb = _booted(200)
+    counts = runner.kpi_packet_counts
+
+    def one_short(*args, **kwargs):
+        both = counts(*args, **kwargs)
+        both[next(iter(both))] -= 1
+        return both
+    monkeypatch.setattr(runner, "kpi_packet_counts", one_short)
+    assert tb.invariant_violations(200) == [SRC_OR_DST]

@@ -129,12 +129,6 @@ def test_encode_rejects_oversized_payload():
         encode_packet(pkt)
 
 
-def test_encode_rejects_unknown_version():
-    pkt = SimPacket(Protocol.SBI, "10.0.0.1", "10.0.0.2", 1, 1, version=2)
-    with pytest.raises(WireFormatError):
-        encode_packet(pkt)
-
-
 # -- decoder rejections --------------------------------------------------------
 
 def test_decode_rejects_truncated_header():
