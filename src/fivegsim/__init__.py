@@ -17,7 +17,7 @@ from .config import (
     with_link_loss,
     with_second_gnb,
 )
-from .errors import FivegsimError, FlowError, SetupError
+from .errors import FivegsimError, FlowError
 from .nwdaf import (
     EventStore,
     SchemaError,
@@ -67,7 +67,6 @@ __all__ = [
     "RunResult",
     "ScenarioSpec",
     "SchemaError",
-    "SetupError",
     "SimNetError",
     "SimPacket",
     "TapRecord",

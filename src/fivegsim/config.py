@@ -169,21 +169,16 @@ def _require_one_gpdu(what: str, kind: MsgKind, **fields) -> None:
         raise ConfigError(f"{what} does not fit one G-PDU: {exc}") from None
 
 
-def _validate(
-    entities: list[EntityDecl],
-    links: list[LinkDecl],
-    subscribers: list[str],
-    documents: dict[str, int],
-    params: Params,
-    source: str,
-) -> TopologyConfig:
-    if not entities:
-        raise ConfigError(f"{source}: no entities declared")
+def _validate(topo: TopologyConfig) -> TopologyConfig:
+    """`topo` itself once the roster it runs is checked."""
+    params = topo.params
+    if not topo.entities:
+        raise ConfigError(f"{topo.source}: no entities declared")
     kind_of: dict[str, str] = {}  # entity name -> kind
     holders: dict[str, str] = {}  # address -> entity name
     first_of: dict[str, str] = {}  # kind in _ONE_ONLY -> its entity's name
     pool = ipaddress.IPv4Network(params.ue_pool)
-    roster, roster_links = run_roster(entities, links, params)
+    roster, roster_links = run_roster(topo.entities, topo.links, params)
     for e in roster:
         if e.name in kind_of:
             raise ConfigError(f"duplicate entity name {e.name}: {e.kind} collides with {kind_of[e.name]}")
@@ -225,13 +220,13 @@ def _validate(
             if (peer in kinds or e.kind == "UE") and peer not in linked:
                 raise ConfigError(f"{e.kind} {e.name} has no link to any {peer}")
     holder: dict[str, str] = {}  # IMSI -> UE
-    for ue in (e for e in entities if e.kind == "UE"):
+    for ue in topo.of_kind("UE"):
         if ue.imsi in holder:
             raise ConfigError(f"UEs {holder[ue.imsi]} and {ue.name} share the IMSI {ue.imsi}")
         holder[ue.imsi] = ue.name
-    if len(set(subscribers)) != len(subscribers):
+    if len(set(topo.subscribers)) != len(topo.subscribers):
         raise ConfigError("duplicate subscriber id")
-    for doc, size in documents.items():
+    for doc, size in topo.documents.items():
         if size < 0:
             raise ConfigError(f"document {doc}: negative size")
         seg = params.segment_bytes
@@ -239,14 +234,7 @@ def _validate(
             f"segment_bytes={seg}: a segment of document {doc!r}", MsgKind.APP_SEGMENT,
             doc=doc, index=max(size - 1, 0) // seg, data=bytes(min(seg, size)),
         )
-    return TopologyConfig(
-        entities=tuple(entities),
-        links=tuple(links),
-        subscribers=tuple(subscribers),
-        documents=dict(documents),
-        params=params,
-        source=source,
-    )
+    return topo
 
 
 # what the texts that carry entity names split on, so no name may hold it:
@@ -323,7 +311,9 @@ def parse_topology(text: str, source: str = "<memory>") -> TopologyConfig:
     ues = (i for i, e in enumerate(entities) if e.kind == "UE")
     for k, i in enumerate(ues, start=1):
         entities[i] = replace(entities[i], imsi=ue_imsi(k, subscribers))
-    return _validate(entities, links, subscribers, documents, params, source)
+    return _validate(TopologyConfig(
+        tuple(entities), tuple(links), tuple(subscribers), documents, params, source
+    ))
 
 
 def load_topology(path: str | Path) -> TopologyConfig:
@@ -366,13 +356,12 @@ def with_second_gnb(topo: TopologyConfig) -> TopologyConfig:
     ues = topo.of_kind("UE")
     if not amfs or len(upfs) < 2:
         raise ConfigError("need an AMF and two UPFs to add a standby gNB")
-    entities = list(topo.entities) + [_SECOND_GNB]
     links = list(topo.links)
     links.append(LinkDecl(a=name, b=amfs[0].name, latency_ms=1, loss_prob=0.0, reliable=True))
     for ue in ues:
         links.append(LinkDecl(a=ue.name, b=name, latency_ms=2, loss_prob=0.0, reliable=False))
     links.append(LinkDecl(a=name, b=upfs[1].name, latency_ms=2, loss_prob=0.0, reliable=False))
-    return _validate(entities, links, list(topo.subscribers), dict(topo.documents), topo.params, topo.source)
+    return _validate(replace(topo, entities=(*topo.entities, _SECOND_GNB), links=tuple(links)))
 
 
 def with_ues(topo: TopologyConfig, total: int) -> TopologyConfig:
@@ -399,7 +388,9 @@ def with_ues(topo: TopologyConfig, total: int) -> TopologyConfig:
         links += [replace(l, a=name, b=gnb) for gnb, l in radio]
         if imsi not in listed:
             subscribers.append(imsi)
-    return _validate(entities, links, subscribers, dict(topo.documents), topo.params, topo.source)
+    return _validate(
+        replace(topo, entities=tuple(entities), links=tuple(links), subscribers=tuple(subscribers))
+    )
 
 
 def with_link_loss(topo: TopologyConfig, loss_prob: float) -> TopologyConfig:
@@ -411,7 +402,7 @@ def with_link_loss(topo: TopologyConfig, loss_prob: float) -> TopologyConfig:
         if {kind[l.a], kind[l.b]} == _LOSSY_KINDS and not l.reliable else l
         for l in topo.links
     )
-    return replace(topo, links=links, documents=dict(topo.documents))
+    return replace(topo, links=links)
 
 
 @dataclass(frozen=True)

@@ -54,7 +54,7 @@ from dataclasses import dataclass, replace
 from typing import Callable
 
 from .config import PEER_KINDS, Params
-from .errors import FlowError, SetupError
+from .errors import FlowError
 from .messages import PROTOCOL, MsgKind, Tag, build, parse, read_teid
 from .simnet import DROPPED, ELIMINATED_DUPLICATE, Entity, Network
 from .urllc import DedupWindow, Redundancy
@@ -181,6 +181,10 @@ DISCOVERS = {
     for kind, peers in PEER_KINDS.items() if "NRF" in peers and len(peers) > 1
 }
 
+# the NF kinds that register with the registry: those whose PEER_KINDS entry
+# names it
+REGISTERS = frozenset(kind for kind, peers in PEER_KINDS.items() if "NRF" in peers)
+
 # the registry requests a node makes about its own profile -> their answers
 _OWN_PROFILE = {
     MsgKind.NF_REGISTER_REQ: MsgKind.NF_REGISTER_RESP,
@@ -192,12 +196,10 @@ _OWN_PROFILE = {
 class NfEntity(Entity):
     """Base for every node that talks on the fabric.
 
-    Control NFs additionally register with the NRF and heartbeat on the
-    shared interval grid; non-NF nodes (gNB, UE, server) just reuse the
-    send helpers.
+    The kinds in REGISTERS additionally register with the NRF and
+    heartbeat on the shared interval grid; the other nodes (gNB, UE,
+    server) just reuse the send helpers.
     """
-
-    registers = True          # takes part in NRF registration at boot
 
     def __init__(self, name: str, ip: str, net: Network, env: CoreEnv):
         super().__init__(name, ip, net)
@@ -364,7 +366,7 @@ class NfEntity(Entity):
         return False
 
     def on_sbi(self, m, pkt: SimPacket, sender: str) -> None:
-        if m.kind == MsgKind.NF_REGISTER_RESP and self.registers and not self.registered:
+        if m.kind == MsgKind.NF_REGISTER_RESP and self.kind in REGISTERS and not self.registered:
             if m.text(Tag.RESULT) == OK:
                 self.registered = True
                 self.on_heartbeat_grid(self._heartbeat)
@@ -739,29 +741,29 @@ class Smf(NfEntity):
 
     def plan_paths(self, mode: Redundancy, gnbs: list[str]) -> tuple[SessionPath, ...]:
         """Lay out a session's tunnel legs, the only plan a session has.
-        Raises SetupError for every layout the serving gNBs and the
+        Raises FlowError for every layout the serving gNBs and the
         discovered UPFs cannot give."""
         if not gnbs:
-            raise SetupError("no serving gNB")
+            raise FlowError("no serving gNB")
         upfs = self.candidates.get("UPF")
         if not upfs:
-            raise SetupError("no UPF discovered")
+            raise FlowError("no UPF discovered")
         if mode is Redundancy.NONE:
             legs = [(gnbs[0], upfs[0], False)]
         elif mode is Redundancy.DUAL_CONNECTIVITY:
             if len(gnbs) < 2:
-                raise SetupError("dual connectivity needs two serving gNBs")
+                raise FlowError("dual connectivity needs two serving gNBs")
             if len(upfs) < 2:
-                raise SetupError("dual connectivity needs two UPFs")
+                raise FlowError("dual connectivity needs two UPFs")
             # peer input: a gNB list or a discovery answer may name one twice
             if gnbs[0] == gnbs[1] or upfs[0] == upfs[1]:
-                raise SetupError("dual connectivity needs two distinct gNBs and two distinct UPFs")
+                raise FlowError("dual connectivity needs two distinct gNBs and two distinct UPFs")
             legs = [(gnbs[0], upfs[0], False), (gnbs[1], upfs[1], False)]
         elif mode is Redundancy.N3_REPLICATION:
             legs = [(gnbs[0], upfs[0], True)] * 2
         else:  # PSA_ANCHOR: via an intermediate UPF, and direct to the anchor
             if upfs[0] == upfs[-1]:  # one UPF, or a discovery answer naming it twice
-                raise SetupError("PSA anchoring needs an intermediate UPF and an anchor")
+                raise FlowError("PSA anchoring needs an intermediate UPF and an anchor")
             legs = [(gnbs[0], upfs[0], True), (gnbs[0], upfs[-1], True)]
         return tuple(
             SessionPath(gnb, upf, self.next_teid(), self.next_teid(), carry)
@@ -774,14 +776,9 @@ class Smf(NfEntity):
             return
         try:
             paths = self.plan_paths(mode, gnbs)
-        except SetupError as exc:
-            self._fail_session(requester, ue_id, str(exc))
-            return
-        for upf in sorted({p.upf for p in paths}):
-            if self.associations.get(upf) != "ACTIVE":
-                self._fail_session(requester, ue_id, f"no PFCP association with {upf}")
-                return
-        try:
+            for upf in sorted({p.upf for p in paths}):
+                if self.associations.get(upf) != "ACTIVE":
+                    raise FlowError(f"no PFCP association with {upf}")
             ue_ip = self.allocate_ue_ip()
         except FlowError as exc:
             self._fail_session(requester, ue_id, str(exc))

@@ -1,4 +1,17 @@
-"""Exception taxonomy shared across the simulator."""
+"""Exception taxonomy: one FivegsimError subclass per cause.
+
+- ConfigError: a topology or scenario that cannot run (config, the CLI's
+  argument checks). CLI exit 2.
+- FlowError: a refusal, an operation its state does not allow (the
+  registry's profile rules, the SMF's session set-up, the UE's session
+  calls, a run's failed invariants). An NF answers a refused peer request
+  with ERROR. CLI exit 1.
+- wirefmt.WireFormatError: peer bytes or text that break a wire contract;
+  every reader of peer text raises it, and NfEntity.handle_packet drops it
+  (the UPF answers a malformed rule program with ERROR). CLI exit 1.
+- nwdaf.SchemaError: an imported log that breaks the export format. Exit 2.
+- simnet.SimNetError: a caller that breaks the fabric's contract. Exit 1.
+"""
 
 
 class FivegsimError(Exception):
@@ -15,9 +28,5 @@ class ConfigError(FivegsimError):
         super().__init__(message)
 
 
-class SetupError(FivegsimError):
-    """A control-plane precondition failed before traffic could flow."""
-
-
 class FlowError(FivegsimError):
-    """A runtime operation was attempted in an illegal state."""
+    """An operation was refused in the state it was asked in."""

@@ -16,7 +16,7 @@ import logging
 from dataclasses import dataclass, field
 
 from .core_cp import NfEntity, PduSession, SessionPath, read_session
-from .errors import FlowError, SetupError
+from .errors import FlowError
 from .messages import MsgKind, Tag, build, parse
 from .urllc import SEQ_MODULUS, DedupWindow, Redundancy
 from .wirefmt import Protocol, SimPacket, WireFormatError, decode_packet, encode_packet
@@ -40,7 +40,6 @@ class Gnb(NfEntity):
     """Radio node: NGAP client of the AMF, GTP-U peer of the UPFs."""
 
     kind = "GNB"
-    registers = False
 
     def __init__(self, name, ip, net, env):
         super().__init__(name, ip, net, env)
@@ -211,7 +210,6 @@ class Ue(NfEntity):
     """User equipment: NAS state machine plus the application client."""
 
     kind = "UE"
-    registers = False
 
     def __init__(self, name, ip, net, env, imsi: str):
         super().__init__(name, ip, net, env)
@@ -228,7 +226,7 @@ class Ue(NfEntity):
     @property
     def primary_gnb(self) -> str:
         if not self.gnbs:
-            raise SetupError(f"{self.name}: not attached to any gNB")
+            raise FlowError(f"{self.name}: not attached to any gNB")
         return self.gnbs[0]
 
     # -- radio send helpers ------------------------------------------------

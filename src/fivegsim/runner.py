@@ -4,13 +4,14 @@ A Testbed turns a topology's roster (config.run_roster, checked at parse)
 into live entities on one fabric, stages the bring-up and leaves the clock
 ready to run. The bring-up has two waves and an NGAP setup: the registry and
 every NF that finds peers (core_cp.DISCOVERS) start at 0, each registering,
-subscribing to status and discovering at once; the other NFs register at
-T_BOOT_CORE, and the registry notifies the first wave of each. The rest
-follows the registry protocol: the SMF associates with each UPF it learns
-of. Scenarios layer UE activity on top and collect KPIs, transfers and the
-fabric's event log into a RunResult. Declared, injected and spawned
-(config.with_ues) entities are all built one way, by Testbed._build. A run
-ends in the built-in invariants: one walk of the log, fed row by row.
+subscribing to status and discovering at once; the other NFs that register
+(core_cp.REGISTERS) do so at T_BOOT_CORE, and the registry notifies the
+first wave of each. The rest follows the registry protocol: the SMF
+associates with each UPF it learns of. Scenarios layer UE activity on top
+and collect KPIs, transfers and the fabric's event log into a RunResult.
+Declared, injected and spawned (config.with_ues) entities are all built one
+way, by Testbed._build. A run ends in the built-in invariants: one walk of
+the log, fed row by row.
 """
 from __future__ import annotations
 
@@ -30,7 +31,7 @@ from .config import (
     with_second_gnb,
     with_ues,
 )
-from .core_cp import DISCOVERS, Amf, Ausf, Bsf, CoreEnv, Nrf, Nssf, Pcf, Smf, Udm, Udr
+from .core_cp import DISCOVERS, REGISTERS, Amf, Ausf, Bsf, CoreEnv, Nrf, Nssf, Pcf, Smf, Udm, Udr
 from .errors import FlowError
 from .nwdaf import (
     Nwdaf,
@@ -169,10 +170,9 @@ class Testbed:
         that find peers register at 0, with the registry, so they are
         subscribed before the others register at T_BOOT_CORE: that status
         fanout is what the sbi_registration check looks for."""
-        nrf = self.nrf
-        self.net.schedule(0, nrf.boot)
+        self.net.schedule(0, self.nrf.boot)
         for entity in self.net.entities.values():
-            if getattr(entity, "registers", False) and entity is not nrf:
+            if entity.kind in REGISTERS:
                 start = 0 if entity.kind in DISCOVERS else T_BOOT_CORE
                 self.net.schedule(start, entity.boot_register)
         for gnb in self.gnbs:

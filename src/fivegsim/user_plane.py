@@ -49,23 +49,15 @@ class UeIpRule:
     next_seq: int = 0
 
 
-def _rule_teid(text: str, what: str) -> int:
-    """A TEID as a rule program spells it (messages.read_teid); anything else
-    makes `what` malformed."""
-    try:
-        return read_teid(text, "TEID")
-    except WireFormatError:
-        raise FlowError(f"malformed {what}") from None
-
-
 def parse_rule_program(text: str, ue_id: str) -> tuple[list[TeidRule], list[UeIpRule]]:
-    """Parse the N4 rule grammar.
+    """Parse the N4 rule grammar, peer text like any other message field.
 
     ``TEID|<teid>|<dedup>|<actions>`` and ``UEIP|<addr>|<assign_seq>|<actions>``
     joined by ";"; actions are ``route:<entity>`` or
     ``encap:<entity>:<teid>:<carry>`` joined by ",". A TEID is what
-    messages.read_teid reads and an address is IPv4; a malformed program is
-    a FlowError, which the UPF answers with ERROR.
+    messages.read_teid reads and an address is IPv4. A malformed program
+    raises WireFormatError naming the offending rule, selector or action;
+    the UPF answers it with ERROR and keeps its rules.
     """
     teid_rules: list[TeidRule] = []
     ueip_rules: list[UeIpRule] = []
@@ -74,7 +66,7 @@ def parse_rule_program(text: str, ue_id: str) -> tuple[list[TeidRule], list[UeIp
             continue
         fields = part.split("|")
         if len(fields) != 4:
-            raise FlowError(f"malformed rule {part!r}")
+            raise WireFormatError(f"malformed rule {part!r}")
         kind, selector, flag, actions_text = fields
         actions = []
         for spec in actions_text.split(","):
@@ -82,25 +74,25 @@ def parse_rule_program(text: str, ue_id: str) -> tuple[list[TeidRule], list[UeIp
             if bits[0] == "route" and len(bits) == 2:
                 actions.append(ForwardAction(kind="route", target=bits[1]))
             elif bits[0] == "encap" and len(bits) == 4:
-                teid = _rule_teid(bits[2], f"action {spec!r}")
+                teid = read_teid(bits[2], f"TEID of action {spec!r}")
                 actions.append(
                     ForwardAction(kind="encap", target=bits[1], teid=teid, carry_seq=bits[3] == "1")
                 )
             else:
-                raise FlowError(f"malformed action {spec!r}")
+                raise WireFormatError(f"malformed action {spec!r}")
         if kind == "TEID":
-            teid = _rule_teid(selector, f"rule selector {selector!r}")
+            teid = read_teid(selector, f"rule selector {selector!r}")
             teid_rules.append(TeidRule(teid=teid, ue_id=ue_id, dedup=flag == "1", actions=tuple(actions)))
         elif kind == "UEIP":
             try:
                 ipaddress.IPv4Address(selector)
             except ValueError:
-                raise FlowError(f"malformed rule selector {selector!r}") from None
+                raise WireFormatError(f"malformed rule selector {selector!r}") from None
             ueip_rules.append(
                 UeIpRule(ue_ip=selector, ue_id=ue_id, assign_seq=flag == "1", actions=tuple(actions))
             )
         else:
-            raise FlowError(f"unknown rule kind {kind!r}")
+            raise WireFormatError(f"unknown rule kind {kind!r}")
     return teid_rules, ueip_rules
 
 
@@ -135,7 +127,7 @@ class Upf(NfEntity):
             else:
                 try:
                     teid_rules, ueip_rules = parse_rule_program(m.text(Tag.RULES, ""), ue_id)
-                except FlowError as exc:
+                except WireFormatError as exc:
                     self.send(sender, answer, ue_id=ue_id, result=ERROR, reason=str(exc))
                     return
                 for rule in teid_rules:
@@ -223,7 +215,6 @@ class AppServer(NfEntity):
     """
 
     kind = "SERVER"
-    registers = False
 
     def __init__(self, name, ip, net, env, documents: dict[str, int] | None = None):
         super().__init__(name, ip, net, env)

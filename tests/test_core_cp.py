@@ -21,7 +21,7 @@ from fivegsim.core_cp import (
     read_mode,
     read_session,
 )
-from fivegsim.errors import FlowError, SetupError
+from fivegsim.errors import FlowError
 from fivegsim.messages import PROTOCOL, MsgKind, Tag, build, parse
 from fivegsim.runner import T_ATTACH, Testbed, run_scenario
 from fivegsim.simnet import DELIVERED, Network
@@ -42,12 +42,12 @@ def micro_env() -> CoreEnv:
 
 
 def micro_net():
-    """One registry plus one generic NF on a single link."""
+    """One registry plus one registering NF on a single link."""
     env = micro_env()
     net = Network(seed=0)
     nrf = net.add_entity(Nrf("NRF", "192.168.0.12", net, env))
     x = net.add_entity(NfEntity("X", "192.168.0.50", net, env))
-    x.kind = "XNF"
+    x.kind = "AUSF"
     net.add_link("NRF", "X", 1)
     nrf.boot()
     return net, nrf, x
@@ -140,7 +140,7 @@ def test_boot_register_round_trip():
     x.boot_register()
     net.run_until(10)
     assert x.registered
-    assert nrf.registry["X"].nf_type == "XNF"
+    assert nrf.registry["X"].nf_type == "AUSF"
     assert nrf.registry["X"].addr == x.ip
 
 
@@ -408,7 +408,7 @@ def test_plan_paths_none_mode():
 
 def test_plan_paths_dual_needs_two_gnbs():
     smf = booted_testbed().smfs[0]
-    with pytest.raises(SetupError, match="two serving gNBs"):
+    with pytest.raises(FlowError, match="two serving gNBs"):
         smf.plan_paths(Redundancy.DUAL_CONNECTIVITY, ["gNB"])
     paths = smf.plan_paths(Redundancy.DUAL_CONNECTIVITY, ["gNB", "gNB2"])
     assert {(p.gnb, p.upf) for p in paths} == {("gNB", "UPF1"), ("gNB2", "UPF2")}
@@ -432,10 +432,10 @@ def test_plan_paths_psa_uses_first_and_last_upf():
 
 def test_plan_paths_without_prerequisites():
     smf = booted_testbed().smfs[0]
-    with pytest.raises(SetupError, match="no serving gNB"):
+    with pytest.raises(FlowError, match="no serving gNB"):
         smf.plan_paths(Redundancy.NONE, [])
     smf.candidates["UPF"] = []
-    with pytest.raises(SetupError, match="no UPF"):
+    with pytest.raises(FlowError, match="no UPF"):
         smf.plan_paths(Redundancy.NONE, ["gNB"])
 
 

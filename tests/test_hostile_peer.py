@@ -12,12 +12,14 @@ from hypothesis import strategies as st
 
 import tlv_elements
 from fivegsim.config import default_topology
-from fivegsim.messages import PROTOCOL, MsgKind, Tag, build, parse
+from fivegsim.core_cp import decode_paths, read_mode, read_session
+from fivegsim.messages import PROTOCOL, MsgKind, Tag, build, canonical_int, parse, read_teid
 from fivegsim.nwdaf import export_events_text, import_events_text
 from fivegsim.runner import T_ATTACH, Testbed
 from fivegsim.simnet import DROPPED, ELIMINATED_DUPLICATE
 from fivegsim.urllc import Redundancy
-from fivegsim.wirefmt import Protocol, SimPacket, encode_packet
+from fivegsim.user_plane import parse_rule_program
+from fivegsim.wirefmt import Protocol, SimPacket, WireFormatError, encode_packet
 
 BOOTED = 500
 HORIZON = 700
@@ -544,3 +546,33 @@ def test_peer_text_in_a_ue_id_never_breaks_the_log(injections):
     tb.run_until(HORIZON)
     assert_contained(tb)
     assert_log_round_trips(tb)
+
+
+# -- every reader of peer text -------------------------------------------------------
+
+# pieces of the texts peers send (rule programs, session paths, TEIDs, modes,
+# addresses), so that generated text gets past the first split
+_GRAMMAR_PIECES = st.sampled_from([
+    "TEID", "UEIP", "|", ";", ",", ":", "/", "route", "encap", "gNB", "UPF1", "0", "1", "7",
+    "0012", "4294967295", "4294967296", "\u0663", "10.45.0.2", "256.0.0.1", "NONE", "PSA_ANCHOR",
+])
+_ANY_TEXT = st.text(st.characters(codec="utf-8"))  # any text without surrogates
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.one_of(_ANY_TEXT, st.lists(st.one_of(_GRAMMAR_PIECES, _ANY_TEXT), max_size=12).map("".join)))
+def test_every_reader_of_peer_text_returns_or_raises_a_wire_format_error(text):
+    m = parse(build(MsgKind.NAS_SESSION_ACCEPT, ue_id="imsi-1", ue_ip=text, mode=text, paths=text))
+    readers = (
+        lambda: canonical_int(text, "X"),
+        lambda: read_teid(text, "TEID"),
+        lambda: decode_paths(text),
+        lambda: parse_rule_program(text, "imsi-1"),
+        lambda: read_mode(m),
+        lambda: read_session(m),
+    )
+    for read in readers:
+        try:
+            read()
+        except WireFormatError:
+            pass

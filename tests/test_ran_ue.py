@@ -15,7 +15,7 @@ from fivegsim.config import (
     parse_topology,
     with_second_gnb,
 )
-from fivegsim.errors import ConfigError, FlowError, SetupError
+from fivegsim.errors import ConfigError, FlowError
 from fivegsim.messages import MsgKind, build
 from fivegsim.core_cp import PduSession, SessionPath
 from fivegsim.runner import T_ATTACH, Testbed, run_scenario
@@ -264,7 +264,7 @@ def test_unlinked_gnb_is_rejected_for_sending():
     tb = Testbed(default_topology(), seed=0)
     ue = tb.ues[0]
     ue.gnbs = ()
-    with pytest.raises(SetupError, match="not attached"):
+    with pytest.raises(FlowError, match="not attached"):
         ue.primary_gnb
     ue._rls_send("UPF1", MsgKind.NAS_REGISTER_REQ, ue_id=ue.imsi)
     [row] = tb.records

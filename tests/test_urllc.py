@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fivegsim.config import ScenarioSpec, default_topology
-from fivegsim.errors import FlowError, SetupError
+from fivegsim.errors import FlowError
 from fivegsim.runner import Testbed, run_reliability_measurement, run_scenario
 from fivegsim.urllc import (
     DEDUP_WINDOW,
@@ -136,7 +136,7 @@ def test_plan_paths_refuses_a_leg_named_twice(mode, gnbs, upfs, message):
     if upfs is not None:
         smf.candidates["UPF"] = upfs
     teid = smf._teid
-    with pytest.raises(SetupError, match=message):
+    with pytest.raises(FlowError, match=message):
         smf.plan_paths(mode, gnbs)
     assert smf._teid == teid  # a refused layout allocates no tunnel endpoint
 

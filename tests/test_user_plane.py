@@ -15,7 +15,7 @@ from fivegsim.user_plane import (
     segment_count,
 )
 from fivegsim.urllc import Redundancy
-from fivegsim.wirefmt import Protocol, SimPacket, encode_packet, gtpu_encapsulate
+from fivegsim.wirefmt import Protocol, SimPacket, WireFormatError, encode_packet, gtpu_encapsulate
 
 SETTLE = 1000
 
@@ -62,7 +62,7 @@ def test_parse_rule_program_empty_text():
     ],
 )
 def test_parse_rule_program_rejects(text):
-    with pytest.raises(FlowError):
+    with pytest.raises(WireFormatError):
         parse_rule_program(text, "u")
 
 
