@@ -100,6 +100,10 @@ PROTOCOL = {
     kind: Protocol.__members__.get(kind.name.partition("_")[0], Protocol.SBI) for kind in MsgKind
 }
 
+# kind -> its name, for log rows: on Python 3.11 `MsgKind.name` is a
+# Python-level property, and rows name a kind per packet
+KIND_NAME = {kind: kind.name for kind in MsgKind}
+
 _KIND_BY_CODE = {int(k): k for k in MsgKind}
 _HEAD = struct.Struct(">HH")  # an element's tag and length
 _KIND_PREFIX = {k: struct.pack(">H", k) for k in MsgKind}

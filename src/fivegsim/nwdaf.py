@@ -28,6 +28,9 @@ from .wirefmt import Protocol
 SEMANTICS = ("src_only", "src_or_dst")
 
 _PROTOCOLS = {p.name: p for p in Protocol}  # exported name -> member
+# member -> exported name; on Python 3.11 `Protocol.name` is a Python-level
+# property, and the export names one per row
+_PROTOCOL_NAME = {p: name for name, p in _PROTOCOLS.items()}
 
 _ONE_SPELLING = _CANONICAL_INT.fullmatch  # of an id, a timestamp or a size
 
@@ -111,12 +114,12 @@ def _attrs_text(attrs: dict[str, str]) -> str:
 
 def _write_rows(out, events) -> None:
     """Write the header, then one line per row, to the text stream `out`."""
-    write = out.write
+    write, protocol_name = out.write, _PROTOCOL_NAME
     write(_HEADER)
     for ev in events:
         write(
             f"{ev.event_id}\t{ev.ts}\t{ev.link_id}\t{ev.src}\t{ev.dst}"
-            f"\t{ev.protocol.name}\t{ev.size}\t{ev.outcome}\t{_attrs_text(ev.attrs)}\n"
+            f"\t{protocol_name[ev.protocol]}\t{ev.size}\t{ev.outcome}\t{_attrs_text(ev.attrs)}\n"
         )
 
 

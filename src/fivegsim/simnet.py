@@ -4,8 +4,15 @@ A Network owns a virtual millisecond clock, a set of point-to-point links,
 the entities attached to them, and the run's event log: every send and every
 entity-local decision appends one TapRecord to ``Network.events``, which the
 analytics function, the invariants and the exporter all read. Everything is
-single-threaded: one event queue, ties broken FIFO, so a (topology, scenario,
-seed) triple fully determines every delivery.
+single-threaded, so a (topology, scenario, seed) triple fully determines
+every delivery.
+
+Virtual time counts whole milliseconds, so the clock is a calendar queue with
+one bucket per millisecond: a dict from each pending time to the FIFO list
+of its callbacks, plus a heap of the distinct pending times. Callbacks of one
+millisecond run in the order they were scheduled, and one scheduled at the
+current time from inside a callback runs after every callback already due
+then. A time that is not an int is refused.
 
 A link is two Hops, one per direction, built once by `add_link`, which
 returns the a -> b hop. Each holds the link's latency, loss probability and
@@ -24,8 +31,11 @@ the network's int -> text table, a local row reuses its entity's
 separator.
 
 Loss is drawn from counter-based substreams keyed by (seed, link id, stream,
-draw index). Streams separate tunnels sharing a physical link, so adding a
-link or a tunnel never perturbs the draws of another.
+draw index): draw n of a stream is the first 8 bytes of
+SHA-256("<seed>|<link id>|<stream>|<n>") over 2**64. Each stream hashes its
+prefix "<seed>|<link id>|<stream>|" once; a draw copies that state and feeds
+in only the counter. Streams separate tunnels sharing a physical link, so
+adding a link or a tunnel never perturbs the draws of another.
 """
 from __future__ import annotations
 
@@ -102,29 +112,54 @@ class TapRecord:
 
 
 class SimClock:
-    """Virtual clock plus time-ordered queue with stable FIFO tie-breaking."""
+    """Virtual millisecond clock over a calendar queue: one FIFO bucket of
+    callbacks per pending time, and a heap of those times."""
 
     def __init__(self) -> None:
         self.now: int = 0
-        self._heap: list[tuple[int, int, Callable[[], None]]] = []
-        self._seq = 0
+        self._buckets: dict[int, list[Callable[[], None]]] = {}
+        self._times: list[int] = []  # heap of the keys of _buckets
 
     def schedule(self, at: int, fn: Callable[[], None]) -> None:
+        if type(at) is not int:
+            raise SimNetError(f"cannot schedule at {at!r}: virtual time is a whole number of ms")
         if at < self.now:
             raise SimNetError(f"cannot schedule at {at}, clock is already at {self.now}")
-        self._seq += 1
-        heapq.heappush(self._heap, (at, self._seq, fn))
+        bucket = self._buckets.get(at)
+        if bucket is None:
+            self._buckets[at] = [fn]
+            heapq.heappush(self._times, at)
+        else:
+            bucket.append(fn)
 
     def run_until(self, t_end: int) -> int:
-        """Process every queued event with time <= t_end; clock lands on t_end."""
+        """Process every queued event with time <= t_end; clock lands on t_end.
+
+        A bucket leaves the queue before its callbacks run, so one scheduled
+        for the current time from inside a callback opens a new bucket, run
+        right after this one. A callback that raises is consumed; the rest
+        of its bucket stays queued ahead of anything scheduled since."""
         if t_end < self.now:
             raise SimNetError(f"run_until({t_end}) would move the clock backwards from {self.now}")
+        times, buckets = self._times, self._buckets
         processed = 0
-        while self._heap and self._heap[0][0] <= t_end:
-            at, _, fn = heapq.heappop(self._heap)
+        while times and times[0] <= t_end:
+            at = heapq.heappop(times)
+            bucket = buckets.pop(at)
             self.now = at
-            fn()
-            processed += 1
+            start = processed
+            try:
+                for fn in bucket:
+                    processed += 1
+                    fn()
+            except BaseException:
+                rest = bucket[processed - start:]
+                if rest:
+                    later = buckets.get(at)
+                    if later is None:
+                        heapq.heappush(times, at)
+                    buckets[at] = rest + later if later else rest
+                raise
         self.now = t_end
         return processed
 
@@ -152,11 +187,6 @@ class _IntText(dict):
         return text
 
 
-def _derive_u01(seed: int, link_id: str, stream: int, counter: int) -> float:
-    digest = hashlib.sha256(f"{seed}|{link_id}|{stream}|{counter}".encode()).digest()
-    return int.from_bytes(digest[:8], "big") / 2.0**64
-
-
 class Network:
     """The fabric: clock, links, entities, event log, seeded loss."""
 
@@ -167,7 +197,8 @@ class Network:
         self.entities: dict[str, Entity] = {}
         self.by_ip: dict[str, Entity] = {}
         self.events: list[TapRecord] = []
-        self._loss_counters: dict[tuple[str, int], int] = {}
+        self._loss_counters: dict[tuple[str, int], int] = {}  # draws per (link id, stream)
+        self._loss_prefixes: dict[tuple[str, int], hashlib._Hash] = {}  # hashed stream prefixes
         self.link_stats: dict[str, list[int]] = {}  # link_id -> [delivered, dropped]
         self.int_text: dict[int, str] = _IntText()   # ports, TEIDs, seqs of the rows
         self._local_ids: dict[str, str] = {}          # entity -> "local:<entity>"
@@ -231,18 +262,6 @@ class Network:
         except KeyError:
             raise SimNetError(f"no link between {sender} and {peer}") from None
 
-    # event log ------------------------------------------------------------
-
-    def _log(
-        self, link_id: str, src: str, dst: str, protocol: Protocol, size: int, outcome: str,
-        attrs: dict[str, str],
-    ) -> None:
-        """Append one row; `attrs` is the row's own dict, already scrubbed."""
-        events = self.events
-        events.append(
-            TapRecord(len(events) + 1, self.clock.now, link_id, src, dst, protocol, size, outcome, attrs)
-        )
-
     # traffic ------------------------------------------------------------
 
     def send(
@@ -258,7 +277,14 @@ class Network:
             key = (hop.link_id, stream)
             n = self._loss_counters.get(key, 0) + 1
             self._loss_counters[key] = n
-            delivered = _derive_u01(self.seed, hop.link_id, stream, n) >= hop.loss_prob
+            prefix = self._loss_prefixes.get(key)
+            if prefix is None:
+                prefix = self._loss_prefixes[key] = hashlib.sha256(
+                    f"{self.seed}|{hop.link_id}|{stream}|".encode()
+                )
+            draw = prefix.copy()
+            draw.update(b"%d" % n)  # not int_text: counters grow without bound
+            delivered = int.from_bytes(draw.digest()[:8], "big") / 2.0**64 >= hop.loss_prob
 
         int_text = self.int_text
         record_attrs = {
@@ -268,17 +294,21 @@ class Network:
             "dst_port": int_text[pkt.dst_port],
         }
         if attrs:
-            for key, value in attrs.items():
-                record_attrs[key] = scrub(value)
+            for key, value in attrs.items():  # scrub(value), inlined: it runs per attr per packet
+                record_attrs[key] = (
+                    value if value.isprintable() and "," not in value else value.translate(_SCRUB)
+                )
         sender = hop.sender
-        self._log(
-            hop.link_id, sender, hop.receiver, pkt.protocol, pkt.wire_size,
-            DELIVERED if delivered else DROPPED, record_attrs,
-        )
+        events = self.events
+        clock = self.clock
+        events.append(TapRecord(
+            len(events) + 1, clock.now, hop.link_id, sender, hop.receiver, pkt.protocol,
+            pkt.wire_size, DELIVERED if delivered else DROPPED, record_attrs,
+        ))
         hop.stats[0 if delivered else 1] += 1
         if delivered:
             target = hop.target
-            self.clock.schedule(self.clock.now + hop.latency_ms, lambda: target.handle_packet(pkt, sender))
+            clock.schedule(clock.now + hop.latency_ms, lambda: target.handle_packet(pkt, sender))
         return delivered
 
     def tap_local(
@@ -300,7 +330,10 @@ class Network:
         link_id = self._local_ids.get(entity)
         if link_id is None:
             link_id = self._local_ids[entity] = f"local:{entity}"
-        self._log(link_id, src, entity, protocol, size, outcome, scrubbed)
+        events = self.events
+        events.append(TapRecord(
+            len(events) + 1, self.clock.now, link_id, src, entity, protocol, size, outcome, scrubbed,
+        ))
 
     # time ---------------------------------------------------------------
 

@@ -15,11 +15,14 @@ from dataclasses import dataclass
 
 from .core_cp import ERROR, OK, NfEntity
 from .errors import FlowError
-from .messages import MsgKind, Tag, build, parse, read_teid
+from .messages import KIND_NAME, MsgKind, Tag, build, parse, read_teid
 from .urllc import SEQ_MODULUS, DedupWindow
 from .wirefmt import Protocol, SimPacket, WireFormatError, decode_packet, encode_packet
 
 log = logging.getLogger(__name__)
+
+# bound once for the per-packet handlers: on Python 3.10/3.11 EnumType.__getattr__ makes `MsgKind.X` ~0.17 us
+_APP_DATA, _SEQ, _INDEX, _APP = MsgKind.APP_DATA, Tag.SEQ, Tag.INDEX, Protocol.APP
 
 
 @dataclass(frozen=True)
@@ -174,7 +177,7 @@ class Upf(NfEntity):
 
     def on_tunnelled(self, rule: TeidRule, inner_raw, seq, pkt, sender) -> None:
         inner = decode_packet(inner_raw)
-        inner_kind = parse(inner.payload).kind.name if inner.protocol == Protocol.APP else ""
+        inner_kind = KIND_NAME[parse(inner.payload).kind] if inner.protocol is _APP else ""
         self._run_actions(rule.actions, inner_raw, inner, seq, inner_kind)
 
     def on_app(self, m, pkt: SimPacket, sender: str) -> None:
@@ -187,7 +190,7 @@ class Upf(NfEntity):
         if rule.assign_seq:
             seq = rule.next_seq
             rule.next_seq = (rule.next_seq + 1) % SEQ_MODULUS
-        self._run_actions(rule.actions, encode_packet(pkt), pkt, seq, m.kind.name)
+        self._run_actions(rule.actions, encode_packet(pkt), pkt, seq, KIND_NAME[m.kind])
 
 
 def document_content(doc: str, size: int) -> bytes:
@@ -250,31 +253,32 @@ class AppServer(NfEntity):
                 sport=port,
                 dport=dport,
                 dst_ip=ue_ip,
-                attrs={"msg_kind": kind.name, "ue_ip": ue_ip},
+                attrs={"msg_kind": KIND_NAME[kind], "ue_ip": ue_ip},
             )
 
     def on_app(self, m, pkt: SimPacket, sender: str) -> None:
         ue_ip = pkt.src_ip
         self._learn_route(ue_ip, sender)
-        seq = m.num(Tag.SEQ)
+        seq = m.num(_SEQ)
         if seq is not None:
             # endpoint-level redundancy: eliminate replicas before counting
             window = self._dedup.setdefault(ue_ip, DedupWindow())
             if not self.first_copy(window, seq, pkt, sender, ue_ip=ue_ip):
                 return
-        if m.kind == MsgKind.APP_GET:
+        kind = m.kind
+        if kind is _APP_DATA:
+            self.data_received[ue_ip] = self.data_received.get(ue_ip, 0) + 1
+            index = m.num(_INDEX)
+            if index is not None:
+                self.data_indices.setdefault(ue_ip, set()).add(index)
+        elif kind == MsgKind.APP_GET:
             # Serve after draining same-tick arrivals so a replicated request
             # teaches us every return route before the response fans out.
             doc = m.require(Tag.DOC)
             sport = pkt.src_port
             self.net.schedule_in(0, lambda: self._serve(ue_ip, sport, doc))
-        elif m.kind == MsgKind.APP_COMPLETE:
+        elif kind == MsgKind.APP_COMPLETE:
             pass  # the UE's receipt; its log row is the record
-        elif m.kind == MsgKind.APP_DATA:
-            self.data_received[ue_ip] = self.data_received.get(ue_ip, 0) + 1
-            index = m.num(Tag.INDEX)
-            if index is not None:
-                self.data_indices.setdefault(ue_ip, set()).add(index)
         else:
             log.debug("%s: ignoring APP %s", self.name, m.kind.name)
 

@@ -19,7 +19,7 @@ from fivegsim.errors import ConfigError, FlowError
 from fivegsim.messages import MsgKind, build
 from fivegsim.core_cp import PduSession, SessionPath
 from fivegsim.runner import T_ATTACH, Testbed, run_scenario
-from fivegsim.simnet import DELIVERED, DROPPED, ELIMINATED_DUPLICATE
+from fivegsim.simnet import DELIVERED, DROPPED, ELIMINATED_DUPLICATE, SimNetError
 from fivegsim.urllc import Redundancy
 from fivegsim.wirefmt import Protocol, SimPacket, encode_packet
 
@@ -102,6 +102,18 @@ def test_app_send_requires_active_session():
     assert (transfer.ok, transfer.error, transfer.completed_ms) == (False, "no active session", 0)
     assert ue.transfers == [transfer]
     assert not tb.records
+
+
+def test_a_fractional_burst_interval_is_refused_before_any_row():
+    # a row at ts 1000.5 would export a log that import_events_text refuses
+    tb, ue = attached_testbed()
+    assert ue.state == "SESSION_ACTIVE"
+    rows = len(tb.records)
+    with pytest.raises(SimNetError, match="cannot schedule at 1000.0"):
+        ue.send_data_burst(3, interval_ms=0.5)
+    tb.run_until(SETTLE + 100)
+    assert not [r for r in tb.records[rows:] if r.attrs.get("app_kind") == "APP_DATA"]
+    assert all(type(r.ts) is int for r in tb.records)
 
 
 def test_many_requests_names_its_population_limit(monkeypatch):

@@ -1,5 +1,9 @@
 """Fabric tests: clock discipline, delivery, seeded loss, and the built-in
 invariants over the fabric's log."""
+import hashlib
+import heapq
+import math
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -19,6 +23,7 @@ from fivegsim.simnet import (
 from fivegsim import runner
 from fivegsim.config import default_topology
 from fivegsim.runner import Testbed
+from fivegsim.urllc import Redundancy
 from fivegsim.wirefmt import Protocol, SimPacket
 
 
@@ -89,6 +94,106 @@ def test_events_scheduled_during_run_still_fire():
     clock.schedule(1, lambda: clock.schedule(2, lambda: seen.append("chained")))
     clock.run_until(5)
     assert seen == ["chained"]
+
+
+@pytest.mark.parametrize("at", [1.5, 2.0, "3", None, True])
+def test_clock_refuses_a_time_that_is_not_an_int(at):
+    clock = SimClock()
+    with pytest.raises(SimNetError, match=f"cannot schedule at {at!r}"):
+        clock.schedule(at, lambda: None)
+    assert clock.run_until(10) == 0
+
+
+class HeapClock:
+    """The reference clock: one heap of (at, seq, fn), ties broken by seq."""
+
+    def __init__(self):
+        self.now = 0
+        self._heap = []
+        self._seq = 0
+
+    def schedule(self, at, fn):
+        assert at >= self.now
+        self._seq += 1
+        heapq.heappush(self._heap, (at, self._seq, fn))
+
+    def run_until(self, t_end):
+        processed = 0
+        while self._heap and self._heap[0][0] <= t_end:
+            at, _, fn = heapq.heappop(self._heap)
+            self.now = at
+            fn()
+            processed += 1
+        self.now = t_end
+        return processed
+
+
+class Boom(Exception):
+    pass
+
+
+def play(clock, ops, children, raiser):
+    """Run a clock program; returns what an observer of the clock sees.
+
+    `ops` are ("schedule", delay) and ("run", advance) steps. Callback k, in
+    the order callbacks are scheduled, schedules one child per delay in
+    children[k % len(children)] while fewer than 80 exist, and callback
+    `raiser` raises."""
+    seen, made = [], [0]
+
+    def make():
+        k = made[0]
+        made[0] += 1
+
+        def fn():
+            seen.append((k, clock.now))
+            for delay in children[k % len(children)]:
+                if made[0] < 80:
+                    clock.schedule(clock.now + delay, make())
+            if k == raiser:
+                raise Boom
+
+        return fn
+
+    for op, n in ops:
+        if op == "schedule":
+            clock.schedule(clock.now + n, make())
+        else:
+            try:
+                seen.append(("processed", clock.run_until(clock.now + n)))
+            except Boom:
+                seen.append("raised")
+        seen.append(("now", clock.now))
+    return seen
+
+
+@given(
+    ops=st.lists(st.tuples(st.sampled_from(["schedule", "run"]), st.integers(0, 6)), max_size=40),
+    children=st.lists(st.lists(st.integers(0, 4), max_size=3), min_size=1, max_size=8),
+    raiser=st.integers(0, 90),
+)
+def test_clock_dispatches_as_the_heap_model(ops, children, raiser):
+    """Dispatch order, each processed count and the time after every step
+    equal the (at, seq) heap's, with callbacks scheduling at now or later and
+    one callback raising."""
+    assert play(SimClock(), ops, children, raiser) == play(HeapClock(), ops, children, raiser)
+
+
+def test_a_raising_callback_is_consumed_and_its_bucket_keeps_its_order():
+    clock, seen = SimClock(), []
+
+    def boom():
+        clock.schedule(clock.now, lambda: seen.append("same ms, scheduled later"))
+        raise Boom
+
+    clock.schedule(4, lambda: seen.append("first"))
+    clock.schedule(4, boom)
+    clock.schedule(4, lambda: seen.append("after the raise"))
+    with pytest.raises(Boom):
+        clock.run_until(9)
+    assert (seen, clock.now) == (["first"], 4)
+    assert clock.run_until(9) == 2
+    assert seen == ["first", "after the raise", "same ms, scheduled later"]
 
 
 # -- topology guards -------------------------------------------------------------
@@ -293,6 +398,54 @@ def test_loss_streams_are_independent():
         return out
 
     assert stream2_pattern(False) == stream2_pattern(True)
+
+
+def reference_u01(seed, link_id, stream, counter):
+    digest = hashlib.sha256(f"{seed}|{link_id}|{stream}|{counter}".encode()).digest()
+    return int.from_bytes(digest[:8], "big") / 2**64
+
+
+_NAMES = st.text(st.sampled_from("ABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789-_"), min_size=1, max_size=8)
+
+
+@given(
+    seed=st.integers(0, 2**64),
+    names=st.lists(_NAMES, min_size=2, max_size=2, unique=True),
+    stream=st.integers(0, 2**32 - 1),
+    start=st.integers(0, 10**9),
+    above=st.lists(st.booleans(), min_size=1, max_size=6),
+)
+def test_each_loss_draw_equals_the_one_shot_hash(seed, names, stream, start, above):
+    """Draw n of a stream is the reference hash of (seed, link id, stream,
+    n): a loss probability of exactly that value delivers, the next float
+    above it drops."""
+    net = Network(seed=seed)
+    a, b = (net.add_entity(Sink(name, f"10.0.0.{i}", net)) for i, name in enumerate(names, 1))
+    hop = net.add_link(a.name, b.name, 1, loss_prob=0.5)
+    net._loss_counters[(hop.link_id, stream)] = start
+    for n, drop in enumerate(above, start + 1):
+        u = reference_u01(seed, hop.link_id, stream, n)
+        hop.loss_prob = math.nextafter(u, 1.0) if drop else u
+        assert net.send(hop, pkt_ab(), stream) is not drop
+    assert net._loss_counters[(hop.link_id, stream)] == start + len(above)
+
+
+def test_loss_draws_count_every_row_on_a_lossy_link(monkeypatch):
+    built = []
+
+    class Recorded(Testbed):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            built.append(self)
+
+    monkeypatch.setattr(runner, "Testbed", Recorded)
+    runner.run_reliability_measurement(Redundancy.PSA_ANCHOR, 0.1, 300, seed=3)
+    [tb] = built
+    net = tb.net
+    lossy = {hop.link_id for hop in net.hops.values() if hop.lossy}
+    rows = sum(1 for r in net.events if r.link_id in lossy)
+    assert lossy and rows > 300
+    assert sum(net._loss_counters.values()) == rows
 
 
 def test_dropped_packets_never_arrive():
