@@ -50,7 +50,7 @@ import bisect
 import ipaddress
 import logging
 from collections import defaultdict
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Callable
 
 from .config import PEER_KINDS, Params
@@ -126,6 +126,8 @@ class CoreEnv:
     nrf_name: str
     server_name: str
     server_ip: str
+    # (digest, size) -> a body a UE hashed to that digest, or None while one collects it (ran_ue.Transfer)
+    verified_bodies: dict = field(default_factory=dict, compare=False, repr=False)
 
 
 def encode_paths(paths: tuple[SessionPath, ...]) -> str:

@@ -8,6 +8,9 @@ it strips tunnels, eliminates duplicates and hands the inner packet to the
 UE. The UE and each gNB on a session's legs keep the core_cp.PduSession the
 SMF set up (read_session) and act on its legs, never its mode: a UE whose
 legs run through several gNBs sends uplink to each with an app-level seq.
+A UE checks each document it fetches against the SHA-256 digest the server
+states. The testbed keeps the bodies its UEs verified, so a body met again
+is compared byte for byte instead of hashed once more (Transfer).
 """
 from __future__ import annotations
 
@@ -166,11 +169,19 @@ SESSION_ACTIVE = "SESSION_ACTIVE"
 class Transfer:
     """One document fetch as seen from the UE.
 
-    The body is hashed as it arrives and never kept whole. Segments in index
-    order go straight into `hasher`; `segments` holds only the bodies that
-    arrived ahead of a gap, and they drain into the hash once the gap closes.
     `received` counts the distinct indices seen and `size` the bytes they
-    carried.
+    carried. Segments are taken in index order as they arrive; `segments`
+    holds only those ahead of a gap until it closes. The first ACK's
+    (digest, size), `key`, picks how bodies are taken, from the testbed's
+    store of verified bodies (`verified`, CoreEnv.verified_bodies):
+    - the store holds body B and nothing was taken yet: compare each body in
+      place with B. A mismatch seeds `hasher` with the matched prefix of B and
+      hashing goes on. If all of B matched, the digest is the key's: a UE
+      hashed B to it. The verdict is thus exactly that of hashing;
+    - no entry: claim the key and keep the bodies (`kept`) while hashing. A
+      pass with the key's own digest and size stores the joined body, and
+      anything else releases the claim: one body per verified key is kept;
+    - claimed by another transfer, or a segment was taken: hash every body.
     """
 
     doc: str
@@ -183,13 +194,28 @@ class Transfer:
     next_index: int = 0
     received: int = 0
     size: int = 0
-    hasher: hashlib._Hash = field(default_factory=hashlib.sha256, repr=False)
+    # looked up per transfer, so a stand-in for this module's hashlib counts it
+    hasher: hashlib._Hash = field(default_factory=lambda: hashlib.sha256(), repr=False)
     ok: bool | None = None
     error: str | None = None
+    verified: dict[tuple[str, int], bytes | None] = field(default_factory=dict, repr=False)
+    key: tuple[str, int] | None = None  # the first ACK's (digest, size)
+    known: bytes | None = field(default=None, repr=False)  # the stored body the bytes taken equal
+    matched: int = 0  # bytes taken while they equal `known`
+    kept: list[bytes] | None = field(default=None, repr=False)
 
     @property
     def done(self) -> bool:
         return self.ok is not None
+
+    def take_ack(self, size: int | None, segments: int | None, digest: str | None) -> None:
+        """Take an ACK's figures; the first one picks how bodies are taken."""
+        self.expected_size, self.expected_segments, self.digest = size, segments, digest
+        if self.key is None:
+            self.key = key = (digest, size)
+            if not self.next_index:
+                self.kept = None if key in self.verified else []
+                self.known = self.verified.setdefault(key, None)
 
     def add_segment(self, index: int, body: bytes) -> None:
         """Take one segment; a repeated index keeps its first body."""
@@ -199,15 +225,43 @@ class Transfer:
         self.size += len(body)
         self.segments[index] = body
         while self.next_index in self.segments:
-            self.hasher.update(self.segments.pop(self.next_index))
+            self._take(self.segments.pop(self.next_index))
             self.next_index += 1
 
+    def _take(self, body: bytes) -> None:
+        known = self.known
+        if known is not None:
+            if known.startswith(body, self.matched):
+                self.matched += len(body)
+                return
+            self.hasher.update(known[:self.matched])
+            self.known = None
+        if self.kept is not None:
+            self.kept.append(body)
+        self.hasher.update(body)
+
     def body_digest(self) -> str:
-        """SHA-256 of every body received, in index order; drains the held ones."""
+        """SHA-256 of every body received, in index order; takes the held ones."""
         for index in sorted(self.segments):
-            self.hasher.update(self.segments[index])
+            self._take(self.segments[index])
         self.segments.clear()
+        known = self.known
+        if known is not None:
+            if self.matched == len(known):
+                return self.key[0]
+            self.hasher.update(known[:self.matched])
+            self.known = None
         return self.hasher.hexdigest()
+
+    def finish(self, ok: bool, error: str | None, now: int) -> None:
+        """Set the verdict; a collecting transfer stores its body or releases its claim."""
+        self.ok, self.error, self.completed_ms = ok, error, now
+        if self.kept is not None:
+            if ok and self.key == (self.digest, self.size):
+                self.verified[self.key] = b"".join(self.kept)
+            else:
+                del self.verified[self.key]
+            self.kept = None
 
 
 class Ue(NfEntity):
@@ -318,14 +372,13 @@ class Ue(NfEntity):
     def request_document(self, doc: str) -> Transfer:
         """Fetch `doc`; without an active session the transfer fails at once,
         naming the refusal when there was one, and nothing is sent."""
-        transfer = Transfer(doc=doc, started_ms=self.net.now)
+        transfer = Transfer(doc=doc, started_ms=self.net.now, verified=self.env.verified_bodies)
         self.transfers.append(transfer)
         if self.state == SESSION_ACTIVE:
             self._app_send(MsgKind.APP_GET, doc=doc)
         else:
             reason = f" ({self.reject_reason})" if self.reject_reason else ""
-            transfer.ok, transfer.error = False, "no active session" + reason
-            transfer.completed_ms = self.net.now
+            transfer.finish(False, "no active session" + reason, self.net.now)
         return transfer
 
     def send_data_burst(self, count: int, interval_ms: int = 1) -> None:
@@ -349,9 +402,7 @@ class Ue(NfEntity):
             transfer = self._transfer_for(m.require(Tag.DOC))
             if transfer is None:
                 return
-            transfer.expected_size = m.num(Tag.SIZE)
-            transfer.expected_segments = m.num(Tag.SEGMENTS)
-            transfer.digest = m.text(Tag.DIGEST)
+            transfer.take_ack(m.num(Tag.SIZE), m.num(Tag.SEGMENTS), m.text(Tag.DIGEST))
             self._try_finish(transfer)
         elif m.kind == MsgKind.APP_SEGMENT:
             transfer = self._transfer_for(m.require(Tag.DOC))
@@ -364,9 +415,7 @@ class Ue(NfEntity):
         elif m.kind == MsgKind.APP_ERROR:
             transfer = self._transfer_for(m.text(Tag.DOC, ""))
             if transfer is not None:
-                transfer.ok = False
-                transfer.error = m.text(Tag.REASON, "error")
-                transfer.completed_ms = self.net.now
+                transfer.finish(False, m.text(Tag.REASON, "error"), self.net.now)
         else:
             log.debug("%s: unhandled APP %s", self.name, m.kind.name)
 
@@ -383,9 +432,7 @@ class Ue(NfEntity):
             return
         digest = transfer.body_digest()
         good = transfer.size == (transfer.expected_size or 0) and digest == transfer.digest
-        transfer.ok = good
-        transfer.error = None if good else "integrity check failed"
-        transfer.completed_ms = self.net.now
+        transfer.finish(good, None if good else "integrity check failed", self.net.now)
         self._app_send(
             MsgKind.APP_COMPLETE,
             doc=transfer.doc,

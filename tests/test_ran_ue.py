@@ -2,11 +2,13 @@
 import functools
 import hashlib
 import tracemalloc
+import types
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fivegsim import ran_ue
 from fivegsim.config import (
     ScenarioSpec,
     default_topology,
@@ -240,6 +242,61 @@ def test_many_requests_memory_stays_bounded():
     assert peak < 16_000_000
 
 
+DOC_SIZE = 487659  # the built-in topology's document
+
+
+@pytest.fixture
+def hashed(monkeypatch):
+    """The byte counts fed to every SHA-256 object ran_ue makes, at its
+    constructor and at each update."""
+    fed = []
+
+    class Counted:
+        def __init__(self, data=b""):
+            fed.append(len(data))
+            self._hash = hashlib.sha256(data)
+
+        def update(self, data):
+            fed.append(len(data))
+            self._hash.update(data)
+
+        def hexdigest(self):
+            return self._hash.hexdigest()
+
+    monkeypatch.setattr(ran_ue, "hashlib", types.SimpleNamespace(sha256=Counted))
+    return fed
+
+
+def test_a_testbed_hashes_each_document_body_once(hashed):
+    result, (started, ok) = many_requests(20)
+    assert (started, ok) == (20, 20)
+    assert sum(hashed) == DOC_SIZE
+    [(key, body)] = result.testbed.env.verified_bodies.items()
+    assert key == (hashlib.sha256(body).hexdigest(), DOC_SIZE)
+
+
+def test_a_failed_collector_releases_its_claim_to_the_next_ue(monkeypatch, hashed):
+    # the first UE's first segment arrives with a byte flipped
+    seen = {}
+    add_segment = ran_ue.Transfer.add_segment
+
+    def tampered(transfer, index, body):
+        seen.setdefault(id(transfer), transfer)
+        if transfer is next(iter(seen.values())) and index == 0:
+            body = bytes([body[0] ^ 0x01]) + body[1:]
+        add_segment(transfer, index, body)
+        assert sum(t.kept is not None for t in seen.values()) <= 1
+
+    monkeypatch.setattr(ran_ue.Transfer, "add_segment", tampered)
+    result, (started, ok) = many_requests(20)
+    transfers = list(seen.values())
+    assert [t.ok for t in transfers] == [False] + [True] * 19
+    assert transfers[0].error == "integrity check failed"
+    assert sum(hashed) == 2 * DOC_SIZE
+    [(key, body)] = result.testbed.env.verified_bodies.items()
+    assert key == (hashlib.sha256(body).hexdigest(), DOC_SIZE)
+
+
 def test_register_is_idempotent_while_pending():
     tb = Testbed(default_topology(), seed=0)
     tb.boot()
@@ -373,10 +430,15 @@ def recording_ue():
     return ue
 
 
-def fresh_fetch():
+def fresh_fetch(stored=None):
+    """A new fetch; the testbed's store holds only `stored`, if given, as
+    verified under its SHA-256 and size."""
     ue = recording_ue()
     ue.transfers.clear()
     ue.app_sent.clear()
+    ue.env.verified_bodies.clear()
+    if stored is not None:
+        ue.env.verified_bodies[(sha256(stored), len(stored))] = stored
     return ue, ue.request_document("document")
 
 
@@ -413,8 +475,9 @@ def joined_outcome(deliveries):
 
 @st.composite
 def segment_deliveries(draw):
-    """An ACK and the segments of a random body, shuffled, with strays and
-    repeats mixed in, some left out and at most one byte flipped."""
+    """A random body and its deliveries: an ACK and the body's segments,
+    shuffled, with strays and repeats mixed in, some left out, at most one
+    byte flipped and perhaps a second ACK with another digest."""
     bodies = draw(st.lists(st.binary(min_size=1, max_size=4), max_size=5))
     content = b"".join(bodies)
     sent = list(enumerate(bodies))
@@ -429,27 +492,37 @@ def segment_deliveries(draw):
         index, body = sent[flip]
         sent[flip] = (index, bytes([body[0] ^ 0x01]) + body[1:])
     deliveries = [("segment", index, body) for index, body in sent]
-    deliveries.insert(
-        draw(st.integers(0, len(deliveries))), ("ack", len(content), len(bodies), sha256(content))
-    )
-    return deliveries
+    acks = [sha256(content)] + draw(st.lists(st.just(sha256(content + b"?")), max_size=1))
+    for digest in acks:
+        deliveries.insert(
+            draw(st.integers(0, len(deliveries))), ("ack", len(content), len(bodies), digest)
+        )
+    return content, deliveries
 
 
 @settings(max_examples=300, deadline=None)
 @given(segment_deliveries())
-def test_streaming_reassembly_matches_the_joined_body(deliveries):
-    ue, transfer = fresh_fetch()
-    for kind, *fields in deliveries:
-        fake_downlink(ue, ack(*fields) if kind == "ack" else segment(*fields))
+def test_streaming_reassembly_matches_the_joined_body(drawn):
+    # once hashing every body, once with the true body already verified in the store
+    content, deliveries = drawn
     ok, received, size, body = joined_outcome(deliveries)
-    assert (transfer.ok, transfer.received, transfer.size) == (ok, received, size)
-    assert transfer.error == ("integrity check failed" if ok is False else None)
-    completes = [fields for kind, fields in ue.app_sent if kind == MsgKind.APP_COMPLETE]
-    assert [c["size"] for c in completes] == ([] if body is None else [len(body)])
-    if body is not None:
-        # the bytes hashed are the joined body's, whether the transfer passed or not
-        assert transfer.hasher.hexdigest() == sha256(body)
-        assert transfer.segments == {}
+    for stored in (None, content):
+        ue, transfer = fresh_fetch(stored)
+        for kind, *fields in deliveries:
+            fake_downlink(ue, ack(*fields) if kind == "ack" else segment(*fields))
+        assert (transfer.ok, transfer.received, transfer.size) == (ok, received, size)
+        assert transfer.error == ("integrity check failed" if ok is False else None)
+        completes = [fields for kind, fields in ue.app_sent if kind == MsgKind.APP_COMPLETE]
+        assert [c["size"] for c in completes] == ([] if body is None else [len(body)])
+        if body is not None:
+            # the bytes taken are the joined body's, whether the transfer passed or not
+            assert transfer.body_digest() == transfer.body_digest() == sha256(body)
+            assert transfer.segments == {}
+        # the store holds only bodies whose SHA-256 and size are their key, and
+        # a finished transfer holds no claim
+        store = ue.env.verified_bodies
+        assert all(sha256(b) == d and len(b) == n for (d, n), b in store.items() if b is not None)
+        assert None not in store.values() or not transfer.done
 
 
 def test_undecodable_downlink_is_dropped_not_fatal():
