@@ -17,6 +17,7 @@ from __future__ import annotations
 import ipaddress
 import re
 from dataclasses import dataclass, fields, replace
+from functools import cached_property
 from pathlib import Path
 
 from .errors import ConfigError
@@ -113,9 +114,15 @@ class Params:
             except ValueError as exc:
                 raise ConfigError(f"bad {name}: {exc}") from None
 
+    @cached_property
+    def ports(self) -> dict[Protocol, int]:
+        """Protocol -> the port both ends of its messages use; built once, as
+        every send indexes it, and not a field (equality, repr, `fields()`)."""
+        return {protocol: getattr(self, name) for protocol, name in _PORT_PARAM.items()}
+
     def port(self, protocol: Protocol) -> int:
-        """The port both ends of a `protocol` message use."""
-        return getattr(self, _PORT_PARAM[protocol])
+        """The port both ends of a `protocol` message use (`ports`)."""
+        return self.ports[protocol]
 
 
 @dataclass(frozen=True)

@@ -3,7 +3,7 @@
 Every entity here is an event-driven state machine attached to the fabric.
 NfEntity, the base of every node, owns the one send path: `send` builds a
 message and takes its protocol from the kind (messages.PROTOCOL), both ports
-from the protocol (Params.port) and its log row's msg_kind and ue_id from the
+from the protocol (Params.ports) and its log row's msg_kind and ue_id from the
 message. Only nodes forwarding bytes another node built (GTP-U tunnels, the
 gNB's uplink NAS relay, UPF routing, the server's downlink fan-out) call
 `send_msg` with a protocol and ports of their own. A send to a peer without
@@ -51,6 +51,7 @@ import ipaddress
 import logging
 from collections import defaultdict
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import Callable
 
 from .config import PEER_KINDS, Params
@@ -105,9 +106,10 @@ class PduSession:
     mode: Redundancy
     paths: tuple[SessionPath, ...]
 
-    @property
+    @cached_property
     def gnbs(self) -> tuple[str, ...]:
-        """The gNBs the legs run through, in leg order, each once."""
+        """The gNBs the legs run through, in leg order, each once; kept after
+        first use, and not a field (equality, hash, repr, `fields()`)."""
         return tuple(dict.fromkeys(p.gnb for p in self.paths))
 
     def fields(self) -> dict[str, str]:
@@ -171,10 +173,10 @@ def read_session(m) -> PduSession:
     return PduSession(ue_id, ue_ip, read_mode(m), decode_paths(m.text(Tag.PATHS, "")))
 
 
-# protocol -> the handler its packets go to; GTP-U hands over the raw packet
-_HANDLER = {p: f"on_{p.name.lower()}" for p in Protocol}
-
 _GTPU = Protocol.GTPU  # per packet: on Python 3.10/3.11 EnumType.__getattr__ makes `Protocol.X` ~0.17 us
+
+# TLV protocol -> the handler its parsed messages go to; GTP-U goes to on_gtpu
+_HANDLER = {p: f"on_{p.name.lower()}" for p in Protocol if p is not _GTPU}
 
 # NF kind -> the peer kinds it asks the registry for: its PEER_KINDS entry
 # without the registry itself, in that order; only the kinds that have any
@@ -218,11 +220,11 @@ class NfEntity(Entity):
         """Build a `kind` message from `fields` and send it to `peer`.
 
         The kind fixes the protocol (PROTOCOL), the protocol fixes both
-        ports (Params.port). The log row always names the kind and, when the
+        ports (Params.ports). The log row always names the kind and, when the
         message carries one, the UE; `attrs` add to that.
         """
         protocol = PROTOCOL[kind]
-        port = self.env.params.port(protocol)
+        port = self.env.params.ports[protocol]
         row = {"msg_kind": KIND_NAME[kind]}
         if attrs:
             row.update(attrs)
@@ -267,7 +269,7 @@ class NfEntity(Entity):
             attrs["seq"] = int_text[seq]
         if inner_kind:
             attrs["inner"] = inner_kind
-        port = self.env.params.port(_GTPU)
+        port = self.env.params.ports[_GTPU]
         self.send_msg(
             peer, _GTPU, gtpu_encapsulate(inner_raw, teid, seq),
             sport=port, dport=port, stream=teid, attrs=attrs,
@@ -339,11 +341,10 @@ class NfEntity(Entity):
         row; it never stops the run."""
         try:
             protocol = pkt.protocol
-            handler = getattr(self, _HANDLER[protocol])
             if protocol is _GTPU:
-                handler(pkt, sender)
+                self.on_gtpu(pkt, sender)
             else:
-                handler(parse(pkt.payload), pkt, sender)
+                getattr(self, _HANDLER[protocol])(parse(pkt.payload), pkt, sender)
         except WireFormatError as exc:
             self.drop(pkt, sender, str(exc))
 

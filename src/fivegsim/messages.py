@@ -6,6 +6,10 @@ msg_kind(2) then each field as tag(2) | length(2) | value, in the order
 Field values are UTF-8 text except DATA, which carries raw bytes (encoded
 inner packets, document segments). A kind's name prefix names the protocol
 it rides on (PROTOCOL).
+
+`kind_of` names a kind through `parse`'s one TLV walk and errors, keeping
+no field. `ParsedMsg.num` reads canonical ASCII digits from the bytes, and
+sends anything else through decode and `canonical_int` for its error text.
 """
 from __future__ import annotations
 
@@ -188,6 +192,11 @@ class ParsedMsg:
         raw = self._fields.get(tag)
         if raw is None:
             return default
+        if raw.isdigit() and (raw[0] != 0x30 or len(raw) == 1):  # bytes.isdigit: ASCII only
+            try:
+                return int(raw)
+            except ValueError:  # more digits than int() converts: the text path says so
+                pass
         return canonical_int(self._decode(tag, raw), f"field {tag.name} in {self.kind.name}")
 
     def require(self, tag: Tag) -> str:
@@ -197,13 +206,13 @@ class ParsedMsg:
         return self._decode(tag, raw)
 
 
-def parse(payload: bytes) -> ParsedMsg:
-    """Decode a message. Total: a truncated element, then an unknown kind,
-    raises WireFormatError."""
+def _walk(payload: bytes, fields: dict[int, bytes] | None) -> MsgKind:
+    """The one TLV walk: check every element, then the kind, and return the
+    kind; a truncated element, then an unknown kind, raises WireFormatError.
+    With `fields`, keep each tag's first value there."""
     end = len(payload)
     if end < 2:
         raise WireFormatError("truncated TLV message: missing msg_kind")
-    fields: dict[int, bytes] = {}
     unpack, off = _HEAD.unpack_from, 2
     while off < end:
         if off + 4 > end:
@@ -212,11 +221,23 @@ def parse(payload: bytes) -> ParsedMsg:
         off += 4
         if off + length > end:
             raise WireFormatError(f"TLV value for tag {tag} runs past the buffer")
-        if tag not in fields:
+        if fields is not None and tag not in fields:
             fields[tag] = payload[off : off + length]
         off += length
     code = payload[0] << 8 | payload[1]
     kind = _KIND_BY_CODE.get(code)
     if kind is None:
         raise WireFormatError(f"unknown message kind {code}")
-    return ParsedMsg(kind, fields)
+    return kind
+
+
+def kind_of(payload: bytes) -> MsgKind:
+    """The kind of a message `parse` would accept; raises what it raises."""
+    return _walk(payload, None)
+
+
+def parse(payload: bytes) -> ParsedMsg:
+    """Decode a message. Total: a truncated element, then an unknown kind,
+    raises WireFormatError."""
+    fields: dict[int, bytes] = {}
+    return ParsedMsg(_walk(payload, fields), fields)

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 from .core_cp import NfEntity, PduSession, SessionPath, read_session
 from .errors import FlowError
-from .messages import KIND_NAME, MsgKind, Tag, build, parse
+from .messages import KIND_NAME, MsgKind, Tag, build, kind_of, parse
 from .urllc import SEQ_MODULUS, DedupWindow, Redundancy
 from .wirefmt import Protocol, SimPacket, WireFormatError, decode_packet, encode_packet
 
@@ -38,6 +38,7 @@ class GnbUeContext:
     ue_ip: str
     paths: tuple[SessionPath, ...]   # only the legs this gNB terminates
     ue_name: str | None = None
+    carry_seq: bool = False          # whether any of `paths` carries the uplink seq
     ul_seq: int = 0
     dl_window: DedupWindow = field(default_factory=DedupWindow)
 
@@ -86,7 +87,7 @@ class Gnb(NfEntity):
             return
         ctx = GnbUeContext(
             ue_id=session.ue_id, ue_ip=session.ue_ip, paths=mine,
-            ue_name=self._ue_names.get(session.ue_id),
+            ue_name=self._ue_names.get(session.ue_id), carry_seq=any(p.carry_seq for p in mine),
         )
         self._by_ue_ip[session.ue_ip] = ctx
         for p in mine:
@@ -117,8 +118,8 @@ class Gnb(NfEntity):
             ue_id = m.require(Tag.UE_ID)
             self._ue_names[ue_id] = sender
             nas = m.raw(Tag.DATA) or b""
-            inner_kind = KIND_NAME[parse(nas).kind]
-            port = self.env.params.port(Protocol.NAS)
+            inner_kind = KIND_NAME[kind_of(nas)]
+            port = self.env.params.ports[Protocol.NAS]
             self.send_msg(
                 self.amf, Protocol.NAS, nas, sport=port, dport=port,
                 attrs={"msg_kind": inner_kind, "ue_id": ue_id},
@@ -135,10 +136,10 @@ class Gnb(NfEntity):
         if ctx.ue_name is None:
             ctx.ue_name = sender
         seq = None
-        if any(p.carry_seq for p in ctx.paths):
+        if ctx.carry_seq:
             seq = ctx.ul_seq
             ctx.ul_seq = (ctx.ul_seq + 1) % SEQ_MODULUS
-        inner_kind = KIND_NAME[parse(inner.payload).kind] if inner.protocol is _APP else ""
+        inner_kind = KIND_NAME[kind_of(inner.payload)] if inner.protocol is _APP else ""
         for p in ctx.paths:
             self.send_gtpu(
                 p.upf, p.teid_ul, inner_raw, seq if p.carry_seq else None, inner_kind,
@@ -290,7 +291,10 @@ class Ue(NfEntity):
     # -- radio send helpers ------------------------------------------------
 
     def _rls_send(self, gnb: str, kind: MsgKind, attrs: dict[str, str] | None = None, **fields) -> None:
-        self.send(gnb, kind, attrs={"ue_id": self.imsi, **(attrs or {})}, **fields)
+        """Send on the radio leg; the row names the UE, added to `attrs` itself."""
+        attrs = {} if attrs is None else attrs
+        attrs["ue_id"] = self.imsi
+        self.send(gnb, kind, attrs=attrs, **fields)
 
     def _send_nas(self, kind: MsgKind, **fields) -> None:
         nas = build(kind, **fields)
@@ -362,12 +366,12 @@ class Ue(NfEntity):
         if len(gnbs) > 1:
             fields["seq"] = self._app_seq
             self._app_seq = (self._app_seq + 1) % SEQ_MODULUS
-        port = self.env.params.port(_APP)
+        port = self.env.params.ports[_APP]
         inner = SimPacket(_APP, sess.ue_ip, self.env.server_ip, port, port, build(kind, **fields))
         raw = encode_packet(inner)
-        app_kind = KIND_NAME[kind]
+        attrs = {"app_kind": KIND_NAME[kind]}  # send copies it into each row
         for gnb in gnbs:
-            self._rls_send(gnb, _RLS_DATA, attrs={"app_kind": app_kind}, data=raw)
+            self._rls_send(gnb, _RLS_DATA, attrs=attrs, data=raw)
 
     def request_document(self, doc: str) -> Transfer:
         """Fetch `doc`; without an active session the transfer fails at once,

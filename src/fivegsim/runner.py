@@ -403,8 +403,9 @@ def run_reliability_measurement(
     delivered = tb.server.data_received.get(ue_ip, 0)
     indices = frozenset(tb.server.data_indices.get(ue_ip, ()))
     per_tunnel = {p.teid_ul: 0 for p in ue.session.paths}
+    gtpu = Protocol.GTPU  # bound once: EnumType.__getattr__ per row adds up over the log
     for r in tb.records:
-        if r.protocol is Protocol.GTPU and r.outcome == DELIVERED and r.ts >= settle:
+        if r.protocol is gtpu and r.outcome == DELIVERED and r.ts >= settle:
             teid = int(r.attrs.get("teid", "0"))
             if teid in per_tunnel:
                 per_tunnel[teid] += 1

@@ -25,6 +25,7 @@ from enum import Enum
 
 SEQ_MODULUS = 1 << 16
 DEDUP_WINDOW = 1024
+_HALF = SEQ_MODULUS // 2
 
 
 class Redundancy(Enum):
@@ -46,7 +47,7 @@ class Redundancy(Enum):
 
 def seq_newer(a: int, b: int) -> bool:
     """Serial-number comparison: is a strictly newer than b, mod 2**16."""
-    return a != b and ((a - b) % SEQ_MODULUS) < SEQ_MODULUS // 2
+    return a != b and ((a - b) % SEQ_MODULUS) < _HALF
 
 
 class DedupWindow:
@@ -62,24 +63,23 @@ class DedupWindow:
         self.highest: int | None = None
         self._seen: set[int] = set()
 
-    def _in_window(self, seq: int) -> bool:
-        assert self.highest is not None
-        return ((self.highest - seq) % SEQ_MODULUS) < self.window
-
     def accept(self, seq: int) -> bool:
+        # per packet, so seq_newer and the in-window test,
+        # (highest - s) % SEQ_MODULUS < window, are written out inline
         seq %= SEQ_MODULUS
-        if self.highest is None:
+        highest, seen, window = self.highest, self._seen, self.window
+        if highest is None:
             self.highest = seq
-            self._seen.add(seq)
+            seen.add(seq)
             return True
-        if seq in self._seen and self._in_window(seq):
+        if seq in seen and (highest - seq) % SEQ_MODULUS < window:
             return False
-        if seq_newer(seq, self.highest):
-            self.highest = seq
-            if len(self._seen) > 2 * self.window:
-                self._seen = {s for s in self._seen if self._in_window(s)}
-        if self._in_window(seq):
-            self._seen.add(seq)
+        if 0 < (seq - highest) % SEQ_MODULUS < _HALF:
+            self.highest = highest = seq
+            if len(seen) > 2 * window:
+                seen = self._seen = {s for s in seen if (highest - s) % SEQ_MODULUS < window}
+        if (highest - seq) % SEQ_MODULUS < window:
+            seen.add(seq)
         return True
 
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 from .core_cp import ERROR, OK, NfEntity
 from .errors import FlowError
-from .messages import KIND_NAME, MsgKind, Tag, build, parse, read_teid
+from .messages import KIND_NAME, MsgKind, Tag, build, kind_of, read_teid
 from .urllc import SEQ_MODULUS, DedupWindow
 from .wirefmt import Protocol, SimPacket, WireFormatError, decode_packet, encode_packet
 
@@ -172,12 +172,17 @@ class Upf(NfEntity):
         rule = self.teid_rules.get(teid)
         if rule is None:
             return None
+        if not rule.dedup:
+            return rule, None
         # replicas of one uplink packet share a window across the UE's tunnels
-        return rule, (self._ul_windows.setdefault(rule.ue_id, DedupWindow()) if rule.dedup else None)
+        window = self._ul_windows.get(rule.ue_id)
+        if window is None:
+            window = self._ul_windows[rule.ue_id] = DedupWindow()
+        return rule, window
 
     def on_tunnelled(self, rule: TeidRule, inner_raw, seq, pkt, sender) -> None:
         inner = decode_packet(inner_raw)
-        inner_kind = KIND_NAME[parse(inner.payload).kind] if inner.protocol is _APP else ""
+        inner_kind = KIND_NAME[kind_of(inner.payload)] if inner.protocol is _APP else ""
         self._run_actions(rule.actions, inner_raw, inner, seq, inner_kind)
 
     def on_app(self, m, pkt: SimPacket, sender: str) -> None:
@@ -244,7 +249,7 @@ class AppServer(NfEntity):
             self._dl_seq[ue_ip] = (seq + 1) % SEQ_MODULUS
             fields["seq"] = seq
         payload = build(kind, **fields)
-        port = self.env.params.port(Protocol.APP)
+        port = self.env.params.ports[_APP]
         for upf in routes:
             self.send_msg(
                 upf,
@@ -262,7 +267,9 @@ class AppServer(NfEntity):
         seq = m.num(_SEQ)
         if seq is not None:
             # endpoint-level redundancy: eliminate replicas before counting
-            window = self._dedup.setdefault(ue_ip, DedupWindow())
+            window = self._dedup.get(ue_ip)
+            if window is None:
+                window = self._dedup[ue_ip] = DedupWindow()
             if not self.first_copy(window, seq, pkt, sender, ue_ip=ue_ip):
                 return
         kind = m.kind

@@ -267,6 +267,23 @@ def cli_env():
     return env
 
 
+def test_python_dash_m_runs_the_cli(tmp_path):
+    """`python -m fivegsim` from a checkout is the `fivegsim` command."""
+    help_run = subprocess.run(
+        [sys.executable, "-m", "fivegsim", "--help"],
+        capture_output=True, text=True, env=cli_env(), timeout=120,
+    )
+    assert help_run.returncode == 0, help_run.stderr
+    assert "run" in help_run.stdout and "validate" in help_run.stdout
+    out = tmp_path / "idle"
+    idle_run = subprocess.run(
+        [sys.executable, "-m", "fivegsim", "run", "--scenario", "idle", "--out", str(out)],
+        capture_output=True, text=True, env=cli_env(), timeout=120,
+    )
+    assert idle_run.returncode == 0, idle_run.stderr
+    assert (out / "events.log").is_file()
+
+
 def run_cli_on_default_topology(tmp_path, edit):
     """Run the CLI in a fresh interpreter on an edited copy of the default
     topology."""

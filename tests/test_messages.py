@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import tlv_elements
-from fivegsim.messages import PROTOCOL, MsgKind, Tag, build, parse
+from fivegsim.messages import PROTOCOL, MsgKind, Tag, build, canonical_int, kind_of, parse
 from fivegsim.wirefmt import Protocol, WireFormatError
 
 
@@ -126,3 +126,74 @@ def test_parse_and_every_accessor_raise_only_wire_format_errors(buf):
                 accessor(tag)
             except WireFormatError:
                 pass
+
+
+def _outcome(fn, *args):
+    """("ok", fn(*args)), or ("error", the text of its WireFormatError)."""
+    try:
+        return "ok", fn(*args)
+    except WireFormatError as exc:
+        return "error", str(exc)
+
+
+def _parsed_kind(buf):
+    return parse(buf).kind
+
+
+@pytest.mark.parametrize("kind", list(MsgKind), ids=lambda k: k.name)
+def test_kind_of_reads_every_kind_and_every_truncation_as_parse_does(kind):
+    buf = build(kind, ue_id="imsi-001010000000001", index=7, data=b"\x00\xff" * 9)
+    assert kind_of(buf) is kind
+    for cut in range(len(buf)):
+        assert _outcome(kind_of, buf[:cut]) == _outcome(_parsed_kind, buf[:cut])
+
+
+_FIELD_NAMES = [t.name.lower() for t in Tag]
+_BUILT = st.builds(
+    lambda kind, fields: build(kind, **fields),
+    st.sampled_from(list(MsgKind)),
+    st.dictionaries(st.sampled_from(_FIELD_NAMES), _VALUES, max_size=6),
+)
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.one_of(_TLV_BYTES, _BUILT))
+def test_kind_of_agrees_with_parse(buf):
+    assert _outcome(kind_of, buf) == _outcome(_parsed_kind, buf)
+
+
+def _reference_num(m, tag):
+    """ParsedMsg.num without its digit fast path: decode, then canonical_int."""
+    raw = m.raw(tag)
+    if raw is None:
+        return None
+    try:
+        text = raw.decode()
+    except UnicodeDecodeError:
+        raise WireFormatError(f"field {tag.name} in {m.kind.name} is not UTF-8") from None
+    return canonical_int(text, f"field {tag.name} in {m.kind.name}")
+
+
+def _num_agrees(raw):
+    m = parse(build(MsgKind.APP_SEGMENT, index=raw))
+    assert _outcome(m.num, Tag.INDEX) == _outcome(_reference_num, m, Tag.INDEX)
+
+
+@pytest.mark.parametrize(
+    "raw",
+    [b"0", b"00", b"07", b"1", b"65535", b"+1", b"-1", b" 1", b"1 ", b"1_0", "\u0661".encode(),
+     b"\xff1", b"1\x80", b"", b"1" * 5000, b"9" * 4300, b"9" * 4301],
+    ids=lambda raw: repr(raw) if len(raw) < 16 else f"{len(raw)}-digits-{raw[:1].decode()}",
+)
+def test_num_fast_path_matches_the_text_path(raw):
+    _num_agrees(raw)
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.one_of(
+    st.binary(max_size=12),
+    st.integers(0, 10**40).map(lambda n: str(n).encode()),
+    st.text(alphabet="0123456789+-_ \u0661\u0663", max_size=8).map(str.encode),
+))
+def test_num_agrees_with_decoding_then_canonical_int(raw):
+    _num_agrees(raw)

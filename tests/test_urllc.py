@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fivegsim import user_plane
 from fivegsim.config import ScenarioSpec, default_topology
 from fivegsim.errors import FlowError
 from fivegsim.runner import Testbed, run_reliability_measurement, run_scenario
@@ -93,6 +94,54 @@ def test_accept_never_passes_an_in_window_repeat(seqs):
         if win.accept(seq):
             assert seq not in passed
             passed.add(seq)
+
+
+class _ReferenceWindow:
+    """DedupWindow.accept as first written, through seq_newer and an
+    in-window helper: the model the inlined accept must agree with."""
+
+    def __init__(self, window):
+        self.window, self.highest, self._seen = window, None, set()
+
+    def _in_window(self, seq):
+        return ((self.highest - seq) % SEQ_MODULUS) < self.window
+
+    def accept(self, seq):
+        seq %= SEQ_MODULUS
+        if self.highest is None:
+            self.highest = seq
+            self._seen.add(seq)
+            return True
+        if seq in self._seen and self._in_window(seq):
+            return False
+        if seq_newer(seq, self.highest):
+            self.highest = seq
+            if len(self._seen) > 2 * self.window:
+                self._seen = {s for s in self._seen if self._in_window(s)}
+        if self._in_window(seq):
+            self._seen.add(seq)
+        return True
+
+
+# steps around the wrap and across half the space, with windows small enough to prune often
+_STEPS = st.one_of(st.integers(-40, 40), st.sampled_from([SEQ_MODULUS // 2, -(SEQ_MODULUS // 2), 5000]))
+
+
+@given(
+    st.integers(0, SEQ_MODULUS - 1),
+    st.lists(_STEPS, max_size=400),
+    st.sampled_from([1, 4, 16, DEDUP_WINDOW]),
+    st.integers(0, 3),
+)
+@settings(max_examples=300, deadline=None)
+def test_accept_agrees_with_the_reference_window(start, steps, width, lap):
+    win, ref = DedupWindow(window=width), _ReferenceWindow(width)
+    seq = start
+    for step in steps:
+        seq = (seq + step) % SEQ_MODULUS
+        raw = seq + lap * SEQ_MODULUS  # accept reduces its argument first
+        assert win.accept(raw) is ref.accept(raw), seq
+        assert (win.highest, win._seen) == (ref.highest, ref._seen)
 
 
 # -- mode parsing and validation ----------------------------------------------------
@@ -213,3 +262,23 @@ def test_urllc_sweep_builds_one_testbed_per_redundancy_mode(monkeypatch):
     # the sweep's runs keep their testbeds; its own result has none and no log
     assert (result.testbed, result.events) == (None, [])
     assert "entities: 15" in result.summary.splitlines()
+
+
+def test_upfs_build_one_uplink_window_per_ue(monkeypatch):
+    built = []
+
+    class CountingWindow(DedupWindow):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            built.append(self)
+
+    testbeds = []
+    init = Testbed.__init__
+    monkeypatch.setattr(Testbed, "__init__", lambda tb, *a, **kw: testbeds.append(tb) or init(tb, *a, **kw))
+    monkeypatch.setattr(user_plane, "DedupWindow", CountingWindow)
+    run_reliability_measurement(Redundancy.PSA_ANCHOR, LOSS, 200, SEED)
+    [tb] = testbeds
+    windows = [w for upf in tb.upfs for w in upf._ul_windows.values()]
+    dedup_ues = {(upf.name, r.ue_id) for upf in tb.upfs for r in upf.teid_rules.values() if r.dedup}
+    assert len(windows) == len(dedup_ues) == 1
+    assert built == windows
