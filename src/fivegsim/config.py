@@ -120,10 +120,6 @@ class Params:
         every send indexes it, and not a field (equality, repr, `fields()`)."""
         return {protocol: getattr(self, name) for protocol, name in _PORT_PARAM.items()}
 
-    def port(self, protocol: Protocol) -> int:
-        """The port both ends of a `protocol` message use (`ports`)."""
-        return self.ports[protocol]
-
 
 @dataclass(frozen=True)
 class TopologyConfig:

@@ -128,8 +128,8 @@ class CoreEnv:
     nrf_name: str
     server_name: str
     server_ip: str
-    # (digest, size) -> a body a UE hashed to that digest, or None while one collects it (ran_ue.Transfer)
-    verified_bodies: dict = field(default_factory=dict, compare=False, repr=False)
+    # (digest, size) -> a body of that size a UE hashed to that digest (ran_ue.Transfer)
+    verified_bodies: dict[tuple[str, int], bytes] = field(default_factory=dict, compare=False, repr=False)
 
 
 def encode_paths(paths: tuple[SessionPath, ...]) -> str:

@@ -9,14 +9,16 @@ UE. The UE and each gNB on a session's legs keep the core_cp.PduSession the
 SMF set up (read_session) and act on its legs, never its mode: a UE whose
 legs run through several gNBs sends uplink to each with an app-level seq.
 A UE checks each document it fetches against the SHA-256 digest the server
-states. The testbed keeps the bodies its UEs verified, so a body met again
-is compared byte for byte instead of hashed once more (Transfer).
+states, once all its segments are in. The testbed keeps the bodies its UEs
+verified, so a body met again is compared byte for byte with that copy
+instead of hashed once more (Transfer).
 """
 from __future__ import annotations
 
 import hashlib
 import logging
 from dataclasses import dataclass, field
+from itertools import accumulate
 
 from .core_cp import NfEntity, PduSession, SessionPath, read_session
 from .errors import FlowError
@@ -170,19 +172,13 @@ SESSION_ACTIVE = "SESSION_ACTIVE"
 class Transfer:
     """One document fetch as seen from the UE.
 
-    `received` counts the distinct indices seen and `size` the bytes they
-    carried. Segments are taken in index order as they arrive; `segments`
-    holds only those ahead of a gap until it closes. The first ACK's
-    (digest, size), `key`, picks how bodies are taken, from the testbed's
-    store of verified bodies (`verified`, CoreEnv.verified_bodies):
-    - the store holds body B and nothing was taken yet: compare each body in
-      place with B. A mismatch seeds `hasher` with the matched prefix of B and
-      hashing goes on. If all of B matched, the digest is the key's: a UE
-      hashed B to it. The verdict is thus exactly that of hashing;
-    - no entry: claim the key and keep the bodies (`kept`) while hashing. A
-      pass with the key's own digest and size stores the joined body, and
-      anything else releases the claim: one body per verified key is kept;
-    - claimed by another transfer, or a segment was taken: hash every body.
+    `segments` keeps the first body of each index until the transfer
+    finishes; `received` counts those indices and `size` their bytes. At
+    completion the bodies, in index order, are checked against the ACK's
+    digest: bodies that together equal the one the testbed stored under
+    that digest and size (`verified`, CoreEnv.verified_bodies) pass without
+    hashing, as a UE hashed that body to that digest before storing it; any
+    others are joined and hashed once, and stored on a match.
     """
 
     doc: str
@@ -192,77 +188,43 @@ class Transfer:
     expected_segments: int | None = None
     digest: str | None = None
     segments: dict[int, bytes] = field(default_factory=dict)
-    next_index: int = 0
     received: int = 0
     size: int = 0
-    # looked up per transfer, so a stand-in for this module's hashlib counts it
-    hasher: hashlib._Hash = field(default_factory=lambda: hashlib.sha256(), repr=False)
     ok: bool | None = None
     error: str | None = None
-    verified: dict[tuple[str, int], bytes | None] = field(default_factory=dict, repr=False)
-    key: tuple[str, int] | None = None  # the first ACK's (digest, size)
-    known: bytes | None = field(default=None, repr=False)  # the stored body the bytes taken equal
-    matched: int = 0  # bytes taken while they equal `known`
-    kept: list[bytes] | None = field(default=None, repr=False)
+    verified: dict[tuple[str, int], bytes] = field(default_factory=dict, repr=False)
 
     @property
     def done(self) -> bool:
         return self.ok is not None
 
-    def take_ack(self, size: int | None, segments: int | None, digest: str | None) -> None:
-        """Take an ACK's figures; the first one picks how bodies are taken."""
-        self.expected_size, self.expected_segments, self.digest = size, segments, digest
-        if self.key is None:
-            self.key = key = (digest, size)
-            if not self.next_index:
-                self.kept = None if key in self.verified else []
-                self.known = self.verified.setdefault(key, None)
-
     def add_segment(self, index: int, body: bytes) -> None:
         """Take one segment; a repeated index keeps its first body."""
-        if index < self.next_index or index in self.segments:
+        if index in self.segments:
             return
         self.received += 1
         self.size += len(body)
         self.segments[index] = body
-        while self.next_index in self.segments:
-            self._take(self.segments.pop(self.next_index))
-            self.next_index += 1
-
-    def _take(self, body: bytes) -> None:
-        known = self.known
-        if known is not None:
-            if known.startswith(body, self.matched):
-                self.matched += len(body)
-                return
-            self.hasher.update(known[:self.matched])
-            self.known = None
-        if self.kept is not None:
-            self.kept.append(body)
-        self.hasher.update(body)
 
     def body_digest(self) -> str:
-        """SHA-256 of every body received, in index order; takes the held ones."""
-        for index in sorted(self.segments):
-            self._take(self.segments[index])
-        self.segments.clear()
-        known = self.known
-        if known is not None:
-            if self.matched == len(known):
-                return self.key[0]
-            self.hasher.update(known[:self.matched])
-            self.known = None
-        return self.hasher.hexdigest()
+        """SHA-256 of every body received, joined in index order."""
+        bodies = [self.segments[i] for i in sorted(self.segments)]
+        key = (self.digest, self.size)
+        stored = self.verified.get(key)
+        offsets = accumulate(map(len, bodies), initial=0)
+        # `size` is the bodies' total and the key's size is `stored`'s length
+        if stored is not None and all(map(stored.startswith, bodies, offsets)):
+            return self.digest
+        joined = b"".join(bodies)
+        digest = hashlib.sha256(joined).hexdigest()
+        if digest == self.digest:
+            self.verified.setdefault(key, joined)
+        return digest
 
     def finish(self, ok: bool, error: str | None, now: int) -> None:
-        """Set the verdict; a collecting transfer stores its body or releases its claim."""
+        """Set the verdict and let go of the bodies."""
         self.ok, self.error, self.completed_ms = ok, error, now
-        if self.kept is not None:
-            if ok and self.key == (self.digest, self.size):
-                self.verified[self.key] = b"".join(self.kept)
-            else:
-                del self.verified[self.key]
-            self.kept = None
+        self.segments.clear()
 
 
 class Ue(NfEntity):
@@ -406,7 +368,9 @@ class Ue(NfEntity):
             transfer = self._transfer_for(m.require(Tag.DOC))
             if transfer is None:
                 return
-            transfer.take_ack(m.num(Tag.SIZE), m.num(Tag.SEGMENTS), m.text(Tag.DIGEST))
+            transfer.expected_size = m.num(Tag.SIZE)
+            transfer.expected_segments = m.num(Tag.SEGMENTS)
+            transfer.digest = m.text(Tag.DIGEST)
             self._try_finish(transfer)
         elif m.kind == MsgKind.APP_SEGMENT:
             transfer = self._transfer_for(m.require(Tag.DOC))

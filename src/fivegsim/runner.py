@@ -283,9 +283,10 @@ def _summarise(result: RunResult, source: str, entities: int) -> None:
         for t in transfers:
             status = "ok" if t.ok else ("failed" if t.done else "incomplete")
             took = (t.completed_ms - t.started_ms) if t.completed_ms is not None else -1
-            line = f"transfer {ue_name} {t.doc} {status} segments={t.received} bytes={t.size} ms={took}"
+            # the doc is the caller's text and the error a peer's: each stays on one line
+            doc = t.doc.translate(_LINE_BREAKS)
+            line = f"transfer {ue_name} {doc} {status} segments={t.received} bytes={t.size} ms={took}"
             if status == "failed":
-                # APP_ERROR's reason and a refusal's reason are peer text
                 line += " error=" + (t.error or "").translate(_LINE_BREAKS)
             lines.append(line)
     for r in result.reliability:

@@ -4,7 +4,10 @@ perfbench/ is changed only together with the benchmark, so these names stay
 as long as it reads them: a change that deletes one breaks every benchmark
 run, not just a test.
 """
+import hashlib
+
 import fivegsim
+from fivegsim import ran_ue
 from fivegsim.config import ScenarioSpec, default_topology
 from fivegsim.runner import Testbed, run_scenario
 from fivegsim.simnet import Network, SimClock
@@ -76,3 +79,23 @@ def test_the_tracer_sees_every_send_and_every_schedule(monkeypatch):
     result = run_scenario(ScenarioSpec("single_request", seed=1, duration_ms=3000))
     wire = [r for r in result.events if r.is_wire]
     assert wire and len(sends) == len(wire)
+
+
+def test_the_tracer_counts_each_document_hash_at_the_constructor(monkeypatch):
+    """The tracer's hashlib stand-in in ran_ue counts only the bytes given to
+    the sha256 constructor (`ran_ue.sha256_bytes`): a testbed hashes its
+    document there once, and every other UE compares it with that body."""
+    counted = []
+
+    class ConstructorBytes:
+        def sha256(self, data=b"", **kwargs):
+            counted.append(len(data))
+            return hashlib.sha256(data, **kwargs)
+
+        def __getattr__(self, name):
+            return getattr(hashlib, name)
+
+    monkeypatch.setattr(ran_ue, "hashlib", ConstructorBytes())
+    result = run_scenario(ScenarioSpec("many_requests", ue_count=20, seed=1))
+    assert sum(t.ok for ts in result.transfers.values() for t in ts) == 20
+    assert sum(counted) == 487_659

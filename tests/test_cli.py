@@ -41,6 +41,14 @@ def test_run_prints_summary(run_dir, capsys):
     assert (run_dir / "summary.txt").read_text() == out
 
 
+def test_a_doc_name_with_a_line_break_stays_on_one_transfer_line(tmp_path, capsys):
+    rc = main(["run", "--scenario", "single_request", "--doc", "x\ny", "--out", str(tmp_path)])
+    out = capsys.readouterr().out
+    assert rc == 0
+    [line] = [l for l in out.splitlines() if l.startswith(("transfer ", "y "))]
+    assert line.startswith("transfer UE x y failed ") and line.endswith(" error=no such document")
+
+
 def test_run_validate_scenario_reports_checks(tmp_path, capsys):
     rc = main(["run", "--scenario", "validate", "--seed", "1", "--out", str(tmp_path)])
     out = capsys.readouterr().out

@@ -623,4 +623,4 @@ def test_every_message_row_follows_the_send_policy(name, ues):
     assert len(rows) > 100
     for r in rows:
         assert PROTOCOL[MsgKind[r.attrs["msg_kind"]]] is r.protocol, r
-        assert r.attrs["src_port"] == r.attrs["dst_port"] == str(params.port(r.protocol)), r
+        assert r.attrs["src_port"] == r.attrs["dst_port"] == str(params.ports[r.protocol]), r

@@ -40,7 +40,7 @@ def inject(tb, at, sender, receiver, protocol, payload, src_ip=None):
     time `at`, with `src_ip` (by default the sender's own address) as its
     source."""
     hop = tb.net.hop(sender, receiver)
-    port = tb.params.port(protocol)
+    port = tb.params.ports[protocol]
     pkt = SimPacket(protocol, src_ip or tb.net.entity(sender).ip, hop.dst_ip, port, port, payload)
     tb.net.schedule(at, lambda: tb.net.send(hop, pkt))
 

@@ -275,7 +275,7 @@ def test_a_testbed_hashes_each_document_body_once(hashed):
     assert key == (hashlib.sha256(body).hexdigest(), DOC_SIZE)
 
 
-def test_a_failed_collector_releases_its_claim_to_the_next_ue(monkeypatch, hashed):
+def test_a_failed_first_fetch_stores_nothing_and_the_next_ue_stores_the_body(monkeypatch, hashed):
     # the first UE's first segment arrives with a byte flipped
     seen = {}
     add_segment = ran_ue.Transfer.add_segment
@@ -285,7 +285,6 @@ def test_a_failed_collector_releases_its_claim_to_the_next_ue(monkeypatch, hashe
         if transfer is next(iter(seen.values())) and index == 0:
             body = bytes([body[0] ^ 0x01]) + body[1:]
         add_segment(transfer, index, body)
-        assert sum(t.kept is not None for t in seen.values()) <= 1
 
     monkeypatch.setattr(ran_ue.Transfer, "add_segment", tampered)
     result, (started, ok) = many_requests(20)
@@ -442,7 +441,7 @@ def fresh_fetch(stored=None):
     return ue, ue.request_document("document")
 
 
-def test_out_of_order_segments_drain_once_the_gap_closes():
+def test_out_of_order_segments_are_held_until_the_transfer_finishes():
     ue, transfer = fresh_fetch()
     bodies = [b"alpha", b"beta", b"gamma", b"delta"]
     fake_downlink(ue, ack(sum(map(len, bodies)), 4, sha256(b"".join(bodies))))
@@ -450,15 +449,25 @@ def test_out_of_order_segments_drain_once_the_gap_closes():
     fake_downlink(ue, segment(1, bodies[1]))
     assert sorted(transfer.segments) == [1, 2]
     fake_downlink(ue, segment(0, bodies[0]))
-    assert transfer.segments == {} and transfer.next_index == 3 and not transfer.done
+    assert sorted(transfer.segments) == [0, 1, 2] and not transfer.done
     fake_downlink(ue, segment(3, bodies[3]))
     assert transfer.ok is True and transfer.segments == {}
     assert (transfer.received, transfer.size) == (4, 19)
     assert ue.app_sent[-1] == (MsgKind.APP_COMPLETE, {"doc": "document", "result": "OK", "size": 19})
 
 
+def test_a_segment_ahead_of_the_ack_still_compares_with_the_stored_body(hashed):
+    bodies = [b"alpha", b"beta"]
+    content = b"".join(bodies)
+    ue, transfer = fresh_fetch(content)
+    fake_downlink(ue, segment(0, bodies[0]))
+    fake_downlink(ue, ack(len(content), 2, sha256(content)))
+    fake_downlink(ue, segment(1, bodies[1]))
+    assert transfer.ok is True and sum(hashed) == 0
+
+
 def joined_outcome(deliveries):
-    """The rule the streaming reassembler must keep: the first body per
+    """The rule reassembly must keep: the first body per
     index, joined in index order once `segments` distinct indices are in."""
     held, expected = {}, None
     for kind, *fields in deliveries:
@@ -502,27 +511,31 @@ def segment_deliveries(draw):
 
 @settings(max_examples=300, deadline=None)
 @given(segment_deliveries())
-def test_streaming_reassembly_matches_the_joined_body(drawn):
+def test_reassembly_matches_the_joined_body(drawn):
     # once hashing every body, once with the true body already verified in the store
     content, deliveries = drawn
     ok, received, size, body = joined_outcome(deliveries)
     for stored in (None, content):
         ue, transfer = fresh_fetch(stored)
+        digests = []
+
+        def recorded(body_digest=transfer.body_digest):
+            digests.append(body_digest())
+            return digests[-1]
+
+        transfer.body_digest = recorded
         for kind, *fields in deliveries:
             fake_downlink(ue, ack(*fields) if kind == "ack" else segment(*fields))
         assert (transfer.ok, transfer.received, transfer.size) == (ok, received, size)
         assert transfer.error == ("integrity check failed" if ok is False else None)
         completes = [fields for kind, fields in ue.app_sent if kind == MsgKind.APP_COMPLETE]
         assert [c["size"] for c in completes] == ([] if body is None else [len(body)])
-        if body is not None:
-            # the bytes taken are the joined body's, whether the transfer passed or not
-            assert transfer.body_digest() == transfer.body_digest() == sha256(body)
-            assert transfer.segments == {}
-        # the store holds only bodies whose SHA-256 and size are their key, and
-        # a finished transfer holds no claim
+        # the digest checked is the joined body's, whether the transfer passed or not
+        assert digests == ([] if body is None else [sha256(body)])
+        assert transfer.segments == {} or not transfer.done
+        # the store holds only bodies whose SHA-256 and size are their key
         store = ue.env.verified_bodies
-        assert all(sha256(b) == d and len(b) == n for (d, n), b in store.items() if b is not None)
-        assert None not in store.values() or not transfer.done
+        assert all(sha256(b) == d and len(b) == n for (d, n), b in store.items())
 
 
 def test_undecodable_downlink_is_dropped_not_fatal():
