@@ -7,8 +7,8 @@ documents, params.
 Only this module knows the topology contract: run_roster adds the SERVER and
 NWDAF a topology does not declare, and _validate checks that roster once,
 including a link from each entity to each PEER_KINDS kind the topology has.
-with_ues grows the population past the declared UEs, and _validate checks
-the spawned UEs as it checks the declared ones. What a run cannot serve is
+with_ues grows the population past the declared UEs and checks only the
+spawned ones, as _validate would check the grown roster. What a run cannot serve is
 refused here too: a second NRF or SERVER, and a document segment or a
 scenario's request that does not fit one G-PDU.
 """
@@ -337,6 +337,7 @@ def default_topology() -> TopologyConfig:
 
 
 MAX_UES = 0xFFFF  # spawned UE k is addressed 172.16.(k >> 8).(k & 0xFF)
+_SPAWN_NET = 0xAC100000  # 172.16.0.0: spawned UE k's address is _SPAWN_NET + k as an integer
 # the standby gNB with_second_gnb adds
 _SECOND_GNB = EntityDecl(kind="GNB", name="gNB2", ip="192.168.0.23")
 # the kinds at the two ends of the links with_link_loss makes lossy: N3
@@ -371,7 +372,11 @@ def with_ues(topo: TopologyConfig, total: int) -> TopologyConfig:
     """Grow the population to `total` UEs: `topo` itself when it declares
     that many, else a copy where UE k past the declared ones is UE<k:03d> at
     172.16.(k >> 8).(k & 0xFF), with a copy of each radio link of the first
-    UE and the IMSI ue_imsi(k), listed in [subscribers] unless it already is."""
+    UE and the IMSI ue_imsi(k), listed in [subscribers] unless it already is.
+
+    `topo` is checked already, so only the new UEs are: _validate's checks
+    that they can fail, in its order and with its texts, against name,
+    address and IMSI tables built once."""
     ues = topo.of_kind("UE")
     if total <= len(ues):
         return topo
@@ -383,16 +388,42 @@ def with_ues(topo: TopologyConfig, total: int) -> TopologyConfig:
     first, gnbs = ues[0].name if ues else None, {g.name for g in topo.of_kind("GNB")}
     # (gNB, link) per radio link of the first UE
     radio = [(g, l) for l in topo.links if first in (l.a, l.b) for g in (l.a, l.b) if g in gnbs]
-    entities, links, subscribers = list(topo.entities), list(topo.links), list(topo.subscribers)
-    listed = set(subscribers)
-    for k in range(len(ues) + 1, total + 1):
-        name, imsi = f"UE{k:03d}", ue_imsi(k)
-        entities.append(EntityDecl(kind="UE", name=name, ip=f"172.16.{k >> 8}.{k & 0xFF}", imsi=imsi))
-        links += [replace(l, a=name, b=gnb) for gnb, l in radio]
-        if imsi not in listed:
-            subscribers.append(imsi)
-    return _validate(
-        replace(topo, entities=tuple(entities), links=tuple(links), subscribers=tuple(subscribers))
+    params, first_k = topo.params, len(ues) + 1
+    spawned = [
+        EntityDecl("UE", f"UE{k:03d}", f"172.16.{k >> 8}.{k & 0xFF}", ue_imsi(k))
+        for k in range(first_k, total + 1)
+    ]
+    kind_of = {e.name: e.kind for e in topo.entities}
+    holders = {e.ip: e.name for e in topo.entities}
+    pool = ipaddress.IPv4Network(params.ue_pool)
+    lo, hi = int(pool.network_address), int(pool.broadcast_address)
+    for k, ue in enumerate(spawned, first_k):
+        if ue.name in kind_of:
+            raise ConfigError(f"duplicate entity name {ue.name}: UE collides with {kind_of[ue.name]}")
+        if ue.ip in holders:
+            raise ConfigError(f"duplicate entity address {ue.ip}: {ue.name} collides with {holders[ue.ip]}")
+        if lo <= _SPAWN_NET + k <= hi:
+            raise ConfigError(f"entity address {ue.ip} collides with the UE pool {params.ue_pool}")
+    # the SERVER or NWDAF a run adds comes after the spawned UEs in the roster
+    for e in run_roster(topo.entities, (), params)[0][len(topo.entities):]:
+        k = int(ipaddress.IPv4Address(e.ip)) - _SPAWN_NET
+        if first_k <= k <= total:
+            raise ConfigError(f"duplicate entity address {e.ip}: {e.name} collides with UE{k:03d}")
+    if not radio:
+        raise ConfigError(f"UE {spawned[0].name} has no link to any GNB")
+    holder = {ue.imsi: ue.name for ue in ues}
+    for ue in spawned:
+        if ue.imsi in holder:
+            raise ConfigError(f"UEs {holder[ue.imsi]} and {ue.name} share the IMSI {ue.imsi}")
+    listed = set(topo.subscribers)
+    return replace(
+        topo,
+        entities=(*topo.entities, *spawned),
+        links=(*topo.links, *(
+            LinkDecl(ue.name, gnb, l.latency_ms, l.loss_prob, l.reliable)
+            for ue in spawned for gnb, l in radio
+        )),
+        subscribers=(*topo.subscribers, *(ue.imsi for ue in spawned if ue.imsi not in listed)),
     )
 
 

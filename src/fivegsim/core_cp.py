@@ -59,7 +59,7 @@ from .errors import FlowError
 from .messages import KIND_NAME, PROTOCOL, MsgKind, Tag, build, parse, read_teid
 from .simnet import DROPPED, ELIMINATED_DUPLICATE, Entity, Network
 from .urllc import DedupWindow, Redundancy
-from .wirefmt import Protocol, SimPacket, WireFormatError, gtpu_decapsulate, gtpu_encapsulate
+from .wirefmt import Protocol, SimPacket, WireFormatError, _pack_ip, gtpu_decapsulate, gtpu_encapsulate
 
 log = logging.getLogger(__name__)
 
@@ -166,10 +166,7 @@ def read_session(m) -> PduSession:
     """The session a message carries; the inverse of PduSession.fields."""
     ue_id = m.require(Tag.UE_ID)
     ue_ip = m.require(Tag.UE_IP)
-    try:
-        ipaddress.IPv4Address(ue_ip)
-    except ValueError:
-        raise WireFormatError(f"bad IPv4 address {ue_ip!r}") from None
+    _pack_ip(ue_ip)  # the cached parser: refuses what IPv4Address refuses, as "bad IPv4 address"
     return PduSession(ue_id, ue_ip, read_mode(m), decode_paths(m.text(Tag.PATHS, "")))
 
 

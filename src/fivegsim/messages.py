@@ -2,7 +2,8 @@
 
 Every message is a MsgKind code plus tagged fields, laid out big-endian as
 msg_kind(2) then each field as tag(2) | length(2) | value, in the order
-`build` was given them; `parse` keeps the first value of a repeated tag.
+`build` was given them, so `extend` can append fields to a built message;
+`parse` keeps the first value of a repeated tag.
 Field values are UTF-8 text except DATA, which carries raw bytes (encoded
 inner packets, document segments). A kind's name prefix names the protocol
 it rides on (PROTOCOL).
@@ -141,7 +142,17 @@ def build(kind: MsgKind, **fields: str | int | bytes | None) -> bytes:
     prefix = _KIND_PREFIX.get(kind)
     if prefix is None:
         raise KeyError(f"unknown message kind {kind!r}")
-    out = [prefix]
+    return _lay_out(prefix, fields)
+
+
+def extend(message: bytes, **fields: str | int | bytes | None) -> bytes:
+    """A built message with `fields` laid out after its own, as `build` lays
+    them out: extend(build(kind, **a), **b) == build(kind, **a, **b)."""
+    return _lay_out(message, fields)
+
+
+def _lay_out(head: bytes, fields: dict) -> bytes:
+    out = [head]
     for name, value in fields.items():
         if value is None:
             continue

@@ -72,18 +72,19 @@ def kpi_packet_counts(
         raise ValueError(f"unknown counting semantics {semantics!r}")
     if t1 < t0:
         raise ValueError(f"bad window [{t0}, {t1})")
-    counts: dict[str, int] = {name: 0 for name in entities} if entities is not None else {}
-    restrict = entities is not None
+    counts: dict[str, int] = {}
+    both = semantics == "src_or_dst"
     for ev in events:
-        if ev.outcome != DELIVERED or not (t0 <= ev.ts < t1) or not ev.is_wire:
+        # a local decision's link id is "local:<entity>" (TapRecord.is_wire)
+        if ev.outcome != DELIVERED or not (t0 <= ev.ts < t1) or ev.link_id.startswith("local:"):
             continue
-        names = (ev.src,) if semantics == "src_only" else (ev.src, ev.dst)
-        for name in names:
-            if restrict:
-                if name in counts:
-                    counts[name] += 1
-            else:
-                counts[name] = counts.get(name, 0) + 1
+        name = ev.src
+        counts[name] = counts.get(name, 0) + 1
+        if both:
+            name = ev.dst
+            counts[name] = counts.get(name, 0) + 1
+    if entities is not None:
+        return {name: counts.get(name, 0) for name in entities}
     return counts
 
 
@@ -93,7 +94,7 @@ def kpi_throughput_matrix(events, t0: int, t1: int) -> dict[tuple[str, str], flo
         raise ValueError(f"bad window [{t0}, {t1})")
     total: dict[tuple[str, str], int] = {}
     for ev in events:
-        if ev.outcome != DELIVERED or not (t0 <= ev.ts < t1) or not ev.is_wire:
+        if ev.outcome != DELIVERED or not (t0 <= ev.ts < t1) or ev.link_id.startswith("local:"):
             continue
         key = (ev.src, ev.dst)
         total[key] = total.get(key, 0) + ev.size

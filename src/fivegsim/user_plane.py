@@ -9,15 +9,14 @@ anchor redundancy in the core.
 from __future__ import annotations
 
 import hashlib
-import ipaddress
 import logging
 from dataclasses import dataclass
 
 from .core_cp import ERROR, OK, NfEntity
 from .errors import FlowError
-from .messages import KIND_NAME, MsgKind, Tag, build, kind_of, read_teid
+from .messages import KIND_NAME, MsgKind, Tag, build, extend, kind_of, read_teid
 from .urllc import SEQ_MODULUS, DedupWindow
-from .wirefmt import Protocol, SimPacket, WireFormatError, decode_packet, encode_packet
+from .wirefmt import Protocol, SimPacket, WireFormatError, _pack_ip, decode_packet, encode_packet
 
 log = logging.getLogger(__name__)
 
@@ -88,8 +87,8 @@ def parse_rule_program(text: str, ue_id: str) -> tuple[list[TeidRule], list[UeIp
             teid_rules.append(TeidRule(teid=teid, ue_id=ue_id, dedup=flag == "1", actions=tuple(actions)))
         elif kind == "UEIP":
             try:
-                ipaddress.IPv4Address(selector)
-            except ValueError:
+                _pack_ip(selector)
+            except WireFormatError:
                 raise WireFormatError(f"malformed rule selector {selector!r}") from None
             ueip_rules.append(
                 UeIpRule(ue_ip=selector, ue_id=ue_id, assign_seq=flag == "1", actions=tuple(actions))
@@ -219,7 +218,10 @@ class AppServer(NfEntity):
 
     Downlink routes are learned from uplink arrivals, so endpoint-level
     replication needs no session registry here: whichever UPFs delivered a
-    request get the response fanned back through them.
+    request get the response fanned back through them. A document's
+    APP_GET_ACK and APP_SEGMENT messages are built once per server and every
+    UE is sent the same bytes; a UE that tags its uplink gets each one with
+    its own SEQ element appended.
     """
 
     kind = "SERVER"
@@ -232,14 +234,15 @@ class AppServer(NfEntity):
         self._dl_seq: dict[str, int] = {}
         self.data_received: dict[str, int] = {}      # ue_ip -> post-elimination APP_DATA count
         self.data_indices: dict[str, set[int]] = {}
-        self._built: dict[tuple[str, int], tuple[bytes, str]] = {}  # (doc, size) -> body, SHA-256
+        self._built: dict[tuple[str, int], tuple[bytes, tuple[bytes, ...]]] = {}  # (doc, size) -> messages
 
     def _learn_route(self, ue_ip: str, upf: str) -> None:
         routes = self.routes.setdefault(ue_ip, [])
         if upf not in routes:
             routes.append(upf)
 
-    def _send_downlink(self, ue_ip: str, dport: int, kind: MsgKind, **fields) -> None:
+    def _send_downlink(self, ue_ip: str, dport: int, kind: MsgKind, payload: bytes) -> None:
+        """Send the built `kind` message `payload` through every route to the UE."""
         routes = self.routes.get(ue_ip)
         if not routes:
             self.drop(0, self.name, "no route", Protocol.APP, ue_ip=ue_ip)
@@ -247,8 +250,7 @@ class AppServer(NfEntity):
         if ue_ip in self._dedup:  # a UE that tags its uplink gets tagged downlink
             seq = self._dl_seq.get(ue_ip, 0)
             self._dl_seq[ue_ip] = (seq + 1) % SEQ_MODULUS
-            fields["seq"] = seq
-        payload = build(kind, **fields)
+            payload = extend(payload, seq=seq)
         port = self.env.params.ports[_APP]
         for upf in routes:
             self.send_msg(
@@ -289,37 +291,31 @@ class AppServer(NfEntity):
         else:
             log.debug("%s: ignoring APP %s", self.name, m.kind.name)
 
-    def _document(self, doc: str, size: int) -> tuple[bytes, str]:
-        """Body and SHA-256 of a document, built once per server."""
+    def _messages(self, doc: str, size: int) -> tuple[bytes, tuple[bytes, ...]]:
+        """A document's APP_GET_ACK and its APP_SEGMENTs in index order,
+        built once per server; the body is not kept."""
         built = self._built.get((doc, size))
         if built is None:
+            seg = self.env.params.segment_bytes
+            n_segments = segment_count(size, seg)
             content = document_content(doc, size)
-            built = self._built[doc, size] = (content, hashlib.sha256(content).hexdigest())
+            digest = hashlib.sha256(content).hexdigest()
+            built = self._built[doc, size] = (
+                build(MsgKind.APP_GET_ACK, doc=doc, size=size, segments=n_segments, digest=digest),
+                tuple(
+                    build(MsgKind.APP_SEGMENT, doc=doc, index=i, data=content[i * seg : (i + 1) * seg])
+                    for i in range(n_segments)
+                ),
+            )
         return built
 
     def _serve(self, ue_ip: str, dport: int, doc: str) -> None:
         size = self.documents.get(doc)
         if size is None:
-            self._send_downlink(ue_ip, dport, MsgKind.APP_ERROR, doc=doc, reason="no such document")
+            error = build(MsgKind.APP_ERROR, doc=doc, reason="no such document")
+            self._send_downlink(ue_ip, dport, MsgKind.APP_ERROR, error)
             return
-        seg = self.env.params.segment_bytes
-        n_segments = segment_count(size, seg)
-        content, digest = self._document(doc, size)
-        self._send_downlink(
-            ue_ip,
-            dport,
-            MsgKind.APP_GET_ACK,
-            doc=doc,
-            size=size,
-            segments=n_segments,
-            digest=digest,
-        )
-        for index in range(n_segments):
-            self._send_downlink(
-                ue_ip,
-                dport,
-                MsgKind.APP_SEGMENT,
-                doc=doc,
-                index=index,
-                data=content[index * seg : (index + 1) * seg],
-            )
+        ack, segments = self._messages(doc, size)
+        self._send_downlink(ue_ip, dport, MsgKind.APP_GET_ACK, ack)
+        for segment in segments:
+            self._send_downlink(ue_ip, dport, MsgKind.APP_SEGMENT, segment)

@@ -1,5 +1,6 @@
 """Topology parsing, validation errors, transforms, scenario specs."""
 import dataclasses
+import ipaddress
 
 import pytest
 
@@ -9,14 +10,18 @@ from fivegsim.config import (
     SCENARIO_NAMES,
     SCENARIOS,
     ConfigError,
+    EntityDecl,
     Params,
     ScenarioSpec,
     default_topology,
     default_topology_path,
     parse_topology,
     run_roster,
+    _validate,
+    ue_imsi,
     with_link_loss,
     with_second_gnb,
+    with_ues,
 )
 from fivegsim.runner import run_scenario
 from fivegsim.urllc import Redundancy
@@ -354,6 +359,70 @@ def test_with_link_loss_targets_n3_only():
     assert by_pair[frozenset(("gNB", "AMF"))].loss_prob == 0.0
     assert by_pair[frozenset(("UPF1", "UPF2"))].loss_prob == 0.0
     assert by_pair[frozenset(("AMF", "NRF"))].loss_prob == 0.0
+
+
+def _grown_then_validated(topo, total):
+    """The population grown as with_ues grows it, then the whole roster
+    checked by _validate: the verdict with_ues must give by its own checks."""
+    ues = topo.of_kind("UE")
+    gnbs = {g.name for g in topo.of_kind("GNB")}
+    radio = [(g, l) for l in topo.links if ues and ues[0].name in (l.a, l.b) for g in (l.a, l.b) if g in gnbs]
+    spawned = [
+        EntityDecl("UE", f"UE{k:03d}", f"172.16.{k >> 8}.{k & 0xFF}", ue_imsi(k))
+        for k in range(len(ues) + 1, total + 1)
+    ]
+    return _validate(dataclasses.replace(
+        topo,
+        entities=(*topo.entities, *spawned),
+        links=(*topo.links, *(dataclasses.replace(l, a=ue.name, b=g) for ue in spawned for g, l in radio)),
+        subscribers=(*topo.subscribers, *(u.imsi for u in spawned if u.imsi not in topo.subscribers)),
+    ))
+
+
+def _verdict(fn, *args):
+    try:
+        return "ok", fn(*args)
+    except ConfigError as exc:
+        return "error", str(exc)
+
+
+@pytest.mark.parametrize(
+    "edit, total",
+    [
+        (lambda text: text, 200),
+        (lambda text: text + "app_server_ip=172.16.0.5\n", 9),         # the SERVER a run adds
+        (lambda text: text + "nwdaf_ip=172.16.0.7\n", 9),              # the NWDAF a run adds
+        (lambda text: text.replace("ue_pool=10.45.0.0/16", "ue_pool=172.16.0.0/24"), 3),
+        (lambda text: text.replace("NSSF,NSSF,192.168.0.19", "NSSF,NSSF,172.16.0.4"), 5),
+        # a name clash at UE005 is reported before an IMSI clash at UE003
+        (lambda text: text.replace("BSF,BSF,", "BSF,UE005,").replace("BSF,NRF,", "UE005,NRF,")
+         .replace("imsi-001010000000001", "imsi-001010000000003"), 6),
+        # no declared UE, so no radio link to copy
+        (lambda text: text.replace("UE,UE,192.168.0.30\n", "").replace("UE,gNB,2,0.0,false\n", ""), 2),
+    ],
+    ids=["default", "server-address", "nwdaf-address", "ue-pool", "entity-address",
+         "name-before-imsi", "no-declared-ue"],
+)
+def test_with_ues_checks_the_new_ues_as_the_whole_roster_check_does(edit, total):
+    topo = parse_topology(edit(default_topology_path().read_text()))
+    assert _verdict(with_ues, topo, total) == _verdict(_grown_then_validated, topo, total)
+
+
+def test_growing_100_to_200_ues_parses_only_new_addresses(monkeypatch):
+    """Counted as test_per_packet_path_parses_no_addresses counts: the
+    addresses already on the roster are not parsed again."""
+    grown = with_ues(default_topology(), 100)
+    parsed = []
+
+    class CountingAddress(ipaddress.IPv4Address):
+        def __init__(self, address):
+            parsed.append(str(address))
+            super().__init__(address)
+
+    monkeypatch.setattr(ipaddress, "IPv4Address", CountingAddress)
+    assert len(with_ues(grown, 200).of_kind("UE")) == 200
+    assert len(parsed) <= 100
+    assert not set(parsed) & {e.ip for e in grown.entities}
 
 
 # -- scenario specs ---------------------------------------------------------------

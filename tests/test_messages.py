@@ -5,7 +5,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import tlv_elements
-from fivegsim.messages import PROTOCOL, MsgKind, Tag, build, canonical_int, kind_of, parse
+from fivegsim.messages import PROTOCOL, MsgKind, Tag, build, canonical_int, extend, kind_of, parse
+from fivegsim.urllc import SEQ_MODULUS
 from fivegsim.wirefmt import Protocol, WireFormatError
 
 
@@ -160,6 +161,18 @@ _BUILT = st.builds(
 @given(st.one_of(_TLV_BYTES, _BUILT))
 def test_kind_of_agrees_with_parse(buf):
     assert _outcome(kind_of, buf) == _outcome(_parsed_kind, buf)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.sampled_from(list(MsgKind)),
+    st.dictionaries(st.sampled_from([n for n in _FIELD_NAMES if n != "seq"]), _VALUES, max_size=6),
+    st.integers(0, SEQ_MODULUS - 1),
+)
+def test_a_built_message_plus_its_seq_element_is_the_message_built_with_it(kind, fields, seq):
+    """The server builds a message once and appends each tagged UE's SEQ
+    element to it: the bytes `build` lays out with `seq` given last."""
+    assert extend(build(kind, **fields), seq=seq) == build(kind, **fields, seq=seq)
 
 
 def _reference_num(m, tag):

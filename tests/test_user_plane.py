@@ -5,7 +5,7 @@ import pytest
 
 from fivegsim.config import ScenarioSpec, default_topology
 from fivegsim.errors import FlowError
-from fivegsim.messages import MsgKind, build
+from fivegsim.messages import MsgKind, Tag, build, parse
 from fivegsim.runner import T_ATTACH, Testbed, run_scenario
 from fivegsim.simnet import DELIVERED, DROPPED
 from fivegsim.user_plane import (
@@ -83,9 +83,10 @@ def test_document_content_empty_name_and_errors():
 def test_document_digest_matches_content():
     # the digest the server announces is the SHA-256 of the body it sends
     server = Testbed(default_topology(), seed=0).server
-    body, digest = server._document("doc", 1000)
+    ack, segments = server._messages("doc", 1000)
+    body = b"".join(parse(m).raw(Tag.DATA) for m in segments)
     assert body == document_content("doc", 1000)
-    assert digest == hashlib.sha256(body).hexdigest()
+    assert parse(ack).require(Tag.DIGEST) == hashlib.sha256(body).hexdigest()
 
 
 @pytest.mark.parametrize(
@@ -213,12 +214,13 @@ def test_corrupted_segment_fails_the_transfer():
     ue = tb.ues[0]
     send_downlink = tb.server._send_downlink
 
-    def corrupt_segment_3(ue_ip, dport, kind, **fields):
-        if kind == MsgKind.APP_SEGMENT and fields["index"] == 3:
-            data = bytearray(fields["data"])
+    def corrupt_segment_3(ue_ip, dport, kind, payload):
+        m = parse(payload)
+        if kind == MsgKind.APP_SEGMENT and m.num(Tag.INDEX) == 3:
+            data = bytearray(m.raw(Tag.DATA))
             data[17] ^= 0x01
-            fields["data"] = bytes(data)
-        send_downlink(ue_ip, dport, kind, **fields)
+            payload = build(kind, doc=m.require(Tag.DOC), index=3, data=bytes(data))
+        send_downlink(ue_ip, dport, kind, payload)
 
     tb.server._send_downlink = corrupt_segment_3
     tb.net.schedule(T_ATTACH, lambda: ue.attach(Redundancy.NONE))
@@ -248,6 +250,22 @@ def test_server_builds_each_document_once(monkeypatch):
     assert built == [("document", 487659)]
 
 
+def test_server_builds_each_segment_once_for_every_ue(monkeypatch):
+    built = []
+
+    def counting_build(kind, **fields):
+        built.append(kind)
+        return build(kind, **fields)
+
+    monkeypatch.setattr("fivegsim.user_plane.build", counting_build)
+    result = run_scenario(ScenarioSpec(name="many_requests", ue_count=20, seed=5))
+    transfers = [t for ts in result.transfers.values() for t in ts]
+    assert len(transfers) == 20 and all(t.ok for t in transfers)
+    assert len(app_rows(result.events, "APP_SEGMENT")) == 20 * 8
+    assert built.count(MsgKind.APP_SEGMENT) == 8
+    assert built.count(MsgKind.APP_GET_ACK) == 1
+
+
 def test_missing_document_flows_back_as_error():
     tb = Testbed(default_topology(), seed=3)
     tb.boot()
@@ -264,7 +282,8 @@ def test_missing_document_flows_back_as_error():
 
 def test_failed_transfer_line_names_the_reason_on_one_line(monkeypatch):
     def refuse(server, ue_ip, dport, doc):
-        server._send_downlink(ue_ip, dport, MsgKind.APP_ERROR, doc=doc, reason="busy\tnow\r\nretry")
+        error = build(MsgKind.APP_ERROR, doc=doc, reason="busy\tnow\r\nretry")
+        server._send_downlink(ue_ip, dport, MsgKind.APP_ERROR, error)
 
     monkeypatch.setattr(AppServer, "_serve", refuse)
     result = run_scenario(ScenarioSpec(name="single_request", seed=2))
@@ -277,7 +296,8 @@ def test_server_drops_downlink_without_learned_route():
     tb = Testbed(default_topology(), seed=0)
     tb.boot()
     tb.run_until(SETTLE)
-    tb.server._send_downlink("10.45.0.55", 80, MsgKind.APP_ERROR, doc="d", reason="x")
+    error = build(MsgKind.APP_ERROR, doc="d", reason="x")
+    tb.server._send_downlink("10.45.0.55", 80, MsgKind.APP_ERROR, error)
     assert drops_at(tb.records, "SERVER", "no route")
 
 
