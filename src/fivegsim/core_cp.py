@@ -22,8 +22,8 @@ node only its TEID lookup and what to do with the inner bytes. `drop` and
 
 Flows are the standard ones: NFs register with the NRF and heartbeat on a
 shared grid, each managing only its own profile; the AMF accepts NGAP
-setups from gNBs and runs UE registration through AUSF, UDM (backed by UDR)
-and PCF, refusing the UE when it has none of a kind it needs; the SMF
+setups from gNBs and walks each UE procedure of messages.PROCEDURES step by
+step, refusing the UE when it has no NF of the kind a step asks; the SMF
 associates with UPFs over PFCP and anchors PDU sessions, allocating UE
 addresses and tunnel endpoints. When one UPF refuses a session's rules, the
 SMF deletes the session at its other UPFs and takes the UE address back.
@@ -56,7 +56,7 @@ from typing import Callable
 
 from .config import PEER_KINDS, Params
 from .errors import FlowError
-from .messages import KIND_NAME, PROTOCOL, MsgKind, Tag, build, parse, read_teid
+from .messages import ANSWER, KIND_NAME, PROCEDURES, PROTOCOL, MsgKind, Tag, build, parse, read_teid
 from .simnet import DROPPED, ELIMINATED_DUPLICATE, Entity, Network
 from .urllc import DedupWindow, Redundancy
 from .wirefmt import Protocol, SimPacket, WireFormatError, _pack_ip, gtpu_decapsulate, gtpu_encapsulate
@@ -185,13 +185,6 @@ DISCOVERS = {
 # the NF kinds that register with the registry: those whose PEER_KINDS entry
 # names it
 REGISTERS = frozenset(kind for kind, peers in PEER_KINDS.items() if "NRF" in peers)
-
-# the registry requests a node makes about its own profile -> their answers
-_OWN_PROFILE = {
-    MsgKind.NF_REGISTER_REQ: MsgKind.NF_REGISTER_RESP,
-    MsgKind.NF_HEARTBEAT_REQ: MsgKind.NF_HEARTBEAT_RESP,
-    MsgKind.NF_DEREGISTER_REQ: MsgKind.NF_DEREGISTER_RESP,
-}
 
 
 class NfEntity(Entity):
@@ -501,14 +494,14 @@ class Nrf(NfEntity):
             else:
                 profile = self.deregister(nf_id)
         except FlowError as exc:
-            self.send(sender, _OWN_PROFILE[m.kind], result=ERROR, reason=str(exc), nf_id=nf_id)
+            self.send(sender, ANSWER[m.kind], result=ERROR, reason=str(exc), nf_id=nf_id)
             return
-        self.send(sender, _OWN_PROFILE[m.kind], result=OK, nf_id=nf_id)
+        self.send(sender, ANSWER[m.kind], result=OK, nf_id=nf_id)
         if m.kind != MsgKind.NF_HEARTBEAT_REQ or was_suspended:  # a heartbeat notifies a revival
             self._notify(profile)
 
     def on_sbi(self, m, pkt, sender) -> None:
-        if m.kind in _OWN_PROFILE:
+        if m.kind in (MsgKind.NF_REGISTER_REQ, MsgKind.NF_HEARTBEAT_REQ, MsgKind.NF_DEREGISTER_REQ):
             self._manage_profile(m, sender)
         elif m.kind == MsgKind.NF_DISCOVER_REQ:
             req_profile = self.registry.get(sender)
@@ -531,7 +524,11 @@ class Nrf(NfEntity):
 
 
 class Amf(NfEntity):
-    """Access and mobility function: NGAP endpoint plus registration broker."""
+    """Access and mobility function: NGAP endpoint, and the one walker of the
+    UE procedures in messages.PROCEDURES. A NAS request starts its procedure;
+    each OK answer asks the next step and the last one accepts; a refusal, or
+    a step with no discovered NF, rejects. Every field a request or answer
+    gives is read before the UE's pending entry changes."""
 
     kind = "AMF"
 
@@ -539,34 +536,24 @@ class Amf(NfEntity):
         super().__init__(name, ip, net, env)
         self.gnbs: set[str] = set()
         self.ue_registered: dict[str, str] = {}  # ue_id -> serving gNB
-        self._pending_reg: dict[str, str] = {}   # ue_id -> gNB the request came from
-        self._pending_sess: dict[str, str] = {}
+        # procedure -> ue_id -> (gNB the request came from, step asked, the fields each step carries)
+        self._pending: dict[MsgKind, dict[str, tuple[str, int, dict]]] = {p: {} for p in PROCEDURES}
+        # a step's answer kind -> (its procedure, the step's index)
+        self._answered = {
+            ANSWER[step[0]]: (p, i) for p, (_, _, steps) in PROCEDURES.items() for i, step in enumerate(steps)
+        }
 
-    def _ask(self, nf_type: str, kind: MsgKind, ue_id: str, **fields) -> None:
-        """Send a UE's next request to the picked `nf_type`; without one,
-        refuse the UE's session (SESSION_CREATE_REQ) or registration."""
+    def _ask(self, procedure: MsgKind, ue_id: str, gnb: str, index: int, fields: dict) -> None:
+        """Ask the picked NF the UE's step `index`; without one, reject the UE."""
+        _, reject, steps = PROCEDURES[procedure]
+        kind, nf_type, _, _ = steps[index]
         peer = self.pick(nf_type)
-        if peer is not None:
+        if peer is None:
+            self._pending[procedure].pop(ue_id, None)
+            self.send(gnb, reject, ue_id=ue_id, reason=f"no {nf_type} discovered")
+        else:
+            self._pending[procedure][ue_id] = (gnb, index, fields)
             self.send(peer, kind, ue_id=ue_id, **fields)
-            return
-        session = kind is MsgKind.SESSION_CREATE_REQ
-        gnb = (self._pending_sess if session else self._pending_reg).pop(ue_id)
-        refusal = MsgKind.NAS_SESSION_REJECT if session else MsgKind.NAS_REGISTER_REJECT
-        self.send(gnb, refusal, ue_id=ue_id, reason=f"no {nf_type} discovered")
-
-    def _registration_step(self, m, refusal: str) -> str | None:
-        """The UE whose pending registration the answer `m` lets go on. An
-        answer that is not OK ends it: the UE's gNB is sent a
-        NAS_REGISTER_REJECT with the answer's reason, else `refusal` (TS
-        33.501 §6.1.3 for a failed authentication)."""
-        ue_id = m.require(Tag.UE_ID)
-        if ue_id not in self._pending_reg:
-            return None
-        if m.text(Tag.RESULT) == OK:
-            return ue_id
-        gnb = self._pending_reg.pop(ue_id)
-        self.send(gnb, MsgKind.NAS_REGISTER_REJECT, ue_id=ue_id, reason=m.text(Tag.REASON, refusal))
-        return None
 
     # -- NGAP (towards gNBs, reliable transport required) -------------------
 
@@ -587,70 +574,53 @@ class Amf(NfEntity):
     # -- NAS relayed by gNBs -------------------------------------------------
 
     def on_nas(self, m, pkt, sender) -> None:
-        if m.kind == MsgKind.NAS_REGISTER_REQ:
-            ue_id = m.require(Tag.UE_ID)
-            if sender not in self.gnbs:
-                self.send(sender, MsgKind.NAS_REGISTER_REJECT, ue_id=ue_id, reason="no NGAP setup")
-                return
-            if ue_id in self.ue_registered:
-                self.send(sender, MsgKind.NAS_REGISTER_ACCEPT, ue_id=ue_id)
-                return
-            self._pending_reg[ue_id] = sender
-            self._ask("AUSF", MsgKind.AUTH_REQ, ue_id)
-        elif m.kind == MsgKind.NAS_SESSION_REQ:
-            ue_id = m.require(Tag.UE_ID)
-            if ue_id not in self.ue_registered:
-                self.send(sender, MsgKind.NAS_SESSION_REJECT, ue_id=ue_id, reason="not registered")
-                return
-            if ue_id in self._pending_sess:  # a second copy would plan a second session
-                self.drop(pkt, sender, "session request pending", ue_id=ue_id)
-                return
-            self._pending_sess[ue_id] = sender
-            self._ask(
-                "SMF",
-                MsgKind.SESSION_CREATE_REQ,
-                ue_id,
-                mode=m.text(Tag.MODE, Redundancy.NONE.name),
-                gnb=m.text(Tag.GNB, sender),
-            )
+        if m.kind not in PROCEDURES:
+            return super().on_nas(m, pkt, sender)
+        ue_id, registering = m.require(Tag.UE_ID), m.kind is MsgKind.NAS_REGISTER_REQ
+        # the SMF plans the legs through the gNBs the UE names, else the relaying one
+        fields = {} if registering else {
+            "mode": m.text(Tag.MODE, Redundancy.NONE.name), "gnb": m.text(Tag.GNB, sender)
+        }
+        accept, reject, _ = PROCEDURES[m.kind]
+        if registering and sender not in self.gnbs:
+            self.send(sender, reject, ue_id=ue_id, reason="no NGAP setup")
+        elif registering and ue_id in self.ue_registered:
+            self.send(sender, accept, ue_id=ue_id)
+        elif not registering and ue_id not in self.ue_registered:
+            self.send(sender, reject, ue_id=ue_id, reason="not registered")
+        elif ue_id in self._pending[m.kind]:  # a second copy would run a second chain
+            reason = "registration pending" if registering else "session request pending"
+            self.drop(pkt, sender, reason, ue_id=ue_id)
         else:
-            super().on_nas(m, pkt, sender)
+            self._ask(m.kind, ue_id, sender, 0, fields)
 
     # -- SBI client side -----------------------------------------------------
 
     def on_sbi(self, m, pkt, sender) -> None:
-        if m.kind == MsgKind.AUTH_RESP:
-            ue_id = self._registration_step(m, "authentication failed")
-            if ue_id is not None:
-                self._ask("UDM", MsgKind.SUBSCRIBER_REQ, ue_id)
-        elif m.kind == MsgKind.SUBSCRIBER_RESP:
-            ue_id = self._registration_step(m, "unknown subscriber")
-            if ue_id is not None:
-                self._ask("PCF", MsgKind.POLICY_REQ, ue_id)
-        elif m.kind == MsgKind.POLICY_RESP:
-            ue_id = self._registration_step(m, "policy refused")
-            if ue_id is not None:
-                gnb = self.ue_registered[ue_id] = self._pending_reg.pop(ue_id)
-                self.send(gnb, MsgKind.NAS_REGISTER_ACCEPT, ue_id=ue_id)
-        elif m.kind == MsgKind.SESSION_CREATE_RESP:
-            ue_id = m.require(Tag.UE_ID)
-            gnb = self._pending_sess.pop(ue_id, None)
-            if gnb is None:
-                return
-            if m.text(Tag.RESULT) != OK:
-                self.send(
-                    gnb, MsgKind.NAS_SESSION_REJECT, ue_id=ue_id, reason=m.text(Tag.REASON, "error")
-                )
-                return
+        if m.kind not in self._answered:
+            return super().on_sbi(m, pkt, sender)
+        procedure, index = self._answered[m.kind]
+        ue_id, pending = m.require(Tag.UE_ID), self._pending[procedure]
+        gnb, asked, fields = pending.get(ue_id, (None, None, None))
+        if asked != index:  # no step of this UE waits for this answer
+            return
+        accept, reject, steps = PROCEDURES[procedure]
+        if m.text(Tag.RESULT) != OK:
+            reason = m.text(Tag.REASON, steps[index][2])
+            del pending[ue_id]
+            self.send(gnb, reject, ue_id=ue_id, reason=reason)
+        elif index + 1 < len(steps):
+            self._ask(procedure, ue_id, gnb, index + 1, fields)
+        elif procedure is MsgKind.NAS_REGISTER_REQ:
+            self.ue_registered[ue_id] = pending.pop(ue_id)[0]
+            self.send(gnb, accept, ue_id=ue_id)
+        else:  # the session: the legs' other gNBs get theirs over NGAP before the UE hears
             session = read_session(m)
+            del pending[ue_id]
             fields = session.fields()
-            # Secondary gNBs get their tunnel legs over NGAP before the UE
-            # hears anything.
             for other in sorted(set(session.gnbs) - {gnb}):
                 self.send(other, MsgKind.NGAP_SESSION_SETUP, **fields)
-            self.send(gnb, MsgKind.NAS_SESSION_ACCEPT, **fields)
-        else:
-            super().on_sbi(m, pkt, sender)
+            self.send(gnb, accept, **fields)
 
 
 class Smf(NfEntity):
@@ -857,15 +827,10 @@ class Udm(NfEntity):
             self.send(udr, MsgKind.UDR_QUERY_REQ, ue_id=ue_id)
         elif m.kind == MsgKind.UDR_QUERY_RESP:
             ue_id = m.require(Tag.UE_ID)
-            requester = self._pending.pop(ue_id, None)
+            answer = {"ue_id": ue_id, "result": m.text(Tag.RESULT, ERROR), "reason": m.text(Tag.REASON)}
+            requester = self._pending.pop(ue_id, None)  # popped once the answer reads
             if requester is not None:
-                self.send(
-                    requester,
-                    MsgKind.SUBSCRIBER_RESP,
-                    ue_id=ue_id,
-                    result=m.text(Tag.RESULT, ERROR),
-                    reason=m.text(Tag.REASON),
-                )
+                self.send(requester, MsgKind.SUBSCRIBER_RESP, **answer)
         else:
             super().on_sbi(m, pkt, sender)
 
@@ -882,16 +847,9 @@ class Udr(NfEntity):
     def on_sbi(self, m, pkt, sender) -> None:
         if m.kind == MsgKind.UDR_QUERY_REQ:
             ue_id = m.require(Tag.UE_ID)
-            if ue_id in self.subscribers:
-                self.send(sender, MsgKind.UDR_QUERY_RESP, ue_id=ue_id, result=OK)
-            else:
-                self.send(
-                    sender,
-                    MsgKind.UDR_QUERY_RESP,
-                    ue_id=ue_id,
-                    result=ERROR,
-                    reason="unknown subscriber",
-                )
+            reason = None if ue_id in self.subscribers else "unknown subscriber"
+            result = ERROR if reason else OK
+            self.send(sender, MsgKind.UDR_QUERY_RESP, ue_id=ue_id, result=result, reason=reason)
         else:
             super().on_sbi(m, pkt, sender)
 

@@ -109,6 +109,48 @@ PROTOCOL = {
 # Python-level property, and rows name a kind per packet
 KIND_NAME = {kind: kind.name for kind in MsgKind}
 
+# request kind -> its answer kind; a NAS request's is its accept
+ANSWER = {
+    MsgKind.NF_REGISTER_REQ: MsgKind.NF_REGISTER_RESP,
+    MsgKind.NF_DEREGISTER_REQ: MsgKind.NF_DEREGISTER_RESP,
+    MsgKind.NF_HEARTBEAT_REQ: MsgKind.NF_HEARTBEAT_RESP,
+    MsgKind.NF_DISCOVER_REQ: MsgKind.NF_DISCOVER_RESP,
+    MsgKind.NF_STATUS_SUBSCRIBE_REQ: MsgKind.NF_STATUS_SUBSCRIBE_RESP,
+    MsgKind.PFCP_ASSOC_REQ: MsgKind.PFCP_ASSOC_RESP,
+    MsgKind.PFCP_SESSION_REQ: MsgKind.PFCP_SESSION_RESP,
+    MsgKind.PFCP_SESSION_DELETE_REQ: MsgKind.PFCP_SESSION_DELETE_RESP,
+    MsgKind.NGAP_SETUP_REQ: MsgKind.NGAP_SETUP_RESP,
+    MsgKind.NGAP_KEEPALIVE_REQ: MsgKind.NGAP_KEEPALIVE_RESP,
+    MsgKind.NGAP_SESSION_SETUP: MsgKind.NGAP_SESSION_SETUP_ACK,
+    MsgKind.NAS_REGISTER_REQ: MsgKind.NAS_REGISTER_ACCEPT,
+    MsgKind.NAS_SESSION_REQ: MsgKind.NAS_SESSION_ACCEPT,
+    MsgKind.AUTH_REQ: MsgKind.AUTH_RESP,
+    MsgKind.SUBSCRIBER_REQ: MsgKind.SUBSCRIBER_RESP,
+    MsgKind.UDR_QUERY_REQ: MsgKind.UDR_QUERY_RESP,
+    MsgKind.POLICY_REQ: MsgKind.POLICY_RESP,
+    MsgKind.SESSION_CREATE_REQ: MsgKind.SESSION_CREATE_RESP,
+}
+
+# The UE procedures the AMF runs (TS 23.502 §4.2.2.2 registration, §4.3.2.2
+# PDU session establishment): the NAS request that starts one -> (its accept,
+# its reject, its steps). A step is (its request, the NF kind asked, the
+# refusal an error answer without a reason gives, the steps that NF takes
+# before it answers). The AMF asks the steps in turn; validation's
+# REGISTRATION_CHAIN is the registration's steps, nested ones included. A new
+# step is one row here plus the handler of the NF it asks.
+PROCEDURES = {
+    MsgKind.NAS_REGISTER_REQ: (MsgKind.NAS_REGISTER_ACCEPT, MsgKind.NAS_REGISTER_REJECT, (
+        (MsgKind.AUTH_REQ, "AUSF", "authentication failed", ()),  # TS 33.501 §6.1.3
+        (MsgKind.SUBSCRIBER_REQ, "UDM", "unknown subscriber", (
+            (MsgKind.UDR_QUERY_REQ, "UDR", "no UDR", ()),
+        )),
+        (MsgKind.POLICY_REQ, "PCF", "policy refused", ()),
+    )),
+    MsgKind.NAS_SESSION_REQ: (MsgKind.NAS_SESSION_ACCEPT, MsgKind.NAS_SESSION_REJECT, (
+        (MsgKind.SESSION_CREATE_REQ, "SMF", "error", ()),
+    )),
+}
+
 _KIND_BY_CODE = {int(k): k for k in MsgKind}
 _HEAD = struct.Struct(">HH")  # an element's tag and length
 _KIND_PREFIX = {k: struct.pack(">H", k) for k in MsgKind}

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from .core_cp import ERROR, OK, NfEntity
 from .errors import FlowError
-from .messages import KIND_NAME, MsgKind, Tag, build, extend, kind_of, read_teid
+from .messages import ANSWER, KIND_NAME, MsgKind, Tag, build, extend, kind_of, read_teid
 from .urllc import SEQ_MODULUS, DedupWindow
 from .wirefmt import Protocol, SimPacket, WireFormatError, _pack_ip, decode_packet, encode_packet
 
@@ -118,7 +118,7 @@ class Upf(NfEntity):
             self.send(sender, MsgKind.PFCP_ASSOC_RESP, result=OK, nf_id=self.name)
         elif m.kind in (MsgKind.PFCP_SESSION_REQ, MsgKind.PFCP_SESSION_DELETE_REQ):
             ue_id = m.require(Tag.UE_ID)
-            answer = MsgKind(m.kind + 1)  # each request's response is the next code
+            answer = ANSWER[m.kind]
             if sender not in self.associated_smfs:
                 self.send(sender, answer, ue_id=ue_id, result=ERROR, reason="no association")
                 return

@@ -14,21 +14,21 @@ from collections import defaultdict
 from dataclasses import dataclass
 
 from .config import Params
-from .messages import read_teid
+from .messages import ANSWER, PROCEDURES, MsgKind, read_teid
 from .wirefmt import Protocol, WireFormatError
 
 SBI_KINDS_REGISTER = ("NF_REGISTER_REQ", "NF_REGISTER_RESP")
 
-REGISTRATION_CHAIN = (
-    "AUTH_REQ",
-    "AUTH_RESP",
-    "SUBSCRIBER_REQ",
-    "UDR_QUERY_REQ",
-    "UDR_QUERY_RESP",
-    "SUBSCRIBER_RESP",
-    "POLICY_REQ",
-    "POLICY_RESP",
-)
+
+def procedure_chain(steps) -> tuple[str, ...]:
+    """The kinds a procedure's steps put on the wire, in order: each step's
+    request, the steps its NF takes, then its answer."""
+    return tuple(
+        kind for req, _, _, inner in steps for kind in (req.name, *procedure_chain(inner), ANSWER[req].name)
+    )
+
+
+REGISTRATION_CHAIN = procedure_chain(PROCEDURES[MsgKind.NAS_REGISTER_REQ][2])
 
 
 @dataclass(frozen=True)

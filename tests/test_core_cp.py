@@ -296,7 +296,7 @@ def test_unknown_subscriber_is_rejected():
 
 
 def test_udm_without_udr_rejects_the_registration():
-    text = open(default_topology().source).read()
+    text = Path(default_topology().source).read_text()
     topo = parse_topology("\n".join(line for line in text.splitlines() if "UDR" not in line))
     tb = Testbed(topo, seed=0)
     tb.boot()
@@ -334,7 +334,7 @@ def test_a_refused_authentication_or_policy_rejects_the_registration(nf, request
     tb.run_until(SETTLE)
     assert (ue.state, ue.reject_reason, ue.session) == ("DEREGISTERED", f"{nf} says no", None)
     amf = tb.amfs[0]
-    assert ue.imsi not in amf.ue_registered and ue.imsi not in amf._pending_reg
+    assert ue.imsi not in amf.ue_registered and ue.imsi not in amf._pending[MsgKind.NAS_REGISTER_REQ]
     # the refusal ends the chain: nothing is asked after the refused answer
     asked = [r.attrs["msg_kind"] for r in tb.records if r.src == "AMF" and r.attrs.get("ue_id") == ue.imsi]
     assert asked[-1] == "NAS_REGISTER_REJECT"

@@ -287,6 +287,80 @@ def test_a_session_request_arriving_twice_plans_one_session():
     assert len(upf.teid_rules) == 1
 
 
+def rows_after(tb, kind, t=BOOTED):
+    return [r for r in tb.records if r.is_wire and r.attrs.get("msg_kind") == kind and r.ts > t]
+
+
+def test_a_registration_request_arriving_twice_runs_one_chain():
+    # the UDM keeps one requester per UE: a second chain would lose an answer
+    tb = booted()
+    ue = tb.ues[0]
+    rls = build(MsgKind.RLS_NAS, ue_id=ue.imsi, data=build(MsgKind.NAS_REGISTER_REQ, ue_id=ue.imsi))
+    for _ in range(2):
+        inject(tb, BOOTED + 1, ue.name, "gNB", Protocol.RLS, rls)
+    tb.run_until(HORIZON)
+    assert_contained(tb)
+    for kind in ("AUTH_REQ", "UDR_QUERY_REQ", "SUBSCRIBER_RESP", "POLICY_RESP", "NAS_REGISTER_ACCEPT"):
+        assert len(rows_after(tb, kind)) == 1, kind
+    [drop] = local_rows(tb, "AMF")
+    assert (drop.src, drop.attrs["reason"], drop.attrs["ue_id"]) == ("gNB", "registration pending", ue.imsi)
+    assert tb.amfs[0].ue_registered == {ue.imsi: "gNB"}
+
+
+def attach_until(tb, ue, kind):
+    """Attach `ue` just after boot and run the testbed until a `kind` row is on the wire."""
+    tb.net.schedule(BOOTED + 1, ue.attach)
+    while not rows_after(tb, kind):
+        tb.run_until(tb.net.now + 1)
+
+
+def test_a_malformed_session_answer_leaves_the_pending_session_to_the_real_one():
+    tb = booted()
+    ue = tb.ues[0]
+    attach_until(tb, ue, "SESSION_CREATE_REQ")
+    forged = build(MsgKind.SESSION_CREATE_RESP, ue_id=ue.imsi, result="OK", ue_ip="10.45.0.9", paths="garbage")
+    inject(tb, tb.net.now, "SMF", "AMF", Protocol.SBI, forged)
+    tb.run_until(HORIZON)
+    assert_contained(tb)
+    [drop] = local_rows(tb, "AMF")
+    assert (drop.src, drop.attrs["reason"]) == ("SMF", "malformed session path 'garbage'")
+    [real] = rows_after(tb, "SESSION_CREATE_RESP")
+    assert drop.ts <= real.ts  # rows stamp the send: the real one arrived after the drop
+    assert len(rows_after(tb, "NAS_SESSION_ACCEPT")) == 1
+    assert ue.state == "SESSION_ACTIVE"
+
+
+def test_a_session_request_with_a_mode_that_is_not_text_leaves_the_ue_its_own():
+    tb = booted()
+    ue = tb.ues[0]
+    attach_until(tb, ue, "NAS_REGISTER_ACCEPT")
+    forged = build(MsgKind.NAS_SESSION_REQ, ue_id=ue.imsi, mode=b"\xff", gnb="gNB")
+    inject(tb, tb.net.now, "gNB", "AMF", Protocol.NAS, forged)
+    tb.run_until(HORIZON)
+    assert_contained(tb)
+    [drop] = local_rows(tb, "AMF")
+    assert (drop.src, drop.attrs["reason"]) == ("gNB", "field MODE in NAS_SESSION_REQ is not UTF-8")
+    [own] = [r for r in rows_after(tb, "NAS_SESSION_REQ") if r.dst == "AMF"]
+    assert drop.ts <= own.ts  # rows stamp the send: the UE's own arrived after the drop
+    assert len(rows_after(tb, "SESSION_CREATE_REQ")) == 1
+    assert ue.state == "SESSION_ACTIVE"
+
+
+def test_a_subscriber_answer_that_is_not_text_leaves_the_udm_waiting_for_the_real_one():
+    tb = booted()
+    ue = tb.ues[0]
+    attach_until(tb, ue, "UDR_QUERY_REQ")
+    forged = build(MsgKind.UDR_QUERY_RESP, ue_id=ue.imsi, result=b"\xff")
+    inject(tb, tb.net.now, "UDR", "UDM", Protocol.SBI, forged)
+    tb.run_until(HORIZON)
+    assert_contained(tb)
+    [drop] = local_rows(tb, "UDM")
+    assert (drop.src, drop.attrs["reason"]) == ("UDR", "field RESULT in UDR_QUERY_RESP is not UTF-8")
+    [real] = rows_after(tb, "UDR_QUERY_RESP")
+    assert drop.ts <= real.ts  # rows stamp the send: the real one arrived after the drop
+    assert ue.state == "SESSION_ACTIVE"
+
+
 def test_upf_routes_uplink_only_to_the_owner_of_its_destination():
     tb = booted(attach=True)
     ue = tb.ues[0]

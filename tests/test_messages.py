@@ -5,7 +5,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import tlv_elements
-from fivegsim.messages import PROTOCOL, MsgKind, Tag, build, canonical_int, extend, kind_of, parse
+from fivegsim.messages import (
+    ANSWER, PROCEDURES, PROTOCOL, MsgKind, Tag, build, canonical_int, extend, kind_of, parse,
+)
 from fivegsim.urllc import SEQ_MODULUS
 from fivegsim.wirefmt import Protocol, WireFormatError
 
@@ -21,6 +23,25 @@ def test_kind_prefix_names_the_protocol():
                  MsgKind.UDR_QUERY_REQ, MsgKind.POLICY_RESP):
         assert PROTOCOL[kind] is Protocol.SBI
     assert Protocol.GTPU not in PROTOCOL.values()  # tunnels carry bytes, not messages
+
+
+def test_every_request_has_exactly_one_answer_on_its_own_protocol():
+    requests = {kind for kind in MsgKind if kind.name.endswith("_REQ")} | {MsgKind.NGAP_SESSION_SETUP}
+    assert set(ANSWER) == requests
+    assert len(set(ANSWER.values())) == len(ANSWER)  # no answer serves two requests
+    for request, answer in ANSWER.items():
+        assert PROTOCOL[answer] is PROTOCOL[request], request
+        assert answer.name.startswith(request.name.removesuffix("_REQ")), request
+
+
+def test_each_procedure_accepts_with_its_answer_and_asks_only_requests():
+    for start, (accept, reject, steps) in PROCEDURES.items():
+        assert ANSWER[start] is accept and PROTOCOL[reject] is PROTOCOL[start] is Protocol.NAS
+        nested = list(steps)
+        while nested:
+            request, nf_kind, refusal, inner = nested.pop()
+            assert request in ANSWER and nf_kind.isupper() and refusal
+            nested += inner
 
 
 def test_accessors_raise_wire_format_errors_on_bad_fields():

@@ -3,6 +3,7 @@ import functools
 import hashlib
 import tracemalloc
 import types
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -41,7 +42,7 @@ def attached_testbed(mode=Redundancy.NONE, seed=0, topo=None):
 # -- NGAP ---------------------------------------------------------------------
 
 def test_amf_refuses_setup_from_unreliable_link():
-    raw = open(default_topology().source).read().replace(
+    raw = Path(default_topology().source).read_text().replace(
         "gNB,AMF,1,0.0,true", "gNB,AMF,1,0.0,false"
     )
     tb = Testbed(parse_topology(raw), seed=0)

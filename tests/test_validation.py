@@ -3,7 +3,9 @@ import itertools
 
 import pytest
 
+from fivegsim import core_cp, validation
 from fivegsim.config import ScenarioSpec
+from fivegsim.messages import ANSWER, PROCEDURES, MsgKind
 from fivegsim.runner import run_scenario
 from fivegsim.simnet import TapRecord
 from fivegsim.validation import (
@@ -251,6 +253,19 @@ def full_chain(fab, ue=UE):
     return events
 
 
+def test_the_chain_is_the_registration_procedure_of_the_table():
+    assert REGISTRATION_CHAIN == (
+        "AUTH_REQ",
+        "AUTH_RESP",
+        "SUBSCRIBER_REQ",
+        "UDR_QUERY_REQ",
+        "UDR_QUERY_RESP",
+        "SUBSCRIBER_RESP",
+        "POLICY_REQ",
+        "POLICY_RESP",
+    )
+
+
 def test_chain_passes_when_complete_and_ordered(fab):
     res = check_registration_chain(full_chain(fab))
     assert res.passed and "1 acceptances" in res.detail
@@ -350,3 +365,38 @@ def test_empty_log_fails_every_check():
     assert details["heartbeat_cadence"] == "no heartbeat evidence in the log"
     assert details["registration_chain"] == "no accepted registration in the log"
     assert details["user_plane_routing"] == "no tunnel traffic in the log"
+
+
+def test_every_answer_follows_its_request_between_the_same_two_entities(nominal_events):
+    request_of = {answer.name: request.name for request, answer in ANSWER.items()}
+    outstanding: dict[tuple[str, str, str], int] = {}
+    answered = set()
+    for ev in nominal_events:
+        kind = ev.attrs.get("msg_kind")
+        if not ev.is_wire or kind is None:
+            continue
+        if kind in request_of:
+            key = (request_of[kind], ev.dst, ev.src)
+            assert outstanding.get(key, 0) > 0, ev
+            outstanding[key] -= 1
+            answered.add(kind)
+        else:
+            key = (kind, ev.src, ev.dst)
+            outstanding[key] = outstanding.get(key, 0) + 1
+    chain_answers = {kind for kind in REGISTRATION_CHAIN if kind in request_of}
+    assert {"NAS_REGISTER_ACCEPT", "NAS_SESSION_ACCEPT", "NF_HEARTBEAT_RESP", *chain_answers} <= answered
+
+
+def test_a_table_without_the_policy_step_drives_both_the_amf_and_the_chain(monkeypatch):
+    accept, reject, steps = PROCEDURES[MsgKind.NAS_REGISTER_REQ]
+    without_pcf = (accept, reject, tuple(step for step in steps if step[1] != "PCF"))
+    monkeypatch.setattr(core_cp, "PROCEDURES", {**PROCEDURES, MsgKind.NAS_REGISTER_REQ: without_pcf})
+    events = run_scenario(ScenarioSpec(name="single_request", seed=21)).events
+    kinds = {ev.attrs.get("msg_kind") for ev in events}
+    assert "NAS_REGISTER_ACCEPT" in kinds and "NAS_SESSION_ACCEPT" in kinds
+    assert not {kind for kind in kinds if kind and kind.startswith("POLICY_")}
+    monkeypatch.setattr(validation, "REGISTRATION_CHAIN", validation.procedure_chain(without_pcf[2]))
+    assert check_registration_chain(events).passed
+    monkeypatch.undo()
+    res = check_registration_chain(events)
+    assert not res.passed and "accepted without POLICY_REQ" in res.detail
