@@ -22,11 +22,12 @@ node only its TEID lookup and what to do with the inner bytes. `drop` and
 
 Flows are the standard ones: NFs register with the NRF and heartbeat on a
 shared grid, each managing only its own profile; the AMF accepts NGAP
-setups from gNBs and walks each UE procedure of messages.PROCEDURES step by
-step, refusing the UE when it has no NF of the kind a step asks; the SMF
-associates with UPFs over PFCP and anchors PDU sessions, allocating UE
-addresses and tunnel endpoints. When one UPF refuses a session's rules, the
-SMF deletes the session at its other UPFs and takes the UE address back.
+setups from gNBs; Walker asks every step of messages.PROCEDURES and reads
+its answer, only from the peer it asked: the AMF walks the UE procedures,
+the UDM the UDR query of each SUBSCRIBER_REQ. The SMF associates with UPFs
+over PFCP and anchors PDU sessions, allocating UE addresses and tunnel
+endpoints; when a UPF it asked refuses a session's rules, the SMF deletes
+the session at its other UPFs and takes the UE address back.
 
 Each NF has one peer view, `candidates` (kind -> registered nf_ids in nf_id
 order), and one choice, `pick` (the lowest). An NF with peer kinds to find
@@ -469,13 +470,8 @@ class Nrf(NfEntity):
     def _notify(self, profile: NfProfile) -> None:
         for sub in self.status_subscribers:
             if sub != profile.nf_id:
-                self.send(
-                    sub,
-                    MsgKind.NF_STATUS_NOTIFY,
-                    nf_id=profile.nf_id,
-                    nf_type=profile.nf_type,
-                    status=profile.status,
-                )
+                self.send(sub, MsgKind.NF_STATUS_NOTIFY, nf_id=profile.nf_id, nf_type=profile.nf_type,
+                          status=profile.status)
 
     # -- SBI server ---------------------------------------------------------
 
@@ -504,17 +500,11 @@ class Nrf(NfEntity):
         if m.kind in (MsgKind.NF_REGISTER_REQ, MsgKind.NF_HEARTBEAT_REQ, MsgKind.NF_DEREGISTER_REQ):
             self._manage_profile(m, sender)
         elif m.kind == MsgKind.NF_DISCOVER_REQ:
-            req_profile = self.registry.get(sender)
-            if req_profile is None or req_profile.status != REGISTERED:
-                self.send(
-                    sender, MsgKind.NF_DISCOVER_RESP, result=ERROR, reason="requester not registered"
-                )
-                return
+            if getattr(self.registry.get(sender), "status", None) != REGISTERED:
+                return self.send(sender, ANSWER[m.kind], result=ERROR, reason="requester not registered")
             nf_type = m.require(Tag.NF_TYPE)
             data = ";".join(f"{p.nf_id}|{p.nf_type}|{p.addr}" for p in self.profiles_of(nf_type))
-            self.send(
-                sender, MsgKind.NF_DISCOVER_RESP, result=OK, nf_type=nf_type, data=data.encode()
-            )
+            self.send(sender, MsgKind.NF_DISCOVER_RESP, result=OK, nf_type=nf_type, data=data.encode())
         elif m.kind == MsgKind.NF_STATUS_SUBSCRIBE_REQ:
             if sender not in self.status_subscribers:
                 self.status_subscribers.append(sender)
@@ -523,12 +513,81 @@ class Nrf(NfEntity):
             super().on_sbi(m, pkt, sender)
 
 
-class Amf(NfEntity):
-    """Access and mobility function: NGAP endpoint, and the one walker of the
-    UE procedures in messages.PROCEDURES. A NAS request starts its procedure;
-    each OK answer asks the next step and the last one accepts; a refusal, or
-    a step with no discovered NF, rejects. Every field a request or answer
-    gives is read before the UE's pending entry changes."""
+def runs_of(nf_type: str) -> dict[MsgKind, tuple]:
+    """The runs of steps an NF of `nf_type` walks, by the request that starts
+    each, as (accept, reject, steps): the AMF's are messages.PROCEDURES, and a
+    step with steps of its own is a run of the NF it asks, accepted and
+    rejected by its one answer kind."""
+    runs = dict(PROCEDURES) if nf_type == "AMF" else {}
+    nested = [steps for _, _, steps in PROCEDURES.values()]
+    while nested:
+        for request, kind, _, inner in nested.pop():
+            nested.append(inner)
+            if inner and kind == nf_type:
+                runs[request] = (ANSWER[request], ANSWER[request], inner)
+    return runs
+
+
+class Walker(NfEntity):
+    """Base of the NFs that walk runs of steps (runs_of), the one code that
+    asks a step or reads its answer: each OK answer asks the next step and the
+    last one accepts; an error answer (its reason, else the step's refusal) or
+    a step with no discovered NF (`no <KIND> discovered`) rejects. Only the
+    peer a step asked answers it: any other answer is ignored, like one no
+    step waits for. Every field an answer gives is read before the UE's
+    pending entry changes."""
+
+    def __init__(self, name, ip, net, env):
+        super().__init__(name, ip, net, env)
+        self.runs = runs_of(self.kind)
+        # run -> ue_id -> (requester, step asked, the peer asked, the fields each step carries)
+        self._pending: dict[MsgKind, dict[str, tuple]] = {run: {} for run in self.runs}
+        # a step's answer kind -> (its run, the step's index)
+        self._answered = {
+            ANSWER[step[0]]: (run, i) for run, (*_, steps) in self.runs.items() for i, step in enumerate(steps)
+        }
+
+    def walk(self, run: MsgKind, ue_id: str, requester: str, index: int, fields: dict) -> None:
+        """Ask the picked NF the UE's step `index` of `run`; without one, reject."""
+        kind, nf_type, _, _ = self.runs[run][2][index]
+        peer = self.pick(nf_type)
+        if peer is None:
+            return self.end(run, ue_id, requester, f"no {nf_type} discovered")
+        self._pending[run][ue_id] = (requester, index, peer, fields)
+        self.send(peer, kind, ue_id=ue_id, **fields)
+
+    def end(self, run: MsgKind, ue_id: str, requester: str, reason: str | None = None) -> None:
+        """Accept the UE's run, or with a `reason` reject it; a run whose
+        accept and reject are one answer kind says which in its result."""
+        accept, reject, _ = self.runs[run]
+        self._pending[run].pop(ue_id, None)
+        result = (OK if reason is None else ERROR) if accept is reject else None
+        self.send(requester, accept if reason is None else reject, ue_id=ue_id, result=result, reason=reason)
+
+    def on_sbi(self, m, pkt, sender) -> None:
+        if m.kind not in self._answered:
+            return super().on_sbi(m, pkt, sender)
+        run, index = self._answered[m.kind]
+        ue_id = m.require(Tag.UE_ID)
+        requester, asked, peer, fields = self._pending[run].get(ue_id, (None,) * 4)
+        if (asked, peer) != (index, sender):  # no step of this UE waits for this answer from `sender`
+            return
+        steps = self.runs[run][2]
+        if m.text(Tag.RESULT) != OK:
+            self.end(run, ue_id, requester, m.text(Tag.REASON, steps[index][2]))
+        elif index + 1 < len(steps):
+            self.walk(run, ue_id, requester, index + 1, fields)
+        else:
+            self.accepted(run, ue_id, requester, m)
+
+    def accepted(self, run: MsgKind, ue_id: str, requester: str, m) -> None:
+        """The last step of the UE's run answered OK with `m`."""
+        self.end(run, ue_id, requester)
+
+
+class Amf(Walker):
+    """Access and mobility function: NGAP endpoint, and the walker of the UE
+    procedures in messages.PROCEDURES, each started by its NAS request."""
 
     kind = "AMF"
 
@@ -536,24 +595,6 @@ class Amf(NfEntity):
         super().__init__(name, ip, net, env)
         self.gnbs: set[str] = set()
         self.ue_registered: dict[str, str] = {}  # ue_id -> serving gNB
-        # procedure -> ue_id -> (gNB the request came from, step asked, the fields each step carries)
-        self._pending: dict[MsgKind, dict[str, tuple[str, int, dict]]] = {p: {} for p in PROCEDURES}
-        # a step's answer kind -> (its procedure, the step's index)
-        self._answered = {
-            ANSWER[step[0]]: (p, i) for p, (_, _, steps) in PROCEDURES.items() for i, step in enumerate(steps)
-        }
-
-    def _ask(self, procedure: MsgKind, ue_id: str, gnb: str, index: int, fields: dict) -> None:
-        """Ask the picked NF the UE's step `index`; without one, reject the UE."""
-        _, reject, steps = PROCEDURES[procedure]
-        kind, nf_type, _, _ = steps[index]
-        peer = self.pick(nf_type)
-        if peer is None:
-            self._pending[procedure].pop(ue_id, None)
-            self.send(gnb, reject, ue_id=ue_id, reason=f"no {nf_type} discovered")
-        else:
-            self._pending[procedure][ue_id] = (gnb, index, fields)
-            self.send(peer, kind, ue_id=ue_id, **fields)
 
     # -- NGAP (towards gNBs, reliable transport required) -------------------
 
@@ -574,14 +615,14 @@ class Amf(NfEntity):
     # -- NAS relayed by gNBs -------------------------------------------------
 
     def on_nas(self, m, pkt, sender) -> None:
-        if m.kind not in PROCEDURES:
+        if m.kind not in self.runs:
             return super().on_nas(m, pkt, sender)
         ue_id, registering = m.require(Tag.UE_ID), m.kind is MsgKind.NAS_REGISTER_REQ
         # the SMF plans the legs through the gNBs the UE names, else the relaying one
         fields = {} if registering else {
             "mode": m.text(Tag.MODE, Redundancy.NONE.name), "gnb": m.text(Tag.GNB, sender)
         }
-        accept, reject, _ = PROCEDURES[m.kind]
+        accept, reject, _ = self.runs[m.kind]
         if registering and sender not in self.gnbs:
             self.send(sender, reject, ue_id=ue_id, reason="no NGAP setup")
         elif registering and ue_id in self.ue_registered:
@@ -592,35 +633,19 @@ class Amf(NfEntity):
             reason = "registration pending" if registering else "session request pending"
             self.drop(pkt, sender, reason, ue_id=ue_id)
         else:
-            self._ask(m.kind, ue_id, sender, 0, fields)
+            self.walk(m.kind, ue_id, sender, 0, fields)
 
-    # -- SBI client side -----------------------------------------------------
-
-    def on_sbi(self, m, pkt, sender) -> None:
-        if m.kind not in self._answered:
-            return super().on_sbi(m, pkt, sender)
-        procedure, index = self._answered[m.kind]
-        ue_id, pending = m.require(Tag.UE_ID), self._pending[procedure]
-        gnb, asked, fields = pending.get(ue_id, (None, None, None))
-        if asked != index:  # no step of this UE waits for this answer
-            return
-        accept, reject, steps = PROCEDURES[procedure]
-        if m.text(Tag.RESULT) != OK:
-            reason = m.text(Tag.REASON, steps[index][2])
-            del pending[ue_id]
-            self.send(gnb, reject, ue_id=ue_id, reason=reason)
-        elif index + 1 < len(steps):
-            self._ask(procedure, ue_id, gnb, index + 1, fields)
-        elif procedure is MsgKind.NAS_REGISTER_REQ:
-            self.ue_registered[ue_id] = pending.pop(ue_id)[0]
-            self.send(gnb, accept, ue_id=ue_id)
-        else:  # the session: the legs' other gNBs get theirs over NGAP before the UE hears
-            session = read_session(m)
-            del pending[ue_id]
-            fields = session.fields()
-            for other in sorted(set(session.gnbs) - {gnb}):
-                self.send(other, MsgKind.NGAP_SESSION_SETUP, **fields)
-            self.send(gnb, accept, **fields)
+    def accepted(self, run, ue_id, gnb, m) -> None:
+        if run is MsgKind.NAS_REGISTER_REQ:
+            self.ue_registered[ue_id] = gnb
+            return self.end(run, ue_id, gnb)
+        # the session: the legs' other gNBs get theirs over NGAP before the UE hears
+        session = read_session(m)
+        del self._pending[run][ue_id]
+        fields = session.fields()
+        for other in sorted(set(session.gnbs) - {gnb}):
+            self.send(other, MsgKind.NGAP_SESSION_SETUP, **fields)
+        self.send(gnb, self.runs[run][0], **fields)
 
 
 class Smf(NfEntity):
@@ -673,20 +698,23 @@ class Smf(NfEntity):
                 self.associations[sender] = "ACTIVE"
         elif m.kind == MsgKind.PFCP_SESSION_RESP:
             ue_id = m.require(Tag.UE_ID)
-            if ue_id not in self._pending:
+            requester, session, outstanding = self._pending.get(ue_id, (None, None, ()))
+            if sender not in outstanding:  # only a UPF whose rules this UE waits for answers
                 return
-            requester, session, outstanding = self._pending[ue_id]
-            outstanding.discard(sender)
             if m.text(Tag.RESULT) != OK:
+                reason = m.text(Tag.REASON, "error")
                 del self._pending[ue_id]
                 # undo the session at every other UPF (TS 29.244 §7.5.6)
                 for other in sorted({p.upf for p in session.paths} - {sender}):
                     self.send(other, MsgKind.PFCP_SESSION_DELETE_REQ, ue_id=ue_id)
                 self._released.append(session.ue_ip)
-                self._fail_session(requester, ue_id, m.text(Tag.REASON, "error"))
-            elif not outstanding:
+                return self._fail_session(requester, ue_id, reason)
+            outstanding.remove(sender)
+            if not outstanding:
                 del self._pending[ue_id]
-                self._finish_session(requester, session)
+                self.sessions[ue_id] = session
+                answer = {"ue_id": ue_id, "result": OK, **session.fields()}  # wire order: ue_id first
+                self.send(requester, MsgKind.SESSION_CREATE_RESP, **answer)
         elif m.kind == MsgKind.PFCP_SESSION_DELETE_RESP:
             pass
         else:
@@ -696,19 +724,13 @@ class Smf(NfEntity):
 
     def on_sbi(self, m, pkt, sender) -> None:
         if m.kind == MsgKind.SESSION_CREATE_REQ:
-            self._create_session(
-                requester=sender,
-                ue_id=m.require(Tag.UE_ID),
-                mode=read_mode(m),
-                gnbs=[g for g in m.text(Tag.GNB, "").split(";") if g],
-            )
+            ue_id, mode = m.require(Tag.UE_ID), read_mode(m)
+            self._create_session(sender, ue_id, mode, [g for g in m.text(Tag.GNB, "").split(";") if g])
         else:
             super().on_sbi(m, pkt, sender)
 
     def _fail_session(self, requester: str, ue_id: str, reason: str) -> None:
-        self.send(
-            requester, MsgKind.SESSION_CREATE_RESP, ue_id=ue_id, result=ERROR, reason=reason
-        )
+        self.send(requester, MsgKind.SESSION_CREATE_RESP, ue_id=ue_id, result=ERROR, reason=reason)
 
     def plan_paths(self, mode: Redundancy, gnbs: list[str]) -> tuple[SessionPath, ...]:
         """Lay out a session's tunnel legs, the only plan a session has.
@@ -788,12 +810,6 @@ class Smf(NfEntity):
             rules[upf].append(f"UEIP|{ue_ip}|{tag}|{','.join(actions)}")
         return {upf: ";".join(parts) for upf, parts in rules.items()}
 
-    def _finish_session(self, requester: str, session: PduSession) -> None:
-        self.sessions[session.ue_id] = session
-        # the answer's fields stay in wire order: ue_id, result, then the session
-        answer = {"ue_id": session.ue_id, "result": OK, **session.fields()}
-        self.send(requester, MsgKind.SESSION_CREATE_RESP, **answer)
-
 
 class Ausf(NfEntity):
     """Authentication front end: answers every challenge affirmatively."""
@@ -807,32 +823,16 @@ class Ausf(NfEntity):
             super().on_sbi(m, pkt, sender)
 
 
-class Udm(NfEntity):
-    """Subscriber data front end, backed by the UDR."""
+class Udm(Walker):
+    """Subscriber data front end: walks each SUBSCRIBER_REQ's steps (the UDR
+    query) before it answers."""
 
     kind = "UDM"
 
-    def __init__(self, name, ip, net, env):
-        super().__init__(name, ip, net, env)
-        self._pending: dict[str, str] = {}  # ue_id -> requester
-
     def on_sbi(self, m, pkt, sender) -> None:
-        if m.kind == MsgKind.SUBSCRIBER_REQ:
-            ue_id = m.require(Tag.UE_ID)
-            udr = self.pick("UDR")
-            if udr is None:
-                self.send(sender, MsgKind.SUBSCRIBER_RESP, ue_id=ue_id, result=ERROR, reason="no UDR")
-                return
-            self._pending[ue_id] = sender
-            self.send(udr, MsgKind.UDR_QUERY_REQ, ue_id=ue_id)
-        elif m.kind == MsgKind.UDR_QUERY_RESP:
-            ue_id = m.require(Tag.UE_ID)
-            answer = {"ue_id": ue_id, "result": m.text(Tag.RESULT, ERROR), "reason": m.text(Tag.REASON)}
-            requester = self._pending.pop(ue_id, None)  # popped once the answer reads
-            if requester is not None:
-                self.send(requester, MsgKind.SUBSCRIBER_RESP, **answer)
-        else:
-            super().on_sbi(m, pkt, sender)
+        if m.kind in self.runs:
+            return self.walk(m.kind, m.require(Tag.UE_ID), sender, 0, {})
+        super().on_sbi(m, pkt, sender)
 
 
 class Udr(NfEntity):

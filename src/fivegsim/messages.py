@@ -135,14 +135,14 @@ ANSWER = {
 # PDU session establishment): the NAS request that starts one -> (its accept,
 # its reject, its steps). A step is (its request, the NF kind asked, the
 # refusal an error answer without a reason gives, the steps that NF takes
-# before it answers). The AMF asks the steps in turn; validation's
-# REGISTRATION_CHAIN is the registration's steps, nested ones included. A new
-# step is one row here plus the handler of the NF it asks.
+# before it answers). core_cp's one walker asks them, at any depth;
+# validation's REGISTRATION_CHAIN is the registration's steps, nested ones
+# included. A new step is one row here plus the handler of the NF it asks.
 PROCEDURES = {
     MsgKind.NAS_REGISTER_REQ: (MsgKind.NAS_REGISTER_ACCEPT, MsgKind.NAS_REGISTER_REJECT, (
         (MsgKind.AUTH_REQ, "AUSF", "authentication failed", ()),  # TS 33.501 §6.1.3
         (MsgKind.SUBSCRIBER_REQ, "UDM", "unknown subscriber", (
-            (MsgKind.UDR_QUERY_REQ, "UDR", "no UDR", ()),
+            (MsgKind.UDR_QUERY_REQ, "UDR", "unknown subscriber", ()),
         )),
         (MsgKind.POLICY_REQ, "PCF", "policy refused", ()),
     )),

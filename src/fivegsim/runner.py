@@ -7,11 +7,11 @@ every NF that finds peers (core_cp.DISCOVERS) start at 0, each registering,
 subscribing to status and discovering at once; the other NFs that register
 (core_cp.REGISTERS) do so at T_BOOT_CORE, and the registry notifies the
 first wave of each. The rest follows the registry protocol: the SMF
-associates with each UPF it learns of. Scenarios layer UE activity on top
-and collect KPIs, transfers and the fabric's event log into a RunResult.
-Declared, injected and spawned (config.with_ues) entities are all built one
-way, by Testbed._build. A run ends in the built-in invariants: one walk of
-the log, fed row by row.
+associates with each UPF it learns of. UEs attach once the core is ready;
+scenarios layer their activity on top and collect KPIs, transfers and the
+fabric's event log into a RunResult. Declared, injected and spawned
+(config.with_ues) entities are all built one way, by Testbed._build. A run
+ends in the built-in invariants: one walk of the log, fed row by row.
 """
 from __future__ import annotations
 
@@ -303,9 +303,9 @@ def _bring_up(
     topo: TopologyConfig, seed: int, mode: Redundancy, n: int, loss_prob: float = 0.0
 ) -> tuple[Testbed, list[Ue], int]:
     """A booted testbed whose first `n` UEs attach in `mode`, UE i at
-    T_ATTACH + i, and the end of its settle phase: Params.settle_ms, or just
-    past the last attach. Dual connectivity adds the second gNB before the N3
-    legs, its own included, take `loss_prob`."""
+    T_ATTACH + i once the core is ready, and the end of its settle phase:
+    Params.settle_ms, or just past the last attach. Dual connectivity adds the
+    second gNB before the N3 legs, its own included, take `loss_prob`."""
     if mode is Redundancy.DUAL_CONNECTIVITY:
         topo = with_second_gnb(topo)
     if loss_prob > 0.0:
@@ -313,8 +313,17 @@ def _bring_up(
     tb = Testbed(with_ues(topo, n), seed=seed)
     tb.boot()
     ues = tb.ues[:n]
+    # the core is ready when each NF that finds peers holds one of each kind it asks for that the roster has
+    finders = [nf for kind in DISCOVERS for nf in tb.by_kind.get(kind, ())]
+    asked = [(nf, kind) for nf in finders for kind in DISCOVERS[nf.kind] if kind in tb.by_kind]
+
+    def attach(ue: Ue) -> None:  # now if the core is ready, else 1 ms later
+        if all(nf.candidates.get(kind) for nf, kind in asked):
+            return ue.attach(mode)
+        tb.net.schedule(tb.net.now + 1, lambda: attach(ue))
+
     for i, ue in enumerate(ues):
-        tb.net.schedule(T_ATTACH + i, lambda u=ue: u.attach(mode))
+        tb.net.schedule(T_ATTACH + i, lambda u=ue: attach(u))
     return tb, ues, max(tb.params.settle_ms, T_ATTACH + n) if n else tb.params.settle_ms
 
 

@@ -120,15 +120,21 @@ def test_validate_fails_on_a_bad_teid(single_request_log, tmp_path, teid, capsys
 NRF_SPOKES = ("AMF", "SMF", "AUSF", "UDM", "UDR", "PCF", "NSSF", "BSF", "UPF1", "UPF2")
 
 
-@pytest.mark.parametrize("nf", NRF_SPOKES)
-def test_bring_up_survives_one_slow_registry_spoke(nf, tmp_path, capsys):
-    """A 14 ms spoke makes its NF register after the others discovered; the
-    registry's status notifications still bring it to them in time."""
+@pytest.mark.parametrize(
+    "nf,latency",
+    [pytest.param(nf, 14, id=nf) for nf in NRF_SPOKES]
+    + [pytest.param(nf, ms, id=f"{nf}-{ms}ms") for ms in (30, 50) for nf in NRF_SPOKES],
+)
+def test_bring_up_survives_one_slow_registry_spoke(nf, latency, tmp_path, capsys):
+    """A slow spoke makes its NF register after the others discovered; the
+    registry's status notifications still bring it to them, and the UE
+    attaches once every NF that finds peers holds them: at 30 ms or more the
+    AMF's or the UDM's own discovery answers come after T_ATTACH."""
     text = Path(default_topology().source).read_text()
     spoke = f"\n{nf},NRF,1,0.0,false\n"
     assert spoke in text
     topo = tmp_path / "slow.cfg"
-    topo.write_text(text.replace(spoke, f"\n{nf},NRF,14,0.0,false\n"))
+    topo.write_text(text.replace(spoke, f"\n{nf},NRF,{latency},0.0,false\n"))
     rc = main(["run", "--scenario", "validate", "--topology", str(topo)])
     lines = capsys.readouterr().out.splitlines()
     assert rc == 0
@@ -452,7 +458,7 @@ TOPOLOGY_EDITS = [
                  id="drop-every-PCF-line"),
     pytest.param(_drop_every("SMF"), [], None, _refused("no SMF discovered", "REGISTERED"),
                  id="drop-every-SMF-line"),
-    pytest.param(_drop_every("UDR"), [], None, _refused("no UDR", "DEREGISTERED"),
+    pytest.param(_drop_every("UDR"), [], None, _refused("no UDR discovered", "DEREGISTERED"),
                  id="drop-every-UDR-line"),
     pytest.param(_drop_link("SMF", "UPF2"), [], None,
                  _no_link_rows(Protocol.PFCP, {("SMF", "UPF2", "PFCP_ASSOC_REQ")}),
@@ -469,7 +475,7 @@ TOPOLOGY_EDITS = [
     pytest.param(_drop_every("gNB"), [], "UE UE has no link to any GNB", None,
                  id="drop-every-gNB-line"),
     pytest.param(_drop_every("UDR"), ["--scenario", "many_requests", "--ues", "5"], None,
-                 _refused("no UDR", "DEREGISTERED", ues=5), id="many-requests-without-UDR"),
+                 _refused("no UDR discovered", "DEREGISTERED", ues=5), id="many-requests-without-UDR"),
     pytest.param(_subscriber("imsi-001010000000002", second_ue=True),
                  ["--scenario", "many_requests", "--ues", "2"],
                  "UEs UE and UE2 share the IMSI imsi-001010000000002", None,

@@ -1,11 +1,13 @@
 """Control-plane tests: registry semantics, bring-up, sessions, heartbeats."""
 import re
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fivegsim import core_cp
 from fivegsim.config import Params, ScenarioSpec, default_topology, parse_topology, with_link_loss
 from fivegsim.core_cp import (
     DEREGISTERED,
@@ -20,9 +22,10 @@ from fivegsim.core_cp import (
     encode_paths,
     read_mode,
     read_session,
+    runs_of,
 )
 from fivegsim.errors import FlowError
-from fivegsim.messages import PROTOCOL, MsgKind, Tag, build, parse
+from fivegsim.messages import PROCEDURES, PROTOCOL, MsgKind, Tag, build, parse
 from fivegsim.runner import T_ATTACH, Testbed, run_scenario
 from fivegsim.simnet import DELIVERED, Network
 from fivegsim.urllc import Redundancy
@@ -245,6 +248,22 @@ def test_smf_associates_with_a_upf_registering_after_its_discovery():
     assert late.ts == 5 + 100 + 1
 
 
+@settings(max_examples=30, deadline=None)
+@given(st.data())
+def test_ues_attach_once_the_core_is_ready_whatever_the_registry_spokes(data):
+    """However late its spoke to the registry makes each NF register and
+    discover, the UEs attach only once every view is full: all 20 fetch."""
+    topo = default_topology()
+    links = tuple(
+        replace(l, latency_ms=data.draw(st.integers(1, 50), label=l.a)) if l.b == "NRF" else l
+        for l in topo.links
+    )
+    run = run_scenario(ScenarioSpec(name="many_requests", ue_count=20), replace(topo, links=links))
+    transfers = [t for ts in run.transfers.values() for t in ts]
+    assert len(transfers) == 20 and all(t.ok for t in transfers)
+    assert run.testbed.invariant_violations(run.window[1]) == []
+
+
 GOLDEN = Path(__file__).parent / "vectors" / "events_log_sha256.txt"
 GOLDEN_RUNS = [
     line.split()[:4] for line in
@@ -304,8 +323,51 @@ def test_udm_without_udr_rejects_the_registration():
     tb.net.schedule(T_ATTACH, ue.attach)
     tb.run_until(SETTLE + HB)
     assert ue.state == "DEREGISTERED"
-    assert ue.reject_reason == "no UDR"
+    assert ue.reject_reason == "no UDR discovered"
     assert tb.invariant_violations(SETTLE + HB) == []
+
+
+def test_each_nf_walks_only_the_runs_asked_of_it():
+    udr_query = ((MsgKind.UDR_QUERY_REQ, "UDR", "unknown subscriber", ()),)
+    assert runs_of("AMF") == PROCEDURES
+    assert runs_of("UDM") == {
+        MsgKind.SUBSCRIBER_REQ: (MsgKind.SUBSCRIBER_RESP, MsgKind.SUBSCRIBER_RESP, udr_query)
+    }
+    for kind in ("NRF", "SMF", "AUSF", "UDR", "PCF", "UPF"):
+        assert runs_of(kind) == {}, kind
+
+
+def test_an_error_answer_without_a_reason_gives_the_refusal_of_its_row(monkeypatch):
+    # a scratch table renames the UDR row's refusal; the UDR errs without a reason
+    accept, reject, steps = PROCEDURES[MsgKind.NAS_REGISTER_REQ]
+
+    def renamed(steps):
+        return tuple(
+            (req, nf, "scratch refusal" if req is MsgKind.UDR_QUERY_REQ else refusal, renamed(inner))
+            for req, nf, refusal, inner in steps
+        )
+
+    scratch = {**PROCEDURES, MsgKind.NAS_REGISTER_REQ: (accept, reject, renamed(steps))}
+    monkeypatch.setattr(core_cp, "PROCEDURES", scratch)
+    tb = Testbed(default_topology(), seed=0)
+    udr = tb.udrs[0]
+    answer_ok = udr.on_sbi
+
+    def err(m, pkt, sender):
+        if m.kind != MsgKind.UDR_QUERY_REQ:
+            return answer_ok(m, pkt, sender)
+        udr.send(sender, MsgKind.UDR_QUERY_RESP, ue_id=m.require(Tag.UE_ID), result="ERROR")
+
+    udr.on_sbi = err
+    got = arrivals(tb, "AMF")
+    tb.boot()
+    ue = tb.ues[0]
+    tb.net.schedule(T_ATTACH, ue.attach)
+    tb.run_until(SETTLE)
+    assert (ue.state, ue.reject_reason) == ("DEREGISTERED", "scratch refusal")
+    # the UDM's answer states its result and carries the refusal as its reason
+    [answer] = [m for m in got if m.kind == MsgKind.SUBSCRIBER_RESP]
+    assert (answer.text(Tag.RESULT), answer.text(Tag.REASON)) == ("ERROR", "scratch refusal")
 
 
 @pytest.mark.parametrize(

@@ -361,6 +361,46 @@ def test_a_subscriber_answer_that_is_not_text_leaves_the_udm_waiting_for_the_rea
     assert ue.state == "SESSION_ACTIVE"
 
 
+@pytest.mark.parametrize(
+    "asked,forger,waiter,answer",
+    [
+        pytest.param("AUTH_REQ", "SMF", "AMF", MsgKind.AUTH_RESP, id="auth-answer-from-the-smf"),
+        pytest.param("UDR_QUERY_REQ", "AMF", "UDM", MsgKind.UDR_QUERY_RESP, id="udr-answer-from-the-amf"),
+    ],
+)
+def test_only_the_asked_peer_answers_a_step(asked, forger, waiter, answer):
+    tb = booted()
+    ue = tb.ues[0]
+    attach_until(tb, ue, asked)
+    forged = build(answer, ue_id=ue.imsi, result="ERROR", reason=f"forged by {forger}")
+    inject(tb, tb.net.now, forger, waiter, Protocol.SBI, forged)
+    tb.run_until(HORIZON)
+    assert_contained(tb)
+    assert (ue.state, ue.reject_reason) == ("SESSION_ACTIVE", None)
+    for kind in ("AUTH_REQ", "AUTH_RESP", "UDR_QUERY_REQ", "UDR_QUERY_RESP", "SUBSCRIBER_RESP",
+                 "POLICY_RESP", "NAS_REGISTER_ACCEPT", "SESSION_CREATE_REQ"):
+        assert len(rows_after(tb, kind)) == 1, kind
+    [real] = [r for r in rows_after(tb, answer.name) if r.dst == waiter]
+    [fake] = [r for r in tb.records if (r.src, r.dst) == (forger, waiter) and "msg_kind" not in r.attrs]
+    assert fake.ts <= real.ts  # rows stamp the send: the forged answer came while the step waited
+
+
+def test_only_a_upf_whose_rules_are_awaited_answers_them():
+    # NONE mode asks UPF1 alone; UPF2's refusal must not fail the session
+    tb = booted()
+    ue = tb.ues[0]
+    attach_until(tb, ue, "PFCP_SESSION_REQ")
+    forged = build(MsgKind.PFCP_SESSION_RESP, ue_id=ue.imsi, result="ERROR", reason="forged by UPF2")
+    inject(tb, tb.net.now, "UPF2", "SMF", Protocol.PFCP, forged)
+    tb.run_until(HORIZON)
+    assert_contained(tb)
+    assert (ue.state, ue.reject_reason) == ("SESSION_ACTIVE", None)
+    assert not rows_after(tb, "PFCP_SESSION_DELETE_REQ")
+    session = tb.smfs[0].sessions[ue.imsi]
+    upf1 = tb.upfs[0]
+    assert list(upf1.ueip_rules) == [session.ue_ip] and len(upf1.teid_rules) == 1
+
+
 def test_upf_routes_uplink_only_to_the_owner_of_its_destination():
     tb = booted(attach=True)
     ue = tb.ues[0]
