@@ -22,12 +22,14 @@ node only its TEID lookup and what to do with the inner bytes. `drop` and
 
 Flows are the standard ones: NFs register with the NRF and heartbeat on a
 shared grid, each managing only its own profile; the AMF accepts NGAP
-setups from gNBs; Walker asks every step of messages.PROCEDURES and reads
-its answer, only from the peer it asked: the AMF walks the UE procedures,
-the UDM the UDR query of each SUBSCRIBER_REQ. The SMF associates with UPFs
-over PFCP and anchors PDU sessions, allocating UE addresses and tunnel
-endpoints; when a UPF it asked refuses a session's rules, the SMF deletes
-the session at its other UPFs and takes the UE address back.
+setups from gNBs. Walker takes every step of messages.PROCEDURES on both
+sides: the AMF walks the UE procedures, the UDM the UDR query of each
+SUBSCRIBER_REQ, and every NF asked a step answers through it. A new step is
+one PROCEDURES row plus, where the NF asked decides something, its `begin`
+(the UDR's and the SMF's). The SMF associates with UPFs over PFCP and
+anchors PDU sessions over the associated ones, allocating UE addresses and
+tunnel endpoints; when a UPF it asked refuses a session's rules, the SMF
+deletes the session at its other UPFs and takes the UE address back.
 
 Each NF has one peer view, `candidates` (kind -> registered nf_ids in nf_id
 order), and one choice, `pick` (the lowest). An NF with peer kinds to find
@@ -515,27 +517,28 @@ class Nrf(NfEntity):
 
 def runs_of(nf_type: str) -> dict[MsgKind, tuple]:
     """The runs of steps an NF of `nf_type` walks, by the request that starts
-    each, as (accept, reject, steps): the AMF's are messages.PROCEDURES, and a
-    step with steps of its own is a run of the NF it asks, accepted and
-    rejected by its one answer kind."""
+    each, as (accept, reject, steps): the AMF's are messages.PROCEDURES, and
+    each step asked of `nf_type` is a run of its own, accepted and rejected
+    by its one answer kind, whose steps are the step's nested ones, or none."""
     runs = dict(PROCEDURES) if nf_type == "AMF" else {}
     nested = [steps for _, _, steps in PROCEDURES.values()]
     while nested:
         for request, kind, _, inner in nested.pop():
             nested.append(inner)
-            if inner and kind == nf_type:
+            if kind == nf_type:
                 runs[request] = (ANSWER[request], ANSWER[request], inner)
     return runs
 
 
 class Walker(NfEntity):
-    """Base of the NFs that walk runs of steps (runs_of), the one code that
-    asks a step or reads its answer: each OK answer asks the next step and the
-    last one accepts; an error answer (its reason, else the step's refusal) or
-    a step with no discovered NF (`no <KIND> discovered`) rejects. Only the
-    peer a step asked answers it: any other answer is ignored, like one no
-    step waits for. Every field an answer gives is read before the UE's
-    pending entry changes."""
+    """Base of every NF that takes a step of messages.PROCEDURES: the one
+    code that asks, answers or reads one. A request starting a run (runs_of)
+    goes to `begin`, which walks its steps or, with none, answers at once;
+    `end` sends every answer. An OK answer asks the next step, the last one
+    accepts; an error answer (its reason, else the step's refusal) or a step
+    with no discovered NF (`no <KIND> discovered`) rejects. Only the asked
+    peer answers a step, and every field an answer gives is read before the
+    UE's pending entry changes."""
 
     def __init__(self, name, ip, net, env):
         super().__init__(name, ip, net, env)
@@ -547,6 +550,13 @@ class Walker(NfEntity):
             ANSWER[step[0]]: (run, i) for run, (*_, steps) in self.runs.items() for i, step in enumerate(steps)
         }
 
+    def begin(self, run: MsgKind, ue_id: str, requester: str, m) -> None:
+        """Start the UE's `run`, which `requester` asked for with `m`."""
+        if self.runs[run][2]:
+            self.walk(run, ue_id, requester, 0, {})
+        else:
+            self.end(run, ue_id, requester)
+
     def walk(self, run: MsgKind, ue_id: str, requester: str, index: int, fields: dict) -> None:
         """Ask the picked NF the UE's step `index` of `run`; without one, reject."""
         kind, nf_type, _, _ = self.runs[run][2][index]
@@ -556,15 +566,18 @@ class Walker(NfEntity):
         self._pending[run][ue_id] = (requester, index, peer, fields)
         self.send(peer, kind, ue_id=ue_id, **fields)
 
-    def end(self, run: MsgKind, ue_id: str, requester: str, reason: str | None = None) -> None:
-        """Accept the UE's run, or with a `reason` reject it; a run whose
-        accept and reject are one answer kind says which in its result."""
+    def end(self, run: MsgKind, ue_id: str, requester: str, reason: str | None = None, /, **fields) -> None:
+        """Accept the UE's run, or with a `reason` reject it: the answer lays out
+        ue_id, a result (when accept and reject are one kind), reason, `fields`."""
         accept, reject, _ = self.runs[run]
         self._pending[run].pop(ue_id, None)
         result = (OK if reason is None else ERROR) if accept is reject else None
-        self.send(requester, accept if reason is None else reject, ue_id=ue_id, result=result, reason=reason)
+        answer = {"ue_id": ue_id, "result": result, "reason": reason, **fields}
+        self.send(requester, accept if reason is None else reject, **answer)
 
     def on_sbi(self, m, pkt, sender) -> None:
+        if m.kind in self.runs and m.kind not in PROCEDURES:  # the AMF's procedures start over NAS alone
+            return self.begin(m.kind, m.require(Tag.UE_ID), sender, m)
         if m.kind not in self._answered:
             return super().on_sbi(m, pkt, sender)
         run, index = self._answered[m.kind]
@@ -641,14 +654,13 @@ class Amf(Walker):
             return self.end(run, ue_id, gnb)
         # the session: the legs' other gNBs get theirs over NGAP before the UE hears
         session = read_session(m)
-        del self._pending[run][ue_id]
         fields = session.fields()
         for other in sorted(set(session.gnbs) - {gnb}):
             self.send(other, MsgKind.NGAP_SESSION_SETUP, **fields)
-        self.send(gnb, self.runs[run][0], **fields)
+        self.end(run, ue_id, gnb, None, **fields)
 
 
-class Smf(NfEntity):
+class Smf(Walker):
     """Session management: PFCP associations, address pool, tunnel plumbing."""
 
     kind = "SMF"
@@ -663,7 +675,7 @@ class Smf(NfEntity):
         self._released: list[str] = []  # addresses of failed sessions, handed out first
         self._teid = 0
         # ue_id -> (requester, session, UPFs yet to confirm their rules)
-        self._pending: dict[str, tuple[str, PduSession, set[str]]] = {}
+        self._rules_pending: dict[str, tuple[str, PduSession, set[str]]] = {}
 
     def next_teid(self) -> int:
         self._teid += 1
@@ -698,23 +710,22 @@ class Smf(NfEntity):
                 self.associations[sender] = "ACTIVE"
         elif m.kind == MsgKind.PFCP_SESSION_RESP:
             ue_id = m.require(Tag.UE_ID)
-            requester, session, outstanding = self._pending.get(ue_id, (None, None, ()))
+            requester, session, outstanding = self._rules_pending.get(ue_id, (None, None, ()))
             if sender not in outstanding:  # only a UPF whose rules this UE waits for answers
                 return
             if m.text(Tag.RESULT) != OK:
                 reason = m.text(Tag.REASON, "error")
-                del self._pending[ue_id]
+                del self._rules_pending[ue_id]
                 # undo the session at every other UPF (TS 29.244 §7.5.6)
                 for other in sorted({p.upf for p in session.paths} - {sender}):
                     self.send(other, MsgKind.PFCP_SESSION_DELETE_REQ, ue_id=ue_id)
                 self._released.append(session.ue_ip)
-                return self._fail_session(requester, ue_id, reason)
+                return self.end(MsgKind.SESSION_CREATE_REQ, ue_id, requester, reason)
             outstanding.remove(sender)
             if not outstanding:
-                del self._pending[ue_id]
+                del self._rules_pending[ue_id]
                 self.sessions[ue_id] = session
-                answer = {"ue_id": ue_id, "result": OK, **session.fields()}  # wire order: ue_id first
-                self.send(requester, MsgKind.SESSION_CREATE_RESP, **answer)
+                self.end(MsgKind.SESSION_CREATE_REQ, ue_id, requester, None, **session.fields())
         elif m.kind == MsgKind.PFCP_SESSION_DELETE_RESP:
             pass
         else:
@@ -722,25 +733,15 @@ class Smf(NfEntity):
 
     # -- session establishment ------------------------------------------------
 
-    def on_sbi(self, m, pkt, sender) -> None:
-        if m.kind == MsgKind.SESSION_CREATE_REQ:
-            ue_id, mode = m.require(Tag.UE_ID), read_mode(m)
-            self._create_session(sender, ue_id, mode, [g for g in m.text(Tag.GNB, "").split(";") if g])
-        else:
-            super().on_sbi(m, pkt, sender)
-
-    def _fail_session(self, requester: str, ue_id: str, reason: str) -> None:
-        self.send(requester, MsgKind.SESSION_CREATE_RESP, ue_id=ue_id, result=ERROR, reason=reason)
-
     def plan_paths(self, mode: Redundancy, gnbs: list[str]) -> tuple[SessionPath, ...]:
-        """Lay out a session's tunnel legs, the only plan a session has.
-        Raises FlowError for every layout the serving gNBs and the
-        discovered UPFs cannot give."""
+        """Lay out a session's tunnel legs, its only plan, over the discovered
+        UPFs with an active PFCP association. Raises FlowError for every
+        layout the serving gNBs and those UPFs cannot give."""
         if not gnbs:
             raise FlowError("no serving gNB")
-        upfs = self.candidates.get("UPF")
+        upfs = [upf for upf in self.candidates.get("UPF", ()) if self.associations.get(upf) == "ACTIVE"]
         if not upfs:
-            raise FlowError("no UPF discovered")
+            raise FlowError("no UPF discovered with an active PFCP association")
         if mode is Redundancy.NONE:
             legs = [(gnbs[0], upfs[0], False)]
         elif mode is Redundancy.DUAL_CONNECTIVITY:
@@ -763,23 +764,20 @@ class Smf(NfEntity):
             for gnb, upf, carry in legs
         )
 
-    def _create_session(self, requester: str, ue_id: str, mode: Redundancy, gnbs: list[str]) -> None:
+    def begin(self, run, ue_id, requester, m) -> None:
+        """Anchor the session: plan it and program its UPFs, whose answers end it."""
+        mode, gnbs = read_mode(m), [g for g in m.text(Tag.GNB, "").split(";") if g]
         if ue_id in self.sessions:
-            self._fail_session(requester, ue_id, "session already established")
-            return
+            return self.end(run, ue_id, requester, "session already established")
         try:
             paths = self.plan_paths(mode, gnbs)
-            for upf in sorted({p.upf for p in paths}):
-                if self.associations.get(upf) != "ACTIVE":
-                    raise FlowError(f"no PFCP association with {upf}")
             ue_ip = self.allocate_ue_ip()
         except FlowError as exc:
-            self._fail_session(requester, ue_id, str(exc))
-            return
+            return self.end(run, ue_id, requester, str(exc))
 
         session = PduSession(ue_id, ue_ip, mode, paths)
         rule_sets = self._build_rules(session)
-        self._pending[ue_id] = (requester, session, set(rule_sets))
+        self._rules_pending[ue_id] = (requester, session, set(rule_sets))
         for upf, rules in rule_sets.items():
             self.send(upf, MsgKind.PFCP_SESSION_REQ, ue_id=ue_id, ue_ip=ue_ip, rules=rules)
 
@@ -811,16 +809,10 @@ class Smf(NfEntity):
         return {upf: ";".join(parts) for upf, parts in rules.items()}
 
 
-class Ausf(NfEntity):
+class Ausf(Walker):
     """Authentication front end: answers every challenge affirmatively."""
 
     kind = "AUSF"
-
-    def on_sbi(self, m, pkt, sender) -> None:
-        if m.kind == MsgKind.AUTH_REQ:
-            self.send(sender, MsgKind.AUTH_RESP, ue_id=m.require(Tag.UE_ID), result=OK)
-        else:
-            super().on_sbi(m, pkt, sender)
 
 
 class Udm(Walker):
@@ -829,13 +821,8 @@ class Udm(Walker):
 
     kind = "UDM"
 
-    def on_sbi(self, m, pkt, sender) -> None:
-        if m.kind in self.runs:
-            return self.walk(m.kind, m.require(Tag.UE_ID), sender, 0, {})
-        super().on_sbi(m, pkt, sender)
 
-
-class Udr(NfEntity):
+class Udr(Walker):
     """Subscriber repository: the provisioned IMSI set."""
 
     kind = "UDR"
@@ -844,26 +831,14 @@ class Udr(NfEntity):
         super().__init__(name, ip, net, env)
         self.subscribers: set[str] = set()
 
-    def on_sbi(self, m, pkt, sender) -> None:
-        if m.kind == MsgKind.UDR_QUERY_REQ:
-            ue_id = m.require(Tag.UE_ID)
-            reason = None if ue_id in self.subscribers else "unknown subscriber"
-            result = ERROR if reason else OK
-            self.send(sender, MsgKind.UDR_QUERY_RESP, ue_id=ue_id, result=result, reason=reason)
-        else:
-            super().on_sbi(m, pkt, sender)
+    def begin(self, run, ue_id, requester, m) -> None:
+        self.end(run, ue_id, requester, None if ue_id in self.subscribers else "unknown subscriber")
 
 
-class Pcf(NfEntity):
+class Pcf(Walker):
     """Policy function: hands out a constant policy."""
 
     kind = "PCF"
-
-    def on_sbi(self, m, pkt, sender) -> None:
-        if m.kind == MsgKind.POLICY_REQ:
-            self.send(sender, MsgKind.POLICY_RESP, ue_id=m.require(Tag.UE_ID), result=OK)
-        else:
-            super().on_sbi(m, pkt, sender)
 
 
 class Nssf(NfEntity):

@@ -135,9 +135,10 @@ ANSWER = {
 # PDU session establishment): the NAS request that starts one -> (its accept,
 # its reject, its steps). A step is (its request, the NF kind asked, the
 # refusal an error answer without a reason gives, the steps that NF takes
-# before it answers). core_cp's one walker asks them, at any depth;
-# validation's REGISTRATION_CHAIN is the registration's steps, nested ones
-# included. A new step is one row here plus the handler of the NF it asks.
+# before it answers). core_cp's one walker asks and answers them, at any
+# depth; validation's REGISTRATION_CHAIN is the registration's steps, nested
+# ones included. A new step is one row here plus, where the NF it asks
+# decides something, that NF's `begin`.
 PROCEDURES = {
     MsgKind.NAS_REGISTER_REQ: (MsgKind.NAS_REGISTER_ACCEPT, MsgKind.NAS_REGISTER_REJECT, (
         (MsgKind.AUTH_REQ, "AUSF", "authentication failed", ()),  # TS 33.501 §6.1.3

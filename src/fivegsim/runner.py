@@ -7,9 +7,9 @@ every NF that finds peers (core_cp.DISCOVERS) start at 0, each registering,
 subscribing to status and discovering at once; the other NFs that register
 (core_cp.REGISTERS) do so at T_BOOT_CORE, and the registry notifies the
 first wave of each. The rest follows the registry protocol: the SMF
-associates with each UPF it learns of. UEs attach once the core is ready;
-scenarios layer their activity on top and collect KPIs, transfers and the
-fabric's event log into a RunResult. Declared, injected and spawned
+associates with each UPF it learns of. UEs attach once the core is ready
+and act once their attach has settled (_When); scenarios collect KPIs,
+transfers and the log into a RunResult. Declared, injected and spawned
 (config.with_ues) entities are all built one way, by Testbed._build. A run
 ends in the built-in invariants: one walk of the log, fed row by row.
 """
@@ -17,7 +17,9 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
+from operator import methodcaller
 from pathlib import Path
+from typing import Callable
 
 from .config import (
     SCENARIOS,
@@ -41,7 +43,7 @@ from .nwdaf import (
     write_kpi_counts_csv,
     write_throughput_csv,
 )
-from .ran_ue import Gnb, Transfer, Ue
+from .ran_ue import SESSION_ACTIVE, Gnb, Transfer, Ue
 from .simnet import DELIVERED, DROPPED, ELIMINATED_DUPLICATE, Network
 from .urllc import Redundancy, ReliabilityResult
 from .user_plane import AppServer, Upf
@@ -299,6 +301,28 @@ def _summarise(result: RunResult, source: str, entities: int) -> None:
         lines.append(c.line())
 
 
+class _When:
+    """`act(ue)` at `at` if `ready(ue)`, else tried again 1 ms later, and at
+    `last` (when given) whatever `ready(ue)` says; retries reuse the object."""
+
+    __slots__ = ("net", "ue", "ready", "act", "last")
+
+    def __init__(self, tb: Testbed, at: int, ue: Ue, ready: Callable, act: Callable, last: int | None = None):
+        self.net, self.ue, self.ready, self.act, self.last = tb.net, ue, ready, act, last
+        tb.net.schedule(at, self)
+
+    def __call__(self) -> None:
+        if self.ready(self.ue) or (self.last is not None and self.net.now >= self.last):
+            self.act(self.ue)
+        else:
+            self.net.schedule(self.net.now + 1, self)
+
+
+def _settled(ue: Ue) -> bool:
+    """Whether the UE's attach has come to an end: a session, or a refusal."""
+    return ue.state == SESSION_ACTIVE or ue.reject_reason is not None
+
+
 def _bring_up(
     topo: TopologyConfig, seed: int, mode: Redundancy, n: int, loss_prob: float = 0.0
 ) -> tuple[Testbed, list[Ue], int]:
@@ -317,13 +341,11 @@ def _bring_up(
     finders = [nf for kind in DISCOVERS for nf in tb.by_kind.get(kind, ())]
     asked = [(nf, kind) for nf in finders for kind in DISCOVERS[nf.kind] if kind in tb.by_kind]
 
-    def attach(ue: Ue) -> None:  # now if the core is ready, else 1 ms later
-        if all(nf.candidates.get(kind) for nf, kind in asked):
-            return ue.attach(mode)
-        tb.net.schedule(tb.net.now + 1, lambda: attach(ue))
+    def core_ready(_: Ue) -> bool:
+        return all(nf.candidates.get(kind) for nf, kind in asked)
 
     for i, ue in enumerate(ues):
-        tb.net.schedule(T_ATTACH + i, lambda u=ue: attach(u))
+        _When(tb, T_ATTACH + i, ue, core_ready, methodcaller("attach", mode))
     return tb, ues, max(tb.params.settle_ms, T_ATTACH + n) if n else tb.params.settle_ms
 
 
@@ -335,7 +357,8 @@ def run_scenario(
     `urllc_sweep` measures reliability once per redundancy mode, each on a
     testbed of its own, and its result carries none. The other scenarios
     bring up one testbed where the scenario's n UEs attach and UE i asks for
-    the document REQUEST_SPACING_MS * i into the window [settle, horizon).
+    the document REQUEST_SPACING_MS * i into the window [settle, horizon),
+    or later once its attach has settled, at the horizon at the latest.
     The window is settle_ms and spec.duration_ms, stretched only as far as
     n needs: settle past the last attach, the horizon TRANSFER_MS past the
     last request.
@@ -359,11 +382,9 @@ def run_scenario(
         if n:
             duration = max(duration, REQUEST_SPACING_MS * (n - 1) + TRANSFER_MS)
         tb, ues, settle = _bring_up(topo, spec.seed, spec.redundancy, n)
+        horizon, request = settle + duration, methodcaller("request_document", spec.doc)
         for i, ue in enumerate(ues):
-            tb.net.schedule(
-                settle + REQUEST_SPACING_MS * i, lambda u=ue: u.request_document(spec.doc)
-            )
-        horizon = settle + duration
+            _When(tb, settle + REQUEST_SPACING_MS * i, ue, _settled, request, horizon)
         tb.run_checked(horizon)
 
         events = tb.records
@@ -395,16 +416,17 @@ def run_reliability_measurement(
 ) -> ReliabilityResult:
     """Measure post-elimination delivery for one redundancy mode.
 
-    Loss goes on the N3 legs only; the UE sends one data unit per virtual
-    millisecond and the server counts unique arrivals.
+    Loss goes on the N3 legs only; once attached, the UE sends one data unit
+    per virtual millisecond and the server counts unique arrivals.
     """
     if n_packets <= 0:
         raise ValueError("n_packets must be positive")
     if not 0.0 <= loss_prob < 1.0:
         raise ValueError(f"loss_prob {loss_prob} outside [0, 1)")
     tb, (ue,), settle = _bring_up(topology or default_topology(), seed, mode, 1, loss_prob)
-    tb.net.schedule(settle, lambda: ue.send_data_burst(n_packets, interval_ms=1))
-    tb.run_checked(settle + n_packets + 500)
+    horizon = settle + n_packets + 500
+    _When(tb, settle, ue, _settled, methodcaller("send_data_burst", n_packets, interval_ms=1), horizon)
+    tb.run_checked(horizon)
     if ue.session is None:
         raise FlowError(
             f"no session in mode {mode.name}: {ue.reject_reason or 'still pending'}"

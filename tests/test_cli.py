@@ -142,6 +142,22 @@ def test_bring_up_survives_one_slow_registry_spoke(nf, latency, tmp_path, capsys
     assert any(line.startswith("transfer UE document ok ") for line in lines)
 
 
+def test_a_request_and_a_burst_wait_for_a_late_attach(tmp_path, capsys):
+    """The AMF's spoke at 50 ms registers the UE past a 60 ms settle phase:
+    the document request and each sweep's burst wait for its session."""
+    text = Path(default_topology().source).read_text()
+    assert "\nAMF,NRF,1," in text and "\n[params]\n" in text
+    topo = tmp_path / "late_attach.cfg"
+    late = text.replace("\nAMF,NRF,1,", "\nAMF,NRF,50,").replace("\n[params]\n", "\n[params]\nsettle_ms=60\n")
+    topo.write_text(late)
+    assert main(["run", "--scenario", "single_request", "--topology", str(topo)]) == 0
+    assert any(line.startswith("transfer UE document ok ") for line in capsys.readouterr().out.splitlines())
+    assert main(["run", "--scenario", "urllc_sweep", "--topology", str(topo)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    swept = [line.split()[1] for line in lines if line.startswith("reliability ")]
+    assert swept == ["NONE", "DUAL_CONNECTIVITY", "N3_REPLICATION", "PSA_ANCHOR"]
+
+
 def test_validate_reads_ports_and_pool_from_the_topology(tmp_path, capsys):
     topo = tmp_path / "sbi8888.cfg"
     topo.write_text(

@@ -25,7 +25,8 @@ from fivegsim.core_cp import (
     runs_of,
 )
 from fivegsim.errors import FlowError
-from fivegsim.messages import PROCEDURES, PROTOCOL, MsgKind, Tag, build, parse
+from fivegsim.messages import ANSWER, PROCEDURES, PROTOCOL, MsgKind, Tag, build, parse
+from fivegsim.ran_ue import Ue
 from fivegsim.runner import T_ATTACH, Testbed, run_scenario
 from fivegsim.simnet import DELIVERED, Network
 from fivegsim.urllc import Redundancy
@@ -264,6 +265,97 @@ def test_ues_attach_once_the_core_is_ready_whatever_the_registry_spokes(data):
     assert run.testbed.invariant_violations(run.window[1]) == []
 
 
+def test_sessions_are_planned_over_the_associated_upfs_alone():
+    """UPF1's spoke at 42 ms brings it into the SMF's view after the core is
+    ready: the sessions asked before its association is active go through
+    UPF2, and all 20 UEs fetch."""
+    topo = default_topology()
+    latency = {"SMF": 15, "UPF1": 42}
+    links = tuple(replace(l, latency_ms=latency.get(l.a, 1)) if l.b == "NRF" else l for l in topo.links)
+    run = run_scenario(ScenarioSpec(name="many_requests", ue_count=20), replace(topo, links=links))
+    transfers = [t for ts in run.transfers.values() for t in ts]
+    assert len(transfers) == 20 and all(t.ok for t in transfers)
+    upfs = {ue.session.paths[0].upf for ue in run.testbed.ues}
+    assert upfs == {"UPF1", "UPF2"}
+    assert run.testbed.invariant_violations(run.window[1]) == []
+
+
+def test_a_ue_whose_attach_never_settles_fails_its_request_at_the_horizon(monkeypatch):
+    monkeypatch.setattr(Ue, "attach", lambda ue, mode=Redundancy.NONE: None)
+    run = run_scenario(ScenarioSpec(name="single_request"))
+    [transfer] = run.transfers["UE"]
+    assert (transfer.ok, transfer.error) == (False, "no active session")
+    assert transfer.started_ms == transfer.completed_ms == run.window[1]
+
+
+def sent_payloads(monkeypatch):
+    """Every message the fabric is offered from now on, by its kind's name."""
+    sent = {}
+    send = Network.send
+
+    def record(net, hop, pkt, stream=0, attrs=None):
+        if attrs and "msg_kind" in attrs:
+            sent.setdefault(attrs["msg_kind"], []).append(pkt.payload)
+        return send(net, hop, pkt, stream, attrs)
+
+    monkeypatch.setattr(Network, "send", record)
+    return sent
+
+
+def test_each_step_answer_lays_out_its_fields_in_one_order(monkeypatch):
+    """The answers to the steps are pinned byte for byte: ue_id, result, then
+    the session's fields (ue_ip, mode, paths); the NAS accept, which states
+    no result, lays out the session's fields right after ue_id."""
+    sent = sent_payloads(monkeypatch)
+    run = run_scenario(ScenarioSpec(name="single_request"))
+    [ue] = run.testbed.ues
+    for kind in (MsgKind.AUTH_RESP, MsgKind.UDR_QUERY_RESP, MsgKind.SUBSCRIBER_RESP, MsgKind.POLICY_RESP):
+        assert sent[kind.name] == [build(kind, ue_id=ue.imsi, result="OK")], kind
+    paths = encode_paths(ue.session.paths)
+    assert sent["SESSION_CREATE_RESP"] == [build(
+        MsgKind.SESSION_CREATE_RESP, ue_id=ue.imsi, result="OK", ue_ip="10.45.0.2", mode="NONE", paths=paths
+    )]
+    assert sent["NAS_SESSION_ACCEPT"] == [build(
+        MsgKind.NAS_SESSION_ACCEPT, ue_id=ue.imsi, ue_ip="10.45.0.2", mode="NONE", paths=paths
+    )]
+
+
+def test_each_refusing_step_answer_lays_out_its_reason_after_its_result(monkeypatch):
+    sent = sent_payloads(monkeypatch)
+    run = run_scenario(ScenarioSpec(name="single_request"), replace(default_topology(), subscribers=()))
+    [ue] = run.testbed.ues
+    assert (ue.state, ue.reject_reason) == ("DEREGISTERED", "unknown subscriber")
+    assert sent["AUTH_RESP"] == [build(MsgKind.AUTH_RESP, ue_id=ue.imsi, result="OK")]
+    for kind in (MsgKind.UDR_QUERY_RESP, MsgKind.SUBSCRIBER_RESP):
+        assert sent[kind.name] == [build(kind, ue_id=ue.imsi, result="ERROR", reason="unknown subscriber")]
+    assert "POLICY_RESP" not in sent
+
+
+@pytest.mark.parametrize(
+    "mode,cut_rules,reason",
+    [
+        pytest.param(
+            Redundancy.DUAL_CONNECTIVITY, False, "dual connectivity needs two serving gNBs", id="plan"
+        ),
+        pytest.param(Redundancy.NONE, True, "no association", id="pfcp"),
+    ],
+)
+def test_a_refused_session_answer_lays_out_its_reason_after_its_result(monkeypatch, mode, cut_rules, reason):
+    sent = sent_payloads(monkeypatch)
+    tb = Testbed(default_topology(), seed=0)
+    tb.boot()
+    tb.run_until(T_ATTACH - 1)  # PFCP associations are up
+    if cut_rules:
+        tb.upfs[0].associated_smfs.clear()
+    ue = tb.ues[0]
+    tb.net.schedule(T_ATTACH, lambda: ue.attach(mode))
+    tb.run_until(SETTLE)
+    assert (ue.state, ue.reject_reason) == ("REGISTERED", reason)
+    assert sent["SESSION_CREATE_RESP"] == [
+        build(MsgKind.SESSION_CREATE_RESP, ue_id=ue.imsi, result="ERROR", reason=reason)
+    ]
+
+
 GOLDEN = Path(__file__).parent / "vectors" / "events_log_sha256.txt"
 GOLDEN_RUNS = [
     line.split()[:4] for line in
@@ -333,7 +425,13 @@ def test_each_nf_walks_only_the_runs_asked_of_it():
     assert runs_of("UDM") == {
         MsgKind.SUBSCRIBER_REQ: (MsgKind.SUBSCRIBER_RESP, MsgKind.SUBSCRIBER_RESP, udr_query)
     }
-    for kind in ("NRF", "SMF", "AUSF", "UDR", "PCF", "UPF"):
+    # each NF asked a step walks one run per step asked of it, with no steps of its own
+    for kind, request in (
+        ("AUSF", MsgKind.AUTH_REQ), ("UDR", MsgKind.UDR_QUERY_REQ),
+        ("PCF", MsgKind.POLICY_REQ), ("SMF", MsgKind.SESSION_CREATE_REQ),
+    ):
+        assert runs_of(kind) == {request: (ANSWER[request], ANSWER[request], ())}, kind
+    for kind in ("NRF", "UPF", "NSSF", "BSF"):
         assert runs_of(kind) == {}, kind
 
 
@@ -498,6 +596,17 @@ def test_plan_paths_without_prerequisites():
         smf.plan_paths(Redundancy.NONE, [])
     smf.candidates["UPF"] = []
     with pytest.raises(FlowError, match="no UPF"):
+        smf.plan_paths(Redundancy.NONE, ["gNB"])
+
+
+def test_plan_paths_only_over_upfs_whose_association_is_active():
+    smf = booted_testbed().smfs[0]
+    smf.associations["UPF1"] = "PENDING"
+    assert [p.upf for p in smf.plan_paths(Redundancy.NONE, ["gNB"])] == ["UPF2"]
+    with pytest.raises(FlowError, match="PSA anchoring needs"):
+        smf.plan_paths(Redundancy.PSA_ANCHOR, ["gNB"])
+    smf.associations["UPF2"] = "PENDING"
+    with pytest.raises(FlowError, match="no UPF discovered with an active PFCP association"):
         smf.plan_paths(Redundancy.NONE, ["gNB"])
 
 

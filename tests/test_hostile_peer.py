@@ -107,6 +107,16 @@ FIXED_CASES = [
         build(MsgKind.NGAP_SESSION_SETUP, ue_id="imsi-1", ue_ip="10.45.0.9", mode="ZZZ"),
         "unknown redundancy mode 'ZZZ'", id="setup-mode-zzz",
     ),
+] + [
+    # a step request names the UE whose run it starts: without one, no run starts
+    pytest.param(
+        sender, receiver, Protocol.SBI, build(kind), f"missing mandatory field UE_ID in {kind.name}",
+        id=f"{kind.name.lower()}-without-ue-id",
+    )
+    for sender, receiver, kind in (
+        ("AMF", "AUSF", MsgKind.AUTH_REQ), ("AMF", "PCF", MsgKind.POLICY_REQ),
+        ("UDM", "UDR", MsgKind.UDR_QUERY_REQ), ("AMF", "SMF", MsgKind.SESSION_CREATE_REQ),
+    )
 ]
 
 
@@ -120,6 +130,19 @@ def test_bad_message_is_dropped_with_its_reason(sender, receiver, protocol, payl
     assert len(drops) == 1
     assert drops[0].src == sender and drops[0].protocol is protocol
     assert reason in drops[0].attrs["reason"]
+
+
+def test_a_nas_request_in_an_sbi_envelope_starts_no_procedure():
+    """The AMF's procedures start over NAS alone: their request kinds in an
+    SBI envelope are no step request, and the AMF sends nothing."""
+    tb = booted()
+    imsi = tb.ues[0].imsi
+    for kind in (MsgKind.NAS_REGISTER_REQ, MsgKind.NAS_SESSION_REQ):
+        inject(tb, BOOTED + 1, "UDM", "AMF", Protocol.SBI, build(kind, ue_id=imsi))
+    tb.run_until(HORIZON)
+    assert_contained(tb)
+    assert [r for r in tb.records if r.src == "AMF" and r.ts > BOOTED] == []
+    assert local_rows(tb, "AMF") == []
 
 
 def test_a_drop_names_the_link_sender_not_the_claimed_address():
