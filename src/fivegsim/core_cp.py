@@ -21,15 +21,16 @@ node only its TEID lookup and what to do with the inner bytes. `drop` and
 `first_copy` write every local row.
 
 Flows are the standard ones: NFs register with the NRF and heartbeat on a
-shared grid, each managing only its own profile; the AMF accepts NGAP
-setups from gNBs. Walker takes every step of messages.PROCEDURES on both
-sides: the AMF walks the UE procedures, the UDM the UDR query of each
-SUBSCRIBER_REQ, and every NF asked a step answers through it. A new step is
-one PROCEDURES row plus, where the NF asked decides something, its `begin`
-(the UDR's and the SMF's). The SMF associates with UPFs over PFCP and
-anchors PDU sessions over the associated ones, allocating UE addresses and
-tunnel endpoints; when a UPF it asked refuses a session's rules, the SMF
-deletes the session at its other UPFs and takes the UE address back.
+shared grid, each managing only its own profile by one table, MANAGE; the
+AMF accepts NGAP setups from gNBs. Walker takes every step of
+messages.PROCEDURES on both sides: the AMF walks the UE procedures, the UDM
+the UDR query of each SUBSCRIBER_REQ, and every NF asked a step answers
+through it. A new step is one PROCEDURES row plus, where the NF asked
+decides something, its `begin` (the UDR's and the SMF's). The SMF
+associates with UPFs over PFCP and anchors PDU sessions over the associated
+ones, allocating UE addresses and tunnel endpoints; when a UPF it asked
+refuses a session's rules, the SMF deletes the session at its other UPFs and
+takes the UE address back.
 
 Each NF has one peer view, `candidates` (kind -> registered nf_ids in nf_id
 order), and one choice, `pick` (the lowest). An NF with peer kinds to find
@@ -405,6 +406,19 @@ class NfEntity(Entity):
         """Take the inner packet of a first-copy G-PDU on a known TEID."""
 
 
+# NF-management request -> (the profile statuses it applies to, None for no
+# profile; the status it leaves; its refusal of the nf_id). An applied request
+# notifies exactly when it changes the status, a new profile's included
+# (TS 29.510 §5.2.2)
+MANAGE = {
+    MsgKind.NF_REGISTER_REQ: ((None, DEREGISTERED), REGISTERED, "duplicate registration for {}"),
+    MsgKind.NF_HEARTBEAT_REQ: (
+        (REGISTERED, SUSPENDED), REGISTERED, "heartbeat for unknown or deregistered NF {}"
+    ),
+    MsgKind.NF_DEREGISTER_REQ: ((REGISTERED, SUSPENDED), DEREGISTERED, "deregistration for unknown NF {}"),
+}
+
+
 class Nrf(NfEntity):
     """Repository function: registry, heartbeat ledger, status fanout."""
 
@@ -416,38 +430,7 @@ class Nrf(NfEntity):
         self.status_subscribers: list[str] = []
 
     def boot(self) -> None:
-        # The registry holds its own profile; no packets are involved.
-        self.registry[self.name] = NfProfile(
-            nf_id=self.name, nf_type=self.kind, addr=self.ip, last_heartbeat=self.net.now
-        )
-        self.registered = True
         self.on_heartbeat_grid(self._sweep)
-
-    # -- registry operations (local API, also backing the SBI handlers) ---
-
-    def register_profile(self, nf_id: str, nf_type: str, addr: str) -> NfProfile:
-        existing = self.registry.get(nf_id)
-        if existing is not None and existing.status != DEREGISTERED:
-            raise FlowError(f"duplicate registration for {nf_id}")
-        profile = NfProfile(nf_id=nf_id, nf_type=nf_type, addr=addr, last_heartbeat=self.net.now)
-        self.registry[nf_id] = profile
-        return profile
-
-    def heartbeat(self, nf_id: str) -> NfProfile:
-        profile = self.registry.get(nf_id)
-        if profile is None or profile.status == DEREGISTERED:
-            raise FlowError(f"heartbeat for unknown or deregistered NF {nf_id}")
-        profile.last_heartbeat = self.net.now
-        if profile.status == SUSPENDED:
-            profile.status = REGISTERED
-        return profile
-
-    def deregister(self, nf_id: str) -> NfProfile:
-        profile = self.registry.get(nf_id)
-        if profile is None or profile.status == DEREGISTERED:
-            raise FlowError(f"deregistration for unknown NF {nf_id}")
-        profile.status = DEREGISTERED
-        return profile
 
     def profiles_of(self, nf_type: str) -> list[NfProfile]:
         """Snapshots of the registered `nf_type` profiles by nf_id: a discovery answer."""
@@ -463,9 +446,7 @@ class Nrf(NfEntity):
     def _sweep(self) -> None:
         hb = self.env.params.heartbeat_ms
         for profile in self.registry.values():
-            if profile.nf_id == self.name:
-                profile.last_heartbeat = self.net.now
-            elif profile.status == REGISTERED and self.net.now - profile.last_heartbeat > 2 * hb:
+            if profile.status == REGISTERED and self.net.now - profile.last_heartbeat > 2 * hb:
                 profile.status = SUSPENDED
                 self._notify(profile)
 
@@ -478,28 +459,29 @@ class Nrf(NfEntity):
     # -- SBI server ---------------------------------------------------------
 
     def _manage_profile(self, m, sender: str) -> None:
-        """Register, heartbeat or deregister the profile a request names; a
-        node may manage only its own."""
+        """Apply MANAGE to the profile a request names, which must be the
+        sender's own; an applied request that changes its status notifies."""
         nf_id = m.require(Tag.NF_ID)
-        was_suspended = getattr(self.registry.get(nf_id), "status", None) == SUSPENDED
-        try:
-            if nf_id != sender:
-                raise FlowError(f"{sender} cannot manage the profile of {nf_id}")
-            if m.kind == MsgKind.NF_REGISTER_REQ:
-                profile = self.register_profile(nf_id, m.require(Tag.NF_TYPE), m.require(Tag.ADDR))
-            elif m.kind == MsgKind.NF_HEARTBEAT_REQ:
-                profile = self.heartbeat(nf_id)
-            else:
-                profile = self.deregister(nf_id)
-        except FlowError as exc:
-            self.send(sender, ANSWER[m.kind], result=ERROR, reason=str(exc), nf_id=nf_id)
-            return
-        self.send(sender, ANSWER[m.kind], result=OK, nf_id=nf_id)
-        if m.kind != MsgKind.NF_HEARTBEAT_REQ or was_suspended:  # a heartbeat notifies a revival
+        answer = ANSWER[m.kind]
+        if nf_id != sender:
+            reason = f"{sender} cannot manage the profile of {nf_id}"
+            return self.send(sender, answer, result=ERROR, reason=reason, nf_id=nf_id)
+        registering = m.kind is MsgKind.NF_REGISTER_REQ
+        new = NfProfile(nf_id, m.require(Tag.NF_TYPE), m.require(Tag.ADDR)) if registering else None
+        profile = self.registry.get(nf_id)
+        before = profile and profile.status
+        applies, after, refusal = MANAGE[m.kind]
+        if before not in applies:
+            return self.send(sender, answer, result=ERROR, reason=refusal.format(nf_id), nf_id=nf_id)
+        if registering:
+            profile = self.registry[nf_id] = new
+        profile.status, profile.last_heartbeat = after, self.net.now
+        self.send(sender, answer, result=OK, nf_id=nf_id)
+        if after != before:
             self._notify(profile)
 
     def on_sbi(self, m, pkt, sender) -> None:
-        if m.kind in (MsgKind.NF_REGISTER_REQ, MsgKind.NF_HEARTBEAT_REQ, MsgKind.NF_DEREGISTER_REQ):
+        if m.kind in MANAGE:
             self._manage_profile(m, sender)
         elif m.kind == MsgKind.NF_DISCOVER_REQ:
             if getattr(self.registry.get(sender), "status", None) != REGISTERED:
@@ -530,6 +512,14 @@ def runs_of(nf_type: str) -> dict[MsgKind, tuple]:
     return runs
 
 
+# a run that can wait for a UE -> why a second request for the UE is dropped
+# while it waits: a second copy would walk a second chain or plan a second session
+PENDING = {
+    MsgKind.NAS_REGISTER_REQ: "registration pending", MsgKind.SUBSCRIBER_REQ: "registration pending",
+    MsgKind.NAS_SESSION_REQ: "session request pending", MsgKind.SESSION_CREATE_REQ: "session request pending",
+}
+
+
 class Walker(NfEntity):
     """Base of every NF that takes a step of messages.PROCEDURES: the one
     code that asks, answers or reads one. A request starting a run (runs_of)
@@ -538,12 +528,14 @@ class Walker(NfEntity):
     accepts; an error answer (its reason, else the step's refusal) or a step
     with no discovered NF (`no <KIND> discovered`) rejects. Only the asked
     peer answers a step, and every field an answer gives is read before the
-    UE's pending entry changes."""
+    UE's pending entry changes; a request for a UE whose run is pending is
+    dropped (PENDING)."""
 
     def __init__(self, name, ip, net, env):
         super().__init__(name, ip, net, env)
         self.runs = runs_of(self.kind)
-        # run -> ue_id -> (requester, step asked, the peer asked, the fields each step carries)
+        # run -> ue_id -> (requester, step asked, the peer asked, the fields each
+        # step carries), or what the `begin` of a run without steps waits on
         self._pending: dict[MsgKind, dict[str, tuple]] = {run: {} for run in self.runs}
         # a step's answer kind -> (its run, the step's index)
         self._answered = {
@@ -577,7 +569,10 @@ class Walker(NfEntity):
 
     def on_sbi(self, m, pkt, sender) -> None:
         if m.kind in self.runs and m.kind not in PROCEDURES:  # the AMF's procedures start over NAS alone
-            return self.begin(m.kind, m.require(Tag.UE_ID), sender, m)
+            ue_id = m.require(Tag.UE_ID)
+            if ue_id in self._pending[m.kind]:
+                return self.drop(pkt, sender, PENDING[m.kind], ue_id=ue_id)
+            return self.begin(m.kind, ue_id, sender, m)
         if m.kind not in self._answered:
             return super().on_sbi(m, pkt, sender)
         run, index = self._answered[m.kind]
@@ -642,9 +637,8 @@ class Amf(Walker):
             self.send(sender, accept, ue_id=ue_id)
         elif not registering and ue_id not in self.ue_registered:
             self.send(sender, reject, ue_id=ue_id, reason="not registered")
-        elif ue_id in self._pending[m.kind]:  # a second copy would run a second chain
-            reason = "registration pending" if registering else "session request pending"
-            self.drop(pkt, sender, reason, ue_id=ue_id)
+        elif ue_id in self._pending[m.kind]:
+            self.drop(pkt, sender, PENDING[m.kind], ue_id=ue_id)
         else:
             self.walk(m.kind, ue_id, sender, 0, fields)
 
@@ -674,8 +668,6 @@ class Smf(Walker):
         next(self._pool_iter)  # the first host is the gateway
         self._released: list[str] = []  # addresses of failed sessions, handed out first
         self._teid = 0
-        # ue_id -> (requester, session, UPFs yet to confirm their rules)
-        self._rules_pending: dict[str, tuple[str, PduSession, set[str]]] = {}
 
     def next_teid(self) -> int:
         self._teid += 1
@@ -709,23 +701,21 @@ class Smf(Walker):
             if m.text(Tag.RESULT) == OK:
                 self.associations[sender] = "ACTIVE"
         elif m.kind == MsgKind.PFCP_SESSION_RESP:
-            ue_id = m.require(Tag.UE_ID)
-            requester, session, outstanding = self._rules_pending.get(ue_id, (None, None, ()))
+            ue_id, run = m.require(Tag.UE_ID), MsgKind.SESSION_CREATE_REQ
+            requester, session, outstanding = self._pending[run].get(ue_id, (None, None, ()))
             if sender not in outstanding:  # only a UPF whose rules this UE waits for answers
                 return
             if m.text(Tag.RESULT) != OK:
                 reason = m.text(Tag.REASON, "error")
-                del self._rules_pending[ue_id]
                 # undo the session at every other UPF (TS 29.244 §7.5.6)
                 for other in sorted({p.upf for p in session.paths} - {sender}):
                     self.send(other, MsgKind.PFCP_SESSION_DELETE_REQ, ue_id=ue_id)
                 self._released.append(session.ue_ip)
-                return self.end(MsgKind.SESSION_CREATE_REQ, ue_id, requester, reason)
+                return self.end(run, ue_id, requester, reason)
             outstanding.remove(sender)
             if not outstanding:
-                del self._rules_pending[ue_id]
                 self.sessions[ue_id] = session
-                self.end(MsgKind.SESSION_CREATE_REQ, ue_id, requester, None, **session.fields())
+                self.end(run, ue_id, requester, None, **session.fields())
         elif m.kind == MsgKind.PFCP_SESSION_DELETE_RESP:
             pass
         else:
@@ -777,7 +767,7 @@ class Smf(Walker):
 
         session = PduSession(ue_id, ue_ip, mode, paths)
         rule_sets = self._build_rules(session)
-        self._rules_pending[ue_id] = (requester, session, set(rule_sets))
+        self._pending[run][ue_id] = (requester, session, set(rule_sets))
         for upf, rules in rule_sets.items():
             self.send(upf, MsgKind.PFCP_SESSION_REQ, ue_id=ue_id, ue_ip=ue_ip, rules=rules)
 

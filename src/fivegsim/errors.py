@@ -2,10 +2,10 @@
 
 - ConfigError: a topology or scenario that cannot run (config, the CLI's
   argument checks). CLI exit 2.
-- FlowError: a refusal, an operation its state does not allow (the
-  registry's profile rules, the SMF's session set-up, the UE's session
-  calls, a run's failed invariants). An NF answers a refused peer request
-  with ERROR. CLI exit 1.
+- FlowError: a refusal, an operation its state does not allow (the SMF's
+  session set-up, the UE's session calls, a run's failed invariants or a
+  reliability run's UE without a session). An NF answers a refused peer
+  request with ERROR. CLI exit 1.
 - wirefmt.WireFormatError: peer bytes or text that break a wire contract;
   every reader of peer text raises it, and NfEntity.handle_packet drops it
   (the UPF answers a malformed rule program with ERROR). CLI exit 1.

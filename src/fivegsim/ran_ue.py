@@ -348,8 +348,9 @@ class Ue(NfEntity):
         return transfer
 
     def send_data_burst(self, count: int, interval_ms: int = 1) -> None:
-        """Emit a paced uplink burst; packet i carries index i."""
-        if count <= 0:
+        """Emit a paced uplink burst; packet i carries index i. Without an
+        active session nothing is sent."""
+        if count <= 0 or self.state != SESSION_ACTIVE:
             return
         for i in range(count):
             self.net.schedule_in(

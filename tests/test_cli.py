@@ -580,6 +580,16 @@ def test_refused_ue_reports_its_transfer_as_failed(tmp_path):
     assert "error=no active session" in proc.stdout
 
 
+def test_urllc_sweep_names_the_refusal_of_a_ue_without_a_session(tmp_path, capsys):
+    # without a UDR the UE has no session to send its burst over: one error
+    # line naming the refusal, exit 1
+    topo = tmp_path / "no_udr.cfg"
+    text = Path(default_topology().source).read_text()
+    topo.write_text("".join(line for line in text.splitlines(True) if "UDR" not in line))
+    assert main(["run", "--topology", str(topo), "--scenario", "urllc_sweep"]) == 1
+    assert capsys.readouterr().err == "error: no session in mode NONE: no UDR discovered\n"
+
+
 def test_ue_refused_a_session_names_the_refusal(tmp_path, capsys):
     # a /28 pool holds 13 UE addresses after the network and gateway, so the
     # SMF refuses UE014 to UE020 their sessions

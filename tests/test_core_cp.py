@@ -15,6 +15,7 @@ from fivegsim.core_cp import (
     SUSPENDED,
     CoreEnv,
     NfEntity,
+    NfProfile,
     Nrf,
     PduSession,
     SessionPath,
@@ -70,8 +71,12 @@ def kinds_in(records, kind_name):
 
 def arrivals(tb, name):
     """Every message `name` takes from now on, parsed."""
+    return heard(tb.net.entity(name))
+
+
+def heard(node):
+    """Every message `node` takes from now on, parsed."""
     got = []
-    node = tb.net.entity(name)
     handle = node.handle_packet
 
     def record(pkt, sender):
@@ -82,59 +87,132 @@ def arrivals(tb, name):
     return got
 
 
-# -- registry local API ---------------------------------------------------------
+# -- the management table over the wire ---------------------------------------------
 
-def test_register_then_duplicate_rejected():
-    _, nrf, _ = micro_net()
-    nrf.register_profile("A", "AMF", "10.0.0.1")
-    with pytest.raises(FlowError, match="duplicate registration"):
-        nrf.register_profile("A", "AMF", "10.0.0.1")
-
-
-def test_reregistration_allowed_after_deregister():
-    _, nrf, _ = micro_net()
-    nrf.register_profile("A", "AMF", "10.0.0.1")
-    nrf.deregister("A")
-    assert nrf.registry["A"].status == DEREGISTERED
-    profile = nrf.register_profile("A", "AMF", "10.0.0.1")
-    assert profile.status == REGISTERED
+def pair_net():
+    """The registry and two linked NFs, X (an AUSF) and Y (a PCF), each
+    subscribed to status; neither heartbeats unasked."""
+    net, nrf, x = micro_net()
+    y = net.add_entity(NfEntity("Y", "192.168.0.51", net, x.env))
+    y.kind = "PCF"
+    net.add_link("NRF", "Y", 1)
+    for nf in (x, y):
+        nf.heartbeat_enabled = False
+        nf.send("NRF", MsgKind.NF_STATUS_SUBSCRIBE_REQ, nf_id=nf.name)
+    net.run_until(2)
+    return net, nrf, {"X": x, "Y": y}
 
 
-def test_heartbeat_unknown_or_deregistered_rejected():
-    _, nrf, _ = micro_net()
-    with pytest.raises(FlowError, match="unknown or deregistered"):
-        nrf.heartbeat("ghost")
-    nrf.register_profile("A", "AMF", "10.0.0.1")
-    nrf.deregister("A")
-    with pytest.raises(FlowError):
-        nrf.heartbeat("A")
+def manage(net, nf, kind, nf_id):
+    """`nf` sends a `kind` request naming `nf_id` and the run goes on until
+    the answer and any notification have landed: (the answer, how many
+    NF_STATUS_NOTIFY rows followed)."""
+    start = len(net.events)
+    got = heard(nf)
+    nf.send("NRF", kind, nf_id=nf_id, nf_type=nf.kind, addr=nf.ip)
+    net.run_until(net.now + 2)
+    del nf.handle_packet  # back to the class's own
+    [answer] = [m for m in got if m.kind == ANSWER[kind]]
+    return answer, len(kinds_in(net.events[start:], "NF_STATUS_NOTIFY"))
 
 
-def test_double_deregister_rejected():
-    _, nrf, _ = micro_net()
-    nrf.register_profile("A", "AMF", "10.0.0.1")
-    nrf.deregister("A")
-    with pytest.raises(FlowError, match="deregistration for unknown"):
-        nrf.deregister("A")
+REGISTER, HEARTBEAT = MsgKind.NF_REGISTER_REQ, MsgKind.NF_HEARTBEAT_REQ
+DEREGISTER = MsgKind.NF_DEREGISTER_REQ
+DUPLICATE = "duplicate registration for X"
+UNKNOWN_BEAT = "heartbeat for unknown or deregistered NF X"
+UNKNOWN_LEAVE = "deregistration for unknown NF X"
 
 
-def test_heartbeat_revives_suspended_profile():
-    _, nrf, _ = micro_net()
-    profile = nrf.register_profile("A", "AMF", "10.0.0.1")
-    profile.status = SUSPENDED
-    assert nrf.heartbeat("A").status == REGISTERED
+@pytest.mark.parametrize(
+    "kind,before,reason,after,notified",
+    [
+        (REGISTER, None, None, REGISTERED, True),
+        (REGISTER, REGISTERED, DUPLICATE, REGISTERED, False),
+        (REGISTER, SUSPENDED, DUPLICATE, SUSPENDED, False),
+        (REGISTER, DEREGISTERED, None, REGISTERED, True),  # re-registration
+        (HEARTBEAT, None, UNKNOWN_BEAT, None, False),
+        (HEARTBEAT, REGISTERED, None, REGISTERED, False),
+        (HEARTBEAT, SUSPENDED, None, REGISTERED, True),  # a revival
+        (HEARTBEAT, DEREGISTERED, UNKNOWN_BEAT, DEREGISTERED, False),
+        (DEREGISTER, None, UNKNOWN_LEAVE, None, False),
+        (DEREGISTER, REGISTERED, None, DEREGISTERED, True),
+        (DEREGISTER, SUSPENDED, None, DEREGISTERED, True),
+        (DEREGISTER, DEREGISTERED, UNKNOWN_LEAVE, DEREGISTERED, False),  # a second deregistration
+    ],
+    ids=lambda v: getattr(v, "name", str(v)),
+)
+def test_each_management_request_follows_the_table(kind, before, reason, after, notified):
+    """The answer's result and reason, the profile's status after, and whether
+    Y heard of X's change: a request notifies exactly when it changes the
+    status, and a new profile counts as a change."""
+    net, nrf, nfs = pair_net()
+    x = nfs["X"]
+    if before is not None:
+        nrf.registry["X"] = NfProfile("X", "AUSF", x.ip, status=before, last_heartbeat=net.now)
+    notes = heard(nfs["Y"])
+    answer, notifies = manage(net, x, kind, "X")
+    assert (answer.text(Tag.RESULT), answer.text(Tag.REASON), answer.text(Tag.NF_ID)) == (
+        "OK" if reason is None else "ERROR", reason, "X"
+    )
+    assert getattr(nrf.registry.get("X"), "status", None) == after
+    assert notifies == int(notified)
+    told = [(m.text(Tag.NF_ID), m.text(Tag.STATUS)) for m in notes if m.kind == MsgKind.NF_STATUS_NOTIFY]
+    assert told == ([("X", after)] if notified else [])
+    if after == REGISTERED:
+        assert (nrf.registry["X"].nf_type, nrf.registry["X"].addr) == ("AUSF", x.ip)
 
 
 def test_discover_returns_sorted_registered_snapshots():
     _, nrf, _ = micro_net()
-    nrf.register_profile("B2", "UPF", "10.0.0.2")
-    nrf.register_profile("B1", "UPF", "10.0.0.1")
-    nrf.register_profile("B3", "UPF", "10.0.0.3")
-    nrf.deregister("B3")
+    for nf_id, status in (("B2", REGISTERED), ("B1", REGISTERED), ("B3", DEREGISTERED), ("B4", SUSPENDED)):
+        nrf.registry[nf_id] = NfProfile(nf_id, "UPF", "10.0.0.1", status=status)
     found = nrf.profiles_of("UPF")
     assert [p.nf_id for p in found] == ["B1", "B2"]
     found[0].status = "TAMPERED"  # snapshots must not alias registry state
     assert nrf.registry["B1"].status == REGISTERED
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(
+    st.tuples(st.sampled_from((REGISTER, HEARTBEAT, DEREGISTER)), st.sampled_from("XY"), st.sampled_from("XY"))
+    | st.integers(0, 3),  # a request (kind, sender, the nf_id it names), or sweeps
+    max_size=30,
+))
+def test_the_registry_follows_a_plain_model(steps):
+    """Requests from X and Y, each naming either one, and runs of 0-3 sweeps
+    between them: each step's answer, every status and the number of
+    notifications match a dict of (status, time of the last applied request)."""
+    net, nrf, nfs = pair_net()
+    model = {}  # nf_id -> (status, time of the last applied request)
+    applies = {
+        REGISTER: (None, DEREGISTERED), HEARTBEAT: (REGISTERED, SUSPENDED), DEREGISTER: (REGISTERED, SUSPENDED)
+    }
+    leaves = {REGISTER: REGISTERED, HEARTBEAT: REGISTERED, DEREGISTER: DEREGISTERED}
+    for step in steps:
+        if isinstance(step, int):  # just past the `step`th sweep from now, or 1 ms on
+            start = len(net.events)
+            end = (net.now // HB + step) * HB + 1 if step else net.now + 1
+            changes = 0
+            for sweep in range((net.now // HB + 1) * HB, end, HB):
+                for nf_id, (status, last) in model.items():
+                    if status == REGISTERED and sweep - last > 2 * HB:
+                        model[nf_id] = (SUSPENDED, last)
+                        changes += 1
+            net.run_until(end)
+            assert len(kinds_in(net.events[start:], "NF_STATUS_NOTIFY")) == changes
+        else:
+            kind, sender, named = step
+            arrives = net.now + 1
+            answer, notifies = manage(net, nfs[sender], kind, named)
+            status = model.get(named, (None,))[0]
+            if sender != named or status not in applies[kind]:
+                assert answer.text(Tag.RESULT) == "ERROR"
+                assert notifies == 0
+            else:
+                assert answer.text(Tag.RESULT) == "OK"
+                model[named] = (leaves[kind], arrives)
+                assert notifies == int(leaves[kind] != status)
+        assert {k: p.status for k, p in nrf.registry.items()} == {k: v[0] for k, v in model.items()}
 
 
 # -- registry over the wire --------------------------------------------------------

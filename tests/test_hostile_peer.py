@@ -314,6 +314,39 @@ def rows_after(tb, kind, t=BOOTED):
     return [r for r in tb.records if r.is_wire and r.attrs.get("msg_kind") == kind and r.ts > t]
 
 
+def test_a_session_create_request_arriving_twice_programs_one_session():
+    # two copies of one request for a UE the AMF never asked about reach the
+    # SMF at once: the second is dropped while the first waits for UPF1
+    tb = booted(attach=True)
+    request = build(MsgKind.SESSION_CREATE_REQ, ue_id="imsi-x", mode="NONE", gnb="gNB")
+    for _ in range(2):
+        inject(tb, BOOTED + 1, "AMF", "SMF", Protocol.SBI, request)
+    tb.run_until(HORIZON)
+    assert_contained(tb)
+    [drop] = local_rows(tb, "SMF")
+    assert (drop.src, drop.attrs["reason"]) == ("AMF", "session request pending")
+    assert drop.attrs["ue_id"] == "imsi-x"
+    for kind in ("PFCP_SESSION_REQ", "PFCP_SESSION_RESP", "SESSION_CREATE_RESP"):
+        assert len(rows_after(tb, kind)) == 1, kind
+    smf, upf1 = tb.smfs[0], tb.upfs[0]
+    assert smf.sessions["imsi-x"].ue_ip == "10.45.0.3" and smf._released == []
+    assert sorted(upf1.ueip_rules) == ["10.45.0.2", "10.45.0.3"]
+    assert sorted(upf1.teid_rules) == [1, 3]
+
+
+def test_a_subscriber_request_arriving_twice_queries_the_udr_once():
+    tb = booted()
+    request = build(MsgKind.SUBSCRIBER_REQ, ue_id=tb.ues[0].imsi)
+    for _ in range(2):
+        inject(tb, BOOTED + 1, "AMF", "UDM", Protocol.SBI, request)
+    tb.run_until(HORIZON)
+    assert_contained(tb)
+    [drop] = local_rows(tb, "UDM")
+    assert (drop.src, drop.attrs["reason"]) == ("AMF", "registration pending")
+    for kind in ("UDR_QUERY_REQ", "UDR_QUERY_RESP", "SUBSCRIBER_RESP"):
+        assert len(rows_after(tb, kind)) == 1, kind
+
+
 def test_a_registration_request_arriving_twice_runs_one_chain():
     # the UDM keeps one requester per UE: a second chain would lose an answer
     tb = booted()

@@ -1,10 +1,12 @@
 """Sequence-space dedup primitives and small-scale reliability behaviour."""
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fivegsim import user_plane
-from fivegsim.config import ScenarioSpec, default_topology
+from fivegsim.config import ScenarioSpec, default_topology, parse_topology
 from fivegsim.errors import FlowError
 from fivegsim.runner import Testbed, run_reliability_measurement, run_scenario
 from fivegsim.urllc import (
@@ -251,6 +253,16 @@ def test_reliability_run_raises_on_a_broken_invariant(monkeypatch):
     monkeypatch.setattr(Testbed, "invariant_violations", lambda tb, horizon: ["planted violation"])
     with pytest.raises(FlowError, match="planted violation"):
         run_reliability_measurement(Redundancy.NONE, 0.0, 10, SEED)
+
+
+def test_reliability_run_names_the_refusal_of_a_ue_without_a_session():
+    # without a UDR the UDM refuses the registration: the burst sends nothing,
+    # and the run ends naming why the UE has no session
+    text = Path(default_topology().source).read_text()
+    topo = parse_topology("".join(line for line in text.splitlines(True) if "UDR" not in line))
+    with pytest.raises(FlowError) as refused:
+        run_reliability_measurement(Redundancy.NONE, 0.0, 10, SEED, topo)
+    assert str(refused.value) == "no session in mode NONE: no UDR discovered"
 
 
 def test_urllc_sweep_builds_one_testbed_per_redundancy_mode(monkeypatch):
