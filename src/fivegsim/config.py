@@ -16,12 +16,13 @@ from __future__ import annotations
 
 import ipaddress
 import re
-from dataclasses import dataclass, fields, replace
+from collections import namedtuple
 from functools import cached_property
 from pathlib import Path
 
 from .errors import ConfigError
 from .messages import MsgKind, build
+from .record import Frozen
 from .urllc import SEQ_MODULUS, Redundancy
 from .wirefmt import Protocol, SimPacket, encode_packet, gtpu_encapsulate
 
@@ -59,41 +60,39 @@ _PORT_PARAM = {
 }
 
 
-@dataclass(frozen=True)
-class EntityDecl:
-    kind: str
-    name: str
-    ip: str
-    imsi: str = ""  # a UE's subscriber identity; "" for every other kind
+class EntityDecl(namedtuple("EntityDecl", "kind name ip imsi", defaults=("",))):
+    """One declared entity; `imsi` is a UE's subscriber identity, "" for
+    every other kind."""
+
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class LinkDecl:
-    a: str
-    b: str
-    latency_ms: int
-    loss_prob: float
-    reliable: bool
+class LinkDecl(namedtuple("LinkDecl", "a b latency_ms loss_prob reliable")):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Params:
+# Params field -> its default, in field order
+_PARAM_DEFAULTS = {
+    "sbi_port": 7777,
+    "heartbeat_ms": 3333,
+    "segment_bytes": 64000,
+    "ue_pool": "10.45.0.0/16",
+    "app_server_ip": "192.168.0.40",  # injected SERVER, when not declared
+    "nwdaf_ip": "192.168.0.41",  # injected NWDAF, when not declared
+    "settle_ms": 1000,
+    "app_port": 80,
+    "gtpu_port": 2152,
+    "pfcp_port": 8805,
+    "ngap_port": 38412,
+    "rls_port": 4997,
+}
+
+
+class Params(Frozen, namedtuple("Params", _PARAM_DEFAULTS, defaults=_PARAM_DEFAULTS.values())):
     """Tunable knobs shared by every entity in a run."""
 
-    sbi_port: int = 7777
-    heartbeat_ms: int = 3333
-    segment_bytes: int = 64000
-    ue_pool: str = "10.45.0.0/16"
-    app_server_ip: str = "192.168.0.40"  # injected SERVER, when not declared
-    nwdaf_ip: str = "192.168.0.41"  # injected NWDAF, when not declared
-    settle_ms: int = 1000
-    app_port: int = 80
-    gtpu_port: int = 2152
-    pfcp_port: int = 8805
-    ngap_port: int = 38412
-    rls_port: int = 4997
-
-    def __post_init__(self) -> None:
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         for name in dict.fromkeys(_PORT_PARAM.values()):
             port = getattr(self, name)
             if not 0 < port <= 65535:
@@ -113,24 +112,26 @@ class Params:
                 ipaddress.IPv4Address(getattr(self, name))
             except ValueError as exc:
                 raise ConfigError(f"bad {name}: {exc}") from None
+        return self
+
+    @classmethod
+    def _make(cls, values):  # what _replace builds through: a copy is checked too
+        return cls(*values)
 
     @cached_property
     def ports(self) -> dict[Protocol, int]:
         """Protocol -> the port both ends of its messages use; built once, as
-        every send indexes it, and not a field (equality, repr, `fields()`)."""
+        every send indexes it, and not a field (equality, hash, repr, `_fields`)."""
         return {protocol: getattr(self, name) for protocol, name in _PORT_PARAM.items()}
 
 
-@dataclass(frozen=True)
-class TopologyConfig:
-    """A parsed, validated topology."""
+class TopologyConfig(namedtuple(
+    "TopologyConfig", "entities links subscribers documents params source", defaults=("<memory>",)
+)):
+    """A parsed, validated topology: tuples of EntityDecl, LinkDecl and
+    subscriber ids, document name -> size, the Params and where it was read."""
 
-    entities: tuple[EntityDecl, ...]
-    links: tuple[LinkDecl, ...]
-    subscribers: tuple[str, ...]
-    documents: dict[str, int]
-    params: Params
-    source: str = "<memory>"
+    __slots__ = ()
 
     def of_kind(self, kind: str) -> list[EntityDecl]:
         return [e for e in self.entities if e.kind == kind]
@@ -245,8 +246,8 @@ def _validate(topo: TopologyConfig) -> TopologyConfig:
 # paths ("/"), and discovery answers, rule programs and gNB lists ("|", ";")
 _NAME_SPLIT = re.compile(r"\s|--|[:/|;]")
 
-# [params] key -> the type its text converts to: the type of the field's default
-_PARAM_TYPES = {f.name: type(f.default) for f in fields(Params)}
+# [params] key -> the type its text converts to
+_PARAM_TYPES = {name: type(default) for name, default in _PARAM_DEFAULTS.items()}
 
 
 def parse_topology(text: str, source: str = "<memory>") -> TopologyConfig:
@@ -313,7 +314,7 @@ def parse_topology(text: str, source: str = "<memory>") -> TopologyConfig:
     params = Params(**param_overrides)
     ues = (i for i, e in enumerate(entities) if e.kind == "UE")
     for k, i in enumerate(ues, start=1):
-        entities[i] = replace(entities[i], imsi=ue_imsi(k, subscribers))
+        entities[i] = entities[i]._replace(imsi=ue_imsi(k, subscribers))
     return _validate(TopologyConfig(
         tuple(entities), tuple(links), tuple(subscribers), documents, params, source
     ))
@@ -365,7 +366,7 @@ def with_second_gnb(topo: TopologyConfig) -> TopologyConfig:
     for ue in ues:
         links.append(LinkDecl(a=ue.name, b=name, latency_ms=2, loss_prob=0.0, reliable=False))
     links.append(LinkDecl(a=name, b=upfs[1].name, latency_ms=2, loss_prob=0.0, reliable=False))
-    return _validate(replace(topo, entities=(*topo.entities, _SECOND_GNB), links=tuple(links)))
+    return _validate(topo._replace(entities=(*topo.entities, _SECOND_GNB), links=tuple(links)))
 
 
 def with_ues(topo: TopologyConfig, total: int) -> TopologyConfig:
@@ -416,8 +417,7 @@ def with_ues(topo: TopologyConfig, total: int) -> TopologyConfig:
         if ue.imsi in holder:
             raise ConfigError(f"UEs {holder[ue.imsi]} and {ue.name} share the IMSI {ue.imsi}")
     listed = set(topo.subscribers)
-    return replace(
-        topo,
+    return topo._replace(
         entities=(*topo.entities, *spawned),
         links=(*topo.links, *(
             LinkDecl(ue.name, gnb, l.latency_ms, l.loss_prob, l.reliable)
@@ -432,15 +432,14 @@ def with_link_loss(topo: TopologyConfig, loss_prob: float) -> TopologyConfig:
     and a UPF: only the N3 legs become lossy."""
     kind = {e.name: e.kind for e in topo.entities}
     links = tuple(
-        replace(l, loss_prob=loss_prob)
+        l._replace(loss_prob=loss_prob)
         if {kind[l.a], kind[l.b]} == _LOSSY_KINDS and not l.reliable else l
         for l in topo.links
     )
-    return replace(topo, links=links)
+    return topo._replace(links=links)
 
 
-@dataclass(frozen=True)
-class Scenario:
+class Scenario(namedtuple("Scenario", "ues checks sweep", defaults=(False, False))):
     """One row of the scenario table.
 
     `ues` is the population: at most that many of the declared UEs, or None
@@ -450,9 +449,7 @@ class Scenario:
     its own: it measures reliability once per redundancy mode.
     """
 
-    ues: int | None
-    checks: bool = False
-    sweep: bool = False
+    __slots__ = ()
 
 
 SCENARIOS = {
@@ -465,18 +462,16 @@ SCENARIOS = {
 SCENARIO_NAMES = tuple(SCENARIOS)
 
 
-@dataclass(frozen=True)
-class ScenarioSpec:
+class ScenarioSpec(namedtuple(
+    "ScenarioSpec", "name ue_count doc duration_ms redundancy seed",
+    defaults=(1, "document", 10000, Redundancy.NONE, 0),
+)):
     """What to run: scenario name plus its knobs."""
 
-    name: str
-    ue_count: int = 1
-    doc: str = "document"
-    duration_ms: int = 10000
-    redundancy: Redundancy = Redundancy.NONE
-    seed: int = 0
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.name not in SCENARIO_NAMES:
             raise ConfigError(
                 f"unknown scenario {self.name!r} (expected one of {', '.join(SCENARIO_NAMES)})"
@@ -488,3 +483,8 @@ class ScenarioSpec:
         if self.ue_count == 0 and SCENARIOS[self.name].ues is None:
             raise ConfigError(f"{self.name} needs ue_count >= 1, got 0")
         _require_one_gpdu(f"doc of {len(self.doc)} characters: its APP_GET", MsgKind.APP_GET, doc=self.doc)
+        return self
+
+    @classmethod
+    def _make(cls, values):  # what _replace builds through: a copy is checked too
+        return cls(*values)

@@ -53,14 +53,14 @@ from __future__ import annotations
 import bisect
 import ipaddress
 import logging
-from collections import defaultdict
-from dataclasses import dataclass, field, replace
+from collections import defaultdict, namedtuple
+from collections.abc import Callable
 from functools import cached_property
-from typing import Callable
 
 from .config import PEER_KINDS, Params
 from .errors import FlowError
 from .messages import ANSWER, KIND_NAME, PROCEDURES, PROTOCOL, MsgKind, Tag, build, parse, read_teid
+from .record import Frozen, Record
 from .simnet import DROPPED, ELIMINATED_DUPLICATE, Entity, Network
 from .urllc import DedupWindow, Redundancy
 from .wirefmt import Protocol, SimPacket, WireFormatError, _pack_ip, gtpu_decapsulate, gtpu_encapsulate
@@ -75,45 +75,38 @@ OK = "OK"
 ERROR = "ERROR"
 
 
-@dataclass
-class NfProfile:
+class NfProfile(Record):
     """One registry entry."""
 
-    nf_id: str
-    nf_type: str
-    addr: str
-    status: str = REGISTERED
-    last_heartbeat: int = 0
+    __slots__ = _fields = ("nf_id", "nf_type", "addr", "status", "last_heartbeat")
+
+    def __init__(self, nf_id: str, nf_type: str, addr: str, status: str = REGISTERED, last_heartbeat: int = 0):
+        self.nf_id = nf_id
+        self.nf_type = nf_type
+        self.addr = addr
+        self.status = status
+        self.last_heartbeat = last_heartbeat
 
     def snapshot(self) -> "NfProfile":
-        return replace(self)
+        return NfProfile(self.nf_id, self.nf_type, self.addr, self.status, self.last_heartbeat)
 
 
-@dataclass(frozen=True)
-class SessionPath:
-    """One tunnel leg of a PDU session as the gNB sees it."""
+class SessionPath(namedtuple("SessionPath", "gnb upf teid_ul teid_dl carry_seq", defaults=(False,))):
+    """One tunnel leg of a PDU session as the gNB sees it: `teid_ul` is the
+    UPF-side endpoint, used for gNB -> UPF traffic, and `teid_dl` the
+    gNB-side one, used for UPF -> gNB traffic."""
 
-    gnb: str
-    upf: str
-    teid_ul: int   # UPF-side endpoint, used for gNB -> UPF traffic
-    teid_dl: int   # gNB-side endpoint, used for UPF -> gNB traffic
-    carry_seq: bool = False
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class PduSession:
+class PduSession(Frozen, namedtuple("PduSession", "ue_id ue_ip mode paths")):
     """One PDU session, as the SMF set it up and as the AMF, the gNBs on its
     legs and the UE keep it: the UE's address, its mode and its tunnel legs."""
-
-    ue_id: str
-    ue_ip: str
-    mode: Redundancy
-    paths: tuple[SessionPath, ...]
 
     @cached_property
     def gnbs(self) -> tuple[str, ...]:
         """The gNBs the legs run through, in leg order, each once; kept after
-        first use, and not a field (equality, hash, repr, `fields()`)."""
+        first use, and not a field (equality, hash, repr, `_fields`)."""
         return tuple(dict.fromkeys(p.gnb for p in self.paths))
 
     def fields(self) -> dict[str, str]:
@@ -124,16 +117,24 @@ class PduSession:
         }
 
 
-@dataclass(frozen=True)
-class CoreEnv:
-    """Run-wide wiring every entity needs: knobs plus well-known names."""
+class CoreEnv(Frozen, namedtuple("CoreEnv", "params nrf_name server_name server_ip")):
+    """Run-wide wiring every entity needs: knobs plus well-known names.
 
-    params: Params
-    nrf_name: str
-    server_name: str
-    server_ip: str
-    # (digest, size) -> a body of that size a UE hashed to that digest (ran_ue.Transfer)
-    verified_bodies: dict[tuple[str, int], bytes] = field(default_factory=dict, compare=False, repr=False)
+    `verified_bodies` maps (digest, size) to a body of that size a UE hashed
+    to that digest (ran_ue.Transfer); it is not a field (equality, hash, repr)."""
+
+    def __new__(cls, params: Params, nrf_name: str, server_name: str, server_ip: str, verified_bodies=None):
+        self = super().__new__(cls, params, nrf_name, server_name, server_ip)
+        self.__dict__["verified_bodies"] = {} if verified_bodies is None else verified_bodies
+        return self
+
+    @classmethod
+    def _make(cls, values):
+        return cls(*values)
+
+    def _replace(self, **changes) -> CoreEnv:
+        """A copy with `changes` that shares this one's `verified_bodies`."""
+        return CoreEnv(**{**dict(zip(self._fields, self)), **changes}, verified_bodies=self.verified_bodies)
 
 
 def encode_paths(paths: tuple[SessionPath, ...]) -> str:

@@ -17,11 +17,11 @@ pairs joined by ``,`` with keys sorted and unique. No field holds a tab,
 from __future__ import annotations
 
 import io
-from dataclasses import dataclass
 
 from .core_cp import NfEntity
 from .errors import FivegsimError
 from .messages import _CANONICAL_INT
+from .record import Record
 from .simnet import DELIVERED, OUTCOMES, TapRecord
 from .wirefmt import Protocol
 
@@ -41,16 +41,18 @@ class SchemaError(FivegsimError):
     """An event failed schema validation."""
 
 
-@dataclass
-class EventStore:
+class EventStore(Record):
     """The analytics function's view of the run's event log.
 
     ``events`` is the fabric's own list; nothing on the live path is ever
     rejected, so ``rejected`` stays 0.
     """
 
-    events: list[TapRecord]
-    rejected: int = 0
+    __slots__ = _fields = ("events", "rejected")
+
+    def __init__(self, events: list[TapRecord], rejected: int = 0):
+        self.events = events
+        self.rejected = rejected
 
 
 # -- KPI synthesis ------------------------------------------------------------

@@ -17,12 +17,12 @@ from __future__ import annotations
 
 import hashlib
 import logging
-from dataclasses import dataclass, field
 from itertools import accumulate
 
 from .core_cp import NfEntity, PduSession, SessionPath, read_session
 from .errors import FlowError
 from .messages import KIND_NAME, MsgKind, Tag, build, kind_of, parse
+from .record import Record
 from .urllc import SEQ_MODULUS, DedupWindow, Redundancy
 from .wirefmt import Protocol, SimPacket, WireFormatError, decode_packet, encode_packet
 
@@ -32,17 +32,24 @@ log = logging.getLogger(__name__)
 _RLS_DATA, _APP_DATA, _DATA, _APP = MsgKind.RLS_DATA, MsgKind.APP_DATA, Tag.DATA, Protocol.APP
 
 
-@dataclass
-class GnbUeContext:
-    """Per-session forwarding state installed at one gNB."""
+class GnbUeContext(Record):
+    """Per-session forwarding state installed at one gNB: `paths` holds only
+    the legs this gNB terminates, and `carry_seq` says whether any of them
+    carries the uplink seq."""
 
-    ue_id: str
-    ue_ip: str
-    paths: tuple[SessionPath, ...]   # only the legs this gNB terminates
-    ue_name: str | None = None
-    carry_seq: bool = False          # whether any of `paths` carries the uplink seq
-    ul_seq: int = 0
-    dl_window: DedupWindow = field(default_factory=DedupWindow)
+    __slots__ = _fields = ("ue_id", "ue_ip", "paths", "ue_name", "carry_seq", "ul_seq", "dl_window")
+
+    def __init__(
+        self, ue_id: str, ue_ip: str, paths: tuple[SessionPath, ...], ue_name: str | None = None,
+        carry_seq: bool = False, ul_seq: int = 0, dl_window: DedupWindow | None = None,
+    ):
+        self.ue_id = ue_id
+        self.ue_ip = ue_ip
+        self.paths = paths
+        self.ue_name = ue_name
+        self.carry_seq = carry_seq
+        self.ul_seq = ul_seq
+        self.dl_window = DedupWindow() if dl_window is None else dl_window
 
 
 class Gnb(NfEntity):
@@ -168,8 +175,7 @@ SESSION_PENDING = "SESSION_PENDING"
 SESSION_ACTIVE = "SESSION_ACTIVE"
 
 
-@dataclass
-class Transfer:
+class Transfer(Record):
     """One document fetch as seen from the UE.
 
     `segments` keeps the first body of each index until the transfer
@@ -181,18 +187,31 @@ class Transfer:
     others are joined and hashed once, and stored on a match.
     """
 
-    doc: str
-    started_ms: int
-    completed_ms: int | None = None
-    expected_size: int | None = None
-    expected_segments: int | None = None
-    digest: str | None = None
-    segments: dict[int, bytes] = field(default_factory=dict)
-    received: int = 0
-    size: int = 0
-    ok: bool | None = None
-    error: str | None = None
-    verified: dict[tuple[str, int], bytes] = field(default_factory=dict, repr=False)
+    # fields only, no __slots__: a test may replace one transfer's method
+    _fields = (
+        "doc", "started_ms", "completed_ms", "expected_size", "expected_segments", "digest",
+        "segments", "received", "size", "ok", "error", "verified",
+    )
+    _unshown = ("verified",)
+
+    def __init__(
+        self, doc: str, started_ms: int, completed_ms: int | None = None, expected_size: int | None = None,
+        expected_segments: int | None = None, digest: str | None = None, segments: dict[int, bytes] | None = None,
+        received: int = 0, size: int = 0, ok: bool | None = None, error: str | None = None,
+        verified: dict[tuple[str, int], bytes] | None = None,
+    ):
+        self.doc = doc
+        self.started_ms = started_ms
+        self.completed_ms = completed_ms
+        self.expected_size = expected_size
+        self.expected_segments = expected_segments
+        self.digest = digest
+        self.segments = {} if segments is None else segments
+        self.received = received
+        self.size = size
+        self.ok = ok
+        self.error = error
+        self.verified = {} if verified is None else verified
 
     @property
     def done(self) -> bool:

@@ -16,10 +16,9 @@ ends in the built-in invariants: one walk of the log, fed row by row.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from collections.abc import Callable
 from operator import methodcaller
 from pathlib import Path
-from typing import Callable
 
 from .config import (
     SCENARIOS,
@@ -44,6 +43,7 @@ from .nwdaf import (
     write_throughput_csv,
 )
 from .ran_ue import SESSION_ACTIVE, Gnb, Transfer, Ue
+from .record import Record
 from .simnet import DELIVERED, DROPPED, ELIMINATED_DUPLICATE, Network
 from .urllc import Redundancy, ReliabilityResult
 from .user_plane import AppServer, Upf
@@ -233,19 +233,29 @@ class Testbed:
         return problems
 
 
-@dataclass
-class RunResult:
-    """Everything a finished scenario leaves behind."""
+class RunResult(Record):
+    """Everything a finished scenario leaves behind; `testbed` is None for
+    urllc_sweep, whose runs each have their own."""
 
-    spec: ScenarioSpec
-    testbed: Testbed | None  # None for urllc_sweep, whose runs each have their own
-    window: tuple[int, int]
-    kpi_counts: dict[str, int] = field(default_factory=dict)
-    throughput: dict[tuple[str, str], float] = field(default_factory=dict)
-    transfers: dict[str, list[Transfer]] = field(default_factory=dict)
-    reliability: tuple[ReliabilityResult, ...] = ()
-    checks: tuple[CheckResult, ...] = ()
-    summary_lines: list[str] = field(default_factory=list)
+    __slots__ = _fields = (
+        "spec", "testbed", "window", "kpi_counts", "throughput", "transfers", "reliability", "checks", "summary_lines",
+    )
+
+    def __init__(
+        self, spec: ScenarioSpec, testbed: Testbed | None, window: tuple[int, int],
+        kpi_counts: dict[str, int] | None = None, throughput: dict[tuple[str, str], float] | None = None,
+        transfers: dict[str, list[Transfer]] | None = None, reliability: tuple[ReliabilityResult, ...] = (),
+        checks: tuple[CheckResult, ...] = (), summary_lines: list[str] | None = None,
+    ):
+        self.spec = spec
+        self.testbed = testbed
+        self.window = window
+        self.kpi_counts = {} if kpi_counts is None else kpi_counts
+        self.throughput = {} if throughput is None else throughput
+        self.transfers = {} if transfers is None else transfers
+        self.reliability = reliability
+        self.checks = checks
+        self.summary_lines = [] if summary_lines is None else summary_lines
 
     @property
     def events(self):

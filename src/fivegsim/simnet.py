@@ -42,10 +42,10 @@ from __future__ import annotations
 import hashlib
 import heapq
 import logging
-from dataclasses import dataclass
-from typing import Callable
+from collections.abc import Callable
 
 from .errors import FivegsimError
+from .record import Record
 from .wirefmt import Protocol, SimPacket
 
 log = logging.getLogger(__name__)
@@ -71,40 +71,58 @@ class SimNetError(FivegsimError):
     """Fabric-level contract violation (bad link, bad time, bad endpoint)."""
 
 
-@dataclass(slots=True, eq=False)
-class Hop:
+class Hop(Record):
     """One direction of a link, resolved once by `Network.add_link`. A
-    reliable link never drops or reorders."""
+    reliable link never drops or reorders. Compared by identity.
 
-    link_id: str
-    sender: str
-    receiver: str
-    target: "Entity"
-    dst_ip: str         # the receiver's address
-    latency_ms: int
-    loss_prob: float
-    reliable: bool
-    lossy: bool         # whether a send draws for loss
-    stats: list[int]    # the link's [delivered, dropped], shared by both hops
+    `dst_ip` is the receiver's address, `lossy` whether a send draws for
+    loss, and `stats` the link's [delivered, dropped], shared by both hops.
+    """
+
+    __slots__ = _fields = (
+        "link_id", "sender", "receiver", "target", "dst_ip", "latency_ms", "loss_prob", "reliable", "lossy", "stats",
+    )
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
+
+    def __init__(
+        self, link_id: str, sender: str, receiver: str, target: Entity, dst_ip: str,
+        latency_ms: int, loss_prob: float, reliable: bool, lossy: bool, stats: list[int],
+    ):
+        self.link_id = link_id
+        self.sender = sender
+        self.receiver = receiver
+        self.target = target
+        self.dst_ip = dst_ip
+        self.latency_ms = latency_ms
+        self.loss_prob = loss_prob
+        self.reliable = reliable
+        self.lossy = lossy
+        self.stats = stats
 
 
-@dataclass(slots=True)
-class TapRecord:
+class TapRecord(Record):
     """One row of the event log: a send or an entity-local decision.
 
     Ids number the rows of one log from 1. Local decisions carry the
     synthetic link id ``local:<entity>``.
     """
 
-    event_id: int
-    ts: int
-    link_id: str
-    src: str
-    dst: str
-    protocol: Protocol
-    size: int
-    outcome: str
-    attrs: dict[str, str]
+    __slots__ = _fields = ("event_id", "ts", "link_id", "src", "dst", "protocol", "size", "outcome", "attrs")
+
+    def __init__(
+        self, event_id: int, ts: int, link_id: str, src: str, dst: str,
+        protocol: Protocol, size: int, outcome: str, attrs: dict[str, str],
+    ):
+        self.event_id = event_id
+        self.ts = ts
+        self.link_id = link_id
+        self.src = src
+        self.dst = dst
+        self.protocol = protocol
+        self.size = size
+        self.outcome = outcome
+        self.attrs = attrs
 
     @property
     def is_wire(self) -> bool:

@@ -20,8 +20,9 @@ rule programs and the UE's replication are read off those legs.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from enum import Enum
+
+from .record import Frozen, Record
 
 SEQ_MODULUS = 1 << 16
 DEDUP_WINDOW = 1024
@@ -83,17 +84,28 @@ class DedupWindow:
         return True
 
 
-@dataclass(frozen=True)
-class ReliabilityResult:
-    """Outcome of one delivery-reliability measurement."""
+class ReliabilityResult(Frozen, Record):
+    """Outcome of one delivery-reliability measurement. Read-only but not a
+    tuple, so a caller can still tell it from a tuple of outputs by type;
+    unhashable, as its per-tunnel dict is."""
 
-    mode: Redundancy
-    loss_prob: float
-    sent: int
-    delivered: int
-    per_tunnel_delivered: dict[int, int] = field(default_factory=dict)
-    paths_disjoint: bool = True
-    delivered_indices: frozenset = frozenset()
+    _fields = (
+        "mode", "loss_prob", "sent", "delivered", "per_tunnel_delivered", "paths_disjoint", "delivered_indices",
+    )
+    __slots__ = _fields
+
+    def __init__(
+        self, mode: Redundancy, loss_prob: float, sent: int, delivered: int,
+        per_tunnel_delivered: dict[int, int] | None = None, paths_disjoint: bool = True,
+        delivered_indices: frozenset = frozenset(),
+    ):
+        per_tunnel = {} if per_tunnel_delivered is None else per_tunnel_delivered
+        values = (mode, loss_prob, sent, delivered, per_tunnel, paths_disjoint, delivered_indices)
+        for name, value in zip(self._fields, values):
+            object.__setattr__(self, name, value)
+
+    def _replace(self, **changes) -> ReliabilityResult:
+        return ReliabilityResult(**{**dict(zip(self._fields, self._values())), **changes})
 
     @property
     def delivery_ratio(self) -> float:

@@ -10,11 +10,12 @@ from __future__ import annotations
 
 import hashlib
 import logging
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .core_cp import ERROR, OK, NfEntity
 from .errors import FlowError
 from .messages import ANSWER, KIND_NAME, MsgKind, Tag, build, extend, kind_of, read_teid
+from .record import Record
 from .urllc import SEQ_MODULUS, DedupWindow
 from .wirefmt import Protocol, SimPacket, WireFormatError, _pack_ip, decode_packet, encode_packet
 
@@ -24,31 +25,37 @@ log = logging.getLogger(__name__)
 _APP_DATA, _SEQ, _INDEX, _APP = MsgKind.APP_DATA, Tag.SEQ, Tag.INDEX, Protocol.APP
 
 
-@dataclass(frozen=True)
-class ForwardAction:
-    """One rule action: route hands the inner packet over, encap re-tunnels."""
+class ForwardAction(namedtuple("ForwardAction", "kind target teid carry_seq", defaults=(0, False))):
+    """One rule action: route hands the inner packet over, encap re-tunnels.
 
-    kind: str                 # "route" | "encap"
-    target: str               # neighbour entity name
-    teid: int = 0             # encap only
-    carry_seq: bool = False   # encap only: propagate the incoming sequence
+    `kind` is "route" or "encap" and `target` the neighbour entity's name;
+    `teid` and `carry_seq` (propagate the incoming sequence) are for encap only.
+    """
 
-
-@dataclass
-class TeidRule:
-    teid: int
-    ue_id: str
-    dedup: bool
-    actions: tuple[ForwardAction, ...]
+    __slots__ = ()
 
 
-@dataclass
-class UeIpRule:
-    ue_ip: str
-    ue_id: str
-    assign_seq: bool
-    actions: tuple[ForwardAction, ...]
-    next_seq: int = 0
+class TeidRule(Record):
+    __slots__ = _fields = ("teid", "ue_id", "dedup", "actions")
+
+    def __init__(self, teid: int, ue_id: str, dedup: bool, actions: tuple[ForwardAction, ...]):
+        self.teid = teid
+        self.ue_id = ue_id
+        self.dedup = dedup
+        self.actions = actions
+
+
+class UeIpRule(Record):
+    __slots__ = _fields = ("ue_ip", "ue_id", "assign_seq", "actions", "next_seq")
+
+    def __init__(
+        self, ue_ip: str, ue_id: str, assign_seq: bool, actions: tuple[ForwardAction, ...], next_seq: int = 0,
+    ):
+        self.ue_ip = ue_ip
+        self.ue_id = ue_id
+        self.assign_seq = assign_seq
+        self.actions = actions
+        self.next_seq = next_seq
 
 
 def parse_rule_program(text: str, ue_id: str) -> tuple[list[TeidRule], list[UeIpRule]]:

@@ -10,8 +10,7 @@ flow's check rather than passing vacuously.
 from __future__ import annotations
 
 import ipaddress
-from collections import defaultdict
-from dataclasses import dataclass
+from collections import defaultdict, namedtuple
 
 from .config import Params
 from .messages import ANSWER, PROCEDURES, MsgKind, read_teid
@@ -31,12 +30,8 @@ def procedure_chain(steps) -> tuple[str, ...]:
 REGISTRATION_CHAIN = procedure_chain(PROCEDURES[MsgKind.NAS_REGISTER_REQ][2])
 
 
-@dataclass(frozen=True)
-class CheckResult:
-    name: str
-    passed: bool
-    detail: str
-    counterexample_id: int | None = None
+class CheckResult(namedtuple("CheckResult", "name passed detail counterexample_id", defaults=(None,))):
+    __slots__ = ()
 
     def line(self) -> str:
         verdict = "PASS" if self.passed else "FAIL"
@@ -269,7 +264,7 @@ def check_user_plane(events, ue_pool: str) -> CheckResult:
 
 
 def validate_sequences(
-    events, sbi_port: int = Params.sbi_port, ue_pool: str = Params.ue_pool
+    events, sbi_port: int = Params._field_defaults["sbi_port"], ue_pool: str = Params._field_defaults["ue_pool"]
 ) -> list[CheckResult]:
     """Run every sequence check over an event log, in a fixed order; the port
     and pool default to Params'."""

@@ -15,10 +15,10 @@ from __future__ import annotations
 import functools
 import ipaddress
 import struct
-from dataclasses import dataclass
 from enum import IntEnum
 
 from .errors import FivegsimError
+from .record import Record
 
 ENVELOPE_VERSION = 1
 ENVELOPE_HEADER_LEN = 18
@@ -78,8 +78,7 @@ def _check_port(port: int, label: str) -> None:
         raise WireFormatError(f"{label} out of range: {port!r}")
 
 
-@dataclass(slots=True)
-class SimPacket:
+class SimPacket(Record):
     """One simulated datagram.
 
     Envelope layout (18 bytes before the payload):
@@ -88,12 +87,17 @@ class SimPacket:
         src_port(2) | dst_port(2) | payload_len(4) | payload
     """
 
-    protocol: Protocol
-    src_ip: str
-    dst_ip: str
-    src_port: int
-    dst_port: int
-    payload: bytes = b""
+    __slots__ = _fields = ("protocol", "src_ip", "dst_ip", "src_port", "dst_port", "payload")
+
+    def __init__(
+        self, protocol: Protocol, src_ip: str, dst_ip: str, src_port: int, dst_port: int, payload: bytes = b"",
+    ):
+        self.protocol = protocol
+        self.src_ip = src_ip
+        self.dst_ip = dst_ip
+        self.src_port = src_port
+        self.dst_port = dst_port
+        self.payload = payload
 
     @property
     def wire_size(self) -> int:

@@ -1,5 +1,4 @@
 """Topology parsing, validation errors, transforms, scenario specs."""
-import dataclasses
 import ipaddress
 
 import pytest
@@ -275,7 +274,7 @@ def test_every_param_is_set_through_the_params_section():
         "app_server_ip": "192.168.0.50", "nwdaf_ip": "192.168.0.51", "settle_ms": 2000,
         "app_port": 8080, "gtpu_port": 2153, "pfcp_port": 8806, "ngap_port": 38413, "rls_port": 4998,
     }
-    assert set(values) == {f.name for f in dataclasses.fields(Params)}
+    assert set(values) == set(Params._fields)
     assert all(getattr(Params(), name) != value for name, value in values.items())
     text = MINIMAL + "[params]\n" + "".join(f"{name} = {value}\n" for name, value in values.items())
     assert parse_topology(text).params == Params(**values)
@@ -371,10 +370,9 @@ def _grown_then_validated(topo, total):
         EntityDecl("UE", f"UE{k:03d}", f"172.16.{k >> 8}.{k & 0xFF}", ue_imsi(k))
         for k in range(len(ues) + 1, total + 1)
     ]
-    return _validate(dataclasses.replace(
-        topo,
+    return _validate(topo._replace(
         entities=(*topo.entities, *spawned),
-        links=(*topo.links, *(dataclasses.replace(l, a=ue.name, b=g) for ue in spawned for g, l in radio)),
+        links=(*topo.links, *(l._replace(a=ue.name, b=g) for ue in spawned for g, l in radio)),
         subscribers=(*topo.subscribers, *(u.imsi for u in spawned if u.imsi not in topo.subscribers)),
     ))
 

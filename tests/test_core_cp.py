@@ -1,6 +1,5 @@
 """Control-plane tests: registry semantics, bring-up, sessions, heartbeats."""
 import re
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -334,10 +333,10 @@ def test_ues_attach_once_the_core_is_ready_whatever_the_registry_spokes(data):
     discover, the UEs attach only once every view is full: all 20 fetch."""
     topo = default_topology()
     links = tuple(
-        replace(l, latency_ms=data.draw(st.integers(1, 50), label=l.a)) if l.b == "NRF" else l
+        l._replace(latency_ms=data.draw(st.integers(1, 50), label=l.a)) if l.b == "NRF" else l
         for l in topo.links
     )
-    run = run_scenario(ScenarioSpec(name="many_requests", ue_count=20), replace(topo, links=links))
+    run = run_scenario(ScenarioSpec(name="many_requests", ue_count=20), topo._replace(links=links))
     transfers = [t for ts in run.transfers.values() for t in ts]
     assert len(transfers) == 20 and all(t.ok for t in transfers)
     assert run.testbed.invariant_violations(run.window[1]) == []
@@ -349,8 +348,8 @@ def test_sessions_are_planned_over_the_associated_upfs_alone():
     UPF2, and all 20 UEs fetch."""
     topo = default_topology()
     latency = {"SMF": 15, "UPF1": 42}
-    links = tuple(replace(l, latency_ms=latency.get(l.a, 1)) if l.b == "NRF" else l for l in topo.links)
-    run = run_scenario(ScenarioSpec(name="many_requests", ue_count=20), replace(topo, links=links))
+    links = tuple(l._replace(latency_ms=latency.get(l.a, 1)) if l.b == "NRF" else l for l in topo.links)
+    run = run_scenario(ScenarioSpec(name="many_requests", ue_count=20), topo._replace(links=links))
     transfers = [t for ts in run.transfers.values() for t in ts]
     assert len(transfers) == 20 and all(t.ok for t in transfers)
     upfs = {ue.session.paths[0].upf for ue in run.testbed.ues}
@@ -400,7 +399,7 @@ def test_each_step_answer_lays_out_its_fields_in_one_order(monkeypatch):
 
 def test_each_refusing_step_answer_lays_out_its_reason_after_its_result(monkeypatch):
     sent = sent_payloads(monkeypatch)
-    run = run_scenario(ScenarioSpec(name="single_request"), replace(default_topology(), subscribers=()))
+    run = run_scenario(ScenarioSpec(name="single_request"), default_topology()._replace(subscribers=()))
     [ue] = run.testbed.ues
     assert (ue.state, ue.reject_reason) == ("DEREGISTERED", "unknown subscriber")
     assert sent["AUTH_RESP"] == [build(MsgKind.AUTH_RESP, ue_id=ue.imsi, result="OK")]
