@@ -4,7 +4,8 @@ The topology format is line-oriented and diff-friendly: '[section]' headers,
 '#' comments, comma-separated fields. Sections: entities, links, subscribers,
 documents, params.
 
-Only this module knows the topology contract: run_roster adds the SERVER and
+Only this module knows the topology contract. PEER_KINDS is the one list of
+node kinds, each with the kinds it sends to; run_roster adds the SERVER and
 NWDAF a topology does not declare, and _validate checks that roster once,
 including a link from each entity to each PEER_KINDS kind the topology has.
 with_ues grows the population past the declared UEs and checks only the
@@ -26,14 +27,11 @@ from .record import Frozen
 from .urllc import SEQ_MODULUS, Redundancy
 from .wirefmt import Protocol, SimPacket, encode_packet, gtpu_encapsulate
 
-ENTITY_KINDS = {
-    "NRF", "AMF", "SMF", "AUSF", "UDM", "UDR", "PCF", "NSSF", "BSF",
-    "UPF", "GNB", "UE", "SERVER", "NWDAF",
-}
-
-# kind -> the kinds it sends to (3GPP TS 23.501 reference points: Nnrf, the
-# AMF's N8/N11/N12/N15, the SMF's N4, the gNB's N2/N3, radio, N6)
+# the one list of node kinds: kind -> the kinds it sends to (3GPP TS 23.501
+# reference points: Nnrf, the AMF's N8/N11/N12/N15, the SMF's N4, the gNB's
+# N2/N3, radio, N6); a topology declares only these kinds
 PEER_KINDS = {
+    "NRF": (),
     "AMF": ("NRF", "AUSF", "UDM", "PCF", "SMF"),
     "SMF": ("NRF", "UPF"),
     "UDM": ("NRF", "UDR"),
@@ -218,7 +216,7 @@ def _validate(topo: TopologyConfig) -> TopologyConfig:
         raise ConfigError("a radio node needs an AMF in the topology")
     for e in roster:
         linked = {kind_of[n] for n in neighbours[e.name]}
-        for peer in PEER_KINDS.get(e.kind, ()):
+        for peer in PEER_KINDS[e.kind]:
             # a UE reaches everything through its gNB, so it needs one even
             # where the topology has none
             if (peer in kinds or e.kind == "UE") and peer not in linked:
@@ -272,7 +270,7 @@ def parse_topology(text: str, source: str = "<memory>") -> TopologyConfig:
             if section == "entities":
                 kind, name, ip = (f.strip() for f in line.split(","))
                 kind = kind.upper()
-                if kind not in ENTITY_KINDS:
+                if kind not in PEER_KINDS:
                     raise ConfigError(f"unknown entity kind {kind}", lineno)
                 if not name or _NAME_SPLIT.search(name):
                     raise ConfigError(f"bad entity name {name!r}", lineno)

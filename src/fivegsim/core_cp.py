@@ -26,11 +26,11 @@ AMF accepts NGAP setups from gNBs. Walker takes every step of
 messages.PROCEDURES on both sides: the AMF walks the UE procedures, the UDM
 the UDR query of each SUBSCRIBER_REQ, and every NF asked a step answers
 through it. A new step is one PROCEDURES row plus, where the NF asked
-decides something, its `begin` (the UDR's and the SMF's). The SMF
-associates with UPFs over PFCP and anchors PDU sessions over the associated
-ones, allocating UE addresses and tunnel endpoints; when a UPF it asked
-refuses a session's rules, the SMF deletes the session at its other UPFs and
-takes the UE address back.
+decides something, its `begin` (the UDR's and the SMF's); a kind that
+decides nothing is a plain Walker. The SMF associates with UPFs over PFCP
+and anchors PDU sessions over the associated ones, allocating UE addresses
+and tunnel endpoints; when a UPF it asked refuses a session's rules, the
+SMF deletes the session at its other UPFs and takes the UE address back.
 
 Each NF has one peer view, `candidates` (kind -> registered nf_ids in nf_id
 order), and one choice, `pick` (the lowest). An NF with peer kinds to find
@@ -197,11 +197,13 @@ class NfEntity(Entity):
 
     The kinds in REGISTERS additionally register with the NRF and
     heartbeat on the shared interval grid; the other nodes (gNB, UE,
-    server) just reuse the send helpers.
+    server) just reuse the send helpers. `kind` overrides the class's kind.
     """
 
-    def __init__(self, name: str, ip: str, net: Network, env: CoreEnv):
+    def __init__(self, name: str, ip: str, net: Network, env: CoreEnv, kind: str | None = None):
         super().__init__(name, ip, net)
+        if kind is not None:
+            self.kind = kind
         self.env = env
         self.registered = False
         self.heartbeat_enabled = True
@@ -530,10 +532,10 @@ class Walker(NfEntity):
     with no discovered NF (`no <KIND> discovered`) rejects. Only the asked
     peer answers a step, and every field an answer gives is read before the
     UE's pending entry changes; a request for a UE whose run is pending is
-    dropped (PENDING)."""
+    dropped (PENDING). Of a kind asked no step, it is just an NfEntity."""
 
-    def __init__(self, name, ip, net, env):
-        super().__init__(name, ip, net, env)
+    def __init__(self, name, ip, net, env, kind=None):
+        super().__init__(name, ip, net, env, kind)
         self.runs = runs_of(self.kind)
         # run -> ue_id -> (requester, step asked, the peer asked, the fields each
         # step carries), or what the `begin` of a run without steps waits on
@@ -800,19 +802,6 @@ class Smf(Walker):
         return {upf: ";".join(parts) for upf, parts in rules.items()}
 
 
-class Ausf(Walker):
-    """Authentication front end: answers every challenge affirmatively."""
-
-    kind = "AUSF"
-
-
-class Udm(Walker):
-    """Subscriber data front end: walks each SUBSCRIBER_REQ's steps (the UDR
-    query) before it answers."""
-
-    kind = "UDM"
-
-
 class Udr(Walker):
     """Subscriber repository: the provisioned IMSI set."""
 
@@ -824,21 +813,3 @@ class Udr(Walker):
 
     def begin(self, run, ue_id, requester, m) -> None:
         self.end(run, ue_id, requester, None if ue_id in self.subscribers else "unknown subscriber")
-
-
-class Pcf(Walker):
-    """Policy function: hands out a constant policy."""
-
-    kind = "PCF"
-
-
-class Nssf(NfEntity):
-    """Slice selection stub: registers and heartbeats only."""
-
-    kind = "NSSF"
-
-
-class Bsf(NfEntity):
-    """Binding support stub: registers and heartbeats only."""
-
-    kind = "BSF"

@@ -251,9 +251,9 @@ class Ue(NfEntity):
 
     kind = "UE"
 
-    def __init__(self, name, ip, net, env, imsi: str):
+    def __init__(self, name, ip, net, env):
         super().__init__(name, ip, net, env)
-        self.imsi = imsi
+        self.imsi = ""  # its subscriber identity, set with its links
         self.gnbs: tuple[str, ...] = ()  # the gNBs it links to, set once the links are up
         self.state = DEREGISTERED
         self.session: PduSession | None = None

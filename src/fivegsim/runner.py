@@ -10,8 +10,9 @@ first wave of each. The rest follows the registry protocol: the SMF
 associates with each UPF it learns of. UEs attach once the core is ready
 and act once their attach has settled (_When); scenarios collect KPIs,
 transfers and the log into a RunResult. Declared, injected and spawned
-(config.with_ues) entities are all built one way, by Testbed._build. A run
-ends in the built-in invariants: one walk of the log, fed row by row.
+(config.with_ues) entities are all built one way, by Testbed._build, a
+kind without a class as a core_cp.Walker. A run ends in the built-in
+invariants: one walk of the log, fed row by row.
 """
 from __future__ import annotations
 
@@ -32,7 +33,7 @@ from .config import (
     with_second_gnb,
     with_ues,
 )
-from .core_cp import DISCOVERS, REGISTERS, Amf, Ausf, Bsf, CoreEnv, Nrf, Nssf, Pcf, Smf, Udm, Udr
+from .core_cp import DISCOVERS, REGISTERS, Amf, CoreEnv, Nrf, Smf, Udr, Walker
 from .errors import FlowError
 from .nwdaf import (
     Nwdaf,
@@ -66,10 +67,9 @@ _LINE_BREAKS = str.maketrans("\t\n\r", "   ")
 SWEEP_LOSS = 0.1
 SWEEP_PACKETS = 2000
 
-# kinds built from (name, ip, net, env) alone
-_PLAIN_KINDS = {
-    cls.kind: cls for cls in (Nrf, Amf, Smf, Ausf, Udm, Udr, Pcf, Nssf, Bsf, Upf, Nwdaf, Gnb)
-}
+# kind -> the class of its nodes, for the kinds with code of their own; a
+# node of any other kind is a Walker of that kind
+_CLASS_OF = {cls.kind: cls for cls in (Nrf, Amf, Smf, Udr, Upf, Nwdaf, Gnb, Ue, AppServer)}
 
 
 class Testbed:
@@ -100,7 +100,8 @@ class Testbed:
         """Add `entities` and `links` to the fabric and wire the new nodes'
         peers from the links: a gNB's AMF is the first it links to (config
         checked that there is one), a UE's gNBs are all it links to. Every
-        UDR then holds the topology's subscribers."""
+        UDR then holds the topology's subscribers, and a UE and the server
+        their declared IMSI and documents."""
         built = [self._make_entity(decl) for decl in entities]
         for entity in built:
             self.net.add_entity(entity)
@@ -108,21 +109,21 @@ class Testbed:
         for l in links:
             self.net.add_link(l.a, l.b, l.latency_ms, l.loss_prob, l.reliable)
         hops = self.net.hops
-        for entity in built:
+        for decl, entity in zip(entities, built):
             if entity.kind == "GNB":
                 entity.amf = next(amf.name for amf in self.amfs if (entity.name, amf.name) in hops)
             elif entity.kind == "UE":
                 entity.gnbs = tuple(g.name for g in self.gnbs if (entity.name, g.name) in hops)
+                entity.imsi = decl.imsi
         for udr in self.udrs:
             udr.subscribers.update(self.topo.subscribers)
+        self.server.documents.update(self.topo.documents)
 
     def _make_entity(self, decl: EntityDecl):
         args = (decl.name, decl.ip, self.net, self.env)
-        if decl.kind in _PLAIN_KINDS:
-            return _PLAIN_KINDS[decl.kind](*args)
-        if decl.kind == "UE":
-            return Ue(*args, imsi=decl.imsi)
-        return AppServer(*args, documents=dict(self.topo.documents))  # SERVER, the kind left
+        if decl.kind in _CLASS_OF:
+            return _CLASS_OF[decl.kind](*args)
+        return Walker(*args, kind=decl.kind)
 
     # -- convenient accessors ------------------------------------------------
 

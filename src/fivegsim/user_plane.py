@@ -233,9 +233,9 @@ class AppServer(NfEntity):
 
     kind = "SERVER"
 
-    def __init__(self, name, ip, net, env, documents: dict[str, int] | None = None):
+    def __init__(self, name, ip, net, env):
         super().__init__(name, ip, net, env)
-        self.documents: dict[str, int] = dict(documents or {})
+        self.documents: dict[str, int] = {}  # name -> size, the topology's
         self.routes: dict[str, list[str]] = {}       # ue_ip -> UPFs that delivered uplink
         self._dedup: dict[str, DedupWindow] = {}     # ue_ip -> uplink window (app-level seq)
         self._dl_seq: dict[str, int] = {}

@@ -93,6 +93,7 @@ def test_parse_accepts_comments_and_blank_lines():
         ("[nope]\n", "unknown section"),
         ("NRF,NRF,10.0.0.1\n", "before any section"),
         ("[entities]\nROUTER,R1,10.0.0.1\n", "unknown entity kind"),
+        ("[entities]\nNODE,N1,10.0.0.1\n", "unknown entity kind"),  # the base Entity's kind
         ("[entities]\nNRF,NRF,999.0.0.1\n", "cannot parse"),
         ("[entities]\nNRF,NRF\n", "cannot parse"),
         ("[entities]\nNRF,,192.168.0.12\n", "bad entity name"),

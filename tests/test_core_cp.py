@@ -7,7 +7,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fivegsim import core_cp
-from fivegsim.config import Params, ScenarioSpec, default_topology, parse_topology, with_link_loss
+from fivegsim.config import (
+    Params,
+    ScenarioSpec,
+    default_topology,
+    default_topology_path,
+    parse_topology,
+    with_link_loss,
+)
 from fivegsim.core_cp import (
     DEREGISTERED,
     REGISTERED,
@@ -18,6 +25,7 @@ from fivegsim.core_cp import (
     Nrf,
     PduSession,
     SessionPath,
+    Walker,
     decode_paths,
     encode_paths,
     read_mode,
@@ -510,6 +518,36 @@ def test_each_nf_walks_only_the_runs_asked_of_it():
         assert runs_of(kind) == {request: (ANSWER[request], ANSWER[request], ())}, kind
     for kind in ("NRF", "UPF", "NSSF", "BSF"):
         assert runs_of(kind) == {}, kind
+
+
+def test_a_kind_with_no_class_of_its_own_is_a_plain_walker_of_that_kind():
+    tb = Testbed(default_topology(), seed=0)
+    for name in ("AUSF", "UDM", "PCF", "NSSF", "BSF"):
+        node = tb.net.entity(name)
+        assert (type(node), node.kind, node.runs) == (Walker, name, runs_of(name)), name
+    assert NfEntity("X", "192.168.0.50", tb.net, tb.env, kind="AUSF").kind == "AUSF"
+
+
+def test_a_step_asked_of_a_kind_with_no_class_is_answered_by_its_walker(monkeypatch):
+    # a scratch table asks the registration's policy step of the NSSF, which
+    # the AMF now discovers and links to: the NSSF's Walker answers it
+    accept, reject, steps = PROCEDURES[MsgKind.NAS_REGISTER_REQ]
+    moved = tuple((req, "NSSF" if nf == "PCF" else nf, refusal, inner) for req, nf, refusal, inner in steps)
+    monkeypatch.setattr(core_cp, "PROCEDURES", {**PROCEDURES, MsgKind.NAS_REGISTER_REQ: (accept, reject, moved)})
+    monkeypatch.setitem(core_cp.DISCOVERS, "AMF", ("AUSF", "UDM", "NSSF", "SMF"))
+    text = default_topology_path().read_text(encoding="utf-8")
+    tb = Testbed(parse_topology(text.replace("[links]\n", "[links]\nAMF,NSSF,1,0.0,false\n")), seed=0)
+    tb.boot()
+    ue = tb.ues[0]
+    tb.net.schedule(T_ATTACH, ue.attach)
+    tb.run_until(SETTLE)
+    assert (ue.state, ue.reject_reason) == ("SESSION_ACTIVE", None)
+    policy = [
+        (r.attrs["msg_kind"], r.src, r.dst) for r in tb.records
+        if r.outcome == DELIVERED and r.attrs.get("msg_kind", "").startswith("POLICY_")
+    ]
+    assert policy == [("POLICY_REQ", "AMF", "NSSF"), ("POLICY_RESP", "NSSF", "AMF")]
+    assert tb.invariant_violations(SETTLE) == []
 
 
 def test_an_error_answer_without_a_reason_gives_the_refusal_of_its_row(monkeypatch):
