@@ -491,11 +491,11 @@ class Nrf(NfEntity):
                 return self.send(sender, ANSWER[m.kind], result=ERROR, reason="requester not registered")
             nf_type = m.require(Tag.NF_TYPE)
             data = ";".join(f"{p.nf_id}|{p.nf_type}|{p.addr}" for p in self.profiles_of(nf_type))
-            self.send(sender, MsgKind.NF_DISCOVER_RESP, result=OK, nf_type=nf_type, data=data.encode())
+            self.send(sender, ANSWER[m.kind], result=OK, nf_type=nf_type, data=data.encode())
         elif m.kind == MsgKind.NF_STATUS_SUBSCRIBE_REQ:
             if sender not in self.status_subscribers:
                 self.status_subscribers.append(sender)
-            self.send(sender, MsgKind.NF_STATUS_SUBSCRIBE_RESP, result=OK)
+            self.send(sender, ANSWER[m.kind], result=OK)
         else:
             super().on_sbi(m, pkt, sender)
 
@@ -612,12 +612,12 @@ class Amf(Walker):
     def on_ngap(self, m, pkt, sender) -> None:
         if m.kind == MsgKind.NGAP_SETUP_REQ:
             if not self.net.hop(self.name, sender).reliable:
-                self.send(sender, MsgKind.NGAP_SETUP_RESP, result=ERROR, reason="transport not reliable")
+                self.send(sender, ANSWER[m.kind], result=ERROR, reason="transport not reliable")
                 return
             self.gnbs.add(sender)
-            self.send(sender, MsgKind.NGAP_SETUP_RESP, result=OK)
+            self.send(sender, ANSWER[m.kind], result=OK)
         elif m.kind == MsgKind.NGAP_KEEPALIVE_REQ:
-            self.send(sender, MsgKind.NGAP_KEEPALIVE_RESP, result=OK)
+            self.send(sender, ANSWER[m.kind], result=OK)
         elif m.kind == MsgKind.NGAP_SESSION_SETUP_ACK:
             pass
         else:

@@ -109,7 +109,8 @@ PROTOCOL = {
 # Python-level property, and rows name a kind per packet
 KIND_NAME = {kind: kind.name for kind in MsgKind}
 
-# request kind -> its answer kind; a NAS request's is its accept
+# request kind -> its answer kind; a NAS request's is its accept. The one
+# pairing: every NF answers by it, and the sequence checks pair by it
 ANSWER = {
     MsgKind.NF_REGISTER_REQ: MsgKind.NF_REGISTER_RESP,
     MsgKind.NF_DEREGISTER_REQ: MsgKind.NF_DEREGISTER_RESP,

@@ -21,7 +21,7 @@ from itertools import accumulate
 
 from .core_cp import NfEntity, PduSession, SessionPath, read_session
 from .errors import FlowError
-from .messages import KIND_NAME, MsgKind, Tag, build, kind_of, parse
+from .messages import ANSWER, KIND_NAME, MsgKind, Tag, build, kind_of, parse
 from .record import Record
 from .urllc import SEQ_MODULUS, DedupWindow, Redundancy
 from .wirefmt import Protocol, SimPacket, WireFormatError, decode_packet, encode_packet
@@ -84,7 +84,7 @@ class Gnb(NfEntity):
         elif m.kind == MsgKind.NGAP_SESSION_SETUP:
             session = read_session(m)
             self.install_session(session)
-            self.send(self.amf, MsgKind.NGAP_SESSION_SETUP_ACK, ue_id=session.ue_id)
+            self.send(self.amf, ANSWER[m.kind], ue_id=session.ue_id)
         else:
             super().on_ngap(m, pkt, sender)
 

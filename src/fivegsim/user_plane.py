@@ -122,7 +122,7 @@ class Upf(NfEntity):
     def on_pfcp(self, m, pkt, sender) -> None:
         if m.kind == MsgKind.PFCP_ASSOC_REQ:
             self.associated_smfs.add(sender)
-            self.send(sender, MsgKind.PFCP_ASSOC_RESP, result=OK, nf_id=self.name)
+            self.send(sender, ANSWER[m.kind], result=OK, nf_id=self.name)
         elif m.kind in (MsgKind.PFCP_SESSION_REQ, MsgKind.PFCP_SESSION_DELETE_REQ):
             ue_id = m.require(Tag.UE_ID)
             answer = ANSWER[m.kind]

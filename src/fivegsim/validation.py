@@ -5,7 +5,8 @@ and status fanout on the service bus, one association exchange per N4 pair,
 NGAP setup strictly before any UE registration through that gNB, heartbeat
 cadence, the full per-UE registration chain, and tunnel routing on the user
 plane. Checks are evidence-based: a log with no trace of a flow fails that
-flow's check rather than passing vacuously.
+flow's check rather than passing vacuously. A request pairs with its answer
+by messages.ANSWER, as the NFs answer, and a chain by messages.PROCEDURES.
 """
 from __future__ import annotations
 
@@ -15,8 +16,6 @@ from collections import defaultdict, namedtuple
 from .config import Params
 from .messages import ANSWER, PROCEDURES, MsgKind, read_teid
 from .wirefmt import Protocol, WireFormatError
-
-SBI_KINDS_REGISTER = ("NF_REGISTER_REQ", "NF_REGISTER_RESP")
 
 
 def procedure_chain(steps) -> tuple[str, ...]:
@@ -39,33 +38,40 @@ class CheckResult(namedtuple("CheckResult", "name passed detail counterexample_i
         return f"{verdict} {self.name}: {self.detail}{suffix}"
 
 
-class _Delivered:
+def _delivered(events) -> dict:
     """The delivered rows of a log, grouped in one pass by ``msg_kind`` and by
-    protocol. Each group keeps log order; a group with no rows is empty."""
-
-    def __init__(self, events) -> None:
-        groups: dict = defaultdict(list)
-        for ev in events:
-            if ev.outcome == "DELIVERED":
-                groups[ev.protocol].append(ev)
-                kind = ev.attrs.get("msg_kind")
-                if kind is not None:
-                    groups[kind].append(ev)
-        self.groups = groups
-
-    def __getitem__(self, key: str | Protocol) -> list:
-        return self.groups.get(key, [])
+    protocol, unless ``validate_sequences`` already grouped them. Each group
+    keeps log order; a group with no rows is empty."""
+    if isinstance(events, dict):
+        return events
+    groups: dict = defaultdict(list)
+    for ev in events:
+        if ev.outcome == "DELIVERED":
+            groups[ev.protocol].append(ev)
+            kind = ev.attrs.get("msg_kind")
+            if kind is not None:
+                groups[kind].append(ev)
+    return groups
 
 
-def _delivered(events) -> _Delivered:
-    """``events`` grouped, unless ``validate_sequences`` already grouped it."""
-    return events if isinstance(events, _Delivered) else _Delivered(events)
+def _exchanges(delivered, request: MsgKind, by) -> tuple[dict, dict]:
+    """The delivered rows of ``request`` and of its ``ANSWER`` kind, each
+    grouped by ``by(requester, answerer)`` in log order: a request goes from
+    its requester, an answer to it."""
+    reqs: dict = {}
+    answers: dict = {}
+    for ev in delivered[request.name]:
+        reqs.setdefault(by(ev.src, ev.dst), []).append(ev)
+    for ev in delivered[ANSWER[request].name]:
+        answers.setdefault(by(ev.dst, ev.src), []).append(ev)
+    return reqs, answers
 
 
 def check_sbi_registration(events, sbi_port: int) -> CheckResult:
     name = "sbi_registration"
     delivered = _delivered(events)
-    reqs, resps = (delivered[kind] for kind in SBI_KINDS_REGISTER)
+    reqs = delivered[MsgKind.NF_REGISTER_REQ.name]
+    resps = delivered[ANSWER[MsgKind.NF_REGISTER_REQ].name]
     if not reqs and not resps:
         return CheckResult(name, False, "no registration evidence in the log")
     port = str(sbi_port)
@@ -94,13 +100,7 @@ def check_sbi_registration(events, sbi_port: int) -> CheckResult:
 
 def check_pfcp_association(events) -> CheckResult:
     name = "pfcp_association"
-    delivered = _delivered(events)
-    reqs: dict[tuple[str, str], list] = {}
-    resps: dict[tuple[str, str], list] = {}
-    for ev in delivered["PFCP_ASSOC_REQ"]:
-        reqs.setdefault((ev.src, ev.dst), []).append(ev)
-    for ev in delivered["PFCP_ASSOC_RESP"]:
-        resps.setdefault((ev.dst, ev.src), []).append(ev)
+    reqs, resps = _exchanges(_delivered(events), MsgKind.PFCP_ASSOC_REQ, lambda *pair: pair)
     if not reqs and not resps:
         return CheckResult(name, False, "no association evidence in the log")
     for pair, rs in sorted(reqs.items()):
@@ -135,46 +135,35 @@ def check_pfcp_association(events) -> CheckResult:
 def check_ngap_before_registration(events) -> CheckResult:
     name = "ngap_setup_order"
     delivered = _delivered(events)
-    setups_req = {}
-    setups_ok = {}
-    for ev in delivered["NGAP_SETUP_REQ"]:
-        setups_req.setdefault(ev.src, ev)
-    for ev in delivered["NGAP_SETUP_RESP"]:
-        setups_ok.setdefault(ev.dst, ev)
-    if not setups_req:
+    setups, answers = _exchanges(delivered, MsgKind.NGAP_SETUP_REQ, lambda requester, _: requester)
+    if not setups:
         return CheckResult(name, False, "no NGAP setup evidence in the log")
-    for gnb, req in sorted(setups_req.items()):
-        if gnb not in setups_ok:
-            return CheckResult(name, False, f"{gnb} setup never answered", req.event_id)
-    for ev in delivered["NAS_REGISTER_REQ"]:
+    for gnb, reqs in sorted(setups.items()):
+        if gnb not in answers:
+            return CheckResult(name, False, f"{gnb} setup never answered", reqs[0].event_id)
+    for ev in delivered[MsgKind.NAS_REGISTER_REQ.name]:
         gnb = ev.src  # the relaying radio node
-        ok = setups_ok.get(gnb)
-        if ok is None or ok.event_id > ev.event_id:
+        answered = answers.get(gnb)
+        if answered is None or answered[0].event_id > ev.event_id:
             return CheckResult(
                 name,
                 False,
                 f"UE registration through {gnb} before its NGAP setup completed",
                 ev.event_id,
             )
-    return CheckResult(name, True, f"setup precedes registration for {len(setups_req)} radio nodes")
+    return CheckResult(name, True, f"setup precedes registration for {len(setups)} radio nodes")
 
 
 def check_heartbeat_cadence(events) -> CheckResult:
     name = "heartbeat_cadence"
-    delivered = _delivered(events)
-    reqs: dict[str, list] = {}
-    resp_count: dict[str, int] = {}
-    for ev in delivered["NF_HEARTBEAT_REQ"]:
-        reqs.setdefault(ev.src, []).append(ev)
-    for ev in delivered["NF_HEARTBEAT_RESP"]:
-        resp_count[ev.dst] = resp_count.get(ev.dst, 0) + 1
+    reqs, answers = _exchanges(_delivered(events), MsgKind.NF_HEARTBEAT_REQ, lambda requester, _: requester)
     if not reqs:
         return CheckResult(name, False, "no heartbeat evidence in the log")
     gaps = set()
     for nf, evs in sorted(reqs.items()):
         for prev, cur in zip(evs, evs[1:]):
             gaps.add(cur.ts - prev.ts)
-        answered = resp_count.get(nf, 0)
+        answered = len(answers.get(nf, ()))
         if answered < len(evs) - 1:
             return CheckResult(
                 name,
@@ -195,7 +184,7 @@ def check_heartbeat_cadence(events) -> CheckResult:
 def check_registration_chain(events) -> CheckResult:
     name = "registration_chain"
     delivered = _delivered(events)
-    accepts = delivered["NAS_REGISTER_ACCEPT"]
+    accepts = delivered[PROCEDURES[MsgKind.NAS_REGISTER_REQ][0].name]
     if not accepts:
         return CheckResult(name, False, "no accepted registration in the log")
     by_ue: dict[str, dict[str, int]] = {}
@@ -268,7 +257,7 @@ def validate_sequences(
 ) -> list[CheckResult]:
     """Run every sequence check over an event log, in a fixed order; the port
     and pool default to Params'."""
-    delivered = _Delivered(events)
+    delivered = _delivered(events)
     return [
         check_sbi_registration(delivered, sbi_port),
         check_pfcp_association(delivered),

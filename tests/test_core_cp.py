@@ -470,6 +470,18 @@ def test_pfcp_association_is_idempotent():
     assert len(reqs) == 2  # one per UPF, ever
 
 
+def test_the_amf_answers_a_keepalive_by_the_answer_table(monkeypatch):
+    # the NFs name no answer kind of their own: a new ANSWER row is their answer
+    monkeypatch.setitem(ANSWER, MsgKind.NGAP_KEEPALIVE_REQ, MsgKind.NGAP_SETUP_RESP)
+    tb = Testbed(default_topology(), seed=1)
+    tb.boot()
+    tb.run_until(8000)
+    keepalives = [r for r in kinds_in(tb.records, "NGAP_KEEPALIVE_REQ") if r.outcome == DELIVERED]
+    answers = [r.attrs.get("msg_kind") for r in tb.records if (r.src, r.dst) == ("AMF", "gNB")]
+    assert keepalives
+    assert answers == ["NGAP_SETUP_RESP"] * (1 + len(keepalives))
+
+
 def test_radio_nodes_do_not_register_with_the_repository():
     tb = booted_testbed()
     assert "gNB" not in tb.nrf.registry

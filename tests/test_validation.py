@@ -170,6 +170,16 @@ def test_pfcp_flags_orphan_response(fab):
     assert not res.passed and "without request" in res.detail
 
 
+def test_pfcp_pairs_a_request_with_its_answer_by_the_answer_table(fab, monkeypatch):
+    monkeypatch.setitem(ANSWER, MsgKind.PFCP_ASSOC_REQ, MsgKind.PFCP_SESSION_RESP)
+    events = [
+        fab.make("PFCP_ASSOC_REQ", src="SMF", dst="UPF1", protocol=Protocol.PFCP),
+        fab.make("PFCP_SESSION_RESP", src="UPF1", dst="SMF", protocol=Protocol.PFCP),
+    ]
+    res = check_pfcp_association(events)
+    assert res == CheckResult("pfcp_association", True, "exactly one exchange per pair (1 pairs)")
+
+
 # -- the NGAP ordering check ----------------------------------------------------------
 
 def ngap_setup(fab, gnb="gNB"):
@@ -239,6 +249,52 @@ def test_heartbeats_flag_missing_responses(fab):
     events = beats(fab, "AMF", [3333, 6666, 9999], answered=0)
     res = check_heartbeat_cadence(events)
     assert not res.passed and "only 0 responses" in res.detail
+
+
+# -- every failure branch of the pairing checks, pinned ------------------------------------
+
+# Q: the SMF's request to UPF1; A: UPF1's answer; O: UPF2's answer
+ASSOC_ROWS = {
+    "Q": ("PFCP_ASSOC_REQ", "SMF", "UPF1"),
+    "A": ("PFCP_ASSOC_RESP", "UPF1", "SMF"),
+    "O": ("PFCP_ASSOC_RESP", "UPF2", "SMF"),
+}
+
+
+@pytest.mark.parametrize("rows, blamed, detail", [
+    pytest.param("QAQ", 2, "2 association requests for SMF-UPF1", id="second-request"),
+    pytest.param("Q", 0, "0 association responses for SMF-UPF1", id="no-answer"),
+    pytest.param("QAA", 2, "2 association responses for SMF-UPF1", id="two-answers"),
+    pytest.param("AQ", 0, "response precedes request for SMF-UPF1", id="answer-before-request"),
+    pytest.param("QAO", 2, "association response without request for SMF-UPF2", id="orphan-answer"),
+])
+def test_pfcp_failure_names_its_pair_and_row(fab, rows, blamed, detail):
+    events = [
+        fab.make(kind, src=src, dst=dst, protocol=Protocol.PFCP)
+        for kind, src, dst in (ASSOC_ROWS[row] for row in rows)
+    ]
+    assert check_pfcp_association(events) == CheckResult(
+        "pfcp_association", False, detail, events[blamed].event_id
+    )
+
+
+def test_ngap_failures_name_their_node_and_row(fab):
+    req = fab.make("NGAP_SETUP_REQ", src="gNB", dst="AMF", protocol=Protocol.NGAP)
+    assert check_ngap_before_registration([req]) == CheckResult(
+        "ngap_setup_order", False, "gNB setup never answered", req.event_id
+    )
+    nas = fab.make("NAS_REGISTER_REQ", src="gNB", dst="AMF", protocol=Protocol.NGAP)
+    resp = fab.make("NGAP_SETUP_RESP", src="AMF", dst="gNB", protocol=Protocol.NGAP)
+    assert check_ngap_before_registration([req, nas, resp]) == CheckResult(
+        "ngap_setup_order", False, "UE registration through gNB before its NGAP setup completed", nas.event_id
+    )
+
+
+def test_heartbeat_failure_names_its_function_and_last_beat(fab):
+    events = beats(fab, "AMF", [3333, 6666, 9999], answered=0)
+    assert check_heartbeat_cadence(events) == CheckResult(
+        "heartbeat_cadence", False, "AMF: 3 heartbeats but only 0 responses", events[-1].event_id
+    )
 
 
 # -- the registration chain check -----------------------------------------------------------
