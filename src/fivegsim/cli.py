@@ -20,7 +20,7 @@ import sys
 
 from .config import ConfigError, SCENARIO_NAMES, Params, ScenarioSpec, default_topology, load_topology
 from .errors import FivegsimError
-from .nwdaf import SEMANTICS, SchemaError, import_events, kpi_packet_counts
+from .nwdaf import SEMANTICS, SchemaError, import_events, kpi_counts_csv, kpi_packet_counts
 from .runner import run_scenario
 from .urllc import Redundancy
 from .validation import all_passed, validate_sequences
@@ -114,7 +114,7 @@ def _cmd_kpi(args) -> int:
     if t1 < t0:
         raise ConfigError(f"window [{t0}, {t1}) is empty")
     counts = kpi_packet_counts(events, t0, t1, semantics=args.semantics)
-    _emit("entity,packets\n" + "".join(f"{name},{counts[name]}\n" for name in sorted(counts)))
+    _emit(kpi_counts_csv(counts))
     return 0
 
 

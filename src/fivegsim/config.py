@@ -112,10 +112,6 @@ class Params(Frozen, namedtuple("Params", _PARAM_DEFAULTS, defaults=_PARAM_DEFAU
                 raise ConfigError(f"bad {name}: {exc}") from None
         return self
 
-    @classmethod
-    def _make(cls, values):  # what _replace builds through: a copy is checked too
-        return cls(*values)
-
     @cached_property
     def ports(self) -> dict[Protocol, int]:
         """Protocol -> the port both ends of its messages use; built once, as
@@ -460,7 +456,7 @@ SCENARIOS = {
 SCENARIO_NAMES = tuple(SCENARIOS)
 
 
-class ScenarioSpec(namedtuple(
+class ScenarioSpec(Frozen, namedtuple(
     "ScenarioSpec", "name ue_count doc duration_ms redundancy seed",
     defaults=(1, "document", 10000, Redundancy.NONE, 0),
 )):
@@ -482,7 +478,3 @@ class ScenarioSpec(namedtuple(
             raise ConfigError(f"{self.name} needs ue_count >= 1, got 0")
         _require_one_gpdu(f"doc of {len(self.doc)} characters: its APP_GET", MsgKind.APP_GET, doc=self.doc)
         return self
-
-    @classmethod
-    def _make(cls, values):  # what _replace builds through: a copy is checked too
-        return cls(*values)

@@ -79,13 +79,7 @@ class NfProfile(Record):
     """One registry entry."""
 
     __slots__ = _fields = ("nf_id", "nf_type", "addr", "status", "last_heartbeat")
-
-    def __init__(self, nf_id: str, nf_type: str, addr: str, status: str = REGISTERED, last_heartbeat: int = 0):
-        self.nf_id = nf_id
-        self.nf_type = nf_type
-        self.addr = addr
-        self.status = status
-        self.last_heartbeat = last_heartbeat
+    _defaults = {"status": REGISTERED, "last_heartbeat": 0}
 
     def snapshot(self) -> "NfProfile":
         return NfProfile(self.nf_id, self.nf_type, self.addr, self.status, self.last_heartbeat)
@@ -127,10 +121,6 @@ class CoreEnv(Frozen, namedtuple("CoreEnv", "params nrf_name server_name server_
         self = super().__new__(cls, params, nrf_name, server_name, server_ip)
         self.__dict__["verified_bodies"] = {} if verified_bodies is None else verified_bodies
         return self
-
-    @classmethod
-    def _make(cls, values):
-        return cls(*values)
 
     def _replace(self, **changes) -> CoreEnv:
         """A copy with `changes` that shares this one's `verified_bodies`."""

@@ -49,10 +49,7 @@ class EventStore(Record):
     """
 
     __slots__ = _fields = ("events", "rejected")
-
-    def __init__(self, events: list[TapRecord], rejected: int = 0):
-        self.events = events
-        self.rejected = rejected
+    _defaults = {"rejected": 0}
 
 
 # -- KPI synthesis ------------------------------------------------------------
@@ -232,11 +229,14 @@ def import_events(path) -> list[TapRecord]:
     return import_events_text(text)
 
 
+def kpi_counts_csv(counts: dict[str, int]) -> str:
+    """The `entity,packets` CSV of `counts`, one row per entity by name."""
+    return "entity,packets\n" + "".join(f"{name},{counts[name]}\n" for name in sorted(counts))
+
+
 def write_kpi_counts_csv(path, counts: dict[str, int]) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("entity,packets\n")
-        for name in sorted(counts):
-            fh.write(f"{name},{counts[name]}\n")
+        fh.write(kpi_counts_csv(counts))
 
 
 def write_throughput_csv(path, matrix: dict[tuple[str, str], float]) -> None:

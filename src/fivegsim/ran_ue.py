@@ -19,11 +19,11 @@ import hashlib
 import logging
 from itertools import accumulate
 
-from .core_cp import NfEntity, PduSession, SessionPath, read_session
+from .core_cp import NfEntity, PduSession, read_session
 from .errors import FlowError
 from .messages import ANSWER, KIND_NAME, MsgKind, Tag, build, kind_of, parse
 from .record import Record
-from .urllc import SEQ_MODULUS, DedupWindow, Redundancy
+from .urllc import DedupWindow, Redundancy
 from .wirefmt import Protocol, SimPacket, WireFormatError, decode_packet, encode_packet
 
 log = logging.getLogger(__name__)
@@ -37,19 +37,8 @@ class GnbUeContext(Record):
     the legs this gNB terminates, and `carry_seq` says whether any of them
     carries the uplink seq."""
 
-    __slots__ = _fields = ("ue_id", "ue_ip", "paths", "ue_name", "carry_seq", "ul_seq", "dl_window")
-
-    def __init__(
-        self, ue_id: str, ue_ip: str, paths: tuple[SessionPath, ...], ue_name: str | None = None,
-        carry_seq: bool = False, ul_seq: int = 0, dl_window: DedupWindow | None = None,
-    ):
-        self.ue_id = ue_id
-        self.ue_ip = ue_ip
-        self.paths = paths
-        self.ue_name = ue_name
-        self.carry_seq = carry_seq
-        self.ul_seq = ul_seq
-        self.dl_window = DedupWindow() if dl_window is None else dl_window
+    __slots__ = _fields = ("ue_id", "ue_ip", "paths", "ue_name", "carry_seq", "window")
+    _defaults = {"ue_name": None, "carry_seq": False, "window": DedupWindow}
 
 
 class Gnb(NfEntity):
@@ -144,10 +133,7 @@ class Gnb(NfEntity):
             return
         if ctx.ue_name is None:
             ctx.ue_name = sender
-        seq = None
-        if ctx.carry_seq:
-            seq = ctx.ul_seq
-            ctx.ul_seq = (ctx.ul_seq + 1) % SEQ_MODULUS
+        seq = ctx.window.stamp() if ctx.carry_seq else None
         inner_kind = KIND_NAME[kind_of(inner.payload)] if inner.protocol is _APP else ""
         for p in ctx.paths:
             self.send_gtpu(
@@ -159,7 +145,7 @@ class Gnb(NfEntity):
 
     def tunnel(self, teid: int) -> tuple[GnbUeContext, DedupWindow] | None:
         ctx = self._by_teid_dl.get(teid)
-        return None if ctx is None else (ctx, ctx.dl_window)
+        return None if ctx is None else (ctx, ctx.window)
 
     def on_tunnelled(self, ctx: GnbUeContext, inner_raw, seq, pkt, sender) -> None:
         if ctx.ue_name is None:
@@ -192,26 +178,11 @@ class Transfer(Record):
         "doc", "started_ms", "completed_ms", "expected_size", "expected_segments", "digest",
         "segments", "received", "size", "ok", "error", "verified",
     )
+    _defaults = {
+        "completed_ms": None, "expected_size": None, "expected_segments": None, "digest": None, "segments": dict,
+        "received": 0, "size": 0, "ok": None, "error": None, "verified": dict,
+    }
     _unshown = ("verified",)
-
-    def __init__(
-        self, doc: str, started_ms: int, completed_ms: int | None = None, expected_size: int | None = None,
-        expected_segments: int | None = None, digest: str | None = None, segments: dict[int, bytes] | None = None,
-        received: int = 0, size: int = 0, ok: bool | None = None, error: str | None = None,
-        verified: dict[tuple[str, int], bytes] | None = None,
-    ):
-        self.doc = doc
-        self.started_ms = started_ms
-        self.completed_ms = completed_ms
-        self.expected_size = expected_size
-        self.expected_segments = expected_segments
-        self.digest = digest
-        self.segments = {} if segments is None else segments
-        self.received = received
-        self.size = size
-        self.ok = ok
-        self.error = error
-        self.verified = {} if verified is None else verified
 
     @property
     def done(self) -> bool:
@@ -259,8 +230,7 @@ class Ue(NfEntity):
         self.session: PduSession | None = None
         self.reject_reason: str | None = None
         self._want_mode = Redundancy.NONE
-        self._app_seq = 0
-        self._dl_window = DedupWindow()
+        self._window = DedupWindow()  # numbers its uplink, filters its downlink
         self.transfers: list[Transfer] = []
 
     @property
@@ -345,8 +315,7 @@ class Ue(NfEntity):
         sess = self.session
         gnbs = sess.gnbs
         if len(gnbs) > 1:
-            fields["seq"] = self._app_seq
-            self._app_seq = (self._app_seq + 1) % SEQ_MODULUS
+            fields["seq"] = self._window.stamp()
         port = self.env.params.ports[_APP]
         inner = SimPacket(_APP, sess.ue_ip, self.env.server_ip, port, port, build(kind, **fields))
         raw = encode_packet(inner)
@@ -382,7 +351,7 @@ class Ue(NfEntity):
         inner = decode_packet(raw)
         m = parse(inner.payload)
         seq = m.num(Tag.SEQ)
-        if seq is not None and not self.first_copy(self._dl_window, seq, inner, sender):
+        if seq is not None and not self.first_copy(self._window, seq, inner, sender):
             return
         if m.kind == MsgKind.APP_GET_ACK:
             transfer = self._transfer_for(m.require(Tag.DOC))

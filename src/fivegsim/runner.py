@@ -43,12 +43,12 @@ from .nwdaf import (
     write_kpi_counts_csv,
     write_throughput_csv,
 )
-from .ran_ue import SESSION_ACTIVE, Gnb, Transfer, Ue
+from .ran_ue import SESSION_ACTIVE, Gnb, Ue
 from .record import Record
 from .simnet import DELIVERED, DROPPED, ELIMINATED_DUPLICATE, Network
 from .urllc import Redundancy, ReliabilityResult
 from .user_plane import AppServer, Upf
-from .validation import CheckResult, validate_sequences
+from .validation import validate_sequences
 from .wirefmt import Protocol
 
 log = logging.getLogger(__name__)
@@ -241,22 +241,10 @@ class RunResult(Record):
     __slots__ = _fields = (
         "spec", "testbed", "window", "kpi_counts", "throughput", "transfers", "reliability", "checks", "summary_lines",
     )
-
-    def __init__(
-        self, spec: ScenarioSpec, testbed: Testbed | None, window: tuple[int, int],
-        kpi_counts: dict[str, int] | None = None, throughput: dict[tuple[str, str], float] | None = None,
-        transfers: dict[str, list[Transfer]] | None = None, reliability: tuple[ReliabilityResult, ...] = (),
-        checks: tuple[CheckResult, ...] = (), summary_lines: list[str] | None = None,
-    ):
-        self.spec = spec
-        self.testbed = testbed
-        self.window = window
-        self.kpi_counts = {} if kpi_counts is None else kpi_counts
-        self.throughput = {} if throughput is None else throughput
-        self.transfers = {} if transfers is None else transfers
-        self.reliability = reliability
-        self.checks = checks
-        self.summary_lines = [] if summary_lines is None else summary_lines
+    _defaults = {
+        "kpi_counts": dict, "throughput": dict, "transfers": dict,
+        "reliability": (), "checks": (), "summary_lines": list,
+    }
 
     @property
     def events(self):

@@ -85,21 +85,6 @@ class Hop(Record):
     __eq__ = object.__eq__
     __hash__ = object.__hash__
 
-    def __init__(
-        self, link_id: str, sender: str, receiver: str, target: Entity, dst_ip: str,
-        latency_ms: int, loss_prob: float, reliable: bool, lossy: bool, stats: list[int],
-    ):
-        self.link_id = link_id
-        self.sender = sender
-        self.receiver = receiver
-        self.target = target
-        self.dst_ip = dst_ip
-        self.latency_ms = latency_ms
-        self.loss_prob = loss_prob
-        self.reliable = reliable
-        self.lossy = lossy
-        self.stats = stats
-
 
 class TapRecord(Record):
     """One row of the event log: a send or an entity-local decision.
@@ -109,20 +94,6 @@ class TapRecord(Record):
     """
 
     __slots__ = _fields = ("event_id", "ts", "link_id", "src", "dst", "protocol", "size", "outcome", "attrs")
-
-    def __init__(
-        self, event_id: int, ts: int, link_id: str, src: str, dst: str,
-        protocol: Protocol, size: int, outcome: str, attrs: dict[str, str],
-    ):
-        self.event_id = event_id
-        self.ts = ts
-        self.link_id = link_id
-        self.src = src
-        self.dst = dst
-        self.protocol = protocol
-        self.size = size
-        self.outcome = outcome
-        self.attrs = attrs
 
     @property
     def is_wire(self) -> bool:

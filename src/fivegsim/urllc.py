@@ -52,17 +52,25 @@ def seq_newer(a: int, b: int) -> bool:
 
 
 class DedupWindow:
-    """First-arrival filter over a wrapping 16-bit sequence space.
+    """One redundant end's sequence state over a wrapping 16-bit space: the
+    numbers it sends, and a first-arrival filter over those it receives.
 
-    accept(seq) returns True for the first copy of a sequence number and
-    False for any later copy still inside the window. Sequences that have
-    fallen out of the window cannot be proven duplicate and pass.
+    stamp() numbers the end's next send: 0, 1, ... mod 2**16. accept(seq)
+    returns True for the first copy of a sequence number and False for any
+    later copy still inside the window. Sequences that have fallen out of
+    the window cannot be proven duplicate and pass.
     """
 
     def __init__(self, window: int = DEDUP_WINDOW):
         self.window = window
         self.highest: int | None = None
         self._seen: set[int] = set()
+        self._next = 0
+
+    def stamp(self) -> int:
+        seq = self._next
+        self._next = (seq + 1) % SEQ_MODULUS
+        return seq
 
     def accept(self, seq: int) -> bool:
         # per packet, so seq_newer and the in-window test,
@@ -93,16 +101,7 @@ class ReliabilityResult(Frozen, Record):
         "mode", "loss_prob", "sent", "delivered", "per_tunnel_delivered", "paths_disjoint", "delivered_indices",
     )
     __slots__ = _fields
-
-    def __init__(
-        self, mode: Redundancy, loss_prob: float, sent: int, delivered: int,
-        per_tunnel_delivered: dict[int, int] | None = None, paths_disjoint: bool = True,
-        delivered_indices: frozenset = frozenset(),
-    ):
-        per_tunnel = {} if per_tunnel_delivered is None else per_tunnel_delivered
-        values = (mode, loss_prob, sent, delivered, per_tunnel, paths_disjoint, delivered_indices)
-        for name, value in zip(self._fields, values):
-            object.__setattr__(self, name, value)
+    _defaults = {"per_tunnel_delivered": dict, "paths_disjoint": True, "delivered_indices": frozenset()}
 
     def _replace(self, **changes) -> ReliabilityResult:
         return ReliabilityResult(**{**dict(zip(self._fields, self._values())), **changes})

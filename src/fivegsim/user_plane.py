@@ -10,13 +10,13 @@ from __future__ import annotations
 
 import hashlib
 import logging
-from collections import namedtuple
+from collections import defaultdict, namedtuple
 
 from .core_cp import ERROR, OK, NfEntity
 from .errors import FlowError
 from .messages import ANSWER, KIND_NAME, MsgKind, Tag, build, extend, kind_of, read_teid
 from .record import Record
-from .urllc import SEQ_MODULUS, DedupWindow
+from .urllc import DedupWindow
 from .wirefmt import Protocol, SimPacket, WireFormatError, _pack_ip, decode_packet, encode_packet
 
 log = logging.getLogger(__name__)
@@ -38,24 +38,9 @@ class ForwardAction(namedtuple("ForwardAction", "kind target teid carry_seq", de
 class TeidRule(Record):
     __slots__ = _fields = ("teid", "ue_id", "dedup", "actions")
 
-    def __init__(self, teid: int, ue_id: str, dedup: bool, actions: tuple[ForwardAction, ...]):
-        self.teid = teid
-        self.ue_id = ue_id
-        self.dedup = dedup
-        self.actions = actions
-
 
 class UeIpRule(Record):
-    __slots__ = _fields = ("ue_ip", "ue_id", "assign_seq", "actions", "next_seq")
-
-    def __init__(
-        self, ue_ip: str, ue_id: str, assign_seq: bool, actions: tuple[ForwardAction, ...], next_seq: int = 0,
-    ):
-        self.ue_ip = ue_ip
-        self.ue_id = ue_id
-        self.assign_seq = assign_seq
-        self.actions = actions
-        self.next_seq = next_seq
+    __slots__ = _fields = ("ue_ip", "ue_id", "assign_seq", "actions")
 
 
 def parse_rule_program(text: str, ue_id: str) -> tuple[list[TeidRule], list[UeIpRule]]:
@@ -115,7 +100,8 @@ class Upf(NfEntity):
         self.associated_smfs: set[str] = set()
         self.teid_rules: dict[int, TeidRule] = {}
         self.ueip_rules: dict[str, UeIpRule] = {}
-        self._ul_windows: dict[str, DedupWindow] = {}  # ue_id -> shared window across tunnels
+        # ue_id -> its sequence state: uplink replicas share it across the UE's tunnels
+        self._windows: defaultdict[str, DedupWindow] = defaultdict(DedupWindow)
 
     # -- N4 ------------------------------------------------------------------
 
@@ -132,7 +118,7 @@ class Upf(NfEntity):
             if m.kind == MsgKind.PFCP_SESSION_DELETE_REQ:
                 self.teid_rules = {t: r for t, r in self.teid_rules.items() if r.ue_id != ue_id}
                 self.ueip_rules = {a: r for a, r in self.ueip_rules.items() if r.ue_id != ue_id}
-                self._ul_windows.pop(ue_id, None)
+                self._windows.pop(ue_id, None)
             else:
                 try:
                     teid_rules, ueip_rules = parse_rule_program(m.text(Tag.RULES, ""), ue_id)
@@ -178,13 +164,7 @@ class Upf(NfEntity):
         rule = self.teid_rules.get(teid)
         if rule is None:
             return None
-        if not rule.dedup:
-            return rule, None
-        # replicas of one uplink packet share a window across the UE's tunnels
-        window = self._ul_windows.get(rule.ue_id)
-        if window is None:
-            window = self._ul_windows[rule.ue_id] = DedupWindow()
-        return rule, window
+        return rule, self._windows[rule.ue_id] if rule.dedup else None
 
     def on_tunnelled(self, rule: TeidRule, inner_raw, seq, pkt, sender) -> None:
         inner = decode_packet(inner_raw)
@@ -197,10 +177,7 @@ class Upf(NfEntity):
         if rule is None:
             self.drop(pkt, sender, "no downlink rule", dst_ip=pkt.dst_ip)
             return
-        seq = None
-        if rule.assign_seq:
-            seq = rule.next_seq
-            rule.next_seq = (rule.next_seq + 1) % SEQ_MODULUS
+        seq = self._windows[rule.ue_id].stamp() if rule.assign_seq else None
         self._run_actions(rule.actions, encode_packet(pkt), pkt, seq, KIND_NAME[m.kind])
 
 
@@ -237,8 +214,7 @@ class AppServer(NfEntity):
         super().__init__(name, ip, net, env)
         self.documents: dict[str, int] = {}  # name -> size, the topology's
         self.routes: dict[str, list[str]] = {}       # ue_ip -> UPFs that delivered uplink
-        self._dedup: dict[str, DedupWindow] = {}     # ue_ip -> uplink window (app-level seq)
-        self._dl_seq: dict[str, int] = {}
+        self._windows: defaultdict[str, DedupWindow] = defaultdict(DedupWindow)  # ue_ip -> its app-level seqs
         self.data_received: dict[str, int] = {}      # ue_ip -> post-elimination APP_DATA count
         self.data_indices: dict[str, set[int]] = {}
         self._built: dict[tuple[str, int], tuple[bytes, tuple[bytes, ...]]] = {}  # (doc, size) -> messages
@@ -254,10 +230,9 @@ class AppServer(NfEntity):
         if not routes:
             self.drop(0, self.name, "no route", Protocol.APP, ue_ip=ue_ip)
             return
-        if ue_ip in self._dedup:  # a UE that tags its uplink gets tagged downlink
-            seq = self._dl_seq.get(ue_ip, 0)
-            self._dl_seq[ue_ip] = (seq + 1) % SEQ_MODULUS
-            payload = extend(payload, seq=seq)
+        window = self._windows.get(ue_ip)
+        if window is not None:  # a UE that tags its uplink gets tagged downlink
+            payload = extend(payload, seq=window.stamp())
         port = self.env.params.ports[_APP]
         for upf in routes:
             self.send_msg(
@@ -276,10 +251,7 @@ class AppServer(NfEntity):
         seq = m.num(_SEQ)
         if seq is not None:
             # endpoint-level redundancy: eliminate replicas before counting
-            window = self._dedup.get(ue_ip)
-            if window is None:
-                window = self._dedup[ue_ip] = DedupWindow()
-            if not self.first_copy(window, seq, pkt, sender, ue_ip=ue_ip):
+            if not self.first_copy(self._windows[ue_ip], seq, pkt, sender, ue_ip=ue_ip):
                 return
         kind = m.kind
         if kind is _APP_DATA:

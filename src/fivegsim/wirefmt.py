@@ -88,16 +88,7 @@ class SimPacket(Record):
     """
 
     __slots__ = _fields = ("protocol", "src_ip", "dst_ip", "src_port", "dst_port", "payload")
-
-    def __init__(
-        self, protocol: Protocol, src_ip: str, dst_ip: str, src_port: int, dst_port: int, payload: bytes = b"",
-    ):
-        self.protocol = protocol
-        self.src_ip = src_ip
-        self.dst_ip = dst_ip
-        self.src_port = src_port
-        self.dst_port = dst_port
-        self.payload = payload
+    _defaults = {"payload": b""}
 
     @property
     def wire_size(self) -> int:

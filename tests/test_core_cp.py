@@ -656,7 +656,7 @@ def test_a_refused_session_is_deleted_at_the_upfs_that_accepted_it():
     tb.net.schedule(T_ATTACH, lambda: ue.attach(Redundancy.PSA_ANCHOR))
     tb.run_until(SETTLE)
     assert (ue.state, ue.reject_reason) == ("REGISTERED", "no association")
-    assert not upf1.teid_rules and not upf1.ueip_rules and not upf1._ul_windows
+    assert not upf1.teid_rules and not upf1.ueip_rules and not upf1._windows
     assert [(r.src, r.dst) for r in kinds_in(tb.records, "PFCP_SESSION_DELETE_REQ")] == [("SMF", "UPF1")]
     assert [r.src for r in kinds_in(tb.records, "PFCP_SESSION_DELETE_RESP")] == ["UPF1"]
     # the refused session's address goes to the next one

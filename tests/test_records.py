@@ -1,5 +1,6 @@
 """Records: what `import fivegsim` loads, and the semantics of the records."""
 import importlib
+import inspect
 import subprocess
 import sys
 from pathlib import Path
@@ -8,12 +9,15 @@ import pytest
 
 import fivegsim
 from fivegsim.config import EntityDecl, LinkDecl, Params, Scenario, ScenarioSpec, TopologyConfig
-from fivegsim.core_cp import CoreEnv, PduSession, SessionPath
+from fivegsim.core_cp import REGISTERED, CoreEnv, NfProfile, PduSession, SessionPath
 from fivegsim.errors import ConfigError
-from fivegsim.runner import run_reliability_measurement
-from fivegsim.simnet import DELIVERED, TapRecord
-from fivegsim.urllc import Redundancy, ReliabilityResult
-from fivegsim.user_plane import ForwardAction
+from fivegsim.nwdaf import EventStore
+from fivegsim.ran_ue import GnbUeContext, Transfer
+from fivegsim.record import Record
+from fivegsim.runner import RunResult, run_reliability_measurement
+from fivegsim.simnet import DELIVERED, Hop, TapRecord
+from fivegsim.urllc import DedupWindow, Redundancy, ReliabilityResult
+from fivegsim.user_plane import ForwardAction, TeidRule, UeIpRule
 from fivegsim.validation import CheckResult
 from fivegsim.wirefmt import Protocol, SimPacket
 
@@ -95,6 +99,94 @@ def test_a_copy_is_checked_as_the_original_is():
         Params()._replace(sbi_port=0)
     with pytest.raises(ConfigError, match="duration_ms must be positive"):
         ScenarioSpec("idle")._replace(duration_ms=0)
+
+
+REQUIRED = inspect.Parameter.empty
+
+# each mutable record's constructor parameters, in order, with their defaults
+CONSTRUCTORS = {
+    NfProfile: [("nf_id", REQUIRED), ("nf_type", REQUIRED), ("addr", REQUIRED), ("status", REGISTERED),
+                ("last_heartbeat", 0)],
+    EventStore: [("events", REQUIRED), ("rejected", 0)],
+    GnbUeContext: [("ue_id", REQUIRED), ("ue_ip", REQUIRED), ("paths", REQUIRED), ("ue_name", None),
+                   ("carry_seq", False), ("window", None)],
+    Transfer: [("doc", REQUIRED), ("started_ms", REQUIRED), ("completed_ms", None), ("expected_size", None),
+               ("expected_segments", None), ("digest", None), ("segments", None), ("received", 0), ("size", 0),
+               ("ok", None), ("error", None), ("verified", None)],
+    RunResult: [("spec", REQUIRED), ("testbed", REQUIRED), ("window", REQUIRED), ("kpi_counts", None),
+                ("throughput", None), ("transfers", None), ("reliability", ()), ("checks", ()),
+                ("summary_lines", None)],
+    Hop: [(name, REQUIRED) for name in (
+        "link_id", "sender", "receiver", "target", "dst_ip", "latency_ms", "loss_prob", "reliable", "lossy", "stats",
+    )],
+    TapRecord: [(name, REQUIRED) for name in (
+        "event_id", "ts", "link_id", "src", "dst", "protocol", "size", "outcome", "attrs",
+    )],
+    TeidRule: [("teid", REQUIRED), ("ue_id", REQUIRED), ("dedup", REQUIRED), ("actions", REQUIRED)],
+    UeIpRule: [("ue_ip", REQUIRED), ("ue_id", REQUIRED), ("assign_seq", REQUIRED), ("actions", REQUIRED)],
+    SimPacket: [("protocol", REQUIRED), ("src_ip", REQUIRED), ("dst_ip", REQUIRED), ("src_port", REQUIRED),
+                ("dst_port", REQUIRED), ("payload", b"")],
+    ReliabilityResult: [("mode", REQUIRED), ("loss_prob", REQUIRED), ("sent", REQUIRED), ("delivered", REQUIRED),
+                        ("per_tunnel_delivered", None), ("paths_disjoint", True), ("delivered_indices", frozenset())],
+}
+
+
+@pytest.mark.parametrize("cls", CONSTRUCTORS, ids=lambda cls: cls.__name__)
+def test_a_mutable_record_is_built_from_its_fields(cls):
+    """Record writes the constructor: the fields in order, each required or
+    with its default, under the class's own name and module."""
+    params = inspect.signature(cls).parameters.values()
+    assert [(p.name, p.default) for p in params] == CONSTRUCTORS[cls]
+    assert {p.kind for p in params} == {inspect.Parameter.POSITIONAL_OR_KEYWORD}
+    assert [p.name for p in params] == list(cls._fields)
+    assert cls.__init__.__qualname__ == f"{cls.__qualname__}.__init__"
+    assert cls.__init__.__module__ == cls.__module__
+
+
+SPEC = ScenarioSpec("idle")
+
+
+@pytest.mark.parametrize(
+    "make, field, kind",
+    [
+        (lambda **kw: Transfer("document", 0, **kw), "segments", dict),
+        (lambda **kw: RunResult(SPEC, None, (0, 1), **kw), "summary_lines", list),
+        (lambda **kw: GnbUeContext("imsi-1", "10.45.0.2", (PATH,), **kw), "window", DedupWindow),
+        (lambda **kw: ReliabilityResult(Redundancy.NONE, 0.1, 10, 9, **kw), "per_tunnel_delivered", dict),
+    ],
+    ids=["Transfer", "RunResult", "GnbUeContext", "ReliabilityResult"],
+)
+def test_a_factory_default_is_fresh_per_record(make, field, kind):
+    values = [getattr(record, field) for record in (make(), make(), make(**{field: None}), make(**{field: None}))]
+    assert all(type(value) is kind for value in values)
+    assert len({id(value) for value in values}) == len(values)
+    given = kind()
+    assert getattr(make(**{field: given}), field) is given
+
+
+def test_a_read_only_record_refuses_assignment_after_its_init_set_it():
+    result = ReliabilityResult(Redundancy.PSA_ANCHOR, 0.1, 10, 9, paths_disjoint=False)
+    assert (result.sent, result.paths_disjoint, result.delivered_indices) == (10, False, frozenset())
+    with pytest.raises(AttributeError, match="cannot assign to field 'sent'"):
+        result.sent = 11
+    with pytest.raises(AttributeError, match="cannot delete field 'sent'"):
+        del result.sent
+
+
+def test_a_record_that_writes_its_own_init_keeps_it():
+    class Interval(Record):
+        __slots__ = _fields = ("lo", "hi")
+        _defaults = {"hi": 0}
+
+        def __init__(self, width):
+            self.lo, self.hi = -width, width
+
+    class Span(Interval):
+        pass  # its own fields' constructor, written for it
+
+    assert Interval(2)._values() == (-2, 2)
+    assert Span(1)._values() == (1, 0) and Span(1, 3) == Span(lo=1, hi=3)
+    assert Span.__init__.__qualname__ == f"{Span.__qualname__}.__init__"
 
 
 def tap_record(**attrs):

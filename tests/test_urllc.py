@@ -54,6 +54,14 @@ def test_first_copy_passes_second_copy_blocked():
     assert win.accept(7) is False
 
 
+def test_stamp_numbers_the_sends_apart_from_what_arrives():
+    win = DedupWindow()
+    assert win.accept(500) is True
+    stamps = [win.stamp() for _ in range(SEQ_MODULUS + 2)]
+    assert stamps[:3] == [0, 1, 2] and stamps[-3:] == [SEQ_MODULUS - 1, 0, 1]
+    assert win.accept(500) is False
+
+
 def test_window_wraps_across_sequence_space():
     win = DedupWindow()
     assert win.accept(65535) is True
@@ -290,7 +298,7 @@ def test_upfs_build_one_uplink_window_per_ue(monkeypatch):
     monkeypatch.setattr(user_plane, "DedupWindow", CountingWindow)
     run_reliability_measurement(Redundancy.PSA_ANCHOR, LOSS, 200, SEED)
     [tb] = testbeds
-    windows = [w for upf in tb.upfs for w in upf._ul_windows.values()]
+    windows = [w for upf in tb.upfs for w in upf._windows.values()]
     dedup_ues = {(upf.name, r.ue_id) for upf in tb.upfs for r in upf.teid_rules.values() if r.dedup}
     assert len(windows) == len(dedup_ues) == 1
     assert built == windows
