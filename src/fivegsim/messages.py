@@ -9,12 +9,14 @@ inner packets, document segments). A kind's name prefix names the protocol
 it rides on (PROTOCOL).
 
 `kind_of` names a kind through `parse`'s one TLV walk and errors, keeping
-no field. `ParsedMsg.num` reads canonical ASCII digits from the bytes, and
-sends anything else through decode and `canonical_int` for its error text.
+no field. An integer in peer text has one spelling, which `is_canonical_int`
+tells without a regex: ASCII digits, and no leading zero unless the text is
+``0``. `canonical_int` reads by it, as the log import does. `ParsedMsg.num`
+reads canonical ASCII digits from the bytes, and sends anything else through
+decode and `canonical_int` for its error text.
 """
 from __future__ import annotations
 
-import re
 import struct
 from enum import IntEnum
 
@@ -158,13 +160,17 @@ _HEAD = struct.Struct(">HH")  # an element's tag and length
 _KIND_PREFIX = {k: struct.pack(">H", k) for k in MsgKind}
 _TAG_CODE = {t.name.lower(): int(t) for t in Tag}
 
-# one spelling per integer: no sign, space, '_', non-ASCII digit or leading zero
-_CANONICAL_INT = re.compile(r"0|[1-9][0-9]*")
+
+def is_canonical_int(text: str) -> bool:
+    """Whether `text` is the one spelling of a non-negative integer: not empty,
+    ASCII digits only (no sign, space, '_' or other digit), and no leading
+    zero unless it is "0"."""
+    return text.isdigit() and text.isascii() and (text[0] != "0" or len(text) == 1)
 
 
 def canonical_int(text: str, what: str) -> int:
     """Read a non-negative integer from peer text; anything else is bad input."""
-    if _CANONICAL_INT.fullmatch(text):
+    if is_canonical_int(text):
         try:
             return int(text)
         except ValueError:  # more digits than int() converts

@@ -6,7 +6,9 @@ KPIs are synthesised over half-open time windows; logs export to a
 line-oriented TSV that re-imports byte-identically. Import is the one
 untrusted boundary, and the only place rows are checked against the schema.
 Imported rows share their values as live rows do: one import keeps one
-string per distinct link id, name, outcome, attr key and attr value.
+string per distinct link id, name, outcome, attr key and attr value, and one
+int per distinct ts and size; a ts or size spelling met before is not
+checked again.
 
 Format: a ``#`` header, then one row per event ending in ``\n``, nine
 tab-separated columns. Id, ts and size have one spelling each (``0`` or
@@ -20,7 +22,7 @@ import io
 
 from .core_cp import NfEntity
 from .errors import FivegsimError
-from .messages import _CANONICAL_INT
+from .messages import is_canonical_int
 from .record import Record
 from .simnet import DELIVERED, OUTCOMES, TapRecord
 from .wirefmt import Protocol
@@ -31,8 +33,6 @@ _PROTOCOLS = {p.name: p for p in Protocol}  # exported name -> member
 # member -> exported name; on Python 3.11 `Protocol.name` is a Python-level
 # property, and the export names one per row
 _PROTOCOL_NAME = {p: name for name, p in _PROTOCOLS.items()}
-
-_ONE_SPELLING = _CANONICAL_INT.fullmatch  # of an id, a timestamp or a size
 
 _OUTCOMES = {o: o for o in OUTCOMES}  # exported text -> the fabric's own string
 
@@ -109,7 +109,7 @@ _HEADER = "# id\tts\tlink_id\tsrc\tdst\tprotocol\tsize\toutcome\tattrs\n"
 def _attrs_text(attrs: dict[str, str]) -> str:
     if not attrs:
         return "-"
-    return ",".join(f"{k}={attrs[k]}" for k in sorted(attrs))
+    return ",".join([f"{k}={attrs[k]}" for k in sorted(attrs)])
 
 
 def _write_rows(out, events) -> None:
@@ -155,9 +155,10 @@ def import_events_text(text: str) -> list[TapRecord]:
     never go backwards.
 
     Rows share their values: one string per distinct link id, name, attr
-    key and attr value, and one parsed pair per distinct ``key=value`` text.
-    A pair met before skips only its split; every other check runs on every
-    row.
+    key and attr value, one parsed pair per distinct ``key=value`` text, and
+    one int per distinct ts and size text. A pair met before skips only its
+    split, and a ts or size met before skips its spelling check and its
+    ``int()``; every other check runs on every row, in the same order.
     """
     cr = text.find("\r")
     if cr >= 0:
@@ -168,7 +169,8 @@ def import_events_text(text: str) -> list[TapRecord]:
     last_ts = 0
     shared: dict[str, str] = {}                 # each distinct value, once
     pairs: dict[str, tuple[str, str]] = {}      # "key=value" -> (key, value)
-    share = shared.setdefault
+    ints: dict[str, int] = {}                   # ts or size text -> its int
+    share, known, canonical = shared.setdefault, ints.get, is_canonical_int
     for lineno, line in enumerate(_lines(text), start=1):
         if not line or line[0] == "#":
             continue
@@ -176,7 +178,12 @@ def import_events_text(text: str) -> list[TapRecord]:
         if len(cols) != 9:
             raise SchemaError(f"line {lineno}: expected 9 columns, got {len(cols)}")
         event_id, ts, link_id, src, dst, protocol, size, outcome_text, attrs_text = cols
-        if not (_ONE_SPELLING(event_id) and _ONE_SPELLING(ts) and _ONE_SPELLING(size)):
+        ts_int, size_int = known(ts), known(size)
+        if not (
+            canonical(event_id)
+            and (ts_int is not None or canonical(ts))
+            and (size_int is not None or canonical(size))
+        ):
             raise SchemaError(f"line {lineno}: non-integer or non-canonical id, ts or size")
         member = _PROTOCOLS.get(protocol)
         if member is None:
@@ -202,17 +209,21 @@ def import_events_text(text: str) -> list[TapRecord]:
                 attrs[key] = value
                 last_key = key
         try:
-            event_id, ts, size = int(event_id), int(ts), int(size)
+            event_id = int(event_id)
+            if ts_int is None:
+                ts_int = ints[ts] = int(ts)
+            if size_int is None:
+                size_int = ints[size] = int(size)
         except ValueError:  # more digits than int() converts
             raise SchemaError(f"line {lineno}: id, ts or size too long") from None
         if event_id <= last_id:
             raise SchemaError(f"line {lineno}: event id {event_id} not increasing")
-        if ts < last_ts:
+        if ts_int < last_ts:
             raise SchemaError(f"line {lineno}: time went backwards")
-        last_id, last_ts = event_id, ts
+        last_id, last_ts = event_id, ts_int
         events.append(TapRecord(
-            event_id, ts, share(link_id, link_id), share(src, src), share(dst, dst), member, size,
-            outcome, attrs,
+            event_id, ts_int, share(link_id, link_id), share(src, src), share(dst, dst), member,
+            size_int, outcome, attrs,
         ))
     return events
 

@@ -135,10 +135,9 @@ class Gnb(NfEntity):
             ctx.ue_name = sender
         seq = ctx.window.stamp() if ctx.carry_seq else None
         inner_kind = KIND_NAME[kind_of(inner.payload)] if inner.protocol is _APP else ""
-        for p in ctx.paths:
+        for _, upf, teid_ul, _, carry_seq in ctx.paths:
             self.send_gtpu(
-                p.upf, p.teid_ul, inner_raw, seq if p.carry_seq else None, inner_kind,
-                ue_id=ctx.ue_id,
+                upf, teid_ul, inner_raw, seq if carry_seq else None, inner_kind, ue_id=ctx.ue_id,
             )
 
     # -- downlink ------------------------------------------------------------

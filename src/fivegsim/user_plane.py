@@ -139,15 +139,15 @@ class Upf(NfEntity):
         self, actions: tuple[ForwardAction, ...], inner_raw: bytes, inner: SimPacket, seq: int | None,
         inner_kind: str,
     ) -> None:
-        for action in actions:
-            if action.kind == "route":
+        for kind, target, teid, carry_seq in actions:
+            if kind == "route":
                 owner = self.net.by_ip.get(inner.dst_ip)
-                if owner is None or owner.name != action.target:
+                if owner is None or owner.name != target:
                     # the rule names the neighbour, the UE chose the address
                     self.drop(inner, self.name, "no route", dst_ip=inner.dst_ip)
                     continue
                 self.send_msg(
-                    action.target,
+                    target,
                     inner.protocol,
                     inner.payload,
                     sport=inner.src_port,
@@ -157,8 +157,8 @@ class Upf(NfEntity):
                     attrs={"msg_kind": inner_kind} if inner_kind else None,
                 )
             else:
-                out_seq = seq if action.carry_seq else None
-                self.send_gtpu(action.target, action.teid, inner_raw, out_seq, inner_kind)
+                out_seq = seq if carry_seq else None
+                self.send_gtpu(target, teid, inner_raw, out_seq, inner_kind)
 
     def tunnel(self, teid: int) -> tuple[TeidRule, DedupWindow | None] | None:
         rule = self.teid_rules.get(teid)

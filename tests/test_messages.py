@@ -1,12 +1,15 @@
 """Message vocabulary: the kind -> protocol table, what build takes and
 total field accessors."""
+import re
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import tlv_elements
 from fivegsim.messages import (
-    ANSWER, PROCEDURES, PROTOCOL, MsgKind, Tag, build, canonical_int, extend, kind_of, parse,
+    ANSWER, PROCEDURES, PROTOCOL, MsgKind, Tag, build, canonical_int, extend, is_canonical_int,
+    kind_of, parse,
 )
 from fivegsim.urllc import SEQ_MODULUS
 from fivegsim.wirefmt import Protocol, WireFormatError
@@ -133,6 +136,18 @@ def test_num_has_one_spelling_per_integer(text):
     except WireFormatError:
         return
     assert str(value) == text
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.one_of(
+    st.text(alphabet="0123456789\u00b2\u0664+-_ aZe", max_size=8),
+    st.integers(0, 10**30).map(str),
+))
+def test_is_canonical_int_is_the_one_spelling(text):
+    """The predicate accepts a text exactly when the regex spelling does:
+    ASCII digits, and no leading zero but in "0". A superscript two and an
+    Arabic-Indic four are digits to str.isdigit, and are refused."""
+    assert is_canonical_int(text) == bool(re.fullmatch(r"0|[1-9][0-9]*", text))
 
 
 @settings(max_examples=500, deadline=None)

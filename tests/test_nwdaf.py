@@ -231,6 +231,14 @@ def test_bad_fields_rejected(over, message):
         # attr keys are sorted and unique
         pytest.param(lambda _: row(attrs="k=a,k=b"), "attr key 'k' not increasing", id="duplicate-attr-key"),
         pytest.param(lambda _: row(attrs="z=1,a=2"), "attr key 'a' not increasing", id="unsorted-attr-keys"),
+        # a row with two faults fails the first check in import's order:
+        # spelling, protocol, outcome, names, attrs, too long, id order, time order
+        pytest.param(lambda _: row(ts="010", protocol="QUIC"), "non-canonical", id="spelling-before-protocol"),
+        pytest.param(lambda _: row(size="1" * 5000, attrs="a"), "malformed attr", id="attrs-before-too-long"),
+        pytest.param(
+            lambda _: row(id="1" * 5000, attrs="z=1,a=2"), "attr key 'a' not increasing",
+            id="attr-order-before-too-long",
+        ),
     ],
 )
 def test_import_rejects_malformed_lines(mutate, message):
@@ -238,6 +246,14 @@ def test_import_rejects_malformed_lines(mutate, message):
     lines[1] = mutate(lines)
     with pytest.raises(SchemaError, match=f"line 2: .*{message}"):
         import_events_text("\n".join(lines))
+
+
+def test_a_ts_or_size_met_before_is_still_checked_in_its_row():
+    # the second row's ts and size are spellings the first row brought in
+    rows = [ev(1, ts=5, size=40), ev(2, ts=40, size=5)]
+    assert import_events_text(export_events_text(rows)) == rows
+    with pytest.raises(SchemaError, match="line 3: time went backwards"):
+        import_events_text(export_events_text([ev(1, ts=40, size=5), ev(2, ts=5, size=40)]))
 
 
 # the log's separators, the other line breaks str.splitlines() knows, what
@@ -406,6 +422,10 @@ def test_imported_rows_share_their_strings(default_run):
     assert _one_object_per_value(r.src for r in rows)
     assert _one_object_per_value(v for r in rows for v in r.attrs.values())
     assert _one_object_per_value(k for r in rows for k in r.attrs)
+    # and their ints: one per distinct ts and size, past the small-int cache too
+    assert _one_object_per_value(r.ts for r in rows)
+    assert _one_object_per_value(r.size for r in rows)
+    assert len({r.ts for r in rows if r.ts > 256}) < sum(r.ts > 256 for r in rows)
 
 
 def test_export_writes_rows_to_the_file_without_the_whole_text(default_run, tmp_path):
