@@ -1,8 +1,10 @@
 """Topology and scenario configuration.
 
 The topology format is line-oriented and diff-friendly: '[section]' headers,
-'#' comments, comma-separated fields. Sections: entities, links, subscribers,
-documents, params.
+'#' comments, and rows of comma-separated columns: [entities] kind,name,ip;
+[links] a,b,latency_ms,loss_prob,reliable; [subscribers] imsi, one column;
+[documents] name,size; and [params] key=value, a Params field. An integer has
+one spelling, as in events.log and on the wire: ASCII digits, no leading zero.
 
 Only this module knows the topology contract. PEER_KINDS is the one list of
 node kinds, each with the kinds it sends to; run_roster adds the SERVER and
@@ -22,7 +24,7 @@ from functools import cached_property
 from pathlib import Path
 
 from .errors import ConfigError
-from .messages import MsgKind, build
+from .messages import MsgKind, build, canonical_int
 from .record import Frozen
 from .urllc import SEQ_MODULUS, Redundancy
 from .wirefmt import Protocol, SimPacket, encode_packet, gtpu_encapsulate
@@ -43,8 +45,6 @@ PEER_KINDS = {
 
 # the kinds a run serves one of: CoreEnv names one NRF and one SERVER
 _ONE_ONLY = ("NRF", "SERVER")
-
-_DATA_DIR = Path(__file__).parent / "data"
 
 # the one protocol -> port map; NAS rides the NGAP association
 _PORT_PARAM = {
@@ -95,12 +95,10 @@ class Params(Frozen, namedtuple("Params", _PARAM_DEFAULTS, defaults=_PARAM_DEFAU
             port = getattr(self, name)
             if not 0 < port <= 65535:
                 raise ConfigError(f"{name} out of range: {port}")
-        if self.heartbeat_ms <= 0:
-            raise ConfigError(f"heartbeat_ms must be positive, got {self.heartbeat_ms}")
-        if self.segment_bytes <= 0:
-            raise ConfigError(f"segment_bytes must be positive, got {self.segment_bytes}")
-        if self.settle_ms < 0:
-            raise ConfigError(f"settle_ms must be non-negative, got {self.settle_ms}")
+        for name, least in (("heartbeat_ms", 1), ("segment_bytes", 1), ("settle_ms", 0)):
+            value = getattr(self, name)
+            if value < least:
+                raise ConfigError(f"{name} must be {'positive' if least else 'non-negative'}, got {value}")
         try:
             ipaddress.IPv4Network(self.ue_pool)
         except ValueError as exc:
@@ -222,8 +220,6 @@ def _validate(topo: TopologyConfig) -> TopologyConfig:
         if ue.imsi in holder:
             raise ConfigError(f"UEs {holder[ue.imsi]} and {ue.name} share the IMSI {ue.imsi}")
         holder[ue.imsi] = ue.name
-    if len(set(topo.subscribers)) != len(topo.subscribers):
-        raise ConfigError("duplicate subscriber id")
     for doc, size in topo.documents.items():
         if size < 0:
             raise ConfigError(f"document {doc}: negative size")
@@ -235,21 +231,52 @@ def _validate(topo: TopologyConfig) -> TopologyConfig:
     return topo
 
 
-# what the texts that carry entity names split on, so no name may hold it:
-# event-log fields (whitespace), link ids ("--"), rule actions (":"), session
-# paths ("/"), and discovery answers, rule programs and gNB lists ("|", ";")
-_NAME_SPLIT = re.compile(r"\s|--|[:/|;]")
+def _int(text: str) -> int:
+    if text[:1] == "-" and text != "-0":  # "-" and a positive integer: a range check names it
+        return -canonical_int(text[1:], repr(text))
+    return canonical_int(text, repr(text))
 
-# [params] key -> the type its text converts to
-_PARAM_TYPES = {name: type(default) for name, default in _PARAM_DEFAULTS.items()}
+
+def _float(text: str) -> float:
+    if "_" in text or not text.isascii():  # what _int refuses too
+        raise ValueError(f"{text!r} is not a number")
+    return float(text)
+
+
+def _kind(text: str) -> str:
+    if text.upper() not in PEER_KINDS:
+        raise ConfigError(f"unknown entity kind {text.upper()}")
+    return text.upper()
+
+
+def _name(text: str) -> str:
+    # no name may hold what the texts that carry names split on: event-log
+    # fields (whitespace), link ids ("--"), rule actions (":"), session paths
+    # ("/"), and discovery answers, rule programs and gNB lists ("|", ";")
+    if not text or re.search(r"\s|--|[:/|;]", text):
+        raise ConfigError(f"bad entity name {text!r}")
+    return text
+
+
+def _reliable(text: str) -> bool:
+    if text.lower() not in ("true", "false", "1", "0"):
+        raise ConfigError(f"bad reliable flag {text!r}")
+    return text.lower() in ("true", "1")
+
+
+# section -> what no two rows share as their first column (None: rows may
+# repeat), and each column's reader in order; [params] maps key -> reader
+_SECTIONS = {
+    "entities": (None, (_kind, _name, lambda ip: str(ipaddress.IPv4Address(ip)))),
+    "links": (None, (str, str, _int, _float, _reliable)),
+    "subscribers": ("subscriber", (str,)),
+    "documents": ("document", (str, _int)),
+    "params": ("param", {name: _int if type(v) is int else str for name, v in _PARAM_DEFAULTS.items()}),
+}
 
 
 def parse_topology(text: str, source: str = "<memory>") -> TopologyConfig:
-    entities: list[EntityDecl] = []
-    links: list[LinkDecl] = []
-    subscribers: list[str] = []
-    documents: dict[str, int] = {}
-    param_overrides: dict[str, object] = {}
+    rows: dict[str, dict] = {section: {} for section in _SECTIONS}  # section -> key -> cells
     section = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -257,60 +284,39 @@ def parse_topology(text: str, source: str = "<memory>") -> TopologyConfig:
             continue
         if line.startswith("[") and line.endswith("]"):
             section = line[1:-1].strip().lower()
-            if section not in ("entities", "links", "subscribers", "documents", "params"):
+            if section not in _SECTIONS:
                 raise ConfigError(f"unknown section [{section}]", lineno)
             continue
         if section is None:
             raise ConfigError(f"content before any section: {line!r}", lineno)
+        keyed_by, readers = _SECTIONS[section]
         try:
-            if section == "entities":
-                kind, name, ip = (f.strip() for f in line.split(","))
-                kind = kind.upper()
-                if kind not in PEER_KINDS:
-                    raise ConfigError(f"unknown entity kind {kind}", lineno)
-                if not name or _NAME_SPLIT.search(name):
-                    raise ConfigError(f"bad entity name {name!r}", lineno)
-                ipaddress.IPv4Address(ip)
-                entities.append(EntityDecl(kind=kind, name=name, ip=ip))
-            elif section == "links":
-                a, b, latency, loss, reliable = (f.strip() for f in line.split(","))
-                rel = reliable.lower()
-                if rel not in ("true", "false", "1", "0"):
-                    raise ConfigError(f"bad reliable flag {reliable!r}", lineno)
-                links.append(
-                    LinkDecl(
-                        a=a,
-                        b=b,
-                        latency_ms=int(latency),
-                        loss_prob=float(loss),
-                        reliable=rel in ("true", "1"),
-                    )
-                )
-            elif section == "subscribers":
-                subscribers.append(line)
-            elif section == "documents":
-                name, size = (f.strip() for f in line.split(","))
-                if name in documents:
-                    raise ConfigError(f"duplicate document {name!r}", lineno)
-                documents[name] = int(size)
-            elif section == "params":
-                key, _, value = line.partition("=")
-                key = key.strip()
-                if key not in _PARAM_TYPES:
-                    raise ConfigError(f"unknown param {key!r}", lineno)
-                if key in param_overrides:
-                    raise ConfigError(f"duplicate param {key!r}", lineno)
-                param_overrides[key] = _PARAM_TYPES[key](value.strip())
-        except ConfigError:
-            raise
-        except (ValueError, ipaddress.AddressValueError) as exc:
+            if section == "params":
+                key, _, value = (f.strip() for f in line.partition("="))
+                if key not in readers:
+                    raise ConfigError(f"unknown param {key!r}")
+                cells = (key, readers[key](value))
+            else:
+                fields = [f.strip() for f in line.split(",")]
+                if len(fields) != len(readers):
+                    raise ValueError(f"columns: expected {len(readers)}, got {len(fields)}")
+                cells = tuple(read(f) for read, f in zip(readers, fields))
+        except ConfigError as exc:
+            raise ConfigError(str(exc), lineno) from None
+        except ValueError as exc:
             raise ConfigError(f"cannot parse {line!r}: {exc}", lineno) from None
-    params = Params(**param_overrides)
+        key = cells[0] if keyed_by else lineno
+        if key in rows[section]:
+            raise ConfigError(f"duplicate {keyed_by} {key!r}", lineno)
+        rows[section][key] = cells
+    subscribers = tuple(rows["subscribers"])
+    entities = [EntityDecl(*cells) for cells in rows["entities"].values()]
     ues = (i for i, e in enumerate(entities) if e.kind == "UE")
     for k, i in enumerate(ues, start=1):
         entities[i] = entities[i]._replace(imsi=ue_imsi(k, subscribers))
     return _validate(TopologyConfig(
-        tuple(entities), tuple(links), tuple(subscribers), documents, params, source
+        tuple(entities), tuple(LinkDecl(*cells) for cells in rows["links"].values()), subscribers,
+        dict(rows["documents"].values()), Params(**dict(rows["params"].values())), source,
     ))
 
 
@@ -324,7 +330,7 @@ def load_topology(path: str | Path) -> TopologyConfig:
 
 
 def default_topology_path() -> Path:
-    return _DATA_DIR / "default_topology.cfg"
+    return Path(__file__).parent / "data" / "default_topology.cfg"
 
 
 def default_topology() -> TopologyConfig:
@@ -352,12 +358,11 @@ def with_second_gnb(topo: TopologyConfig) -> TopologyConfig:
         return topo
     amfs = topo.of_kind("AMF")
     upfs = topo.of_kind("UPF")
-    ues = topo.of_kind("UE")
     if not amfs or len(upfs) < 2:
         raise ConfigError("need an AMF and two UPFs to add a standby gNB")
     links = list(topo.links)
     links.append(LinkDecl(a=name, b=amfs[0].name, latency_ms=1, loss_prob=0.0, reliable=True))
-    for ue in ues:
+    for ue in topo.of_kind("UE"):
         links.append(LinkDecl(a=ue.name, b=name, latency_ms=2, loss_prob=0.0, reliable=False))
     links.append(LinkDecl(a=name, b=upfs[1].name, latency_ms=2, loss_prob=0.0, reliable=False))
     return _validate(topo._replace(entities=(*topo.entities, _SECOND_GNB), links=tuple(links)))

@@ -139,6 +139,40 @@ def test_a_name_the_wire_grammars_split_exits_2(edit, error, tmp_path, capsys):
     assert (rc, capsys.readouterr().err) == (2, f"error: {error}\n")
 
 
+# an integer has one spelling, as in events.log and on the wire, and the loss
+# column refuses the same '_' and non-ASCII digits: each spelling is refused
+# with the line that holds it (int() and float() read every one)
+@pytest.mark.parametrize(
+    "old, new, line",
+    [
+        pytest.param("UE,gNB,2,", "UE,gNB,1_0,", 42, id="latency-underscore"),
+        pytest.param("UE,gNB,2,", "UE,gNB, +2 ,", 42, id="latency-plus-and-spaces"),
+        pytest.param("UE,gNB,2,", "UE,gNB,\u0662,", 42, id="latency-arabic-indic-two"),
+        pytest.param("UE,gNB,2,", "UE,gNB,02,", 42, id="latency-leading-zero"),
+        pytest.param("UE,gNB,2,", "UE,gNB,-0,", 42, id="latency-minus-zero"),
+        pytest.param("UE,gNB,2,0.0,", "UE,gNB,2,0.0_1,", 42, id="loss-underscore"),
+        pytest.param("UE,gNB,2,0.0,", "UE,gNB,2,\u0660.\u0665,", 42, id="loss-arabic-indic-half"),
+        pytest.param("heartbeat_ms=3333", "heartbeat_ms=3_333", 55, id="param-underscore"),
+        pytest.param("document,487659", "document,4_8", 51, id="document-size-underscore"),
+        # a subscriber line is one column: the comma is not part of an id
+        pytest.param("imsi-001010000000001", "imsi-001010000000001,x", 48, id="two-column-subscriber"),
+    ],
+)
+def test_a_spelling_the_wire_refuses_is_refused_with_its_line(old, new, line):
+    text = default_topology_path().read_text()
+    assert text.count(old) == 1
+    with pytest.raises(ConfigError, match=f"^line {line}: cannot parse ") as err:
+        parse_topology(text.replace(old, new))
+    assert err.value.line == line
+
+
+@pytest.mark.parametrize("loss, value", [("0.25", 0.25), ("1e-1", 0.1), ("1", 1.0), ("0", 0.0)])
+def test_the_loss_column_keeps_its_decimal_and_exponent_forms(loss, value):
+    text = default_topology_path().read_text().replace("UE,gNB,2,0.0,", f"UE,gNB,2,{loss},")
+    [radio] = [l for l in parse_topology(text).links if (l.a, l.b) == ("UE", "gNB")]
+    assert (radio.latency_ms, radio.loss_prob) == (2, value)
+
+
 def test_parse_error_carries_line_number():
     bad = "[entities]\nNRF,NRF,192.168.0.12\nROUTER,R1,10.0.0.1\n"
     with pytest.raises(ConfigError, match="line 3") as err:
@@ -156,6 +190,8 @@ def test_parse_error_carries_line_number():
                      "^line 6: duplicate param 'settle_ms'$", id="param-in-a-reopened-section"),
         pytest.param("[documents]\nd,10\ne,20\nd,30\n", "^line 4: duplicate document 'd'$",
                      id="document"),
+        pytest.param("[subscribers]\nimsi-1\nimsi-2\nimsi-1\n", "^line 4: duplicate subscriber 'imsi-1'$",
+                     id="subscriber"),
     ],
 )
 def test_a_repeated_key_is_refused_with_its_line(text, message):
@@ -186,6 +222,8 @@ def test_validation_rejects_entity_conflicts(mutation, message):
         ("NRF,AMF,1,0.0,false", "duplicate link"),
         ("UE,UPF1,-1,0.0,false", "negative latency"),
         ("UE,UPF1,1,1.5,false", "outside"),
+        ("UE,UPF1,1,nan,false", "loss_prob nan outside"),
+        ("UE,UPF1,1,inf,false", "loss_prob inf outside"),
         ("UE,UPF1,1,0.0,maybe", "bad reliable flag"),
     ],
 )
