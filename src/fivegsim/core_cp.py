@@ -247,9 +247,11 @@ class NfEntity(Entity):
         return self.net.send(hop, pkt, stream, attrs)
 
     def send_gtpu(
-        self, peer: str, teid: int, inner_raw: bytes, seq: int | None, inner_kind: str, **attrs
+        self, peer: str, teid: int, inner_raw: bytes | memoryview | SimPacket, seq: int | None, inner_kind: str,
+        **attrs,
     ) -> None:
-        """Tunnel an encoded packet to `peer`; each TEID is its own loss stream."""
+        """Tunnel a packet, encoded or not (gtpu_encapsulate), to `peer`;
+        each TEID is its own loss stream."""
         int_text = self.net.int_text
         attrs["teid"] = int_text[teid]
         if seq is not None:
@@ -395,8 +397,11 @@ class NfEntity(Entity):
         allocated, None for any other."""
         return None
 
-    def on_tunnelled(self, ctx, inner_raw: bytes, seq: int | None, pkt: SimPacket, sender: str) -> None:
-        """Take the inner packet of a first-copy G-PDU on a known TEID."""
+    def on_tunnelled(
+        self, ctx, inner_raw: bytes | memoryview, seq: int | None, pkt: SimPacket, sender: str
+    ) -> None:
+        """Take the inner packet of a first-copy G-PDU on a known TEID; a
+        large one is a view over the G-PDU (wirefmt.gtpu_decapsulate)."""
 
 
 # NF-management request -> (the profile statuses it applies to, None for no

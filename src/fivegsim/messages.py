@@ -8,6 +8,14 @@ Field values are UTF-8 text except DATA, which carries raw bytes (encoded
 inner packets, document segments). A kind's name prefix names the protocol
 it rides on (PROTOCOL).
 
+`parse` hands out a value of wirefmt.VIEW_MIN bytes or more (in practice
+a DATA element: a segment, or the packet that carries one) as a read-only
+memoryview over the parsed payload, not a copy, and a smaller value as a
+`bytes` slice. A view keeps that whole payload alive while it is held.
+`text`, `num` and `require` read a view as they read bytes. `build` and
+`extend` copy each value once, into the message: bytes and views go into
+its one join as they are.
+
 `kind_of` names a kind through `parse`'s one TLV walk and errors, keeping
 no field. An integer in peer text has one spelling, which `is_canonical_int`
 tells without a regex: ASCII digits, and no leading zero unless the text is
@@ -20,7 +28,7 @@ from __future__ import annotations
 import struct
 from enum import IntEnum
 
-from .wirefmt import MAX_TEID, Protocol, WireFormatError
+from .wirefmt import MAX_TEID, VIEW_MIN, Protocol, WireFormatError, byte_view
 
 
 class MsgKind(IntEnum):
@@ -211,8 +219,10 @@ def _lay_out(head: bytes, fields: dict) -> bytes:
             raise KeyError(f"unknown message field {name!r}")
         if type(value) is str:
             raw = value.encode()
-        elif isinstance(value, (bytes, bytearray, memoryview)):
-            raw = bytes(value)
+        elif isinstance(value, bytes):
+            raw = value
+        elif isinstance(value, (bytearray, memoryview)):
+            raw = byte_view(value)
         elif isinstance(value, (str, int)):
             raw = str(value).encode()
         else:
@@ -232,16 +242,16 @@ class ParsedMsg:
 
     __slots__ = ("kind", "_fields")
 
-    def __init__(self, kind: MsgKind, fields: dict[int, bytes]):
+    def __init__(self, kind: MsgKind, fields: dict[int, bytes | memoryview]):
         self.kind = kind
         self._fields = fields
 
-    def raw(self, tag: Tag) -> bytes | None:
+    def raw(self, tag: Tag) -> bytes | memoryview | None:
         return self._fields.get(tag)
 
-    def _decode(self, tag: Tag, raw: bytes) -> str:
+    def _decode(self, tag: Tag, raw: bytes | memoryview) -> str:
         try:
-            return raw.decode()
+            return raw.decode() if type(raw) is bytes else str(raw, "utf-8")
         except UnicodeDecodeError:
             raise WireFormatError(f"field {tag.name} in {self.kind.name} is not UTF-8") from None
 
@@ -253,6 +263,8 @@ class ParsedMsg:
         raw = self._fields.get(tag)
         if raw is None:
             return default
+        if type(raw) is not bytes:  # a view: VIEW_MIN digits or more
+            raw = raw.tobytes()
         if raw.isdigit() and (raw[0] != 0x30 or len(raw) == 1):  # bytes.isdigit: ASCII only
             try:
                 return int(raw)
@@ -267,10 +279,15 @@ class ParsedMsg:
         return self._decode(tag, raw)
 
 
-def _walk(payload: bytes, fields: dict[int, bytes] | None) -> MsgKind:
+def _walk(payload: bytes | bytearray | memoryview, fields: dict[int, bytes | memoryview] | None) -> MsgKind:
     """The one TLV walk: check every element, then the kind, and return the
     kind; a truncated element, then an unknown kind, raises WireFormatError.
-    With `fields`, keep each tag's first value there."""
+    With `fields`, keep each tag's first value there: a bytes copy, or a
+    view over `payload` from VIEW_MIN bytes up."""
+    flat = type(payload) is bytes
+    if not flat:
+        payload = byte_view(payload)
+    view = None if flat else payload
     end = len(payload)
     if end < 2:
         raise WireFormatError("truncated TLV message: missing msg_kind")
@@ -283,7 +300,13 @@ def _walk(payload: bytes, fields: dict[int, bytes] | None) -> MsgKind:
         if off + length > end:
             raise WireFormatError(f"TLV value for tag {tag} runs past the buffer")
         if fields is not None and tag not in fields:
-            fields[tag] = payload[off : off + length]
+            if length >= VIEW_MIN:
+                if view is None:
+                    view = memoryview(payload)
+                fields[tag] = view[off : off + length]
+            else:
+                value = payload[off : off + length]
+                fields[tag] = value if flat else value.tobytes()
         off += length
     code = payload[0] << 8 | payload[1]
     kind = _KIND_BY_CODE.get(code)
@@ -292,13 +315,13 @@ def _walk(payload: bytes, fields: dict[int, bytes] | None) -> MsgKind:
     return kind
 
 
-def kind_of(payload: bytes) -> MsgKind:
+def kind_of(payload: bytes | bytearray | memoryview) -> MsgKind:
     """The kind of a message `parse` would accept; raises what it raises."""
     return _walk(payload, None)
 
 
-def parse(payload: bytes) -> ParsedMsg:
+def parse(payload: bytes | bytearray | memoryview) -> ParsedMsg:
     """Decode a message. Total: a truncated element, then an unknown kind,
     raises WireFormatError."""
-    fields: dict[int, bytes] = {}
+    fields: dict[int, bytes | memoryview] = {}
     return ParsedMsg(_walk(payload, fields), fields)

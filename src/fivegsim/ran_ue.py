@@ -115,7 +115,7 @@ class Gnb(NfEntity):
         elif kind == MsgKind.RLS_NAS:
             ue_id = m.require(Tag.UE_ID)
             self._ue_names[ue_id] = sender
-            nas = m.raw(Tag.DATA) or b""
+            nas = bytes(m.raw(Tag.DATA) or b"")  # a SimPacket's payload is bytes
             inner_kind = KIND_NAME[kind_of(nas)]
             port = self.env.params.ports[Protocol.NAS]
             self.send_msg(
@@ -125,7 +125,7 @@ class Gnb(NfEntity):
         else:
             super().on_rls(m, pkt, sender)
 
-    def _uplink(self, inner_raw: bytes, sender: str) -> None:
+    def _uplink(self, inner_raw: bytes | memoryview, sender: str) -> None:
         inner = decode_packet(inner_raw)
         ctx = self._by_ue_ip.get(inner.src_ip)
         if ctx is None:
@@ -164,12 +164,14 @@ class Transfer(Record):
     """One document fetch as seen from the UE.
 
     `segments` keeps the first body of each index until the transfer
-    finishes; `received` counts those indices and `size` their bytes. At
-    completion the bodies, in index order, are checked against the ACK's
-    digest: bodies that together equal the one the testbed stored under
-    that digest and size (`verified`, CoreEnv.verified_bodies) pass without
-    hashing, as a UE hashed that body to that digest before storing it; any
-    others are joined and hashed once, and stored on a match.
+    finishes (a large body is the view `parse` handed out, which holds the
+    datagram that carried it); `received` counts those indices and `size`
+    their bytes. At completion the bodies, in index order, are checked
+    against the ACK's digest: bodies that together equal the one the
+    testbed stored under that digest and size (`verified`,
+    CoreEnv.verified_bodies) pass without hashing, as a UE hashed that body
+    to that digest before storing it; any others are joined and hashed
+    once, and stored on a match.
     """
 
     # fields only, no __slots__: a test may replace one transfer's method
@@ -187,7 +189,7 @@ class Transfer(Record):
     def done(self) -> bool:
         return self.ok is not None
 
-    def add_segment(self, index: int, body: bytes) -> None:
+    def add_segment(self, index: int, body: bytes | memoryview) -> None:
         """Take one segment; a repeated index keeps its first body."""
         if index in self.segments:
             return
@@ -346,7 +348,7 @@ class Ue(NfEntity):
 
     # -- downlink application packets ----------------------------------------------
 
-    def _on_user_packet(self, raw: bytes, sender: str) -> None:
+    def _on_user_packet(self, raw: bytes | memoryview, sender: str) -> None:
         inner = decode_packet(raw)
         m = parse(inner.payload)
         seq = m.num(Tag.SEQ)

@@ -360,7 +360,8 @@ def run_scenario(
     or later once its attach has settled, at the horizon at the latest.
     The window is settle_ms and spec.duration_ms, stretched only as far as
     n needs: settle past the last attach, the horizon TRANSFER_MS past the
-    last request.
+    last request. A checked scenario's horizon also passes heartbeat_ms, so
+    its window holds the first heartbeat, which heartbeat_cadence reads.
     """
     topo = topo or default_topology()
     scenario = SCENARIOS[spec.name]
@@ -382,6 +383,8 @@ def run_scenario(
             duration = max(duration, REQUEST_SPACING_MS * (n - 1) + TRANSFER_MS)
         tb, ues, settle = _bring_up(topo, spec.seed, spec.redundancy, n)
         horizon, request = settle + duration, methodcaller("request_document", spec.doc)
+        if scenario.checks:
+            horizon = max(horizon, tb.params.heartbeat_ms + 1)
         for i, ue in enumerate(ues):
             _When(tb, settle + REQUEST_SPACING_MS * i, ue, _settled, request, horizon)
         tb.run_checked(horizon)

@@ -17,7 +17,7 @@ from .errors import FlowError
 from .messages import ANSWER, KIND_NAME, MsgKind, Tag, build, extend, kind_of, read_teid
 from .record import Record
 from .urllc import DedupWindow
-from .wirefmt import Protocol, SimPacket, WireFormatError, _pack_ip, decode_packet, encode_packet
+from .wirefmt import Protocol, SimPacket, WireFormatError, _pack_ip, decode_packet
 
 log = logging.getLogger(__name__)
 
@@ -136,9 +136,11 @@ class Upf(NfEntity):
     # -- forwarding ------------------------------------------------------------
 
     def _run_actions(
-        self, actions: tuple[ForwardAction, ...], inner_raw: bytes, inner: SimPacket, seq: int | None,
-        inner_kind: str,
+        self, actions: tuple[ForwardAction, ...], inner_raw: bytes | memoryview | SimPacket, inner: SimPacket,
+        seq: int | None, inner_kind: str,
     ) -> None:
+        """Run a rule's actions on `inner`; an encap action tunnels
+        `inner_raw`, the encoded packet as it arrived or `inner` itself."""
         for kind, target, teid, carry_seq in actions:
             if kind == "route":
                 owner = self.net.by_ip.get(inner.dst_ip)
@@ -178,7 +180,8 @@ class Upf(NfEntity):
             self.drop(pkt, sender, "no downlink rule", dst_ip=pkt.dst_ip)
             return
         seq = self._windows[rule.ue_id].stamp() if rule.assign_seq else None
-        self._run_actions(rule.actions, encode_packet(pkt), pkt, seq, KIND_NAME[m.kind])
+        # each encap action encodes pkt straight into its G-PDU
+        self._run_actions(rule.actions, pkt, pkt, seq, KIND_NAME[m.kind])
 
 
 def document_content(doc: str, size: int) -> bytes:

@@ -58,6 +58,16 @@ def test_run_validate_scenario_reports_checks(tmp_path, capsys):
         assert f"PASS {name}" in out
 
 
+def test_a_validate_run_shorter_than_a_heartbeat_still_passes_6_of_6(capsys):
+    """The window [1000, 3000) ends before the first heartbeat, at
+    heartbeat_ms=3333: the horizon stretches just past it."""
+    rc = main(["run", "--scenario", "validate", "--duration-ms", "2000"])
+    lines = capsys.readouterr().out.splitlines()
+    assert rc == 0
+    assert "window_ms: [1000, 3334)" in lines
+    assert sum(line.startswith("PASS ") for line in lines) == 6
+
+
 def test_run_with_redundancy_flag(tmp_path, capsys):
     rc = main(["run", "--redundancy", "n3_replication", "--duration-ms", "3000",
                "--seed", "4", "--out", str(tmp_path)])
