@@ -43,7 +43,7 @@ PEER_KINDS = {
     "SERVER": ("UPF",),
 }
 
-# the kinds a run serves one of: CoreEnv names one NRF and one SERVER
+# the kinds a run serves one of: runner.Testbed wires the one NRF and SERVER into the nodes
 _ONE_ONLY = ("NRF", "SERVER")
 
 # the one protocol -> port map; NAS rides the NGAP association

@@ -40,7 +40,9 @@ and `on_sbi` alone writes the view: a discovery answer replaces a kind's
 list, and a status notification edits it. So the NF finds a peer that
 registers after its discovery, whatever the link delays, and refuses UEs a
 suspended one until a heartbeat revives it, which the NRF notifies too. The
-SMF associates over PFCP with each UPF as it enters the view.
+SMF associates over PFCP with each UPF as it enters the view. `ready` says
+whether a view holds the kinds a run has; the SMF's also waits for each
+association answer while one round trip has not passed (runner's readiness gate).
 
 A session's tunnel legs are its only plan: Smf.plan_paths lays them out per
 redundancy mode, the only code that branches on a mode's layout; the UPF
@@ -111,22 +113,6 @@ class PduSession(Frozen, namedtuple("PduSession", "ue_id ue_ip mode paths")):
         }
 
 
-class CoreEnv(Frozen, namedtuple("CoreEnv", "params nrf_name server_name server_ip")):
-    """Run-wide wiring every entity needs: knobs plus well-known names.
-
-    `verified_bodies` maps (digest, size) to a body of that size a UE hashed
-    to that digest (ran_ue.Transfer); it is not a field (equality, hash, repr)."""
-
-    def __new__(cls, params: Params, nrf_name: str, server_name: str, server_ip: str, verified_bodies=None):
-        self = super().__new__(cls, params, nrf_name, server_name, server_ip)
-        self.__dict__["verified_bodies"] = {} if verified_bodies is None else verified_bodies
-        return self
-
-    def _replace(self, **changes) -> CoreEnv:
-        """A copy with `changes` that shares this one's `verified_bodies`."""
-        return CoreEnv(**{**dict(zip(self._fields, self)), **changes}, verified_bodies=self.verified_bodies)
-
-
 def encode_paths(paths: tuple[SessionPath, ...]) -> str:
     return ";".join(
         f"{p.gnb}/{p.upf}/{p.teid_ul}/{p.teid_dl}/{int(p.carry_seq)}" for p in paths
@@ -190,11 +176,12 @@ class NfEntity(Entity):
     server) just reuse the send helpers. `kind` overrides the class's kind.
     """
 
-    def __init__(self, name: str, ip: str, net: Network, env: CoreEnv, kind: str | None = None):
+    def __init__(self, name: str, ip: str, net: Network, params: Params, kind: str | None = None):
         super().__init__(name, ip, net)
         if kind is not None:
             self.kind = kind
-        self.env = env
+        self.params = params
+        self.nrf = ""  # the registry of a kind in REGISTERS, set with its links
         self.registered = False
         self.heartbeat_enabled = True
         # peer kind -> its registered nf_ids in nf_id order, as the registry
@@ -211,7 +198,7 @@ class NfEntity(Entity):
         message carries one, the UE; `attrs` add to that.
         """
         protocol = PROTOCOL[kind]
-        port = self.env.params.ports[protocol]
+        port = self.params.ports[protocol]
         row = {"msg_kind": KIND_NAME[kind]}
         if attrs:
             row.update(attrs)
@@ -258,7 +245,7 @@ class NfEntity(Entity):
             attrs["seq"] = int_text[seq]
         if inner_kind:
             attrs["inner"] = inner_kind
-        port = self.env.params.ports[_GTPU]
+        port = self.params.ports[_GTPU]
         self.send_msg(
             peer, _GTPU, gtpu_encapsulate(inner_raw, teid, seq),
             sport=port, dport=port, stream=teid, attrs=attrs,
@@ -268,7 +255,7 @@ class NfEntity(Entity):
 
     def on_heartbeat_grid(self, fn: Callable[[], None]) -> None:
         """Call `fn` at every later multiple of heartbeat_ms."""
-        hb = self.env.params.heartbeat_ms
+        hb = self.params.heartbeat_ms
 
         def tick() -> None:
             fn()
@@ -284,21 +271,24 @@ class NfEntity(Entity):
         registry takes the requests in order over the one hop, so it answers
         each after the registration, and the notifications cover whatever
         registers after the discovery (TS 29.510 §5.2.2.5-6)."""
-        nrf = self.env.nrf_name
-        self.send(nrf, MsgKind.NF_REGISTER_REQ, nf_id=self.name, nf_type=self.kind, addr=self.ip)
+        self.send(self.nrf, MsgKind.NF_REGISTER_REQ, nf_id=self.name, nf_type=self.kind, addr=self.ip)
         if self.kind in DISCOVERS:
-            self.send(nrf, MsgKind.NF_STATUS_SUBSCRIBE_REQ, nf_id=self.name)
+            self.send(self.nrf, MsgKind.NF_STATUS_SUBSCRIBE_REQ, nf_id=self.name)
             self.discover()
 
     def discover(self) -> None:
         """Ask the registry for every peer kind this node sends to."""
         for kind in DISCOVERS.get(self.kind, ()):
-            self.send(self.env.nrf_name, MsgKind.NF_DISCOVER_REQ, nf_type=kind)
+            self.send(self.nrf, MsgKind.NF_DISCOVER_REQ, nf_type=kind)
 
     def pick(self, kind: str) -> str | None:
         """The registered `kind` peer to use: the lowest nf_id, or None."""
         found = self.candidates.get(kind)
         return found[0] if found else None
+
+    def ready(self, kinds) -> bool:
+        """Whether this node holds a peer of each of `kinds` it discovers."""
+        return all(self.candidates.get(kind) for kind in DISCOVERS.get(self.kind, ()) if kind in kinds)
 
     def _update_candidates(self, m) -> None:
         """Fold a discovery answer or status notification into the view. An
@@ -321,7 +311,7 @@ class NfEntity(Entity):
 
     def _heartbeat(self) -> None:
         if self.heartbeat_enabled:
-            self.send(self.env.nrf_name, MsgKind.NF_HEARTBEAT_REQ, nf_id=self.name)
+            self.send(self.nrf, MsgKind.NF_HEARTBEAT_REQ, nf_id=self.name)
 
     # -- receiving ---------------------------------------------------------
 
@@ -422,8 +412,8 @@ class Nrf(NfEntity):
 
     kind = "NRF"
 
-    def __init__(self, name, ip, net, env):
-        super().__init__(name, ip, net, env)
+    def __init__(self, name, ip, net, params):
+        super().__init__(name, ip, net, params)
         self.registry: dict[str, NfProfile] = {}
         self.status_subscribers: list[str] = []
 
@@ -442,7 +432,7 @@ class Nrf(NfEntity):
     # -- sweep -------------------------------------------------------------
 
     def _sweep(self) -> None:
-        hb = self.env.params.heartbeat_ms
+        hb = self.params.heartbeat_ms
         for profile in self.registry.values():
             if profile.status == REGISTERED and self.net.now - profile.last_heartbeat > 2 * hb:
                 profile.status = SUSPENDED
@@ -529,8 +519,8 @@ class Walker(NfEntity):
     UE's pending entry changes; a request for a UE whose run is pending is
     dropped (PENDING). Of a kind asked no step, it is just an NfEntity."""
 
-    def __init__(self, name, ip, net, env, kind=None):
-        super().__init__(name, ip, net, env, kind)
+    def __init__(self, name, ip, net, params, kind=None):
+        super().__init__(name, ip, net, params, kind)
         self.runs = runs_of(self.kind)
         # run -> ue_id -> (requester, step asked, the peer asked, the fields each
         # step carries), or what the `begin` of a run without steps waits on
@@ -597,8 +587,8 @@ class Amf(Walker):
 
     kind = "AMF"
 
-    def __init__(self, name, ip, net, env):
-        super().__init__(name, ip, net, env)
+    def __init__(self, name, ip, net, params):
+        super().__init__(name, ip, net, params)
         self.gnbs: set[str] = set()
         self.ue_registered: dict[str, str] = {}  # ue_id -> serving gNB
 
@@ -657,11 +647,13 @@ class Smf(Walker):
 
     kind = "SMF"
 
-    def __init__(self, name, ip, net, env):
-        super().__init__(name, ip, net, env)
+    def __init__(self, name, ip, net, params):
+        super().__init__(name, ip, net, params)
+        self.server = ""  # the route: target of every session's uplink, set with its links
         self.associations: dict[str, str] = {}  # upf name -> PENDING | ACTIVE
+        self._awaited: dict[str, int] = {}  # upf name -> when its association answer is due, until it comes
         self.sessions: dict[str, PduSession] = {}
-        pool = ipaddress.IPv4Network(env.params.ue_pool)
+        pool = ipaddress.IPv4Network(params.ue_pool)
         self._pool_iter = iter(pool.hosts())
         next(self._pool_iter)  # the first host is the gateway
         self._released: list[str] = []  # addresses of failed sessions, handed out first
@@ -682,11 +674,17 @@ class Smf(Walker):
     # -- PFCP ---------------------------------------------------------------
 
     def pfcp_associate(self, upf: str) -> None:
-        """Idempotent: repeated calls never emit extra packets."""
-        if self.associations.get(upf) in ("PENDING", "ACTIVE"):
-            return
-        self.associations[upf] = "PENDING"
-        self.send(upf, MsgKind.PFCP_ASSOC_REQ, nf_id=self.name)
+        """Idempotent: repeated calls never emit extra packets. The answer is due one round trip later."""
+        if upf not in self.associations:
+            hop = self.net.hops.get((self.name, upf))  # no link: no answer to wait for
+            self._awaited[upf] = self.net.now + 2 * hop.latency_ms if hop else -1
+            self.associations[upf] = "PENDING"
+            self.send(upf, MsgKind.PFCP_ASSOC_REQ, nf_id=self.name)
+
+    def ready(self, kinds) -> bool:
+        """NfEntity.ready, and no association answer from a UPF in the view is still due."""
+        now = self.net.now
+        return super().ready(kinds) and all(self._awaited.get(u, -1) < now for u in self.candidates.get("UPF", ()))
 
     def _update_candidates(self, m) -> None:
         """Associate with each UPF as it enters the view."""
@@ -696,6 +694,7 @@ class Smf(Walker):
 
     def on_pfcp(self, m, pkt, sender) -> None:
         if m.kind == MsgKind.PFCP_ASSOC_RESP:
+            self._awaited.pop(sender, None)
             if m.text(Tag.RESULT) == OK:
                 self.associations[sender] = "ACTIVE"
         elif m.kind == MsgKind.PFCP_SESSION_RESP:
@@ -776,7 +775,7 @@ class Smf(Walker):
         encap:<entity>:<teid>:<carry_seq> re-tunnels it. The last leg's UPF
         anchors: a sequenced leg on another UPF reaches it over an N9 bridge.
         """
-        server, ue_ip, anchor = self.env.server_name, session.ue_ip, session.paths[-1].upf
+        server, ue_ip, anchor = self.server, session.ue_ip, session.paths[-1].upf
         rules: dict[str, list[str]] = defaultdict(list)
         downlink: dict[str, list[str]] = defaultdict(list)  # UPF -> its UEIP actions, one per leg
         for p in session.paths:
@@ -802,8 +801,8 @@ class Udr(Walker):
 
     kind = "UDR"
 
-    def __init__(self, name, ip, net, env):
-        super().__init__(name, ip, net, env)
+    def __init__(self, name, ip, net, params):
+        super().__init__(name, ip, net, params)
         self.subscribers: set[str] = set()
 
     def begin(self, run, ue_id, requester, m) -> None:

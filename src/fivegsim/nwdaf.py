@@ -265,6 +265,6 @@ class Nwdaf(NfEntity):
 
     kind = "NWDAF"
 
-    def __init__(self, name, ip, net, env):
-        super().__init__(name, ip, net, env)
+    def __init__(self, name, ip, net, params):
+        super().__init__(name, ip, net, params)
         self.store = EventStore(net.events)

@@ -46,8 +46,8 @@ class Gnb(NfEntity):
 
     kind = "GNB"
 
-    def __init__(self, name, ip, net, env):
-        super().__init__(name, ip, net, env)
+    def __init__(self, name, ip, net, params):
+        super().__init__(name, ip, net, params)
         self.amf = ""  # the AMF it links to, set once the links are up
         self.ng_ready = False
         self._ue_names: dict[str, str] = {}      # ue_id -> roster name
@@ -117,7 +117,7 @@ class Gnb(NfEntity):
             self._ue_names[ue_id] = sender
             nas = bytes(m.raw(Tag.DATA) or b"")  # a SimPacket's payload is bytes
             inner_kind = KIND_NAME[kind_of(nas)]
-            port = self.env.params.ports[Protocol.NAS]
+            port = self.params.ports[Protocol.NAS]
             self.send_msg(
                 self.amf, Protocol.NAS, nas, sport=port, dport=port,
                 attrs={"msg_kind": inner_kind, "ue_id": ue_id},
@@ -167,10 +167,10 @@ class Transfer(Record):
     finishes (a large body is the view `parse` handed out, which holds the
     datagram that carried it); `received` counts those indices and `size`
     their bytes. At completion the bodies, in index order, are checked
-    against the ACK's digest: bodies that together equal the one the
-    testbed stored under that digest and size (`verified`,
-    CoreEnv.verified_bodies) pass without hashing, as a UE hashed that body
-    to that digest before storing it; any others are joined and hashed
+    against the ACK's digest: bodies that together equal the one stored
+    under that digest and size in `verified` (the UE's `verified_bodies`,
+    the one store of its testbed) pass without hashing, as a UE hashed that
+    body to that digest before storing it; any others are joined and hashed
     once, and stored on a match.
     """
 
@@ -223,10 +223,12 @@ class Ue(NfEntity):
 
     kind = "UE"
 
-    def __init__(self, name, ip, net, env):
-        super().__init__(name, ip, net, env)
+    def __init__(self, name, ip, net, params):
+        super().__init__(name, ip, net, params)
         self.imsi = ""  # its subscriber identity, set with its links
         self.gnbs: tuple[str, ...] = ()  # the gNBs it links to, set once the links are up
+        self.server_ip = ""  # where its application messages go, set with its links
+        self.verified_bodies: dict = {}  # the testbed's one store (Transfer), set with its links
         self.state = DEREGISTERED
         self.session: PduSession | None = None
         self.reject_reason: str | None = None
@@ -317,8 +319,8 @@ class Ue(NfEntity):
         gnbs = sess.gnbs
         if len(gnbs) > 1:
             fields["seq"] = self._window.stamp()
-        port = self.env.params.ports[_APP]
-        inner = SimPacket(_APP, sess.ue_ip, self.env.server_ip, port, port, build(kind, **fields))
+        port = self.params.ports[_APP]
+        inner = SimPacket(_APP, sess.ue_ip, self.server_ip, port, port, build(kind, **fields))
         raw = encode_packet(inner)
         attrs = {"app_kind": KIND_NAME[kind]}  # send copies it into each row
         for gnb in gnbs:
@@ -327,7 +329,7 @@ class Ue(NfEntity):
     def request_document(self, doc: str) -> Transfer:
         """Fetch `doc`; without an active session the transfer fails at once,
         naming the refusal when there was one, and nothing is sent."""
-        transfer = Transfer(doc=doc, started_ms=self.net.now, verified=self.env.verified_bodies)
+        transfer = Transfer(doc=doc, started_ms=self.net.now, verified=self.verified_bodies)
         self.transfers.append(transfer)
         if self.state == SESSION_ACTIVE:
             self._app_send(MsgKind.APP_GET, doc=doc)

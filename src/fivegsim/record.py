@@ -5,13 +5,13 @@ than defining every record here.
 
 A frozen record is a `collections.namedtuple` subclass: equal, hashed and
 shown by its fields, copied with `_replace`. One that also keeps state
-outside its fields (a cached property, a shared table) has an instance
-`__dict__` and takes `Frozen` first among its bases; one whose `__new__`
-checks its fields takes `Frozen` too, so that a copy is checked as well. A
-mutable record is a `Record`: it declares its `_fields`, usually as its
-`__slots__` too, and the defaults of the optional ones in `_defaults`, and
-`Record` writes its `__init__`. A read-only record that must not be a tuple
-takes `Frozen` and `Record`.
+outside its fields (a cached property) has an instance `__dict__` and
+takes `Frozen` first among its bases; one whose `__new__` checks its fields
+takes `Frozen` too, so that a copy is checked as well. A mutable record is
+a `Record`: it declares its `_fields`, usually as its `__slots__` too, and
+the defaults of the optional ones in `_defaults`, and `Record` writes its
+`__init__`. A read-only record that must not be a tuple takes `Frozen` and
+`Record`.
 """
 from __future__ import annotations
 

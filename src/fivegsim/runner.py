@@ -33,7 +33,7 @@ from .config import (
     with_second_gnb,
     with_ues,
 )
-from .core_cp import DISCOVERS, REGISTERS, Amf, CoreEnv, Nrf, Smf, Udr, Walker
+from .core_cp import DISCOVERS, REGISTERS, Amf, Nrf, Smf, Udr, Walker
 from .errors import FlowError
 from .nwdaf import (
     Nwdaf,
@@ -81,17 +81,11 @@ class Testbed:
         self.topo = topo
         self.params = topo.params
         entities, links = run_roster(topo.entities, topo.links, topo.params)
-        server = next(e for e in entities if e.kind == "SERVER")
-        self.env = CoreEnv(
-            params=self.params,
-            nrf_name=next(e.name for e in entities if e.kind == "NRF"),
-            server_name=server.name,
-            server_ip=server.ip,
-        )
-
         self.net = Network(seed=seed)
         self.records = self.net.events
         self.by_kind: dict[str, list] = {}
+        # (digest, size) -> a body of that size a UE hashed to that digest (ran_ue.Transfer)
+        self.verified_bodies: dict[tuple[str, int], bytes] = {}
         self._build(entities, links)
 
     # -- construction helpers ---------------------------------------------
@@ -99,28 +93,35 @@ class Testbed:
     def _build(self, entities: list[EntityDecl], links: list[LinkDecl]) -> None:
         """Add `entities` and `links` to the fabric and wire the new nodes'
         peers from the links: a gNB's AMF is the first it links to (config
-        checked that there is one), a UE's gNBs are all it links to. Every
-        UDR then holds the topology's subscribers, and a UE and the server
-        their declared IMSI and documents."""
+        checked that there is one), a UE's gNBs are all it links to. The
+        roster's one NRF is the registry of every kind in REGISTERS and its
+        one server the SMF's route: target; a UE also holds its declared
+        IMSI, the server's address and the testbed's one verified-body
+        store. Every UDR then holds the topology's subscribers, and the
+        server its documents."""
         built = [self._make_entity(decl) for decl in entities]
         for entity in built:
             self.net.add_entity(entity)
             self.by_kind.setdefault(entity.kind, []).append(entity)
         for l in links:
             self.net.add_link(l.a, l.b, l.latency_ms, l.loss_prob, l.reliable)
-        hops = self.net.hops
+        hops, nrf, server = self.net.hops, self.nrf.name, self.server
         for decl, entity in zip(entities, built):
-            if entity.kind == "GNB":
+            if entity.kind in REGISTERS:
+                entity.nrf = nrf
+            if entity.kind == "SMF":
+                entity.server = server.name
+            elif entity.kind == "GNB":
                 entity.amf = next(amf.name for amf in self.amfs if (entity.name, amf.name) in hops)
             elif entity.kind == "UE":
                 entity.gnbs = tuple(g.name for g in self.gnbs if (entity.name, g.name) in hops)
-                entity.imsi = decl.imsi
+                entity.imsi, entity.server_ip, entity.verified_bodies = decl.imsi, server.ip, self.verified_bodies
         for udr in self.udrs:
             udr.subscribers.update(self.topo.subscribers)
         self.server.documents.update(self.topo.documents)
 
     def _make_entity(self, decl: EntityDecl):
-        args = (decl.name, decl.ip, self.net, self.env)
+        args = (decl.name, decl.ip, self.net, self.params)
         if decl.kind in _CLASS_OF:
             return _CLASS_OF[decl.kind](*args)
         return Walker(*args, kind=decl.kind)
@@ -336,12 +337,11 @@ def _bring_up(
     tb = Testbed(with_ues(topo, n), seed=seed)
     tb.boot()
     ues = tb.ues[:n]
-    # the core is ready when each NF that finds peers holds one of each kind it asks for that the roster has
+    # the core is ready when each NF that finds peers is ready for the kinds the roster has
     finders = [nf for kind in DISCOVERS for nf in tb.by_kind.get(kind, ())]
-    asked = [(nf, kind) for nf in finders for kind in DISCOVERS[nf.kind] if kind in tb.by_kind]
 
     def core_ready(_: Ue) -> bool:
-        return all(nf.candidates.get(kind) for nf, kind in asked)
+        return all(nf.ready(tb.by_kind) for nf in finders)
 
     for i, ue in enumerate(ues):
         _When(tb, T_ATTACH + i, ue, core_ready, methodcaller("attach", mode))

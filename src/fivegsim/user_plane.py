@@ -95,8 +95,8 @@ class Upf(NfEntity):
 
     kind = "UPF"
 
-    def __init__(self, name, ip, net, env):
-        super().__init__(name, ip, net, env)
+    def __init__(self, name, ip, net, params):
+        super().__init__(name, ip, net, params)
         self.associated_smfs: set[str] = set()
         self.teid_rules: dict[int, TeidRule] = {}
         self.ueip_rules: dict[str, UeIpRule] = {}
@@ -213,8 +213,8 @@ class AppServer(NfEntity):
 
     kind = "SERVER"
 
-    def __init__(self, name, ip, net, env):
-        super().__init__(name, ip, net, env)
+    def __init__(self, name, ip, net, params):
+        super().__init__(name, ip, net, params)
         self.documents: dict[str, int] = {}  # name -> size, the topology's
         self.routes: dict[str, list[str]] = {}       # ue_ip -> UPFs that delivered uplink
         self._windows: defaultdict[str, DedupWindow] = defaultdict(DedupWindow)  # ue_ip -> its app-level seqs
@@ -236,7 +236,7 @@ class AppServer(NfEntity):
         window = self._windows.get(ue_ip)
         if window is not None:  # a UE that tags its uplink gets tagged downlink
             payload = extend(payload, seq=window.stamp())
-        port = self.env.params.ports[_APP]
+        port = self.params.ports[_APP]
         for upf in routes:
             self.send_msg(
                 upf,
@@ -278,7 +278,7 @@ class AppServer(NfEntity):
         built once per server; the body is not kept."""
         built = self._built.get((doc, size))
         if built is None:
-            seg = self.env.params.segment_bytes
+            seg = self.params.segment_bytes
             n_segments = segment_count(size, seg)
             content = document_content(doc, size)
             digest = hashlib.sha256(content).hexdigest()

@@ -8,7 +8,7 @@ import hashlib
 
 import fivegsim
 from fivegsim import ran_ue
-from fivegsim.config import ScenarioSpec, default_topology
+from fivegsim.config import ScenarioSpec, default_topology, with_ues
 from fivegsim.runner import Testbed, run_scenario
 from fivegsim.simnet import Network, SimClock
 
@@ -48,6 +48,32 @@ def test_testbed_names_the_benchmark_reads():
     assert isinstance(tb.amfs[0].ue_registered, dict)
     assert isinstance(tb.smfs[0].sessions, dict)
     assert (tb.params.sbi_port, tb.params.ue_pool) == (7777, "10.45.0.0/16")
+
+
+def _wiring(tb):
+    """Each entity's kind and address, and each hop's link, address and link
+    terms; a spawned UE comes after the server and the NWDAF run_roster adds,
+    so not in order."""
+    entities = {name: (e.kind, e.ip) for name, e in tb.net.entities.items()}
+    hops = {k: (h.link_id, h.dst_ip, h.latency_ms, h.loss_prob, h.reliable) for k, h in tb.net.hops.items()}
+    return entities, hops
+
+
+def test_spawned_ues_are_built_and_wired_as_a_testbed_with_them_builds_them():
+    # ues500_fetch's set-up: boot, then grow the population
+    tb = Testbed(default_topology(), seed=1)
+    tb.boot()
+    spawned = tb.spawn_ues(5)
+    built = Testbed(with_ues(default_topology(), 5), seed=1)
+    assert _wiring(tb) == _wiring(built)
+    assert spawned == tb.ues and [ue.name for ue in spawned] == [ue.name for ue in built.ues]
+    for ue, twin in zip(spawned, built.ues):
+        assert (ue.imsi, ue.gnbs, ue.server_ip) == (twin.imsi, twin.gnbs, tb.server.ip)
+        assert ue.verified_bodies is tb.verified_bodies
+    assert tb.udrs[0].subscribers == built.udrs[0].subscribers
+    # each testbed has a store of its own
+    assert built.verified_bodies is not tb.verified_bodies
+    assert all(ue.verified_bodies is built.verified_bodies for ue in built.ues)
 
 
 def test_run_result_names_the_benchmark_reads():

@@ -68,6 +68,12 @@ def test_a_validate_run_shorter_than_a_heartbeat_still_passes_6_of_6(capsys):
     assert sum(line.startswith("PASS ") for line in lines) == 6
 
 
+def test_a_validate_run_with_one_heartbeat_each_names_no_grid(capsys):
+    assert main(["run", "--scenario", "validate", "--duration-ms", "2000"]) == 0
+    [line] = [l for l in capsys.readouterr().out.splitlines() if "heartbeat_cadence" in l]
+    assert line == "PASS heartbeat_cadence: 11 functions, one heartbeat each, responses matched"
+
+
 def test_run_with_redundancy_flag(tmp_path, capsys):
     rc = main(["run", "--redundancy", "n3_replication", "--duration-ms", "3000",
                "--seed", "4", "--out", str(tmp_path)])
@@ -162,6 +168,21 @@ def test_a_request_and_a_burst_wait_for_a_late_attach(tmp_path, capsys):
     topo.write_text(late)
     assert main(["run", "--scenario", "single_request", "--topology", str(topo)]) == 0
     assert any(line.startswith("transfer UE document ok ") for line in capsys.readouterr().out.splitlines())
+    assert main(["run", "--scenario", "urllc_sweep", "--topology", str(topo)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    swept = [line.split()[1] for line in lines if line.startswith("reliability ")]
+    assert swept == ["NONE", "DUAL_CONNECTIVITY", "N3_REPLICATION", "PSA_ANCHOR"]
+
+
+@pytest.mark.parametrize("upf", ["UPF1", "UPF2"])
+def test_every_sweep_mode_gets_a_session_over_a_slow_n4_link(upf, tmp_path, capsys):
+    """The SMF's N4 link to one UPF at 60 ms: its association answer comes
+    after the first attach time, and the UEs attach once it is in, so dual
+    connectivity has its two UPFs."""
+    text = Path(default_topology().source).read_text()
+    assert f"\nSMF,{upf},1," in text
+    topo = tmp_path / "slow_n4.cfg"
+    topo.write_text(text.replace(f"\nSMF,{upf},1,", f"\nSMF,{upf},60,"))
     assert main(["run", "--scenario", "urllc_sweep", "--topology", str(topo)]) == 0
     lines = capsys.readouterr().out.splitlines()
     swept = [line.split()[1] for line in lines if line.startswith("reliability ")]

@@ -19,7 +19,6 @@ from fivegsim.core_cp import (
     DEREGISTERED,
     REGISTERED,
     SUSPENDED,
-    CoreEnv,
     NfEntity,
     NfProfile,
     Nrf,
@@ -44,22 +43,13 @@ HB = 3333
 SETTLE = 1000
 
 
-def micro_env() -> CoreEnv:
-    return CoreEnv(
-        params=Params(),
-        nrf_name="NRF",
-        server_name="SRV",
-        server_ip="192.168.9.1",
-    )
-
-
 def micro_net():
     """One registry plus one registering NF on a single link."""
-    env = micro_env()
+    params = Params()
     net = Network(seed=0)
-    nrf = net.add_entity(Nrf("NRF", "192.168.0.12", net, env))
-    x = net.add_entity(NfEntity("X", "192.168.0.50", net, env))
-    x.kind = "AUSF"
+    nrf = net.add_entity(Nrf("NRF", "192.168.0.12", net, params))
+    x = net.add_entity(NfEntity("X", "192.168.0.50", net, params))
+    x.kind, x.nrf = "AUSF", "NRF"
     net.add_link("NRF", "X", 1)
     nrf.boot()
     return net, nrf, x
@@ -100,8 +90,8 @@ def pair_net():
     """The registry and two linked NFs, X (an AUSF) and Y (a PCF), each
     subscribed to status; neither heartbeats unasked."""
     net, nrf, x = micro_net()
-    y = net.add_entity(NfEntity("Y", "192.168.0.51", net, x.env))
-    y.kind = "PCF"
+    y = net.add_entity(NfEntity("Y", "192.168.0.51", net, x.params))
+    y.kind, y.nrf = "PCF", "NRF"
     net.add_link("NRF", "Y", 1)
     for nf in (x, y):
         nf.heartbeat_enabled = False
@@ -365,6 +355,56 @@ def test_sessions_are_planned_over_the_associated_upfs_alone():
     assert run.testbed.invariant_violations(run.window[1]) == []
 
 
+def test_the_core_is_not_ready_while_an_association_request_waits_for_its_answer():
+    """The SMF's N4 link to UPF1 at 60 ms: both UPFs are in its view by the
+    first attach time, but the SMF is ready only once UPF1's answer is in."""
+    text = Path(default_topology().source).read_text()
+    tb = Testbed(parse_topology(text.replace("\nSMF,UPF1,1,", "\nSMF,UPF1,60,")), seed=0)
+    tb.boot()
+    tb.run_until(T_ATTACH)
+    smf = tb.smfs[0]
+    assert smf.candidates["UPF"] == ["UPF1", "UPF2"]
+    assert smf.associations == {"UPF1": "PENDING", "UPF2": "ACTIVE"}
+    assert not smf.ready(tb.by_kind)
+    tb.run_until(SETTLE)
+    assert smf.associations == {"UPF1": "ACTIVE", "UPF2": "ACTIVE"} and smf.ready(tb.by_kind)
+
+
+def test_an_association_request_the_fabric_refused_leaves_nothing_to_wait_for():
+    """Without the SMF-UPF2 link the request to UPF2 is a "no link" row: the
+    SMF does not wait for its answer, and a repeated call adds no row."""
+    text = Path(default_topology().source).read_text()
+    assert "\nSMF,UPF2,1,0.0,false\n" in text
+    tb = Testbed(parse_topology(text.replace("\nSMF,UPF2,1,0.0,false\n", "\n")), seed=0)
+    tb.boot()
+    tb.run_until(T_ATTACH)
+    smf = tb.smfs[0]
+    assert smf.candidates["UPF"] == ["UPF1", "UPF2"]
+    assert smf.associations == {"UPF1": "ACTIVE", "UPF2": "PENDING"} and smf.ready(tb.by_kind)
+    smf.pfcp_associate("UPF2")
+    tb.run_until(SETTLE)
+    [refused] = [r for r in kinds_in(tb.records, "PFCP_ASSOC_REQ") if r.attrs.get("peer") == "UPF2"]
+    assert (refused.outcome, refused.attrs["reason"]) == ("DROPPED", "no link")
+
+
+@pytest.mark.parametrize("seed", [5, 6])
+def test_a_lost_association_answer_is_waited_for_one_round_trip_only(seed):
+    """SMF-UPF1 at loss 0.5: at these seeds UPF1's association answer is
+    lost, so the SMF stops waiting once the round trip has passed and the UE
+    attaches over UPF2, as when the request itself is lost."""
+    text = Path(default_topology().source).read_text()
+    assert "\nSMF,UPF1,1,0.0,false\n" in text
+    topo = parse_topology(text.replace("\nSMF,UPF1,1,0.0,false\n", "\nSMF,UPF1,1,0.5,false\n"))
+    run = run_scenario(ScenarioSpec("single_request", seed=seed), topo)
+    smf, (ue,) = run.testbed.smfs[0], run.testbed.ues
+    assert smf.associations == {"UPF1": "PENDING", "UPF2": "ACTIVE"}
+    [asked] = [r for r in kinds_in(run.testbed.records, "PFCP_ASSOC_REQ") if r.dst == "UPF1"]
+    [lost] = [r for r in kinds_in(run.testbed.records, "PFCP_ASSOC_RESP") if r.src == "UPF1"]
+    assert (asked.outcome, lost.outcome) == ("DELIVERED", "DROPPED")
+    assert ue.state == "SESSION_ACTIVE" and [p.upf for p in ue.session.paths] == ["UPF2"]
+    assert all(t.ok for ts in run.transfers.values() for t in ts)
+
+
 def test_a_ue_whose_attach_never_settles_fails_its_request_at_the_horizon(monkeypatch):
     monkeypatch.setattr(Ue, "attach", lambda ue, mode=Redundancy.NONE: None)
     run = run_scenario(ScenarioSpec(name="single_request"))
@@ -470,6 +510,24 @@ def test_pfcp_association_is_idempotent():
     assert len(reqs) == 2  # one per UPF, ever
 
 
+def test_the_amf_leaves_a_nas_kind_it_runs_no_procedure_for_unanswered(caplog):
+    # a UE sends an accept up the radio leg; the gNB relays it, and the AMF
+    # writes no row for it and answers nothing
+    tb = booted_testbed()
+    ue = tb.ues[0]
+    start = len(tb.records)
+    with caplog.at_level("DEBUG", logger="fivegsim.core_cp"):
+        ue._send_nas(MsgKind.NAS_REGISTER_ACCEPT, ue_id=ue.imsi)
+        tb.run_until(SETTLE + 50)
+    rows = [(r.src, r.dst, r.outcome, r.attrs.get("msg_kind")) for r in tb.records[start:]]
+    assert rows == [("UE", "gNB", DELIVERED, "RLS_NAS"), ("gNB", "AMF", DELIVERED, "NAS_REGISTER_ACCEPT")]
+    assert "AMF: unhandled NAS NAS_REGISTER_ACCEPT" in caplog.messages
+    # the run goes on: the UE registers and gets its session
+    ue.attach()
+    tb.run_until(SETTLE + 150)
+    assert (ue.state, ue.reject_reason) == ("SESSION_ACTIVE", None)
+
+
 def test_the_amf_answers_a_keepalive_by_the_answer_table(monkeypatch):
     # the NFs name no answer kind of their own: a new ANSWER row is their answer
     monkeypatch.setitem(ANSWER, MsgKind.NGAP_KEEPALIVE_REQ, MsgKind.NGAP_SETUP_RESP)
@@ -537,7 +595,7 @@ def test_a_kind_with_no_class_of_its_own_is_a_plain_walker_of_that_kind():
     for name in ("AUSF", "UDM", "PCF", "NSSF", "BSF"):
         node = tb.net.entity(name)
         assert (type(node), node.kind, node.runs) == (Walker, name, runs_of(name)), name
-    assert NfEntity("X", "192.168.0.50", tb.net, tb.env, kind="AUSF").kind == "AUSF"
+    assert NfEntity("X", "192.168.0.50", tb.net, tb.params, kind="AUSF").kind == "AUSF"
 
 
 def test_a_step_asked_of_a_kind_with_no_class_is_answered_by_its_walker(monkeypatch):

@@ -272,7 +272,7 @@ def test_a_testbed_hashes_each_document_body_once(hashed):
     result, (started, ok) = many_requests(20)
     assert (started, ok) == (20, 20)
     assert sum(hashed) == DOC_SIZE
-    [(key, body)] = result.testbed.env.verified_bodies.items()
+    [(key, body)] = result.testbed.verified_bodies.items()
     assert key == (hashlib.sha256(body).hexdigest(), DOC_SIZE)
 
 
@@ -293,7 +293,7 @@ def test_a_failed_first_fetch_stores_nothing_and_the_next_ue_stores_the_body(mon
     assert [t.ok for t in transfers] == [False] + [True] * 19
     assert transfers[0].error == "integrity check failed"
     assert sum(hashed) == 2 * DOC_SIZE
-    [(key, body)] = result.testbed.env.verified_bodies.items()
+    [(key, body)] = result.testbed.verified_bodies.items()
     assert key == (hashlib.sha256(body).hexdigest(), DOC_SIZE)
 
 
@@ -436,9 +436,9 @@ def fresh_fetch(stored=None):
     ue = recording_ue()
     ue.transfers.clear()
     ue.app_sent.clear()
-    ue.env.verified_bodies.clear()
+    ue.verified_bodies.clear()
     if stored is not None:
-        ue.env.verified_bodies[(sha256(stored), len(stored))] = stored
+        ue.verified_bodies[(sha256(stored), len(stored))] = stored
     return ue, ue.request_document("document")
 
 
@@ -535,7 +535,7 @@ def test_reassembly_matches_the_joined_body(drawn):
         assert digests == ([] if body is None else [sha256(body)])
         assert transfer.segments == {} or not transfer.done
         # the store holds only bodies whose SHA-256 and size are their key
-        store = ue.env.verified_bodies
+        store = ue.verified_bodies
         assert all(sha256(b) == d and len(b) == n for (d, n), b in store.items())
 
 
@@ -546,6 +546,74 @@ def test_undecodable_downlink_is_dropped_not_fatal():
     ue.handle_packet(carrier, "gNB")
     drops = [r for r in tb.records if r.link_id == "local:UE" and r.outcome == DROPPED]
     assert drops
+
+
+# -- the gNB's refusals -----------------------------------------------------------------
+
+STRANGER_IP = "10.45.9.9"  # in the pool, held by no session the SMF set up
+
+
+def local_drops(tb, entity):
+    return [r for r in tb.records if r.link_id == f"local:{entity}" and r.outcome == DROPPED]
+
+
+def fetch_ok(tb, ue) -> bool:
+    """Whether the UE still fetches the document: the run went on."""
+    transfer = ue.request_document("document")
+    tb.run_until(tb.net.now + 200)
+    return transfer.ok
+
+
+def app_data(tb, src_ip, dst_ip):
+    port = tb.params.app_port
+    return SimPacket(Protocol.APP, src_ip, dst_ip, port, port, build(MsgKind.APP_DATA, index=0))
+
+
+def stranger_session(gnb, upf):
+    """A session over one leg from `gnb` to `upf`, TEIDs the SMF never gave out."""
+    return PduSession("imsi-stranger", STRANGER_IP, Redundancy.NONE, (SessionPath(gnb, upf, 901, 902),))
+
+
+def test_gnb_drops_uplink_from_an_address_without_a_session():
+    tb, ue = attached_testbed()
+    gnb = tb.gnbs[0]
+    inner = app_data(tb, STRANGER_IP, tb.server.ip)
+    rls = build(MsgKind.RLS_DATA, ue_id=ue.imsi, data=encode_packet(inner))
+    gnb.handle_packet(SimPacket(Protocol.RLS, ue.ip, gnb.ip, 4997, 4997, rls), ue.name)
+    [drop] = local_drops(tb, "gNB")
+    assert (drop.src, drop.protocol, drop.size) == (ue.name, Protocol.RLS, inner.wire_size)
+    assert drop.attrs == {"reason": "no session", "src_ip": STRANGER_IP}
+    assert fetch_ok(tb, ue)
+
+
+def test_gnb_drops_downlink_for_a_ue_it_has_not_heard_on_the_radio():
+    # the AMF hands the gNB a session over NGAP for a UE that never sent it anything
+    tb, ue = attached_testbed()
+    gnb, upf = tb.gnbs[0], tb.upfs[0]
+    tb.amfs[0].send(gnb.name, MsgKind.NGAP_SESSION_SETUP, **stranger_session(gnb.name, upf.name).fields())
+    tb.run_until(SETTLE + 10)
+    upf.send_gtpu(gnb.name, 902, app_data(tb, tb.server.ip, STRANGER_IP), None, "APP_DATA")
+    tb.run_until(SETTLE + 20)
+    [drop] = local_drops(tb, "gNB")
+    assert (drop.src, drop.protocol) == (upf.name, Protocol.GTPU)
+    assert drop.attrs == {"reason": "no radio peer", "ue_id": "imsi-stranger"}
+    assert fetch_ok(tb, ue)
+
+
+def test_gnb_installs_nothing_for_a_session_with_no_leg_through_it():
+    tb, ue = attached_testbed()
+    gnb, upf = tb.gnbs[0], tb.upfs[0]
+    tb.amfs[0].send(gnb.name, MsgKind.NGAP_SESSION_SETUP, **stranger_session("gNB2", upf.name).fields())
+    tb.run_until(SETTLE + 10)
+    assert gnb.tunnel(902) is None and STRANGER_IP not in gnb._by_ue_ip
+    [ack] = [r for r in tb.records if r.attrs.get("msg_kind") == "NGAP_SESSION_SETUP_ACK"]
+    assert (ack.src, ack.dst, ack.outcome, ack.attrs["ue_id"]) == (gnb.name, "AMF", DELIVERED, "imsi-stranger")
+    # a G-PDU on the leg's TEID is then one this gNB never allocated
+    upf.send_gtpu(gnb.name, 902, app_data(tb, tb.server.ip, STRANGER_IP), None, "APP_DATA")
+    tb.run_until(SETTLE + 20)
+    [drop] = local_drops(tb, "gNB")
+    assert drop.attrs == {"reason": "unknown teid", "teid": "902"}
+    assert fetch_ok(tb, ue)
 
 
 # -- duplicate elimination placement -------------------------------------------------

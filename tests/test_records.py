@@ -9,7 +9,7 @@ import pytest
 
 import fivegsim
 from fivegsim.config import EntityDecl, LinkDecl, Params, Scenario, ScenarioSpec, TopologyConfig
-from fivegsim.core_cp import REGISTERED, CoreEnv, NfProfile, PduSession, SessionPath
+from fivegsim.core_cp import REGISTERED, NfProfile, PduSession, SessionPath
 from fivegsim.errors import ConfigError
 from fivegsim.nwdaf import EventStore
 from fivegsim.ran_ue import GnbUeContext, Transfer
@@ -57,7 +57,6 @@ FROZEN = {
     "ScenarioSpec": (lambda: ScenarioSpec("many_requests", ue_count=3, seed=7), True),
     "SessionPath": (lambda: SessionPath("gNB1", "UPF1", 1, 2, carry_seq=True), True),
     "PduSession": (lambda: PduSession("imsi-1", "10.45.0.2", Redundancy.NONE, (PATH,)), True),
-    "CoreEnv": (lambda: CoreEnv(PARAMS, "NRF", "SERVER", "192.168.0.40"), True),
     "ForwardAction": (lambda: ForwardAction("encap", "UPF2", teid=5, carry_seq=True), True),
     "ReliabilityResult": (lambda: ReliabilityResult(Redundancy.PSA_ANCHOR, 0.1, 10, 9, {1: 9}), False),
     "CheckResult": (lambda: CheckResult("user_plane", False, "no tunnel", 4), True),
@@ -87,11 +86,6 @@ def test_state_outside_the_fields_stays_out_of_equality_and_repr():
     params, session = Params(), PduSession("imsi-1", "10.45.0.2", Redundancy.NONE, (PATH, PATH))
     assert params.ports[Protocol.SBI] == 7777 and session.gnbs == ("gNB1",)
     assert params == Params() and "ports" not in repr(params) and "gnbs" not in repr(session)
-    env = CoreEnv(PARAMS, "NRF", "SERVER", "192.168.0.40", verified_bodies={("d", 1): b"x"})
-    assert env == CoreEnv(PARAMS, "NRF", "SERVER", "192.168.0.40") and "verified" not in repr(env)
-    copy = env._replace(server_ip="192.168.0.41")
-    assert copy.verified_bodies is env.verified_bodies and copy.server_ip == "192.168.0.41"
-    assert CoreEnv._make(env).verified_bodies == {}
 
 
 def test_a_copy_is_checked_as_the_original_is():

@@ -257,6 +257,19 @@ def test_dual_connectivity_paths_are_disjoint(small_runs):
     assert small_runs[Redundancy.NONE].paths_disjoint is False
 
 
+@pytest.mark.parametrize("loss, n_packets, message", [
+    (0.0, 0, "n_packets must be positive"),
+    (0.0, -5, "n_packets must be positive"),
+    (1.0, 10, "loss_prob 1.0 outside [0, 1)"),
+    (-0.1, 10, "loss_prob -0.1 outside [0, 1)"),
+])
+def test_reliability_run_refuses_what_it_cannot_measure_before_building(monkeypatch, loss, n_packets, message):
+    monkeypatch.setattr(Testbed, "__init__", lambda *a, **kw: pytest.fail("a testbed was built"))
+    with pytest.raises(ValueError) as refused:
+        run_reliability_measurement(Redundancy.NONE, loss, n_packets, SEED)
+    assert str(refused.value) == message
+
+
 def test_reliability_run_raises_on_a_broken_invariant(monkeypatch):
     monkeypatch.setattr(Testbed, "invariant_violations", lambda tb, horizon: ["planted violation"])
     with pytest.raises(FlowError, match="planted violation"):

@@ -6,6 +6,7 @@ import pytest
 from fivegsim import core_cp, validation
 from fivegsim.config import ScenarioSpec
 from fivegsim.messages import ANSWER, PROCEDURES, MsgKind
+from fivegsim.nwdaf import export_events_text, import_events_text
 from fivegsim.runner import run_scenario
 from fivegsim.simnet import TapRecord
 from fivegsim.validation import (
@@ -234,6 +235,13 @@ def test_heartbeats_pass_on_constant_grid(fab):
     assert res.passed and "3333ms grid" in res.detail
 
 
+def test_one_heartbeat_each_is_reported_as_such_not_as_a_grid(fab):
+    # with no second heartbeat there is no gap to call a grid
+    events = beats(fab, "AMF", [3333]) + beats(fab, "SMF", [3333])
+    res = check_heartbeat_cadence(events)
+    assert (res.passed, res.detail) == (True, "2 functions, one heartbeat each, responses matched")
+
+
 def test_heartbeats_fail_without_evidence():
     res = check_heartbeat_cadence([])
     assert not res.passed and res.detail == "no heartbeat evidence in the log"
@@ -393,6 +401,17 @@ def test_user_plane_requires_session_sourced_app_traffic(fab):
     events = user_traffic(fab, src_ip="192.168.0.40")
     res = check_user_plane(events, "10.45.0.0/16")
     assert not res.passed and "session pool" in res.detail
+
+
+def test_user_plane_passes_over_an_app_row_whose_source_is_not_ipv4(fab):
+    # the import takes any src_ip text: a row whose text is no IPv4 address is no evidence either way
+    gtpu, app = user_traffic(fab)
+    odd = fab.make(src="UPF1", dst="SERVER", protocol=Protocol.APP, msg_kind="APP_GET", src_ip="fe80::1")
+    imported = import_events_text(export_events_text([gtpu, app, odd]))
+    assert imported[2].attrs["src_ip"] == "fe80::1"
+    res = check_user_plane([imported[0], imported[2]], "10.45.0.0/16")
+    assert (res.passed, res.detail) == (False, "no application traffic sourced from the session pool 10.45.0.0/16")
+    assert check_user_plane(imported, "10.45.0.0/16").passed
 
 
 # -- the whole battery ------------------------------------------------------------------------
