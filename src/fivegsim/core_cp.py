@@ -30,7 +30,9 @@ decides something, its `begin` (the UDR's and the SMF's); a kind that
 decides nothing is a plain Walker. The SMF associates with UPFs over PFCP
 and anchors PDU sessions over the associated ones, allocating UE addresses
 and tunnel endpoints; when a UPF it asked refuses a session's rules, the
-SMF deletes the session at its other UPFs and takes the UE address back.
+SMF deletes the session at its other UPFs and takes the UE address back, and
+when an answer is still due 1 ms past one round trip over the slowest SMF-UPF
+hop, it deletes the session at every UPF of its legs and names the silent one.
 
 Each NF has one peer view, `candidates` (kind -> registered nf_ids in nf_id
 order), and one choice, `pick` (the lowest). An NF with peer kinds to find
@@ -57,7 +59,7 @@ import ipaddress
 import logging
 from collections import defaultdict, namedtuple
 from collections.abc import Callable
-from functools import cached_property
+from functools import cached_property, partial
 
 from .config import PEER_KINDS, Params
 from .errors import FlowError
@@ -254,14 +256,13 @@ class NfEntity(Entity):
     # -- timers --------------------------------------------------------------
 
     def on_heartbeat_grid(self, fn: Callable[[], None]) -> None:
-        """Call `fn` at every later multiple of heartbeat_ms."""
+        """Call `fn`, a bound method, at every later multiple of heartbeat_ms."""
         hb = self.params.heartbeat_ms
+        self.net.schedule((self.net.now // hb + 1) * hb, partial(self._grid_tick, fn))
 
-        def tick() -> None:
-            fn()
-            self.on_heartbeat_grid(fn)
-
-        self.net.schedule((self.net.now // hb + 1) * hb, tick)
+    def _grid_tick(self, fn: Callable[[], None]) -> None:
+        fn()
+        self.on_heartbeat_grid(fn)
 
     # -- NRF client -------------------------------------------------------
 
@@ -651,11 +652,12 @@ class Smf(Walker):
         super().__init__(name, ip, net, params)
         self.server = ""  # the route: target of every session's uplink, set with its links
         self.associations: dict[str, str] = {}  # upf name -> PENDING | ACTIVE
-        self._awaited: dict[str, int] = {}  # upf name -> when its association answer is due, until it comes
+        self._awaited: dict[str, int] = {}  # upf name -> when its association answer is overdue, until it comes
         self.sessions: dict[str, PduSession] = {}
+        # IPv4Network.hosts() less its first, the gateway, as ints (a /31's and a /32's hosts() keep their edges)
         pool = ipaddress.IPv4Network(params.ue_pool)
-        self._pool_iter = iter(pool.hosts())
-        next(self._pool_iter)  # the first host is the gateway
+        edge = pool.prefixlen < 31
+        self._next_ip, self._last_ip = int(pool.network_address) + edge + 1, int(pool.broadcast_address) - edge
         self._released: list[str] = []  # addresses of failed sessions, handed out first
         self._teid = 0
 
@@ -666,25 +668,31 @@ class Smf(Walker):
     def allocate_ue_ip(self) -> str:
         if self._released:
             return self._released.pop()
-        try:
-            return str(next(self._pool_iter))
-        except StopIteration:
-            raise FlowError("UE address pool exhausted") from None
+        if self._next_ip > self._last_ip:
+            raise FlowError("UE address pool exhausted")
+        self._next_ip += 1
+        return str(ipaddress.IPv4Address(self._next_ip - 1))
 
     # -- PFCP ---------------------------------------------------------------
 
+    def _overdue(self, upf: str) -> int:
+        """When an answer from `upf` to a request sent now is overdue: 1 ms
+        past the round trip, as a check due at the round trip itself runs
+        before an answer arriving in that ms; now without a hop ("no link")."""
+        hop = self.net.hops.get((self.name, upf))
+        return self.net.now + (2 * hop.latency_ms + 1 if hop else 0)
+
     def pfcp_associate(self, upf: str) -> None:
-        """Idempotent: repeated calls never emit extra packets. The answer is due one round trip later."""
+        """Idempotent: repeated calls never emit extra packets."""
         if upf not in self.associations:
-            hop = self.net.hops.get((self.name, upf))  # no link: no answer to wait for
-            self._awaited[upf] = self.net.now + 2 * hop.latency_ms if hop else -1
+            self._awaited[upf] = self._overdue(upf)
             self.associations[upf] = "PENDING"
             self.send(upf, MsgKind.PFCP_ASSOC_REQ, nf_id=self.name)
 
     def ready(self, kinds) -> bool:
         """NfEntity.ready, and no association answer from a UPF in the view is still due."""
         now = self.net.now
-        return super().ready(kinds) and all(self._awaited.get(u, -1) < now for u in self.candidates.get("UPF", ()))
+        return super().ready(kinds) and all(self._awaited.get(u, now) <= now for u in self.candidates.get("UPF", ()))
 
     def _update_candidates(self, m) -> None:
         """Associate with each UPF as it enters the view."""
@@ -703,12 +711,7 @@ class Smf(Walker):
             if sender not in outstanding:  # only a UPF whose rules this UE waits for answers
                 return
             if m.text(Tag.RESULT) != OK:
-                reason = m.text(Tag.REASON, "error")
-                # undo the session at every other UPF (TS 29.244 §7.5.6)
-                for other in sorted({p.upf for p in session.paths} - {sender}):
-                    self.send(other, MsgKind.PFCP_SESSION_DELETE_REQ, ue_id=ue_id)
-                self._released.append(session.ue_ip)
-                return self.end(run, ue_id, requester, reason)
+                return self._abandon(ue_id, requester, session, {sender}, m.text(Tag.REASON, "error"))
             outstanding.remove(sender)
             if not outstanding:
                 self.sessions[ue_id] = session
@@ -717,6 +720,20 @@ class Smf(Walker):
             pass
         else:
             super().on_pfcp(m, pkt, sender)
+
+    def _abandon(self, ue_id: str, requester: str, session: PduSession, refused: set[str], reason: str) -> None:
+        """Undo the UE's session at every UPF of its legs but those that
+        `refused` it (TS 29.244 §7.5.6), take its address back and reject it."""
+        for upf in sorted({p.upf for p in session.paths} - refused):
+            self.send(upf, MsgKind.PFCP_SESSION_DELETE_REQ, ue_id=ue_id)
+        self._released.append(session.ue_ip)
+        self.end(MsgKind.SESSION_CREATE_REQ, ue_id, requester, reason)
+
+    def _session_overdue(self, ue_id: str, session: PduSession) -> None:
+        """Give up on `session` if the UE still waits on it for a UPF's answer."""
+        requester, pending, silent = self._pending[MsgKind.SESSION_CREATE_REQ].get(ue_id, (None, None, ()))
+        if pending is session:
+            self._abandon(ue_id, requester, session, set(), "no PFCP session answer from " + ", ".join(sorted(silent)))
 
     # -- session establishment ------------------------------------------------
 
@@ -767,6 +784,7 @@ class Smf(Walker):
         self._pending[run][ue_id] = (requester, session, set(rule_sets))
         for upf, rules in rule_sets.items():
             self.send(upf, MsgKind.PFCP_SESSION_REQ, ue_id=ue_id, ue_ip=ue_ip, rules=rules)
+        self.net.schedule(max(map(self._overdue, rule_sets)), partial(self._session_overdue, ue_id, session))
 
     def _build_rules(self, session: PduSession) -> dict[str, str]:
         """Per-UPF rule programs in the N4 rule grammar, read off the legs

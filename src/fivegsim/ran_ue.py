@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import hashlib
 import logging
+from functools import partial
 from itertools import accumulate
 
 from .core_cp import NfEntity, PduSession, read_session
@@ -343,10 +344,11 @@ class Ue(NfEntity):
         active session nothing is sent."""
         if count <= 0 or self.state != SESSION_ACTIVE:
             return
-        for i in range(count):
-            self.net.schedule_in(
-                i * interval_ms, lambda i=i: self._app_send(_APP_DATA, index=i)
-            )
+        for i in range(count):  # all up front: an entry that rescheduled itself would reorder buckets
+            self.net.schedule(self.net.now + i * interval_ms, partial(self._send_data, i))
+
+    def _send_data(self, index: int) -> None:
+        self._app_send(_APP_DATA, index=index)
 
     # -- downlink application packets ----------------------------------------------
 

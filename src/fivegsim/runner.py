@@ -189,6 +189,10 @@ class Testbed:
         self._build(self.topo.entities[len(topo.entities):], self.topo.links[len(topo.links):])
         return self.ues[:total]
 
+    def core_ready(self, _: Ue) -> bool:
+        """A `_When` readiness test: each NF that finds peers is ready for the roster's kinds."""
+        return all(nf.ready(self.by_kind) for kind in DISCOVERS for nf in self._kind(kind))
+
     def run_until(self, t_end: int) -> int:
         return self.net.run_until(t_end)
 
@@ -337,14 +341,8 @@ def _bring_up(
     tb = Testbed(with_ues(topo, n), seed=seed)
     tb.boot()
     ues = tb.ues[:n]
-    # the core is ready when each NF that finds peers is ready for the kinds the roster has
-    finders = [nf for kind in DISCOVERS for nf in tb.by_kind.get(kind, ())]
-
-    def core_ready(_: Ue) -> bool:
-        return all(nf.ready(tb.by_kind) for nf in finders)
-
     for i, ue in enumerate(ues):
-        _When(tb, T_ATTACH + i, ue, core_ready, methodcaller("attach", mode))
+        _When(tb, T_ATTACH + i, ue, tb.core_ready, methodcaller("attach", mode))
     return tb, ues, max(tb.params.settle_ms, T_ATTACH + n) if n else tb.params.settle_ms
 
 

@@ -12,7 +12,9 @@ one bucket per millisecond: a dict from each pending time to the FIFO list
 of its callbacks, plus a heap of the distinct pending times. Callbacks of one
 millisecond run in the order they were scheduled, and one scheduled at the
 current time from inside a callback runs after every callback already due
-then. A time that is not an int is refused.
+then. A time that is not an int is refused. A callback is a bound method of
+the run's own objects or a functools.partial of one, never a closure or a
+generator, so a settled testbed copies and pickles as a value.
 
 A link is two Hops, one per direction, built once by `add_link`, which
 returns the a -> b hop. Each holds the link's latency, loss probability and
@@ -43,6 +45,7 @@ import hashlib
 import heapq
 import logging
 from collections.abc import Callable
+from functools import partial
 
 from .errors import FivegsimError
 from .record import Record
@@ -296,8 +299,7 @@ class Network:
         ))
         hop.stats[0 if delivered else 1] += 1
         if delivered:
-            target = hop.target
-            clock.schedule(clock.now + hop.latency_ms, lambda: target.handle_packet(pkt, sender))
+            clock.schedule(clock.now + hop.latency_ms, partial(hop.target.handle_packet, pkt, sender))
         return delivered
 
     def tap_local(
@@ -328,9 +330,6 @@ class Network:
 
     def schedule(self, at: int, fn: Callable[[], None]) -> None:
         self.clock.schedule(at, fn)
-
-    def schedule_in(self, delay: int, fn: Callable[[], None]) -> None:
-        self.clock.schedule(self.now + delay, fn)
 
     def run_until(self, t_end: int) -> int:
         return self.clock.run_until(t_end)

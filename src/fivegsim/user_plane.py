@@ -11,6 +11,7 @@ from __future__ import annotations
 import hashlib
 import logging
 from collections import defaultdict, namedtuple
+from functools import partial
 
 from .core_cp import ERROR, OK, NfEntity
 from .errors import FlowError
@@ -265,9 +266,7 @@ class AppServer(NfEntity):
         elif kind == MsgKind.APP_GET:
             # Serve after draining same-tick arrivals so a replicated request
             # teaches us every return route before the response fans out.
-            doc = m.require(Tag.DOC)
-            sport = pkt.src_port
-            self.net.schedule_in(0, lambda: self._serve(ue_ip, sport, doc))
+            self.net.schedule(self.net.now, partial(self._serve, ue_ip, pkt.src_port, m.require(Tag.DOC)))
         elif kind == MsgKind.APP_COMPLETE:
             pass  # the UE's receipt; its log row is the record
         else:

@@ -1,4 +1,5 @@
 """Control-plane tests: registry semantics, bring-up, sessions, heartbeats."""
+import ipaddress
 import re
 from pathlib import Path
 
@@ -24,6 +25,7 @@ from fivegsim.core_cp import (
     Nrf,
     PduSession,
     SessionPath,
+    Smf,
     Walker,
     decode_paths,
     encode_paths,
@@ -403,6 +405,26 @@ def test_a_lost_association_answer_is_waited_for_one_round_trip_only(seed):
     assert (asked.outcome, lost.outcome) == ("DELIVERED", "DROPPED")
     assert ue.state == "SESSION_ACTIVE" and [p.upf for p in ue.session.paths] == ["UPF2"]
     assert all(t.ok for ts in run.transfers.values() for t in ts)
+
+
+def test_a_lost_session_answer_is_waited_for_one_round_trip_only():
+    """SMF-UPF1 at loss 0.5, seed 1: UPF1's answer to the session request is
+    lost. One round trip plus 1 ms after asking, the SMF deletes the session
+    at UPF1, takes the address back and rejects it, naming the silent UPF."""
+    text = Path(default_topology().source).read_text()
+    topo = parse_topology(text.replace("\nSMF,UPF1,1,0.0,false\n", "\nSMF,UPF1,1,0.5,false\n"))
+    run = run_scenario(ScenarioSpec("single_request", seed=1), topo)
+    smf, (ue,) = run.testbed.smfs[0], run.testbed.ues
+    [asked] = kinds_in(run.testbed.records, "PFCP_SESSION_REQ")
+    [lost] = kinds_in(run.testbed.records, "PFCP_SESSION_RESP")
+    assert (asked.dst, asked.outcome, lost.outcome) == ("UPF1", "DELIVERED", "DROPPED")
+    [delete] = kinds_in(run.testbed.records, "PFCP_SESSION_DELETE_REQ")
+    assert (delete.dst, delete.ts, delete.outcome) == ("UPF1", asked.ts + 2 + 1, "DELIVERED")
+    assert not run.testbed.upfs[0].teid_rules and not run.testbed.upfs[0].ueip_rules
+    assert (ue.state, ue.reject_reason) == ("REGISTERED", "no PFCP session answer from UPF1")
+    assert not smf._pending[MsgKind.SESSION_CREATE_REQ] and smf._released == ["10.45.0.2"]
+    assert "transfer UE document failed segments=0 bytes=0 ms=0 error=no active session" \
+        " (no PFCP session answer from UPF1)" in run.summary_lines
 
 
 def test_a_ue_whose_attach_never_settles_fails_its_request_at_the_horizon(monkeypatch):
@@ -801,10 +823,25 @@ def test_teids_are_unique_and_increasing():
     assert seen == sorted(set(seen))
 
 
+def pool_smf(pool: str) -> Smf:
+    return Smf("SMF", "192.168.0.14", Network(seed=0), Params(ue_pool=pool))
+
+
 def test_pool_exhaustion_raises():
-    smf = booted_testbed().smfs[0]
-    smf._pool_iter = iter(())
-    with pytest.raises(FlowError, match="pool exhausted"):
+    smf = pool_smf("10.45.0.0/30")  # hosts 10.45.0.1, the gateway, and 10.45.0.2
+    assert smf.allocate_ue_ip() == "10.45.0.2"
+    with pytest.raises(FlowError, match="UE address pool exhausted"):
+        smf.allocate_ue_ip()
+
+
+@pytest.mark.parametrize("prefix", range(22, 33))
+def test_the_pool_hands_out_every_host_but_the_gateway_in_order(prefix):
+    """/31 and /32 are where hosts() keeps the network and broadcast addresses."""
+    pool = f"10.45.0.0/{prefix}"
+    smf = pool_smf(pool)
+    for host in list(ipaddress.IPv4Network(pool).hosts())[1:]:
+        assert smf.allocate_ue_ip() == str(host)
+    with pytest.raises(FlowError, match="UE address pool exhausted"):
         smf.allocate_ue_ip()
 
 
